@@ -9,7 +9,6 @@ code description, 3 uncorrectable pattern, 4 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import Sequence
 
@@ -29,10 +28,15 @@ def _field_line(field) -> str:
             f"alpha={field.alpha} order(alpha)={field.alpha_order}")
 
 
-def _out_stream(path: str | None):
-    if path:
-        return open(path, "w")
-    return contextlib.nullcontext(sys.stdout)
+def _write_output(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fp:
+            fp.write(text)
+    except OSError as exc:
+        raise files.SpecFileError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_info(args) -> int:
@@ -82,8 +86,7 @@ def cmd_encode(args) -> int:
         n = spec.shape.n
         arr = gpc.SymbolArray([word[i * n:(i + 1) * n]
                                for i in range(spec.shape.m)])
-    with _out_stream(args.output) as fp:
-        fp.write(files.array_to_text(arr, w))
+    _write_output(args.output, files.array_to_text(arr, w))
     return EXIT_OK
 
 
@@ -110,8 +113,7 @@ def cmd_decode(args) -> int:
             residual = result.erased_positions()
             print(f"uncorrectable: {len(residual)} unresolved positions "
                   f"{residual}", file=sys.stderr)
-            with _out_stream(args.output) as fp:
-                fp.write(files.array_to_text(result, w))
+            _write_output(args.output, files.array_to_text(result, w))
             return EXIT_UNCORRECTABLE
     else:
         shape = spec.shape
@@ -128,8 +130,7 @@ def cmd_decode(args) -> int:
             return EXIT_UNCORRECTABLE
         result = gpc.SymbolArray([decoded[i * arr.n:(i + 1) * arr.n]
                                   for i in range(arr.m)])
-    with _out_stream(args.output) as fp:
-        fp.write(files.array_to_text(result, w))
+    _write_output(args.output, files.array_to_text(result, w))
     return EXIT_OK
 
 

@@ -26,8 +26,8 @@ from math import ceil
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
-from .linalg import (Matrix, NoSolutionError, UnderdeterminedError, rank,
-                     solve)
+from .linalg import (Matrix, NoSolutionError, UnderdeterminedError,
+                     pivot_columns, solve)
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,11 @@ class LinearCode:
     def __post_init__(self):
         if self.check_matrix.cols != self.length:
             raise ValueError("check matrix width does not match length")
-        self._rank: int | None = None
         self._parity_positions: tuple[int, ...] | None = None
 
     @property
     def redundancy(self) -> int:
-        if self._rank is None:
-            self._rank = rank(self.check_matrix)
-        return self._rank
+        return len(self.parity_positions())
 
     @property
     def dimension(self) -> int:
@@ -130,28 +127,14 @@ class LinearCode:
     def parity_positions(self) -> tuple[int, ...]:
         """Greedy systematic choice: the last positions, scanned right to
         left, whose check columns stay linearly independent."""
-        if self._parity_positions is not None:
-            return self._parity_positions
-        f = self.field
-        chosen: list[int] = []
-        pivots: dict[int, list[int]] = {}
-        for j in range(self.length - 1, -1, -1):
-            if len(chosen) == self.redundancy:
-                break
-            vec = self.check_matrix.column(j)
-            while True:
-                lead = next((i for i, x in enumerate(vec) if x), None)
-                if lead is None:
-                    break
-                hit = pivots.get(lead)
-                if hit is None:
-                    inv = f.inv(vec[lead])
-                    pivots[lead] = [f.mul(inv, x) for x in vec]
-                    chosen.append(j)
-                    break
-                factor = vec[lead]
-                vec = [x ^ f.mul(factor, y) for x, y in zip(vec, hit)]
-        self._parity_positions = tuple(sorted(chosen))
+        if self._parity_positions is None:
+            # The pivot columns of the column-reversed check matrix are
+            # exactly that greedy choice, and there are rank-many.
+            flipped = Matrix(self.field,
+                             [row[::-1] for row in self.check_matrix.data])
+            last = self.length - 1
+            self._parity_positions = tuple(
+                sorted(last - c for c in pivot_columns(flipped)))
         return self._parity_positions
 
     def data_positions(self) -> tuple[int, ...]:

@@ -19,9 +19,7 @@ even though the field itself is large; those are exposed through
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
-
-from sympy import factorint, isprime, nextprime
+from math import gcd
 
 # One primitive polynomial per width.  Bit i = coefficient of x^i, so
 # e.g. 0b1011 is x^3 + x + 1.  x (= the int 2) is primitive modulo each.
@@ -48,6 +46,70 @@ MAX_WIDTH = 63
 
 # Widths up to this bound get exp/log tables at construction time.
 _TABLE_WIDTH = 16
+
+
+# Trial divisors and Miller-Rabin bases.  With these bases the test is
+# exact below 3.3e24 (Sorenson and Webster, 2015), so for every 64-bit
+# integer.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def isprime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact below 3.3e24."""
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    # A proper divisor of a composite n without small prime factors.
+    for c in range(1, n):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+    raise ValueError(f"no factor found for {n}")
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    found = {p for p in _SMALL_PRIMES if n % p == 0}
+    for p in found:
+        while n % p == 0:
+            n //= p
+    pending = [n] if n > 1 else []
+    while pending:
+        x = pending.pop()
+        if isprime(x):
+            found.add(x)
+        else:
+            d = _rho(x)
+            pending += [d, x // d]
+    return sorted(found)
 
 
 class PrimeSearchError(RuntimeError):
@@ -109,7 +171,7 @@ def is_irreducible(poly: int) -> bool:
 
     if x_to_power_of_two(d) != 2:
         return False
-    for r in factorint(d):
+    for r in _prime_factors(d):
         if _poly_gcd(x_to_power_of_two(d // r) ^ 2, poly) != 1:
             return False
     return True
@@ -126,7 +188,7 @@ def is_two_primitive(p: int) -> bool:
     """True iff 2 generates the multiplicative group modulo the odd prime p."""
     if not isprime(p) or p == 2:
         raise ValueError(f"{p} is not an odd prime")
-    return all(pow(2, (p - 1) // q, p) != 1 for q in factorint(p - 1))
+    return all(pow(2, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
 def find_construction_prime(min_size: int, cap: int = 64) -> int:
@@ -137,11 +199,9 @@ def find_construction_prime(min_size: int, cap: int = 64) -> int:
     what the low-redundancy array constructions need.  The default cap
     keeps the resulting field width p-1 within the supported range.
     """
-    p = nextprime(max(min_size, 1))
-    while p <= cap:
-        if p != 2 and is_two_primitive(p):
+    for p in range(max(min_size, 2) + 1, cap + 1):
+        if isprime(p) and is_two_primitive(p):
             return p
-        p = nextprime(p)
     raise PrimeSearchError(
         f"no prime p with 2 primitive mod p in ({min_size}, {cap}]"
     )
@@ -178,7 +238,7 @@ class GF:
         self.alpha = alpha
         self.order = (1 << w) - 1  # size of the multiplicative group
         self._alpha_order: int | None = None
-        self._order_factors: dict[int, int] | None = None
+        self._order_factors: list[int] | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         if w <= _TABLE_WIDTH:
@@ -273,7 +333,7 @@ class GF:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         if self._order_factors is None:
-            self._order_factors = dict(factorint(self.order))
+            self._order_factors = _prime_factors(self.order)
         n = self.order
         for q in self._order_factors:
             while n % q == 0 and self.pow(a, n // q) == 1:
@@ -285,9 +345,6 @@ class GF:
         if self._alpha_order is None:
             self._alpha_order = self.element_order(self.alpha)
         return self._alpha_order
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(1 << self.w))
 
     # -- construction helpers ---------------------------------------
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO
 
 from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1)
 from .fields import GF, field_with_order
@@ -131,13 +130,6 @@ def dump_code_spec(spec_obj: dict, path: str) -> None:
     with open(path, "w") as fp:
         json.dump(spec_obj, fp, indent=2)
         fp.write("\n")
-
-
-def write_array(fp: IO[str], arr: SymbolArray, w: int) -> None:
-    fp.write(f"{arr.m} {arr.n} {w}\n")
-    for vals, mask in zip(arr.values, arr.erased):
-        fp.write(" ".join("?" if e else f"{v:x}"
-                          for v, e in zip(vals, mask)) + "\n")
 
 
 def array_to_text(arr: SymbolArray, w: int) -> str:

@@ -1,12 +1,18 @@
 """Dense matrices and Gaussian elimination over GF(2^w).
 
 Everything here works at desk scale (hundreds of rows) with exact field
-arithmetic; rows are plain lists of ints.  The elimination style
-matters to callers: :func:`row_reduce` only ever adds multiples of
-earlier pivot rows to later rows (plus the occasional swap), so on a
-matrix whose leading minors are nonsingular it produces exactly the
-unit upper triangular form the array decoders reason about, together
-with the transform that produced it.
+arithmetic; rows are plain lists of ints.  Every elimination runs
+through one in-place kernel, ``_eliminate``, which picks unit pivots
+top to bottom and has two modes:
+
+* below-only, for :func:`row_reduce`, :func:`pivot_columns` and
+  :func:`rank`.  It only ever adds multiples of earlier pivot rows to
+  later rows (plus the occasional swap), so on a matrix whose leading
+  minors are nonsingular :func:`row_reduce` produces exactly the unit
+  upper triangular form the array decoders reason about, together with
+  the transform that produced it;
+* fully reduced (above and below), for :func:`solve` and
+  :func:`null_space`.
 """
 
 from __future__ import annotations
@@ -156,6 +162,36 @@ def vandermonde(field: GF, nodes: Sequence[int], num_rows: int) -> Matrix:
     return Matrix(field, data[:num_rows])
 
 
+def _eliminate(rows: list[list[int]], field: GF, ncols: int,
+               full: bool) -> list[int]:
+    # The one elimination loop: in place over the first ncols columns.
+    # Each pivot is the first row, top to bottom, with a nonzero entry in
+    # its column; it is swapped up, scaled to 1 and used to clear the
+    # rows below it, or every other row when ``full``.  Returns the pivot
+    # columns.
+    mul = field.mul
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        p = len(pivots)
+        if p == nrows:
+            break
+        sel = next((i for i in range(p, nrows) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[sel], rows[p] = rows[p], rows[sel]
+        inv = field.inv(rows[p][col])
+        if inv != 1:
+            rows[p] = [mul(inv, v) for v in rows[p]]
+        prow = rows[p]
+        for i in range(0 if full else p + 1, nrows):
+            factor = rows[i][col]
+            if factor and i != p:
+                rows[i] = [v ^ mul(factor, q) for v, q in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
 def row_reduce(m: Matrix) -> tuple[Matrix, Matrix]:
     """Forward elimination to row echelon form with unit pivots.
 
@@ -164,83 +200,21 @@ def row_reduce(m: Matrix) -> tuple[Matrix, Matrix]:
     column; each pivot row is scaled to make the pivot 1 and then
     cleared *below* only, so rows keep their triangular structure.
     """
-    f = m.field
-    r = m.copy()
-    t = Matrix.identity(f, m.rows)
-    pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row == m.rows:
-            break
-        sel = next((i for i in range(pivot_row, m.rows) if r.data[i][col]), None)
-        if sel is None:
-            continue
-        if sel != pivot_row:
-            r.data[sel], r.data[pivot_row] = r.data[pivot_row], r.data[sel]
-            t.data[sel], t.data[pivot_row] = t.data[pivot_row], t.data[sel]
-        inv = f.inv(r.data[pivot_row][col])
-        if inv != 1:
-            r.data[pivot_row] = [f.mul(inv, v) for v in r.data[pivot_row]]
-            t.data[pivot_row] = [f.mul(inv, v) for v in t.data[pivot_row]]
-        prow = r.data[pivot_row]
-        trow = t.data[pivot_row]
-        for i in range(pivot_row + 1, m.rows):
-            factor = r.data[i][col]
-            if factor:
-                r.data[i] = [v ^ f.mul(factor, p) for v, p in zip(r.data[i], prow)]
-                t.data[i] = [v ^ f.mul(factor, p) for v, p in zip(t.data[i], trow)]
-        pivot_row += 1
-    return r, t
+    c = m.cols
+    aug = [row + [int(i == j) for j in range(m.rows)]
+           for i, row in enumerate(m.data)]
+    _eliminate(aug, m.field, c, full=False)
+    return (Matrix(m.field, [row[:c] for row in aug]),
+            Matrix(m.field, [row[c:] for row in aug]))
+
+
+def pivot_columns(m: Matrix) -> list[int]:
+    """Columns that are not combinations of the columns before them."""
+    return _eliminate([row[:] for row in m.data], m.field, m.cols, full=False)
 
 
 def rank(m: Matrix) -> int:
-    f = m.field
-    work = [row[:] for row in m.data]
-    nrows = len(work)
-    pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row == nrows:
-            break
-        sel = next((i for i in range(pivot_row, nrows) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[sel], work[pivot_row] = work[pivot_row], work[sel]
-        prow = work[pivot_row]
-        pinv = f.inv(prow[col])
-        for i in range(pivot_row + 1, nrows):
-            factor = work[i][col]
-            if factor:
-                factor = f.mul(factor, pinv)
-                row_i = work[i]
-                work[i] = [v ^ f.mul(factor, p) for v, p in zip(row_i, prow)]
-        pivot_row += 1
-    return pivot_row
-
-
-def _rref(m: Matrix) -> tuple[list[list[int]], list[int]]:
-    # Reduced row echelon form; returns (rows, pivot column list).
-    f = m.field
-    work = [row[:] for row in m.data]
-    nrows = len(work)
-    pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        if pivot_row == nrows:
-            break
-        sel = next((i for i in range(pivot_row, nrows) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[sel], work[pivot_row] = work[pivot_row], work[sel]
-        inv = f.inv(work[pivot_row][col])
-        if inv != 1:
-            work[pivot_row] = [f.mul(inv, v) for v in work[pivot_row]]
-        prow = work[pivot_row]
-        for i in range(nrows):
-            if i != pivot_row and work[i][col]:
-                factor = work[i][col]
-                work[i] = [v ^ f.mul(factor, p) for v, p in zip(work[i], prow)]
-        pivots.append(col)
-        pivot_row += 1
-    return work, pivots
+    return len(pivot_columns(m))
 
 
 def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
@@ -251,22 +225,20 @@ def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = Matrix(m.field, [row + [b] for row, b in zip(m.data, rhs)])
-    work, pivots = _rref(aug)
+    aug = [row + [b] for row, b in zip(m.data, rhs)]
+    pivots = _eliminate(aug, m.field, m.cols + 1, full=True)
     if m.cols in pivots:
         raise NoSolutionError("inconsistent system")
     if len(pivots) < m.cols:
         raise UnderdeterminedError(
             f"rank {len(pivots)} < {m.cols} unknowns")
-    x = [0] * m.cols
-    for i, col in enumerate(pivots):
-        x[col] = work[i][m.cols]
-    return x
+    return [row[m.cols] for row in aug[:m.cols]]
 
 
 def null_space(m: Matrix) -> list[list[int]]:
     """Basis of the right null space, one vector per free column."""
-    work, pivots = _rref(m)
+    work = [row[:] for row in m.data]
+    pivots = _eliminate(work, m.field, m.cols, full=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:

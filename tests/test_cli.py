@@ -123,6 +123,14 @@ def test_encode_wrong_symbol_count(tmp_path, capsys):
     assert cli.main(["encode", code, data]) == 2
 
 
+def test_encode_unwritable_output(tmp_path, capsys):
+    code = write_spec(tmp_path, G1_SPEC)
+    data = write_data(tmp_path, list(range(8)) + [1, 2, 3])
+    out = str(tmp_path / "missing" / "enc.txt")
+    assert cli.main(["encode", code, data, "-o", out]) == 2
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
 def test_decode_single_pass_vs_iterative(tmp_path, capsys):
     rng = random.Random(9)
     code = write_spec(tmp_path, STAIR_SPEC)
@@ -188,6 +196,18 @@ def test_decode_shape_mismatch(tmp_path, capsys):
     bad = tmp_path / "arr.txt"
     bad.write_text("2 2 3\n0 0\n0 0\n")
     assert cli.main(["decode", code, str(bad)]) == 2
+
+
+def test_decode_unwritable_output(tmp_path, capsys):
+    code = write_spec(tmp_path, G1_SPEC)
+    data = write_data(tmp_path, list(range(8)) + [1, 2, 3])
+    enc = str(tmp_path / "enc.txt")
+    assert cli.main(["encode", code, data, "-o", enc]) == 0
+    holes = str(tmp_path / "holes.txt")
+    punch_holes(enc, holes, [(0, 0), (3, 1)])
+    out = str(tmp_path / "missing" / "dec.txt")
+    assert cli.main(["decode", code, holes, "-o", out]) == 2
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------- verify

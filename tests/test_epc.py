@@ -113,6 +113,26 @@ def test_linear_code_shape_mismatch():
         LinearCode(F16, 5, Matrix.identity(F16, 4))
 
 
+def greedy_parity_reference(code):
+    # Scan right to left and keep column j only if the rank grows.
+    h = code.check_matrix
+    kept = []
+    for j in range(code.length - 1, -1, -1):
+        if rank(h.submatrix(cols=kept + [j])) > len(kept):
+            kept.append(j)
+    return tuple(sorted(kept))
+
+
+def test_parity_positions_match_greedy_rank_scan():
+    codes = [build(m, n) for build in (build_h2, build_h3)
+             for m in range(2, 7) for n in range(2, 7)]
+    codes.append(build_h3(3, 4, GF.from_prime(13)))
+    for code in codes:
+        expected = greedy_parity_reference(code)
+        assert code.parity_positions() == expected
+        assert code.dimension == code.length - len(expected)
+
+
 def test_build_h2_structure():
     m, n = 3, 4
     code = build_h2(m, n)

@@ -1,13 +1,18 @@
 """Tests for GF(2^w) arithmetic, modulus handling and prime search."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import gpcodes
 from gpcodes.fields import (DEFAULT_MODULI, GF, PrimeSearchError,
-                            default_field, field_with_order,
+                            _prime_factors, default_field, field_with_order,
                             find_construction_prime, is_irreducible,
-                            is_two_primitive, mp_polynomial, poly_degree)
+                            is_two_primitive, isprime, mp_polynomial,
+                            poly_degree)
 
 
 def test_default_moduli_are_irreducible_of_right_degree():
@@ -182,3 +187,51 @@ def test_default_field_is_shared():
     assert default_field(8) == GF(8)
     assert hash(GF(8)) == hash(default_field(8))
     assert GF(8) != GF(8, alpha=3)
+
+
+# ------------------------------------------------------ integer arithmetic
+
+# Strong pseudoprimes to the bases 2..7, 2..23 and 2..37.
+PSEUDOPRIMES = [3215031751, 3825123056546413051, 318665857834031151167461]
+
+
+def test_prime_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    squares_and_large = [43 * 43, 43 * 43 * 47, 3825123056546413051,
+                         (2**31 - 1) * (2**61 - 1)]
+    for n in [(1 << w) - 1 for w in range(1, 64)] + squares_and_large:
+        assert _prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
+def test_isprime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [n for n in range(20000) if isprime(n)] == \
+        list(sympy.primerange(20000))
+    for n in PSEUDOPRIMES + [2**61 - 1, 2**89 - 1]:
+        assert isprime(n) == sympy.isprime(n), n
+
+
+def test_find_construction_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(61):
+        p = sympy.nextprime(max(k, 2))
+        while sympy.n_order(2, p) != p - 1:
+            p = sympy.nextprime(p)
+        assert find_construction_prime(k) == p, k
+
+
+def test_from_prime_alpha_order_is_p():
+    # factoring 2^(p-1) - 1 in element_order, up to width 60
+    for p in range(3, 62):
+        if isprime(p) and is_two_primitive(p):
+            assert GF.from_prime(p).alpha_order == p, p
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.dirname(os.path.dirname(gpcodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gpcodes; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"

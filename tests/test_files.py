@@ -8,7 +8,7 @@ from gpcodes.fields import GF, default_field
 from gpcodes.files import (SpecFileError, array_to_text, dump_code_spec,
                            field_from_json, field_to_json, load_code_spec,
                            parse_array_text, parse_code_spec, read_array,
-                           read_symbols, write_array)
+                           read_symbols)
 from gpcodes.gpc import SymbolArray
 
 
@@ -111,9 +111,7 @@ def test_array_text_roundtrip(tmp_path):
     assert w == 4
     assert back == arr
     path = tmp_path / "arr.txt"
-    with open(path, "w") as fp:
-        write_array(fp, arr, 4)
-    assert path.read_text() == text
+    path.write_text(text)
     again, w2 = read_array(str(path))
     assert again == arr and w2 == 4
 
