@@ -134,114 +134,72 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _verify_gpc(spec: files.CodeSpec, args) -> int:
-    p = spec.params
-    mismatch = False
-    budget_hit = False
-    expected_rank = p.m * p.n - p.dimension()
-    h = gpc.full_parity_matrix(p)
-    got_rank = rank(h)
-    line = f"rank={got_rank} expected={expected_rank}"
-    if got_rank != expected_rank:
-        mismatch = True
-        print(line + " MISMATCH")
-    else:
-        print(line + " OK")
-
-    formula = p.min_distance()
-    cap = args.exhaustive_cap or formula
-    try:
-        report = oracle.brute_min_distance(h, cap, budget=args.budget)
-        line = f"d_bruteforce={report.distance} d_formula={formula}"
-        if report.distance != formula:
-            mismatch = True
-            print(line + " MISMATCH")
-        else:
-            print(line + " OK")
-    except oracle.DistanceCapError:
-        if cap < formula:
-            # the user limited the search below the formula: no verdict
-            budget_hit = True
-            print(f"d_bruteforce>{cap} d_formula={formula} INCONCLUSIVE")
-        else:
-            mismatch = True
-            print(f"d_bruteforce>{cap} d_formula={formula} MISMATCH")
-    except oracle.SearchBudgetError as exc:
-        budget_hit = True
-        print(f"d_bruteforce=skipped ({exc})")
-
-    if spec.shape is not None:
-        bound, _ = epc.distance_bound(spec.shape)
-        line = f"bound={bound} d_formula={formula}"
-        if bound != formula:
-            mismatch = True
-            print(line + " MISMATCH")
-        else:
-            print(line + " OK")
-
-    if args.random:
-        report = oracle.decoder_oracle_equivalence(p, args.random, args.seed)
-        line = (f"random trials: {report.trials} seed={report.seed} "
-                f"mismatches={len(report.mismatches)}")
-        if report.mismatches:
-            mismatch = True
-            print(line + " MISMATCH")
-            for msg in report.mismatches[:10]:
-                print(f"  {msg}", file=sys.stderr)
-        else:
-            print(line + " OK")
-    if mismatch:
-        return EXIT_MISMATCH
-    if budget_hit:
-        return EXIT_BUDGET
-    return EXIT_OK
+def _verdict(line: str, ok: bool) -> bool:
+    print(line + (" OK" if ok else " MISMATCH"))
+    return ok
 
 
-def _verify_linear(spec: files.CodeSpec, args) -> int:
-    code = spec.linear
-    expected = 9 if spec.kind == "epc-h3" else 8
-    prefix = ""
-    if spec.kind == "epc-h3":
-        violation = epc.check_condition_35(spec.shape.m, spec.shape.n,
-                                           code.field)
-        if violation is None:
-            prefix = "condition35=ok "
-        else:
-            prefix = f"condition35=violated{violation} "
-            expected = None  # distance must then fall short of 9
-    floor = expected if expected is not None else 9
+def _brute_force(h, args, prefix: str, target: str, floor: int,
+                 accept) -> bool | None:
+    # Exhaustive distance check up to --exhaustive-cap, or else the
+    # floor; a cap below the floor that is hit gives no verdict (None).
     cap = args.exhaustive_cap or floor
     try:
-        report = oracle.brute_min_distance(code.check_matrix, cap,
-                                           budget=args.budget)
-        got: int | None = report.distance
+        d = oracle.brute_min_distance(h, cap, budget=args.budget).distance
     except oracle.DistanceCapError:
-        if cap < floor:
-            print(f"{prefix}d_bruteforce>{cap} INCONCLUSIVE")
-            return EXIT_BUDGET
-        got = None
+        if cap >= floor:
+            return _verdict(f"{prefix}d_bruteforce>{cap} {target}", False)
+        print(f"{prefix}d_bruteforce>{cap} {target} INCONCLUSIVE")
+        return None
     except oracle.SearchBudgetError as exc:
         print(f"d_bruteforce=skipped ({exc})")
-        return EXIT_BUDGET
-    shown = got if got is not None else f">{cap}"
-    if expected is not None:
-        line = f"{prefix}d_bruteforce={shown} expected={expected}"
-        ok = got == expected
-    else:
-        line = f"{prefix}d_bruteforce={shown} expected=<9"
-        ok = got is not None and got < 9
-    if ok:
-        print(line + " OK")
-        return EXIT_OK
-    print(line + " MISMATCH")
-    return EXIT_MISMATCH
+        return None
+    return _verdict(f"{prefix}d_bruteforce={d} {target}", accept(d))
 
 
 def cmd_verify(args) -> int:
     spec = files.load_code_spec(args.code)
-    if spec.params is not None:
-        return _verify_gpc(spec, args)
-    return _verify_linear(spec, args)
+    p = spec.params
+    verdicts: list[bool | None] = []
+    if p is not None:
+        h = gpc.full_parity_matrix(p)
+        expected_rank = p.m * p.n - p.dimension()
+        got_rank = rank(h)
+        verdicts.append(_verdict(f"rank={got_rank} expected={expected_rank}",
+                                 got_rank == expected_rank))
+        floor = p.min_distance()
+        target = f"d_formula={floor}"
+    else:
+        h = spec.linear.check_matrix
+        floor = 9 if spec.kind == "epc-h3" else 8
+        target = f"expected={floor}"
+    prefix, accept = "", lambda d: d == floor
+    if spec.kind == "epc-h3":
+        violation = epc.check_condition_35(spec.shape.m, spec.shape.n,
+                                           spec.field)
+        if violation is None:
+            prefix = "condition35=ok "
+        else:
+            # the distance must then fall short of 9
+            prefix = f"condition35=violated{violation} "
+            target, accept = "expected=<9", lambda d: d < floor
+    verdicts.append(_brute_force(h, args, prefix, target, floor, accept))
+    if p is not None and spec.shape is not None:
+        bound, _ = epc.distance_bound(spec.shape)
+        verdicts.append(_verdict(f"bound={bound} d_formula={floor}",
+                                 bound == floor))
+    if p is not None and args.random:
+        report = oracle.decoder_oracle_equivalence(p, args.random, args.seed)
+        verdicts.append(_verdict(
+            f"random trials: {report.trials} seed={report.seed} "
+            f"mismatches={len(report.mismatches)}", not report.mismatches))
+        for msg in report.mismatches[:10]:
+            print(f"  {msg}", file=sys.stderr)
+    if False in verdicts:
+        return EXIT_MISMATCH
+    if None in verdicts:
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_find_prime(args) -> int:

@@ -219,32 +219,24 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
-    f = code.field
     cols = sorted(erased)
     if not cols:
         return list(values)
     h = code.check_matrix
-    rhs = []
-    for row in h.data:
-        acc = 0
-        for j, x in enumerate(row):
-            if x and j not in erased and values[j]:
-                acc ^= f.mul(x, values[j])
-        rhs.append(acc)
-    sub = h.submatrix(cols=cols)
+    known = [0 if j in erased else v for j, v in enumerate(values)]
     try:
-        missing = solve(sub, rhs)
+        missing = solve(h.submatrix(cols=cols), h.mul_vec(known))
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",
             remaining=frozenset(cols)) from exc
     except NoSolutionError as exc:
         raise UncorrectableError(
-            "known symbols are inconsistent with the code") from exc
-    out = list(values)
+            "known symbols are inconsistent with the code",
+            remaining=frozenset(cols)) from exc
     for c, v in zip(cols, missing):
-        out[c] = v
-    return out
+        known[c] = v
+    return known
 
 
 def lc_encode(data: list[int], code: LinearCode) -> list[int]:

@@ -124,16 +124,16 @@ def poly_degree(poly: int) -> int:
 
 
 def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    # Carry-less multiply followed by reduction.
+    # Shift-and-xor product of a and b modulo mod; a must be reduced.
     acc = 0
+    top = 1 << (mod.bit_length() - 1)
     while b:
         if b & 1:
             acc ^= a
         b >>= 1
         a <<= 1
-    deg = mod.bit_length() - 1
-    while acc.bit_length() > deg:
-        acc ^= mod << (acc.bit_length() - 1 - deg)
+        if a & top:
+            a ^= mod
     return acc
 
 
@@ -252,7 +252,7 @@ class GF:
             val = 1
             ok = True
             for i in range(1, n):
-                val = self._mul_raw(val, g)
+                val = _poly_mulmod(val, g, self.modulus)
                 if val == 1:  # order of g divides i < n: not primitive
                     ok = False
                     break
@@ -264,19 +264,6 @@ class GF:
                 self._exp, self._log = exp, log
                 return
         raise AssertionError("no primitive element found; modulus not irreducible?")
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        acc = 0
-        mod = self.modulus
-        top = 1 << self.w
-        while b:
-            if b & 1:
-                acc ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return acc
 
     # -- arithmetic -------------------------------------------------
 
@@ -291,7 +278,7 @@ class GF:
             return 0
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        return _poly_mulmod(a, b, self.modulus)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -320,8 +307,8 @@ class GF:
         base = a
         while e:
             if e & 1:
-                acc = self._mul_raw(acc, base)
-            base = self._mul_raw(base, base)
+                acc = _poly_mulmod(acc, base, self.modulus)
+            base = _poly_mulmod(base, base, self.modulus)
             e >>= 1
         return acc
 

@@ -140,6 +140,17 @@ def array_to_text(arr: SymbolArray, w: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_symbol(tok: str, limit: int, w: int) -> int:
+    # One hex symbol below limit = 2^w.
+    try:
+        v = int(tok, 16)
+    except ValueError as exc:
+        raise SpecFileError(f"bad symbol {tok!r}") from exc
+    if not 0 <= v < limit:
+        raise SpecFileError(f"symbol {tok!r} out of range for w={w}")
+    return v
+
+
 def parse_array_text(text: str) -> tuple[SymbolArray, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -167,13 +178,7 @@ def parse_array_text(text: str) -> tuple[SymbolArray, int]:
                 vrow.append(0)
                 erow.append(True)
                 continue
-            try:
-                v = int(tok, 16)
-            except ValueError as exc:
-                raise SpecFileError(f"bad symbol {tok!r}") from exc
-            if not 0 <= v < limit:
-                raise SpecFileError(f"symbol {tok!r} out of range for w={w}")
-            vrow.append(v)
+            vrow.append(_parse_symbol(tok, limit, w))
             erow.append(False)
         values.append(vrow)
         mask.append(erow)
@@ -196,13 +201,4 @@ def read_symbols(path: str, w: int) -> list[int]:
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     limit = 1 << w
-    out = []
-    for tok in tokens:
-        try:
-            v = int(tok, 16)
-        except ValueError as exc:
-            raise SpecFileError(f"bad symbol {tok!r}") from exc
-        if not 0 <= v < limit:
-            raise SpecFileError(f"symbol {tok!r} out of range for w={w}")
-        out.append(v)
-    return out
+    return [_parse_symbol(tok, limit, w) for tok in tokens]

@@ -336,26 +336,18 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    m, n, t = params.m, params.n, params.t
+    m, t = params.m, params.t
     h = [component_parity_check(params, i) for i in range(t)]
     for row in arr.values:
         if any(h[0].mul_vec(row)):
             return False
     depth = max(params.s_hat(1) if t > 1 else 0, m - params.k)
-    combo = [0] * n
-    weights = [1] * m
-    for r in range(depth):
-        if r == 0:
-            combo = [0] * n
-            for row in arr.values:
-                combo = [a ^ b for a, b in zip(combo, row)]
-        else:
-            weights = [f.mul(w, f.alpha_pow(j)) for j, w in enumerate(weights)]
-            combo = [0] * n
-            for w, row in zip(weights, arr.values):
-                if w:
-                    combo = [a ^ f.mul(w, v) if v else a
-                             for a, v in zip(combo, row)]
+    if not depth:
+        return True
+    # Row r of the product is the row combination weighted by alpha^(r*j).
+    row_nodes = [f.alpha_pow(j) for j in range(m)]
+    combos = vandermonde(f, row_nodes, depth).matmul(Matrix(f, arr.values))
+    for r, combo in enumerate(combos.data):
         if r < m - params.k:
             if any(combo):
                 return False
@@ -366,41 +358,29 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     return True
 
 
-def _correct_in_level(params: GpcParams, values: Sequence[int],
-                      erased_cols: Sequence[int], level: int) -> list[int]:
+def _correct_in_level(check: Matrix, values: Sequence[int],
+                      erased_cols: Sequence[int]) -> list[int]:
     # Fill erased positions of a row-code member; unique because the
     # erased-column submatrix of the check is Vandermonde-invertible.
-    f = params.field
-    u = params.u[level]
-    if len(erased_cols) > u:
-        raise UncorrectableError(
-            f"{len(erased_cols)} erasures exceed level-{level} strength {u}")
-    cols = list(erased_cols)
-    rhs = []
-    for r in range(u):
-        acc = 0
-        for c, v in enumerate(values):
-            if v and c not in erased_cols:
-                acc ^= f.mul(f.alpha_pow(r * c), v)
-        rhs.append(acc)
-    sub = Matrix(f, [[f.alpha_pow(r * c) for c in cols] for r in range(u)])
+    erased = set(erased_cols)
+    known = [0 if c in erased else v for c, v in enumerate(values)]
     try:
-        missing = solve(sub, rhs)
-    except (NoSolutionError, UnderdeterminedError) as exc:  # pragma: no cover
+        missing = solve(check.submatrix(cols=erased_cols),
+                        check.mul_vec(known))
+    except (NoSolutionError, UnderdeterminedError) as exc:
         raise UncorrectableError(f"row solve failed: {exc}") from exc
-    out = list(values)
-    for c, v in zip(cols, missing):
-        out[c] = v
-    return out
+    for c, v in zip(erased_cols, missing):
+        known[c] = v
+    return known
 
 
-def _local_row_pass(work: SymbolArray, params: GpcParams) -> None:
-    # Fix every row that the weakest row code can already handle.
-    u0 = params.u[0]
+def _local_row_pass(work: SymbolArray, check: Matrix) -> None:
+    # Fix every row that the weakest row code, whose parity check is
+    # ``check``, can already handle.
     for r in range(work.m):
         cols = work.row_erasures(r)
-        if 0 < len(cols) <= u0:
-            fixed = _correct_in_level(params, work.values[r], cols, 0)
+        if 0 < len(cols) <= check.rows:
+            fixed = _correct_in_level(check, work.values[r], cols)
             for c in cols:
                 work.fill(r, c, fixed[c])
 
@@ -417,6 +397,9 @@ class DecodeTrace:
     # steps: (profile position, row index, level used; None = vanishing combo)
 
 
+# Triangulations by (params, row order, system size), oldest evicted
+# first once the limit is reached.
+_TRIANGULATION_LIMIT = 1024
 _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
 
 
@@ -427,10 +410,11 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
     if hit is not None:
         return hit
     f = params.field
-    vm = Matrix(f, [[f.alpha_pow(r * j) for j in order] for r in range(nsys)])
-    reduced, transform = row_reduce(vm)
-    _TRIANGULATION_CACHE[key] = (reduced, transform)
-    return reduced, transform
+    result = row_reduce(vandermonde(f, [f.alpha_pow(j) for j in order], nsys))
+    if len(_TRIANGULATION_CACHE) >= _TRIANGULATION_LIMIT:
+        del _TRIANGULATION_CACHE[next(iter(_TRIANGULATION_CACHE))]
+    _TRIANGULATION_CACHE[key] = result
+    return result
 
 
 def decode_rows(arr: SymbolArray, params: GpcParams,
@@ -451,8 +435,9 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     _check_shape(arr, params)
     f = params.field
     m, k, t = params.m, params.k, params.t
+    checks = [component_parity_check(params, i) for i in range(t)]
     work = arr.copy()
-    _local_row_pass(work, params)
+    _local_row_pass(work, checks[0])
     if not work.erasure_count:
         return work
     profile = ErasureProfile.from_array(work)
@@ -495,7 +480,7 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
         level = next(s for s in range(1, t)
                      if params.u[s] >= counts[p] and params.s_hat(s) >= p + 1)
         combo = [a ^ b for a, b in zip(work.values[row_idx], known)]
-        fixed = _correct_in_level(params, combo, cols, level)
+        fixed = _correct_in_level(checks[level], combo, cols)
         for c in cols:
             work.fill(row_idx, c, fixed[c] ^ known[c])
         if trace is not None:
@@ -518,6 +503,9 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
         col_params = params.transposed()
     except ValueError:
         col_params = None
+    row_check = component_parity_check(params, 0)
+    col_check = (component_parity_check(col_params, 0)
+                 if col_params is not None else None)
     work = arr.copy()
     while work.erasure_count:
         before = work.erasure_count
@@ -525,14 +513,14 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
             return decode_rows(work, params)
         except UncorrectableError:
             pass
-        _local_row_pass(work, params)
+        _local_row_pass(work, row_check)
         if col_params is not None and work.erasure_count:
             flipped = work.transposed()
             try:
                 return decode_rows(flipped, col_params).transposed()
             except UncorrectableError:
                 pass
-            _local_row_pass(flipped, col_params)
+            _local_row_pass(flipped, col_check)
             work = flipped.transposed()
         if work.erasure_count >= before:
             break

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from gpcodes import cli, oracle
 from gpcodes.files import parse_array_text, read_array
 from gpcodes.oracle import DistanceReport
@@ -165,6 +167,32 @@ def test_decode_uncorrectable_writes_partial(tmp_path, capsys):
     assert partial.erasure_count == 6   # nothing solvable in this pattern
 
 
+def test_decode_uncorrectable_single_pass_writes_nothing(tmp_path, capsys):
+    rng = random.Random(13)
+    code = write_spec(tmp_path, G1_SPEC)
+    data = write_data(tmp_path, [rng.randrange(8) for _ in range(11)])
+    enc = str(tmp_path / "enc.txt")
+    assert cli.main(["encode", code, data, "-o", enc]) == 0
+    holes = str(tmp_path / "holes.txt")
+    punch_holes(enc, holes, [(r, c) for r in (1, 2) for c in (0, 2, 4)])
+    out = tmp_path / "partial.txt"
+    assert cli.main(["decode", code, holes, "-o", str(out),
+                     "--single-pass"]) == 3
+    assert "uncorrectable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [H2_SPEC, {"kind": "epc-h3", "m": 3, "n": 3}])
+def test_decode_uncorrectable_linear_writes_nothing(tmp_path, capsys, spec):
+    code = write_spec(tmp_path, spec)
+    arr = tmp_path / "holes.txt"
+    arr.write_text("3 3 4\n" + "? ? ?\n" * 3)
+    out = tmp_path / "partial.txt"
+    assert cli.main(["decode", code, str(arr), "-o", str(out)]) == 3
+    assert "unresolved" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_decode_linear_code(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     data = write_data(tmp_path, [11, 6])
@@ -268,6 +296,27 @@ def test_verify_h2(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     assert cli.main(["verify", code]) == 0
     assert "d_bruteforce=8 expected=8 OK" in capsys.readouterr().out
+
+
+def test_verify_h2_low_cap_is_inconclusive(tmp_path, capsys):
+    code = write_spec(tmp_path, H2_SPEC)
+    assert cli.main(["verify", code, "--exhaustive-cap", "3"]) == 5
+    assert capsys.readouterr().out == "d_bruteforce>3 expected=8 INCONCLUSIVE\n"
+
+
+def test_verify_h2_cap_hit_is_mismatch(tmp_path, capsys, monkeypatch):
+    def no_dependent_set(h, cap, budget=0):
+        raise oracle.DistanceCapError("forced")
+    monkeypatch.setattr(oracle, "brute_min_distance", no_dependent_set)
+    code = write_spec(tmp_path, H2_SPEC)
+    assert cli.main(["verify", code]) == 4
+    assert capsys.readouterr().out == "d_bruteforce>8 expected=8 MISMATCH\n"
+
+
+def test_verify_h2_budget_skip(tmp_path, capsys):
+    code = write_spec(tmp_path, H2_SPEC)
+    assert cli.main(["verify", code, "--budget", "10"]) == 5
+    assert capsys.readouterr().out.startswith("d_bruteforce=skipped (")
 
 
 # ------------------------------------------------------------- find-prime

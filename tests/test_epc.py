@@ -229,6 +229,15 @@ def test_lc_erasure_decode_inconsistent_known_symbols():
         lc_erasure_decode(word, {0}, code)
 
 
+def test_lc_erasure_decode_inconsistent_survivors_report_remaining():
+    code = build_h2(3, 3)
+    word = lc_encode([11, 6], code)
+    word[4] ^= 1
+    with pytest.raises(UncorrectableError, match="inconsistent") as exc_info:
+        lc_erasure_decode(word, {0, 8}, code)
+    assert exc_info.value.remaining == frozenset({0, 8})
+
+
 def test_lc_erasure_decode_word_length():
     code = build_h2(3, 3)
     with pytest.raises(ValueError):

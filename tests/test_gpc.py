@@ -4,14 +4,17 @@ import random
 
 import pytest
 
+from gpcodes import gpc
+from gpcodes.epc import LinearCode
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          UncorrectableError, component_parity_check,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix,
                          is_member, min_weight_codeword)
-from gpcodes.linalg import rank
+from gpcodes.linalg import Matrix, rank, row_reduce
 from gpcodes.oracle import random_decodable_pattern
+from test_acceptance import _small_param_grid
 
 F8 = default_field(3)
 F16 = default_field(4)
@@ -126,6 +129,19 @@ def test_parity_positions_layout():
                 (3, 3), (3, 4), (3, 5), (3, 6)}          # level 2 band
     expected |= {(r, c) for r in (4, 5) for c in range(7)}
     assert parity == expected
+
+
+def test_parity_layout_matches_generic_linear_code():
+    # The structured layout is the greedy right-to-left systematic choice
+    # of the generic linear code on the same constraints.
+    g16 = GpcParams(m=16, n=30, k=14, s=(8, 4, 4), u=(2, 4, 8),
+                    field=default_field(8))
+    codes = [*_small_param_grid(), FLAGSHIP, g16]
+    assert len(codes) == 1248
+    for p in codes:
+        generic = LinearCode(p.field, p.m * p.n, full_parity_matrix(p))
+        flat = tuple(sorted(r * p.n + c for r, c in p.parity_positions()))
+        assert generic.parity_positions() == flat, p.notation()
 
 
 def test_encode_is_systematic():
@@ -274,6 +290,32 @@ def test_decode_trace_structure():
 def test_decode_rows_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         decode_rows(SymbolArray.zeros(3, 3), FLAGSHIP)
+
+
+def test_triangulation_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(gpc, "_TRIANGULATION_LIMIT", 4)
+    monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
+    f = FLAGSHIP.field
+    rng = random.Random(41)
+    keys = []
+    for _ in range(12):
+        order = tuple(rng.sample(range(FLAGSHIP.m), FLAGSHIP.m))
+        nsys = rng.randint(1, FLAGSHIP.m)
+        keys.append((order, nsys))
+        got = gpc._triangulated_system(FLAGSHIP, order, nsys)
+        fresh = row_reduce(Matrix(f, [[f.alpha_pow(r * j) for j in order]
+                                      for r in range(nsys)]))
+        assert got == fresh
+        assert len(gpc._TRIANGULATION_CACHE) <= 4
+    # the oldest entries went first
+    assert set(gpc._TRIANGULATION_CACHE) == {(FLAGSHIP, *k) for k in keys[-4:]}
+    # decoding through the small cache still recovers every pattern
+    for _ in range(40):
+        word = rand_codeword(FLAGSHIP, rng)
+        damaged = erase_positions(word,
+                                  random_decodable_pattern(FLAGSHIP, rng))
+        assert decode_rows(damaged, FLAGSHIP) == word
+        assert len(gpc._TRIANGULATION_CACHE) <= 4
 
 
 def test_decode_iterative_staircase():
