@@ -75,6 +75,10 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _rows(word: Sequence[int], n: int) -> list[Sequence[int]]:
+    return [word[i:i + n] for i in range(0, len(word), n)]
+
+
 def cmd_encode(args) -> int:
     spec = files.load_code_spec(args.code)
     w = spec.field.w
@@ -83,9 +87,7 @@ def cmd_encode(args) -> int:
         arr = gpc.encode(data, spec.params)
     else:
         word = epc.lc_encode(data, spec.linear)
-        n = spec.shape.n
-        arr = gpc.SymbolArray([word[i * n:(i + 1) * n]
-                               for i in range(spec.shape.m)])
+        arr = gpc.SymbolArray(_rows(word, spec.shape.n))
     _write_output(args.output, files.array_to_text(arr, w))
     return EXIT_OK
 
@@ -96,41 +98,31 @@ def cmd_decode(args) -> int:
     if w != spec.field.w:
         raise files.SpecFileError(
             f"array symbol width {w} does not match field width {spec.field.w}")
-    if spec.params is not None:
-        p = spec.params
-        if (arr.m, arr.n) != (p.m, p.n):
-            raise files.SpecFileError(
-                f"array is {arr.m}x{arr.n}, code expects {p.m}x{p.n}")
-        if args.single_pass:
-            try:
-                result = gpc.decode_rows(arr, p)
-            except gpc.UncorrectableError as exc:
-                print(f"uncorrectable: {exc}", file=sys.stderr)
-                return EXIT_UNCORRECTABLE
+    p = spec.params
+    m, n = (p.m, p.n) if p is not None else (spec.shape.m, spec.shape.n)
+    if (arr.m, arr.n) != (m, n):
+        raise files.SpecFileError(
+            f"array is {arr.m}x{arr.n}, code expects {m}x{n}")
+    try:
+        if p is None:
+            erased = {r * n + c for r, c in arr.erased_positions()}
+            word = epc.lc_erasure_decode(arr.flatten(), erased, spec.linear)
+            result = gpc.SymbolArray(_rows(word, n))
+        elif args.single_pass:
+            result = gpc.decode_rows(arr, p)
         else:
             result = gpc.decode_iterative(arr, p)
-        if result.erasure_count:
-            residual = result.erased_positions()
-            print(f"uncorrectable: {len(residual)} unresolved positions "
-                  f"{residual}", file=sys.stderr)
-            _write_output(args.output, files.array_to_text(result, w))
-            return EXIT_UNCORRECTABLE
-    else:
-        shape = spec.shape
-        if (arr.m, arr.n) != (shape.m, shape.n):
-            raise files.SpecFileError(
-                f"array is {arr.m}x{arr.n}, code expects {shape.m}x{shape.n}")
-        word = arr.flatten()
-        erased = {r * arr.n + c for r, c in arr.erased_positions()}
-        try:
-            decoded = epc.lc_erasure_decode(word, erased, spec.linear)
-        except gpc.UncorrectableError as exc:
-            print(f"uncorrectable: {exc}; unresolved positions "
-                  f"{sorted(erased)}", file=sys.stderr)
-            return EXIT_UNCORRECTABLE
-        result = gpc.SymbolArray([decoded[i * arr.n:(i + 1) * arr.n]
-                                  for i in range(arr.m)])
+    except gpc.UncorrectableError as exc:
+        cells = sorted(divmod(j, n) if p is None else j for j in exc.remaining)
+        print(f"uncorrectable: {exc}; unresolved positions {cells}",
+              file=sys.stderr)
+        return EXIT_UNCORRECTABLE
     _write_output(args.output, files.array_to_text(result, w))
+    if result.erasure_count:
+        residual = result.erased_positions()
+        print(f"uncorrectable: {len(residual)} unresolved positions "
+              f"{residual}", file=sys.stderr)
+        return EXIT_UNCORRECTABLE
     return EXIT_OK
 
 
@@ -152,7 +144,7 @@ def _brute_force(h, args, prefix: str, target: str, floor: int,
         print(f"{prefix}d_bruteforce>{cap} {target} INCONCLUSIVE")
         return None
     except oracle.SearchBudgetError as exc:
-        print(f"d_bruteforce=skipped ({exc})")
+        print(f"{prefix}d_bruteforce=skipped ({exc})")
         return None
     return _verdict(f"{prefix}d_bruteforce={d} {target}", accept(d))
 

@@ -20,18 +20,19 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .fields import GF
-from .linalg import (Matrix, NoSolutionError, UnderdeterminedError, kron,
-                     null_space, row_reduce, solve, vandermonde, vstack)
+from .linalg import (Matrix, NoSolutionError, kron, null_space, row_reduce,
+                     solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
-    """The erasure pattern exceeds what the requested decoder can fix.
+    """The requested decoder cannot fix the erasure pattern.
 
-    ``remaining`` holds the positions still unresolved: (row, col) pairs
-    for array codes, flat indices for linear codes.
+    The pattern exceeds the decoder's reach, or the survivors contradict
+    the code.  ``remaining`` (required) holds the unresolved positions:
+    (row, col) pairs for array codes, flat indices for linear codes.
     """
 
-    def __init__(self, message: str, remaining: frozenset = frozenset()):
+    def __init__(self, message: str, remaining: frozenset):
         super().__init__(message)
         self.remaining = remaining
 
@@ -358,31 +359,18 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     return True
 
 
-def _correct_in_level(check: Matrix, values: Sequence[int],
-                      erased_cols: Sequence[int]) -> list[int]:
-    # Fill erased positions of a row-code member; unique because the
-    # erased-column submatrix of the check is Vandermonde-invertible.
-    erased = set(erased_cols)
-    known = [0 if c in erased else v for c, v in enumerate(values)]
-    try:
-        missing = solve(check.submatrix(cols=erased_cols),
-                        check.mul_vec(known))
-    except (NoSolutionError, UnderdeterminedError) as exc:
-        raise UncorrectableError(f"row solve failed: {exc}") from exc
-    for c, v in zip(erased_cols, missing):
-        known[c] = v
-    return known
-
-
-def _local_row_pass(work: SymbolArray, check: Matrix) -> None:
-    # Fix every row that the weakest row code, whose parity check is
-    # ``check``, can already handle.
-    for r in range(work.m):
-        cols = work.row_erasures(r)
-        if 0 < len(cols) <= check.rows:
-            fixed = _correct_in_level(check, work.values[r], cols)
-            for c in cols:
-                work.fill(r, c, fixed[c])
+def _repair_row(work: SymbolArray, r: int, cols: Sequence[int],
+                check: Matrix, offset: Sequence[int] | None = None) -> None:
+    # Fill the erased cells ``cols`` of row r so that the row plus
+    # ``offset`` lies in the code of ``check``.  The cells hold 0, so the
+    # unique solution (Vandermonde columns) is their symbols; survivors
+    # that contradict the code raise NoSolutionError.
+    row = work.values[r]
+    if offset is not None:
+        row = [a ^ b for a, b in zip(row, offset)]
+    missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
+    for c, v in zip(cols, missing):
+        work.fill(r, c, v)
 
 
 @dataclass
@@ -417,36 +405,22 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
     return result
 
 
-def decode_rows(arr: SymbolArray, params: GpcParams,
-                trace: DecodeTrace | None = None) -> SymbolArray:
-    """Single-pass erasure decoder working row by row.
-
-    First settles every row within reach of the weakest row code, then
-    orders the remaining rows by erasure count, triangulates their
-    power-weight matrix, and peels rows from strongest combination to
-    weakest: each triangulated row states that the current array row
-    plus a known combination of later rows lies in some row code (or
-    vanishes), which pins its erased symbols.
-
-    Raises :class:`UncorrectableError` when the sorted profile exceeds
-    the guaranteed budgets.
-    """
-    params.check()
-    _check_shape(arr, params)
-    f = params.field
-    m, k, t = params.m, params.k, params.t
-    checks = [component_parity_check(params, i) for i in range(t)]
-    work = arr.copy()
-    _local_row_pass(work, checks[0])
+def _row_pass(work: SymbolArray, params: GpcParams, checks: Sequence[Matrix],
+              trace: DecodeTrace | None = None) -> bool:
+    # One in-place row pass: repair every row within reach of the weakest
+    # row code, then peel the rest if the profile fits the budgets.
+    # Returns False, keeping the local repairs, when the peel is refused.
+    for r in range(work.m):
+        cols = work.row_erasures(r)
+        if 0 < len(cols) <= checks[0].rows:
+            _repair_row(work, r, cols, checks[0])
     if not work.erasure_count:
-        return work
+        return True
     profile = ErasureProfile.from_array(work)
     if not decodable_profile(profile, params):
-        bad = [(c, r) for c, r in profile.entries if c]
-        raise UncorrectableError(
-            f"erasure profile {bad} exceeds the decodable budgets "
-            f"{params.erasure_budgets()}",
-            remaining=frozenset(work.erased_positions()))
+        return False
+    f = params.field
+    m, k, t = params.m, params.k, params.t
     order = profile.row_order
     counts = profile.counts
     ell = sum(1 for p in range(m - k, m) if counts[p] > 0)
@@ -479,51 +453,79 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
             continue
         level = next(s for s in range(1, t)
                      if params.u[s] >= counts[p] and params.s_hat(s) >= p + 1)
-        combo = [a ^ b for a, b in zip(work.values[row_idx], known)]
-        fixed = _correct_in_level(checks[level], combo, cols)
-        for c in cols:
-            work.fill(row_idx, c, fixed[c] ^ known[c])
+        _repair_row(work, row_idx, cols, checks[level], known)
         if trace is not None:
             trace.steps.append((p, row_idx, level))
+    return True
+
+
+def decode_rows(arr: SymbolArray, params: GpcParams,
+                trace: DecodeTrace | None = None) -> SymbolArray:
+    """Single-pass erasure decoder working row by row.
+
+    First settles every row within reach of the weakest row code, then
+    orders the remaining rows by erasure count, triangulates their
+    power-weight matrix, and peels rows from strongest combination to
+    weakest: each triangulated row states that the current array row
+    plus a known combination of later rows lies in some row code (or
+    vanishes), which pins its erased symbols.
+
+    Raises :class:`UncorrectableError` when the sorted profile exceeds
+    the guaranteed budgets (``remaining``: the cells left after the
+    local repairs), or when surviving symbols contradict a row code
+    (``remaining``: every erased cell of ``arr``).
+    """
+    params.check()
+    _check_shape(arr, params)
+    checks = [component_parity_check(params, i) for i in range(params.t)]
+    work = arr.copy()
+    try:
+        done = _row_pass(work, params, checks, trace)
+    except NoSolutionError as exc:
+        raise UncorrectableError(f"row solve failed: {exc}",
+                                 frozenset(arr.erased_positions())) from exc
+    if not done:
+        bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
+        raise UncorrectableError(
+            f"erasure profile {bad} exceeds the decodable budgets "
+            f"{params.erasure_budgets()}",
+            remaining=frozenset(work.erased_positions()))
     return work
 
 
 def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     """Alternating row/column decoder.
 
-    Runs the row decoder on the array and on its transpose (under the
-    column-view parameters), interleaved with the cheap local passes,
-    until everything is recovered or a full alternation makes no
-    progress.  On a stall the partial array is returned with its
-    remaining erasures still masked.
+    Runs the row pass on the array and on its transpose (under the
+    column-view parameters) until everything is recovered or a full
+    alternation makes no progress.  On a stall the partial array is
+    returned with its remaining erasures still masked.  Survivors that
+    contradict the code raise :class:`UncorrectableError` naming every
+    erased cell of ``arr``.
     """
     params.check()
     _check_shape(arr, params)
-    try:
-        col_params = params.transposed()
-    except ValueError:
-        col_params = None
-    row_check = component_parity_check(params, 0)
-    col_check = (component_parity_check(col_params, 0)
-                 if col_params is not None else None)
+    checks = [component_parity_check(params, i) for i in range(params.t)]
+    col_view = None  # (params, checks) of the transpose, built on first use
     work = arr.copy()
-    while work.erasure_count:
-        before = work.erasure_count
-        try:
-            return decode_rows(work, params)
-        except UncorrectableError:
-            pass
-        _local_row_pass(work, row_check)
-        if col_params is not None and work.erasure_count:
+    try:
+        while work.erasure_count:
+            before = work.erasure_count
+            # k = m leaves no column view (see GpcParams.transposed).
+            if _row_pass(work, params, checks) or params.k == params.m:
+                break
+            if col_view is None:
+                col_params = params.transposed()
+                col_view = (col_params, [component_parity_check(col_params, i)
+                                         for i in range(col_params.t)])
             flipped = work.transposed()
-            try:
-                return decode_rows(flipped, col_params).transposed()
-            except UncorrectableError:
-                pass
-            _local_row_pass(flipped, col_check)
+            _row_pass(flipped, *col_view)
             work = flipped.transposed()
-        if work.erasure_count >= before:
-            break
+            if work.erasure_count >= before:
+                break
+    except NoSolutionError as exc:
+        raise UncorrectableError(f"row solve failed: {exc}",
+                                 frozenset(arr.erased_positions())) from exc
     return work
 
 

@@ -15,6 +15,8 @@ STAIR_SPEC = {"kind": "gpc", "m": 6, "n": 7, "k": 5,
               "s": [2, 2, 2], "u": [1, 3, 5]}
 G1_SPEC = {"kind": "epc-g1", "m": 4, "v": 1, "n": 5, "h": 1}
 H2_SPEC = {"kind": "epc-h2", "m": 3, "n": 3}
+H3_SPEC = {"kind": "epc-h3", "m": 3, "n": 3,
+           "field": {"w": 10, "modulus_hex": "7ff"}}
 
 
 def write_spec(tmp_path, obj, name="code.json"):
@@ -193,6 +195,37 @@ def test_decode_uncorrectable_linear_writes_nothing(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+def test_decode_linear_reports_row_col_cells(tmp_path, capsys):
+    code = write_spec(tmp_path, H2_SPEC)
+    arr = tmp_path / "holes.txt"
+    arr.write_text("3 3 4\n" + "? ? ?\n" * 3)
+    assert cli.main(["decode", code, str(arr)]) == 3
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    assert f"unresolved positions {cells}\n" in capsys.readouterr().err
+
+
+def test_decode_contradicting_survivor(tmp_path, capsys):
+    code = write_spec(tmp_path, {"kind": "gpc", "m": 4, "n": 6, "k": 3,
+                                 "s": [1, 3], "u": [2, 4]})
+    data = write_data(tmp_path, [1, 2, 3, 4, 5, 6, 7, 1])
+    enc = tmp_path / "enc.txt"
+    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+    lines = enc.read_text().splitlines()
+    assert lines[1] == "1 2 3 4 4 0"
+    lines[1] = "? 3 3 4 4 0"    # (0, 1) was 2
+    holes = tmp_path / "holes.txt"
+    holes.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "dec.txt"
+    for extra in ([], ["--single-pass"]):
+        capsys.readouterr()
+        assert cli.main(["decode", code, str(holes), "-o", str(out),
+                         *extra]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("uncorrectable: ")
+        assert err.endswith("unresolved positions [(0, 0)]\n")
+        assert not out.exists()
+
+
 def test_decode_linear_code(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     data = write_data(tmp_path, [11, 6])
@@ -317,6 +350,13 @@ def test_verify_h2_budget_skip(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     assert cli.main(["verify", code, "--budget", "10"]) == 5
     assert capsys.readouterr().out.startswith("d_bruteforce=skipped (")
+
+
+def test_verify_h3_budget_skip_reports_condition35(tmp_path, capsys):
+    code = write_spec(tmp_path, H3_SPEC)
+    assert cli.main(["verify", code, "--budget", "10"]) == 5
+    out = capsys.readouterr().out
+    assert out.startswith("condition35=ok d_bruteforce=skipped (")
 
 
 # ------------------------------------------------------------- find-prime

@@ -362,6 +362,33 @@ def test_decode_iterative_handles_k_equals_m():
     assert decode_iterative(erased, p) == arr
 
 
+# row 0 of CONTRA_WORD is 1 2 3 4 4 0
+CONTRA = GpcParams(m=4, n=6, k=3, s=(1, 3), u=(2, 4), field=F8)
+CONTRA_WORD = encode([1, 2, 3, 4, 5, 6, 7, 1], CONTRA)
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_contradicting_survivor_reports_erased_cells(decoder):
+    assert CONTRA_WORD.values[0] == [1, 2, 3, 4, 4, 0]
+    bad = erase_positions(CONTRA_WORD, [(0, 0)])
+    bad.fill(0, 1, 3)   # was 2: no row-code word matches the survivors
+    with pytest.raises(UncorrectableError, match="inconsistent") as exc_info:
+        decoder(bad, CONTRA)
+    assert exc_info.value.remaining == {(0, 0)}
+
+
+def test_contradiction_in_column_pass_reports_row_col_cells():
+    # the row pass refuses two rows of five erasures; the column view's
+    # peel then meets the corrupted survivor in column 4
+    pattern = [(r, c) for r in (0, 2) for c in range(6)
+               if (r, c) not in {(0, 1), (2, 5)}]
+    bad = erase_positions(CONTRA_WORD, pattern)
+    bad.fill(3, 4, bad.values[3][4] ^ 1)
+    with pytest.raises(UncorrectableError, match="inconsistent") as exc_info:
+        decode_iterative(bad, CONTRA)
+    assert exc_info.value.remaining == set(pattern)
+
+
 # ---------------------------------------------------------------- transpose
 
 def test_transpose_anchor():
