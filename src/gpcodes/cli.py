@@ -200,6 +200,15 @@ def cmd_find_prime(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpcodes",
@@ -234,12 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a code against brute-force "
                                       "ground truth")
     p.add_argument("code")
-    p.add_argument("--exhaustive-cap", type=int, default=None,
+    p.add_argument("--exhaustive-cap", type=_at_least(1), default=None,
                    help="largest erasure-pattern size to enumerate "
                         "(default: the expected distance)")
-    p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(0),
+                   default=oracle.DEFAULT_BUDGET,
                    help="refuse searches over this many subsets")
-    p.add_argument("--random", type=int, default=0, metavar="TRIALS",
+    p.add_argument("--random", type=_at_least(0), default=0, metavar="TRIALS",
                    help="also run randomized decoder/oracle agreement trials")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

@@ -5,7 +5,8 @@ strengths ``u_0 < u_1 < ... < u_(t-1)``, multiplicities ``s_i`` summing
 to the number of rows, and a fully-correctable row count ``m - k``.
 Every array row belongs to the weakest row code; selected combinations
 of rows (weighted by powers of alpha) fall into progressively stronger
-row codes, and the last ``m - k`` such combinations vanish outright.
+row codes, and the last ``m - k`` such combinations vanish outright:
+they lie in level t of the ladder, the zero code, whose strength is n.
 That nesting is what the erasure decoder exploits: it triangulates the
 power-weight matrix of the erased rows and peels them off from the most
 constrained combination to the least.
@@ -63,7 +64,8 @@ class GpcParams:
         return len(self.s)
 
     def s_hat(self, i: int) -> int:
-        """Rows governed by level i or deeper; s_hat(t) = m - k."""
+        """Rows governed by level i or deeper; s_hat(t) = m - k and
+        s_hat(t + 1) = 0, so level i owns s_hat(i) - s_hat(i + 1) rows."""
         if i == self.t:
             return self.m - self.k
         return sum(self.s[i:])
@@ -116,12 +118,9 @@ class GpcParams:
 
     def dimension(self) -> int:
         """Number of free symbols per array."""
-        t = self.t
-        total = self.k * self.n
-        for i in range(t - 1):
-            total -= self.s[i] * self.u[i]
-        total -= (self.s[-1] - (self.m - self.k)) * self.u[-1]
-        return total
+        return self.m * self.n - sum(
+            (self.s_hat(i) - self.s_hat(i + 1)) * self.u_at(i)
+            for i in range(self.t + 1))
 
     def min_distance(self) -> int:
         return min((self.s_hat(i + 1) + 1) * (self.u[i] + 1)
@@ -133,33 +132,21 @@ class GpcParams:
         A sorted profile is decodable by the row decoder exactly when it
         is dominated entrywise by this vector.
         """
-        out = []
-        for p in range(self.m):
-            if p < self.m - self.k:
-                out.append(self.n)
-                continue
-            level = 0
-            for s in range(1, self.t):
-                if self.s_hat(s) >= p + 1:
-                    level = s
-            out.append(self.u[level])
+        out: list[int] = []
+        for i in range(self.t, -1, -1):
+            out += [self.u_at(i)] * (self.s_hat(i) - self.s_hat(i + 1))
         return tuple(out)
 
     def parity_positions(self) -> frozenset[tuple[int, int]]:
         """Systematic layout: cells solved by the encoder.
 
-        Level i claims the last u_i columns of its row band; the bottom
-        m - k rows are parity in full.
+        Level i claims the last u_at(i) columns of its row band, so the
+        bottom m - k rows (level t) are parity in full.
         """
-        pos = set()
-        for i in range(self.t):
-            for r in range(self.m - self.s_hat(i), self.m - self.s_hat(i + 1)):
-                for c in range(self.n - self.u[i], self.n):
-                    pos.add((r, c))
-        for r in range(self.k, self.m):
-            for c in range(self.n):
-                pos.add((r, c))
-        return frozenset(pos)
+        return frozenset(
+            (r, c) for i in range(self.t + 1)
+            for r in range(self.m - self.s_hat(i), self.m - self.s_hat(i + 1))
+            for c in range(self.n - self.u_at(i), self.n))
 
     def transposed(self) -> "GpcParams":
         """Parameters of the same code viewed column-wise.
@@ -303,24 +290,29 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
     return vandermonde(f, nodes, params.u[i])
 
 
+def _level_checks(params: GpcParams, levels: int) -> list[Matrix]:
+    # Checks of levels 0..levels-1; level t, the zero code, has the identity.
+    # The decoders fill vanishing rows directly and ask for levels 0..t-1.
+    return [component_parity_check(params, i) if i < params.t
+            else Matrix.identity(params.field, params.n) for i in range(levels)]
+
+
 def full_parity_matrix(params: GpcParams) -> Matrix:
     """All defining constraints, stacked over flattened (row-major) arrays.
 
-    Contains one block per array row for the weakest row code, one
-    Kronecker block per deeper level, and the vanishing-combination
-    block.  Rows may be redundant; the rank always equals m*n minus the
-    dimension.
+    Contains one block per array row for the weakest row code and one
+    Kronecker block per deeper level, the vanishing combinations (level
+    t) last.  Rows may be redundant; the rank always equals m*n minus
+    the dimension.
     """
     f = params.field
-    m, n = params.m, params.n
-    row_nodes = [f.alpha_pow(j) for j in range(m)]
-    blocks = [kron(Matrix.identity(f, m), component_parity_check(params, 0))]
-    for i in range(1, params.t):
-        weights = vandermonde(f, row_nodes, params.s_hat(i))
-        blocks.append(kron(weights, component_parity_check(params, i)))
-    if params.m - params.k:
-        weights = vandermonde(f, row_nodes, params.m - params.k)
-        blocks.append(kron(weights, Matrix.identity(f, n)))
+    row_nodes = [f.alpha_pow(j) for j in range(params.m)]
+    checks = _level_checks(params, params.t + 1)
+    blocks = [kron(Matrix.identity(f, params.m), checks[0])]
+    for i in range(1, params.t + 1):
+        if params.s_hat(i):   # level t is empty when k = m
+            weights = vandermonde(f, row_nodes, params.s_hat(i))
+            blocks.append(kron(weights, checks[i]))
     return vstack(blocks)
 
 
@@ -337,23 +329,18 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    m, t = params.m, params.t
-    h = [component_parity_check(params, i) for i in range(t)]
+    h = _level_checks(params, params.t + 1)
     for row in arr.values:
         if any(h[0].mul_vec(row)):
             return False
-    depth = max(params.s_hat(1) if t > 1 else 0, m - params.k)
+    depth = params.s_hat(1)
     if not depth:
         return True
     # Row r of the product is the row combination weighted by alpha^(r*j).
-    row_nodes = [f.alpha_pow(j) for j in range(m)]
+    row_nodes = [f.alpha_pow(j) for j in range(params.m)]
     combos = vandermonde(f, row_nodes, depth).matmul(Matrix(f, arr.values))
     for r, combo in enumerate(combos.data):
-        if r < m - params.k:
-            if any(combo):
-                return False
-            continue
-        for i in range(1, t):
+        for i in range(1, params.t + 1):
             if r < params.s_hat(i) and any(h[i].mul_vec(combo)):
                 return False
     return True
@@ -423,8 +410,7 @@ def _row_pass(work: SymbolArray, params: GpcParams, checks: Sequence[Matrix],
     m, k, t = params.m, params.k, params.t
     order = profile.row_order
     counts = profile.counts
-    ell = sum(1 for p in range(m - k, m) if counts[p] > 0)
-    nsys = (m - k) + ell
+    nsys = max(m - k, sum(1 for c in counts if c))
     reduced, transform = _triangulated_system(params, order, nsys)
     if trace is not None:
         trace.row_order = order
@@ -445,15 +431,16 @@ def _row_pass(work: SymbolArray, params: GpcParams, checks: Sequence[Matrix],
                 known = [a ^ f.mul(g, v) if v else a
                          for a, v in zip(known, src)]
         if p < m - k:
-            # The combination vanishes, so the row equals the known part.
+            # The combination vanishes: the whole row equals the known part.
+            level = None
             for c in cols:
                 work.fill(row_idx, c, known[c])
-            if trace is not None:
-                trace.steps.append((p, row_idx, None))
-            continue
-        level = next(s for s in range(1, t)
-                     if params.u[s] >= counts[p] and params.s_hat(s) >= p + 1)
-        _repair_row(work, row_idx, cols, checks[level], known)
+            if work.values[row_idx] != known:
+                raise NoSolutionError("inconsistent system")
+        else:
+            level = next(s for s in range(1, t) if params.u[s] >= counts[p]
+                         and params.s_hat(s) >= p + 1)
+            _repair_row(work, row_idx, cols, checks[level], known)
         if trace is not None:
             trace.steps.append((p, row_idx, level))
     return True
@@ -477,7 +464,7 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     """
     params.check()
     _check_shape(arr, params)
-    checks = [component_parity_check(params, i) for i in range(params.t)]
+    checks = _level_checks(params, params.t)
     work = arr.copy()
     try:
         done = _row_pass(work, params, checks, trace)
@@ -505,7 +492,7 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     """
     params.check()
     _check_shape(arr, params)
-    checks = [component_parity_check(params, i) for i in range(params.t)]
+    checks = _level_checks(params, params.t)
     col_view = None  # (params, checks) of the transpose, built on first use
     work = arr.copy()
     try:
@@ -516,8 +503,7 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
                 break
             if col_view is None:
                 col_params = params.transposed()
-                col_view = (col_params, [component_parity_check(col_params, i)
-                                         for i in range(col_params.t)])
+                col_view = (col_params, _level_checks(col_params, col_params.t))
             flipped = work.transposed()
             _row_pass(flipped, *col_view)
             work = flipped.transposed()

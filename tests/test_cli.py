@@ -226,6 +226,29 @@ def test_decode_contradicting_survivor(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_decode_contradicting_vanishing_row_survivor(tmp_path, capsys):
+    # both erased rows of the flagship are filled from vanishing
+    # combinations; the flipped survivor (2, 5) contradicts them
+    code = write_spec(tmp_path, FLAGSHIP_SPEC)
+    rng = random.Random(1)
+    data = write_data(tmp_path, [rng.randrange(8) for _ in range(19)])
+    enc = tmp_path / "enc.txt"
+    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+    lines = [line.split() for line in enc.read_text().splitlines()]
+    for r, c in [(1, c) for c in range(5)] + [(4, c) for c in range(2, 7)]:
+        lines[1 + r][c] = "?"
+    lines[3][5] = f"{int(lines[3][5], 16) ^ 1:x}"
+    holes = tmp_path / "holes.txt"
+    holes.write_text("\n".join(map(" ".join, lines)) + "\n")
+    out = tmp_path / "dec.txt"
+    for extra in ([], ["--single-pass"]):
+        capsys.readouterr()
+        assert cli.main(["decode", code, str(holes), "-o", str(out),
+                         *extra]) == 3
+        assert "uncorrectable" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_decode_linear_code(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     data = write_data(tmp_path, [11, 6])
@@ -291,6 +314,17 @@ def test_verify_budget_skip(tmp_path, capsys):
     assert "rank=23 expected=23 OK" in out
     assert "d_bruteforce=skipped" in out
     assert "random trials: 10 seed=0 mismatches=0 OK" in out
+
+
+@pytest.mark.parametrize("option", [["--random", "-5"], ["--budget", "-1"],
+                                    ["--exhaustive-cap", "0"]],
+                         ids=["random", "budget", "exhaustive_cap"])
+def test_verify_rejects_meaningless_counts(tmp_path, capsys, option):
+    code = write_spec(tmp_path, G1_SPEC)
+    with pytest.raises(SystemExit) as exc_info:
+        cli.main(["verify", code, *option])
+    assert exc_info.value.code == 2
+    assert f"argument {option[0]}" in capsys.readouterr().err
 
 
 def test_verify_low_cap_is_inconclusive(tmp_path, capsys):

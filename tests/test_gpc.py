@@ -28,6 +28,13 @@ PLUS_ONE = GpcParams(m=4, n=5, k=3, s=(2, 2), u=(1, 2), field=F8)
 # plain product code ([5,3] rows x [4,3] columns)
 PRODUCT = GpcParams(m=4, n=5, k=3, s=(4,), u=(2,), field=F8)
 
+# the 16x30 GF(2^8) storage code C(30;14,...) of the benchmark
+G16 = GpcParams(m=16, n=30, k=14, s=(8, 4, 4), u=(2, 4, 8),
+                field=default_field(8))
+
+# k = m: no vanishing row combinations, so level t owns no rows
+K_EQ_M = GpcParams(m=4, n=6, k=4, s=(2, 2), u=(1, 2), field=F8)
+
 
 def rand_codeword(params, rng):
     data = [rng.randrange(1 << params.field.w)
@@ -98,10 +105,15 @@ def test_dimension_and_distance_anchors():
     assert PRODUCT.min_distance() == 6    # 2 * 3
 
 
-def test_erasure_budgets():
-    assert FLAGSHIP.erasure_budgets() == (7, 7, 4, 3, 1, 1)
-    assert PLUS_ONE.erasure_budgets() == (5, 2, 1, 1)
-    assert PRODUCT.erasure_budgets() == (5, 2, 2, 2)
+@pytest.mark.parametrize("p, budgets", [
+    (FLAGSHIP, (7, 7, 4, 3, 1, 1)),
+    (PLUS_ONE, (5, 2, 1, 1)),
+    (PRODUCT, (5, 2, 2, 2)),
+    (G16, (30, 30, 8, 8) + (4,) * 4 + (2,) * 8),
+    (K_EQ_M, (2, 2, 1, 1)),
+], ids=["flagship", "plus_one", "product", "g16", "k_eq_m"])
+def test_erasure_budgets(p, budgets):
+    assert p.erasure_budgets() == budgets
 
 
 def test_decodable_profile():
@@ -120,14 +132,17 @@ def test_profile_ordering():
     assert prof.row_order == (1, 0, 2, 3)  # ties keep original order
 
 
-def test_parity_positions_layout():
-    p = FLAGSHIP
-    parity = p.parity_positions()
-    assert len(parity) == p.m * p.n - p.dimension() == 23
-    expected = {(0, 6), (1, 6),                          # level 0 band
+@pytest.mark.parametrize("p, expected", [
+    (FLAGSHIP, {(0, 6), (1, 6),                          # level 0 band
                 (2, 4), (2, 5), (2, 6),                  # level 1 band
-                (3, 3), (3, 4), (3, 5), (3, 6)}          # level 2 band
-    expected |= {(r, c) for r in (4, 5) for c in range(7)}
+                (3, 3), (3, 4), (3, 5), (3, 6),          # level 2 band
+                *((r, c) for r in (4, 5) for c in range(7))}),
+    (K_EQ_M, {(0, 5), (1, 5),                            # level 0 band
+              (2, 4), (2, 5), (3, 4), (3, 5)}),          # level 1 band
+], ids=["flagship", "k_eq_m"])
+def test_parity_positions_layout(p, expected):
+    parity = p.parity_positions()
+    assert len(parity) == p.m * p.n - p.dimension() == len(expected)
     assert parity == expected
 
 
@@ -230,19 +245,20 @@ def test_decode_rows_roundtrip_random():
             assert is_member(decoded, p)
 
 
-def test_decode_rows_full_budget_pattern():
+@pytest.mark.parametrize("p, size", [(FLAGSHIP, 23), (G16, 108), (K_EQ_M, 6)],
+                         ids=["flagship", "g16", "k_eq_m"])
+def test_decode_rows_full_budget_pattern(p, size):
     """The worst profile the guarantee covers is actually decoded."""
     rng = random.Random(55)
-    p = FLAGSHIP
     arr = rand_codeword(p, rng)
-    budgets = p.erasure_budgets()             # (7, 7, 4, 3, 1, 1)
+    budgets = p.erasure_budgets()
     rows = list(range(p.m))
     rng.shuffle(rows)
     pattern = []
     for budget, r in zip(budgets, rows):
         for c in rng.sample(range(p.n), budget):
             pattern.append((r, c))
-    assert len(pattern) == sum(budgets) == 23
+    assert len(pattern) == sum(budgets) == size
     assert decode_rows(erase_positions(arr, pattern), p) == arr
 
 
@@ -375,6 +391,21 @@ def test_contradicting_survivor_reports_erased_cells(decoder):
     with pytest.raises(UncorrectableError, match="inconsistent") as exc_info:
         decoder(bad, CONTRA)
     assert exc_info.value.remaining == {(0, 0)}
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_contradicting_vanishing_row_survivor_reports_erased_cells(decoder):
+    # both erased rows are filled from vanishing combinations: the flipped
+    # (2, 5) leaks into (4, 5), and then the survivor (1, 5) contradicts
+    # the last combination
+    rng = random.Random(1)
+    word = encode([rng.randrange(8) for _ in range(19)], FLAGSHIP)
+    pattern = [(1, c) for c in range(5)] + [(4, c) for c in range(2, 7)]
+    bad = erase_positions(word, pattern)
+    bad.fill(2, 5, bad.values[2][5] ^ 1)
+    with pytest.raises(UncorrectableError, match="inconsistent") as exc_info:
+        decoder(bad, FLAGSHIP)
+    assert exc_info.value.remaining == set(pattern)
 
 
 def test_contradiction_in_column_pass_reports_row_col_cells():
