@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                                       "ground truth")
     p.add_argument("code")
     p.add_argument("--exhaustive-cap", type=_at_least(1), default=None,
-                   help="largest erasure-pattern size to enumerate "
-                        "(default: the expected distance)")
+                   help="largest dependent-set size to search for "
+                        "(default: the expected distance); the cost "
+                        "grows with C(N, cap - 1), not with the distance")
     p.add_argument("--budget", type=_at_least(0),
                    default=oracle.DEFAULT_BUDGET,
                    help="refuse searches over this many subsets")

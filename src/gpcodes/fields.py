@@ -287,9 +287,6 @@ class GF:
             return self._exp[self.order - self._log[a]]
         return self.pow(a, self.order - 1)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a raised to an arbitrary (possibly negative) integer power."""
         if e == 0:

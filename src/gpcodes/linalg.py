@@ -61,12 +61,6 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix(self.field, self.data)
 
-    def __getitem__(self, rc: tuple[int, int]) -> int:
-        return self.data[rc[0]][rc[1]]
-
-    def __setitem__(self, rc: tuple[int, int], value: int) -> None:
-        self.data[rc[0]][rc[1]] = value
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -75,12 +69,6 @@ class Matrix:
     def __repr__(self) -> str:
         body = "\n".join(" ".join(f"{v:>3x}" for v in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})\n{body}"
-
-    def row(self, r: int) -> list[int]:
-        return self.data[r]
-
-    def column(self, c: int) -> list[int]:
-        return [row[c] for row in self.data]
 
     def submatrix(self, rows: Sequence[int] | None = None,
                   cols: Sequence[int] | None = None) -> "Matrix":

@@ -3,12 +3,13 @@
 Correctability of an erasure pattern and exact minimum distance are
 both column-rank statements about the check matrix, so everything here
 works directly on matrices and never consults the structured decoders.
-The distance search enumerates column subsets in colexicographic order
-by increasing size, maintaining an incremental GF(2) elimination state:
-a GF(2^w) column is expanded into its w binary multiples, each packed
-into one int, which makes dependence checks a handful of XORs.  The
-first dependent subset found is therefore a witness of exactly minimum
-size (and the colex-least such witness, so results are reproducible).
+The distance search enumerates column subsets in colexicographic order,
+maintaining an incremental GF(2) elimination state: a GF(2^w) column is
+expanded into its w binary multiples, each packed into one int, which
+makes dependence checks a handful of XORs.  It first certifies that no
+set below the cap is dependent with one pass just under it, descending
+whenever a pass meets a dependent set, and then finds the colex-least
+dependent set of minimum size, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -69,12 +70,21 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                        budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Exact minimum distance by exhaustive dependent-column search.
 
-    Scans subset sizes 1, 2, ... up to ``cap``; the returned witness is
-    a dependent column set of minimum size, i.e. the support of a
-    minimum-weight codeword.  Raises :class:`SearchBudgetError` before
-    doing any work if the total number of subsets within the cap
-    exceeds ``budget``, and :class:`DistanceCapError` if every subset
-    within the cap is independent.
+    Supersets of dependent sets are dependent, so a complete pass over
+    the subsets of size ``min(cap, n) - 1`` that meets no dependent set
+    proves the distance is at least ``min(cap, n)``.  A pass that meets
+    a dependent set of size p, whole or as a prefix, restarts at size
+    p - 1; once a pass certifies, the next size up gives the witness,
+    the colex-least dependent column set of minimum size (the support
+    of a minimum-weight codeword).  Pass sizes decrease until that last
+    one, so ``subsets_examined`` (whole subsets tested plus dependent
+    prefixes met) never exceeds ``search_cost(n, cap)``.  The work
+    scales with C(n, cap - 1), so a cap above the distance costs more.
+
+    Raises :class:`SearchBudgetError` before doing any work if the
+    total number of subsets within the cap exceeds ``budget``, and
+    :class:`DistanceCapError` if every subset within the cap is
+    independent.
     """
     n = check_matrix.cols
     if cap < 1:
@@ -84,39 +94,29 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
         raise SearchBudgetError(
             f"{cost} subsets of size <= {min(cap, n)} out of {n} exceed "
             f"the budget of {budget}; lower the cap or raise the budget")
+    if n == 0:
+        raise DistanceCapError("empty matrix has no columns")
     f = check_matrix.field
     w = f.w
     basis = _row_basis(check_matrix)
-    nrows = len(basis)
-    if nrows == 0:
-        if n == 0:
-            raise DistanceCapError("empty matrix has no columns")
-        return DistanceReport(1, (0,), 1)
-    scalars = [1]
-    for _ in range(w - 1):
-        scalars.append(f.mul(scalars[-1], 2))
-    colbits: list[list[int]] = []
-    for j in range(n):
-        per_scalar = []
-        for s in scalars:
-            bits = 0
-            for r in range(nrows):
-                v = basis[r][j]
-                if v:
-                    bits |= f.mul(v, s) << (r * w)
-            per_scalar.append(bits)
-        colbits.append(per_scalar)
+    # Column j's expansions by the field's GF(2) basis 1, x, ..., x^(w-1).
+    colbits = [[sum(f.mul(row[j], 1 << k) << (r * w)
+                    for r, row in enumerate(basis) if row[j])
+                for k in range(w)] for j in range(n)]
+    # The GF(2) span of the inserted columns' expansions is closed under
+    # field scalars, so a column lies in it exactly when its scalar-1
+    # expansion reduces to zero.
+    first = [bits[0] for bits in colbits]
 
-    pivots = [0] * (nrows * w + w)
-    chosen: list[int] = []
+    pivots = [0] * (len(basis) * w)
     examined = 0
 
     def insert(j: int) -> list[int] | None:
         # Returns pivot bit positions added, or None if column j is
-        # dependent on the chosen set.
+        # dependent on the inserted ones.  Only the scalar-1 expansion can
+        # vanish, so nothing has been added when that happens.
         added: list[int] = []
-        for vb in colbits[j]:
-            v = vb
+        for v in colbits[j]:
             while v:
                 b = v.bit_length() - 1
                 p = pivots[b]
@@ -127,44 +127,56 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                     added.append(b)
                     break
             else:
-                # The first vanishing expansion certifies dependence of
-                # the field column; no partial pivots can exist yet when
-                # that happens, but clean up defensively.
-                for b in added:
-                    pivots[b] = 0
                 return None
         return added
 
     def scan(need: int, hi: int) -> tuple[int, ...] | None:
+        # Walks, in colex order, the sets of ``need`` columns from 0..hi
+        # joined to the inserted ones, and returns the new columns of the
+        # first dependent set met, whole or as a prefix.  Restores the
+        # pivots it sets.
         nonlocal examined
+        if need == 1:
+            for j in range(hi + 1):
+                v = first[j]
+                while v:
+                    p = pivots[v.bit_length() - 1]
+                    if not p:
+                        break
+                    v ^= p
+                else:
+                    examined += j + 1
+                    return (j,)
+            examined += hi + 1
+            return None
         for j in range(need - 1, hi + 1):
             added = insert(j)
             if added is None:
                 examined += 1
-                if need == 1:
-                    return tuple(sorted(chosen + [j]))
-                # A dependent strict prefix would contradict the
-                # completed smaller-size passes.
-                raise AssertionError("dependent prefix below current size")
-            if need == 1:
-                examined += 1
-            else:
-                chosen.append(j)
-                found = scan(need - 1, j - 1)
-                chosen.pop()
-                if found is not None:
-                    return found
+                return (j,)
+            found = scan(need - 1, j - 1)
             for b in added:
                 pivots[b] = 0
+            if found is not None:
+                return found + (j,)
         return None
 
-    for size in range(1, min(cap, n) + 1):
-        witness = scan(size, n - 1)
-        if witness is not None:
-            return DistanceReport(size, witness, examined)
-    raise DistanceCapError(
-        f"no dependent set of size <= {min(cap, n)} "
-        f"({examined} subsets examined)")
+    top = min(cap, n)
+    size, witness = top - 1, None
+    while size:
+        found = scan(size, n - 1)
+        if found is None:
+            break
+        witness = found if len(found) == size else None
+        size = len(found) - 1
+    # No dependent set has ``size`` columns or fewer.
+    if witness is None:
+        witness = scan(size + 1, n - 1)
+        if witness is None:
+            raise DistanceCapError(
+                f"no dependent set of size <= {top} "
+                f"({examined} subsets examined)")
+    return DistanceReport(len(witness), witness, examined)
 
 
 def random_decodable_pattern(params: "_gpc.GpcParams",

@@ -127,13 +127,13 @@ def test_criterion_06_formula_vs_exhaustive_search():
         h = full_parity_matrix(p)
         assert rank(h) == p.m * p.n - p.dimension(), p.notation()
         d = p.min_distance()
-        if oracle.search_cost(p.m * p.n, d) > 120_000:
+        if oracle.search_cost(p.m * p.n, d) > 250_000:
             continue            # exhaustive confirmation too wide; rank-only
         report = oracle.brute_min_distance(h, d)
         assert report.distance == d, p.notation()
         checked[len(p.s)] += 1
     assert total == 1246
-    assert checked == {1: 245, 2: 363, 3: 77}
+    assert checked == {1: 273, 2: 440, 3: 116}
     print(f"criterion 6: {total} parameter sets rank-checked; "
           f"{sum(checked.values())} distance-checked exhaustively "
           f"(per level count {checked}); formula exact on all")

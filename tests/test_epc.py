@@ -140,11 +140,11 @@ def test_build_h2_structure():
     assert (h.rows, h.cols) == (m + n + 2, m * n)
     f = code.field
     for i in range(m):
-        assert h.row(i) == [1 if j // n == i else 0 for j in range(m * n)]
+        assert h.data[i] == [1 if j // n == i else 0 for j in range(m * n)]
     for j in range(n):
-        assert h.row(m + j) == [1 if i % n == j else 0 for i in range(m * n)]
-    assert h.row(m + n) == [f.alpha_pow(j) for j in range(m * n)]
-    assert h.row(m + n + 1) == [f.alpha_pow(-j) for j in range(m * n)]
+        assert h.data[m + j] == [1 if i % n == j else 0 for i in range(m * n)]
+    assert h.data[m + n] == [f.alpha_pow(j) for j in range(m * n)]
+    assert h.data[m + n + 1] == [f.alpha_pow(-j) for j in range(m * n)]
     # the row sums and column sums overlap in one constraint
     assert code.redundancy == m + n + 1
 
@@ -161,7 +161,7 @@ def test_build_h3_adds_one_constraint():
     code3 = build_h3(3, 3)
     assert code3.check_matrix.rows == code2.check_matrix.rows + 1
     assert code3.check_matrix.data[:-1] == code2.check_matrix.data
-    assert code3.check_matrix.row(8) == \
+    assert code3.check_matrix.data[8] == \
         [code3.field.alpha_pow(2 * j) for j in range(9)]
     assert code3.redundancy == code2.redundancy + 1
 

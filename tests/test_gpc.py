@@ -229,7 +229,7 @@ def test_component_parity_check_values():
     assert (h.rows, h.cols) == (2, 5)
     for r in range(2):
         for j in range(5):
-            assert h[r, j] == F8.alpha_pow(r * j)
+            assert h.data[r][j] == F8.alpha_pow(r * j)
 
 
 # ---------------------------------------------------------------- decoding

@@ -9,7 +9,7 @@ from gpcodes.epc import build_h2
 from gpcodes.fields import default_field
 from gpcodes.gpc import ErasureProfile, GpcParams, decodable_profile, \
     full_parity_matrix
-from gpcodes.linalg import Matrix, null_space
+from gpcodes.linalg import Matrix, null_space, rank
 from gpcodes.oracle import (DistanceCapError, SearchBudgetError,
                             brute_min_distance, correctable,
                             decoder_oracle_equivalence,
@@ -107,6 +107,64 @@ def test_brute_min_distance_cap_and_budget():
     # all-zero checks: every single column is already dependent
     report = brute_min_distance(Matrix.zeros(F8, 2, 5), cap=3)
     assert report.distance == 1 and report.witness == (0,)
+
+
+def _ascending_search(h):
+    """The first dependent column set by increasing size and, within a
+    size, in colex order; None when every column set is independent."""
+    for size in range(1, h.cols + 1):
+        for cols in sorted(combinations(range(h.cols), size),
+                           key=lambda c: c[::-1]):
+            if rank(h.submatrix(cols=cols)) < size:
+                return cols
+    return None
+
+
+def _random_check_matrix(rng):
+    f = default_field(rng.choice((2, 3, 4)))
+    rows, n = rng.randint(1, 6), rng.randint(2, 8)
+    data = [[rng.randrange(1 << f.w) if rng.random() < 0.85 else 0
+             for _ in range(n)] for _ in range(rows)]
+    # zero and repeated columns placed last
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        if rng.random() < 0.5:
+            extra = [0] * rows
+        else:
+            j = rng.randrange(len(data[0]))
+            extra = [f.mul(row[j], rng.randrange(1, 1 << f.w))
+                     for row in data]
+        for row, v in zip(data, extra):
+            row.append(v)
+    return Matrix(f, data)
+
+
+def test_brute_min_distance_matches_ascending_reference():
+    rng = random.Random(61)
+    for _ in range(60):
+        h = _random_check_matrix(rng)
+        n = h.cols
+        expected = _ascending_search(h)
+        for cap in range(1, n + 1):
+            try:
+                report = brute_min_distance(h, cap)
+            except DistanceCapError:
+                assert expected is None or len(expected) > cap, (h, cap)
+                continue
+            assert (report.distance, report.witness) == \
+                (len(expected), expected), (h, cap)
+            assert report.subsets_examined <= search_cost(n, cap)
+
+
+def test_brute_min_distance_descends_past_dependent_prefix():
+    # The pass at size 4 meets the zero last column as a prefix and
+    # restarts the certification below it.
+    h = Matrix(F8, [[1, 0, 0, 0, 1, 1, 0],
+                    [0, 1, 0, 0, 1, 2, 0],
+                    [0, 0, 1, 0, 1, 3, 0],
+                    [0, 0, 0, 1, 1, 4, 0]])
+    report = brute_min_distance(h, cap=5)
+    assert (report.distance, report.witness) == (1, (6,))
+    assert report.subsets_examined <= search_cost(7, 5)
 
 
 def test_random_decodable_pattern_is_decodable():
