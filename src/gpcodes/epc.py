@@ -26,8 +26,8 @@ from math import ceil
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
-from .linalg import (Matrix, NoSolutionError, UnderdeterminedError,
-                     pivot_columns, solve)
+from .linalg import (Matrix, NoSolutionError, SystematicMap,
+                     UnderdeterminedError, pivot_columns, solve)
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,9 @@ class LinearCode:
         if self.check_matrix.cols != self.length:
             raise ValueError("check matrix width does not match length")
         self._parity_positions: tuple[int, ...] | None = None
+        # lc_encode compiles the encoder on the second encode.
+        self._encodes = 0
+        self._encoder: SystematicMap | None = None
 
     @property
     def redundancy(self) -> int:
@@ -239,14 +242,39 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     return known
 
 
-def lc_encode(data: list[int], code: LinearCode) -> list[int]:
-    """Systematic encoding: data fills the non-parity positions in order."""
-    if len(data) != code.dimension:
-        raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
+def _scalar_encode(data: list[int], code: LinearCode) -> list[int]:
+    # The reference encoder: the parity positions are erasures that the
+    # syndrome solve recovers.
     word = [0] * code.length
     for pos, sym in zip(code.data_positions(), data):
         word[pos] = sym
     return lc_erasure_decode(word, set(code.parity_positions()), code)
+
+
+def lc_encode(data: list[int], code: LinearCode) -> list[int]:
+    """Systematic encoding: data fills the non-parity positions in order.
+
+    The parity positions are solved from the syndrome.  From the second
+    encode with the same ``code`` object, a field with w <= 8 uses the
+    code's :class:`~gpcodes.linalg.SystematicMap` instead, compiled once
+    from K scalar encodes of the unit vectors and equal to the scalar
+    path bit for bit.  Codes whose map would exceed
+    ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    """
+    if len(data) != code.dimension:
+        raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
+    limit = 1 << code.field.w
+    if any(not 0 <= v < limit for v in data):
+        raise ValueError("data symbol out of field range")
+    code._encodes += 1
+    if code._encodes == 2 and SystematicMap.fits(
+            code.field, code.dimension, code.redundancy):
+        code._encoder = SystematicMap(
+            code.field, code.dimension, code.parity_positions(),
+            lambda unit: _scalar_encode(unit, code))
+    if code._encoder is None:
+        return _scalar_encode(data, code)
+    return code._encoder.apply(data)
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:

@@ -216,7 +216,7 @@ class GF:
     """
 
     __slots__ = ("w", "modulus", "alpha", "order", "_exp", "_log",
-                 "_alpha_order", "_order_factors")
+                 "_alpha_order", "_order_factors", "_mul_tables")
 
     def __init__(self, w: int, modulus: int | None = None, alpha: int = 2):
         if not 1 <= w <= MAX_WIDTH:
@@ -241,6 +241,7 @@ class GF:
         self._order_factors: list[int] | None = None
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._mul_tables: tuple[bytes, ...] | None = None
         if w <= _TABLE_WIDTH:
             self._build_tables()
 
@@ -308,6 +309,23 @@ class GF:
             base = _poly_mulmod(base, base, self.modulus)
             e >>= 1
         return acc
+
+    def mul_tables(self) -> tuple[bytes, ...]:
+        """For w <= 8, the 256-byte product table of every element.
+
+        Entry x of table v is v * x (0 past the field), so
+        ``block.translate(tables[v])`` multiplies every byte symbol of a
+        block by v.  Built on first use and kept with the field.
+        """
+        if self.w > 8:
+            raise ValueError(f"product tables need w <= 8, got w={self.w}")
+        if self._mul_tables is None:
+            exp, log, n = self._exp, self._log, self.order
+            pad = bytes(255 - n)
+            self._mul_tables = (bytes(256),) + tuple(
+                bytes([0] + [exp[log[v] + log[x]] for x in range(1, n + 1)])
+                + pad for v in range(1, n + 1))
+        return self._mul_tables
 
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e)

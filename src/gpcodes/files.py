@@ -126,12 +126,6 @@ def load_code_spec(path: str) -> CodeSpec:
     return parse_code_spec(obj)
 
 
-def dump_code_spec(spec_obj: dict, path: str) -> None:
-    with open(path, "w") as fp:
-        json.dump(spec_obj, fp, indent=2)
-        fp.write("\n")
-
-
 def array_to_text(arr: SymbolArray, w: int) -> str:
     lines = [f"{arr.m} {arr.n} {w}"]
     for vals, mask in zip(arr.values, arr.erased):

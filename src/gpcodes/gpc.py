@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .fields import GF
-from .linalg import (Matrix, NoSolutionError, kron, null_space, row_reduce,
-                     solve, vandermonde, vstack)
+from .linalg import (Matrix, NoSolutionError, SystematicMap, kron,
+                     null_space, row_reduce, solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -206,9 +206,6 @@ class SymbolArray:
         self.values[r][c] = value
         self.erased[r][c] = False
 
-    def is_erased(self, r: int, c: int) -> bool:
-        return self.erased[r][c]
-
     @property
     def erasure_count(self) -> int:
         return sum(flag for row in self.erased for flag in row)
@@ -351,11 +348,16 @@ def _repair_row(work: SymbolArray, r: int, cols: Sequence[int],
     # Fill the erased cells ``cols`` of row r so that the row plus
     # ``offset`` lies in the code of ``check``.  The cells hold 0, so the
     # unique solution (Vandermonde columns) is their symbols; survivors
-    # that contradict the code raise NoSolutionError.
+    # that contradict the code raise NoSolutionError.  An all-zero row
+    # solves to zeros, which most rows of a unit vector are when an
+    # encoder is compiled.
     row = work.values[r]
     if offset is not None:
         row = [a ^ b for a, b in zip(row, offset)]
-    missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
+    if not any(row):
+        missing = [0] * len(cols)
+    else:
+        missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
     for c, v in zip(cols, missing):
         work.fill(r, c, v)
 
@@ -372,8 +374,19 @@ class DecodeTrace:
     # steps: (profile position, row index, level used; None = vanishing combo)
 
 
-# Triangulations by (params, row order, system size), oldest evicted
-# first once the limit is reached.
+def _remember(cache: dict, key, value, limit: int,
+              budget: int | None = None) -> None:
+    # Store key -> value as the newest entry.  The oldest entries go
+    # first while ``limit`` entries are held or, given a byte budget,
+    # while the values' ``nbytes`` would sum past it (None counts 0).
+    cache.pop(key, None)
+    while cache and (len(cache) >= limit or budget is not None and sum(
+            v.nbytes for v in (*cache.values(), value) if v) > budget):
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+# Triangulations by (params, row order, system size).
 _TRIANGULATION_LIMIT = 1024
 _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
 
@@ -386,9 +399,7 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
         return hit
     f = params.field
     result = row_reduce(vandermonde(f, [f.alpha_pow(j) for j in order], nsys))
-    if len(_TRIANGULATION_CACHE) >= _TRIANGULATION_LIMIT:
-        del _TRIANGULATION_CACHE[next(iter(_TRIANGULATION_CACHE))]
-    _TRIANGULATION_CACHE[key] = result
+    _remember(_TRIANGULATION_CACHE, key, result, _TRIANGULATION_LIMIT)
     return result
 
 
@@ -515,13 +526,59 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     return work
 
 
+# Compiled encoders by params; None marks a code encoded once so far.
+_ENCODER_LIMIT = 64
+_ENCODER_BYTES = 1 << 20
+_ENCODERS: dict[GpcParams, SystematicMap | None] = {}
+
+
+def _compiled_encoder(params: GpcParams, dim: int) -> SystematicMap | None:
+    # The compiled encoder from the second encode of params on; None
+    # keeps the scalar path (first encode, w > 8 or an oversized map).
+    if not SystematicMap.fits(params.field, dim, params.m * params.n - dim):
+        return None
+    if params not in _ENCODERS:
+        _remember(_ENCODERS, params, None, _ENCODER_LIMIT)
+        return None
+    enc = _ENCODERS[params]
+    if enc is None:
+        parity = params.parity_positions()
+        checks = _level_checks(params, params.t)
+        cells = sorted(r * params.n + c for r, c in parity)
+        enc = SystematicMap(
+            params.field, dim, cells,
+            lambda unit: _scalar_encode(unit, params, parity, checks).flatten())
+        _remember(_ENCODERS, params, enc, _ENCODER_LIMIT, _ENCODER_BYTES)
+    return enc
+
+
+def _scalar_encode(data: Sequence[int], params: GpcParams,
+                   parity: frozenset[tuple[int, int]],
+                   checks: Sequence[Matrix]) -> SymbolArray:
+    # The reference encoder: data fills the non-parity cells in row-major
+    # order and one row pass recovers the parity cells, which always sit
+    # inside the budgets with no survivor to contradict.
+    it = iter(data)
+    cells = [[(r, c) in parity for c in range(params.n)]
+             for r in range(params.m)]
+    work = SymbolArray([[0 if e else next(it) for e in row] for row in cells],
+                       cells)
+    if not _row_pass(work, params, checks):
+        raise AssertionError("parity cells outside the decodable budgets")
+    return work
+
+
 def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     """Systematic encoder.
 
     Data symbols fill the non-parity cells in row-major order; the
     parity cells are treated as erasures and recovered by the row
-    decoder (the parity pattern always sits inside the budgets, and its
-    triangulation is cached across calls).
+    decoder.  From the second encode of an equal ``params`` in a
+    process, a field with w <= 8 uses the code's
+    :class:`~gpcodes.linalg.SystematicMap` instead, compiled once from K
+    scalar encodes of the unit vectors (K = the dimension) and equal to
+    the scalar path bit for bit.  Codes whose map would exceed
+    ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     params.check()
     dim = params.dimension()
@@ -530,16 +587,13 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     limit = 1 << params.field.w
     if any(not 0 <= v < limit for v in data):
         raise ValueError("data symbol out of field range")
-    parity = params.parity_positions()
-    arr = SymbolArray.zeros(params.m, params.n)
-    it = iter(data)
-    for r in range(params.m):
-        for c in range(params.n):
-            if (r, c) in parity:
-                arr.erase(r, c)
-            else:
-                arr.fill(r, c, next(it))
-    return decode_rows(arr, params)
+    enc = _compiled_encoder(params, dim)
+    if enc is None:
+        return _scalar_encode(data, params, params.parity_positions(),
+                              _level_checks(params, params.t))
+    word = enc.apply(data)
+    n = params.n
+    return SymbolArray([word[i:i + n] for i in range(0, len(word), n)])
 
 
 def min_weight_codeword(params: GpcParams, level: int,

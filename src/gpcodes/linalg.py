@@ -13,11 +13,15 @@ top to bottom and has two modes:
   the transform that produced it;
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
+
+:class:`SystematicMap` holds a systematic encoder compiled once into
+byte columns, for fields with w <= 8, and applies it with
+``bytes.translate``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .fields import GF
 
@@ -236,3 +240,58 @@ def null_space(m: Matrix) -> list[list[int]]:
             vec[pc] = work[i][fc]
         basis.append(vec)
     return basis
+
+
+# Largest compiled systematic map, K data x P parity bytes; larger codes
+# keep their scalar encoder.  G16 needs 372 x 108 = 40 176 bytes.
+MAP_BYTES_LIMIT = 1 << 16
+
+
+class SystematicMap:
+    """The parity symbols of a systematic code as one compiled linear map.
+
+    For fields with w <= 8.  ``columns[s]`` holds, one byte per symbol,
+    the P parity symbols of the s-th unit data vector, so by linearity
+    the parity of any data vector is the XOR of its columns, each times
+    its data symbol.  :meth:`apply` multiplies a column with one
+    ``bytes.translate`` through the field's product table (see
+    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
+    Jerasure's idiom, with no per-symbol field arithmetic.
+    """
+
+    __slots__ = ("tables", "columns", "order")
+
+    def __init__(self, field: GF, k: int, parity: Sequence[int],
+                 encode: Callable[[list[int]], Sequence[int]]):
+        """Compile ``encode``, a scalar systematic encoder from k data
+        symbols to a flat word whose positions ``parity`` (ascending)
+        hold the parity symbols, by encoding the k unit vectors."""
+        self.tables = field.mul_tables()
+        self.columns = [bytes(word[j] for j in parity) for word in
+                        (encode([int(s == i) for i in range(k)])
+                         for s in range(k))]
+        # Word position -> index into the data symbols followed by the
+        # parity symbols.
+        slot = {j: k + i for i, j in enumerate(parity)}
+        data = iter(range(k))
+        self.order = [slot[j] if j in slot else next(data)
+                      for j in range(k + len(parity))]
+
+    @staticmethod
+    def fits(field: GF, k: int, p: int) -> bool:
+        """Whether a code of k data and p parity symbols compiles."""
+        return field.w <= 8 and k * p <= MAP_BYTES_LIMIT
+
+    @property
+    def nbytes(self) -> int:
+        return sum(map(len, self.columns))
+
+    def apply(self, data: Sequence[int]) -> list[int]:
+        """The flat systematic codeword of ``data``, symbols in range."""
+        tables, from_bytes = self.tables, int.from_bytes
+        acc = 0
+        for col, v in zip(self.columns, data):
+            if v:
+                acc ^= from_bytes(col.translate(tables[v]), "little")
+        merged = [*data, *acc.to_bytes(len(self.order) - len(data), "little")]
+        return [merged[i] for i in self.order]

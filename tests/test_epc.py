@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gpcodes import epc, linalg
 from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
                          build_optimal_g1, check_condition_35, distance_bound,
                          lc_encode, lc_erasure_decode, lc_is_member)
@@ -194,6 +195,53 @@ def test_lc_encode_roundtrip():
         assert [word[j] for j in code.data_positions()] == data
     with pytest.raises(ValueError):
         lc_encode([0] * 5, code)
+
+
+@pytest.mark.parametrize("data", [[-1, 1], [20, 1]])
+def test_lc_encode_rejects_symbols_out_of_field(data):
+    code = build_h2(3, 3)          # over GF(2^4)
+    with pytest.raises(ValueError, match="out of field range"):
+        lc_encode(data, code)
+    for _ in range(2):
+        lc_encode([1, 2], code)
+    assert code._encoder is not None
+    with pytest.raises(ValueError, match="out of field range"):
+        lc_encode(data, code)
+
+
+def _stripes(code, rng):
+    top = (1 << code.field.w) - 1
+    k = code.dimension
+    return [[rng.randrange(top + 1) for _ in range(k)] for _ in range(3)] + \
+        [[0] * k, [top] * k]
+
+
+@pytest.mark.parametrize("build", [lambda: build_h2(15, 17),
+                                   lambda: build_h2(3, 3),
+                                   lambda: build_h3(3, 4)],
+                         ids=["H2(15,17)", "h2(3,3)", "h3(3,4)"])
+def test_compiled_lc_encode_matches_scalar(build):
+    code = build()
+    for i, data in enumerate(_stripes(code, random.Random(75))):
+        assert lc_encode(data, code) == epc._scalar_encode(data, code)
+        # the first encode compiles nothing; the second compiles the map
+        assert (code._encoder is None) == (i == 0)
+
+
+def test_wide_field_lc_encode_stays_scalar():
+    code = build_h3(3, 3, GF.from_prime(11))        # w = 10
+    for data in _stripes(code, random.Random(76)):
+        assert lc_encode(data, code) == epc._scalar_encode(data, code)
+    assert code._encoder is None
+
+
+def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
+    code = build_h2(3, 3)
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT",
+                        code.dimension * code.redundancy - 1)
+    for data in _stripes(code, random.Random(77)):
+        assert lc_encode(data, code) == epc._scalar_encode(data, code)
+    assert code._encoder is None
 
 
 def test_lc_erasure_decode_small_patterns():

@@ -5,10 +5,9 @@ import json
 import pytest
 
 from gpcodes.fields import GF, default_field
-from gpcodes.files import (SpecFileError, array_to_text, dump_code_spec,
-                           field_from_json, field_to_json, load_code_spec,
-                           parse_array_text, parse_code_spec, read_array,
-                           read_symbols)
+from gpcodes.files import (SpecFileError, array_to_text, field_from_json,
+                           field_to_json, load_code_spec, parse_array_text,
+                           parse_code_spec, read_array, read_symbols)
 from gpcodes.gpc import SymbolArray
 
 
@@ -89,7 +88,7 @@ def test_parse_spec_unknown_kind():
 
 def test_load_and_dump_spec(tmp_path):
     path = tmp_path / "code.json"
-    dump_code_spec({"kind": "epc-h2", "m": 3, "n": 3}, str(path))
+    path.write_text(json.dumps({"kind": "epc-h2", "m": 3, "n": 3}))
     spec = load_code_spec(str(path))
     assert spec.kind == "epc-h2"
     assert json.loads(path.read_text())["m"] == 3
@@ -133,7 +132,7 @@ def test_parse_array_text_errors():
         parse_array_text("1 3 3\n0 0 9\n")            # out of range for w=3
     # blank lines are tolerated
     arr, _ = parse_array_text("\n1 2 4\n\n1 ?\n\n")
-    assert arr.values == [[1, 0]] and arr.is_erased(0, 1)
+    assert arr.values == [[1, 0]] and arr.erased[0][1]
 
 
 def test_read_symbols(tmp_path):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gpcodes import gpc
+from gpcodes import gpc, linalg
 from gpcodes.epc import LinearCode
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
@@ -181,6 +181,90 @@ def test_encode_validation():
     bad[3] = 8
     with pytest.raises(ValueError):
         encode(bad, FLAGSHIP)
+
+
+# ---------------------------------------------------------- compiled encoder
+
+@pytest.fixture
+def encoders(monkeypatch):
+    """An empty cache of compiled gpc encoders for one test."""
+    cache = {}
+    monkeypatch.setattr(gpc, "_ENCODERS", cache)
+    return cache
+
+
+def scalar_encode(data, params):
+    return gpc._scalar_encode(data, params, params.parity_positions(),
+                             gpc._level_checks(params, params.t))
+
+
+def stripes(params, rng):
+    top = (1 << params.field.w) - 1
+    k = params.dimension()
+    return [[rng.randrange(top + 1) for _ in range(k)] for _ in range(3)] + \
+        [[0] * k, [top] * k]
+
+
+@pytest.mark.parametrize("params", [G16, FLAGSHIP, K_EQ_M],
+                         ids=["G16", "flagship", "k_eq_m"])
+def test_compiled_encode_matches_scalar(params, encoders):
+    for i, data in enumerate(stripes(params, random.Random(71))):
+        assert encode(data, params) == scalar_encode(data, params)
+        # the first encode only marks the code; the second compiles it
+        assert (encoders[params] is None) == (i == 0)
+    assert encoders[params].nbytes == \
+        params.dimension() * (params.m * params.n - params.dimension())
+
+
+def test_wide_field_encode_stays_scalar(encoders):
+    p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                  field=default_field(10))
+    for data in stripes(p, random.Random(72)):
+        assert encode(data, p) == scalar_encode(data, p)
+    assert encoders == {}
+
+
+def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
+    k = FLAGSHIP.dimension()
+    size = k * (FLAGSHIP.m * FLAGSHIP.n - k)
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
+    for data in stripes(FLAGSHIP, random.Random(73)):
+        assert encode(data, FLAGSHIP) == scalar_encode(data, FLAGSHIP)
+    assert encoders == {}
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
+    for _ in range(2):
+        encode([0] * k, FLAGSHIP)
+    assert encoders[FLAGSHIP].nbytes == size
+
+
+def test_encoder_cache_is_bounded(encoders, monkeypatch):
+    # map bytes: FLAGSHIP 437, PLUS_ONE 99, PRODUCT 99, K_EQ_M 108
+    monkeypatch.setattr(gpc, "_ENCODER_LIMIT", 3)
+    monkeypatch.setattr(gpc, "_ENCODER_BYTES", 437 + 99)
+
+    def encode_zeros(p):
+        encode([0] * p.dimension(), p)
+        assert len(encoders) <= 3
+        assert sum(e.nbytes for e in encoders.values() if e) <= 437 + 99
+
+    for p in (FLAGSHIP, PLUS_ONE):
+        encode_zeros(p)
+        encode_zeros(p)
+    assert list(encoders) == [FLAGSHIP, PLUS_ONE]
+    for p in (PRODUCT, K_EQ_M):
+        encode_zeros(p)
+        encode_zeros(p)
+    # the byte budget pushed the oldest map out
+    assert list(encoders) == [PLUS_ONE, PRODUCT, K_EQ_M]
+    encode_zeros(FLAGSHIP)
+    # the entry limit pushed the oldest out for the mark
+    assert list(encoders) == [PRODUCT, K_EQ_M, FLAGSHIP]
+    assert encoders[FLAGSHIP] is None
+    encode_zeros(FLAGSHIP)
+    assert list(encoders) == [FLAGSHIP]
+    # evicted maps compile again and still encode correctly
+    data = stripes(PRODUCT, random.Random(74))[0]
+    assert encode(data, PRODUCT) == scalar_encode(data, PRODUCT)
 
 
 def test_membership_linearity():
@@ -497,12 +581,12 @@ def test_min_weight_codeword_validation():
 def test_symbol_array_mask_is_authoritative():
     arr = SymbolArray([[1, 2], [3, 4]], erased=[[False, True], [False, False]])
     assert arr.values[0][1] == 0          # erased cells read as zero
-    assert arr.is_erased(0, 1)
+    assert arr.erased[0][1]
     assert arr.erasure_count == 1
     assert arr.erased_positions() == [(0, 1)]
     assert arr.row_erasures(0) == [1]
     arr.fill(0, 1, 7)
-    assert not arr.is_erased(0, 1) and arr.values[0][1] == 7
+    assert not arr.erased[0][1] and arr.values[0][1] == 7
     arr.erase(1, 0)
     assert arr.values[1][0] == 0
 
@@ -512,11 +596,11 @@ def test_symbol_array_copy_and_transpose():
     arr.erase(0, 2)
     dup = arr.copy()
     dup.fill(0, 2, 9)
-    assert arr.is_erased(0, 2)            # the original is untouched
+    assert arr.erased[0][2]               # the original is untouched
     t = arr.transposed()
     assert (t.m, t.n) == (3, 2)
     assert t.values[1][0] == 2
-    assert t.is_erased(2, 0)
+    assert t.erased[2][0]
     assert t.transposed() == arr
     assert arr.flatten() == [1, 2, 0, 4, 5, 6]
     with pytest.raises(ValueError):

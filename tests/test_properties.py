@@ -4,6 +4,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from gpcodes import gpc
 from gpcodes.fields import field_with_order
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
@@ -74,3 +75,18 @@ def test_contradictions_name_their_cells(params, seed):
             decoder(damaged, params)
         except UncorrectableError as exc:
             assert exc.remaining and exc.remaining <= set(pattern)
+
+
+# Each example compiles its code, so fewer examples keep Tier-1 fast.
+@settings(PROPERTY_SETTINGS, max_examples=50)
+@given(gpc_params(), st.integers(0, 2**32 - 1))
+def test_compiled_encoder_matches_scalar(params, seed):
+    rng = random.Random(seed)
+    gpc._ENCODERS.pop(params, None)      # the second encode below compiles
+    for _ in range(3):
+        data = [rng.randrange(1 << params.field.w)
+                for _ in range(params.dimension())]
+        assert encode(data, params) == gpc._scalar_encode(
+            data, params, params.parity_positions(),
+            gpc._level_checks(params, params.t))
+    assert gpc._ENCODERS[params] is not None
