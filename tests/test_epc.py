@@ -197,7 +197,8 @@ def test_lc_encode_roundtrip():
         lc_encode([0] * 5, code)
 
 
-@pytest.mark.parametrize("data", [[-1, 1], [20, 1]])
+@pytest.mark.parametrize("data", [[-1, 1], [20, 1]],
+                         ids=["negative", "past_field"])
 def test_lc_encode_rejects_symbols_out_of_field(data):
     code = build_h2(3, 3)          # over GF(2^4)
     with pytest.raises(ValueError, match="out of field range"):
