@@ -26,7 +26,7 @@ from math import ceil
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
-from .linalg import (Matrix, NoSolutionError, SystematicMap,
+from .linalg import (EncoderSlot, Matrix, NoSolutionError, SystematicMap,
                      UnderdeterminedError, pivot_columns, solve)
 
 
@@ -115,9 +115,7 @@ class LinearCode:
         if self.check_matrix.cols != self.length:
             raise ValueError("check matrix width does not match length")
         self._parity_positions: tuple[int, ...] | None = None
-        # lc_encode compiles the encoder on the second encode.
-        self._encodes = 0
-        self._encoder: SystematicMap | None = None
+        self._encoder = EncoderSlot()
 
     @property
     def redundancy(self) -> int:
@@ -266,15 +264,14 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     limit = 1 << code.field.w
     if any(not 0 <= v < limit for v in data):
         raise ValueError("data symbol out of field range")
-    code._encodes += 1
-    if code._encodes == 2 and SystematicMap.fits(
-            code.field, code.dimension, code.redundancy):
-        code._encoder = SystematicMap(
-            code.field, code.dimension, code.parity_positions(),
-            lambda unit: _scalar_encode(unit, code))
-    if code._encoder is None:
+    enc = code._encoder.encoder(
+        code.field, code.dimension, code.redundancy,
+        lambda: SystematicMap(code.field, code.dimension,
+                              code.parity_positions(),
+                              lambda unit: _scalar_encode(unit, code)))
+    if enc is None:
         return _scalar_encode(data, code)
-    return code._encoder.apply(data)
+    return enc.apply(data)
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:

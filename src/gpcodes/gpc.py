@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .fields import GF
-from .linalg import (Matrix, NoSolutionError, SystematicMap, kron,
-                     null_space, row_reduce, solve, vandermonde, vstack)
+from .linalg import (EncoderSlot, Matrix, NoSolutionError, SystematicMap,
+                     kron, null_space, row_reduce, solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -374,14 +374,11 @@ class DecodeTrace:
     # steps: (profile position, row index, level used; None = vanishing combo)
 
 
-def _remember(cache: dict, key, value, limit: int,
-              budget: int | None = None) -> None:
-    # Store key -> value as the newest entry.  The oldest entries go
-    # first while ``limit`` entries are held or, given a byte budget,
-    # while the values' ``nbytes`` would sum past it (None counts 0).
+def _remember(cache: dict, key, value, limit: int) -> None:
+    # Store key -> value as the newest entry, evicting the oldest ones
+    # while ``limit`` entries are held.
     cache.pop(key, None)
-    while cache and (len(cache) >= limit or budget is not None and sum(
-            v.nbytes for v in (*cache.values(), value) if v) > budget):
+    while len(cache) >= limit:
         del cache[next(iter(cache))]
     cache[key] = value
 
@@ -526,30 +523,27 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     return work
 
 
-# Compiled encoders by params; None marks a code encoded once so far.
-_ENCODER_LIMIT = 64
-_ENCODER_BYTES = 1 << 20
-_ENCODERS: dict[GpcParams, SystematicMap | None] = {}
+# Encoder slots by params, oldest evicted first: at most 16 maps of at
+# most 64 KiB each.
+_ENCODER_LIMIT = 16
+_ENCODERS: dict[GpcParams, EncoderSlot] = {}
 
 
-def _compiled_encoder(params: GpcParams, dim: int) -> SystematicMap | None:
-    # The compiled encoder from the second encode of params on; None
-    # keeps the scalar path (first encode, w > 8 or an oversized map).
-    if not SystematicMap.fits(params.field, dim, params.m * params.n - dim):
-        return None
-    if params not in _ENCODERS:
-        _remember(_ENCODERS, params, None, _ENCODER_LIMIT)
-        return None
-    enc = _ENCODERS[params]
-    if enc is None:
-        parity = params.parity_positions()
-        checks = _level_checks(params, params.t)
-        cells = sorted(r * params.n + c for r, c in parity)
-        enc = SystematicMap(
-            params.field, dim, cells,
-            lambda unit: _scalar_encode(unit, params, parity, checks).flatten())
-        _remember(_ENCODERS, params, enc, _ENCODER_LIMIT, _ENCODER_BYTES)
-    return enc
+def _encoder_slot(params: GpcParams) -> EncoderSlot:
+    slot = _ENCODERS.get(params)
+    if slot is None:
+        slot = EncoderSlot()
+        _remember(_ENCODERS, params, slot, _ENCODER_LIMIT)
+    return slot
+
+
+def _compile_encoder(params: GpcParams, dim: int) -> SystematicMap:
+    parity = params.parity_positions()
+    checks = _level_checks(params, params.t)
+    cells = sorted(r * params.n + c for r, c in parity)
+    return SystematicMap(
+        params.field, dim, cells,
+        lambda unit: _scalar_encode(unit, params, parity, checks).flatten())
 
 
 def _scalar_encode(data: Sequence[int], params: GpcParams,
@@ -573,12 +567,12 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
 
     Data symbols fill the non-parity cells in row-major order; the
     parity cells are treated as erasures and recovered by the row
-    decoder.  From the second encode of an equal ``params`` in a
-    process, a field with w <= 8 uses the code's
+    decoder.  After K encodes of an equal ``params`` in a process (K =
+    the dimension), a field with w <= 8 uses the code's
     :class:`~gpcodes.linalg.SystematicMap` instead, compiled once from K
-    scalar encodes of the unit vectors (K = the dimension) and equal to
-    the scalar path bit for bit.  Codes whose map would exceed
-    ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    scalar encodes of the unit vectors and equal to the scalar path bit
+    for bit (see :class:`~gpcodes.linalg.EncoderSlot`).  Codes whose map
+    would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     params.check()
     dim = params.dimension()
@@ -587,7 +581,9 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     limit = 1 << params.field.w
     if any(not 0 <= v < limit for v in data):
         raise ValueError("data symbol out of field range")
-    enc = _compiled_encoder(params, dim)
+    enc = _encoder_slot(params).encoder(
+        params.field, dim, params.m * params.n - dim,
+        lambda: _compile_encoder(params, dim))
     if enc is None:
         return _scalar_encode(data, params, params.parity_positions(),
                               _level_checks(params, params.t))

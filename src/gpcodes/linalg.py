@@ -16,7 +16,8 @@ top to bottom and has two modes:
 
 :class:`SystematicMap` holds a systematic encoder compiled once into
 byte columns, for fields with w <= 8, and applies it with
-``bytes.translate``.
+``bytes.translate``; :class:`EncoderSlot` decides when a code's map is
+worth compiling.
 """
 
 from __future__ import annotations
@@ -277,15 +278,6 @@ class SystematicMap:
         self.order = [slot[j] if j in slot else next(data)
                       for j in range(k + len(parity))]
 
-    @staticmethod
-    def fits(field: GF, k: int, p: int) -> bool:
-        """Whether a code of k data and p parity symbols compiles."""
-        return field.w <= 8 and k * p <= MAP_BYTES_LIMIT
-
-    @property
-    def nbytes(self) -> int:
-        return sum(map(len, self.columns))
-
     def apply(self, data: Sequence[int]) -> list[int]:
         """The flat systematic codeword of ``data``, symbols in range."""
         tables, from_bytes = self.tables, int.from_bytes
@@ -295,3 +287,36 @@ class SystematicMap:
                 acc ^= from_bytes(col.translate(tables[v]), "little")
         merged = [*data, *acc.to_bytes(len(self.order) - len(data), "little")]
         return [merged[i] for i in self.order]
+
+
+class EncoderSlot:
+    """One code's encodes so far, and its :class:`SystematicMap` once built.
+
+    Compiling encodes the k unit vectors on the scalar path, which costs
+    about as much as k scalar encodes of random data: 0.5 k measured for
+    G16, whose unit vectors leave most rows zero, and 1.4 k for
+    ``build_h2(15, 17)``.  So a code stays scalar for its first k encodes
+    and compiles on encode k + 1, the rent-or-buy rule: a process that
+    encodes a code at most k times never pays for a map, and one that
+    compiles has already spent about the compile's cost on scalar
+    encodes, so it never takes much more than twice the scalar time.
+    Fields with w > 8 and maps above ``MAP_BYTES_LIMIT`` never compile.
+    """
+
+    __slots__ = ("encodes", "map")
+
+    def __init__(self):
+        self.encodes = 0
+        self.map: SystematicMap | None = None
+
+    def encoder(self, field: GF, k: int, p: int,
+                build: Callable[[], SystematicMap]) -> SystematicMap | None:
+        """Count one encode of a code with k data and p parity symbols:
+        the map to apply, built by ``build`` when it falls due, or None
+        for the scalar path."""
+        if self.map is None:
+            self.encodes += 1
+            if (self.encodes > k and field.w <= 8
+                    and k * p <= MAP_BYTES_LIMIT):
+                self.map = build()
+        return self.map

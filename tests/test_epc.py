@@ -203,9 +203,9 @@ def test_lc_encode_rejects_symbols_out_of_field(data):
     code = build_h2(3, 3)          # over GF(2^4)
     with pytest.raises(ValueError, match="out of field range"):
         lc_encode(data, code)
-    for _ in range(2):
+    for _ in range(code.dimension + 1):
         lc_encode([1, 2], code)
-    assert code._encoder is not None
+    assert code._encoder.map is not None
     with pytest.raises(ValueError, match="out of field range"):
         lc_encode(data, code)
 
@@ -217,32 +217,54 @@ def _stripes(code, rng):
         [[0] * k, [top] * k]
 
 
+def _compile_on_next_encode(code):
+    code._encoder.encodes = code.dimension
+
+
 @pytest.mark.parametrize("build", [lambda: build_h2(15, 17),
                                    lambda: build_h2(3, 3),
                                    lambda: build_h3(3, 4)],
                          ids=["H2(15,17)", "h2(3,3)", "h3(3,4)"])
-def test_compiled_lc_encode_matches_scalar(build):
+def test_compiled_lc_encode_matches_scalar(build, monkeypatch):
     code = build()
-    for i, data in enumerate(_stripes(code, random.Random(75))):
+    cases = [(data, epc._scalar_encode(data, code))
+             for data in _stripes(code, random.Random(75))]
+    _compile_on_next_encode(code)
+    lc_encode(cases[0][0], code)
+    assert code._encoder.map is not None
+    # from here on every encode must come from the map
+    monkeypatch.delattr(epc, "_scalar_encode")
+    for data, expected in cases:
+        assert lc_encode(data, code) == expected
+
+
+def test_lc_encoder_compiles_after_k_encodes():
+    code = build_h3(3, 4)
+    k = code.dimension
+    for data in _stripes(code, random.Random(78)):
         assert lc_encode(data, code) == epc._scalar_encode(data, code)
-        # the first encode compiles nothing; the second compiles the map
-        assert (code._encoder is None) == (i == 0)
+        # K scalar encodes, then one that compiles and applies the map
+        slot = code._encoder
+        assert (slot.map is None) == (slot.encodes <= k)
+    assert slot.map is not None
 
 
 def test_wide_field_lc_encode_stays_scalar():
     code = build_h3(3, 3, GF.from_prime(11))        # w = 10
+    _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(76)):
         assert lc_encode(data, code) == epc._scalar_encode(data, code)
-    assert code._encoder is None
+    assert code._encoder.map is None
 
 
 def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     code = build_h2(3, 3)
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT",
                         code.dimension * code.redundancy - 1)
+    _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(77)):
         assert lc_encode(data, code) == epc._scalar_encode(data, code)
-    assert code._encoder is None
+    assert code._encoder.map is None
 
 
 def test_lc_erasure_decode_small_patterns():

@@ -12,7 +12,7 @@ from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix,
                          is_member, min_weight_codeword)
-from gpcodes.linalg import Matrix, rank, row_reduce
+from gpcodes.linalg import EncoderSlot, Matrix, rank, row_reduce
 from gpcodes.oracle import random_decodable_pattern
 from test_acceptance import _small_param_grid
 
@@ -187,7 +187,7 @@ def test_encode_validation():
 
 @pytest.fixture
 def encoders(monkeypatch):
-    """An empty cache of compiled gpc encoders for one test."""
+    """An empty cache of gpc encoder slots for one test."""
     cache = {}
     monkeypatch.setattr(gpc, "_ENCODERS", cache)
     return cache
@@ -205,66 +205,67 @@ def stripes(params, rng):
         [[0] * k, [top] * k]
 
 
+def compile_on_next_encode(params, encoders):
+    """A slot that has counted K encodes, so the next one compiles."""
+    slot = EncoderSlot()
+    slot.encodes = params.dimension()
+    encoders[params] = slot
+    return slot
+
+
 @pytest.mark.parametrize("params", [G16, FLAGSHIP, K_EQ_M],
                          ids=["G16", "flagship", "k_eq_m"])
-def test_compiled_encode_matches_scalar(params, encoders):
-    for i, data in enumerate(stripes(params, random.Random(71))):
-        assert encode(data, params) == scalar_encode(data, params)
-        # the first encode only marks the code; the second compiles it
-        assert (encoders[params] is None) == (i == 0)
-    assert encoders[params].nbytes == \
-        params.dimension() * (params.m * params.n - params.dimension())
+def test_compiled_encode_matches_scalar(params, encoders, monkeypatch):
+    cases = [(data, scalar_encode(data, params))
+             for data in stripes(params, random.Random(71))]
+    slot = compile_on_next_encode(params, encoders)
+    encode(cases[0][0], params)
+    assert slot.map is not None
+    # from here on every encode must come from the map
+    monkeypatch.delattr(gpc, "_scalar_encode")
+    for data, expected in cases:
+        assert encode(data, params) == expected
+
+
+def test_encoder_compiles_after_k_encodes(encoders):
+    k = PLUS_ONE.dimension()
+    for data in stripes(PLUS_ONE, random.Random(74)) * 3:
+        assert encode(data, PLUS_ONE) == scalar_encode(data, PLUS_ONE)
+        # K scalar encodes, then one that compiles and applies the map
+        slot = encoders[PLUS_ONE]
+        assert (slot.map is None) == (slot.encodes <= k)
+    assert slot.map is not None and slot.encodes == k + 1
 
 
 def test_wide_field_encode_stays_scalar(encoders):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                   field=default_field(10))
+    slot = compile_on_next_encode(p, encoders)
     for data in stripes(p, random.Random(72)):
         assert encode(data, p) == scalar_encode(data, p)
-    assert encoders == {}
+    assert slot.map is None
 
 
 def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
     k = FLAGSHIP.dimension()
     size = k * (FLAGSHIP.m * FLAGSHIP.n - k)
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
+    slot = compile_on_next_encode(FLAGSHIP, encoders)
     for data in stripes(FLAGSHIP, random.Random(73)):
         assert encode(data, FLAGSHIP) == scalar_encode(data, FLAGSHIP)
-    assert encoders == {}
+    assert slot.map is None
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
-    for _ in range(2):
-        encode([0] * k, FLAGSHIP)
-    assert encoders[FLAGSHIP].nbytes == size
+    encode([0] * k, FLAGSHIP)
+    assert sum(map(len, slot.map.columns)) == size
 
 
 def test_encoder_cache_is_bounded(encoders, monkeypatch):
-    # map bytes: FLAGSHIP 437, PLUS_ONE 99, PRODUCT 99, K_EQ_M 108
     monkeypatch.setattr(gpc, "_ENCODER_LIMIT", 3)
-    monkeypatch.setattr(gpc, "_ENCODER_BYTES", 437 + 99)
-
-    def encode_zeros(p):
+    for p in (FLAGSHIP, PLUS_ONE, PRODUCT, FLAGSHIP, K_EQ_M):
         encode([0] * p.dimension(), p)
         assert len(encoders) <= 3
-        assert sum(e.nbytes for e in encoders.values() if e) <= 437 + 99
-
-    for p in (FLAGSHIP, PLUS_ONE):
-        encode_zeros(p)
-        encode_zeros(p)
-    assert list(encoders) == [FLAGSHIP, PLUS_ONE]
-    for p in (PRODUCT, K_EQ_M):
-        encode_zeros(p)
-        encode_zeros(p)
-    # the byte budget pushed the oldest map out
+    # the oldest slot went first
     assert list(encoders) == [PLUS_ONE, PRODUCT, K_EQ_M]
-    encode_zeros(FLAGSHIP)
-    # the entry limit pushed the oldest out for the mark
-    assert list(encoders) == [PRODUCT, K_EQ_M, FLAGSHIP]
-    assert encoders[FLAGSHIP] is None
-    encode_zeros(FLAGSHIP)
-    assert list(encoders) == [FLAGSHIP]
-    # evicted maps compile again and still encode correctly
-    data = stripes(PRODUCT, random.Random(74))[0]
-    assert encode(data, PRODUCT) == scalar_encode(data, PRODUCT)
 
 
 def test_membership_linearity():

@@ -82,11 +82,10 @@ def test_contradictions_name_their_cells(params, seed):
 @given(gpc_params(), st.integers(0, 2**32 - 1))
 def test_compiled_encoder_matches_scalar(params, seed):
     rng = random.Random(seed)
-    gpc._ENCODERS.pop(params, None)      # the second encode below compiles
+    dim = params.dimension()
+    compiled = gpc._compile_encoder(params, dim)
     for _ in range(3):
-        data = [rng.randrange(1 << params.field.w)
-                for _ in range(params.dimension())]
-        assert encode(data, params) == gpc._scalar_encode(
+        data = [rng.randrange(1 << params.field.w) for _ in range(dim)]
+        assert compiled.apply(data) == gpc._scalar_encode(
             data, params, params.parity_positions(),
-            gpc._level_checks(params, params.t))
-    assert gpc._ENCODERS[params] is not None
+            gpc._level_checks(params, params.t)).flatten()
