@@ -26,8 +26,8 @@ from math import ceil
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
-from .linalg import (EncoderSlot, Matrix, NoSolutionError, SystematicMap,
-                     UnderdeterminedError, pivot_columns, solve)
+from .linalg import (Matrix, NoSolutionError, PlanSlot, UnderdeterminedError,
+                     erasure_plan, pivot_columns, remember, solve)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,9 @@ class LinearCode:
         if self.check_matrix.cols != self.length:
             raise ValueError("check matrix width does not match length")
         self._parity_positions: tuple[int, ...] | None = None
-        self._encoder = EncoderSlot()
+        self._data_positions: tuple[int, ...] | None = None
+        # Plan slots by sorted erased positions (see lc_erasure_decode).
+        self._plans: dict[tuple[int, ...], PlanSlot] = {}
 
     @property
     def redundancy(self) -> int:
@@ -139,8 +141,11 @@ class LinearCode:
         return self._parity_positions
 
     def data_positions(self) -> tuple[int, ...]:
-        parity = set(self.parity_positions())
-        return tuple(j for j in range(self.length) if j not in parity)
+        if self._data_positions is None:
+            parity = set(self.parity_positions())
+            self._data_positions = tuple(
+                j for j in range(self.length) if j not in parity)
+        return self._data_positions
 
 
 def _power_row(field: GF, length: int, step: int) -> list[int]:
@@ -216,17 +221,50 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
 
     Needs the erased check-matrix columns to be independent; otherwise
     the pattern is uncorrectable and :class:`UncorrectableError` is
-    raised.
+    raised, as it is when the survivors contradict the code.  Survivors
+    must lie in the field; the symbols at erased positions are ignored.
+    From the |E| + 1-th decode of one pattern E of ``code``, a field
+    with w <= 8 applies the pattern's compiled plan
+    (:func:`~gpcodes.linalg.erasure_plan`) instead of the solve: equal
+    output, and the same errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
     cols = sorted(erased)
-    if not cols:
-        return list(values)
-    h = code.check_matrix
+    if cols and not 0 <= cols[0] <= cols[-1] < code.length:
+        raise ValueError("erased position out of range")
     known = [0 if j in erased else v for j, v in enumerate(values)]
+    if known and not (min(known) >= 0 and max(known) < 1 << code.field.w):
+        raise ValueError("survivor out of field range")
+    if not cols:
+        return known
+    return _fill(known, tuple(cols), code)
+
+
+# Plan slots per code, oldest evicted first: at most 16 plans of at most
+# 64 KiB each (1 MiB) per LinearCode.
+_PLAN_LIMIT = 16
+
+
+def _fill(known: list[int], cols: tuple[int, ...],
+          code: LinearCode) -> list[int]:
+    # Fill the erased positions ``cols`` (ascending) of ``known``, which
+    # hold 0, in place; every other symbol is in range.  The pattern's
+    # slot compiles its plan on use |E| + 1; until then, and for w > 8,
+    # plans above linalg.MAP_BYTES_LIMIT and dependent patterns, the
+    # syndrome solve runs.
+    h = code.check_matrix
+    slot = code._plans.get(cols)
+    if slot is None:
+        slot = PlanSlot()
+        remember(code._plans, cols, slot, _PLAN_LIMIT)
+    plan = slot.plan(code.field, len(cols), (code.length - len(cols)) * h.rows,
+                     lambda: erasure_plan(h, cols))
     try:
-        missing = solve(h.submatrix(cols=cols), h.mul_vec(known))
+        if plan is None:
+            missing = solve(h.submatrix(cols=cols), h.mul_vec(known))
+        else:
+            missing = plan.apply(known)
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",
@@ -240,38 +278,22 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     return known
 
 
-def _scalar_encode(data: list[int], code: LinearCode) -> list[int]:
-    # The reference encoder: the parity positions are erasures that the
-    # syndrome solve recovers.
-    word = [0] * code.length
-    for pos, sym in zip(code.data_positions(), data):
-        word[pos] = sym
-    return lc_erasure_decode(word, set(code.parity_positions()), code)
-
-
 def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     """Systematic encoding: data fills the non-parity positions in order.
 
-    The parity positions are solved from the syndrome.  From the second
-    encode with the same ``code`` object, a field with w <= 8 uses the
-    code's :class:`~gpcodes.linalg.SystematicMap` instead, compiled once
-    from K scalar encodes of the unit vectors and equal to the scalar
-    path bit for bit.  Codes whose map would exceed
-    ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    The parity positions are an erasure pattern that
+    :func:`lc_erasure_decode`'s solve recovers, so after P encodes with
+    the same ``code`` object (P = the redundancy) a field with w <= 8
+    applies that pattern's compiled plan, equal bit for bit.
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
-    limit = 1 << code.field.w
-    if any(not 0 <= v < limit for v in data):
+    if data and not (min(data) >= 0 and max(data) < 1 << code.field.w):
         raise ValueError("data symbol out of field range")
-    enc = code._encoder.encoder(
-        code.field, code.dimension, code.redundancy,
-        lambda: SystematicMap(code.field, code.dimension,
-                              code.parity_positions(),
-                              lambda unit: _scalar_encode(unit, code)))
-    if enc is None:
-        return _scalar_encode(data, code)
-    return enc.apply(data)
+    word = [0] * code.length
+    for pos, sym in zip(code.data_positions(), data):
+        word[pos] = sym
+    return _fill(word, code.parity_positions(), code)
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:

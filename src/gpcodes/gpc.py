@@ -21,8 +21,9 @@ from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence
 
 from .fields import GF
-from .linalg import (EncoderSlot, Matrix, NoSolutionError, SystematicMap,
-                     kron, null_space, row_reduce, solve, vandermonde, vstack)
+from .linalg import (Matrix, NoSolutionError, PlanSlot, SystematicMap, kron,
+                     null_space, remember, row_reduce, solve, vandermonde,
+                     vstack)
 
 
 class UncorrectableError(ValueError):
@@ -181,15 +182,15 @@ class SymbolArray:
             raise ValueError("ragged rows")
         if erased is None:
             self.erased = [[False] * self.n for _ in range(self.m)]
-        else:
-            self.erased = [list(map(bool, row)) for row in erased]
-            if len(self.erased) != self.m or \
-                    any(len(row) != self.n for row in self.erased):
-                raise ValueError("mask shape mismatch")
-        for r in range(self.m):
-            for c in range(self.n):
-                if self.erased[r][c]:
-                    self.values[r][c] = 0
+            return
+        self.erased = [list(map(bool, row)) for row in erased]
+        if len(self.erased) != self.m or \
+                any(len(row) != self.n for row in self.erased):
+            raise ValueError("mask shape mismatch")
+        for vals, flags in zip(self.values, self.erased):
+            for c, flag in enumerate(flags):
+                if flag:
+                    vals[c] = 0
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SymbolArray":
@@ -287,11 +288,30 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
     return vandermonde(f, nodes, params.u[i])
 
 
+# Level checks and column-view params by params, oldest evicted first:
+# at most 64 entries of t + 1 matrices with n columns each (G16's row
+# view holds 14 KB of lists, its column view 6 KB).
+_VIEW_LIMIT = 64
+_VIEWS: dict[GpcParams, tuple[list[Matrix], GpcParams | None]] = {}
+
+
+def _view(params: GpcParams) -> tuple[list[Matrix], GpcParams | None]:
+    # The checks of levels 0..t (level t, the zero code, has the
+    # identity) and the column view's params, None when k = m.  Built
+    # once per params; callers must not modify them.
+    hit = _VIEWS.get(params)
+    if hit is None:
+        checks = [component_parity_check(params, i) for i in range(params.t)]
+        checks.append(Matrix.identity(params.field, params.n))
+        hit = (checks, params.transposed() if params.k < params.m else None)
+        remember(_VIEWS, params, hit, _VIEW_LIMIT)
+    return hit
+
+
 def _level_checks(params: GpcParams, levels: int) -> list[Matrix]:
-    # Checks of levels 0..levels-1; level t, the zero code, has the identity.
-    # The decoders fill vanishing rows directly and ask for levels 0..t-1.
-    return [component_parity_check(params, i) if i < params.t
-            else Matrix.identity(params.field, params.n) for i in range(levels)]
+    # Checks of levels 0..levels-1.  The decoders fill vanishing rows
+    # directly and ask for levels 0..t-1.
+    return _view(params)[0][:levels]
 
 
 def full_parity_matrix(params: GpcParams) -> Matrix:
@@ -374,15 +394,6 @@ class DecodeTrace:
     # steps: (profile position, row index, level used; None = vanishing combo)
 
 
-def _remember(cache: dict, key, value, limit: int) -> None:
-    # Store key -> value as the newest entry, evicting the oldest ones
-    # while ``limit`` entries are held.
-    cache.pop(key, None)
-    while len(cache) >= limit:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
 # Triangulations by (params, row order, system size).
 _TRIANGULATION_LIMIT = 1024
 _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
@@ -396,7 +407,7 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
         return hit
     f = params.field
     result = row_reduce(vandermonde(f, [f.alpha_pow(j) for j in order], nsys))
-    _remember(_TRIANGULATION_CACHE, key, result, _TRIANGULATION_LIMIT)
+    remember(_TRIANGULATION_CACHE, key, result, _TRIANGULATION_LIMIT)
     return result
 
 
@@ -501,19 +512,17 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     params.check()
     _check_shape(arr, params)
     checks = _level_checks(params, params.t)
-    col_view = None  # (params, checks) of the transpose, built on first use
+    # k = m leaves no column view (see GpcParams.transposed).
+    col_params = _view(params)[1]
     work = arr.copy()
     try:
         while work.erasure_count:
             before = work.erasure_count
-            # k = m leaves no column view (see GpcParams.transposed).
-            if _row_pass(work, params, checks) or params.k == params.m:
+            if _row_pass(work, params, checks) or col_params is None:
                 break
-            if col_view is None:
-                col_params = params.transposed()
-                col_view = (col_params, _level_checks(col_params, col_params.t))
             flipped = work.transposed()
-            _row_pass(flipped, *col_view)
+            _row_pass(flipped, col_params,
+                      _level_checks(col_params, col_params.t))
             work = flipped.transposed()
             if work.erasure_count >= before:
                 break
@@ -526,14 +535,14 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
 # Encoder slots by params, oldest evicted first: at most 16 maps of at
 # most 64 KiB each.
 _ENCODER_LIMIT = 16
-_ENCODERS: dict[GpcParams, EncoderSlot] = {}
+_ENCODERS: dict[GpcParams, PlanSlot] = {}
 
 
-def _encoder_slot(params: GpcParams) -> EncoderSlot:
+def _encoder_slot(params: GpcParams) -> PlanSlot:
     slot = _ENCODERS.get(params)
     if slot is None:
-        slot = EncoderSlot()
-        _remember(_ENCODERS, params, slot, _ENCODER_LIMIT)
+        slot = PlanSlot()
+        remember(_ENCODERS, params, slot, _ENCODER_LIMIT)
     return slot
 
 
@@ -571,7 +580,7 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     the dimension), a field with w <= 8 uses the code's
     :class:`~gpcodes.linalg.SystematicMap` instead, compiled once from K
     scalar encodes of the unit vectors and equal to the scalar path bit
-    for bit (see :class:`~gpcodes.linalg.EncoderSlot`).  Codes whose map
+    for bit (see :class:`~gpcodes.linalg.PlanSlot`).  Codes whose map
     would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     params.check()
@@ -581,13 +590,13 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     limit = 1 << params.field.w
     if any(not 0 <= v < limit for v in data):
         raise ValueError("data symbol out of field range")
-    enc = _encoder_slot(params).encoder(
-        params.field, dim, params.m * params.n - dim,
+    enc = _encoder_slot(params).plan(
+        params.field, dim, dim * (params.m * params.n - dim),
         lambda: _compile_encoder(params, dim))
     if enc is None:
         return _scalar_encode(data, params, params.parity_positions(),
                               _level_checks(params, params.t))
-    word = enc.apply(data)
+    word = enc.encode(data)
     n = params.n
     return SymbolArray([word[i:i + n] for i in range(0, len(word), n)])
 

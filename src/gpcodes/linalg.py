@@ -14,10 +14,13 @@ top to bottom and has two modes:
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
 
-:class:`SystematicMap` holds a systematic encoder compiled once into
-byte columns, for fields with w <= 8, and applies it with
-``bytes.translate``; :class:`EncoderSlot` decides when a code's map is
-worth compiling.
+:class:`ByteMap` is the one compiled-map kernel, for fields with
+w <= 8: byte columns applied with ``bytes.translate``, whose trailing
+check symbols must vanish.  It serves both encode and decode: a
+:class:`SystematicMap` is a systematic encoder compiled into one, and
+:func:`erasure_plan` compiles :func:`solve`'s erasure system for a fixed
+pattern, checks included.  :class:`PlanSlot` decides when a map is worth
+compiling, and :func:`remember` bounds every cache of them.
 """
 
 from __future__ import annotations
@@ -243,34 +246,71 @@ def null_space(m: Matrix) -> list[list[int]]:
     return basis
 
 
-# Largest compiled systematic map, K data x P parity bytes; larger codes
-# keep their scalar encoder.  G16 needs 372 x 108 = 40 176 bytes.
+# Largest compiled map, in bytes; larger codes and patterns stay on the
+# scalar path.  G16's encoder needs 372 x 108 = 40 176 bytes.
 MAP_BYTES_LIMIT = 1 << 16
 
 
-class SystematicMap:
-    """The parity symbols of a systematic code as one compiled linear map.
+def remember(cache: dict, key, value, limit: int) -> None:
+    """Store key -> value as the newest entry of ``cache``, evicting the
+    oldest ones while ``limit`` entries are held."""
+    cache.pop(key, None)
+    while len(cache) >= limit:
+        del cache[next(iter(cache))]
+    cache[key] = value
 
-    For fields with w <= 8.  ``columns[s]`` holds, one byte per symbol,
-    the P parity symbols of the s-th unit data vector, so by linearity
-    the parity of any data vector is the XOR of its columns, each times
-    its data symbol.  :meth:`apply` multiplies a column with one
-    ``bytes.translate`` through the field's product table (see
+
+class ByteMap:
+    """A GF(2^w)-linear map compiled into byte columns, for w <= 8.
+
+    ``columns[i]`` holds, one byte per symbol, the image of the i-th unit
+    input: ``width`` outputs followed by check symbols that every
+    consistent input sends to zero.  :meth:`apply` multiplies a column
+    with one ``bytes.translate`` through the field's product table (see
     :meth:`GF.mul_tables`) and XORs the columns as one big integer:
     Jerasure's idiom, with no per-symbol field arithmetic.
     """
 
-    __slots__ = ("tables", "columns", "order")
+    __slots__ = ("tables", "columns", "width")
+
+    def __init__(self, field: GF, columns: Sequence[bytes], width: int):
+        self.tables = field.mul_tables()
+        self.columns = columns
+        self.width = width
+
+    def apply(self, inputs: Sequence[int]) -> bytes:
+        """The ``width`` outputs of ``inputs`` (symbols in range).
+
+        Raises :class:`NoSolutionError` when a check symbol is nonzero.
+        """
+        tables, from_bytes = self.tables, int.from_bytes
+        acc = 0
+        for col, v in zip(self.columns, inputs):
+            if v:
+                acc ^= from_bytes(col.translate(tables[v]), "little")
+        if acc >> 8 * self.width:
+            raise NoSolutionError("inconsistent system")
+        return acc.to_bytes(self.width, "little")
+
+
+class SystematicMap(ByteMap):
+    """The parity symbols of a systematic code as one :class:`ByteMap`.
+
+    Column s holds the P parity symbols of the s-th unit data vector, so
+    by linearity the parity of any data vector is the XOR of its
+    columns, each times its data symbol.  It has no check symbols.
+    """
+
+    __slots__ = ("order",)
 
     def __init__(self, field: GF, k: int, parity: Sequence[int],
                  encode: Callable[[list[int]], Sequence[int]]):
         """Compile ``encode``, a scalar systematic encoder from k data
         symbols to a flat word whose positions ``parity`` (ascending)
         hold the parity symbols, by encoding the k unit vectors."""
-        self.tables = field.mul_tables()
-        self.columns = [bytes(word[j] for j in parity) for word in
-                        (encode([int(s == i) for i in range(k)])
-                         for s in range(k))]
+        super().__init__(field, [bytes(word[j] for j in parity) for word in
+                                 (encode([int(s == i) for i in range(k)])
+                                  for s in range(k))], len(parity))
         # Word position -> index into the data symbols followed by the
         # parity symbols.
         slot = {j: k + i for i, j in enumerate(parity)}
@@ -278,45 +318,69 @@ class SystematicMap:
         self.order = [slot[j] if j in slot else next(data)
                       for j in range(k + len(parity))]
 
-    def apply(self, data: Sequence[int]) -> list[int]:
+    def encode(self, data: Sequence[int]) -> list[int]:
         """The flat systematic codeword of ``data``, symbols in range."""
-        tables, from_bytes = self.tables, int.from_bytes
-        acc = 0
-        for col, v in zip(self.columns, data):
-            if v:
-                acc ^= from_bytes(col.translate(tables[v]), "little")
-        merged = [*data, *acc.to_bytes(len(self.order) - len(data), "little")]
+        merged = [*data, *self.apply(data)]
         return [merged[i] for i in self.order]
 
 
-class EncoderSlot:
-    """One code's encodes so far, and its :class:`SystematicMap` once built.
+def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
+    """The solve of ``h @ word = 0`` for the positions ``erased``
+    (ascending, w <= 8) compiled into a :class:`ByteMap` of the word.
 
-    Compiling encodes the k unit vectors on the scalar path, which costs
-    about as much as k scalar encodes of random data: 0.5 k measured for
-    G16, whose unit vectors leave most rows zero, and 1.4 k for
-    ``build_h2(15, 17)``.  So a code stays scalar for its first k encodes
-    and compiles on encode k + 1, the rent-or-buy rule: a process that
-    encodes a code at most k times never pays for a map, and one that
-    compiles has already spent about the compile's cost on scalar
-    encodes, so it never takes much more than twice the scalar time.
-    Fields with w > 8 and maps above ``MAP_BYTES_LIMIT`` never compile.
+    One full elimination of the columns of h, erased ones first, gives
+    ``T @ h = [[I, A], [0, B]]``.  So the erased symbols are ``A`` times
+    the survivors, and the survivors are consistent with the code
+    exactly when ``B`` sends them to zero: the residual rows, kept as
+    the map's check symbols, that :func:`solve` tests.  Column j holds
+    position j's share, the empty string at an erased position, whose
+    symbol must be 0.  None when the erased columns are dependent.
+    """
+    e = len(erased)
+    skip = set(erased)
+    rest = [c for c in range(h.cols) if c not in skip]
+    rows = [[row[c] for c in erased] + [row[c] for c in rest]
+            for row in h.data]
+    if len(_eliminate(rows, h.field, e, full=True)) < e:
+        return None
+    columns = [b""] * h.cols
+    for i, c in enumerate(rest, e):
+        columns[c] = bytes(row[i] for row in rows)
+    return ByteMap(h.field, columns, e)
+
+
+class PlanSlot:
+    """One code's or pattern's uses so far, and its :class:`ByteMap`
+    once built.
+
+    A map is worth building only when it will be used often enough to
+    repay its compile.  Callers state that compile's cost in uses: k
+    for an encoder built from k unit-vector encodes (measured at 0.5 k
+    scalar encodes for G16 and 1.4 k for ``build_h2(15, 17)``), and |E|
+    for an erasure plan, whose |E| pivot steps each cost at most the
+    ``mul_vec`` a scalar decode pays.  A slot stays scalar for ``cost``
+    uses and compiles on use cost + 1, the rent-or-buy rule: a process
+    that uses it at most ``cost`` times never pays for a map, and one
+    that compiles has already spent about the compile's cost on scalar
+    uses, so it never takes much more than twice the scalar time.  The
+    compile is tried that once: fields with w > 8, maps above
+    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.
     """
 
-    __slots__ = ("encodes", "map")
+    __slots__ = ("uses", "map")
 
     def __init__(self):
-        self.encodes = 0
-        self.map: SystematicMap | None = None
+        self.uses = 0
+        self.map: ByteMap | None = None
 
-    def encoder(self, field: GF, k: int, p: int,
-                build: Callable[[], SystematicMap]) -> SystematicMap | None:
-        """Count one encode of a code with k data and p parity symbols:
-        the map to apply, built by ``build`` when it falls due, or None
-        for the scalar path."""
+    def plan(self, field: GF, cost: int, nbytes: int,
+             build: Callable[[], ByteMap | None]) -> ByteMap | None:
+        """Count one use of a map of ``nbytes`` bytes that costs ``cost``
+        uses to build: the map to apply, built by ``build`` when it
+        falls due, or None for the scalar path."""
         if self.map is None:
-            self.encodes += 1
-            if (self.encodes > k and field.w <= 8
-                    and k * p <= MAP_BYTES_LIMIT):
+            self.uses += 1
+            if (self.uses == cost + 1 and field.w <= 8
+                    and nbytes <= MAP_BYTES_LIMIT):
                 self.map = build()
         return self.map

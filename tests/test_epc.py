@@ -197,17 +197,74 @@ def test_lc_encode_roundtrip():
         lc_encode([0] * 5, code)
 
 
+def _scalar(code):
+    """A fresh copy of ``code``: its first decode of any pattern is the
+    scalar syndrome solve, the reference every plan must equal."""
+    return LinearCode(code.field, code.length, code.check_matrix)
+
+
+def _scalar_encode(data, code):
+    word = [0] * code.length
+    for pos, sym in zip(code.data_positions(), data):
+        word[pos] = sym
+    return lc_erasure_decode(word, set(code.parity_positions()), _scalar(code))
+
+
+def _compile_on_next_use(code, cols):
+    """A slot for the pattern ``cols`` that has counted |E| uses, so the
+    next one compiles."""
+    slot = linalg.PlanSlot()
+    slot.uses = len(cols)
+    code._plans[tuple(sorted(cols))] = slot
+    return slot
+
+
+def _no_scalar_solve(monkeypatch):
+    """From here on every decode and encode must come from a plan."""
+    def forbidden(*args):
+        raise AssertionError("scalar solve on a compiled pattern")
+    monkeypatch.setattr(epc, "solve", forbidden)
+
+
 @pytest.mark.parametrize("data", [[-1, 1], [20, 1]],
                          ids=["negative", "past_field"])
 def test_lc_encode_rejects_symbols_out_of_field(data):
     code = build_h2(3, 3)          # over GF(2^4)
     with pytest.raises(ValueError, match="out of field range"):
         lc_encode(data, code)
-    for _ in range(code.dimension + 1):
+    for _ in range(code.redundancy + 1):
         lc_encode([1, 2], code)
-    assert code._encoder.map is not None
+    assert code._plans[code.parity_positions()].map is not None
     with pytest.raises(ValueError, match="out of field range"):
         lc_encode(data, code)
+
+
+@pytest.mark.parametrize("bad", [-1, 20, 300])
+def test_lc_erasure_decode_rejects_survivors_out_of_field(bad):
+    code = build_h2(3, 3)          # over GF(2^4)
+    word = lc_encode([3, 9], code)
+    erased = {0, 4}
+    damaged = [0 if j in erased else v for j, v in enumerate(word)]
+    corrupt = list(damaged)
+    corrupt[8] = bad
+    with pytest.raises(ValueError, match="out of field range"):
+        lc_erasure_decode(corrupt, erased, code)
+    for _ in range(len(erased) + 1):
+        assert lc_erasure_decode(list(damaged), erased, code) == word
+    assert code._plans[(0, 4)].map is not None
+    with pytest.raises(ValueError, match="out of field range"):
+        lc_erasure_decode(corrupt, erased, code)
+    # the symbols at erased positions are ignored, as before
+    assert lc_erasure_decode([bad if j in erased else v
+                              for j, v in enumerate(word)], erased, code) == word
+
+
+def test_lc_erasure_decode_rejects_positions_out_of_range():
+    code = build_h2(3, 3)
+    word = lc_encode([3, 9], code)
+    for erased in ({-1}, {9}, {0, 9}):
+        with pytest.raises(ValueError, match="erased position out of range"):
+            lc_erasure_decode(word, erased, code)
 
 
 def _stripes(code, rng):
@@ -218,7 +275,7 @@ def _stripes(code, rng):
 
 
 def _compile_on_next_encode(code):
-    code._encoder.encodes = code.dimension
+    return _compile_on_next_use(code, code.parity_positions())
 
 
 @pytest.mark.parametrize("build", [lambda: build_h2(15, 17),
@@ -227,44 +284,100 @@ def _compile_on_next_encode(code):
                          ids=["H2(15,17)", "h2(3,3)", "h3(3,4)"])
 def test_compiled_lc_encode_matches_scalar(build, monkeypatch):
     code = build()
-    cases = [(data, epc._scalar_encode(data, code))
+    cases = [(data, _scalar_encode(data, code))
              for data in _stripes(code, random.Random(75))]
-    _compile_on_next_encode(code)
+    slot = _compile_on_next_encode(code)
     lc_encode(cases[0][0], code)
-    assert code._encoder.map is not None
-    # from here on every encode must come from the map
-    monkeypatch.delattr(epc, "_scalar_encode")
+    assert slot.map is not None
+    _no_scalar_solve(monkeypatch)
     for data, expected in cases:
         assert lc_encode(data, code) == expected
 
 
-def test_lc_encoder_compiles_after_k_encodes():
+def test_lc_encoder_compiles_after_p_encodes():
     code = build_h3(3, 4)
-    k = code.dimension
-    for data in _stripes(code, random.Random(78)):
-        assert lc_encode(data, code) == epc._scalar_encode(data, code)
-        # K scalar encodes, then one that compiles and applies the map
-        slot = code._encoder
-        assert (slot.map is None) == (slot.encodes <= k)
-    assert slot.map is not None
+    p = code.redundancy
+    for data in _stripes(code, random.Random(78)) * 2:
+        assert lc_encode(data, code) == _scalar_encode(data, code)
+        # P scalar encodes, then one that compiles and applies the plan
+        slot = code._plans[code.parity_positions()]
+        assert (slot.map is None) == (slot.uses <= p)
+    assert slot.map is not None and slot.uses == p + 1
 
 
 def test_wide_field_lc_encode_stays_scalar():
     code = build_h3(3, 3, GF.from_prime(11))        # w = 10
-    _compile_on_next_encode(code)
+    slot = _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(76)):
-        assert lc_encode(data, code) == epc._scalar_encode(data, code)
-    assert code._encoder.map is None
+        assert lc_encode(data, code) == _scalar_encode(data, code)
+    assert slot.map is None
 
 
 def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     code = build_h2(3, 3)
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT",
-                        code.dimension * code.redundancy - 1)
-    _compile_on_next_encode(code)
+    size = code.dimension * code.check_matrix.rows
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
+    slot = _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(77)):
-        assert lc_encode(data, code) == epc._scalar_encode(data, code)
-    assert code._encoder.map is None
+        assert lc_encode(data, code) == _scalar_encode(data, code)
+    assert slot.map is None
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
+    slot = _compile_on_next_encode(code)
+    lc_encode([0] * code.dimension, code)
+    assert sum(map(len, slot.map.columns)) == size
+
+
+def _decode_outcome(values, erased, code):
+    """The decoded word, or the error's class, message and cells."""
+    try:
+        return lc_erasure_decode(list(values), erased, code)
+    except UncorrectableError as exc:
+        return type(exc), str(exc), exc.remaining
+
+
+def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
+    """The archive pattern and its variants, through the public path."""
+    code = build_h2(15, 17)
+    rng = random.Random(79)
+    word = lc_encode([rng.randrange(256) for _ in range(code.dimension)], code)
+    column = {i * 17 + 5 for i in range(15)}
+    cases = []
+    square = {i * 17 + j for i in range(3) for j in range(3)}
+    for erased in (column | {3, 40}, column | square):
+        damaged = [0 if j in erased else v for j, v in enumerate(word)]
+        flipped = list(damaged)
+        flipped[next(j for j in range(code.length) if j not in erased)] ^= 7
+        for values in (damaged, flipped):
+            cases.append((values, erased,
+                          _decode_outcome(values, erased, _scalar(code))))
+    # the second pattern is dependent: a 3 x 3 square holds codewords
+    assert cases[0][2] == word and cases[1][2][0] is UncorrectableError
+    assert "dependent" in cases[2][2][1] and "inconsistent" in cases[3][2][1]
+    for values, erased, expected in cases:
+        _compile_on_next_use(code, erased)
+        assert _decode_outcome(values, erased, code) == expected
+    assert code._plans[tuple(sorted(cases[0][1]))].map is not None
+    assert code._plans[tuple(sorted(cases[2][1]))].map is None
+    _no_scalar_solve(monkeypatch)
+    for values, erased, expected in cases[:2]:
+        assert _decode_outcome(values, erased, code) == expected
+
+
+def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
+        monkeypatch):
+    monkeypatch.setattr(epc, "_PLAN_LIMIT", 4)
+    code = build_h2(3, 3)
+    word = lc_encode([3, 9], code)
+    patterns = [frozenset({a, b}) for a in range(9) for b in range(a + 1, 9)]
+    for erased in patterns:
+        assert lc_erasure_decode(list(word), erased, code) == word
+        assert len(code._plans) <= 4
+    assert all(slot.map is None for slot in code._plans.values())
+    # the newest slots are kept, the oldest went first
+    assert list(code._plans) == [tuple(sorted(e)) for e in patterns[-4:]]
+    for _ in range(3):
+        lc_erasure_decode(list(word), patterns[-1], code)
+    assert code._plans[tuple(sorted(patterns[-1]))].map is not None
 
 
 def test_lc_erasure_decode_small_patterns():

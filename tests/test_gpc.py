@@ -12,7 +12,7 @@ from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix,
                          is_member, min_weight_codeword)
-from gpcodes.linalg import EncoderSlot, Matrix, rank, row_reduce
+from gpcodes.linalg import Matrix, PlanSlot, rank, row_reduce
 from gpcodes.oracle import random_decodable_pattern
 from test_acceptance import _small_param_grid
 
@@ -207,8 +207,8 @@ def stripes(params, rng):
 
 def compile_on_next_encode(params, encoders):
     """A slot that has counted K encodes, so the next one compiles."""
-    slot = EncoderSlot()
-    slot.encodes = params.dimension()
+    slot = PlanSlot()
+    slot.uses = params.dimension()
     encoders[params] = slot
     return slot
 
@@ -233,8 +233,8 @@ def test_encoder_compiles_after_k_encodes(encoders):
         assert encode(data, PLUS_ONE) == scalar_encode(data, PLUS_ONE)
         # K scalar encodes, then one that compiles and applies the map
         slot = encoders[PLUS_ONE]
-        assert (slot.map is None) == (slot.encodes <= k)
-    assert slot.map is not None and slot.encodes == k + 1
+        assert (slot.map is None) == (slot.uses <= k)
+    assert slot.map is not None and slot.uses == k + 1
 
 
 def test_wide_field_encode_stays_scalar(encoders):
@@ -255,6 +255,7 @@ def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
         assert encode(data, FLAGSHIP) == scalar_encode(data, FLAGSHIP)
     assert slot.map is None
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
+    slot = compile_on_next_encode(FLAGSHIP, encoders)
     encode([0] * k, FLAGSHIP)
     assert sum(map(len, slot.map.columns)) == size
 

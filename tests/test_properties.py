@@ -1,11 +1,14 @@
-"""Property tests: the gpc decoders on random small codes and patterns."""
+"""Property tests: the gpc decoders on random small codes and patterns,
+and the compiled erasure plans of linear codes against the scalar solve."""
 
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from gpcodes import gpc
-from gpcodes.fields import field_with_order
+from gpcodes import epc, gpc
+from gpcodes.epc import LinearCode, build_h2, build_h3
+from gpcodes.fields import default_field, field_with_order
+from gpcodes.linalg import PlanSlot, rank
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
@@ -86,6 +89,71 @@ def test_compiled_encoder_matches_scalar(params, seed):
     compiled = gpc._compile_encoder(params, dim)
     for _ in range(3):
         data = [rng.randrange(1 << params.field.w) for _ in range(dim)]
-        assert compiled.apply(data) == gpc._scalar_encode(
+        assert compiled.encode(data) == gpc._scalar_encode(
             data, params, params.parity_positions(),
             gpc._level_checks(params, params.t)).flatten()
+
+
+# h2 and h3 codes over GF(2^4..2^8), and the benchmark's H2(15, 17),
+# built on first use and shared by the examples.
+PLAN_CODES = {
+    "h2(3,3)/w4": lambda: build_h2(3, 3, default_field(4)),
+    "h3(3,4)/w4": lambda: build_h3(3, 4, default_field(4)),
+    "h2(4,5)/w5": lambda: build_h2(4, 5, default_field(5)),
+    "h3(3,5)/w5": lambda: build_h3(3, 5, default_field(5)),
+    "h2(5,6)/w6": lambda: build_h2(5, 6, default_field(6)),
+    "h3(4,6)/w6": lambda: build_h3(4, 6, default_field(6)),
+    "h2(6,7)/w7": lambda: build_h2(6, 7, default_field(7)),
+    "h3(5,7)/w7": lambda: build_h3(5, 7, default_field(7)),
+    "h2(7,9)/w8": lambda: build_h2(7, 9, default_field(8)),
+    "h3(6,8)/w8": lambda: build_h3(6, 8, default_field(8)),
+    "H2(15,17)": lambda: build_h2(15, 17),
+}
+_BUILT: dict[str, LinearCode] = {}
+
+
+def _decode_outcome(values, erased, code):
+    """The decoded word, or the error's class, message and cells."""
+    try:
+        return epc.lc_erasure_decode(list(values), erased, code)
+    except UncorrectableError as exc:
+        return type(exc), str(exc), exc.remaining
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(PLAN_CODES)), st.integers(0, 2**32 - 1),
+       st.sampled_from(["clean", "flipped", "dependent"]))
+def test_erasure_plan_matches_the_solve(name, seed, kind):
+    if name not in _BUILT:
+        _BUILT[name] = PLAN_CODES[name]()
+    code = _BUILT[name]
+    rng = random.Random(seed)
+    top = 1 << code.field.w
+    word = epc.lc_encode([rng.randrange(top) for _ in range(code.dimension)],
+                         code)
+    r = code.redundancy
+    # more erasures than the rank are always dependent; fewer may be
+    size = rng.randint(r + 1, min(r + 3, code.length)) if kind == "dependent" \
+        else rng.randint(1, r)
+    erased = frozenset(rng.sample(range(code.length), size))
+    values = [0 if j in erased else v for j, v in enumerate(word)]
+    survivors = [j for j in range(code.length) if j not in erased]
+    if kind == "flipped" and survivors:
+        values[rng.choice(survivors)] ^= rng.randrange(1, top)
+    # a fresh copy of the code decodes the pattern once: the scalar solve
+    fresh = LinearCode(code.field, code.length, code.check_matrix)
+    expected = _decode_outcome(values, erased, fresh)
+    slot = PlanSlot()
+    slot.uses = size            # the next decode compiles the plan
+    code._plans[tuple(sorted(erased))] = slot
+    for _ in range(2):
+        assert _decode_outcome(values, erased, code) == expected
+    # dependent patterns are never compiled; with contradicting survivors
+    # they report the contradiction, as the solve does
+    cols = sorted(erased)
+    dependent = rank(code.check_matrix.submatrix(cols=cols)) < size
+    assert (slot.map is None) == dependent
+    if kind != "flipped":
+        assert expected == (word if not dependent else (
+            UncorrectableError,
+            f"{size} erased positions span a dependent column set", erased))
