@@ -289,9 +289,9 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
 
 
 # Level checks and column-view params by params, oldest evicted first:
-# at most 64 entries of t + 1 matrices with n columns each (G16's row
+# at most 16 entries of t + 1 matrices with n columns each (G16's row
 # view holds 14 KB of lists, its column view 6 KB).
-_VIEW_LIMIT = 64
+_VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, tuple[list[Matrix], GpcParams | None]] = {}
 
 
