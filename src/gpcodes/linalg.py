@@ -356,9 +356,9 @@ class PlanSlot:
     A map is worth building only when it will be used often enough to
     repay its compile.  Callers state that compile's cost in uses: k
     for an encoder built from k unit-vector encodes (measured at 0.5 k
-    scalar encodes for G16 and 1.4 k for ``build_h2(15, 17)``), and |E|
-    for an erasure plan, whose |E| pivot steps each cost at most the
-    ``mul_vec`` a scalar decode pays.  A slot stays scalar for ``cost``
+    scalar encodes for G16), and |E| for an erasure plan, whose |E|
+    pivot steps each cost at most the ``mul_vec`` a scalar decode pays
+    (measured at 4 scalar decodes for |E| = 17 on ``build_h2(15, 17)``).  A slot stays scalar for ``cost``
     uses and compiles on use cost + 1, the rent-or-buy rule: a process
     that uses it at most ``cost`` times never pays for a map, and one
     that compiles has already spent about the compile's cost on scalar
