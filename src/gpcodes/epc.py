@@ -27,7 +27,7 @@ from math import ceil
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
 from .linalg import (Matrix, NoSolutionError, PlanSlot, UnderdeterminedError,
-                     erasure_plan, pivot_columns, remember, solve)
+                     erasure_plan, pivot_columns, recall, solve)
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,8 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     return _fill(known, tuple(cols), code)
 
 
-# Plan slots per code, oldest evicted first: at most 16 plans of at most
-# 64 KiB each (1 MiB) per LinearCode.
+# Plan slots per code, least recently used evicted first: at most 16
+# plans of at most 64 KiB each (1 MiB) per LinearCode.
 _PLAN_LIMIT = 16
 
 
@@ -254,17 +254,16 @@ def _fill(known: list[int], cols: tuple[int, ...],
     # plans above linalg.MAP_BYTES_LIMIT and dependent patterns, the
     # syndrome solve runs.
     h = code.check_matrix
-    slot = code._plans.get(cols)
-    if slot is None:
-        slot = PlanSlot()
-        remember(code._plans, cols, slot, _PLAN_LIMIT)
+    slot = recall(code._plans, cols, _PLAN_LIMIT, PlanSlot)
     plan = slot.plan(code.field, len(cols), (code.length - len(cols)) * h.rows,
                      lambda: erasure_plan(h, cols))
     try:
         if plan is None:
             missing = solve(h.submatrix(cols=cols), h.mul_vec(known))
+            for c, v in zip(cols, missing):
+                known[c] = v
         else:
-            missing = plan.apply(known)
+            plan.apply(known)
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",
@@ -273,8 +272,6 @@ def _fill(known: list[int], cols: tuple[int, ...],
         raise UncorrectableError(
             "known symbols are inconsistent with the code",
             remaining=frozenset(cols)) from exc
-    for c, v in zip(cols, missing):
-        known[c] = v
     return known
 
 

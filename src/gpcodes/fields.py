@@ -268,12 +268,6 @@ class GF:
 
     # -- arithmetic -------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add  # characteristic 2
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0

@@ -18,11 +18,11 @@ value 0 and the mask is authoritative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF
-from .linalg import (Matrix, NoSolutionError, PlanSlot, SystematicMap, kron,
-                     null_space, remember, row_reduce, solve, vandermonde,
+from .linalg import (ByteMap, Matrix, NoSolutionError, PlanSlot, kron,
+                     null_space, recall, row_reduce, solve, vandermonde,
                      vstack)
 
 
@@ -288,30 +288,30 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
     return vandermonde(f, nodes, params.u[i])
 
 
-# Level checks and column-view params by params, oldest evicted first:
-# at most 16 entries of t + 1 matrices with n columns each (G16's row
-# view holds 14 KB of lists, its column view 6 KB).
+class _View(NamedTuple):
+    """What gpc keeps per params."""
+
+    checks: list[Matrix]        # levels 0..t; level t has the identity
+    col_params: GpcParams | None   # None when k = m
+    encoder: PlanSlot
+
+
+# Views by params, least recently used evicted first: at most 16
+# entries, each an encoder map of at most 64 KiB plus t + 1 check
+# matrices with n columns (G16's row view holds 14 KB of lists, its
+# column view 6 KB).
 _VIEW_LIMIT = 16
-_VIEWS: dict[GpcParams, tuple[list[Matrix], GpcParams | None]] = {}
+_VIEWS: dict[GpcParams, _View] = {}
 
 
-def _view(params: GpcParams) -> tuple[list[Matrix], GpcParams | None]:
-    # The checks of levels 0..t (level t, the zero code, has the
-    # identity) and the column view's params, None when k = m.  Built
-    # once per params; callers must not modify them.
-    hit = _VIEWS.get(params)
-    if hit is None:
+def _view(params: GpcParams) -> _View:
+    # Built once per params; callers must not modify the checks.
+    def build() -> _View:
         checks = [component_parity_check(params, i) for i in range(params.t)]
         checks.append(Matrix.identity(params.field, params.n))
-        hit = (checks, params.transposed() if params.k < params.m else None)
-        remember(_VIEWS, params, hit, _VIEW_LIMIT)
-    return hit
-
-
-def _level_checks(params: GpcParams, levels: int) -> list[Matrix]:
-    # Checks of levels 0..levels-1.  The decoders fill vanishing rows
-    # directly and ask for levels 0..t-1.
-    return _view(params)[0][:levels]
+        return _View(checks, params.transposed() if params.k < params.m
+                     else None, PlanSlot())
+    return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
 def full_parity_matrix(params: GpcParams) -> Matrix:
@@ -324,7 +324,7 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     """
     f = params.field
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    checks = _level_checks(params, params.t + 1)
+    checks = _view(params).checks
     blocks = [kron(Matrix.identity(f, params.m), checks[0])]
     for i in range(1, params.t + 1):
         if params.s_hat(i):   # level t is empty when k = m
@@ -346,7 +346,7 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    h = _level_checks(params, params.t + 1)
+    h = _view(params).checks
     for row in arr.values:
         if any(h[0].mul_vec(row)):
             return False
@@ -401,21 +401,18 @@ _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
 
 def _triangulated_system(params: GpcParams, order: tuple[int, ...],
                          nsys: int) -> tuple[Matrix, Matrix]:
-    key = (params, order, nsys)
-    hit = _TRIANGULATION_CACHE.get(key)
-    if hit is not None:
-        return hit
     f = params.field
-    result = row_reduce(vandermonde(f, [f.alpha_pow(j) for j in order], nsys))
-    remember(_TRIANGULATION_CACHE, key, result, _TRIANGULATION_LIMIT)
-    return result
+    return recall(_TRIANGULATION_CACHE, (params, order, nsys),
+                  _TRIANGULATION_LIMIT, lambda: row_reduce(vandermonde(
+                      f, [f.alpha_pow(j) for j in order], nsys)))
 
 
-def _row_pass(work: SymbolArray, params: GpcParams, checks: Sequence[Matrix],
+def _row_pass(work: SymbolArray, params: GpcParams,
               trace: DecodeTrace | None = None) -> bool:
     # One in-place row pass: repair every row within reach of the weakest
     # row code, then peel the rest if the profile fits the budgets.
     # Returns False, keeping the local repairs, when the peel is refused.
+    checks = _view(params).checks
     for r in range(work.m):
         cols = work.row_erasures(r)
         if 0 < len(cols) <= checks[0].rows:
@@ -483,10 +480,9 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     """
     params.check()
     _check_shape(arr, params)
-    checks = _level_checks(params, params.t)
     work = arr.copy()
     try:
-        done = _row_pass(work, params, checks, trace)
+        done = _row_pass(work, params, trace)
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
@@ -511,18 +507,16 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     """
     params.check()
     _check_shape(arr, params)
-    checks = _level_checks(params, params.t)
     # k = m leaves no column view (see GpcParams.transposed).
-    col_params = _view(params)[1]
+    col_params = _view(params).col_params
     work = arr.copy()
     try:
         while work.erasure_count:
             before = work.erasure_count
-            if _row_pass(work, params, checks) or col_params is None:
+            if _row_pass(work, params) or col_params is None:
                 break
             flipped = work.transposed()
-            _row_pass(flipped, col_params,
-                      _level_checks(col_params, col_params.t))
+            _row_pass(flipped, col_params)
             work = flipped.transposed()
             if work.erasure_count >= before:
                 break
@@ -532,32 +526,25 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     return work
 
 
-# Encoder slots by params, oldest evicted first: at most 16 maps of at
-# most 64 KiB each.
-_ENCODER_LIMIT = 16
-_ENCODERS: dict[GpcParams, PlanSlot] = {}
-
-
-def _encoder_slot(params: GpcParams) -> PlanSlot:
-    slot = _ENCODERS.get(params)
-    if slot is None:
-        slot = PlanSlot()
-        remember(_ENCODERS, params, slot, _ENCODER_LIMIT)
-    return slot
-
-
-def _compile_encoder(params: GpcParams, dim: int) -> SystematicMap:
+def _compile_encoder(params: GpcParams) -> ByteMap:
+    # Fill the parity cells of the flat array: the column of the s-th
+    # data cell holds the parity of the s-th unit data vector.
     parity = params.parity_positions()
-    checks = _level_checks(params, params.t)
-    cells = sorted(r * params.n + c for r, c in parity)
-    return SystematicMap(
-        params.field, dim, cells,
-        lambda unit: _scalar_encode(unit, params, parity, checks).flatten())
+    dim = params.dimension()
+    size = params.m * params.n
+    targets = sorted(r * params.n + c for r, c in parity)
+    skip = set(targets)
+    data_cells = [j for j in range(size) if j not in skip]
+    columns = [b""] * size
+    for s, j in enumerate(data_cells):
+        word = _scalar_encode([int(i == s) for i in range(dim)], params,
+                              parity).flatten()
+        columns[j] = bytes(word[t] for t in targets)
+    return ByteMap(params.field, columns, targets)
 
 
 def _scalar_encode(data: Sequence[int], params: GpcParams,
-                   parity: frozenset[tuple[int, int]],
-                   checks: Sequence[Matrix]) -> SymbolArray:
+                   parity: frozenset[tuple[int, int]]) -> SymbolArray:
     # The reference encoder: data fills the non-parity cells in row-major
     # order and one row pass recovers the parity cells, which always sit
     # inside the budgets with no survivor to contradict.
@@ -566,7 +553,7 @@ def _scalar_encode(data: Sequence[int], params: GpcParams,
              for r in range(params.m)]
     work = SymbolArray([[0 if e else next(it) for e in row] for row in cells],
                        cells)
-    if not _row_pass(work, params, checks):
+    if not _row_pass(work, params):
         raise AssertionError("parity cells outside the decodable budgets")
     return work
 
@@ -577,26 +564,26 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     Data symbols fill the non-parity cells in row-major order; the
     parity cells are treated as erasures and recovered by the row
     decoder.  After K encodes of an equal ``params`` in a process (K =
-    the dimension), a field with w <= 8 uses the code's
-    :class:`~gpcodes.linalg.SystematicMap` instead, compiled once from K
-    scalar encodes of the unit vectors and equal to the scalar path bit
-    for bit (see :class:`~gpcodes.linalg.PlanSlot`).  Codes whose map
-    would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    the dimension), a field with w <= 8 fills the parity cells with the
+    code's :class:`~gpcodes.linalg.ByteMap` instead, compiled once from
+    K scalar encodes of the unit vectors and equal to the scalar path
+    bit for bit (see :class:`~gpcodes.linalg.PlanSlot`).  Codes whose
+    map would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     params.check()
     dim = params.dimension()
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
-    limit = 1 << params.field.w
-    if any(not 0 <= v < limit for v in data):
+    if data and not (min(data) >= 0 and max(data) < 1 << params.field.w):
         raise ValueError("data symbol out of field range")
-    enc = _encoder_slot(params).plan(
+    enc = _view(params).encoder.plan(
         params.field, dim, dim * (params.m * params.n - dim),
-        lambda: _compile_encoder(params, dim))
+        lambda: _compile_encoder(params))
     if enc is None:
-        return _scalar_encode(data, params, params.parity_positions(),
-                              _level_checks(params, params.t))
-    word = enc.encode(data)
+        return _scalar_encode(data, params, params.parity_positions())
+    it = iter(data)
+    word = [next(it) if col else 0 for col in enc.columns]
+    enc.apply(word)
     n = params.n
     return SymbolArray([word[i:i + n] for i in range(0, len(word), n)])
 

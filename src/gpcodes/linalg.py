@@ -15,12 +15,13 @@ top to bottom and has two modes:
   :func:`null_space`.
 
 :class:`ByteMap` is the one compiled-map kernel, for fields with
-w <= 8: byte columns applied with ``bytes.translate``, whose trailing
-check symbols must vanish.  It serves both encode and decode: a
-:class:`SystematicMap` is a systematic encoder compiled into one, and
-:func:`erasure_plan` compiles :func:`solve`'s erasure system for a fixed
-pattern, checks included.  :class:`PlanSlot` decides when a map is worth
-compiling, and :func:`remember` bounds every cache of them.
+w <= 8: a fill of a word's target positions from its other symbols,
+applied with ``bytes.translate``, whose check symbols must vanish.  It
+serves both encode and decode: a systematic encoder fills the parity
+positions, and :func:`erasure_plan` compiles :func:`solve`'s erasure
+system for a fixed pattern, checks included.  :class:`PlanSlot` decides
+when a map is worth compiling, and :func:`recall` is the get-or-build
+rule of every bounded cache, evicting the least recently used entry.
 """
 
 from __future__ import annotations
@@ -66,9 +67,6 @@ class Matrix:
             m.data[i][i] = 1
         return m
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.field, self.data)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -83,9 +81,6 @@ class Matrix:
         rr = range(self.rows) if rows is None else rows
         cc = range(self.cols) if cols is None else cols
         return Matrix(self.field, [[self.data[r][c] for c in cc] for r in rr])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, [list(col) for col in zip(*self.data)])
 
     def mul_vec(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.cols:
@@ -251,77 +246,56 @@ def null_space(m: Matrix) -> list[list[int]]:
 MAP_BYTES_LIMIT = 1 << 16
 
 
-def remember(cache: dict, key, value, limit: int) -> None:
-    """Store key -> value as the newest entry of ``cache``, evicting the
-    oldest ones while ``limit`` entries are held."""
-    cache.pop(key, None)
-    while len(cache) >= limit:
-        del cache[next(iter(cache))]
+def recall(cache: dict, key, limit: int, build: Callable[[], object]):
+    """The entry of ``cache`` under ``key``, built by ``build`` on a miss,
+    made the newest.  While ``limit`` entries are held, a miss first
+    evicts the least recently used ones.  Entries are never None."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        while len(cache) >= limit:
+            del cache[next(iter(cache))]
     cache[key] = value
+    return value
 
 
 class ByteMap:
-    """A GF(2^w)-linear map compiled into byte columns, for w <= 8.
+    """A GF(2^w)-linear fill of a word's target positions, for w <= 8.
 
-    ``columns[i]`` holds, one byte per symbol, the image of the i-th unit
-    input: ``width`` outputs followed by check symbols that every
-    consistent input sends to zero.  :meth:`apply` multiplies a column
-    with one ``bytes.translate`` through the field's product table (see
-    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
-    Jerasure's idiom, with no per-symbol field arithmetic.
+    ``columns[j]`` holds, one byte per symbol, the image of the unit word
+    at position j: the symbols of the ``targets`` (ascending) followed
+    by check symbols that every consistent word sends to zero.  A target
+    has the empty column, so its symbol is ignored.  :meth:`apply`
+    multiplies a column with one ``bytes.translate`` through the field's
+    product table (see :meth:`GF.mul_tables`) and XORs the columns as
+    one big integer: Jerasure's idiom, with no per-symbol field
+    arithmetic.
     """
 
-    __slots__ = ("tables", "columns", "width")
+    __slots__ = ("tables", "columns", "targets")
 
-    def __init__(self, field: GF, columns: Sequence[bytes], width: int):
+    def __init__(self, field: GF, columns: Sequence[bytes],
+                 targets: Sequence[int]):
         self.tables = field.mul_tables()
         self.columns = columns
-        self.width = width
+        self.targets = targets
 
-    def apply(self, inputs: Sequence[int]) -> bytes:
-        """The ``width`` outputs of ``inputs`` (symbols in range).
+    def apply(self, word: list[int]) -> None:
+        """Fill the targets of ``word`` (symbols in range) in place.
 
-        Raises :class:`NoSolutionError` when a check symbol is nonzero.
+        Raises :class:`NoSolutionError`, leaving ``word`` as it was, when
+        a check symbol is nonzero.
         """
         tables, from_bytes = self.tables, int.from_bytes
         acc = 0
-        for col, v in zip(self.columns, inputs):
+        for col, v in zip(self.columns, word):
             if v:
                 acc ^= from_bytes(col.translate(tables[v]), "little")
-        if acc >> 8 * self.width:
+        width = len(self.targets)
+        if acc >> 8 * width:
             raise NoSolutionError("inconsistent system")
-        return acc.to_bytes(self.width, "little")
-
-
-class SystematicMap(ByteMap):
-    """The parity symbols of a systematic code as one :class:`ByteMap`.
-
-    Column s holds the P parity symbols of the s-th unit data vector, so
-    by linearity the parity of any data vector is the XOR of its
-    columns, each times its data symbol.  It has no check symbols.
-    """
-
-    __slots__ = ("order",)
-
-    def __init__(self, field: GF, k: int, parity: Sequence[int],
-                 encode: Callable[[list[int]], Sequence[int]]):
-        """Compile ``encode``, a scalar systematic encoder from k data
-        symbols to a flat word whose positions ``parity`` (ascending)
-        hold the parity symbols, by encoding the k unit vectors."""
-        super().__init__(field, [bytes(word[j] for j in parity) for word in
-                                 (encode([int(s == i) for i in range(k)])
-                                  for s in range(k))], len(parity))
-        # Word position -> index into the data symbols followed by the
-        # parity symbols.
-        slot = {j: k + i for i, j in enumerate(parity)}
-        data = iter(range(k))
-        self.order = [slot[j] if j in slot else next(data)
-                      for j in range(k + len(parity))]
-
-    def encode(self, data: Sequence[int]) -> list[int]:
-        """The flat systematic codeword of ``data``, symbols in range."""
-        merged = [*data, *self.apply(data)]
-        return [merged[i] for i in self.order]
+        for j, v in zip(self.targets, acc.to_bytes(width, "little")):
+            word[j] = v
 
 
 def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
@@ -333,8 +307,8 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     the survivors, and the survivors are consistent with the code
     exactly when ``B`` sends them to zero: the residual rows, kept as
     the map's check symbols, that :func:`solve` tests.  Column j holds
-    position j's share, the empty string at an erased position, whose
-    symbol must be 0.  None when the erased columns are dependent.
+    position j's share, the empty string at an erased position.  None
+    when the erased columns are dependent.
     """
     e = len(erased)
     skip = set(erased)
@@ -346,7 +320,7 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     columns = [b""] * h.cols
     for i, c in enumerate(rest, e):
         columns[c] = bytes(row[i] for row in rows)
-    return ByteMap(h.field, columns, e)
+    return ByteMap(h.field, columns, erased)
 
 
 class PlanSlot:
@@ -355,16 +329,19 @@ class PlanSlot:
 
     A map is worth building only when it will be used often enough to
     repay its compile.  Callers state that compile's cost in uses: k
-    for an encoder built from k unit-vector encodes (measured at 0.5 k
-    scalar encodes for G16), and |E| for an erasure plan, whose |E|
-    pivot steps each cost at most the ``mul_vec`` a scalar decode pays
-    (measured at 4 scalar decodes for |E| = 17 on ``build_h2(15, 17)``).  A slot stays scalar for ``cost``
-    uses and compiles on use cost + 1, the rent-or-buy rule: a process
-    that uses it at most ``cost`` times never pays for a map, and one
-    that compiles has already spent about the compile's cost on scalar
-    uses, so it never takes much more than twice the scalar time.  The
+    for a gpc encoder built from k unit-vector encodes (measured at
+    0.5 k scalar encodes for G16), and |E| for an erasure plan, whose
+    |E| pivot steps each cost at most the ``mul_vec`` a scalar decode
+    pays (measured at 4 scalar decodes for |E| = 17 on
+    ``build_h2(15, 17)``).  A slot stays scalar for ``cost`` uses and
+    compiles on use cost + 1, the rent-or-buy rule: a process that uses
+    it at most ``cost`` times never pays for a map, and one that
+    compiles has already spent about the compile's cost on scalar uses,
+    so it never takes much more than twice the scalar time.  The
     compile is tried that once: fields with w > 8, maps above
-    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.
+    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
+    live in caches bounded by :func:`recall`, so a slot in use is kept
+    and an evicted one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")

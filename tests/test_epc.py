@@ -380,6 +380,22 @@ def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
     assert code._plans[tuple(sorted(patterns[-1]))].map is not None
 
 
+def test_plan_in_use_outlives_unique_patterns():
+    """Decodes of more than _PLAN_LIMIT unique patterns, interleaved with
+    encodes, leave the parity pattern's compiled plan in place."""
+    code = build_h2(3, 3)
+    for _ in range(code.redundancy + 1):
+        word = lc_encode([3, 9], code)
+    slot = code._plans[code.parity_positions()]
+    assert slot.map is not None
+    patterns = [{a, b} for a in range(9) for b in range(a + 1, 9)]
+    assert len(patterns) > epc._PLAN_LIMIT
+    for erased in patterns:
+        assert lc_erasure_decode(list(word), erased, code) == word
+        assert lc_encode([3, 9], code) == word
+    assert code._plans[code.parity_positions()] is slot
+
+
 def test_lc_erasure_decode_small_patterns():
     """Every erasure pattern strictly below the distance comes back."""
     rng = random.Random(67)

