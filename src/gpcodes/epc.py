@@ -234,8 +234,7 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     if cols and not 0 <= cols[0] <= cols[-1] < code.length:
         raise ValueError("erased position out of range")
     known = [0 if j in erased else v for j, v in enumerate(values)]
-    if known and not (min(known) >= 0 and max(known) < 1 << code.field.w):
-        raise ValueError("survivor out of field range")
+    code.field.check_symbols(known, "survivor")
     if not cols:
         return known
     return _fill(known, tuple(cols), code)
@@ -285,8 +284,7 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
-    if data and not (min(data) >= 0 and max(data) < 1 << code.field.w):
-        raise ValueError("data symbol out of field range")
+    code.field.check_symbols(data, "data symbol")
     word = [0] * code.length
     for pos, sym in zip(code.data_positions(), data):
         word[pos] = sym

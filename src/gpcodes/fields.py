@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from typing import Iterable
 
 # One primitive polynomial per width.  Bit i = coefficient of x^i, so
 # e.g. 0b1011 is x^3 + x + 1.  x (= the int 2) is primitive modulo each.
@@ -320,6 +321,27 @@ class GF:
                 bytes([0] + [exp[log[v] + log[x]] for x in range(1, n + 1)])
                 + pad for v in range(1, n + 1))
         return self._mul_tables
+
+    def check_symbols(self, values: Iterable[int], what: str) -> None:
+        """Raise ``ValueError("<what> out of field range")`` unless every
+        value lies in [0, 2^w).
+
+        For w <= 8, ``bytes`` rejects everything outside [0, 256) in one
+        C pass, and only w < 8 needs a ``max`` of the bytes after it.
+        """
+        if self.w <= 8:
+            try:
+                block = bytes(values)
+            except ValueError:
+                ok = False
+            else:
+                ok = self.w == 8 or max(block, default=0) >> self.w == 0
+        else:
+            values = list(values)
+            ok = not values or (
+                min(values) >= 0 and max(values) >> self.w == 0)
+        if not ok:
+            raise ValueError(f"{what} out of field range")
 
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e)

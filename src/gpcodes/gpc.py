@@ -18,12 +18,13 @@ value 0 and the mask is authoritative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF
-from .linalg import (ByteMap, Matrix, NoSolutionError, PlanSlot, kron,
-                     null_space, recall, row_reduce, solve, vandermonde,
-                     vstack)
+from .linalg import (ByteMap, Matrix, NoSolutionError, PlanSlot, combine,
+                     erasure_plan, kron, null_space, recall, row_reduce,
+                     solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -291,17 +292,24 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
 class _View(NamedTuple):
     """What gpc keeps per params."""
 
+    params: GpcParams
     checks: list[Matrix]        # levels 0..t; level t has the identity
     col_params: GpcParams | None   # None when k = m
     encoder: PlanSlot
+    rows: dict[tuple[int, tuple[int, ...]], PlanSlot]   # by (level, cols)
 
 
 # Views by params, least recently used evicted first: at most 16
-# entries, each an encoder map of at most 64 KiB plus t + 1 check
-# matrices with n columns (G16's row view holds 14 KB of lists, its
-# column view 6 KB).
+# entries, each an encoder map of at most 64 KiB, t + 1 check matrices
+# with n columns (G16's row view holds 14 KB of lists, its column view
+# 6 KB) and its row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
+
+# Row-plan slots per view, least recently used evicted first.  A plan
+# holds n - |cols| byte columns of u_level bytes, about 1.5 KB of
+# objects on G16, so a full view holds at most about 0.4 MB of them.
+_ROW_PLAN_LIMIT = 256
 
 
 def _view(params: GpcParams) -> _View:
@@ -309,8 +317,8 @@ def _view(params: GpcParams) -> _View:
     def build() -> _View:
         checks = [component_parity_check(params, i) for i in range(params.t)]
         checks.append(Matrix.identity(params.field, params.n))
-        return _View(checks, params.transposed() if params.k < params.m
-                     else None, PlanSlot())
+        return _View(params, checks, params.transposed()
+                     if params.k < params.m else None, PlanSlot(), {})
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -339,6 +347,15 @@ def _check_shape(arr: SymbolArray, params: GpcParams) -> None:
             f"array is {arr.m}x{arr.n}, parameters expect {params.m}x{params.n}")
 
 
+def _checked_copy(arr: SymbolArray, params: GpcParams) -> SymbolArray:
+    # A decoder's work array: the shape must match and every survivor lie
+    # in the field (the copy holds 0 in every erased cell).
+    _check_shape(arr, params)
+    work = arr.copy()
+    params.field.check_symbols(chain.from_iterable(work.values), "survivor")
+    return work
+
+
 def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     """Exact membership test by direct syndrome evaluation."""
     params.check()
@@ -363,21 +380,35 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     return True
 
 
-def _repair_row(work: SymbolArray, r: int, cols: Sequence[int],
-                check: Matrix, offset: Sequence[int] | None = None) -> None:
+def _repair_row(work: SymbolArray, r: int, cols: tuple[int, ...],
+                view: _View, level: int,
+                offset: Sequence[int] | None = None) -> None:
     # Fill the erased cells ``cols`` of row r so that the row plus
-    # ``offset`` lies in the code of ``check``.  The cells hold 0, so the
+    # ``offset`` lies in the level's row code.  The cells hold 0, so the
     # unique solution (Vandermonde columns) is their symbols; survivors
     # that contradict the code raise NoSolutionError.  An all-zero row
     # solves to zeros, which most rows of a unit vector are when an
-    # encoder is compiled.
+    # encoder is compiled.  The (level, cols) slot compiles the solve
+    # into an erasure plan on its |cols| + 1-th use; the plan checks the
+    # same residual rows as the solve.  It fills row + offset, so the
+    # offset goes back into the filled cells.
     row = work.values[r]
     if offset is not None:
         row = [a ^ b for a, b in zip(row, offset)]
     if not any(row):
         missing = [0] * len(cols)
     else:
-        missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
+        check = view.checks[level]
+        slot = recall(view.rows, (level, cols), _ROW_PLAN_LIMIT, PlanSlot)
+        plan = slot.plan(check.field, len(cols),
+                         (check.cols - len(cols)) * check.rows,
+                         lambda: erasure_plan(check, cols))
+        if plan is None:
+            missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
+        else:
+            plan.apply(row)
+            missing = [row[c] for c in cols] if offset is None else \
+                [row[c] ^ offset[c] for c in cols]
     for c, v in zip(cols, missing):
         work.fill(r, c, v)
 
@@ -407,21 +438,26 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
                       f, [f.alpha_pow(j) for j in order], nsys)))
 
 
-def _row_pass(work: SymbolArray, params: GpcParams,
-              trace: DecodeTrace | None = None) -> bool:
+def _row_pass(work: SymbolArray, view: _View,
+              trace: DecodeTrace | None = None) -> int:
     # One in-place row pass: repair every row within reach of the weakest
     # row code, then peel the rest if the profile fits the budgets.
-    # Returns False, keeping the local repairs, when the peel is refused.
-    checks = _view(params).checks
-    for r in range(work.m):
-        cols = work.row_erasures(r)
-        if 0 < len(cols) <= checks[0].rows:
-            _repair_row(work, r, cols, checks[0])
-    if not work.erasure_count:
-        return True
-    profile = ErasureProfile.from_array(work)
+    # Returns the number of cells left erased: 0 when every row is
+    # repaired, else the count after the local repairs, which a refused
+    # peel keeps.
+    params = view.params
+    span = range(work.n)
+    erased = [tuple(compress(span, flags)) for flags in work.erased]
+    for r, cols in enumerate(erased):
+        if 0 < len(cols) <= params.u[0]:
+            _repair_row(work, r, cols, view, 0)
+            erased[r] = ()
+    left = sum(map(len, erased))
+    if not left:
+        return 0
+    profile = ErasureProfile.from_counts([len(cols) for cols in erased])
     if not decodable_profile(profile, params):
-        return False
+        return left
     f = params.field
     m, k, t = params.m, params.k, params.t
     order = profile.row_order
@@ -435,17 +471,12 @@ def _row_pass(work: SymbolArray, params: GpcParams,
         trace.transform = transform
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
-        cols = work.row_erasures(row_idx)
+        cols = erased[row_idx]
         if p < m - k and not cols:
             continue
         gamma = reduced.data[p]
-        known = [0] * params.n
-        for j in range(p + 1, m):
-            g = gamma[j]
-            if g:
-                src = work.values[order[j]]
-                known = [a ^ f.mul(g, v) if v else a
-                         for a, v in zip(known, src)]
+        known = combine(f, [(gamma[j], work.values[order[j]])
+                            for j in range(p + 1, m) if gamma[j]], params.n)
         if p < m - k:
             # The combination vanishes: the whole row equals the known part.
             level = None
@@ -456,10 +487,10 @@ def _row_pass(work: SymbolArray, params: GpcParams,
         else:
             level = next(s for s in range(1, t) if params.u[s] >= counts[p]
                          and params.s_hat(s) >= p + 1)
-            _repair_row(work, row_idx, cols, checks[level], known)
+            _repair_row(work, row_idx, cols, view, level, known)
         if trace is not None:
             trace.steps.append((p, row_idx, level))
-    return True
+    return 0
 
 
 def decode_rows(arr: SymbolArray, params: GpcParams,
@@ -473,20 +504,29 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     plus a known combination of later rows lies in some row code (or
     vanishes), which pins its erased symbols.
 
-    Raises :class:`UncorrectableError` when the sorted profile exceeds
-    the guaranteed budgets (``remaining``: the cells left after the
-    local repairs), or when surviving symbols contradict a row code
+    Every row repair is a solve of the row's erased cells against one
+    level's row check.  From the |cols| + 1-th repair of one (level,
+    erased columns) pair under equal ``params`` in a process, a field
+    with w <= 8 applies that pair's compiled erasure plan instead
+    (:func:`~gpcodes.linalg.erasure_plan`, at most 256 per ``params``,
+    least recently used dropped first), and the peel sums its known
+    rows with product tables (:func:`~gpcodes.linalg.combine`).  The
+    output and the errors are those of the solves, checks included.
+
+    Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
+    :class:`UncorrectableError` when the sorted profile exceeds the
+    guaranteed budgets (``remaining``: the cells left after the local
+    repairs), or when surviving symbols contradict a row code
     (``remaining``: every erased cell of ``arr``).
     """
     params.check()
-    _check_shape(arr, params)
-    work = arr.copy()
+    work = _checked_copy(arr, params)
     try:
-        done = _row_pass(work, params, trace)
+        left = _row_pass(work, _view(params), trace)
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
-    if not done:
+    if left:
         bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
         raise UncorrectableError(
             f"erasure profile {bad} exceeds the decodable budgets "
@@ -501,24 +541,25 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     Runs the row pass on the array and on its transpose (under the
     column-view parameters) until everything is recovered or a full
     alternation makes no progress.  On a stall the partial array is
-    returned with its remaining erasures still masked.  Survivors that
-    contradict the code raise :class:`UncorrectableError` naming every
-    erased cell of ``arr``.
+    returned with its remaining erasures still masked.  Both passes
+    repair rows as :func:`decode_rows` does, compiled row plans
+    included; the column view keeps its own.  A survivor outside
+    [0, 2^w) raises ``ValueError``, and survivors that contradict the
+    code raise :class:`UncorrectableError` naming every erased cell of
+    ``arr``.
     """
     params.check()
-    _check_shape(arr, params)
-    # k = m leaves no column view (see GpcParams.transposed).
-    col_params = _view(params).col_params
-    work = arr.copy()
+    work = _checked_copy(arr, params)
+    view = _view(params)
     try:
-        while work.erasure_count:
-            before = work.erasure_count
-            if _row_pass(work, params) or col_params is None:
-                break
+        # k = m leaves no column view (see GpcParams.transposed).  An
+        # alternation whose column pass fills nothing leaves a state the
+        # row pass cannot change either, so the loop stops there.
+        while (left := _row_pass(work, view)) and view.col_params is not None:
             flipped = work.transposed()
-            _row_pass(flipped, col_params)
+            after = _row_pass(flipped, _view(view.col_params))
             work = flipped.transposed()
-            if work.erasure_count >= before:
+            if not 0 < after < left:
                 break
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
@@ -553,7 +594,7 @@ def _scalar_encode(data: Sequence[int], params: GpcParams,
              for r in range(params.m)]
     work = SymbolArray([[0 if e else next(it) for e in row] for row in cells],
                        cells)
-    if not _row_pass(work, params):
+    if _row_pass(work, _view(params)):
         raise AssertionError("parity cells outside the decodable budgets")
     return work
 
@@ -574,8 +615,7 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     dim = params.dimension()
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
-    if data and not (min(data) >= 0 and max(data) < 1 << params.field.w):
-        raise ValueError("data symbol out of field range")
+    params.field.check_symbols(data, "data symbol")
     enc = _view(params).encoder.plan(
         params.field, dim, dim * (params.m * params.n - dim),
         lambda: _compile_encoder(params))

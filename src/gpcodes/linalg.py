@@ -19,14 +19,17 @@ w <= 8: a fill of a word's target positions from its other symbols,
 applied with ``bytes.translate``, whose check symbols must vanish.  It
 serves both encode and decode: a systematic encoder fills the parity
 positions, and :func:`erasure_plan` compiles :func:`solve`'s erasure
-system for a fixed pattern, checks included.  :class:`PlanSlot` decides
-when a map is worth compiling, and :func:`recall` is the get-or-build
-rule of every bounded cache, evicting the least recently used entry.
+system for a fixed pattern, checks included, whether the pattern is a
+``LinearCode`` word's or one gpc array row's.  :func:`combine` sums
+weighted rows with the same product tables, and holds the symbol-wise
+loop for w > 8.  :class:`PlanSlot` decides when a map is worth
+compiling, and :func:`recall` is the get-or-build rule of every bounded
+cache, evicting the least recently used entry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .fields import GF
 
@@ -298,6 +301,29 @@ class ByteMap:
             word[j] = v
 
 
+def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
+            width: int) -> list[int]:
+    """The sum of ``weight * row`` over ``terms``, (weight, row) pairs
+    of nonzero weights and rows of ``width`` symbols in range.
+
+    For w <= 8 a row is multiplied with one ``bytes.translate`` through
+    the weight's product table and the rows are XORed as one big
+    integer, as in :meth:`ByteMap.apply`; wider fields multiply symbol
+    by symbol.
+    """
+    if field.w <= 8:
+        tables, from_bytes = field.mul_tables(), int.from_bytes
+        acc = 0
+        for g, row in terms:
+            acc ^= from_bytes(bytes(row).translate(tables[g]), "little")
+        return list(acc.to_bytes(width, "little"))
+    mul = field.mul
+    out = [0] * width
+    for g, row in terms:
+        out = [a ^ mul(g, v) if v else a for a, v in zip(out, row)]
+    return out
+
+
 def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     """The solve of ``h @ word = 0`` for the positions ``erased``
     (ascending, w <= 8) compiled into a :class:`ByteMap` of the word.
@@ -333,7 +359,9 @@ class PlanSlot:
     0.5 k scalar encodes for G16), and |E| for an erasure plan, whose
     |E| pivot steps each cost at most the ``mul_vec`` a scalar decode
     pays (measured at 4 scalar decodes for |E| = 17 on
-    ``build_h2(15, 17)``).  A slot stays scalar for ``cost`` uses and
+    ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
+    row's level check, so it costs |cols| uses too (measured at 1.3 to
+    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A slot stays scalar for ``cost`` uses and
     compiles on use cost + 1, the rent-or-buy rule: a process that uses
     it at most ``cost`` times never pays for a map, and one that
     compiles has already spent about the compile's cost on scalar uses,

@@ -121,6 +121,18 @@ def test_modulus_validation():
         GF(17)                       # no default modulus for width 17
 
 
+@pytest.mark.parametrize("w", [4, 8, 10])
+def test_check_symbols_accepts_exactly_the_field(w):
+    f = GF(w)
+    top = (1 << w) - 1
+    f.check_symbols([], "symbol")
+    f.check_symbols([0, top, 1], "symbol")
+    f.check_symbols(iter([top] * 3), "symbol")
+    for bad in (-1, top + 1, 2 * top, 1 << 20):
+        with pytest.raises(ValueError, match="^symbol out of field range$"):
+            f.check_symbols([0, bad, 1], "symbol")
+
+
 def test_two_primitive_known_values():
     yes = [3, 5, 11, 13, 19, 29, 37, 53, 59, 61]
     no = [7, 17, 23, 31, 41, 43, 47]

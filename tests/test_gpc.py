@@ -521,6 +521,100 @@ def test_contradiction_in_column_pass_reports_row_col_cells():
     assert exc_info.value.remaining == set(pattern)
 
 
+# ---------------------------------------------------------------- row plans
+
+def outcome(decoder, arr, params):
+    """A decode's output, or its error with message and remaining."""
+    try:
+        out = decoder(arr, params)
+    except UncorrectableError as exc:
+        return str(exc), exc.remaining
+    return out.values, out.erased
+
+
+def decode_cases(params, rng, patterns=2):
+    """Damaged codewords of ``params``: per pattern, clean survivors and
+    one flipped survivor."""
+    word = rand_codeword(params, rng)
+    cells = [(r, c) for r in range(params.m) for c in range(params.n)]
+    cases = []
+    for i in range(patterns):
+        pattern = random_decodable_pattern(params, rng) if i % 2 == 0 else \
+            rng.sample(cells, rng.randint(1, len(cells) // 2))
+        damaged = erase_positions(word, pattern)
+        flipped = damaged.copy()
+        r, c = rng.choice([rc for rc in cells if rc not in set(pattern)])
+        flipped.fill(r, c, flipped.values[r][c] ^ 1)
+        cases += [damaged, flipped]
+    return cases
+
+
+def grid_codes_over_wider_fields():
+    grid = [p for p in _small_param_grid() if not p.violations()]
+    for w, base in zip(range(4, 9), grid[::60]):
+        for p in (base, grid[len(grid) - 1 - grid.index(base)]):
+            yield GpcParams(p.m, p.n, p.k, p.s, p.u, default_field(w))
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
+    rng = random.Random(131)
+    codes = list(grid_codes_over_wider_fields()) + [FLAGSHIP, G16]
+    cases = [(p, arr) for p in codes for arr in decode_cases(p, rng)]
+    # maps of at most 0 bytes: every row repair runs the scalar solve
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
+    expected = [outcome(decoder, arr, p) for p, arr in cases]
+    monkeypatch.undo()
+    encoders.clear()
+    monkeypatch.setattr(gpc, "_VIEWS", encoders)
+    # a row plan compiles on use |cols| + 1 <= max(m, n)
+    for (p, arr), want in zip(cases, expected):
+        for _ in range(max(p.m, p.n)):
+            assert outcome(decoder, arr, p) == want
+    compiled = {p: sum(s.map is not None for s in encoders[p].rows.values())
+                for p in codes}
+    assert all(compiled.values())
+
+
+def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
+    monkeypatch.setattr(gpc, "_ROW_PLAN_LIMIT", 2)
+    word = rand_codeword(FLAGSHIP, random.Random(133))
+    for c in (1, 2, 1, 1, 3):
+        assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
+    rows = gpc._view(FLAGSHIP).rows
+    # column 2 was the least recently used when column 3 came
+    assert list(rows) == [(0, (1,)), (0, (3,))]
+    assert rows[(0, (1,))].map is not None and rows[(0, (3,))].map is None
+
+
+def test_wide_field_never_compiles_row_plans(encoders):
+    p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                  field=default_field(10))
+    rng = random.Random(137)
+    for arr in decode_cases(p, rng):
+        for _ in range(10):
+            outcome(decode_iterative, arr, p)
+    rows = encoders[p].rows
+    assert rows and all(s.map is None for s in rows.values())
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+@pytest.mark.parametrize("value", [-1, 16, 20, 300])
+def test_out_of_field_survivor_raises(decoder, value, encoders):
+    p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4), field=F16)
+    word = rand_codeword(p, random.Random(139))
+    damaged = erase_positions(word, [(0, 0)])   # row 0 repairs locally
+    bad = damaged.copy()
+    bad.values[0][1] = value
+    with pytest.raises(ValueError, match="survivor out of field range"):
+        decoder(bad, p)
+    for _ in range(2):   # use |cols| + 1 compiles the row's plan
+        assert decoder(damaged, p) == word
+    assert encoders[p].rows[(0, (0,))].map is not None
+    with pytest.raises(ValueError, match="survivor out of field range"):
+        decoder(bad, p)
+
+
 # ---------------------------------------------------------------- transpose
 
 def test_transpose_anchor():
