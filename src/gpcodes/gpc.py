@@ -216,9 +216,6 @@ class SymbolArray:
         return [(r, c) for r in range(self.m) for c in range(self.n)
                 if self.erased[r][c]]
 
-    def row_erasures(self, r: int) -> list[int]:
-        return [c for c in range(self.n) if self.erased[r][c]]
-
     def transposed(self) -> "SymbolArray":
         return SymbolArray(list(zip(*self.values)), list(zip(*self.erased)))
 
@@ -306,10 +303,15 @@ class _View(NamedTuple):
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
-# Row-plan slots per view, least recently used evicted first.  A plan
-# holds n - |cols| byte columns of u_level bytes, about 1.5 KB of
-# objects on G16, so a full view holds at most about 0.4 MB of them.
-_ROW_PLAN_LIMIT = 256
+# Row-plan slots per view, least recently used evicted first.  G16 has
+# 465 level-0 keys (one or two erased columns) in its row view and 136
+# in its column view.  The benchmark's 15 s scrub of distinct patterns
+# looks up 1 662 distinct keys in the row view: at a limit of 256 it
+# evicted 103 compiled plans and served 40% of its row repairs from
+# plans, at 1024 it evicted 34 and served 50%, and unbounded 51%.  A
+# plan holds n - |cols| byte columns of u_level bytes, about 1.5 KB of
+# objects on G16, so a full view holds at most about 1.5 MB of them.
+_ROW_PLAN_LIMIT = 1024
 
 
 def _view(params: GpcParams) -> _View:
@@ -508,7 +510,7 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     level's row check.  From the |cols| + 1-th repair of one (level,
     erased columns) pair under equal ``params`` in a process, a field
     with w <= 8 applies that pair's compiled erasure plan instead
-    (:func:`~gpcodes.linalg.erasure_plan`, at most 256 per ``params``,
+    (:func:`~gpcodes.linalg.erasure_plan`, at most 1024 per ``params``,
     least recently used dropped first), and the peel sums its known
     rows with product tables (:func:`~gpcodes.linalg.combine`).  The
     output and the errors are those of the solves, checks included.

@@ -361,15 +361,15 @@ class PlanSlot:
     pays (measured at 4 scalar decodes for |E| = 17 on
     ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
     row's level check, so it costs |cols| uses too (measured at 1.3 to
-    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A slot stays scalar for ``cost`` uses and
-    compiles on use cost + 1, the rent-or-buy rule: a process that uses
-    it at most ``cost`` times never pays for a map, and one that
-    compiles has already spent about the compile's cost on scalar uses,
-    so it never takes much more than twice the scalar time.  The
-    compile is tried that once: fields with w > 8, maps above
-    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
-    live in caches bounded by :func:`recall`, so a slot in use is kept
-    and an evicted one starts again from zero uses.
+    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A slot stays
+    scalar for ``cost`` uses and compiles on use cost + 1, the
+    rent-or-buy rule: a process that uses it at most ``cost`` times
+    never pays for a map, and one that compiles has already spent about
+    the compile's cost on scalar uses, so it never takes much more than
+    twice the scalar time.  The compile is tried that once: fields with
+    w > 8, maps above ``MAP_BYTES_LIMIT`` and builds that return None
+    stay scalar.  Slots live in caches bounded by :func:`recall`, so a
+    slot in use is kept and an evicted one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")
