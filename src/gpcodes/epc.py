@@ -15,8 +15,9 @@ shapes.  Three concrete constructions are provided:
   (:func:`check_condition_35`); the all-ones-modulus fields obtained
   via :meth:`gpcodes.fields.GF.from_prime` satisfy it by construction.
 
-The latter two are plain linear codes on flattened arrays, handled by a
-small parity-check-matrix container with generic erasure decoding.
+The latter two are plain linear codes on flattened arrays: a
+:class:`~gpcodes.linalg.LinearCode`, re-exported here, whose generic
+erasure decoding is :meth:`~gpcodes.linalg.LinearCode.fill`.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from math import ceil
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError
-from .linalg import (Matrix, NoSolutionError, PlanSlot, UnderdeterminedError,
-                     erasure_plan, pivot_columns, recall, solve)
+# ``solve`` is unused but stays bound for perfbench's tracer test.
+from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
+                     UnderdeterminedError, solve)
 
 
 @dataclass(frozen=True)
@@ -101,51 +103,6 @@ def build_optimal_g1(m: int, v: int, n: int, h: int,
         field = field_with_order(max(m, n))
     return GpcParams(m=m, n=n, k=m - v, s=(m - v - 1, v + 1),
                      u=(h, h + 1), field=field).check()
-
-
-@dataclass
-class LinearCode:
-    """A linear code given by its parity-check matrix over GF(2^w)."""
-
-    field: GF
-    length: int
-    check_matrix: Matrix
-
-    def __post_init__(self):
-        if self.check_matrix.cols != self.length:
-            raise ValueError("check matrix width does not match length")
-        self._parity_positions: tuple[int, ...] | None = None
-        self._data_positions: tuple[int, ...] | None = None
-        # Plan slots by sorted erased positions (see lc_erasure_decode).
-        self._plans: dict[tuple[int, ...], PlanSlot] = {}
-
-    @property
-    def redundancy(self) -> int:
-        return len(self.parity_positions())
-
-    @property
-    def dimension(self) -> int:
-        return self.length - self.redundancy
-
-    def parity_positions(self) -> tuple[int, ...]:
-        """Greedy systematic choice: the last positions, scanned right to
-        left, whose check columns stay linearly independent."""
-        if self._parity_positions is None:
-            # The pivot columns of the column-reversed check matrix are
-            # exactly that greedy choice, and there are rank-many.
-            flipped = Matrix(self.field,
-                             [row[::-1] for row in self.check_matrix.data])
-            last = self.length - 1
-            self._parity_positions = tuple(
-                sorted(last - c for c in pivot_columns(flipped)))
-        return self._parity_positions
-
-    def data_positions(self) -> tuple[int, ...]:
-        if self._data_positions is None:
-            parity = set(self.parity_positions())
-            self._data_positions = tuple(
-                j for j in range(self.length) if j not in parity)
-        return self._data_positions
 
 
 def _power_row(field: GF, length: int, step: int) -> list[int]:
@@ -224,9 +181,9 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     raised, as it is when the survivors contradict the code.  Survivors
     must lie in the field; the symbols at erased positions are ignored.
     From the |E| + 1-th decode of one pattern E of ``code``, a field
-    with w <= 8 applies the pattern's compiled plan
-    (:func:`~gpcodes.linalg.erasure_plan`) instead of the solve: equal
-    output, and the same errors, checks included.
+    with w <= 8 applies the pattern's compiled plan instead of the solve
+    (see :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the
+    same errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
@@ -240,29 +197,11 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     return _fill(known, tuple(cols), code)
 
 
-# Plan slots per code, least recently used evicted first: at most 16
-# plans of at most 64 KiB each (1 MiB) per LinearCode.
-_PLAN_LIMIT = 16
-
-
 def _fill(known: list[int], cols: tuple[int, ...],
           code: LinearCode) -> list[int]:
-    # Fill the erased positions ``cols`` (ascending) of ``known``, which
-    # hold 0, in place; every other symbol is in range.  The pattern's
-    # slot compiles its plan on use |E| + 1; until then, and for w > 8,
-    # plans above linalg.MAP_BYTES_LIMIT and dependent patterns, the
-    # syndrome solve runs.
-    h = code.check_matrix
-    slot = recall(code._plans, cols, _PLAN_LIMIT, PlanSlot)
-    plan = slot.plan(code.field, len(cols), (code.length - len(cols)) * h.rows,
-                     lambda: erasure_plan(h, cols))
+    # code.fill, with its errors reported as UncorrectableError.
     try:
-        if plan is None:
-            missing = solve(h.submatrix(cols=cols), h.mul_vec(known))
-            for c, v in zip(cols, missing):
-                known[c] = v
-        else:
-            plan.apply(known)
+        code.fill(known, cols)
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",

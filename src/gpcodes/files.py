@@ -69,7 +69,7 @@ def _require(obj: dict, keys: list[str], kind: str) -> list[int]:
     out = []
     for k in keys:
         v = obj[k]
-        if not isinstance(v, int):
+        if type(v) is not int:     # not a float, nor a bool (JSON true)
             raise SpecFileError(f"field {k!r} must be an integer")
         out.append(v)
     return out
@@ -85,7 +85,8 @@ def parse_code_spec(obj: dict) -> CodeSpec:
             m, n, k = _require(obj, ["m", "n", "k"], kind)
             s = obj.get("s")
             u = obj.get("u")
-            if not isinstance(s, list) or not isinstance(u, list):
+            if not all(isinstance(v, list)
+                       and all(type(x) is int for x in v) for v in (s, u)):
                 raise SpecFileError("kind 'gpc' needs integer lists 's' and 'u'")
             if field is None:
                 field = field_with_order(max(m, n))

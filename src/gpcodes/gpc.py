@@ -22,9 +22,10 @@ from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF
-from .linalg import (ByteMap, Matrix, NoSolutionError, PlanSlot, combine,
-                     erasure_plan, kron, null_space, recall, row_reduce,
-                     solve, vandermonde, vstack)
+# ``solve`` is unused but stays bound for perfbench's tracer test.
+from .linalg import (ByteMap, LinearCode, Matrix,  # noqa: F401
+                     NoSolutionError, PlanSlot, combine, kron, null_space,
+                     recall, row_reduce, solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -290,37 +291,28 @@ class _View(NamedTuple):
     """What gpc keeps per params."""
 
     params: GpcParams
-    checks: list[Matrix]        # levels 0..t; level t has the identity
+    levels: list[LinearCode]    # row codes 0..t; level t has the identity
     col_params: GpcParams | None   # None when k = m
     encoder: PlanSlot
-    rows: dict[tuple[int, tuple[int, ...]], PlanSlot]   # by (level, cols)
 
 
 # Views by params, least recently used evicted first: at most 16
-# entries, each an encoder map of at most 64 KiB, t + 1 check matrices
-# with n columns (G16's row view holds 14 KB of lists, its column view
-# 6 KB) and its row plans.
+# entries, each an encoder map of at most 64 KiB and t + 1 row codes of
+# length n (G16's row view holds 14 KB of check lists, its column view
+# 6 KB), each with its row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
-# Row-plan slots per view, least recently used evicted first.  G16 has
-# 465 level-0 keys (one or two erased columns) in its row view and 136
-# in its column view.  The benchmark's 15 s scrub of distinct patterns
-# looks up 1 662 distinct keys in the row view: at a limit of 256 it
-# evicted 103 compiled plans and served 40% of its row repairs from
-# plans, at 1024 it evicted 34 and served 50%, and unbounded 51%.  A
-# plan holds n - |cols| byte columns of u_level bytes, about 1.5 KB of
-# objects on G16, so a full view holds at most about 1.5 MB of them.
-_ROW_PLAN_LIMIT = 1024
-
 
 def _view(params: GpcParams) -> _View:
-    # Built once per params; callers must not modify the checks.
+    # Built once per params; callers must not modify the level codes.
     def build() -> _View:
+        f, n = params.field, params.n
         checks = [component_parity_check(params, i) for i in range(params.t)]
-        checks.append(Matrix.identity(params.field, params.n))
-        return _View(params, checks, params.transposed()
-                     if params.k < params.m else None, PlanSlot(), {})
+        checks.append(Matrix.identity(f, n))
+        return _View(params, [LinearCode(f, n, h) for h in checks],
+                     params.transposed() if params.k < params.m else None,
+                     PlanSlot())
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -334,12 +326,12 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     """
     f = params.field
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    checks = _view(params).checks
-    blocks = [kron(Matrix.identity(f, params.m), checks[0])]
+    levels = _view(params).levels
+    blocks = [kron(Matrix.identity(f, params.m), levels[0].check_matrix)]
     for i in range(1, params.t + 1):
         if params.s_hat(i):   # level t is empty when k = m
             weights = vandermonde(f, row_nodes, params.s_hat(i))
-            blocks.append(kron(weights, checks[i]))
+            blocks.append(kron(weights, levels[i].check_matrix))
     return vstack(blocks)
 
 
@@ -365,7 +357,7 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    h = _view(params).checks
+    h = [code.check_matrix for code in _view(params).levels]
     for row in arr.values:
         if any(h[0].mul_vec(row)):
             return False
@@ -386,33 +378,19 @@ def _repair_row(work: SymbolArray, r: int, cols: tuple[int, ...],
                 view: _View, level: int,
                 offset: Sequence[int] | None = None) -> None:
     # Fill the erased cells ``cols`` of row r so that the row plus
-    # ``offset`` lies in the level's row code.  The cells hold 0, so the
-    # unique solution (Vandermonde columns) is their symbols; survivors
-    # that contradict the code raise NoSolutionError.  An all-zero row
-    # solves to zeros, which most rows of a unit vector are when an
-    # encoder is compiled.  The (level, cols) slot compiles the solve
-    # into an erasure plan on its |cols| + 1-th use; the plan checks the
-    # same residual rows as the solve.  It fills row + offset, so the
-    # offset goes back into the filled cells.
+    # ``offset`` lies in the level's row code.  The level code fills
+    # row + offset, whose erased symbols it ignores, so the offset goes
+    # back into the filled cells.  The solution is unique (Vandermonde
+    # columns); survivors that contradict the code raise
+    # NoSolutionError.  An all-zero row solves to zeros, which most rows
+    # of a unit vector are when an encoder is compiled.
     row = work.values[r]
     if offset is not None:
         row = [a ^ b for a, b in zip(row, offset)]
-    if not any(row):
-        missing = [0] * len(cols)
-    else:
-        check = view.checks[level]
-        slot = recall(view.rows, (level, cols), _ROW_PLAN_LIMIT, PlanSlot)
-        plan = slot.plan(check.field, len(cols),
-                         (check.cols - len(cols)) * check.rows,
-                         lambda: erasure_plan(check, cols))
-        if plan is None:
-            missing = solve(check.submatrix(cols=cols), check.mul_vec(row))
-        else:
-            plan.apply(row)
-            missing = [row[c] for c in cols] if offset is None else \
-                [row[c] ^ offset[c] for c in cols]
-    for c, v in zip(cols, missing):
-        work.fill(r, c, v)
+    if any(row):
+        view.levels[level].fill(row, cols)
+    for c in cols:
+        work.fill(r, c, row[c] if offset is None else row[c] ^ offset[c])
 
 
 @dataclass
@@ -506,14 +484,14 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     plus a known combination of later rows lies in some row code (or
     vanishes), which pins its erased symbols.
 
-    Every row repair is a solve of the row's erased cells against one
-    level's row check.  From the |cols| + 1-th repair of one (level,
-    erased columns) pair under equal ``params`` in a process, a field
-    with w <= 8 applies that pair's compiled erasure plan instead
-    (:func:`~gpcodes.linalg.erasure_plan`, at most 1024 per ``params``,
-    least recently used dropped first), and the peel sums its known
-    rows with product tables (:func:`~gpcodes.linalg.combine`).  The
-    output and the errors are those of the solves, checks included.
+    Every row repair fills the row's erased cells in one level's row
+    code with :meth:`~gpcodes.linalg.LinearCode.fill`.  From the
+    |cols| + 1-th repair of one set of erased columns in one level under
+    equal ``params`` in a process, a field with w <= 8 applies that
+    set's compiled erasure plan instead of the solve (at most 16 per
+    level, least recently used dropped first), and the peel sums its
+    known rows with product tables (:func:`~gpcodes.linalg.combine`).
+    The output and the errors are those of the solves, checks included.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
@@ -655,7 +633,7 @@ def min_weight_codeword(params: GpcParams, level: int,
         raise ValueError("columns out of range or repeated")
     if rows[0] < 0 or rows[-1] >= params.m or len(set(rows)) != len(rows):
         raise ValueError("rows out of range or repeated")
-    h = component_parity_check(params, level)
+    h = _view(params).levels[level].check_matrix
     w_basis = _null_vector(h.submatrix(cols=cols))
     row_nodes = [f.alpha_pow(r) for r in rows]
     depth = len(rows) - 1

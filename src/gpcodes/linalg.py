@@ -19,16 +19,21 @@ w <= 8: a fill of a word's target positions from its other symbols,
 applied with ``bytes.translate``, whose check symbols must vanish.  It
 serves both encode and decode: a systematic encoder fills the parity
 positions, and :func:`erasure_plan` compiles :func:`solve`'s erasure
-system for a fixed pattern, checks included, whether the pattern is a
-``LinearCode`` word's or one gpc array row's.  :func:`combine` sums
+system for a fixed pattern, checks included.  :func:`combine` sums
 weighted rows with the same product tables, and holds the symbol-wise
 loop for w > 8.  :class:`PlanSlot` decides when a map is worth
 compiling, and :func:`recall` is the get-or-build rule of every bounded
 cache, evicting the least recently used entry.
+
+:class:`LinearCode` is a code given by its check matrix.  Both families
+repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
+h3 codes a whole word at a time, ``gpc`` one array row at a time
+against one level's row code.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .fields import GF
@@ -360,7 +365,7 @@ class PlanSlot:
     |E| pivot steps each cost at most the ``mul_vec`` a scalar decode
     pays (measured at 4 scalar decodes for |E| = 17 on
     ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
-    row's level check, so it costs |cols| uses too (measured at 1.3 to
+    row's level code, so it costs |cols| uses too (measured at 1.3 to
     2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A slot stays
     scalar for ``cost`` uses and compiles on use cost + 1, the
     rent-or-buy rule: a process that uses it at most ``cost`` times
@@ -389,3 +394,77 @@ class PlanSlot:
                     and nbytes <= MAP_BYTES_LIMIT):
                 self.map = build()
         return self.map
+
+
+# Plan slots per code, least recently used evicted first: at most 16
+# plans of at most 64 KiB each (1 MiB) per LinearCode.
+_PLAN_LIMIT = 16
+
+
+@dataclass
+class LinearCode:
+    """A linear code given by its parity-check matrix over GF(2^w)."""
+
+    field: GF
+    length: int
+    check_matrix: Matrix
+
+    def __post_init__(self):
+        if self.check_matrix.cols != self.length:
+            raise ValueError("check matrix width does not match length")
+        self._parity_positions: tuple[int, ...] | None = None
+        self._data_positions: tuple[int, ...] | None = None
+        self._plans: dict[tuple[int, ...], PlanSlot] = {}
+
+    @property
+    def redundancy(self) -> int:
+        return len(self.parity_positions())
+
+    @property
+    def dimension(self) -> int:
+        return self.length - self.redundancy
+
+    def parity_positions(self) -> tuple[int, ...]:
+        """Greedy systematic choice: the last positions, scanned right to
+        left, whose check columns stay linearly independent."""
+        if self._parity_positions is None:
+            # The pivot columns of the column-reversed check matrix are
+            # exactly that greedy choice, and there are rank-many.
+            flipped = Matrix(self.field,
+                             [row[::-1] for row in self.check_matrix.data])
+            last = self.length - 1
+            self._parity_positions = tuple(
+                sorted(last - c for c in pivot_columns(flipped)))
+        return self._parity_positions
+
+    def data_positions(self) -> tuple[int, ...]:
+        if self._data_positions is None:
+            parity = set(self.parity_positions())
+            self._data_positions = tuple(
+                j for j in range(self.length) if j not in parity)
+        return self._data_positions
+
+    def fill(self, word: list[int], erased: tuple[int, ...]) -> None:
+        """Fill the positions ``erased`` (ascending) of ``word``, whose
+        other symbols lie in the field, in place with the codeword that
+        agrees with those symbols; the erased symbols are ignored.
+
+        The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`
+        on use |E| + 1.  Until then, and when no plan is built, the
+        :func:`solve` runs, with the erased symbols zeroed.  Raises
+        :class:`UnderdeterminedError` on dependent erased columns and
+        :class:`NoSolutionError` when the survivors contradict the code.
+        """
+        h = self.check_matrix
+        slot = recall(self._plans, erased, _PLAN_LIMIT, PlanSlot)
+        plan = slot.plan(self.field, len(erased),
+                         (self.length - len(erased)) * h.rows,
+                         lambda: erasure_plan(h, erased))
+        if plan is not None:
+            plan.apply(word)
+            return
+        for c in erased:
+            word[c] = 0
+        missing = solve(h.submatrix(cols=erased), h.mul_vec(word))
+        for c, v in zip(erased, missing):
+            word[c] = v

@@ -95,6 +95,16 @@ def test_info_unknown_kind(tmp_path, capsys):
     assert cli.main(["info", code]) == 2
 
 
+@pytest.mark.parametrize("change", [{"s": [2.0, 1, 3]}, {"u": [1, 3, 4.5]},
+                                    {"u": [True, 3, 4]}],
+                         ids=["float_s", "float_u", "bool_u"])
+def test_info_rejects_non_integer_levels(tmp_path, capsys, change):
+    code = write_spec(tmp_path, {**FLAGSHIP_SPEC, **change})
+    assert cli.main(["info", code]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "integer lists 's' and 'u'" in err
+
+
 # --------------------------------------------------------- encode / decode
 
 def test_encode_decode_roundtrip(tmp_path, capsys):

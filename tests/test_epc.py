@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gpcodes import epc, linalg
+from gpcodes import linalg
 from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
                          build_optimal_g1, check_condition_35, distance_bound,
                          lc_encode, lc_erasure_decode, lc_is_member)
@@ -223,7 +223,7 @@ def _no_scalar_solve(monkeypatch):
     """From here on every decode and encode must come from a plan."""
     def forbidden(*args):
         raise AssertionError("scalar solve on a compiled pattern")
-    monkeypatch.setattr(epc, "solve", forbidden)
+    monkeypatch.setattr(linalg, "solve", forbidden)
 
 
 @pytest.mark.parametrize("data", [[-1, 1], [20, 1]],
@@ -365,7 +365,7 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
 
 def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
         monkeypatch):
-    monkeypatch.setattr(epc, "_PLAN_LIMIT", 4)
+    monkeypatch.setattr(linalg, "_PLAN_LIMIT", 4)
     code = build_h2(3, 3)
     word = lc_encode([3, 9], code)
     patterns = [frozenset({a, b}) for a in range(9) for b in range(a + 1, 9)]
@@ -381,15 +381,16 @@ def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
 
 
 def test_plan_in_use_outlives_unique_patterns():
-    """Decodes of more than _PLAN_LIMIT unique patterns, interleaved with
-    encodes, leave the parity pattern's compiled plan in place."""
+    """Decodes of more than linalg._PLAN_LIMIT unique patterns,
+    interleaved with encodes, leave the parity pattern's compiled plan in
+    place."""
     code = build_h2(3, 3)
     for _ in range(code.redundancy + 1):
         word = lc_encode([3, 9], code)
     slot = code._plans[code.parity_positions()]
     assert slot.map is not None
     patterns = [{a, b} for a in range(9) for b in range(a + 1, 9)]
-    assert len(patterns) > epc._PLAN_LIMIT
+    assert len(patterns) > linalg._PLAN_LIMIT
     for erased in patterns:
         assert lc_erasure_decode(list(word), erased, code) == word
         assert lc_encode([3, 9], code) == word

@@ -60,6 +60,15 @@ def test_parse_gpc_spec_errors():
                          "s": [2, 1, 3], "u": [1, 3, 4]})
 
 
+@pytest.mark.parametrize("change", [{"s": [2.0, 1, 3]}, {"u": [1, 3, 4.5]},
+                                    {"u": [True, 3, 4]}, {"m": True}],
+                         ids=["float_s", "float_u", "bool_u", "bool_m"])
+def test_parse_gpc_spec_rejects_non_integers(change):
+    with pytest.raises(SpecFileError, match="integer"):
+        parse_code_spec({"kind": "gpc", "m": 6, "n": 7, "k": 4,
+                         "s": [2, 1, 3], "u": [1, 3, 4], **change})
+
+
 def test_parse_epc_specs():
     g1 = parse_code_spec({"kind": "epc-g1", "m": 4, "v": 1, "n": 5, "h": 1})
     assert g1.params is not None

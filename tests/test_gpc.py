@@ -556,6 +556,11 @@ def grid_codes_over_wider_fields():
             yield GpcParams(p.m, p.n, p.k, p.s, p.u, default_field(w))
 
 
+def row_plans(view):
+    """Every row-plan slot of a gpc view, over all its level codes."""
+    return [s for code in view.levels for s in code._plans.values()]
+
+
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
 def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
     rng = random.Random(131)
@@ -571,20 +576,20 @@ def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
     for (p, arr), want in zip(cases, expected):
         for _ in range(max(p.m, p.n)):
             assert outcome(decoder, arr, p) == want
-    compiled = {p: sum(s.map is not None for s in encoders[p].rows.values())
+    compiled = {p: sum(s.map is not None for s in row_plans(encoders[p]))
                 for p in codes}
     assert all(compiled.values())
 
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
-    monkeypatch.setattr(gpc, "_ROW_PLAN_LIMIT", 2)
+    monkeypatch.setattr(linalg, "_PLAN_LIMIT", 2)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
         assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
-    rows = gpc._view(FLAGSHIP).rows
+    rows = gpc._view(FLAGSHIP).levels[0]._plans
     # column 2 was the least recently used when column 3 came
-    assert list(rows) == [(0, (1,)), (0, (3,))]
-    assert rows[(0, (1,))].map is not None and rows[(0, (3,))].map is None
+    assert list(rows) == [(1,), (3,)]
+    assert rows[(1,)].map is not None and rows[(3,)].map is None
 
 
 def test_wide_field_never_compiles_row_plans(encoders):
@@ -594,8 +599,8 @@ def test_wide_field_never_compiles_row_plans(encoders):
     for arr in decode_cases(p, rng):
         for _ in range(10):
             outcome(decode_iterative, arr, p)
-    rows = encoders[p].rows
-    assert rows and all(s.map is None for s in rows.values())
+    rows = row_plans(encoders[p])
+    assert rows and all(s.map is None for s in rows)
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
@@ -610,7 +615,7 @@ def test_out_of_field_survivor_raises(decoder, value, encoders):
         decoder(bad, p)
     for _ in range(2):   # use |cols| + 1 compiles the row's plan
         assert decoder(damaged, p) == word
-    assert encoders[p].rows[(0, (0,))].map is not None
+    assert encoders[p].levels[0]._plans[(0,)].map is not None
     with pytest.raises(ValueError, match="survivor out of field range"):
         decoder(bad, p)
 

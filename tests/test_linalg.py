@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from gpcodes.epc import build_h2
 from gpcodes.fields import default_field
-from gpcodes.linalg import (Matrix, NoSolutionError, UnderdeterminedError,
-                            kron, null_space, rank, row_reduce, solve,
-                            vandermonde, vstack)
+from gpcodes.gpc import component_parity_check
+from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
+                            UnderdeterminedError, kron, null_space, rank,
+                            row_reduce, solve, vandermonde, vstack)
+from test_gpc import G16
 
 F16 = default_field(4)
 F8 = default_field(3)
@@ -187,3 +190,58 @@ def test_kron_single_parity_product_code():
     word2 = [1, 2, 3, 4, 5, 6]
     assert col_checks.mul_vec(word2) == [5, 7, 5]
     assert row_checks.mul_vec(word2) == [0, 7]
+
+
+# ------------------------------------------------------- LinearCode.fill
+
+def _g16_level_1():
+    return LinearCode(G16.field, G16.n, component_parity_check(G16, 1))
+
+
+def _written(word, positions, symbols):
+    """``word`` with ``symbols`` written at ``positions``."""
+    out = list(word)
+    for j, v in zip(positions, symbols):
+        out[j] = v
+    return out
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["solve", "plan"])
+@pytest.mark.parametrize("build, erased",
+                         [(_g16_level_1, (3, 17, 29)),
+                          (lambda: build_h2(3, 3), (0, 4))],
+                         ids=["G16_level_1", "h2(3,3)"])
+def test_fill_ignores_the_erased_symbols(build, erased, compiled):
+    """Whatever the erased positions hold, fill writes the one codeword
+    that agrees with the survivors; a contradicting survivor raises."""
+    rng = random.Random(151)
+    code = build()
+    h, top = code.check_matrix, 1 << code.field.w
+    parity = code.parity_positions()
+    word = [0 if j in parity else rng.randrange(top)
+            for j in range(code.length)]
+    code.fill(word, parity)
+    assert not any(h.mul_vec(word))
+    code._plans.clear()
+    garbage = [rng.randrange(top) for _ in erased]
+    flipped = list(word)
+    flipped[next(j for j in range(code.length) if j not in erased)] ^= 1
+    cases = [(word, word), (_written(word, erased, [0] * len(erased)), word),
+             (_written(word, erased, garbage), word),
+             (_written(flipped, erased, garbage), NoSolutionError)]
+    for values, expected in cases:
+        if compiled:
+            slot = PlanSlot()
+            slot.uses = len(erased)      # this use compiles the plan
+            code._plans[erased] = slot
+        else:
+            code._plans.clear()          # a first use: the scalar solve
+        out = list(values)
+        if expected is NoSolutionError:
+            with pytest.raises(NoSolutionError):
+                code.fill(out, erased)
+        else:
+            code.fill(out, erased)
+            assert out == expected
+        assert (code._plans[erased].map is not None) == compiled
+
