@@ -178,7 +178,8 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
 
     Needs the erased check-matrix columns to be independent; otherwise
     the pattern is uncorrectable and :class:`UncorrectableError` is
-    raised, as it is when the survivors contradict the code.  Survivors
+    raised, as it is when the survivors contradict the code, a word
+    with no erasures included.  Survivors
     must lie in the field; the symbols at erased positions are ignored.
     From the |E| + 1-th decode of one pattern E of ``code``, a field
     with w <= 8 applies the pattern's compiled plan instead of the solve
@@ -192,8 +193,6 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
         raise ValueError("erased position out of range")
     known = [0 if j in erased else v for j, v in enumerate(values)]
     code.field.check_symbols(known, "survivor")
-    if not cols:
-        return known
     return _fill(known, tuple(cols), code)
 
 

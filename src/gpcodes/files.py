@@ -32,9 +32,15 @@ def field_to_json(field: GF) -> dict:
 
 def field_from_json(obj: dict) -> GF:
     try:
-        w = int(obj["w"])
-        modulus = int(obj["modulus_hex"], 16) if "modulus_hex" in obj else None
-        alpha = int(obj.get("alpha", 2))
+        w, alpha = obj["w"], obj.get("alpha", 2)
+        # JSON integers only: not a float, nor a bool (JSON true)
+        if type(w) is not int or type(alpha) is not int:
+            raise TypeError("'w' and 'alpha' must be integers")
+        modulus = None
+        if "modulus_hex" in obj:
+            if not isinstance(obj["modulus_hex"], str):
+                raise TypeError("'modulus_hex' must be a string")
+            modulus = int(obj["modulus_hex"], 16)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFileError(f"bad field description: {exc}") from exc
     try:

@@ -277,51 +277,101 @@ class ByteMap:
     multiplies a column with one ``bytes.translate`` through the field's
     product table (see :meth:`GF.mul_tables`) and XORs the columns as
     one big integer: Jerasure's idiom, with no per-symbol field
-    arithmetic.
+    arithmetic.  It fills blocks of L words at once as well.
     """
 
-    __slots__ = ("tables", "columns", "targets")
+    __slots__ = ("tables", "columns", "targets", "height")
 
     def __init__(self, field: GF, columns: Sequence[bytes],
                  targets: Sequence[int]):
         self.tables = field.mul_tables()
         self.columns = columns
         self.targets = targets
+        self.height = max([len(targets), *map(len, columns)])
 
-    def apply(self, word: list[int]) -> None:
+    def apply(self, word: list[int], block: int = 1) -> None:
         """Fill the targets of ``word`` (symbols in range) in place.
 
-        Raises :class:`NoSolutionError`, leaving ``word`` as it was, when
-        a check symbol is nonzero.
+        With ``block`` L > 1 each position holds a block: an int of L
+        little-endian bytes, byte i the symbol of the i-th of L words.
+        Each nonzero (source, target) coefficient then multiplies the
+        source block with one ``bytes.translate``.  Raises
+        :class:`NoSolutionError`, leaving ``word`` as it was, when a
+        check symbol (of any of the L words) is nonzero.
         """
         tables, from_bytes = self.tables, int.from_bytes
+        width = len(self.targets)
+        if block > 1:
+            acc = [0] * self.height
+            for col, v in zip(self.columns, word):
+                if v:
+                    src = v.to_bytes(block, "little")
+                    for i, g in enumerate(col):
+                        if g:
+                            acc[i] ^= from_bytes(src.translate(tables[g]),
+                                                 "little")
+            if any(acc[width:]):
+                raise NoSolutionError("inconsistent system")
+            for j, v in zip(self.targets, acc):
+                word[j] = v
+            return
         acc = 0
         for col, v in zip(self.columns, word):
             if v:
                 acc ^= from_bytes(col.translate(tables[v]), "little")
-        width = len(self.targets)
         if acc >> 8 * width:
             raise NoSolutionError("inconsistent system")
         for j, v in zip(self.targets, acc.to_bytes(width, "little")):
             word[j] = v
 
 
-def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
-            width: int) -> list[int]:
-    """The sum of ``weight * row`` over ``terms``, (weight, row) pairs
-    of nonzero weights and rows of ``width`` symbols in range.
+def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
+    # The bytes of a row of blocks of ``block`` bytes each, little-endian
+    # and end to end.
+    if block == 1:
+        return bytes
+    return lambda row: b"".join(v.to_bytes(block, "little") for v in row)
 
-    For w <= 8 a row is multiplied with one ``bytes.translate`` through
-    the weight's product table and the rows are XORed as one big
-    integer, as in :meth:`ByteMap.apply`; wider fields multiply symbol
-    by symbol.
+
+def pack_blocks(words: Sequence[Sequence[int]], block: int = 1) -> list[int]:
+    """g words of equal length, whose positions hold blocks of ``block``
+    bytes, as one word of (g * block)-byte blocks: word i's block sits
+    at byte offset i * block of each position."""
+    from_bytes, raw = int.from_bytes, _raw(block)
+    return [from_bytes(raw(col), "little") for col in zip(*words)]
+
+
+def unpack_block(value: int, count: int, block: int = 1) -> list[int]:
+    """The ``count`` blocks of ``block`` bytes in one position packed by
+    :func:`pack_blocks`, first word first."""
+    raw = value.to_bytes(count * block, "little")
+    if block == 1:
+        return list(raw)
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + block], "little")
+            for i in range(0, count * block, block)]
+
+
+def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
+            width: int, block: int = 1) -> list[int]:
+    """The sum of ``weight * row`` over ``terms``, (weight, row) pairs
+    of nonzero weights and rows of ``width`` symbols in range, or of
+    ``width`` blocks of ``block`` bytes (see :meth:`ByteMap.apply`).
+
+    For w <= 8 a row is multiplied with one ``bytes.translate`` over its
+    width * block bytes through the weight's product table and the rows
+    are XORed as one big integer, as in :meth:`ByteMap.apply`; wider
+    fields multiply symbol by symbol and take no blocks.
     """
     if field.w <= 8:
         tables, from_bytes = field.mul_tables(), int.from_bytes
+        raw = _raw(block)
         acc = 0
         for g, row in terms:
-            acc ^= from_bytes(bytes(row).translate(tables[g]), "little")
-        return list(acc.to_bytes(width, "little"))
+            acc ^= from_bytes(raw(row).translate(tables[g]), "little")
+        return unpack_block(acc, width, block)
+    if block > 1:
+        raise ValueError("blocks need a field with w <= 8")
     mul = field.mul
     out = [0] * width
     for g, row in terms:
@@ -359,22 +409,24 @@ class PlanSlot:
     once built.
 
     A map is worth building only when it will be used often enough to
-    repay its compile.  Callers state that compile's cost in uses: k
-    for a gpc encoder built from k unit-vector encodes (measured at
-    0.5 k scalar encodes for G16), and |E| for an erasure plan, whose
-    |E| pivot steps each cost at most the ``mul_vec`` a scalar decode
-    pays (measured at 4 scalar decodes for |E| = 17 on
+    repay its compile.  Callers state that compile's cost in uses:
+    2 + K // 32 for a gpc encoder, built in one row pass over blocks of
+    its K unit data vectors (measured at 14 scalar encodes for G16, K =
+    372; see ``gpc.encoder_cost``), and |E| for an erasure plan,
+    whose |E| pivot steps each cost at most the ``mul_vec`` a scalar
+    decode pays (measured at 4 scalar decodes for |E| = 17 on
     ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
     row's level code, so it costs |cols| uses too (measured at 1.3 to
-    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A slot stays
-    scalar for ``cost`` uses and compiles on use cost + 1, the
-    rent-or-buy rule: a process that uses it at most ``cost`` times
-    never pays for a map, and one that compiles has already spent about
-    the compile's cost on scalar uses, so it never takes much more than
-    twice the scalar time.  The compile is tried that once: fields with
-    w > 8, maps above ``MAP_BYTES_LIMIT`` and builds that return None
-    stay scalar.  Slots live in caches bounded by :func:`recall`, so a
-    slot in use is kept and an evicted one starts again from zero uses.
+    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A fill of a
+    block of L words counts L uses.  A slot stays scalar for ``cost``
+    uses and compiles on the use that passes it, the rent-or-buy rule:
+    a process that uses it at most ``cost`` times never pays for a map,
+    and one that compiles has already spent about the compile's cost
+    on scalar uses, so it never takes much more than twice the scalar
+    time.  The compile is tried that once: fields with w > 8, maps above
+    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
+    live in caches bounded by :func:`recall`, so a slot in use is kept
+    and an evicted one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")
@@ -384,13 +436,15 @@ class PlanSlot:
         self.map: ByteMap | None = None
 
     def plan(self, field: GF, cost: int, nbytes: int,
-             build: Callable[[], ByteMap | None]) -> ByteMap | None:
-        """Count one use of a map of ``nbytes`` bytes that costs ``cost``
-        uses to build: the map to apply, built by ``build`` when it
-        falls due, or None for the scalar path."""
+             build: Callable[[], ByteMap | None],
+             uses: int = 1) -> ByteMap | None:
+        """Count ``uses`` uses of a map of ``nbytes`` bytes that costs
+        ``cost`` uses to build: the map to apply, built by ``build``
+        when it falls due, or None for the scalar path."""
         if self.map is None:
-            self.uses += 1
-            if (self.uses == cost + 1 and field.w <= 8
+            before = self.uses
+            self.uses += uses
+            if (before <= cost < self.uses and field.w <= 8
                     and nbytes <= MAP_BYTES_LIMIT):
                 self.map = build()
         return self.map
@@ -444,27 +498,47 @@ class LinearCode:
                 j for j in range(self.length) if j not in parity)
         return self._data_positions
 
-    def fill(self, word: list[int], erased: tuple[int, ...]) -> None:
+    def fill(self, word: list[int], erased: tuple[int, ...],
+             block: int = 1) -> None:
         """Fill the positions ``erased`` (ascending) of ``word``, whose
         other symbols lie in the field, in place with the codeword that
-        agrees with those symbols; the erased symbols are ignored.
+        agrees with those symbols; the erased symbols are ignored.  With
+        ``block`` L > 1 (w <= 8 only) each position holds a block of L
+        words, as in :meth:`ByteMap.apply`, and every word is filled.
 
         The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`
-        on use |E| + 1.  Until then, and when no plan is built, the
-        :func:`solve` runs, with the erased symbols zeroed.  Raises
+        once |E| uses have passed, a block counting L.  Until then, and
+        when no plan is built, the :func:`solve` runs, word by word,
+        with the erased symbols zeroed.  Raises
         :class:`UnderdeterminedError` on dependent erased columns and
-        :class:`NoSolutionError` when the survivors contradict the code.
+        :class:`NoSolutionError` when the survivors contradict the code,
+        leaving ``word`` as it was.
         """
         h = self.check_matrix
         slot = recall(self._plans, erased, _PLAN_LIMIT, PlanSlot)
         plan = slot.plan(self.field, len(erased),
                          (self.length - len(erased)) * h.rows,
-                         lambda: erasure_plan(h, erased))
+                         lambda: erasure_plan(h, erased), block)
         if plan is not None:
-            plan.apply(word)
+            plan.apply(word, block)
             return
-        for c in erased:
-            word[c] = 0
-        missing = solve(h.submatrix(cols=erased), h.mul_vec(word))
-        for c, v in zip(erased, missing):
+        if block > 1:
+            if self.field.w > 8:
+                raise ValueError("blocks need a field with w <= 8")
+            words = zip(*(unpack_block(v, block) for v in word))
+            missing = [self._solve(w, erased) for w in words]
+            for c, v in zip(erased, pack_blocks(missing)):
+                word[c] = v
+            return
+        for c, v in zip(erased, self._solve(word, erased)):
             word[c] = v
+
+    def _solve(self, word: Sequence[int],
+               erased: tuple[int, ...]) -> list[int]:
+        # The symbols at ``erased`` of the codeword agreeing with word's
+        # other symbols, by one solve.
+        h = self.check_matrix
+        known = list(word)
+        for c in erased:
+            known[c] = 0
+        return solve(h.submatrix(cols=erased), h.mul_vec(known))

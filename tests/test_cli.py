@@ -259,6 +259,36 @@ def test_decode_contradicting_vanishing_row_survivor(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", [H2_SPEC, H3_SPEC], ids=["h2", "h3"])
+def test_decode_linear_checks_arrays_with_no_erasures(tmp_path, capsys,
+                                                      spec):
+    code = write_spec(tmp_path, spec)
+    data = write_data(tmp_path, [11, 6][:2 if spec is H2_SPEC else 1])
+    enc = tmp_path / "enc.txt"
+    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+    out = tmp_path / "dec.txt"
+    assert cli.main(["decode", code, str(enc), "-o", str(out)]) == 0
+    assert out.read_text() == enc.read_text()
+    out.unlink()
+    lines = [line.split() for line in enc.read_text().splitlines()]
+    lines[2][1] = f"{int(lines[2][1], 16) ^ 1:x}"     # no "?" anywhere
+    flipped = tmp_path / "flipped.txt"
+    flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
+    capsys.readouterr()
+    assert cli.main(["decode", code, str(flipped), "-o", str(out)]) == 3
+    assert "uncorrectable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", [{"w": 4.0}, {"w": 4, "alpha": True},
+                                   {"w": 4, "modulus_hex": 19}],
+                         ids=["float_w", "bool_alpha", "int_modulus"])
+def test_non_integer_field_exits_2(tmp_path, capsys, field):
+    code = write_spec(tmp_path, {**H2_SPEC, "field": field})
+    assert cli.main(["info", code]) == 2
+    assert "bad field description" in capsys.readouterr().err
+
+
 def test_decode_linear_code(tmp_path, capsys):
     code = write_spec(tmp_path, H2_SPEC)
     data = write_data(tmp_path, [11, 6])

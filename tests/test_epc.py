@@ -443,5 +443,23 @@ def test_lc_erasure_decode_word_length():
     code = build_h2(3, 3)
     with pytest.raises(ValueError):
         lc_erasure_decode([0] * 8, {1}, code)
-    # no erasures: input is returned as-is
+    # no erasures: a codeword comes back as it is
     assert lc_erasure_decode([0] * 9, set(), code) == [0] * 9
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_h2(3, 3),
+    lambda: build_h3(3, 3, GF(10, 0x7ff)),     # the README's epc-h3 field
+    lambda: build_h2(15, 17)], ids=["h2(3,3)", "h3(3,3)/w10", "h2(15,17)"])
+def test_lc_erasure_decode_checks_words_with_no_erasures(build):
+    code = build()
+    rng = random.Random(191)
+    word = lc_encode([rng.randrange(1 << code.field.w)
+                      for _ in range(code.dimension)], code)
+    assert lc_erasure_decode(word, set(), code) == word
+    for _ in range(3):
+        bad = list(word)
+        bad[rng.randrange(code.length)] ^= 1
+        with pytest.raises(UncorrectableError, match="inconsistent") as exc:
+            lc_erasure_decode(bad, set(), code)
+        assert exc.value.remaining == frozenset()

@@ -69,6 +69,17 @@ def test_parse_gpc_spec_rejects_non_integers(change):
                          "s": [2, 1, 3], "u": [1, 3, 4], **change})
 
 
+@pytest.mark.parametrize("field", [
+    {"w": 8.7}, {"w": 8.0}, {"w": True}, {"w": "8"},
+    {"w": 8, "alpha": 2.0}, {"w": 8, "alpha": True},
+    {"w": 8, "modulus_hex": 285}, {"w": 8, "modulus_hex": None}],
+    ids=["float_w", "integral_float_w", "bool_w", "string_w",
+         "float_alpha", "bool_alpha", "int_modulus", "null_modulus"])
+def test_parse_field_rejects_non_integers(field):
+    with pytest.raises(SpecFileError, match="integer|string"):
+        parse_code_spec({"kind": "epc-h2", "m": 3, "n": 3, "field": field})
+
+
 def test_parse_epc_specs():
     g1 = parse_code_spec({"kind": "epc-g1", "m": 4, "v": 1, "n": 5, "h": 1})
     assert g1.params is not None

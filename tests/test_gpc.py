@@ -52,6 +52,13 @@ def scale_array(a, factor, field):
                         for row in a.values])
 
 
+def grid_codes_over_wider_fields():
+    grid = [p for p in _small_param_grid() if not p.violations()]
+    for w, base in zip(range(4, 9), grid[::60]):
+        for p in (base, grid[len(grid) - 1 - grid.index(base)]):
+            yield GpcParams(p.m, p.n, p.k, p.s, p.u, default_field(w))
+
+
 # ---------------------------------------------------------------- parameters
 
 def test_parameter_validation():
@@ -194,7 +201,7 @@ def encoders(monkeypatch):
 
 
 def scalar_encode(data, params):
-    return gpc._scalar_encode(data, params, params.parity_positions())
+    return gpc._encode_pass(data, params, params.parity_positions())
 
 
 def stripes(params, rng):
@@ -205,10 +212,10 @@ def stripes(params, rng):
 
 
 def compile_on_next_encode(params):
-    """The encoder slot, set to have counted K encodes, so the next one
-    compiles."""
+    """The encoder slot, set to have counted its compile's cost in
+    encodes, so the next one compiles."""
     slot = gpc._view(params).encoder
-    slot.uses = params.dimension()
+    slot.uses = gpc.encoder_cost(params.dimension())
     return slot
 
 
@@ -221,19 +228,45 @@ def test_compiled_encode_matches_scalar(params, encoders, monkeypatch):
     encode(cases[0][0], params)
     assert slot.map is not None
     # from here on every encode must come from the map
-    monkeypatch.delattr(gpc, "_scalar_encode")
+    monkeypatch.delattr(gpc, "_encode_pass")
     for data, expected in cases:
         assert encode(data, params) == expected
 
 
+def probe_encoder_columns(params):
+    """The encoder map's columns built from K scalar encodes of the unit
+    data vectors, the compile's former construction."""
+    parity = params.parity_positions()
+    dim = params.dimension()
+    size = params.m * params.n
+    targets = sorted(r * params.n + c for r, c in parity)
+    data_cells = [j for j in range(size) if j not in set(targets)]
+    columns = [b""] * size
+    for s, j in enumerate(data_cells):
+        word = scalar_encode([int(i == s) for i in range(dim)],
+                             params).flatten()
+        columns[j] = bytes(word[t] for t in targets)
+    return columns
+
+
+@pytest.mark.parametrize(
+    "params", [G16, FLAGSHIP, K_EQ_M, *grid_codes_over_wider_fields()],
+    ids=lambda p: f"{p.m}x{p.n}_k{p.k}_w{p.field.w}")
+def test_block_compiled_encoder_equals_unit_vector_probes(params, encoders):
+    compiled = gpc._compile_encoder(params)
+    assert compiled.columns == probe_encoder_columns(params)
+    assert compiled.targets == sorted(
+        r * params.n + c for r, c in params.parity_positions())
+
+
 def test_encoder_compiles_after_k_encodes(encoders):
-    k = PLUS_ONE.dimension()
+    cost = gpc.encoder_cost(PLUS_ONE.dimension())
     for data in stripes(PLUS_ONE, random.Random(74)) * 3:
         assert encode(data, PLUS_ONE) == scalar_encode(data, PLUS_ONE)
-        # K scalar encodes, then one that compiles and applies the map
+        # cost scalar encodes, then one that compiles and applies the map
         slot = encoders[PLUS_ONE].encoder
-        assert (slot.map is None) == (slot.uses <= k)
-    assert slot.map is not None and slot.uses == k + 1
+        assert (slot.map is None) == (slot.uses <= cost)
+    assert slot.map is not None and slot.uses == cost + 1
 
 
 def test_wide_field_encode_stays_scalar(encoders):
@@ -549,13 +582,6 @@ def decode_cases(params, rng, patterns=2):
     return cases
 
 
-def grid_codes_over_wider_fields():
-    grid = [p for p in _small_param_grid() if not p.violations()]
-    for w, base in zip(range(4, 9), grid[::60]):
-        for p in (base, grid[len(grid) - 1 - grid.index(base)]):
-            yield GpcParams(p.m, p.n, p.k, p.s, p.u, default_field(w))
-
-
 def row_plans(view):
     """Every row-plan slot of a gpc view, over all its level codes."""
     return [s for code in view.levels for s in code._plans.values()]
@@ -579,6 +605,97 @@ def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
     compiled = {p: sum(s.map is not None for s in row_plans(encoders[p]))
                 for p in codes}
     assert all(compiled.values())
+
+
+def shared_column_cases(params, rng):
+    """Damaged codewords whose erasures put many rows on the same
+    columns: u_0 whole columns, or one whole column and one whole row;
+    clean survivors and one flipped survivor each."""
+    word = rand_codeword(params, rng)
+    cases = []
+    for lost in (rng.sample(range(params.n), params.u[0]),
+                 rng.sample(range(params.n), 1)):
+        pattern = {(r, c) for r in range(params.m) for c in lost}
+        if len(lost) == 1:
+            row = rng.randrange(params.m)
+            pattern |= {(row, c) for c in range(params.n)}
+        damaged = erase_positions(word, pattern)
+        flipped = damaged.copy()
+        r, c = rng.choice([(r, c) for r in range(params.m)
+                           for c in range(params.n) if (r, c) not in pattern])
+        flipped.fill(r, c, flipped.values[r][c] ^ 1)
+        cases += [damaged, flipped]
+    return cases
+
+
+def record_fill_blocks(monkeypatch):
+    """The list that records the block size of every LinearCode.fill
+    from here on."""
+    blocks = []
+    fill = LinearCode.fill
+
+    def recording_fill(self, word, erased, block=1):
+        blocks.append(block)
+        return fill(self, word, erased, block)
+
+    monkeypatch.setattr(LinearCode, "fill", recording_fill)
+    return blocks
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_grouped_row_repairs_match_scalar_reference(decoder, encoders,
+                                                    monkeypatch):
+    """Rows that share their erased columns repair as one block, with
+    the output and errors of the scalar solves."""
+    rng = random.Random(173)
+    codes = list(grid_codes_over_wider_fields()) + [FLAGSHIP, G16, K_EQ_M]
+    cases = [(p, arr) for p in codes
+             for arr in shared_column_cases(p, rng) + decode_cases(p, rng)]
+    # maps of at most 0 bytes: every row repair runs the scalar solve
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
+    expected = [outcome(decoder, arr, p) for p, arr in cases]
+    monkeypatch.undo()
+    encoders.clear()
+    monkeypatch.setattr(gpc, "_VIEWS", encoders)
+    blocks = record_fill_blocks(monkeypatch)
+    for _ in range(2):
+        for (p, arr), want in zip(cases, expected):
+            assert outcome(decoder, arr, p) == want
+    assert max(blocks) >= G16.m - 1
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_flipped_survivor_in_grouped_rows_raises(decoder, encoders):
+    """G16 loses one whole column: all 16 rows repair as one block with
+    a check row to spare, so any flipped survivor raises."""
+    rng = random.Random(179)
+    word = rand_codeword(G16, rng)
+    col = rng.randrange(G16.n)
+    damaged = erase_positions(word, [(r, col) for r in range(G16.m)])
+    for _ in range(3):
+        assert decoder(damaged, G16) == word
+        bad = damaged.copy()
+        r = rng.randrange(G16.m)
+        c = rng.choice([c for c in range(G16.n) if c != col])
+        bad.fill(r, c, bad.values[r][c] ^ rng.randrange(1, 256))
+        with pytest.raises(UncorrectableError) as exc_info:
+            decoder(bad, G16)
+        assert exc_info.value.remaining == set(damaged.erased_positions())
+    assert encoders[G16].levels[0]._plans[(col,)].map is not None
+
+
+def test_wide_field_never_builds_blocks(encoders, monkeypatch):
+    p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                  field=default_field(10))
+    blocks = record_fill_blocks(monkeypatch)
+    rng = random.Random(181)
+    for _ in range(gpc.encoder_cost(p.dimension()) + 2):
+        rand_codeword(p, rng)
+    for arr in shared_column_cases(p, rng):
+        for decoder in (decode_rows, decode_iterative):
+            outcome(decoder, arr, p)
+    assert blocks and set(blocks) == {1}
+    assert encoders[p].encoder.map is None
 
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
@@ -705,6 +822,21 @@ def test_symbol_array_mask_is_authoritative():
     assert not arr.erased[0][1] and arr.values[0][1] == 7
     arr.erase(1, 0)
     assert arr.values[1][0] == 0
+
+
+def test_symbol_array_copy_zeroes_erased_cells():
+    arr = SymbolArray([[1, 2, 3], [4, 5, 6]])
+    arr.erase(0, 2)
+    arr.values[0][2] = 9                  # junk written past the mask
+    arr.values[1][0] = 8
+    dup = arr.copy()
+    assert dup.values == [[1, 2, 0], [8, 5, 6]]
+    assert dup.erased == arr.erased and dup.erased is not arr.erased
+    assert all(a is not b for a, b in zip(dup.values, arr.values))
+    assert all(a is not b for a, b in zip(dup.erased, arr.erased))
+    dup.values[1][1] = 7
+    dup.erase(1, 2)
+    assert arr.values[1] == [8, 5, 6] and not arr.erased[1][2]
 
 
 def test_symbol_array_copy_and_transpose():

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
+from gpcodes import linalg
 from gpcodes.epc import build_h2
 from gpcodes.fields import default_field
 from gpcodes.gpc import component_parity_check
 from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
-                            UnderdeterminedError, kron, null_space, rank,
-                            row_reduce, solve, vandermonde, vstack)
-from test_gpc import G16
+                            UnderdeterminedError, combine, kron, null_space,
+                            pack_blocks, rank, row_reduce, solve,
+                            unpack_block, vandermonde, vstack)
+from test_gpc import G16, grid_codes_over_wider_fields
 
 F16 = default_field(4)
 F8 = default_field(3)
@@ -245,3 +247,117 @@ def test_fill_ignores_the_erased_symbols(build, erased, compiled):
             assert out == expected
         assert (code._plans[erased].map is not None) == compiled
 
+
+
+# ------------------------------------------------------------ blocks
+
+def _level_codes():
+    """The row codes of G16's levels and of ten grid codes over
+    GF(2^4..2^8)."""
+    for p in [G16, *grid_codes_over_wider_fields()]:
+        for i in range(p.t):
+            yield LinearCode(p.field, p.n, component_parity_check(p, i))
+
+
+def _unpacked(word, count, block=1):
+    """The ``count`` words packed into ``word`` by pack_blocks."""
+    return [list(w) for w in zip(*(unpack_block(v, count, block)
+                                   for v in word))]
+
+
+def test_pack_blocks_roundtrip():
+    words = [[1, 0, 255], [7, 9, 0]]
+    assert pack_blocks(words) == [0x0701, 0x0900, 0x00ff]
+    assert _unpacked(pack_blocks(words), 2) == words
+    wide = [[0x0102, 0], [0x0304, 0xffff]]     # blocks of two bytes
+    assert pack_blocks(wide, 2) == [0x03040102, 0xffff0000]
+    assert _unpacked(pack_blocks(wide, 2), 2, 2) == wide
+
+
+@pytest.mark.parametrize("field", [default_field(4), default_field(8),
+                                   default_field(10)], ids=["w4", "w8", "w10"])
+def test_combine_blocks_equal_per_word_sums(field):
+    rng = random.Random(163)
+    top, width, count = 1 << field.w, 5, 3
+    terms = [(rng.randrange(1, top),
+              [[rng.randrange(top) for _ in range(width)]
+               for _ in range(count)]) for _ in range(4)]
+    if field.w > 8:
+        with pytest.raises(ValueError, match="w <= 8"):
+            combine(field, [(1, [0] * width)], width, 2)
+        return
+    expected = [combine(field, [(g, rows[i]) for g, rows in terms], width)
+                for i in range(count)]
+    got = combine(field, [(g, pack_blocks(rows)) for g, rows in terms],
+                  width, count)
+    assert _unpacked(got, count) == expected
+
+
+@pytest.mark.parametrize("compiled", [False, True], ids=["solve", "plan"])
+def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
+    """A fill of L words side by side in blocks writes what L fills of
+    the single words write, and a flipped survivor in any one of the
+    words raises, leaving the block word as it was."""
+    rng = random.Random(167)
+    if not compiled:
+        # no map fits: the block fill solves word by word
+        monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
+    for code in _level_codes():
+        h, top = code.check_matrix, 1 << code.field.w
+        # fewer erasures than check rows, so a flip always shows
+        erased = tuple(sorted(rng.sample(range(code.length),
+                                         rng.randrange(h.rows))))
+        parity = code.parity_positions()
+        words = []
+        for _ in range(rng.randint(2, 5)):
+            word = [0 if j in parity else rng.randrange(top)
+                    for j in range(code.length)]
+            code.fill(word, parity)
+            words.append(_written(word, erased,
+                                  [rng.randrange(top) for _ in erased]))
+        expected = []
+        for word in words:
+            code._plans.clear()
+            out = list(word)
+            code.fill(out, erased)
+            expected.append(out)
+        block = len(words)
+        code._plans.clear()
+        if compiled:
+            slot = code._plans[erased] = PlanSlot()
+            slot.uses = len(erased)      # this block compiles the plan
+        packed = pack_blocks(words)
+        code.fill(packed, erased, block)
+        assert _unpacked(packed, block) == expected
+        assert (code._plans[erased].map is not None) == compiled
+        i = rng.randrange(block)
+        j = rng.choice([j for j in range(code.length) if j not in erased])
+        bad = pack_blocks(words)
+        bad[j] ^= 1 << 8 * i
+        before = list(bad)
+        with pytest.raises(NoSolutionError):
+            code.fill(bad, erased, block)
+        assert bad == before
+
+
+def test_block_uses_count_toward_the_compile():
+    """A block of L words counts L uses: a slot compiles on the block
+    that passes its cost, and only then."""
+    code = _g16_level_1()
+    erased = (3, 17, 29)
+    words = [[0] * code.length for _ in range(2)]
+    code.fill(pack_blocks(words), erased, 2)        # uses 0 -> 2 <= 3
+    assert code._plans[erased].map is None
+    code.fill(pack_blocks(words), erased, 2)        # uses 2 -> 4 > 3
+    slot = code._plans[erased]
+    assert slot.map is not None and slot.uses == 4
+    big = PlanSlot()
+    assert big.plan(G16.field, 3, 1, lambda: "map", uses=100) == "map"
+
+
+def test_wide_field_block_fill_raises():
+    f = default_field(10)
+    code = LinearCode(f, 5, vandermonde(f, [f.alpha_pow(j)
+                                            for j in range(5)], 2))
+    with pytest.raises(ValueError, match="w <= 8"):
+        code.fill([0, 1, 2, 0, 0], (3, 4), 2)

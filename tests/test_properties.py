@@ -89,8 +89,8 @@ def test_compiled_encoder_matches_scalar(params, seed):
     for _ in range(3):
         data = [rng.randrange(1 << params.field.w)
                 for _ in range(params.dimension())]
-        expected = gpc._scalar_encode(data, params,
-                                      params.parity_positions()).flatten()
+        expected = gpc._encode_pass(data, params,
+                                    params.parity_positions()).flatten()
         word = [0 if j in compiled.targets else v
                 for j, v in enumerate(expected)]
         compiled.apply(word)
