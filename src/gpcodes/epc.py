@@ -181,10 +181,15 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     raised, as it is when the survivors contradict the code, a word
     with no erasures included.  Survivors
     must lie in the field; the symbols at erased positions are ignored.
-    From the |E| + 1-th decode of one pattern E of ``code``, a field
-    with w <= 8 applies the pattern's compiled plan instead of the solve
-    (see :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the
-    same errors, checks included.
+    The first |E| decodes of one pattern E of ``code`` solve from the
+    code's :meth:`~gpcodes.linalg.LinearCode.syndrome`, compiled once
+    per code for w <= 8: about 0.1 to 0.2 ms per decode for |E| <= 7 on
+    ``build_h2(15, 17)`` on a shared 2-core Xeon with Python 3.11,
+    against 0.5 to 0.7 ms when the syndrome ran one field multiply per
+    nonzero check entry.  From the |E| + 1-th decode, a field with
+    w <= 8 applies the pattern's compiled plan instead of the solve (see
+    :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the same
+    errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
@@ -230,4 +235,5 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:
-    return not any(code.check_matrix.mul_vec(word))
+    """Whether ``word`` has a zero :meth:`~LinearCode.syndrome`."""
+    return not any(code.syndrome(word))

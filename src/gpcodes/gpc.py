@@ -199,19 +199,26 @@ class SymbolArray:
     def zeros(cls, m: int, n: int) -> "SymbolArray":
         return cls([[0] * n for _ in range(m)])
 
-    def copy(self) -> "SymbolArray":
-        # The row lists, copied directly; erased cells read 0 even when
-        # a caller wrote into ``values``.
-        out = SymbolArray.__new__(SymbolArray)
-        out.m, out.n = self.m, self.n
-        out.erased = [flags[:] for flags in self.erased]
-        out.values = [vals[:] for vals in self.values]
-        span = range(self.n)
-        for vals, flags in zip(out.values, self.erased):
+    @classmethod
+    def _masked(cls, values: list[list[int]],
+                erased: list[list[bool]]) -> "SymbolArray":
+        # An array that takes new row lists of a valid shape as they
+        # are, without __init__'s checks; erased cells are set to 0,
+        # since a caller may have written into them.
+        out = cls.__new__(cls)
+        out.values, out.erased = values, erased
+        out.m = len(values)
+        out.n = len(values[0]) if values else 0
+        span = range(out.n)
+        for vals, flags in zip(values, erased):
             if True in flags:
                 for c in compress(span, flags):
                     vals[c] = 0
         return out
+
+    def copy(self) -> "SymbolArray":
+        return self._masked([vals[:] for vals in self.values],
+                            [flags[:] for flags in self.erased])
 
     def erase(self, r: int, c: int) -> None:
         self.values[r][c] = 0
@@ -230,7 +237,8 @@ class SymbolArray:
                 if self.erased[r][c]]
 
     def transposed(self) -> "SymbolArray":
-        return SymbolArray(list(zip(*self.values)), list(zip(*self.erased)))
+        return self._masked(list(map(list, zip(*self.values))),
+                            list(map(list, zip(*self.erased))))
 
     def flatten(self) -> list[int]:
         return [v for row in self.values for v in row]
@@ -363,25 +371,29 @@ def _checked_copy(arr: SymbolArray, params: GpcParams) -> SymbolArray:
 
 
 def is_member(arr: SymbolArray, params: GpcParams) -> bool:
-    """Exact membership test by direct syndrome evaluation."""
+    """Exact membership test by direct syndrome evaluation.
+
+    Every row goes through the level-0 code's
+    :meth:`~gpcodes.linalg.LinearCode.syndrome`, and each row
+    combination, summed with :func:`~gpcodes.linalg.combine`, through
+    the syndromes of the deeper levels it must lie in.
+    """
     params.check()
     _check_shape(arr, params)
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    h = [code.check_matrix for code in _view(params).levels]
+    levels = _view(params).levels
     for row in arr.values:
-        if any(h[0].mul_vec(row)):
+        if any(levels[0].syndrome(row)):
             return False
-    depth = params.s_hat(1)
-    if not depth:
-        return True
-    # Row r of the product is the row combination weighted by alpha^(r*j).
+    # Combination r weights row j by alpha^(r*j).
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    combos = vandermonde(f, row_nodes, depth).matmul(Matrix(f, arr.values))
-    for r, combo in enumerate(combos.data):
+    weights = vandermonde(f, row_nodes, params.s_hat(1)).data
+    for r, gamma in enumerate(weights):
+        combo = combine(f, zip(gamma, arr.values), params.n)
         for i in range(1, params.t + 1):
-            if r < params.s_hat(i) and any(h[i].mul_vec(combo)):
+            if r < params.s_hat(i) and any(levels[i].syndrome(combo)):
                 return False
     return True
 

@@ -28,7 +28,13 @@ cache, evicting the least recently used entry.
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
 h3 codes a whole word at a time, ``gpc`` one array row at a time
-against one level's row code.
+against one level's row code.  Its :meth:`LinearCode.syndrome` is
+compiled once per code, not once per pattern: for w <= 8 the check
+matrix's columns as bytes, the check-only plan of no erasures, so
+``H @ word`` costs one ``bytes.translate`` per nonzero symbol.  The
+scalar fill of a pattern with no plan yet solves from that syndrome,
+and both families' membership tests read it.  Wider fields fall back
+to :meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -299,9 +305,9 @@ class ByteMap:
         :class:`NoSolutionError`, leaving ``word`` as it was, when a
         check symbol (of any of the L words) is nonzero.
         """
-        tables, from_bytes = self.tables, int.from_bytes
         width = len(self.targets)
         if block > 1:
+            tables, from_bytes = self.tables, int.from_bytes
             acc = [0] * self.height
             for col, v in zip(self.columns, word):
                 if v:
@@ -315,14 +321,21 @@ class ByteMap:
             for j, v in zip(self.targets, acc):
                 word[j] = v
             return
-        acc = 0
-        for col, v in zip(self.columns, word):
-            if v:
-                acc ^= from_bytes(col.translate(tables[v]), "little")
+        acc = self.image(word)
         if acc >> 8 * width:
             raise NoSolutionError("inconsistent system")
         for j, v in zip(self.targets, acc.to_bytes(width, "little")):
             word[j] = v
+
+    def image(self, word: Sequence[int]) -> int:
+        """The map of ``word`` (symbols in range) as one int: byte i is
+        the i-th target symbol, then the check symbols, in order."""
+        tables, from_bytes = self.tables, int.from_bytes
+        acc = 0
+        for col, v in zip(self.columns, word):
+            if v:
+                acc ^= from_bytes(col.translate(tables[v]), "little")
+        return acc
 
 
 def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
@@ -399,8 +412,8 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     if len(_eliminate(rows, h.field, e, full=True)) < e:
         return None
     columns = [b""] * h.cols
-    for i, c in enumerate(rest, e):
-        columns[c] = bytes(row[i] for row in rows)
+    for c, col in zip(rest, list(zip(*rows))[e:]):
+        columns[c] = bytes(col)
     return ByteMap(h.field, columns, erased)
 
 
@@ -412,12 +425,13 @@ class PlanSlot:
     repay its compile.  Callers state that compile's cost in uses:
     2 + K // 32 for a gpc encoder, built in one row pass over blocks of
     its K unit data vectors (measured at 14 scalar encodes for G16, K =
-    372; see ``gpc.encoder_cost``), and |E| for an erasure plan,
-    whose |E| pivot steps each cost at most the ``mul_vec`` a scalar
-    decode pays (measured at 4 scalar decodes for |E| = 17 on
-    ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
-    row's level code, so it costs |cols| uses too (measured at 1.3 to
-    2.3 scalar row solves for |cols| = 2, 4 and 8 on G16).  A fill of a
+    372; see ``gpc.encoder_cost``), and |E| for an erasure plan, one
+    elimination with |E| pivot steps (measured at 7 scalar decodes for
+    |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for |E| = 3 and 7;
+    4, 3 and 3 while the scalar syndrome ran :meth:`Matrix.mul_vec`).
+    A gpc row plan is an erasure plan of one row's level code, so it
+    costs |cols| uses too (measured at 1.9 to 2.4 scalar row solves for
+    |cols| = 2, 4 and 8 on G16).  A fill of a
     block of L words counts L uses.  A slot stays scalar for ``cost``
     uses and compiles on the use that passes it, the rent-or-buy rule:
     a process that uses it at most ``cost`` times never pays for a map,
@@ -469,6 +483,7 @@ class LinearCode:
         self._parity_positions: tuple[int, ...] | None = None
         self._data_positions: tuple[int, ...] | None = None
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
+        self._checks: ByteMap | None = None
 
     @property
     def redundancy(self) -> int:
@@ -498,6 +513,29 @@ class LinearCode:
                 j for j in range(self.length) if j not in parity)
         return self._data_positions
 
+    def syndrome(self, word: Sequence[int]) -> list[int]:
+        """``check_matrix.mul_vec(word)`` for a word of symbols in range.
+
+        For w <= 8 it runs the code's check-only plan, compiled on first
+        use: the check matrix's columns as bytes, one byte per check row
+        (:func:`erasure_plan` of no erasures), each multiplied with one
+        ``bytes.translate`` and XORed as one big integer.  Wider fields
+        run :meth:`Matrix.mul_vec`.
+        """
+        h = self.check_matrix
+        if len(word) != self.length:
+            raise ValueError("vector length mismatch")
+        if self.field.w > 8:
+            return h.mul_vec(word)
+        return list(self._check_map().image(word).to_bytes(h.rows, "little"))
+
+    def _check_map(self) -> ByteMap:
+        # The check-only plan, built once per code: its syndrome, and the
+        # fill of a word with no erasures.
+        if self._checks is None:
+            self._checks = erasure_plan(self.check_matrix, ())
+        return self._checks
+
     def fill(self, word: list[int], erased: tuple[int, ...],
              block: int = 1) -> None:
         """Fill the positions ``erased`` (ascending) of ``word``, whose
@@ -508,17 +546,21 @@ class LinearCode:
 
         The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`
         once |E| uses have passed, a block counting L.  Until then, and
-        when no plan is built, the :func:`solve` runs, word by word,
-        with the erased symbols zeroed.  Raises
-        :class:`UnderdeterminedError` on dependent erased columns and
-        :class:`NoSolutionError` when the survivors contradict the code,
-        leaving ``word`` as it was.
+        when no plan is built, the :func:`solve` runs, word by word, on
+        the :meth:`syndrome` of the word with its erased symbols zeroed:
+        for w <= 8 one product-table pass over the check matrix's byte
+        columns, compiled once per code, and for w > 8
+        :meth:`Matrix.mul_vec`.  The plan of no erasures is that
+        syndrome's map itself.  Raises :class:`UnderdeterminedError` on
+        dependent erased columns and :class:`NoSolutionError` when the
+        survivors contradict the code, leaving ``word`` as it was.
         """
         h = self.check_matrix
         slot = recall(self._plans, erased, _PLAN_LIMIT, PlanSlot)
         plan = slot.plan(self.field, len(erased),
                          (self.length - len(erased)) * h.rows,
-                         lambda: erasure_plan(h, erased), block)
+                         (lambda: erasure_plan(h, erased)) if erased
+                         else self._check_map, block)
         if plan is not None:
             plan.apply(word, block)
             return
@@ -541,4 +583,4 @@ class LinearCode:
         known = list(word)
         for c in erased:
             known[c] = 0
-        return solve(h.submatrix(cols=erased), h.mul_vec(known))
+        return solve(h.submatrix(cols=erased), self.syndrome(known))

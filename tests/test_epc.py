@@ -439,6 +439,28 @@ def test_lc_erasure_decode_inconsistent_survivors_report_remaining():
     assert exc_info.value.remaining == frozenset({0, 8})
 
 
+def test_flipped_survivor_raises_through_the_solve_on_h2():
+    """Patterns on their first decode, so the scalar solve of the
+    compiled syndrome runs: one flipped survivor with |E| + 1 < d = 8
+    always contradicts the code."""
+    code = build_h2(15, 17)
+    rng = random.Random(223)
+    word = lc_encode([rng.randrange(256) for _ in range(code.dimension)],
+                     code)
+    for _ in range(12):
+        erased = frozenset(rng.sample(range(code.length), rng.randint(1, 6)))
+        assert tuple(sorted(erased)) not in code._plans
+        damaged = [0 if j in erased else v for j, v in enumerate(word)]
+        bad = list(damaged)
+        j = rng.choice([j for j in range(code.length) if j not in erased])
+        bad[j] ^= rng.randrange(1, 256)
+        with pytest.raises(UncorrectableError, match="inconsistent") as exc:
+            lc_erasure_decode(bad, erased, code)
+        assert exc.value.remaining == erased
+        assert code._plans[tuple(sorted(erased))].map is None
+        assert lc_erasure_decode(damaged, erased, code) == word
+
+
 def test_lc_erasure_decode_word_length():
     code = build_h2(3, 3)
     with pytest.raises(ValueError):

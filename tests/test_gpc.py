@@ -353,6 +353,35 @@ def test_membership_matches_parity_matrix():
         assert is_member(arr, p) == syndrome_zero
 
 
+@pytest.mark.parametrize("params", [
+    G16, K_EQ_M, GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                           field=default_field(10))],
+    ids=["G16", "k_eq_m", "w10"])
+def test_membership_past_the_row_checks_matches_parity_matrix(params):
+    """Arrays whose every row lies in the level-0 row code: the deeper
+    checks on the row combinations decide, as the full parity matrix
+    does."""
+    rng = random.Random(211)
+    top = 1 << params.field.w
+    h = full_parity_matrix(params)
+    basis = linalg.null_space(component_parity_check(params, 0))
+    word = encode([rng.randrange(top) for _ in range(params.dimension())],
+                  params)
+    assert is_member(word, params)
+    seen = set()
+    for _ in range(4):
+        arr = word.copy()
+        r = rng.randrange(params.m)
+        extra = linalg.combine(params.field,
+                               [(rng.randrange(1, top), v) for v in basis],
+                               params.n)
+        arr.values[r] = [a ^ b for a, b in zip(arr.values[r], extra)]
+        member = is_member(arr, params)
+        assert member == (not any(h.mul_vec(arr.flatten())))
+        seen.add(member)
+    assert False in seen
+
+
 def test_full_parity_matrix_rank():
     for p in (FLAGSHIP, PLUS_ONE, PRODUCT):
         assert rank(full_parity_matrix(p)) == p.m * p.n - p.dimension()
@@ -837,6 +866,21 @@ def test_symbol_array_copy_zeroes_erased_cells():
     dup.values[1][1] = 7
     dup.erase(1, 2)
     assert arr.values[1] == [8, 5, 6] and not arr.erased[1][2]
+
+
+def test_symbol_array_transposed_zeroes_erased_cells():
+    arr = SymbolArray([[1, 2, 3], [4, 5, 6]])
+    arr.erase(0, 2)
+    arr.values[0][2] = 9                  # junk written past the mask
+    t = arr.transposed()
+    assert (t.m, t.n) == (3, 2)
+    assert t.values == [[1, 4], [2, 5], [0, 6]]
+    assert t.erased == [[False, False], [False, False], [True, False]]
+    assert all(type(row) is list for row in (*t.values, *t.erased))
+    t.values[0][0] = 7
+    t.erase(1, 1)
+    assert arr.values == [[1, 2, 9], [4, 5, 6]] and not arr.erased[1][1]
+    assert SymbolArray([]).transposed() == SymbolArray([])
 
 
 def test_symbol_array_copy_and_transpose():

@@ -5,13 +5,14 @@ import random
 import pytest
 
 from gpcodes import linalg
-from gpcodes.epc import build_h2
-from gpcodes.fields import default_field
-from gpcodes.gpc import component_parity_check
+from gpcodes.epc import build_h2, build_h3
+from gpcodes.fields import GF, default_field
+from gpcodes.gpc import GpcParams, component_parity_check
 from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
                             UnderdeterminedError, combine, kron, null_space,
                             pack_blocks, rank, row_reduce, solve,
                             unpack_block, vandermonde, vstack)
+from test_acceptance import _small_param_grid
 from test_gpc import G16, grid_codes_over_wider_fields
 
 F16 = default_field(4)
@@ -247,6 +248,65 @@ def test_fill_ignores_the_erased_symbols(build, erased, compiled):
             assert out == expected
         assert (code._plans[erased].map is not None) == compiled
 
+
+
+# ------------------------------------------------------------ syndromes
+
+def _grid_codes_w3_to_w8():
+    """Ten criterion-6 grid codes, each over one of GF(2^3..2^8)."""
+    grid = [p for p in _small_param_grid() if not p.violations()]
+    out = []
+    for i, p in enumerate(grid[::97]):
+        q = GpcParams(p.m, p.n, p.k, p.s, p.u, default_field(3 + i % 6))
+        if not q.violations():
+            out.append(q)
+    return out[:10]
+
+
+def _levels(p):
+    """New copies of the row codes of p's levels 0..t, level t's check
+    the identity."""
+    checks = [component_parity_check(p, i) for i in range(p.t)]
+    checks.append(Matrix.identity(p.field, p.n))
+    return [LinearCode(p.field, p.n, h) for h in checks]
+
+
+def _syndrome_codes():
+    """(name, code): G16's level codes, the benchmark's H2, an h3 code
+    over GF(2^10) and the level codes of ten grid codes."""
+    for i, code in enumerate(_levels(G16)):
+        yield f"G16/{i}", code
+    yield "H2(15,17)", build_h2(15, 17)
+    yield "h3(3,3)/w10", build_h3(3, 3, GF(10, 0x7ff))
+    for p in _grid_codes_w3_to_w8():
+        for i, code in enumerate(_levels(p)):
+            yield f"{p.notation()}/w{p.field.w}/{i}", code
+
+
+def test_syndrome_equals_mul_vec():
+    rng = random.Random(229)
+    names = set()
+    for name, code in _syndrome_codes():
+        names.add(name)
+        top = 1 << code.field.w
+        h = code.check_matrix
+        words = [[0] * code.length, [top - 1] * code.length]
+        words += [[rng.randrange(top) for _ in range(code.length)]
+                  for _ in range(8)]
+        for word in words:
+            assert code.syndrome(word) == h.mul_vec(word), name
+        # one column set per code, shared with the fill of no erasures
+        checks = code._checks
+        assert (checks is None) == (code.field.w > 8), name
+        if checks is not None:
+            code.syndrome(words[-1])
+            code.fill(list(words[0]), ())
+            assert code._checks is checks is code._plans[()].map, name
+        with pytest.raises(ValueError, match="length"):
+            code.syndrome([0] * (code.length + 1))
+    ws = {int(n.split("/w")[1].split("/")[0]) for n in names
+          if n.startswith("C(")}
+    assert ws == set(range(3, 9)) and len(names) > 20
 
 
 # ------------------------------------------------------------ blocks
