@@ -271,9 +271,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except files.SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except oracle.SearchBudgetError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except PrimeSearchError as exc:
         print(f"search limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -17,7 +17,9 @@ shapes.  Three concrete constructions are provided:
 
 The latter two are plain linear codes on flattened arrays: a
 :class:`~gpcodes.linalg.LinearCode`, re-exported here, whose generic
-erasure decoding is :meth:`~gpcodes.linalg.LinearCode.fill`.
+erasure decoding is :meth:`~gpcodes.linalg.LinearCode.fill`.  Their
+check rows are the product code's, the t = 1 generalized product code
+of :func:`gpcodes.gpc.full_parity_matrix`, plus the global power rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .fields import GF, field_with_order
-from .gpc import GpcParams, UncorrectableError
+from .gpc import GpcParams, UncorrectableError, full_parity_matrix
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
                      UnderdeterminedError, solve)
@@ -112,9 +114,11 @@ def _power_row(field: GF, length: int, step: int) -> list[int]:
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
     """EP(m, 1; n, 1; 2) on flattened m x n arrays.
 
-    Check rows: one sum per array row, one sum per array column, then
-    the alpha-power row and its inverse-power twin.  Needs
-    order(alpha) >= m*n.
+    Check rows: the product code's checks, one sum per array row and
+    one per array column (the t = 1 generalized product code with
+    k = m - 1 and u = (1,)), then the alpha-power row and its
+    inverse-power twin.  Needs order(alpha) >= m*n, which also makes
+    that product code valid.
     """
     if m < 2 or n < 2:
         raise ValueError("need m, n >= 2")
@@ -123,21 +127,11 @@ def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
     if field.alpha_order < m * n:
         raise ValueError(
             f"order(alpha)={field.alpha_order} < m*n={m * n}")
-    length = m * n
-    rows = []
-    for i in range(m):
-        row = [0] * length
-        for j in range(n):
-            row[i * n + j] = 1
-        rows.append(row)
-    for j in range(n):
-        row = [0] * length
-        for i in range(m):
-            row[i * n + j] = 1
-        rows.append(row)
-    rows.append(_power_row(field, length, 1))
-    rows.append(_power_row(field, length, -1))
-    return LinearCode(field, length, Matrix(field, rows))
+    product = full_parity_matrix(
+        GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
+    rows = product.data + [_power_row(field, m * n, 1),
+                           _power_row(field, m * n, -1)]
+    return LinearCode(field, m * n, Matrix(field, rows))
 
 
 def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -179,15 +173,14 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     Needs the erased check-matrix columns to be independent; otherwise
     the pattern is uncorrectable and :class:`UncorrectableError` is
     raised, as it is when the survivors contradict the code, a word
-    with no erasures included.  Survivors
-    must lie in the field; the symbols at erased positions are ignored.
-    The first |E| decodes of one pattern E of ``code`` solve from the
-    code's :meth:`~gpcodes.linalg.LinearCode.syndrome`, compiled once
-    per code for w <= 8: about 0.1 to 0.2 ms per decode for |E| <= 7 on
-    ``build_h2(15, 17)`` on a shared 2-core Xeon with Python 3.11,
-    against 0.5 to 0.7 ms when the syndrome ran one field multiply per
-    nonzero check entry.  From the |E| + 1-th decode, a field with
-    w <= 8 applies the pattern's compiled plan instead of the solve (see
+    with no erasures included.  Survivors must lie in the field; the
+    symbols at erased positions are ignored.  The first |E| decodes of
+    one pattern E of ``code`` solve from the code's
+    :meth:`~gpcodes.linalg.LinearCode.syndrome`, compiled once per code
+    for w <= 8: about 0.1 to 0.2 ms per decode for |E| <= 7 on
+    ``build_h2(15, 17)`` on a shared 2-core Xeon with Python 3.11.  From
+    the |E| + 1-th decode, a field with w <= 8 applies the pattern's
+    compiled plan instead of the solve (see
     :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the same
     errors, checks included.
     """
@@ -235,5 +228,7 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:
-    """Whether ``word`` has a zero :meth:`~LinearCode.syndrome`."""
+    """Whether ``word`` has a zero :meth:`~LinearCode.syndrome`; raises
+    ``ValueError`` when a symbol lies outside [0, 2^w)."""
+    code.field.check_symbols(word, "symbol")
     return not any(code.syndrome(word))

@@ -190,10 +190,7 @@ class SymbolArray:
         if len(self.erased) != self.m or \
                 any(len(row) != self.n for row in self.erased):
             raise ValueError("mask shape mismatch")
-        for vals, flags in zip(self.values, self.erased):
-            for c, flag in enumerate(flags):
-                if flag:
-                    vals[c] = 0
+        self._zero_erased()
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "SymbolArray":
@@ -203,18 +200,21 @@ class SymbolArray:
     def _masked(cls, values: list[list[int]],
                 erased: list[list[bool]]) -> "SymbolArray":
         # An array that takes new row lists of a valid shape as they
-        # are, without __init__'s checks; erased cells are set to 0,
-        # since a caller may have written into them.
+        # are, without __init__'s checks.
         out = cls.__new__(cls)
         out.values, out.erased = values, erased
         out.m = len(values)
         out.n = len(values[0]) if values else 0
-        span = range(out.n)
-        for vals, flags in zip(values, erased):
+        out._zero_erased()
+        return out
+
+    def _zero_erased(self) -> None:
+        # Erased cells hold 0, since a caller may have written into them.
+        span = range(self.n)
+        for vals, flags in zip(self.values, self.erased):
             if True in flags:
                 for c in compress(span, flags):
                     vals[c] = 0
-        return out
 
     def copy(self) -> "SymbolArray":
         return self._masked([vals[:] for vals in self.values],
@@ -325,8 +325,10 @@ _VIEWS: dict[GpcParams, _View] = {}
 
 
 def _view(params: GpcParams) -> _View:
-    # Built once per params; callers must not modify the level codes.
+    # Built once per params, which it validates (so an invalid params
+    # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
+        params.check()
         f, n = params.field, params.n
         checks = [component_parity_check(params, i) for i in range(params.t)]
         checks.append(Matrix.identity(f, n))
@@ -344,9 +346,9 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     t) last.  Rows may be redundant; the rank always equals m*n minus
     the dimension.
     """
+    levels = _view(params).levels
     f = params.field
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    levels = _view(params).levels
     blocks = [kron(Matrix.identity(f, params.m), levels[0].check_matrix)]
     for i in range(1, params.t + 1):
         if params.s_hat(i):   # level t is empty when k = m
@@ -376,14 +378,15 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     Every row goes through the level-0 code's
     :meth:`~gpcodes.linalg.LinearCode.syndrome`, and each row
     combination, summed with :func:`~gpcodes.linalg.combine`, through
-    the syndromes of the deeper levels it must lie in.
+    the syndromes of the deeper levels it must lie in.  Raises
+    ``ValueError`` when a symbol lies outside [0, 2^w).
     """
-    params.check()
+    levels = _view(params).levels
     _check_shape(arr, params)
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
-    levels = _view(params).levels
+    f.check_symbols(chain.from_iterable(arr.values), "symbol")
     for row in arr.values:
         if any(levels[0].syndrome(row)):
             return False
@@ -540,10 +543,10 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     repairs), or when surviving symbols contradict a row code
     (``remaining``: every erased cell of ``arr``).
     """
-    params.check()
+    view = _view(params)
     work = _checked_copy(arr, params)
     try:
-        left = _row_pass(work, _view(params), trace)
+        left = _row_pass(work, view, trace)
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
@@ -569,9 +572,8 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     code raise :class:`UncorrectableError` naming every erased cell of
     ``arr``.
     """
-    params.check()
-    work = _checked_copy(arr, params)
     view = _view(params)
+    work = _checked_copy(arr, params)
     try:
         # k = m leaves no column view (see GpcParams.transposed).  An
         # alternation whose column pass fills nothing leaves a state the
@@ -646,12 +648,12 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     vectors side by side.  Codes whose map would exceed
     ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
-    params.check()
+    view = _view(params)
     dim = params.dimension()
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
     params.field.check_symbols(data, "data symbol")
-    enc = _view(params).encoder.plan(
+    enc = view.encoder.plan(
         params.field, encoder_cost(dim), dim * (params.m * params.n - dim),
         lambda: _compile_encoder(params))
     if enc is None:
@@ -673,7 +675,7 @@ def min_weight_codeword(params: GpcParams, level: int,
     vector, and witnesses the distance formula when the level attains
     the minimum.
     """
-    params.check()
+    levels = _view(params).levels
     f = params.field
     rows = sorted(rows)
     cols = sorted(cols)
@@ -688,7 +690,7 @@ def min_weight_codeword(params: GpcParams, level: int,
         raise ValueError("columns out of range or repeated")
     if rows[0] < 0 or rows[-1] >= params.m or len(set(rows)) != len(rows):
         raise ValueError("rows out of range or repeated")
-    h = _view(params).levels[level].check_matrix
+    h = levels[level].check_matrix
     w_basis = _null_vector(h.submatrix(cols=cols))
     row_nodes = [f.alpha_pow(r) for r in rows]
     depth = len(rows) - 1

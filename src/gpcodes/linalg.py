@@ -427,12 +427,11 @@ class PlanSlot:
     its K unit data vectors (measured at 14 scalar encodes for G16, K =
     372; see ``gpc.encoder_cost``), and |E| for an erasure plan, one
     elimination with |E| pivot steps (measured at 7 scalar decodes for
-    |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for |E| = 3 and 7;
-    4, 3 and 3 while the scalar syndrome ran :meth:`Matrix.mul_vec`).
+    |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for |E| = 3 and 7).
     A gpc row plan is an erasure plan of one row's level code, so it
     costs |cols| uses too (measured at 1.9 to 2.4 scalar row solves for
-    |cols| = 2, 4 and 8 on G16).  A fill of a
-    block of L words counts L uses.  A slot stays scalar for ``cost``
+    |cols| = 2, 4 and 8 on G16).  A fill of a block of L words counts L
+    uses.  A slot stays scalar for ``cost``
     uses and compiles on the use that passes it, the rent-or-buy rule:
     a process that uses it at most ``cost`` times never pays for a map,
     and one that compiles has already spent about the compile's cost

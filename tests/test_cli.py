@@ -2,12 +2,14 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from gpcodes import cli, oracle
+from gpcodes import cli, gpc, oracle
 from gpcodes.files import parse_array_text, read_array
 from gpcodes.oracle import DistanceReport
+from test_oracle import flip_first_recovered
 
 FLAGSHIP_SPEC = {"kind": "gpc", "m": 6, "n": 7, "k": 4,
                  "s": [2, 1, 3], "u": [1, 3, 4]}
@@ -33,7 +35,7 @@ def write_data(tmp_path, symbols, name="data.txt"):
 
 def punch_holes(src, dst, cells):
     """Replace the given (row, col) tokens of an array file with '?'."""
-    lines = open(src).read().splitlines()
+    lines = Path(src).read_text().splitlines()
     for r, c in cells:
         tokens = lines[1 + r].split()
         tokens[c] = "?"
@@ -67,6 +69,13 @@ def test_info_gpc(tmp_path, capsys):
     assert "field: GF(2^3)" in out
     assert "parity cells: 23" in out
     assert "transpose: C(6;6," in out
+
+
+def test_info_g1_prints_its_shape_and_bound(tmp_path, capsys):
+    code = write_spec(tmp_path, G1_SPEC)
+    assert cli.main(["info", code]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "shape: EP(4,1;5,1;1) bound: 6" in out
 
 
 def test_info_gpc_without_column_view(tmp_path, capsys):
@@ -117,7 +126,7 @@ def test_encode_decode_roundtrip(tmp_path, capsys):
     punch_holes(enc, holes, [(0, 0), (1, 2), (1, 4), (3, 1)])
     dec = str(tmp_path / "dec.txt")
     assert cli.main(["decode", code, holes, "-o", dec]) == 0
-    assert open(dec).read() == open(enc).read()     # byte-identical
+    assert Path(dec).read_text() == Path(enc).read_text()     # byte-identical
 
 
 def test_encode_to_stdout(tmp_path, capsys):
@@ -160,7 +169,7 @@ def test_decode_single_pass_vs_iterative(tmp_path, capsys):
     assert "uncorrectable" in capsys.readouterr().err
     dec = str(tmp_path / "dec.txt")
     assert cli.main(["decode", code, holes, "-o", dec]) == 0
-    assert open(dec).read() == open(enc).read()
+    assert Path(dec).read_text() == Path(enc).read_text()
 
 
 def test_decode_uncorrectable_writes_partial(tmp_path, capsys):
@@ -298,7 +307,7 @@ def test_decode_linear_code(tmp_path, capsys):
     punch_holes(enc, holes, [(0, 0), (1, 1), (2, 2), (0, 2), (2, 0)])
     dec = str(tmp_path / "dec.txt")
     assert cli.main(["decode", code, holes, "-o", dec]) == 0
-    assert open(dec).read() == open(enc).read()
+    assert Path(dec).read_text() == Path(enc).read_text()
     # eight erasures exceed what the checks can pin down
     punch_holes(enc, holes, [(r, c) for r in range(3) for c in range(3)
                              if (r, c) != (2, 2)])
@@ -380,6 +389,21 @@ def test_verify_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     code = write_spec(tmp_path, G1_SPEC)
     assert cli.main(["verify", code]) == 4
     assert "d_bruteforce=5 d_formula=6 MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_random_mismatch_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gpc, "decode_rows",
+                        flip_first_recovered(gpc.decode_rows))
+    monkeypatch.setattr(gpc, "decode_iterative",
+                        flip_first_recovered(gpc.decode_iterative))
+    code = write_spec(tmp_path, G1_SPEC)
+    assert cli.main(["verify", code, "--random", "20", "--seed", "5"]) == 4
+    out, err = capsys.readouterr()
+    assert "d_bruteforce=6 d_formula=6 OK" in out
+    assert any(line.startswith("random trials: 20 seed=5 mismatches=")
+               and line.endswith(" MISMATCH") for line in out.splitlines())
+    assert "row decoder mismatch" in err
+    assert "iterative decoder wrote a wrong symbol" in err
 
 
 def test_verify_h3_small_field_falls_short(tmp_path, capsys):

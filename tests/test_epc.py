@@ -150,6 +150,23 @@ def test_build_h2_structure():
     assert code.redundancy == m + n + 1
 
 
+@pytest.mark.parametrize("m, n, field", [
+    (2, 5, None), (4, 3, None), (3, 4, GF.from_prime(13)),
+    (8, 8, default_field(8))])
+def test_h2_and_h3_rows_are_product_checks_then_power_rows(m, n, field):
+    h2 = build_h2(m, n, field).check_matrix.data
+    code3 = build_h3(m, n, field)
+    h3 = code3.check_matrix.data
+    f = code3.field
+    cells = [(i, j) for i in range(m) for j in range(n)]
+    row_sums = [[int(i == r) for i, _ in cells] for r in range(m)]
+    col_sums = [[int(j == c) for _, j in cells] for c in range(n)]
+    powers = [[f.alpha_pow(step * x) for x in range(m * n)]
+              for step in (1, -1, 2)]
+    assert h2 == row_sums + col_sums + powers[:2]
+    assert h3 == row_sums + col_sums + powers
+
+
 def test_build_h2_validation():
     with pytest.raises(ValueError):
         build_h2(1, 5)
@@ -183,6 +200,22 @@ def test_condition_35_violated_on_small_field():
 def test_condition_35_holds_on_prime_order_fields():
     assert check_condition_35(3, 3, GF.from_prime(11)) is None
     assert check_condition_35(3, 4, GF.from_prime(13)) is None
+
+
+@pytest.mark.parametrize("w", [3, 4, 8, 10])
+def test_lc_is_member_rejects_symbols_out_of_field(w):
+    field = default_field(w)
+    code = build_h2(2, 3, field)
+    word = lc_encode([1] * code.dimension, code)
+    assert lc_is_member(word, code)
+    for bad in (1 << w, 256, -1):
+        if 0 <= bad < 1 << w:
+            continue
+        for pos in (0, code.length - 1):
+            damaged = word[:]
+            damaged[pos] = bad
+            with pytest.raises(ValueError, match="symbol out of field range"):
+                lc_is_member(damaged, code)
 
 
 def test_lc_encode_roundtrip():

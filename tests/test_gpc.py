@@ -1,6 +1,7 @@
 """Tests for array-code parameters, membership, encoding and decoding."""
 
 import random
+import re
 
 import pytest
 
@@ -351,6 +352,22 @@ def test_membership_matches_parity_matrix():
                            for _ in range(p.m)])
         syndrome_zero = not any(h.mul_vec(arr.flatten()))
         assert is_member(arr, p) == syndrome_zero
+
+
+@pytest.mark.parametrize("w", [3, 4, 8, 10])
+def test_membership_rejects_symbols_out_of_field(w):
+    # w = 10 runs Matrix.mul_vec, the others the compiled syndrome
+    p = GpcParams(m=4, n=5, k=3, s=(2, 2), u=(1, 2), field=default_field(w))
+    arr = encode([1] * p.dimension(), p)
+    assert is_member(arr, p)
+    for bad in (1 << w, 256, -1):
+        if 0 <= bad < 1 << w:
+            continue
+        for r, c in ((0, 0), (p.m - 1, p.n - 1)):
+            damaged = arr.copy()
+            damaged.values[r][c] = bad
+            with pytest.raises(ValueError, match="symbol out of field range"):
+                is_member(damaged, p)
 
 
 @pytest.mark.parametrize("params", [
@@ -836,6 +853,43 @@ def test_min_weight_codeword_validation():
         min_weight_codeword(FLAGSHIP, 0, [0, 1, 3, 4, 5], [1, 9])  # range
     with pytest.raises(ValueError):
         min_weight_codeword(FLAGSHIP, 0, [0, 0, 3, 4, 5], [1, 3])  # repeat
+
+
+def test_min_weight_codeword_single_row_when_k_equals_m():
+    # k = m leaves no vanishing combinations, so level t-1 takes one row
+    p = GpcParams(m=4, n=6, k=4, s=(2, 2), u=(1, 3), field=F8)
+    w = min_weight_codeword(p, 1, rows=[2], cols=[0, 2, 3, 5])
+    assert is_member(w, p)
+    support = {(r, c) for r in range(4) for c in range(6) if w.values[r][c]}
+    assert support == {(2, c) for c in [0, 2, 3, 5]}
+    assert len(support) == 4 == p.min_distance()
+
+
+# ------------------------------------------------------- invalid params
+
+@pytest.mark.parametrize("bad", [
+    GpcParams(m=3, n=4, k=2, s=(2, 2), u=(1, 2), field=F8),
+    GpcParams(m=4, n=8, k=3, s=(4,), u=(2,), field=F8),
+    GpcParams(m=4, n=5, k=2, s=(2, 2), u=(2, 1), field=F8)],
+    ids=["sum_s", "field_size", "u_order"])
+def test_entry_points_raise_the_violations_on_invalid_params(bad):
+    message = re.escape("; ".join(bad.violations()))
+    arr = SymbolArray.zeros(bad.m, bad.n)
+    calls = [lambda: encode([0], bad), lambda: decode_rows(arr, bad),
+             lambda: decode_iterative(arr, bad), lambda: is_member(arr, bad),
+             lambda: min_weight_codeword(bad, 0, [0], [0]),
+             lambda: full_parity_matrix(bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert bad not in gpc._VIEWS
+
+
+def test_column_views_of_the_grid_are_valid():
+    # decode_iterative validates the column view when it builds it
+    views = [p.transposed() for p in _small_param_grid() if p.k < p.m]
+    assert len(views) == 543     # of the 1246 grid codes
+    assert all(q.violations() == [] for q in views)
 
 
 # ------------------------------------------------------- symbol arrays

@@ -5,10 +5,11 @@ from itertools import combinations
 
 import pytest
 
+from gpcodes import gpc, linalg, oracle
 from gpcodes.epc import build_h2
 from gpcodes.fields import default_field
-from gpcodes.gpc import ErasureProfile, GpcParams, decodable_profile, \
-    full_parity_matrix
+from gpcodes.gpc import ErasureProfile, GpcParams, UncorrectableError, \
+    decodable_profile, full_parity_matrix
 from gpcodes.linalg import Matrix, null_space, rank
 from gpcodes.oracle import (DistanceCapError, SearchBudgetError,
                             brute_min_distance, correctable,
@@ -82,6 +83,19 @@ def test_brute_min_distance_on_gpc():
     report = brute_min_distance(h, cap=6)
     assert report.distance == 6 == PLUS_ONE.min_distance()
     assert not correctable(report.witness, h)
+
+
+@pytest.mark.parametrize("m, v, n, h", [(3, 1, 3, 1), (4, 1, 5, 2),
+                                        (4, 2, 4, 1), (5, 2, 4, 1)])
+def test_product_codes_are_the_single_level_case(m, v, n, h):
+    # an [n, n-h] row code times an [m, m-v] column code
+    p = GpcParams(m, n, k=m - v, s=(m,), u=(h,), field=F8)
+    assert p.dimension() == (m - v) * (n - h)
+    checks = full_parity_matrix(p)
+    assert rank(checks) == m * n - p.dimension()
+    d = (v + 1) * (h + 1)
+    assert p.min_distance() == d
+    assert brute_min_distance(checks, d).distance == d
 
 
 def test_brute_min_distance_witness_is_colex_least():
@@ -193,6 +207,49 @@ def test_equivalence_with_heavy_patterns():
     assert report.ok, report.mismatches[:3]
     # with weight up to 11 on a distance-6 code, some patterns must fail
     assert report.correctable_count < report.trials
+
+
+def flip_first_recovered(decoder):
+    """``decoder`` with one recovered symbol of its output flipped."""
+    def flipped(arr, params, *args, **kwargs):
+        out = decoder(arr, params, *args, **kwargs)
+        for r, c in arr.erased_positions():
+            if not out.erased[r][c]:
+                out.values[r][c] ^= 1
+                break
+        return out
+    return flipped
+
+
+def _refuse(arr, params):
+    raise UncorrectableError("refused", frozenset())
+
+
+@pytest.mark.parametrize("fault, expected", [
+    ("flipped decoders", ["row decoder mismatch",
+                          "iterative decoder wrote a wrong symbol"]),
+    ("flipped solve, refusing row decoder", ["generic solve mismatch",
+                                             "row decoder refused"]),
+    ("nothing correctable", [
+        "profile accepted but oracle says uncorrectable",
+        "iterative decoder 'succeeded' on an ambiguous pattern"])])
+def test_equivalence_reports_every_kind_of_mismatch(monkeypatch, fault,
+                                                    expected):
+    if fault == "flipped decoders":
+        monkeypatch.setattr(gpc, "decode_rows",
+                            flip_first_recovered(gpc.decode_rows))
+        monkeypatch.setattr(gpc, "decode_iterative",
+                            flip_first_recovered(gpc.decode_iterative))
+    elif fault == "flipped solve, refusing row decoder":
+        monkeypatch.setattr(oracle, "solve", lambda mat, rhs: [
+            x ^ 1 for x in linalg.solve(mat, rhs)])
+        monkeypatch.setattr(gpc, "decode_rows", _refuse)
+    else:
+        monkeypatch.setattr(oracle, "correctable", lambda cols, h: False)
+    report = decoder_oracle_equivalence(PLUS_ONE, trials=20, seed=7)
+    assert not report.ok
+    kinds = {msg.rsplit(": ", 1)[1] for msg in report.mismatches}
+    assert kinds == set(expected)
 
 
 def test_equivalence_on_single_level_code():
