@@ -152,6 +152,9 @@ def _brute_force(h, args, prefix: str, target: str, floor: int,
 def cmd_verify(args) -> int:
     spec = files.load_code_spec(args.code)
     p = spec.params
+    if args.random and p is None:
+        raise ValueError(f"--random needs a gpc or epc-g1 code, got kind "
+                         f"{spec.kind!r}")
     verdicts: list[bool | None] = []
     if p is not None:
         h = gpc.full_parity_matrix(p)
@@ -195,8 +198,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_find_prime(args) -> int:
-    p = find_construction_prime(args.min_size, cap=args.cap)
-    print(p)
+    print(find_construction_prime(args.min_size))
     return EXIT_OK
 
 
@@ -251,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
                    default=oracle.DEFAULT_BUDGET,
                    help="refuse searches over this many subsets")
     p.add_argument("--random", type=_at_least(0), default=0, metavar="TRIALS",
-                   help="also run randomized decoder/oracle agreement trials")
+                   help="also run randomized decoder/oracle agreement trials "
+                        "(gpc and epc-g1 codes)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("find-prime", help="smallest usable all-ones-modulus "
                                           "prime above a size")
     p.add_argument("min_size", type=int)
-    p.add_argument("--cap", type=int, default=64)
     p.set_defaults(func=cmd_find_prime)
     return parser
 
@@ -268,9 +270,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except files.SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
     except PrimeSearchError as exc:
         print(f"search limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET

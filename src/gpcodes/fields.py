@@ -192,19 +192,20 @@ def is_two_primitive(p: int) -> bool:
     return all(pow(2, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
-def find_construction_prime(min_size: int, cap: int = 64) -> int:
+def find_construction_prime(min_size: int) -> int:
     """Smallest prime p > min_size such that 2 is primitive modulo p.
 
     For such p the all-ones modulus of degree p-1 is irreducible and x
     has multiplicative order exactly p in the quotient field, which is
-    what the low-redundancy array constructions need.  The default cap
-    keeps the resulting field width p-1 within the supported range.
+    what the low-redundancy array constructions need.  The search stops
+    at MAX_WIDTH + 1 = 64: a larger p gives a field width p-1 that
+    :class:`GF` rejects.
     """
-    for p in range(max(min_size, 2) + 1, cap + 1):
+    for p in range(max(min_size, 2) + 1, MAX_WIDTH + 2):
         if isprime(p) and is_two_primitive(p):
             return p
     raise PrimeSearchError(
-        f"no prime p with 2 primitive mod p in ({min_size}, {cap}]"
+        f"no prime p with 2 primitive mod p in ({min_size}, {MAX_WIDTH + 1}]"
     )
 
 

@@ -6,9 +6,9 @@ kind.  Fields serialize as ``{"w": ..., "modulus_hex": ..., "alpha":
 ...}`` with the modulus packed low-bit-first (bit i = coefficient of
 x^i); when omitted, a sensible default field for the shape is chosen.
 
-Array files are line-oriented text: a header ``m n w`` followed by m
-rows of n whitespace-separated hex symbols, with ``?`` marking an
-erased cell.
+Array files are line-oriented text: a header ``m n w`` (1 <= w <= 63)
+followed by m rows of n whitespace-separated hex symbols, with ``?``
+marking an erased cell.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1)
-from .fields import GF, field_with_order
+from .fields import GF, MAX_WIDTH, field_with_order
 from .gpc import GpcParams, SymbolArray
 
 
@@ -98,10 +98,7 @@ def parse_code_spec(obj: dict) -> CodeSpec:
                 field = field_with_order(max(m, n))
             params = GpcParams(m=m, n=n, k=k, s=tuple(s), u=tuple(u),
                                field=field)
-            bad = params.violations()
-            if bad:
-                raise SpecFileError("; ".join(bad))
-            return CodeSpec(kind, params=params)
+            return CodeSpec(kind, params=params.check())
         if kind == "epc-g1":
             m, v, n, h = _require(obj, ["m", "v", "n", "h"], kind)
             params = build_optimal_g1(m, v, n, h, field)
@@ -122,12 +119,17 @@ def parse_code_spec(obj: dict) -> CodeSpec:
         f"unknown kind {kind!r}; expected gpc, epc-g1, epc-h2 or epc-h3")
 
 
-def load_code_spec(path: str) -> CodeSpec:
+def _read_text(path: str) -> str:
     try:
         with open(path) as fp:
-            obj = json.load(fp)
+            return fp.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
+
+
+def load_code_spec(path: str) -> CodeSpec:
+    try:
+        obj = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
     return parse_code_spec(obj)
@@ -163,6 +165,8 @@ def parse_array_text(text: str) -> tuple[SymbolArray, int]:
         m, n, w = (int(x) for x in header)
     except ValueError as exc:
         raise SpecFileError(f"bad array header: {exc}") from exc
+    if not 1 <= w <= MAX_WIDTH:
+        raise SpecFileError(f"array width w={w} must be in [1, {MAX_WIDTH}]")
     if len(lines) - 1 != m:
         raise SpecFileError(f"expected {m} rows, found {len(lines) - 1}")
     values = []
@@ -187,19 +191,10 @@ def parse_array_text(text: str) -> tuple[SymbolArray, int]:
 
 
 def read_array(path: str) -> tuple[SymbolArray, int]:
-    try:
-        with open(path) as fp:
-            return parse_array_text(fp.read())
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}") from exc
+    return parse_array_text(_read_text(path))
 
 
 def read_symbols(path: str, w: int) -> list[int]:
     """Whitespace-separated hex data symbols (for the encoder)."""
-    try:
-        with open(path) as fp:
-            tokens = fp.read().split()
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}") from exc
     limit = 1 << w
-    return [_parse_symbol(tok, limit, w) for tok in tokens]
+    return [_parse_symbol(tok, limit, w) for tok in _read_text(path).split()]

@@ -324,15 +324,21 @@ _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
 
+def _level_checks(params: GpcParams) -> list[Matrix]:
+    # Check matrices of the row codes 0..t, after validating params;
+    # callers that run no compiled map use these and evict no view.
+    params.check()
+    checks = [component_parity_check(params, i) for i in range(params.t)]
+    return checks + [Matrix.identity(params.field, params.n)]
+
+
 def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
-        params.check()
         f, n = params.field, params.n
-        checks = [component_parity_check(params, i) for i in range(params.t)]
-        checks.append(Matrix.identity(f, n))
-        return _View(params, [LinearCode(f, n, h) for h in checks],
+        return _View(params,
+                     [LinearCode(f, n, h) for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot())
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
@@ -346,14 +352,14 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     t) last.  Rows may be redundant; the rank always equals m*n minus
     the dimension.
     """
-    levels = _view(params).levels
+    checks = _level_checks(params)
     f = params.field
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    blocks = [kron(Matrix.identity(f, params.m), levels[0].check_matrix)]
+    blocks = [kron(Matrix.identity(f, params.m), checks[0])]
     for i in range(1, params.t + 1):
         if params.s_hat(i):   # level t is empty when k = m
             weights = vandermonde(f, row_nodes, params.s_hat(i))
-            blocks.append(kron(weights, levels[i].check_matrix))
+            blocks.append(kron(weights, checks[i]))
     return vstack(blocks)
 
 
@@ -675,7 +681,7 @@ def min_weight_codeword(params: GpcParams, level: int,
     vector, and witnesses the distance formula when the level attains
     the minimum.
     """
-    levels = _view(params).levels
+    params.check()
     f = params.field
     rows = sorted(rows)
     cols = sorted(cols)
@@ -690,7 +696,7 @@ def min_weight_codeword(params: GpcParams, level: int,
         raise ValueError("columns out of range or repeated")
     if rows[0] < 0 or rows[-1] >= params.m or len(set(rows)) != len(rows):
         raise ValueError("rows out of range or repeated")
-    h = levels[level].check_matrix
+    h = component_parity_check(params, level)
     w_basis = _null_vector(h.submatrix(cols=cols))
     row_nodes = [f.alpha_pow(r) for r in rows]
     depth = len(rows) - 1

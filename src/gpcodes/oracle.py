@@ -230,7 +230,6 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     recovered by the structured decoders; and whatever the iterative
     decoder fills in must match the codeword even when it stalls.
     """
-    params.check()
     rng = random.Random(seed)
     report = EquivalenceReport(trials=trials, seed=seed)
     h = _gpc.full_parity_matrix(params)

@@ -114,6 +114,18 @@ def test_info_rejects_non_integer_levels(tmp_path, capsys, change):
     assert out == "" and "integer lists 's' and 'u'" in err
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"m": 0, "k": 0}, "array shape 0x7 must be positive"),
+    ({"u": [1, 3]}, "level vectors disagree: 3 vs 2"),
+    ({"s": [3, 0, 3]}, "every s_i must be >= 1")],
+    ids=["empty_shape", "level_lengths", "empty_level"])
+def test_info_reports_params_violations(tmp_path, capsys, change, message):
+    code = write_spec(tmp_path, {**FLAGSHIP_SPEC, **change})
+    assert cli.main(["info", code]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+
+
 # --------------------------------------------------------- encode / decode
 
 def test_encode_decode_roundtrip(tmp_path, capsys):
@@ -144,6 +156,25 @@ def test_encode_wrong_symbol_count(tmp_path, capsys):
     code = write_spec(tmp_path, G1_SPEC)
     data = write_data(tmp_path, [1, 2, 3])
     assert cli.main(["encode", code, data]) == 2
+
+
+@pytest.mark.parametrize("command", ["encode", "decode"])
+def test_missing_data_or_array_file(tmp_path, capsys, command):
+    code = write_spec(tmp_path, G1_SPEC)
+    missing = str(tmp_path / "nope.txt")
+    assert cli.main([command, code, missing]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {missing}:")
+
+
+def test_decode_rejects_array_width_outside_the_field_range(tmp_path, capsys):
+    code = write_spec(tmp_path, FLAGSHIP_SPEC)
+    array = tmp_path / "arr.txt"
+    array.write_text("3 3 -1\n? 0 0\n0 0 0\n0 0 0\n")
+    assert cli.main(["decode", code, str(array)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: array width w=-1 must be in [1, 63]\n"
 
 
 def test_encode_unwritable_output(tmp_path, capsys):
@@ -457,6 +488,20 @@ def test_verify_h3_budget_skip_reports_condition35(tmp_path, capsys):
     assert out.startswith("condition35=ok d_bruteforce=skipped (")
 
 
+@pytest.mark.parametrize("spec", [H2_SPEC, H3_SPEC], ids=["h2", "h3"])
+def test_verify_random_refuses_codes_without_gpc_decoders(tmp_path, capsys,
+                                                          monkeypatch, spec):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before refusing --random")
+    monkeypatch.setattr(oracle, "brute_min_distance", no_search)
+    code = write_spec(tmp_path, spec)
+    assert cli.main(["verify", code, "--random", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: --random needs a gpc or epc-g1 code, got kind "
+                   f"{spec['kind']!r}\n")
+
+
 # ------------------------------------------------------------- find-prime
 
 def test_find_prime(capsys):
@@ -464,3 +509,11 @@ def test_find_prime(capsys):
     assert capsys.readouterr().out.strip() == "11"
     assert cli.main(["find-prime", "61"]) == 5
     assert "search limit" in capsys.readouterr().err
+
+
+def test_find_prime_has_no_cap_option(capsys):
+    # the search bound is GF's width rule, not an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["find-prime", "61", "--cap", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap 100" in capsys.readouterr().err

@@ -161,6 +161,15 @@ def test_find_construction_prime_anchors():
         find_construction_prime(61)   # next candidates 67, ... exceed cap 64
 
 
+def test_find_construction_prime_returns_only_usable_primes():
+    # the search stops at MAX_WIDTH + 1, so GF takes every answer
+    for size in range(2, 61):
+        p = find_construction_prime(size)
+        assert GF.from_prime(p).alpha_order == p
+    with pytest.raises(PrimeSearchError, match=r"in \(61, 64\]"):
+        find_construction_prime(61)
+
+
 def test_from_prime_field_properties():
     f = GF.from_prime(11)
     assert f.w == 10

@@ -155,6 +155,12 @@ def test_parse_array_text_errors():
     assert arr.values == [[1, 0]] and arr.erased[0][1]
 
 
+@pytest.mark.parametrize("w", [-1, 0, 64, 10**12])
+def test_parse_array_text_rejects_widths_outside_the_field_range(w):
+    with pytest.raises(SpecFileError, match=rf"w={w} must be in \[1, 63\]"):
+        parse_array_text(f"1 2 {w}\n0 ?\n")
+
+
 def test_read_symbols(tmp_path):
     path = tmp_path / "data.txt"
     path.write_text("0 1 a\nf 7\n")

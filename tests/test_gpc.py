@@ -6,7 +6,7 @@ import re
 import pytest
 
 from gpcodes import gpc, linalg
-from gpcodes.epc import LinearCode
+from gpcodes.epc import LinearCode, build_h2
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          UncorrectableError, component_parity_check,
@@ -232,6 +232,25 @@ def test_compiled_encode_matches_scalar(params, encoders, monkeypatch):
     monkeypatch.delattr(gpc, "_encode_pass")
     for data, expected in cases:
         assert encode(data, params) == expected
+
+
+def test_check_matrix_readers_keep_compiled_views(encoders, monkeypatch):
+    """full_parity_matrix, min_weight_codeword and build_h2 read check
+    matrices only, so 16 h2 shapes take no view and G16's compiled
+    encoder survives them."""
+    data = stripes(G16, random.Random(83))[0]
+    expected = scalar_encode(data, G16)
+    slot = compile_on_next_encode(G16)
+    encode(data, G16)
+    assert slot.map is not None
+    for m in range(2, 6):
+        for n in range(2, 6):
+            build_h2(m, n, G16.field)
+    full_parity_matrix(FLAGSHIP)
+    min_weight_codeword(FLAGSHIP, 0, rows=[0, 1, 3, 4, 5], cols=[1, 3])
+    assert list(encoders) == [G16] and encoders[G16].encoder is slot
+    monkeypatch.delattr(gpc, "_encode_pass")
+    assert encode(data, G16) == expected
 
 
 def probe_encoder_columns(params):
