@@ -14,7 +14,8 @@ from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
                          encode, erase_positions, full_parity_matrix,
                          is_member, min_weight_codeword)
 from gpcodes.linalg import Matrix, rank, row_reduce
-from gpcodes.oracle import random_decodable_pattern
+from gpcodes.oracle import (decoder_oracle_equivalence,
+                            random_decodable_pattern)
 from test_acceptance import _small_param_grid
 
 F8 = default_field(3)
@@ -897,7 +898,8 @@ def test_entry_points_raise_the_violations_on_invalid_params(bad):
     calls = [lambda: encode([0], bad), lambda: decode_rows(arr, bad),
              lambda: decode_iterative(arr, bad), lambda: is_member(arr, bad),
              lambda: min_weight_codeword(bad, 0, [0], [0]),
-             lambda: full_parity_matrix(bad)]
+             lambda: full_parity_matrix(bad),
+             lambda: decoder_oracle_equivalence(bad, 1, 0)]
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
