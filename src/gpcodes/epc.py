@@ -28,14 +28,14 @@ from dataclasses import dataclass
 from math import ceil
 
 from .fields import GF, field_with_order
-from .gpc import GpcParams, UncorrectableError, full_parity_matrix
+from .gpc import GpcParams, UncorrectableError, _Rules, full_parity_matrix
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
                      UnderdeterminedError, solve)
 
 
 @dataclass(frozen=True)
-class EpcShape:
+class EpcShape(_Rules):
     """The five defining counts of an extended product code."""
 
     m: int
@@ -53,12 +53,6 @@ class EpcShape:
         if self.g < 0:
             out.append(f"need g >= 0, got {self.g}")
         return out
-
-    def check(self) -> "EpcShape":
-        problems = self.violations()
-        if problems:
-            raise ValueError("; ".join(problems))
-        return self
 
     def __str__(self) -> str:
         return f"EP({self.m},{self.v};{self.n},{self.h};{self.g})"

@@ -103,14 +103,11 @@ def parse_code_spec(obj: dict) -> CodeSpec:
             m, v, n, h = _require(obj, ["m", "v", "n", "h"], kind)
             params = build_optimal_g1(m, v, n, h, field)
             return CodeSpec(kind, params=params, shape=EpcShape(m, v, n, h, 1))
-        if kind == "epc-h2":
+        if kind in ("epc-h2", "epc-h3"):
             m, n = _require(obj, ["m", "n"], kind)
-            return CodeSpec(kind, linear=build_h2(m, n, field),
-                            shape=EpcShape(m, 1, n, 1, 2))
-        if kind == "epc-h3":
-            m, n = _require(obj, ["m", "n"], kind)
-            return CodeSpec(kind, linear=build_h3(m, n, field),
-                            shape=EpcShape(m, 1, n, 1, 3))
+            build, g = (build_h2, 2) if kind == "epc-h2" else (build_h3, 3)
+            return CodeSpec(kind, linear=build(m, n, field),
+                            shape=EpcShape(m, 1, n, 1, g))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):
             raise

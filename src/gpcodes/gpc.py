@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
@@ -42,8 +42,22 @@ class UncorrectableError(ValueError):
         self.remaining = remaining
 
 
+_Checked = TypeVar("_Checked", bound="_Rules")
+
+
+class _Rules:
+    """A value whose ``violations()`` lists the rules it breaks."""
+
+    def check(self: _Checked) -> _Checked:
+        """Self, or ValueError naming every violation."""
+        problems = self.violations()
+        if problems:
+            raise ValueError("; ".join(problems))
+        return self
+
+
 @dataclass(frozen=True)
-class GpcParams:
+class GpcParams(_Rules):
     """Parameter set (m, n, k, s-vector, u-vector, field) for one code.
 
     ``s`` and ``u`` are the level vectors: level i contributes ``s[i]``
@@ -102,12 +116,6 @@ class GpcParams:
             out.append(
                 f"order(alpha)={self.field.alpha_order} must be >= {big}")
         return out
-
-    def check(self) -> "GpcParams":
-        problems = self.violations()
-        if problems:
-            raise ValueError("; ".join(problems))
-        return self
 
     def expanded_u(self) -> tuple[int, ...]:
         """Per-row strengths (u_0 repeated s_0 times, and so on)."""
@@ -608,20 +616,16 @@ def _compile_encoder(params: GpcParams) -> ByteMap:
     # Fill the parity cells of the flat array: the column of the s-th
     # data cell holds the parity of the s-th unit data vector.  One row
     # pass over blocks of K bytes finds every column at once: data cell
-    # s holds the block whose byte s is 1, so byte s of parity cell t is
-    # entry t of column s.
+    # s holds the block whose byte s is 1, so parity cell t's block, as
+    # K bytes, is the map's row t.
     parity = params.parity_positions()
     dim = params.dimension()
     word = _encode_pass([1 << 8 * s for s in range(dim)], params, parity,
                         dim).flatten()
     targets = sorted(r * params.n + c for r, c in parity)
-    skip = set(targets)
-    data_cells = [j for j in range(len(word)) if j not in skip]
-    columns = [b""] * len(word)
-    for j, col in zip(data_cells, zip(*(word[t].to_bytes(dim, "little")
-                                        for t in targets))):
-        columns[j] = bytes(col)
-    return ByteMap(params.field, columns, targets)
+    return ByteMap(params.field,
+                   [word[t].to_bytes(dim, "little") for t in targets],
+                   targets, len(word))
 
 
 def _encode_pass(data: Sequence[int], params: GpcParams,

@@ -276,24 +276,30 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
 class ByteMap:
     """A GF(2^w)-linear fill of a word's target positions, for w <= 8.
 
-    ``columns[j]`` holds, one byte per symbol, the image of the unit word
-    at position j: the symbols of the ``targets`` (ascending) followed
-    by check symbols that every consistent word sends to zero.  A target
-    has the empty column, so its symbol is ignored.  :meth:`apply`
-    multiplies a column with one ``bytes.translate`` through the field's
-    product table (see :meth:`GF.mul_tables`) and XORs the columns as
-    one big integer: Jerasure's idiom, with no per-symbol field
-    arithmetic.  It fills blocks of L words at once as well.
+    The map is given by its ``rows``: one per target of ``targets``
+    (ascending), then one per check symbol that every consistent word
+    sends to zero, each over the word's ``size`` - |targets| other
+    positions in order.  ``columns[j]`` holds, one byte per row, the
+    image of the unit word at position j; a target has the empty
+    column, so its symbol is ignored.  :meth:`apply` multiplies a column
+    with one ``bytes.translate`` through the field's product table (see
+    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
+    Jerasure's idiom, with no per-symbol field arithmetic.  It fills
+    blocks of L words at once as well.
     """
 
     __slots__ = ("tables", "columns", "targets", "height")
 
-    def __init__(self, field: GF, columns: Sequence[bytes],
-                 targets: Sequence[int]):
+    def __init__(self, field: GF, rows: Sequence[Sequence[int]],
+                 targets: Sequence[int], size: int):
         self.tables = field.mul_tables()
-        self.columns = columns
         self.targets = targets
-        self.height = max([len(targets), *map(len, columns)])
+        self.height = len(rows)
+        self.columns = columns = [b""] * size
+        skip = set(targets)
+        rest = [j for j in range(size) if j not in skip]
+        for j, col in zip(rest, zip(*rows)):
+            columns[j] = bytes(col)
 
     def apply(self, word: list[int], block: int = 1) -> None:
         """Fill the targets of ``word`` (symbols in range) in place.
@@ -400,9 +406,8 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     ``T @ h = [[I, A], [0, B]]``.  So the erased symbols are ``A`` times
     the survivors, and the survivors are consistent with the code
     exactly when ``B`` sends them to zero: the residual rows, kept as
-    the map's check symbols, that :func:`solve` tests.  Column j holds
-    position j's share, the empty string at an erased position.  None
-    when the erased columns are dependent.
+    the map's check symbols, that :func:`solve` tests.  None when the
+    erased columns are dependent.
     """
     e = len(erased)
     skip = set(erased)
@@ -411,10 +416,7 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
             for row in h.data]
     if len(_eliminate(rows, h.field, e, full=True)) < e:
         return None
-    columns = [b""] * h.cols
-    for c, col in zip(rest, list(zip(*rows))[e:]):
-        columns[c] = bytes(col)
-    return ByteMap(h.field, columns, erased)
+    return ByteMap(h.field, [row[e:] for row in rows], erased, h.cols)
 
 
 class PlanSlot:

@@ -239,9 +239,6 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     if max_weight is None:
         max_weight = min(params.min_distance(), m * n)
 
-    def flat(pattern):
-        return [r * n + c for r, c in pattern]
-
     for trial in range(trials):
         data = [rng.randrange(1 << f.w) for _ in range(dim)]
         codeword = _gpc.encode(data, params)
@@ -251,11 +248,11 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
             pattern = random_decodable_pattern(params, rng)
         erased = _gpc.erase_positions(codeword, pattern)
         tag = f"trial {trial} (seed {seed}, pattern {sorted(pattern)})"
+        cols = sorted(r * n + c for r, c in pattern)
 
-        ok = correctable(flat(pattern), h)
+        ok = correctable(cols, h)
         if ok:
             report.correctable_count += 1
-            cols = sorted(flat(pattern))
             solved = erased.flatten()
             for c, v in zip(cols, solve(h.submatrix(cols=cols),
                                         h.mul_vec(solved))):
@@ -279,13 +276,11 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
                     report.mismatches.append(f"{tag}: row decoder mismatch")
 
         result = _gpc.decode_iterative(erased, params)
-        for r in range(m):
-            for c in range(n):
-                if not result.erased[r][c] and \
-                        result.values[r][c] != codeword.values[r][c]:
-                    report.mismatches.append(
-                        f"{tag}: iterative decoder wrote a wrong symbol")
-                    break
+        if any(not e and v != x
+               for row in zip(result.erased, result.values, codeword.values)
+               for e, v, x in zip(*row)):
+            report.mismatches.append(
+                f"{tag}: iterative decoder wrote a wrong symbol")
         if not result.erasure_count and not ok:
             report.mismatches.append(
                 f"{tag}: iterative decoder 'succeeded' on an ambiguous pattern")

@@ -9,7 +9,7 @@ import pytest
 from gpcodes import cli, gpc, oracle
 from gpcodes.files import parse_array_text, read_array
 from gpcodes.oracle import DistanceReport
-from test_oracle import flip_first_recovered
+from test_oracle import corrupt_survivors, flip_first_recovered
 
 FLAGSHIP_SPEC = {"kind": "gpc", "m": 6, "n": 7, "k": 4,
                  "s": [2, 1, 3], "u": [1, 3, 4]}
@@ -435,6 +435,17 @@ def test_verify_random_mismatch_exit_code(tmp_path, capsys, monkeypatch):
                and line.endswith(" MISMATCH") for line in out.splitlines())
     assert "row decoder mismatch" in err
     assert "iterative decoder wrote a wrong symbol" in err
+
+
+def test_verify_random_counts_one_wrong_symbol_per_trial(tmp_path, capsys,
+                                                         monkeypatch):
+    monkeypatch.setattr(gpc, "decode_iterative",
+                        corrupt_survivors(gpc.decode_iterative))
+    code = write_spec(tmp_path, G1_SPEC)
+    assert cli.main(["verify", code, "--random", "4"]) == 4
+    out, err = capsys.readouterr()
+    assert "random trials: 4 seed=0 mismatches=4 MISMATCH" in out.splitlines()
+    assert err.count("iterative decoder wrote a wrong symbol") == 4
 
 
 def test_verify_h3_small_field_falls_short(tmp_path, capsys):

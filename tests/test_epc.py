@@ -11,6 +11,7 @@ from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import UncorrectableError
 from gpcodes.linalg import Matrix, rank
+from gpcodes.oracle import brute_min_distance
 
 F16 = default_field(4)
 
@@ -200,6 +201,15 @@ def test_condition_35_violated_on_small_field():
 def test_condition_35_holds_on_prime_order_fields():
     assert check_condition_35(3, 3, GF.from_prime(11)) is None
     assert check_condition_35(3, 4, GF.from_prime(13)) is None
+
+
+def test_h2_and_h3_reach_their_distance_over_a_field_without_tables():
+    # GF.from_prime(19) has w = 18, past the exp/log tables
+    f = GF.from_prime(19)
+    assert check_condition_35(3, 4, f) is None
+    for build, d in ((build_h2, 8), (build_h3, 9)):
+        report = brute_min_distance(build(3, 4, f).check_matrix, cap=d)
+        assert report.distance == d
 
 
 @pytest.mark.parametrize("w", [3, 4, 8, 10])

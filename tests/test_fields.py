@@ -84,6 +84,17 @@ def test_pow_negative_and_zero():
         f.pow(0, -2)
 
 
+def test_negative_pow_without_tables():
+    # w = 18 is past the exp/log tables: a negative power inverts the
+    # positive one, as build_h2's and build_h3's alpha^(-j) rows need
+    f = GF.from_prime(19)
+    assert f.w == 18
+    rng = random.Random(19)
+    for _ in range(100):
+        a, e = rng.randrange(1, 1 << 18), rng.randrange(1, 1 << 20)
+        assert f.mul(f.pow(a, -e), f.pow(a, e)) == 1
+
+
 def test_element_order_exhaustive_gf16():
     f = default_field(4)
     for a in range(1, 16):
@@ -106,6 +117,21 @@ def test_alpha_validation():
     # width 1 leaves no admissible alpha at all
     with pytest.raises(ValueError):
         GF(1)
+
+
+def test_invalid_arguments_raise():
+    for w in (0, 64):
+        with pytest.raises(ValueError, match="width must be in"):
+            GF(w)
+    with pytest.raises(ValueError, match="nonzero polynomials"):
+        poly_degree(0)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        _prime_factors(0)
+    assert not is_irreducible(0b110)         # x^2 + x = x (x + 1)
+    with pytest.raises(ValueError, match="product tables need w <= 8"):
+        GF(10).mul_tables()
+    with pytest.raises(ZeroDivisionError):
+        default_field(4).element_order(0)
 
 
 def test_modulus_validation():

@@ -47,6 +47,18 @@ def test_identity_and_matmul():
     assert a.matmul(b).mul_vec(v) == a.mul_vec(b.mul_vec(v))
 
 
+def test_shape_and_field_mismatches_raise():
+    a = Matrix(F16, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        a.mul_vec([1])
+    with pytest.raises(ValueError, match="inner dimension mismatch"):
+        a.matmul(Matrix(F16, [[1, 2]]))
+    with pytest.raises(ValueError, match="fields differ"):
+        kron(a, Matrix(F8, [[1]]))
+    with pytest.raises(ValueError, match="rhs length mismatch"):
+        solve(a, [1])
+
+
 def test_vstack():
     a = Matrix(F16, [[1, 2]])
     b = Matrix(F16, [[3, 4], [5, 6]])

@@ -121,6 +121,8 @@ def test_brute_min_distance_cap_and_budget():
     # all-zero checks: every single column is already dependent
     report = brute_min_distance(Matrix.zeros(F8, 2, 5), cap=3)
     assert report.distance == 1 and report.witness == (0,)
+    with pytest.raises(DistanceCapError, match="no columns"):
+        brute_min_distance(Matrix.zeros(F8, 2, 0), cap=3)
 
 
 def _ascending_search(h):
@@ -221,6 +223,17 @@ def flip_first_recovered(decoder):
     return flipped
 
 
+def corrupt_survivors(decoder, rows=3):
+    """``decoder`` with one survivor flipped in each of the first
+    ``rows`` rows of its input that hold a survivor."""
+    def corrupted(arr, params, *args, **kwargs):
+        out = decoder(arr, params, *args, **kwargs)
+        for r in [r for r in range(arr.m) if not all(arr.erased[r])][:rows]:
+            out.values[r][arr.erased[r].index(False)] ^= 1
+        return out
+    return corrupted
+
+
 def _refuse(arr, params):
     raise UncorrectableError("refused", frozenset())
 
@@ -250,6 +263,18 @@ def test_equivalence_reports_every_kind_of_mismatch(monkeypatch, fault,
     assert not report.ok
     kinds = {msg.rsplit(": ", 1)[1] for msg in report.mismatches}
     assert kinds == set(expected)
+
+
+def test_equivalence_reports_one_wrong_symbol_per_trial(monkeypatch):
+    """A decode that writes wrong symbols into three rows is one
+    mismatch of its trial, not one per row."""
+    monkeypatch.setattr(gpc, "decode_iterative",
+                        corrupt_survivors(gpc.decode_iterative))
+    report = decoder_oracle_equivalence(PLUS_ONE, trials=4, seed=7)
+    tags = [msg.split(" (")[0] for msg in report.mismatches]
+    assert tags == ["trial 0", "trial 1", "trial 2", "trial 3"]
+    assert all(msg.endswith(": iterative decoder wrote a wrong symbol")
+               for msg in report.mismatches)
 
 
 def test_equivalence_on_single_level_code():
