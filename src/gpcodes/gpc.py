@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
@@ -42,13 +42,10 @@ class UncorrectableError(ValueError):
         self.remaining = remaining
 
 
-_Checked = TypeVar("_Checked", bound="_Rules")
-
-
 class _Rules:
     """A value whose ``violations()`` lists the rules it breaks."""
 
-    def check(self: _Checked) -> _Checked:
+    def check(self) -> _Rules:
         """Self, or ValueError naming every violation."""
         problems = self.violations()
         if problems:

@@ -1,19 +1,17 @@
 """Print the physical and code lines of the library's sources.
 
 Code lines are the non-blank lines that are neither comments nor part
-of a module, class or function docstring.  Run from anywhere:
+of a module, class or function docstring.  Every ``*.py`` file
+directly in ``src/gpcodes`` is counted.  Run from anywhere:
 
-    python tools/count_lines.py [DIRECTORY]
-
-DIRECTORY defaults to ``src/gpcodes``; every ``*.py`` file directly in
-it is counted.
+    python tools/count_lines.py
 """
 
 import ast
 import sys
 from pathlib import Path
 
-DEFAULT = Path(__file__).resolve().parent.parent / "src" / "gpcodes"
+SOURCES = Path(__file__).resolve().parent.parent / "src" / "gpcodes"
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -37,16 +35,15 @@ def count(text: str) -> tuple[int, int]:
     return len(lines), code
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else DEFAULT
+def main() -> int:
     physical = code = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(SOURCES.glob("*.py")):
         p, c = count(path.read_text())
         physical += p
         code += c
-    print(f"{root.name}: {physical} physical lines, {code} code lines")
+    print(f"{SOURCES.name}: {physical} physical lines, {code} code lines")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
