@@ -603,26 +603,28 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
 
 def encoder_cost(dim: int) -> int:
     """Scalar encodes that compiling the encoder of a code of dimension
-    K = ``dim`` costs: one row pass over blocks of K bytes, measured on
-    a 2-core Xeon at 1.9 to 28 scalar encodes for K = 19 to 656 over
-    GF(2^8), and at 14 for G16 (K = 372)."""
+    K = ``dim`` costs: one row pass over blocks of N = m * n bytes that
+    carry the K unit data vectors, measured on a 2-core Xeon at 1.9 to
+    28 scalar encodes for K = 19 to 656 over GF(2^8), and at 14 for G16
+    (K = 372)."""
     return 2 + dim // 32
 
 
 def _compile_encoder(params: GpcParams) -> ByteMap:
-    # Fill the parity cells of the flat array: the column of the s-th
-    # data cell holds the parity of the s-th unit data vector.  One row
-    # pass over blocks of K bytes finds every column at once: data cell
-    # s holds the block whose byte s is 1, so parity cell t's block, as
-    # K bytes, is the map's row t.
+    # Fill the parity cells of the flat array: the column of data cell j
+    # holds the parity of the unit data vector at j.  One row pass over
+    # blocks of N = m * n bytes finds every column at once: data cell j
+    # holds the block whose byte j is 1, so parity cell t's block, as N
+    # bytes, is the map's row t over the whole word.
     parity = params.parity_positions()
-    dim = params.dimension()
-    word = _encode_pass([1 << 8 * s for s in range(dim)], params, parity,
-                        dim).flatten()
-    targets = sorted(r * params.n + c for r, c in parity)
+    size = params.m * params.n
+    cells = [divmod(j, params.n) in parity for j in range(size)]
+    word = _encode_pass([1 << 8 * j for j, p in enumerate(cells) if not p],
+                        params, parity, size).flatten()
+    targets = [j for j, p in enumerate(cells) if p]
     return ByteMap(params.field,
-                   [word[t].to_bytes(dim, "little") for t in targets],
-                   targets, len(word))
+                   [word[t].to_bytes(size, "little") for t in targets],
+                   targets)
 
 
 def _encode_pass(data: Sequence[int], params: GpcParams,
@@ -651,9 +653,9 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     fills the parity cells with the code's
     :class:`~gpcodes.linalg.ByteMap` instead, equal to the scalar path
     bit for bit (see :class:`~gpcodes.linalg.PlanSlot`).  The map is
-    compiled in one row pass over blocks of K bytes, the K unit data
-    vectors side by side.  Codes whose map would exceed
-    ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    compiled in one row pass over blocks of N = m * n bytes, the K unit
+    data vectors side by side, each at its own cell's byte.  Codes whose
+    map would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     view = _view(params)
     dim = params.dimension()

@@ -2,15 +2,16 @@
 
 Everything here works at desk scale (hundreds of rows) with exact field
 arithmetic; rows are plain lists of ints.  Every elimination runs
-through one in-place kernel, ``_eliminate``, which picks unit pivots
-top to bottom and has two modes:
+through one in-place kernel, ``_eliminate``, which pivots on the
+columns it is given, in that order, picks unit pivots top to bottom
+and has two modes:
 
-* below-only, for :func:`row_reduce`, :func:`pivot_columns` and
-  :func:`rank`.  It only ever adds multiples of earlier pivot rows to
-  later rows (plus the occasional swap), so on a matrix whose leading
-  minors are nonsingular :func:`row_reduce` produces exactly the unit
-  upper triangular form the array decoders reason about, together with
-  the transform that produced it;
+* below-only, for :func:`row_reduce` and :func:`rank`.  It only ever
+  adds multiples of earlier pivot rows to later rows (plus the
+  occasional swap), so on a matrix whose leading minors are
+  nonsingular :func:`row_reduce` produces exactly the unit upper
+  triangular form the array decoders reason about, together with the
+  transform that produced it;
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
 
@@ -90,11 +91,8 @@ class Matrix:
         body = "\n".join(" ".join(f"{v:>3x}" for v in row) for row in self.data)
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})\n{body}"
 
-    def submatrix(self, rows: Sequence[int] | None = None,
-                  cols: Sequence[int] | None = None) -> "Matrix":
-        rr = range(self.rows) if rows is None else rows
-        cc = range(self.cols) if cols is None else cols
-        return Matrix(self.field, [[self.data[r][c] for c in cc] for r in rr])
+    def submatrix(self, cols: Sequence[int]) -> "Matrix":
+        return Matrix(self.field, [[row[c] for c in cols] for row in self.data])
 
     def mul_vec(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.cols:
@@ -167,17 +165,17 @@ def vandermonde(field: GF, nodes: Sequence[int], num_rows: int) -> Matrix:
     return Matrix(field, data[:num_rows])
 
 
-def _eliminate(rows: list[list[int]], field: GF, ncols: int,
+def _eliminate(rows: list[list[int]], field: GF, cols: Iterable[int],
                full: bool) -> list[int]:
-    # The one elimination loop: in place over the first ncols columns.
-    # Each pivot is the first row, top to bottom, with a nonzero entry in
-    # its column; it is swapped up, scaled to 1 and used to clear the
-    # rows below it, or every other row when ``full``.  Returns the pivot
-    # columns.
+    # The one elimination loop: in place, pivoting on the columns ``cols``
+    # in the order given.  Each pivot is the first row, top to bottom,
+    # among those not yet pivots, with a nonzero entry in its column; it
+    # is swapped up, scaled to 1 and used to clear the rows below it, or
+    # every other row when ``full``.  Returns the pivot columns, in order.
     mul = field.mul
     nrows = len(rows)
     pivots: list[int] = []
-    for col in range(ncols):
+    for col in cols:
         p = len(pivots)
         if p == nrows:
             break
@@ -208,18 +206,14 @@ def row_reduce(m: Matrix) -> tuple[Matrix, Matrix]:
     c = m.cols
     aug = [row + [int(i == j) for j in range(m.rows)]
            for i, row in enumerate(m.data)]
-    _eliminate(aug, m.field, c, full=False)
+    _eliminate(aug, m.field, range(c), full=False)
     return (Matrix(m.field, [row[:c] for row in aug]),
             Matrix(m.field, [row[c:] for row in aug]))
 
 
-def pivot_columns(m: Matrix) -> list[int]:
-    """Columns that are not combinations of the columns before them."""
-    return _eliminate([row[:] for row in m.data], m.field, m.cols, full=False)
-
-
 def rank(m: Matrix) -> int:
-    return len(pivot_columns(m))
+    return len(_eliminate([row[:] for row in m.data], m.field,
+                          range(m.cols), full=False))
 
 
 def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
@@ -231,7 +225,7 @@ def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
     aug = [row + [b] for row, b in zip(m.data, rhs)]
-    pivots = _eliminate(aug, m.field, m.cols + 1, full=True)
+    pivots = _eliminate(aug, m.field, range(m.cols + 1), full=True)
     if m.cols in pivots:
         raise NoSolutionError("inconsistent system")
     if len(pivots) < m.cols:
@@ -243,7 +237,7 @@ def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
 def null_space(m: Matrix) -> list[list[int]]:
     """Basis of the right null space, one vector per free column."""
     work = [row[:] for row in m.data]
-    pivots = _eliminate(work, m.field, m.cols, full=True)
+    pivots = _eliminate(work, m.field, range(m.cols), full=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
@@ -278,28 +272,26 @@ class ByteMap:
 
     The map is given by its ``rows``: one per target of ``targets``
     (ascending), then one per check symbol that every consistent word
-    sends to zero, each over the word's ``size`` - |targets| other
-    positions in order.  ``columns[j]`` holds, one byte per row, the
-    image of the unit word at position j; a target has the empty
-    column, so its symbol is ignored.  :meth:`apply` multiplies a column
-    with one ``bytes.translate`` through the field's product table (see
-    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
-    Jerasure's idiom, with no per-symbol field arithmetic.  It fills
-    blocks of L words at once as well.
+    sends to zero, each over every position of the word in order.
+    ``columns[j]`` holds, one byte per row, the image of the unit word
+    at position j; a target has the empty column, whatever its rows
+    hold there, so its symbol is ignored.  :meth:`apply` multiplies a
+    column with one ``bytes.translate`` through the field's product
+    table (see :meth:`GF.mul_tables`) and XORs the columns as one big
+    integer: Jerasure's idiom, with no per-symbol field arithmetic.  It
+    fills blocks of L words at once as well.
     """
 
     __slots__ = ("tables", "columns", "targets", "height")
 
     def __init__(self, field: GF, rows: Sequence[Sequence[int]],
-                 targets: Sequence[int], size: int):
+                 targets: Sequence[int]):
         self.tables = field.mul_tables()
         self.targets = targets
         self.height = len(rows)
-        self.columns = columns = [b""] * size
         skip = set(targets)
-        rest = [j for j in range(size) if j not in skip]
-        for j, col in zip(rest, zip(*rows)):
-            columns[j] = bytes(col)
+        self.columns = [b"" if j in skip else bytes(col)
+                        for j, col in enumerate(zip(*rows))]
 
     def apply(self, word: list[int], block: int = 1) -> None:
         """Fill the targets of ``word`` (symbols in range) in place.
@@ -402,21 +394,19 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     """The solve of ``h @ word = 0`` for the positions ``erased``
     (ascending, w <= 8) compiled into a :class:`ByteMap` of the word.
 
-    One full elimination of the columns of h, erased ones first, gives
-    ``T @ h = [[I, A], [0, B]]``.  So the erased symbols are ``A`` times
-    the survivors, and the survivors are consistent with the code
-    exactly when ``B`` sends them to zero: the residual rows, kept as
-    the map's check symbols, that :func:`solve` tests.  None when the
-    erased columns are dependent.
+    One full elimination of a copy of h, pivoting on the erased columns
+    in order, gives ``T @ h``, whose first |E| rows are the unit vectors
+    on the erased columns plus ``A`` on the survivors, and whose other
+    rows vanish on the erased columns and are ``B`` on the survivors.
+    So the erased symbols are ``A`` times the survivors, and the
+    survivors are consistent with the code exactly when ``B`` sends them
+    to zero: the residual rows, kept as the map's check symbols, that
+    :func:`solve` tests.  None when the erased columns are dependent.
     """
-    e = len(erased)
-    skip = set(erased)
-    rest = [c for c in range(h.cols) if c not in skip]
-    rows = [[row[c] for c in erased] + [row[c] for c in rest]
-            for row in h.data]
-    if len(_eliminate(rows, h.field, e, full=True)) < e:
+    rows = [row[:] for row in h.data]
+    if len(_eliminate(rows, h.field, erased, full=True)) < len(erased):
         return None
-    return ByteMap(h.field, [row[e:] for row in rows], erased, h.cols)
+    return ByteMap(h.field, rows, erased)
 
 
 class PlanSlot:
@@ -425,11 +415,12 @@ class PlanSlot:
 
     A map is worth building only when it will be used often enough to
     repay its compile.  Callers state that compile's cost in uses:
-    2 + K // 32 for a gpc encoder, built in one row pass over blocks of
-    its K unit data vectors (measured at 14 scalar encodes for G16, K =
-    372; see ``gpc.encoder_cost``), and |E| for an erasure plan, one
-    elimination with |E| pivot steps (measured at 7 scalar decodes for
-    |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for |E| = 3 and 7).
+    2 + K // 32 for a gpc encoder, built in one row pass that carries its
+    K unit data vectors in blocks (measured at 14 scalar encodes for
+    G16, K = 372; see ``gpc.encoder_cost``), and |E| for an erasure
+    plan, one elimination with |E| pivot steps (measured at 7 scalar
+    decodes for |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for
+    |E| = 3 and 7).
     A gpc row plan is an erasure plan of one row's level code, so it
     costs |cols| uses too (measured at 1.9 to 2.4 scalar row solves for
     |cols| = 2, 4 and 8 on G16).  A fill of a block of L words counts L
@@ -498,13 +489,12 @@ class LinearCode:
         """Greedy systematic choice: the last positions, scanned right to
         left, whose check columns stay linearly independent."""
         if self._parity_positions is None:
-            # The pivot columns of the column-reversed check matrix are
-            # exactly that greedy choice, and there are rank-many.
-            flipped = Matrix(self.field,
-                             [row[::-1] for row in self.check_matrix.data])
-            last = self.length - 1
-            self._parity_positions = tuple(
-                sorted(last - c for c in pivot_columns(flipped)))
+            # Pivoting right to left makes exactly that greedy choice,
+            # rank-many columns.
+            rows = [row[:] for row in self.check_matrix.data]
+            self._parity_positions = tuple(sorted(_eliminate(
+                rows, self.field, range(self.length - 1, -1, -1),
+                full=False)))
         return self._parity_positions
 
     def data_positions(self) -> tuple[int, ...]:

@@ -56,7 +56,7 @@ class DistanceReport:
 
 def _row_basis(m: Matrix) -> list[list[int]]:
     work = [row[:] for row in m.data]
-    return work[:len(_eliminate(work, m.field, m.cols, full=False))]
+    return work[:len(_eliminate(work, m.field, range(m.cols), full=False))]
 
 
 def search_cost(n: int, cap: int) -> int:

@@ -12,6 +12,7 @@ from gpcodes.fields import GF, default_field
 from gpcodes.gpc import UncorrectableError
 from gpcodes.linalg import Matrix, rank
 from gpcodes.oracle import brute_min_distance
+from test_properties import low_rank_rows
 
 F16 = default_field(4)
 
@@ -125,10 +126,25 @@ def greedy_parity_reference(code):
     return tuple(sorted(kept))
 
 
+def degenerate_code(field, rng):
+    # A random check matrix of a random rank, with a zero column and a
+    # repeated column.
+    length = rng.randint(4, 12)
+    data = low_rank_rows(field, rng, rng.randint(2, 6), length)
+    zero, src, dst = rng.sample(range(length), 3)
+    for row in data:
+        row[zero] = 0
+        row[dst] = row[src]
+    return LinearCode(field, length, Matrix(field, data))
+
+
 def test_parity_positions_match_greedy_rank_scan():
     codes = [build(m, n) for build in (build_h2, build_h3)
              for m in range(2, 7) for n in range(2, 7)]
     codes.append(build_h3(3, 4, GF.from_prime(13)))
+    rng = random.Random(12)
+    codes += [degenerate_code(field, rng) for field in
+              (default_field(8), default_field(12)) for _ in range(20)]
     for code in codes:
         expected = greedy_parity_reference(code)
         assert code.parity_positions() == expected

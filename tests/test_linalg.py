@@ -29,7 +29,7 @@ def test_matrix_basics():
     m = Matrix(F16, [[1, 2], [3, 4], [5, 6]])
     assert (m.rows, m.cols) == (3, 2)
     assert m.data[1][0] == 3
-    assert m.submatrix(rows=[0, 2], cols=[1]).data == [[2], [6]]
+    assert m.submatrix(cols=[1]).data == [[2], [4], [6]]
     with pytest.raises(ValueError):
         Matrix(F16, [[1, 2], [3]])
 

@@ -1,5 +1,6 @@
 """Property tests: the gpc decoders on random small codes and patterns,
-and the compiled erasure plans of linear codes against the scalar solve."""
+the compiled erasure plans of linear codes against the scalar solve, and
+the elimination kernel's column order."""
 
 import random
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
-from gpcodes.fields import default_field, field_with_order
-from gpcodes.linalg import PlanSlot, rank
+from gpcodes.fields import GF, default_field, field_with_order
+from gpcodes.linalg import PlanSlot, _eliminate, combine, rank
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
@@ -160,3 +161,38 @@ def test_erasure_plan_matches_the_solve(name, seed, kind):
         assert expected == (word if not dependent else (
             UncorrectableError,
             f"{size} erased positions span a dependent column set", erased))
+
+
+def low_rank_rows(field, rng, nrows, ncols):
+    """``nrows`` random rows of ``ncols`` symbols that span a random
+    number of dimensions, at most ``nrows``."""
+    top = 1 << field.w
+    basis = [[rng.randrange(top) for _ in range(ncols)]
+             for _ in range(rng.randint(1, nrows))]
+    return [combine(field, [(rng.randrange(1, top), b) for b in basis], ncols)
+            for _ in range(nrows)]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([default_field(4), default_field(8),
+                        GF.from_prime(13)]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_eliminate_on_a_column_order_equals_the_permuted_copy(field, full,
+                                                              seed):
+    # Pivoting on ``order`` must act as eliminating the copy whose columns
+    # are permuted into that order (the rest after it) on its leading
+    # len(order) columns: the same pivots, and the same rows.
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 9)
+    rows = low_rank_rows(field, rng, rng.randint(1, 7), ncols)
+    if rng.random() < 0.3:
+        zero = rng.randrange(ncols)
+        for row in rows:
+            row[zero] = 0
+    order = rng.sample(range(ncols), rng.randint(0, ncols))
+    perm = order + [c for c in range(ncols) if c not in order]
+    copy = [[row[c] for c in perm] for row in rows]
+    copy_pivots = _eliminate(copy, field, range(len(order)), full)
+    assert _eliminate(rows, field, order, full) == [perm[c]
+                                                   for c in copy_pivots]
+    assert [[row[c] for c in perm] for row in rows] == copy

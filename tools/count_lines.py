@@ -1,4 +1,5 @@
-"""Print the physical and code lines of the library's sources.
+"""Print the physical and code lines of the library's sources: one
+line per module, then the total on the last line.
 
 Code lines are the non-blank lines that are neither comments nor part
 of a module, class or function docstring.  Every ``*.py`` file
@@ -39,6 +40,7 @@ def main() -> int:
     physical = code = 0
     for path in sorted(SOURCES.glob("*.py")):
         p, c = count(path.read_text())
+        print(f"  {path.name}: {p} physical lines, {c} code lines")
         physical += p
         code += c
     print(f"{SOURCES.name}: {physical} physical lines, {code} code lines")
