@@ -171,7 +171,7 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     symbols at erased positions are ignored.  The first |E| decodes of
     one pattern E of ``code`` solve from the code's
     :meth:`~gpcodes.linalg.LinearCode.syndrome`, compiled once per code
-    for w <= 8: about 0.1 to 0.2 ms per decode for |E| <= 7 on
+    for w <= 8: about 0.1 ms per decode for |E| <= 7 on
     ``build_h2(15, 17)`` on a shared 2-core Xeon with Python 3.11.  From
     the |E| + 1-th decode, a field with w <= 8 applies the pattern's
     compiled plan instead of the solve (see

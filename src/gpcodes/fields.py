@@ -311,16 +311,23 @@ class GF:
 
         Entry x of table v is v * x (0 past the field), so
         ``block.translate(tables[v])`` multiplies every byte symbol of a
-        block by v.  Built on first use and kept with the field.
+        block by v.  Built on first use and kept with the field: with g
+        the generator of the exp table, table g * v is table v
+        translated through table g, so one table of products and one
+        translate per power of g give them all.
         """
         if self.w > 8:
             raise ValueError(f"product tables need w <= 8, got w={self.w}")
         if self._mul_tables is None:
-            exp, log, n = self._exp, self._log, self.order
+            exp, n = self._exp, self.order
             pad = bytes(255 - n)
-            self._mul_tables = (bytes(256),) + tuple(
-                bytes([0] + [exp[log[v] + log[x]] for x in range(1, n + 1)])
-                + pad for v in range(1, n + 1))
+            step = bytes(self.mul(exp[1], x) for x in range(n + 1)) + pad
+            tables = [bytes(256)] * (n + 1)
+            table = bytes(range(n + 1)) + pad
+            for v in exp[:n]:
+                tables[v] = table
+                table = table.translate(step)
+            self._mul_tables = tuple(tables)
         return self._mul_tables
 
     def check_symbols(self, values: Iterable[int], what: str) -> None:

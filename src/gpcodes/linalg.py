@@ -1,10 +1,14 @@
 """Dense matrices and Gaussian elimination over GF(2^w).
 
 Everything here works at desk scale (hundreds of rows) with exact field
-arithmetic; rows are plain lists of ints.  Every elimination runs
-through one in-place kernel, ``_eliminate``, which pivots on the
-columns it is given, in that order, picks unit pivots top to bottom
-and has two modes:
+arithmetic.  A :class:`Matrix` holds its rows as plain lists of ints.
+Every elimination runs through one in-place kernel, ``_eliminate``,
+on working rows built by ``_work_rows``: ``bytes`` for w <= 8, so that
+a row is scaled with one ``bytes.translate`` through a product table
+(see :meth:`GF.mul_tables`) and cleared by XORing the translated pivot
+row as one big integer, and int lists, multiplied entry by entry, for
+w > 8.  The kernel pivots on the columns it is given, in that order,
+picks unit pivots top to bottom and has two modes:
 
 * below-only, for :func:`row_reduce` and :func:`rank`.  It only ever
   adds multiples of earlier pivot rows to later rows (plus the
@@ -165,32 +169,55 @@ def vandermonde(field: GF, nodes: Sequence[int], num_rows: int) -> Matrix:
     return Matrix(field, data[:num_rows])
 
 
-def _eliminate(rows: list[list[int]], field: GF, cols: Iterable[int],
+def _work_rows(field: GF, data: Iterable[Sequence[int]]) -> list:
+    # Working copies of ``data`` for _eliminate: bytes for w <= 8, so
+    # that row updates run through the product tables; int lists
+    # otherwise.
+    form = bytes if field.w <= 8 else list
+    return [form(row) for row in data]
+
+
+def _eliminate(rows: list, field: GF, cols: Iterable[int],
                full: bool) -> list[int]:
     # The one elimination loop: in place, pivoting on the columns ``cols``
     # in the order given.  Each pivot is the first row, top to bottom,
     # among those not yet pivots, with a nonzero entry in its column; it
     # is swapped up, scaled to 1 and used to clear the rows below it, or
     # every other row when ``full``.  Returns the pivot columns, in order.
-    mul = field.mul
+    # Rows held as bytes (w <= 8, see _work_rows) are scaled with one
+    # ``bytes.translate`` through a product table and cleared by XORing
+    # the translated pivot row as one int; int lists, any w, multiply
+    # entry by entry.  Either form gives the same pivots and rows.
+    mul, from_bytes = field.mul, int.from_bytes
     nrows = len(rows)
+    tables = field.mul_tables() if rows and type(rows[0]) is bytes else None
     pivots: list[int] = []
     for col in cols:
         p = len(pivots)
         if p == nrows:
             break
-        sel = next((i for i in range(p, nrows) if rows[i][col]), None)
-        if sel is None:
+        for sel in range(p, nrows):
+            if rows[sel][col]:
+                break
+        else:
             continue
         rows[sel], rows[p] = rows[p], rows[sel]
-        inv = field.inv(rows[p][col])
-        if inv != 1:
-            rows[p] = [mul(inv, v) for v in rows[p]]
         prow = rows[p]
+        inv = field.inv(prow[col])
+        if inv != 1:
+            prow = rows[p] = (prow.translate(tables[inv]) if tables
+                              else [mul(inv, v) for v in prow])
+        size = len(prow)
         for i in range(0 if full else p + 1, nrows):
-            factor = rows[i][col]
+            row = rows[i]
+            factor = row[col]
             if factor and i != p:
-                rows[i] = [v ^ mul(factor, q) for v, q in zip(rows[i], prow)]
+                if tables:
+                    rows[i] = (from_bytes(row, "little") ^ from_bytes(
+                        prow.translate(tables[factor]), "little")
+                    ).to_bytes(size, "little")
+                else:
+                    rows[i] = [v ^ mul(factor, q) for v, q in zip(row, prow)]
         pivots.append(col)
     return pivots
 
@@ -204,15 +231,15 @@ def row_reduce(m: Matrix) -> tuple[Matrix, Matrix]:
     cleared *below* only, so rows keep their triangular structure.
     """
     c = m.cols
-    aug = [row + [int(i == j) for j in range(m.rows)]
-           for i, row in enumerate(m.data)]
+    aug = _work_rows(m.field, (row + [int(i == j) for j in range(m.rows)]
+                               for i, row in enumerate(m.data)))
     _eliminate(aug, m.field, range(c), full=False)
     return (Matrix(m.field, [row[:c] for row in aug]),
             Matrix(m.field, [row[c:] for row in aug]))
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate([row[:] for row in m.data], m.field,
+    return len(_eliminate(_work_rows(m.field, m.data), m.field,
                           range(m.cols), full=False))
 
 
@@ -224,7 +251,7 @@ def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length mismatch")
-    aug = [row + [b] for row, b in zip(m.data, rhs)]
+    aug = _work_rows(m.field, (row + [b] for row, b in zip(m.data, rhs)))
     pivots = _eliminate(aug, m.field, range(m.cols + 1), full=True)
     if m.cols in pivots:
         raise NoSolutionError("inconsistent system")
@@ -236,7 +263,7 @@ def solve(m: Matrix, rhs: Sequence[int]) -> list[int]:
 
 def null_space(m: Matrix) -> list[list[int]]:
     """Basis of the right null space, one vector per free column."""
-    work = [row[:] for row in m.data]
+    work = _work_rows(m.field, m.data)
     pivots = _eliminate(work, m.field, range(m.cols), full=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
@@ -403,7 +430,7 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     to zero: the residual rows, kept as the map's check symbols, that
     :func:`solve` tests.  None when the erased columns are dependent.
     """
-    rows = [row[:] for row in h.data]
+    rows = _work_rows(h.field, h.data)
     if len(_eliminate(rows, h.field, erased, full=True)) < len(erased):
         return None
     return ByteMap(h.field, rows, erased)
@@ -418,16 +445,15 @@ class PlanSlot:
     2 + K // 32 for a gpc encoder, built in one row pass that carries its
     K unit data vectors in blocks (measured at 14 scalar encodes for
     G16, K = 372; see ``gpc.encoder_cost``), and |E| for an erasure
-    plan, one elimination with |E| pivot steps (measured at 7 scalar
-    decodes for |E| = 17 on ``build_h2(15, 17)``, and at 6 to 8 for
-    |E| = 3 and 7).
-    A gpc row plan is an erasure plan of one row's level code, so it
-    costs |cols| uses too (measured at 1.9 to 2.4 scalar row solves for
-    |cols| = 2, 4 and 8 on G16).  A fill of a block of L words counts L
-    uses.  A slot stays scalar for ``cost``
+    plan, one elimination with |E| pivot steps (measured with timeit at
+    2.7, 2.4 and 2.2 scalar decodes for |E| = 3, 7 and 17 on
+    ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
+    row's level code, so it costs |cols| uses too (measured at 0.8 to
+    1.0 scalar row solves for |cols| = 2, 4 and 8 on G16).  A fill of a
+    block of L words counts L uses.  A slot stays scalar for ``cost``
     uses and compiles on the use that passes it, the rent-or-buy rule:
     a process that uses it at most ``cost`` times never pays for a map,
-    and one that compiles has already spent about the compile's cost
+    and one that compiles has already spent at least the compile's cost
     on scalar uses, so it never takes much more than twice the scalar
     time.  The compile is tried that once: fields with w > 8, maps above
     ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
@@ -491,7 +517,7 @@ class LinearCode:
         if self._parity_positions is None:
             # Pivoting right to left makes exactly that greedy choice,
             # rank-many columns.
-            rows = [row[:] for row in self.check_matrix.data]
+            rows = _work_rows(self.field, self.check_matrix.data)
             self._parity_positions = tuple(sorted(_eliminate(
                 rows, self.field, range(self.length - 1, -1, -1),
                 full=False)))

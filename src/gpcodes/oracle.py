@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .linalg import Matrix, _eliminate, rank, solve
+from .linalg import Matrix, _eliminate, _work_rows, rank, solve
 from . import gpc as _gpc
 
 DEFAULT_BUDGET = 10_000_000
@@ -54,8 +54,8 @@ class DistanceReport:
     subsets_examined: int
 
 
-def _row_basis(m: Matrix) -> list[list[int]]:
-    work = [row[:] for row in m.data]
+def _row_basis(m: Matrix) -> list[Sequence[int]]:
+    work = _work_rows(m.field, m.data)
     return work[:len(_eliminate(work, m.field, range(m.cols), full=False))]
 
 

@@ -134,6 +134,18 @@ def test_invalid_arguments_raise():
         default_field(4).element_order(0)
 
 
+def test_mul_tables_equal_the_field_product():
+    # Built by translates along the powers of the exp table's generator;
+    # GF(4, 0b11111)'s x is not primitive, so its generator is not x.
+    for f in ([default_field(w) for w in range(2, 9)]
+              + [GF(4, modulus=0b11111), GF.from_prime(3), GF.from_prime(5)]):
+        tables = f.mul_tables()
+        assert len(tables) == 1 << f.w
+        for v, table in enumerate(tables):
+            assert table == bytes(f.mul(v, x) if x >> f.w == 0 else 0
+                                  for x in range(256))
+
+
 def test_modulus_validation():
     # 0b11111 is the all-ones degree-4 polynomial, irreducible since 2 is
     # primitive mod 5 -- it must be accepted even though x is not primitive.

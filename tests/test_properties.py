@@ -1,6 +1,6 @@
 """Property tests: the gpc decoders on random small codes and patterns,
 the compiled erasure plans of linear codes against the scalar solve, and
-the elimination kernel's column order."""
+the elimination kernel's column order and its two row forms."""
 
 import random
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
-from gpcodes.linalg import PlanSlot, _eliminate, combine, rank
+from gpcodes.linalg import PlanSlot, _eliminate, _work_rows, combine, rank
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
@@ -176,12 +176,14 @@ def low_rank_rows(field, rng, nrows, ncols):
 @PROPERTY_SETTINGS
 @given(st.sampled_from([default_field(4), default_field(8),
                         GF.from_prime(13)]),
-       st.booleans(), st.integers(0, 2**32 - 1))
+       st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
 def test_eliminate_on_a_column_order_equals_the_permuted_copy(field, full,
-                                                              seed):
+                                                              helper, seed):
     # Pivoting on ``order`` must act as eliminating the copy whose columns
     # are permuted into that order (the rest after it) on its leading
-    # len(order) columns: the same pivots, and the same rows.
+    # len(order) columns: the same pivots, and the same rows.  The rows
+    # are built by _work_rows (bytes for w <= 8, lists for GF(2^12)), or
+    # as int lists on every field.
     rng = random.Random(seed)
     ncols = rng.randint(1, 9)
     rows = low_rank_rows(field, rng, rng.randint(1, 7), ncols)
@@ -192,7 +194,33 @@ def test_eliminate_on_a_column_order_equals_the_permuted_copy(field, full,
     order = rng.sample(range(ncols), rng.randint(0, ncols))
     perm = order + [c for c in range(ncols) if c not in order]
     copy = [[row[c] for c in perm] for row in rows]
+    if helper:
+        rows, copy = _work_rows(field, rows), _work_rows(field, copy)
     copy_pivots = _eliminate(copy, field, range(len(order)), full)
     assert _eliminate(rows, field, order, full) == [perm[c]
                                                    for c in copy_pivots]
-    assert [[row[c] for c in perm] for row in rows] == copy
+    assert [[row[c] for c in perm] for row in rows] == [list(row)
+                                                        for row in copy]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([default_field(w) for w in range(2, 9)]
+                       + [GF(4, modulus=0b11111)]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_eliminate_on_bytes_rows_equals_the_list_loop(field, full, seed):
+    # The product-table rows of w <= 8 and the int-list reference loop
+    # give the same pivots and the same rows: on random rank deficits,
+    # zero and repeated columns, and any column order.
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 10)
+    rows = low_rank_rows(field, rng, rng.randint(1, 8), ncols)
+    for _ in range(rng.randint(0, 2)):
+        dst, src = rng.randrange(ncols), rng.choice([None, *range(ncols)])
+        for row in rows:
+            row[dst] = 0 if src is None else row[src]
+    order = rng.sample(range(ncols), rng.randint(0, ncols))
+    work = _work_rows(field, rows)
+    assert all(type(row) is bytes for row in work)
+    assert _eliminate(work, field, order, full) == _eliminate(
+        rows, field, order, full)
+    assert [list(row) for row in work] == rows
