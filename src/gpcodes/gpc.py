@@ -324,7 +324,7 @@ class _View(NamedTuple):
 # Views by params, least recently used evicted first: at most 16
 # entries, each an encoder map of at most 64 KiB and t + 1 row codes of
 # length n (G16's row view holds 14 KB of check lists, its column view
-# 6 KB), each with its row plans.
+# 6 KB), each with at most 1 MiB of row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
@@ -450,8 +450,11 @@ class DecodeTrace:
     # steps: (profile position, row index, level used; None = vanishing combo)
 
 
-# Triangulations by (params, row order, system size).
-_TRIANGULATION_LIMIT = 1024
+# Triangulations by (params, row order, system size), least recently
+# used evicted first.  A repeated loss needs one entry; patterns that are
+# all new hit almost never (a 15 s scrub of the benchmark's G16 code: 16
+# hits in 464 lookups), so a small limit keeps the hits that come.
+_TRIANGULATION_LIMIT = 64
 _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
 
 
@@ -540,12 +543,13 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     Every row repair fills the row's erased cells in one level's row
     code with :meth:`~gpcodes.linalg.LinearCode.fill`.  For w <= 8, the
     rows within reach of the weakest row code that share their erased
-    columns fill together, as one block of one byte per row.  Once
-    |cols| repairs of one set of erased columns in one level under equal
-    ``params`` have run in a process, a field with w <= 8 applies that
-    set's compiled erasure plan instead of the solve (at most 16 per
-    level, least recently used dropped first), and the peel sums its
-    known rows with product tables (:func:`~gpcodes.linalg.combine`).
+    columns fill together, as one block of one byte per row.  Once one
+    repair of a set of erased columns in one level under equal
+    ``params`` has run in a process, a field with w <= 8 applies that
+    set's compiled erasure plan instead of the solve (as many per level
+    as fit in 1 MiB, least recently used dropped first), and the peel
+    sums its known rows with product tables
+    (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and

@@ -187,7 +187,9 @@ def _eliminate(rows: list, field: GF, cols: Iterable[int],
     # Rows held as bytes (w <= 8, see _work_rows) are scaled with one
     # ``bytes.translate`` through a product table and cleared by XORing
     # the translated pivot row as one int; int lists, any w, multiply
-    # entry by entry.  Either form gives the same pivots and rows.
+    # entry by entry.  Either form gives the same pivots and rows.  Rows
+    # are replaced in the list, never changed in place, so a shallow copy
+    # of a list of working rows is a working copy.
     mul, from_bytes = field.mul, int.from_bytes
     nrows = len(rows)
     tables = field.mul_tables() if rows and type(rows[0]) is bytes else None
@@ -297,28 +299,31 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
 class ByteMap:
     """A GF(2^w)-linear fill of a word's target positions, for w <= 8.
 
-    The map is given by its ``rows``: one per target of ``targets``
-    (ascending), then one per check symbol that every consistent word
-    sends to zero, each over every position of the word in order.
-    ``columns[j]`` holds, one byte per row, the image of the unit word
-    at position j; a target has the empty column, whatever its rows
-    hold there, so its symbol is ignored.  :meth:`apply` multiplies a
-    column with one ``bytes.translate`` through the field's product
-    table (see :meth:`GF.mul_tables`) and XORs the columns as one big
-    integer: Jerasure's idiom, with no per-symbol field arithmetic.  It
-    fills blocks of L words at once as well.
+    The map is given by its ``rows``, as ``bytes``: one per target of
+    ``targets`` (ascending), then one per check symbol that every
+    consistent word sends to zero, each over every position of the word
+    in order.  ``columns[j]`` holds, one byte per row, the image of the
+    unit word at position j, cut from the joined rows as one strided
+    slice; a target has the empty column, whatever its rows hold there,
+    so its symbol is ignored.  :meth:`apply` multiplies a column with
+    one ``bytes.translate`` through the field's product table (see
+    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
+    Jerasure's idiom, with no per-symbol field arithmetic.  It fills
+    blocks of L words at once as well.
     """
 
     __slots__ = ("tables", "columns", "targets", "height")
 
-    def __init__(self, field: GF, rows: Sequence[Sequence[int]],
+    def __init__(self, field: GF, rows: Sequence[bytes],
                  targets: Sequence[int]):
         self.tables = field.mul_tables()
         self.targets = targets
         self.height = len(rows)
+        size = len(rows[0]) if rows else 0
+        joined = b"".join(rows)
         skip = set(targets)
-        self.columns = [b"" if j in skip else bytes(col)
-                        for j, col in enumerate(zip(*rows))]
+        self.columns = [b"" if j in skip else joined[j::size]
+                        for j in range(size)]
 
     def apply(self, word: list[int], block: int = 1) -> None:
         """Fill the targets of ``word`` (symbols in range) in place.
@@ -430,10 +435,7 @@ def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
     to zero: the residual rows, kept as the map's check symbols, that
     :func:`solve` tests.  None when the erased columns are dependent.
     """
-    rows = _work_rows(h.field, h.data)
-    if len(_eliminate(rows, h.field, erased, full=True)) < len(erased):
-        return None
-    return ByteMap(h.field, rows, erased)
+    return LinearCode(h.field, h.cols, h)._compile(erased)
 
 
 class PlanSlot:
@@ -444,21 +446,21 @@ class PlanSlot:
     repay its compile.  Callers state that compile's cost in uses:
     2 + K // 32 for a gpc encoder, built in one row pass that carries its
     K unit data vectors in blocks (measured at 14 scalar encodes for
-    G16, K = 372; see ``gpc.encoder_cost``), and |E| for an erasure
-    plan, one elimination with |E| pivot steps (measured with timeit at
-    2.7, 2.4 and 2.2 scalar decodes for |E| = 3, 7 and 17 on
-    ``build_h2(15, 17)``).  A gpc row plan is an erasure plan of one
-    row's level code, so it costs |cols| uses too (measured at 0.8 to
-    1.0 scalar row solves for |cols| = 2, 4 and 8 on G16).  A fill of a
-    block of L words counts L uses.  A slot stays scalar for ``cost``
-    uses and compiles on the use that passes it, the rent-or-buy rule:
-    a process that uses it at most ``cost`` times never pays for a map,
-    and one that compiles has already spent at least the compile's cost
-    on scalar uses, so it never takes much more than twice the scalar
-    time.  The compile is tried that once: fields with w > 8, maps above
-    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
-    live in caches bounded by :func:`recall`, so a slot in use is kept
-    and an evicted one starts again from zero uses.
+    G16, K = 372; see ``gpc.encoder_cost``), and ``_PLAN_COST`` = 1 for
+    an erasure plan, one elimination of the code's check rows held as
+    bytes (measured with timeit at 0.56, 0.69 and 0.91 scalar decodes for
+    |E| = 3, 7 and 17 on ``build_h2(15, 17)``, and a gpc row plan, an
+    erasure plan of one row's level code, at 0.57 to 0.85 scalar row
+    solves for |cols| = 2, 4 and 8 on G16).  A fill of a block of L words
+    counts L uses.  A slot stays scalar for ``cost`` uses and compiles on
+    the use that passes it, the rent-or-buy rule: a process that uses it
+    at most ``cost`` times never pays for a map, and one that compiles
+    has already spent at least the compile's cost on scalar uses, so it
+    never takes much more than twice the scalar time.  The compile is
+    tried that once: fields with w > 8, maps above ``MAP_BYTES_LIMIT``
+    and builds that return None stay scalar.  Slots live in caches
+    bounded by :func:`recall`, so a slot in use is kept and an evicted
+    one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")
@@ -482,9 +484,15 @@ class PlanSlot:
         return self.map
 
 
-# Plan slots per code, least recently used evicted first: at most 16
-# plans of at most 64 KiB each (1 MiB) per LinearCode.
-_PLAN_LIMIT = 16
+# Plan memory per code, in bytes: a LinearCode keeps at most
+# _PLAN_BUDGET // (length * (rows + 48)) plan slots, and at least one,
+# least recently used evicted first.  By tracemalloc a plan takes 1.2 to
+# 1.3 KB on G16's level codes (so level 0 keeps 699 slots) and 18.2 to
+# 19.1 KB on build_h2(15, 17) (50 slots).
+_PLAN_BUDGET = 1 << 20
+
+# Uses that an erasure plan's compile costs (see PlanSlot).
+_PLAN_COST = 1
 
 
 @dataclass
@@ -502,6 +510,12 @@ class LinearCode:
         self._data_positions: tuple[int, ...] | None = None
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
         self._checks: ByteMap | None = None
+        # The check rows as working rows, built once: every plan compile
+        # and the parity choice eliminate a shallow copy.
+        self._rows = _work_rows(self.field, self.check_matrix.data)
+        # A plan's footprint, bounded above: per position, a column of
+        # one byte per check row and about 48 bytes of object overhead.
+        self._plan_bytes = self.length * (self.check_matrix.rows + 48)
 
     @property
     def redundancy(self) -> int:
@@ -517,9 +531,8 @@ class LinearCode:
         if self._parity_positions is None:
             # Pivoting right to left makes exactly that greedy choice,
             # rank-many columns.
-            rows = _work_rows(self.field, self.check_matrix.data)
             self._parity_positions = tuple(sorted(_eliminate(
-                rows, self.field, range(self.length - 1, -1, -1),
+                list(self._rows), self.field, range(self.length - 1, -1, -1),
                 full=False)))
         return self._parity_positions
 
@@ -550,8 +563,16 @@ class LinearCode:
         # The check-only plan, built once per code: its syndrome, and the
         # fill of a word with no erasures.
         if self._checks is None:
-            self._checks = erasure_plan(self.check_matrix, ())
+            self._checks = self._compile(())
         return self._checks
+
+    def _compile(self, erased: Sequence[int]) -> ByteMap | None:
+        # erasure_plan(check_matrix, erased), eliminating a copy of the
+        # code's own rows.
+        rows = list(self._rows)
+        if len(_eliminate(rows, self.field, erased, full=True)) < len(erased):
+            return None
+        return ByteMap(self.field, rows, erased)
 
     def fill(self, word: list[int], erased: tuple[int, ...],
              block: int = 1) -> None:
@@ -561,22 +582,26 @@ class LinearCode:
         ``block`` L > 1 (w <= 8 only) each position holds a block of L
         words, as in :meth:`ByteMap.apply`, and every word is filled.
 
-        The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`
-        once |E| uses have passed, a block counting L.  Until then, and
-        when no plan is built, the :func:`solve` runs, word by word, on
-        the :meth:`syndrome` of the word with its erased symbols zeroed:
-        for w <= 8 one product-table pass over the check matrix's byte
-        columns, compiled once per code, and for w > 8
-        :meth:`Matrix.mul_vec`.  The plan of no erasures is that
-        syndrome's map itself.  Raises :class:`UnderdeterminedError` on
-        dependent erased columns and :class:`NoSolutionError` when the
-        survivors contradict the code, leaving ``word`` as it was.
+        The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`,
+        from the check rows the code keeps as bytes, on its second use, a
+        block counting L.  The code keeps as many slots as plans fit in
+        ``_PLAN_BUDGET`` (1 MiB), least recently used dropped first.
+        Until the compile, and when no plan is built, the :func:`solve`
+        runs, word by word, on the :meth:`syndrome` of the word with its
+        erased symbols zeroed: for w <= 8 one product-table pass over the
+        check matrix's byte columns, compiled once per code, and for
+        w > 8 :meth:`Matrix.mul_vec`.  The plan of no erasures is that
+        syndrome's map itself, applied from the first use.  Raises
+        :class:`UnderdeterminedError` on dependent erased columns and
+        :class:`NoSolutionError` when the survivors contradict the code,
+        leaving ``word`` as it was.
         """
-        h = self.check_matrix
-        slot = recall(self._plans, erased, _PLAN_LIMIT, PlanSlot)
-        plan = slot.plan(self.field, len(erased),
-                         (self.length - len(erased)) * h.rows,
-                         (lambda: erasure_plan(h, erased)) if erased
+        # The plan of no erasures is the syndrome's map: it costs nothing.
+        slot = recall(self._plans, erased,
+                      max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
+        plan = slot.plan(self.field, min(len(erased), _PLAN_COST),
+                         (self.length - len(erased)) * self.check_matrix.rows,
+                         (lambda: self._compile(erased)) if erased
                          else self._check_map, block)
         if plan is not None:
             plan.apply(word, block)

@@ -185,6 +185,44 @@ def test_encode_unwritable_output(tmp_path, capsys):
     assert f"error: cannot write {out}:" in capsys.readouterr().err
 
 
+G16_SPEC = {"kind": "gpc", "m": 16, "n": 30, "k": 14, "s": [8, 4, 4],
+            "u": [2, 4, 8], "field": {"w": 8}}
+
+
+def compiled_plans():
+    """{(view m, level): the erased columns of its compiled row plans}."""
+    return {(p.m, i): sorted(k for k, s in code._plans.items() if s.map)
+            for p, view in gpc._VIEWS.items()
+            for i, code in enumerate(view.levels) if code._plans}
+
+
+def test_one_command_compiles_only_the_plans_it_reuses(tmp_path, capsys,
+                                                       monkeypatch):
+    """A plan compiles on its second use, and a block of L rows counts L
+    uses: one G16 encode compiles the plans of the parity columns that
+    several rows of a level share, but not the encoder map; one decode of
+    two lost columns and one lost row compiles the level-0 plan of the
+    two columns, which 15 rows share."""
+    rng = random.Random(402)
+    code = write_spec(tmp_path, G16_SPEC)
+    data = write_data(tmp_path, [rng.randrange(256) for _ in range(372)])
+    enc = str(tmp_path / "enc.txt")
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    assert cli.main(["encode", code, data, "-o", enc]) == 0
+    assert compiled_plans() == {(16, 0): [(28, 29)],
+                                (16, 1): [(26, 27, 28, 29)],
+                                (16, 2): [tuple(range(22, 30))]}
+    assert all(view.encoder.map is None for view in gpc._VIEWS.values())
+    holes = str(tmp_path / "holes.txt")
+    punch_holes(enc, holes, [(r, c) for r in range(16) for c in range(30)
+                             if c in (14, 17) or r == 5])
+    dec = str(tmp_path / "dec.txt")
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    assert cli.main(["decode", code, holes, "-o", dec]) == 0
+    assert Path(dec).read_text() == Path(enc).read_text()
+    assert compiled_plans() == {(16, 0): [(14, 17)]}
+
+
 def test_decode_single_pass_vs_iterative(tmp_path, capsys):
     rng = random.Random(9)
     code = write_spec(tmp_path, STAIR_SPEC)

@@ -270,10 +270,10 @@ def _scalar_encode(data, code):
 
 
 def _compile_on_next_use(code, cols):
-    """A slot for the pattern ``cols`` that has counted |E| uses, so the
-    next one compiles."""
+    """A slot for the pattern ``cols`` that has counted its compile's
+    cost in uses, so the next one compiles."""
     slot = linalg.PlanSlot()
-    slot.uses = len(cols)
+    slot.uses = linalg._PLAN_COST
     code._plans[tuple(sorted(cols))] = slot
     return slot
 
@@ -353,15 +353,15 @@ def test_compiled_lc_encode_matches_scalar(build, monkeypatch):
         assert lc_encode(data, code) == expected
 
 
-def test_lc_encoder_compiles_after_p_encodes():
+def test_lc_encoder_compiles_after_the_plan_cost():
     code = build_h3(3, 4)
-    p = code.redundancy
+    cost = linalg._PLAN_COST
     for data in _stripes(code, random.Random(78)) * 2:
         assert lc_encode(data, code) == _scalar_encode(data, code)
-        # P scalar encodes, then one that compiles and applies the plan
+        # cost scalar encodes, then one that compiles and applies the plan
         slot = code._plans[code.parity_positions()]
-        assert (slot.map is None) == (slot.uses <= p)
-    assert slot.map is not None and slot.uses == p + 1
+        assert (slot.map is None) == (slot.uses <= cost)
+    assert slot.map is not None and slot.uses == cost + 1
 
 
 def test_wide_field_lc_encode_stays_scalar():
@@ -424,8 +424,9 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
 
 def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
         monkeypatch):
-    monkeypatch.setattr(linalg, "_PLAN_LIMIT", 4)
     code = build_h2(3, 3)
+    # a budget of four plans
+    monkeypatch.setattr(linalg, "_PLAN_BUDGET", 4 * code._plan_bytes)
     word = lc_encode([3, 9], code)
     patterns = [frozenset({a, b}) for a in range(9) for b in range(a + 1, 9)]
     for erased in patterns:
@@ -434,22 +435,22 @@ def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
     assert all(slot.map is None for slot in code._plans.values())
     # the newest slots are kept, the oldest went first
     assert list(code._plans) == [tuple(sorted(e)) for e in patterns[-4:]]
-    for _ in range(3):
-        lc_erasure_decode(list(word), patterns[-1], code)
+    lc_erasure_decode(list(word), patterns[-1], code)    # its second use
     assert code._plans[tuple(sorted(patterns[-1]))].map is not None
 
 
-def test_plan_in_use_outlives_unique_patterns():
-    """Decodes of more than linalg._PLAN_LIMIT unique patterns,
+def test_plan_in_use_outlives_unique_patterns(monkeypatch):
+    """Decodes of more unique patterns than the plan budget holds,
     interleaved with encodes, leave the parity pattern's compiled plan in
     place."""
     code = build_h2(3, 3)
-    for _ in range(code.redundancy + 1):
+    monkeypatch.setattr(linalg, "_PLAN_BUDGET", 16 * code._plan_bytes)
+    for _ in range(linalg._PLAN_COST + 1):
         word = lc_encode([3, 9], code)
     slot = code._plans[code.parity_positions()]
     assert slot.map is not None
     patterns = [{a, b} for a in range(9) for b in range(a + 1, 9)]
-    assert len(patterns) > linalg._PLAN_LIMIT
+    assert len(patterns) > 16
     for erased in patterns:
         assert lc_erasure_decode(list(word), erased, code) == word
         assert lc_encode([3, 9], code) == word

@@ -664,7 +664,7 @@ def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
     monkeypatch.undo()
     encoders.clear()
     monkeypatch.setattr(gpc, "_VIEWS", encoders)
-    # a row plan compiles on use |cols| + 1 <= max(m, n)
+    # a row plan compiles on its second use
     for (p, arr), want in zip(cases, expected):
         for _ in range(max(p.m, p.n)):
             assert outcome(decoder, arr, p) == want
@@ -765,7 +765,9 @@ def test_wide_field_never_builds_blocks(encoders, monkeypatch):
 
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
-    monkeypatch.setattr(linalg, "_PLAN_LIMIT", 2)
+    # a budget of two plans per level-0 row code
+    monkeypatch.setattr(linalg, "_PLAN_BUDGET",
+                        2 * gpc._view(FLAGSHIP).levels[0]._plan_bytes)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
         assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
@@ -796,7 +798,7 @@ def test_out_of_field_survivor_raises(decoder, value, encoders):
     bad.values[0][1] = value
     with pytest.raises(ValueError, match="survivor out of field range"):
         decoder(bad, p)
-    for _ in range(2):   # use |cols| + 1 compiles the row's plan
+    for _ in range(2):   # the second use compiles the row's plan
         assert decoder(damaged, p) == word
     assert encoders[p].levels[0]._plans[(0,)].map is not None
     with pytest.raises(ValueError, match="survivor out of field range"):

@@ -1,6 +1,7 @@
 """Tests for matrices, elimination, solving and Kronecker products."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -247,7 +248,7 @@ def test_fill_ignores_the_erased_symbols(build, erased, compiled):
     for values, expected in cases:
         if compiled:
             slot = PlanSlot()
-            slot.uses = len(erased)      # this use compiles the plan
+            slot.uses = linalg._PLAN_COST    # this use compiles the plan
             code._plans[erased] = slot
         else:
             code._plans.clear()          # a first use: the scalar solve
@@ -396,8 +397,9 @@ def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
         block = len(words)
         code._plans.clear()
         if compiled:
+            # this block compiles the plan; the empty pattern's costs 0
             slot = code._plans[erased] = PlanSlot()
-            slot.uses = len(erased)      # this block compiles the plan
+            slot.uses = min(len(erased), linalg._PLAN_COST)
         packed = pack_blocks(words)
         code.fill(packed, erased, block)
         assert _unpacked(packed, block) == expected
@@ -418,13 +420,55 @@ def test_block_uses_count_toward_the_compile():
     code = _g16_level_1()
     erased = (3, 17, 29)
     words = [[0] * code.length for _ in range(2)]
-    code.fill(pack_blocks(words), erased, 2)        # uses 0 -> 2 <= 3
+    assert linalg._PLAN_COST == 1
+    code.fill(list(words[0]), erased)               # uses 0 -> 1 <= 1
     assert code._plans[erased].map is None
-    code.fill(pack_blocks(words), erased, 2)        # uses 2 -> 4 > 3
+    code._plans.clear()
+    code.fill(pack_blocks(words), erased, 2)        # uses 0 -> 2 > 1
     slot = code._plans[erased]
-    assert slot.map is not None and slot.uses == 4
+    assert slot.map is not None and slot.uses == 2
+    # a cost of 3: blocks of 2 compile on the second, at 4 uses
+    slot = PlanSlot()
+    assert slot.plan(G16.field, 3, 1, lambda: "map", uses=2) is None
+    assert slot.plan(G16.field, 3, 1, lambda: "map", uses=2) == "map"
+    assert slot.uses == 4
     big = PlanSlot()
     assert big.plan(G16.field, 3, 1, lambda: "map", uses=100) == "map"
+
+
+@pytest.mark.parametrize("build, size",
+                         [(_g16_level_1, 4), (lambda: build_h2(15, 17), 7)],
+                         ids=["G16_level_1", "H2(15,17)"])
+def test_held_plans_stay_within_the_budget(build, size):
+    """More distinct patterns than a code's plan limit, each compiled:
+    the plans held take at most the budget by tracemalloc, at most
+    ``_plan_bytes`` each, and the least recently used went first."""
+    code = build()
+    code.syndrome([0] * code.length)        # the check map is no slot
+    limit = linalg._PLAN_BUDGET // code._plan_bytes
+    rng = random.Random(191)
+    patterns = []
+    while len(patterns) < limit + 10:
+        erased = tuple(sorted(rng.sample(range(code.length), size)))
+        if erased not in patterns:
+            patterns.append(erased)
+    word = [0] * code.length
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        # a block of two words counts two uses: each compiles at once;
+        # each key is a new tuple, as a decoder's are, so keys count too
+        for erased in patterns[:limit] + patterns[:1] + patterns[limit:]:
+            code.fill(list(word), tuple(list(erased)), 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(code._plans) == limit
+    assert all(slot.map is not None for slot in code._plans.values())
+    assert held <= limit * code._plan_bytes <= linalg._PLAN_BUDGET
+    # pattern 0 was used again, so patterns 1 to 10 went first
+    assert list(code._plans) == (patterns[11:limit] + patterns[:1]
+                                 + patterns[limit:])
 
 
 def test_wide_field_block_fill_raises():

@@ -1,19 +1,24 @@
 """Property tests: the gpc decoders on random small codes and patterns,
-the compiled erasure plans of linear codes against the scalar solve, and
-the elimination kernel's column order and its two row forms."""
+the compiled erasure plans of linear codes against the scalar solve and
+against plans built from scratch, the compiled maps' columns, and the
+elimination kernel's column order and its two row forms."""
 
 import random
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from gpcodes import epc, gpc
+from gpcodes import epc, gpc, linalg
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
-from gpcodes.linalg import PlanSlot, _eliminate, _work_rows, combine, rank
+from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
+                            _eliminate, _work_rows, combine, erasure_plan,
+                            rank)
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
 from gpcodes.oracle import correctable, random_decodable_pattern
+from test_gpc import G16
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -148,7 +153,7 @@ def test_erasure_plan_matches_the_solve(name, seed, kind):
     fresh = LinearCode(code.field, code.length, code.check_matrix)
     expected = _decode_outcome(values, erased, fresh)
     slot = PlanSlot()
-    slot.uses = size            # the next decode compiles the plan
+    slot.uses = linalg._PLAN_COST   # the next decode compiles the plan
     code._plans[tuple(sorted(erased))] = slot
     for _ in range(2):
         assert _decode_outcome(values, erased, code) == expected
@@ -224,3 +229,81 @@ def test_eliminate_on_bytes_rows_equals_the_list_loop(field, full, seed):
     assert _eliminate(work, field, order, full) == _eliminate(
         rows, field, order, full)
     assert [list(row) for row in work] == rows
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from([default_field(w) for w in range(2, 9)]),
+       st.integers(1, 8), st.integers(1, 12),
+       st.sampled_from(["random", "ends", "none"]), st.integers(0, 2**32 - 1))
+@example(default_field(8), 1, 7, "ends", 0)
+@example(default_field(3), 1, 1, "ends", 1)
+def test_strided_bytemap_columns_equal_the_zip_reference(field, nrows, size,
+                                                         targets, seed):
+    # ByteMap cuts column j from the joined rows as joined[j::size]; the
+    # reference transposes the rows with zip.
+    rng = random.Random(seed)
+    rows = [bytes(rng.randrange(1 << field.w) for _ in range(size))
+            for _ in range(nrows)]
+    if targets == "ends":
+        chosen = sorted({0, size - 1})
+    elif targets == "random":
+        chosen = sorted(rng.sample(range(size), rng.randint(1, size)))
+    else:
+        chosen = []
+    plan = ByteMap(field, rows, chosen)
+    skip = set(chosen)
+    assert plan.columns == [b"" if j in skip else bytes(col)
+                            for j, col in enumerate(zip(*rows))]
+    assert plan.height == nrows and plan.targets == chosen
+
+
+# G16's level row codes (the last the identity) and the benchmark's H2.
+ROW_PLAN_CODES = {
+    **{f"G16/{i}": (lambda h=h: LinearCode(G16.field, G16.n, h))
+       for i, h in enumerate(gpc._level_checks(G16))},
+    "H2(15,17)": lambda: build_h2(15, 17),
+}
+
+
+def _map(plan):
+    return None if plan is None else (plan.targets, plan.height, plan.columns)
+
+
+def _reference_plan(h, erased):
+    """_map of the plan built from scratch: a fresh elimination of h's
+    rows, its columns transposed with zip."""
+    rows = _work_rows(h.field, h.data)
+    if len(_eliminate(rows, h.field, erased, full=True)) < len(erased):
+        return None
+    skip = set(erased)
+    return erased, len(rows), [b"" if j in skip else bytes(col)
+                               for j, col in enumerate(zip(*rows))]
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(sorted(ROW_PLAN_CODES)), st.integers(0, 2**32 - 1))
+def test_plans_from_a_codes_rows_equal_erasure_plan(name, seed):
+    # A code compiles its plans from check rows it keeps as bytes; they
+    # must equal erasure_plan and the plan built from scratch, dependent
+    # patterns (None) included, and leave the kept rows as they were.
+    if name not in _BUILT:
+        _BUILT[name] = ROW_PLAN_CODES[name]()
+    code = _BUILT[name]
+    h = code.check_matrix
+    rng = random.Random(seed)
+    size = rng.randint(1, min(h.rows + 2, code.length))
+    erased = tuple(sorted(rng.sample(range(code.length), size)))
+    fresh = _reference_plan(h, erased)
+    assert _map(erasure_plan(h, erased)) == fresh
+    assert _map(code._compile(erased)) == fresh
+    # through fill: a block of two words compiles on its first use
+    code._plans.clear()
+    word = [0] * code.length
+    if fresh is None:
+        with pytest.raises(UnderdeterminedError):
+            code.fill(word, erased, 2)
+    else:
+        code.fill(word, erased, 2)
+    assert _map(code._plans[erased].map) == fresh
+    assert code._rows == _work_rows(code.field, h.data)
+    assert (fresh is None) == (rank(h.submatrix(cols=erased)) < size)
