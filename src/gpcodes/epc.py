@@ -168,15 +168,13 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     the pattern is uncorrectable and :class:`UncorrectableError` is
     raised, as it is when the survivors contradict the code, a word
     with no erasures included.  Survivors must lie in the field; the
-    symbols at erased positions are ignored.  The first |E| decodes of
-    one pattern E of ``code`` solve from the code's
-    :meth:`~gpcodes.linalg.LinearCode.syndrome`, compiled once per code
-    for w <= 8: about 0.1 ms per decode for |E| <= 7 on
-    ``build_h2(15, 17)`` on a shared 2-core Xeon with Python 3.11.  From
-    the |E| + 1-th decode, a field with w <= 8 applies the pattern's
-    compiled plan instead of the solve (see
-    :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the same
-    errors, checks included.
+    symbols at erased positions are ignored.  Each pattern of ``code``
+    solves from the code's :meth:`~gpcodes.linalg.LinearCode.syndrome`,
+    compiled once per code for w <= 8 (about 0.1 ms per decode for
+    |E| <= 7 on ``build_h2(15, 17)`` on a shared 2-core Xeon with
+    Python 3.11), until :class:`~gpcodes.linalg.PlanSlot`'s rule
+    compiles its plan (see :meth:`~gpcodes.linalg.LinearCode.fill`):
+    equal output, and the same errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
@@ -208,9 +206,9 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     """Systematic encoding: data fills the non-parity positions in order.
 
     The parity positions are an erasure pattern that
-    :func:`lc_erasure_decode`'s solve recovers, so after P encodes with
-    the same ``code`` object (P = the redundancy) a field with w <= 8
-    applies that pattern's compiled plan, equal bit for bit.
+    :func:`lc_erasure_decode` recovers, so its plan, equal bit for bit,
+    is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
+    ``code`` object.
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")

@@ -25,11 +25,6 @@ class SpecFileError(ValueError):
     """Malformed or inconsistent code description."""
 
 
-def field_to_json(field: GF) -> dict:
-    return {"w": field.w, "modulus_hex": f"{field.modulus:x}",
-            "alpha": field.alpha}
-
-
 def field_from_json(obj: dict) -> GF:
     try:
         w, alpha = obj["w"], obj.get("alpha", 2)

@@ -543,12 +543,11 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     Every row repair fills the row's erased cells in one level's row
     code with :meth:`~gpcodes.linalg.LinearCode.fill`.  For w <= 8, the
     rows within reach of the weakest row code that share their erased
-    columns fill together, as one block of one byte per row.  Once one
-    repair of a set of erased columns in one level under equal
-    ``params`` has run in a process, a field with w <= 8 applies that
-    set's compiled erasure plan instead of the solve (as many per level
-    as fit in 1 MiB, least recently used dropped first), and the peel
-    sums its known rows with product tables
+    columns fill together, as one block of one byte per row.  Each set
+    of erased columns in one level under equal ``params`` has its own
+    erasure plan, compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule
+    (as many per level as fit in 1 MiB, least recently used dropped
+    first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
 
@@ -605,15 +604,6 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     return work
 
 
-def encoder_cost(dim: int) -> int:
-    """Scalar encodes that compiling the encoder of a code of dimension
-    K = ``dim`` costs: one row pass over blocks of N = m * n bytes that
-    carry the K unit data vectors, measured on a 2-core Xeon at 1.9 to
-    28 scalar encodes for K = 19 to 656 over GF(2^8), and at 14 for G16
-    (K = 372)."""
-    return 2 + dim // 32
-
-
 def _compile_encoder(params: GpcParams) -> ByteMap:
     # Fill the parity cells of the flat array: the column of data cell j
     # holds the parity of the unit data vector at j.  One row pass over
@@ -652,23 +642,21 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
 
     Data symbols fill the non-parity cells in row-major order; the
     parity cells are treated as erasures and recovered by the row
-    decoder.  After :func:`encoder_cost` (K) encodes of an equal
-    ``params`` in a process (K = the dimension), a field with w <= 8
-    fills the parity cells with the code's
-    :class:`~gpcodes.linalg.ByteMap` instead, equal to the scalar path
-    bit for bit (see :class:`~gpcodes.linalg.PlanSlot`).  The map is
-    compiled in one row pass over blocks of N = m * n bytes, the K unit
-    data vectors side by side, each at its own cell's byte.  Codes whose
-    map would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    decoder.  For w <= 8 the code's encoder slot, kept per ``params``,
+    decides by :class:`~gpcodes.linalg.PlanSlot`'s rule when the parity
+    cells are filled with a compiled :class:`~gpcodes.linalg.ByteMap`
+    instead, equal to the scalar path bit for bit.  The map is compiled
+    in one row pass over blocks of N = m * n bytes, the K unit data
+    vectors side by side, each at its own cell's byte.  Codes whose map
+    would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
     """
     view = _view(params)
     dim = params.dimension()
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
     params.field.check_symbols(data, "data symbol")
-    enc = view.encoder.plan(
-        params.field, encoder_cost(dim), dim * (params.m * params.n - dim),
-        lambda: _compile_encoder(params))
+    enc = view.encoder.plan(params.field, dim * (params.m * params.n - dim),
+                            lambda: _compile_encoder(params))
     if enc is None:
         return _encode_pass(data, params, params.parity_positions())
     it = iter(data)

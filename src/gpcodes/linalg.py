@@ -23,11 +23,11 @@ picks unit pivots top to bottom and has two modes:
 w <= 8: a fill of a word's target positions from its other symbols,
 applied with ``bytes.translate``, whose check symbols must vanish.  It
 serves both encode and decode: a systematic encoder fills the parity
-positions, and :func:`erasure_plan` compiles :func:`solve`'s erasure
+positions, and a :class:`LinearCode` compiles :func:`solve`'s erasure
 system for a fixed pattern, checks included.  :func:`combine` sums
 weighted rows with the same product tables, and holds the symbol-wise
-loop for w > 8.  :class:`PlanSlot` decides when a map is worth
-compiling, and :func:`recall` is the get-or-build rule of every bounded
+loop for w > 8.  :class:`PlanSlot` holds the one rule for when a map is
+compiled, and :func:`recall` is the get-or-build rule of every bounded
 cache, evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
@@ -422,45 +422,28 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     return out
 
 
-def erasure_plan(h: Matrix, erased: Sequence[int]) -> ByteMap | None:
-    """The solve of ``h @ word = 0`` for the positions ``erased``
-    (ascending, w <= 8) compiled into a :class:`ByteMap` of the word.
-
-    One full elimination of a copy of h, pivoting on the erased columns
-    in order, gives ``T @ h``, whose first |E| rows are the unit vectors
-    on the erased columns plus ``A`` on the survivors, and whose other
-    rows vanish on the erased columns and are ``B`` on the survivors.
-    So the erased symbols are ``A`` times the survivors, and the
-    survivors are consistent with the code exactly when ``B`` sends them
-    to zero: the residual rows, kept as the map's check symbols, that
-    :func:`solve` tests.  None when the erased columns are dependent.
-    """
-    return LinearCode(h.field, h.cols, h)._compile(erased)
-
-
 class PlanSlot:
     """One code's or pattern's uses so far, and its :class:`ByteMap`
     once built.
 
-    A map is worth building only when it will be used often enough to
-    repay its compile.  Callers state that compile's cost in uses:
-    2 + K // 32 for a gpc encoder, built in one row pass that carries its
-    K unit data vectors in blocks (measured at 14 scalar encodes for
-    G16, K = 372; see ``gpc.encoder_cost``), and ``_PLAN_COST`` = 1 for
-    an erasure plan, one elimination of the code's check rows held as
-    bytes (measured with timeit at 0.56, 0.69 and 0.91 scalar decodes for
-    |E| = 3, 7 and 17 on ``build_h2(15, 17)``, and a gpc row plan, an
-    erasure plan of one row's level code, at 0.57 to 0.85 scalar row
-    solves for |cols| = 2, 4 and 8 on G16).  A fill of a block of L words
-    counts L uses.  A slot stays scalar for ``cost`` uses and compiles on
-    the use that passes it, the rent-or-buy rule: a process that uses it
-    at most ``cost`` times never pays for a map, and one that compiles
-    has already spent at least the compile's cost on scalar uses, so it
-    never takes much more than twice the scalar time.  The compile is
-    tried that once: fields with w > 8, maps above ``MAP_BYTES_LIMIT``
-    and builds that return None stay scalar.  Slots live in caches
-    bounded by :func:`recall`, so a slot in use is kept and an evicted
-    one starts again from zero uses.
+    The one compile rule of every compiled map (a gpc encoder, and each
+    erasure plan of a :class:`LinearCode`, the pattern of no erasures
+    included): the first use runs scalar, and the use that takes the
+    count past one compiles the map and applies it.  A fill of a block
+    of L words counts L uses, so a block of two or more compiles at
+    once.  An erasure plan, one elimination of the code's check rows
+    held as bytes, compiles in less time than one scalar use (by timeit
+    on a 2-core Xeon, 0.56 to 0.91 scalar decodes on
+    ``build_h2(15, 17)`` and 0.57 to 0.85 scalar row solves on G16's
+    level codes), so a process that repeats a fill never takes much
+    more than twice its scalar time.  G16's encoder, one row pass over
+    blocks of its K = 372 unit data vectors, compiles in 3.7 to 5.6 ms
+    against 0.36 ms per scalar encode: the rule's one cost is a process
+    that encodes one gpc code only a few times, twice at worst.  The
+    compile is tried that once: fields with w > 8, maps above
+    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
+    live in caches bounded by :func:`recall`, so a slot in use is kept
+    and an evicted one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")
@@ -469,16 +452,16 @@ class PlanSlot:
         self.uses = 0
         self.map: ByteMap | None = None
 
-    def plan(self, field: GF, cost: int, nbytes: int,
+    def plan(self, field: GF, nbytes: int,
              build: Callable[[], ByteMap | None],
              uses: int = 1) -> ByteMap | None:
-        """Count ``uses`` uses of a map of ``nbytes`` bytes that costs
-        ``cost`` uses to build: the map to apply, built by ``build``
-        when it falls due, or None for the scalar path."""
+        """Count ``uses`` uses of a map of ``nbytes`` bytes: the map to
+        apply, built by ``build`` when it falls due, or None for the
+        scalar path."""
         if self.map is None:
             before = self.uses
             self.uses += uses
-            if (before <= cost < self.uses and field.w <= 8
+            if (before <= 1 < self.uses and field.w <= 8
                     and nbytes <= MAP_BYTES_LIMIT):
                 self.map = build()
         return self.map
@@ -490,9 +473,6 @@ class PlanSlot:
 # 1.3 KB on G16's level codes (so level 0 keeps 699 slots) and 18.2 to
 # 19.1 KB on build_h2(15, 17) (50 slots).
 _PLAN_BUDGET = 1 << 20
-
-# Uses that an erasure plan's compile costs (see PlanSlot).
-_PLAN_COST = 1
 
 
 @dataclass
@@ -548,7 +528,7 @@ class LinearCode:
 
         For w <= 8 it runs the code's check-only plan, compiled on first
         use: the check matrix's columns as bytes, one byte per check row
-        (:func:`erasure_plan` of no erasures), each multiplied with one
+        (the plan of no erasures), each multiplied with one
         ``bytes.translate`` and XORed as one big integer.  Wider fields
         run :meth:`Matrix.mul_vec`.
         """
@@ -557,18 +537,22 @@ class LinearCode:
             raise ValueError("vector length mismatch")
         if self.field.w > 8:
             return h.mul_vec(word)
-        return list(self._check_map().image(word).to_bytes(h.rows, "little"))
-
-    def _check_map(self) -> ByteMap:
-        # The check-only plan, built once per code: its syndrome, and the
-        # fill of a word with no erasures.
         if self._checks is None:
             self._checks = self._compile(())
-        return self._checks
+        return list(self._checks.image(word).to_bytes(h.rows, "little"))
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
-        # erasure_plan(check_matrix, erased), eliminating a copy of the
-        # code's own rows.
+        # The solve of ``check_matrix @ word = 0`` for the positions
+        # ``erased`` (ascending, w <= 8) as a ByteMap of the word.  One
+        # full elimination of a copy of the code's rows, pivoting on the
+        # erased columns in order, gives T @ h, whose first |E| rows are
+        # the unit vectors on the erased columns plus A on the survivors,
+        # and whose other rows vanish on the erased columns and are B on
+        # the survivors.  So the erased symbols are A times the
+        # survivors, and the survivors are consistent with the code
+        # exactly when B sends them to zero: the residual rows, kept as
+        # the map's check symbols, that solve tests.  None when the
+        # erased columns are dependent.
         rows = list(self._rows)
         if len(_eliminate(rows, self.field, erased, full=True)) < len(erased):
             return None
@@ -582,27 +566,22 @@ class LinearCode:
         ``block`` L > 1 (w <= 8 only) each position holds a block of L
         words, as in :meth:`ByteMap.apply`, and every word is filled.
 
-        The pattern's :class:`PlanSlot` compiles its :func:`erasure_plan`,
-        from the check rows the code keeps as bytes, on its second use, a
-        block counting L.  The code keeps as many slots as plans fit in
-        ``_PLAN_BUDGET`` (1 MiB), least recently used dropped first.
-        Until the compile, and when no plan is built, the :func:`solve`
-        runs, word by word, on the :meth:`syndrome` of the word with its
-        erased symbols zeroed: for w <= 8 one product-table pass over the
-        check matrix's byte columns, compiled once per code, and for
-        w > 8 :meth:`Matrix.mul_vec`.  The plan of no erasures is that
-        syndrome's map itself, applied from the first use.  Raises
-        :class:`UnderdeterminedError` on dependent erased columns and
-        :class:`NoSolutionError` when the survivors contradict the code,
-        leaving ``word`` as it was.
+        Each pattern, no erasures included, has a :class:`PlanSlot`,
+        whose rule decides when the pattern's plan is compiled from the
+        check rows the code keeps as bytes.  The code keeps as many
+        slots as plans fit in ``_PLAN_BUDGET`` (1 MiB), least recently
+        used dropped first.  Until the compile, and when no plan is
+        built, the :func:`solve` runs, word by word, on the
+        :meth:`syndrome` of the word with its erased symbols zeroed.
+        Raises :class:`UnderdeterminedError` on dependent erased columns
+        and :class:`NoSolutionError` when the survivors contradict the
+        code, leaving ``word`` as it was.
         """
-        # The plan of no erasures is the syndrome's map: it costs nothing.
         slot = recall(self._plans, erased,
                       max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
-        plan = slot.plan(self.field, min(len(erased), _PLAN_COST),
+        plan = slot.plan(self.field,
                          (self.length - len(erased)) * self.check_matrix.rows,
-                         (lambda: self._compile(erased)) if erased
-                         else self._check_map, block)
+                         lambda: self._compile(erased), block)
         if plan is not None:
             plan.apply(word, block)
             return

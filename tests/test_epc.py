@@ -270,10 +270,10 @@ def _scalar_encode(data, code):
 
 
 def _compile_on_next_use(code, cols):
-    """A slot for the pattern ``cols`` that has counted its compile's
-    cost in uses, so the next one compiles."""
+    """A slot for the pattern ``cols`` that has counted one use, so the
+    next one compiles."""
     slot = linalg.PlanSlot()
-    slot.uses = linalg._PLAN_COST
+    slot.uses = 1
     code._plans[tuple(sorted(cols))] = slot
     return slot
 
@@ -353,15 +353,14 @@ def test_compiled_lc_encode_matches_scalar(build, monkeypatch):
         assert lc_encode(data, code) == expected
 
 
-def test_lc_encoder_compiles_after_the_plan_cost():
+def test_lc_encoder_compiles_on_the_second_encode():
     code = build_h3(3, 4)
-    cost = linalg._PLAN_COST
     for data in _stripes(code, random.Random(78)) * 2:
         assert lc_encode(data, code) == _scalar_encode(data, code)
-        # cost scalar encodes, then one that compiles and applies the plan
+        # one scalar encode, then one that compiles and applies the plan
         slot = code._plans[code.parity_positions()]
-        assert (slot.map is None) == (slot.uses <= cost)
-    assert slot.map is not None and slot.uses == cost + 1
+        assert (slot.map is None) == (slot.uses == 1)
+    assert slot.map is not None and slot.uses == 2
 
 
 def test_wide_field_lc_encode_stays_scalar():
@@ -445,7 +444,7 @@ def test_plan_in_use_outlives_unique_patterns(monkeypatch):
     place."""
     code = build_h2(3, 3)
     monkeypatch.setattr(linalg, "_PLAN_BUDGET", 16 * code._plan_bytes)
-    for _ in range(linalg._PLAN_COST + 1):
+    for _ in range(2):
         word = lc_encode([3, 9], code)
     slot = code._plans[code.parity_positions()]
     assert slot.map is not None

@@ -6,18 +6,19 @@ import pytest
 
 from gpcodes.fields import GF, default_field
 from gpcodes.files import (SpecFileError, array_to_text, field_from_json,
-                           field_to_json, load_code_spec, parse_array_text,
-                           parse_code_spec, read_array, read_symbols)
+                           load_code_spec, parse_array_text, parse_code_spec,
+                           read_array, read_symbols)
 from gpcodes.gpc import SymbolArray
 
 
 def test_field_json_roundtrip():
-    for f in (default_field(3), default_field(8), GF.from_prime(11),
-              GF(4, 0b11111, alpha=3)):
-        obj = field_to_json(f)
+    for obj, f in (
+            ({"w": 3, "modulus_hex": "b", "alpha": 2}, default_field(3)),
+            ({"w": 8, "modulus_hex": "11d", "alpha": 2}, default_field(8)),
+            ({"w": 10, "modulus_hex": "7ff", "alpha": 2}, GF.from_prime(11)),
+            ({"w": 4, "modulus_hex": "1f", "alpha": 3},
+             GF(4, 0b11111, alpha=3))):
         assert field_from_json(obj) == f
-    assert field_to_json(default_field(3)) == \
-        {"w": 3, "modulus_hex": "b", "alpha": 2}
 
 
 def test_field_json_defaults_and_errors():
@@ -89,7 +90,8 @@ def test_parse_epc_specs():
     assert h2.field == default_field(4)      # needs order >= 9
     assert str(h2.shape) == "EP(3,1;3,1;2)"
     h3 = parse_code_spec({"kind": "epc-h3", "m": 3, "n": 3,
-                          "field": field_to_json(GF.from_prime(11))})
+                          "field": {"w": 10, "modulus_hex": "7ff",
+                                    "alpha": 2}})
     assert h3.linear.check_matrix.rows == 9
     assert h3.field.w == 10
 

@@ -214,10 +214,10 @@ def stripes(params, rng):
 
 
 def compile_on_next_encode(params):
-    """The encoder slot, set to have counted its compile's cost in
-    encodes, so the next one compiles."""
+    """The encoder slot, set to have counted one encode, so the next one
+    compiles."""
     slot = gpc._view(params).encoder
-    slot.uses = gpc.encoder_cost(params.dimension())
+    slot.uses = 1
     return slot
 
 
@@ -280,14 +280,13 @@ def test_block_compiled_encoder_equals_unit_vector_probes(params, encoders):
         r * params.n + c for r, c in params.parity_positions())
 
 
-def test_encoder_compiles_after_k_encodes(encoders):
-    cost = gpc.encoder_cost(PLUS_ONE.dimension())
-    for data in stripes(PLUS_ONE, random.Random(74)) * 3:
+def test_encoder_compiles_on_the_second_encode(encoders):
+    for data in stripes(PLUS_ONE, random.Random(74)):
         assert encode(data, PLUS_ONE) == scalar_encode(data, PLUS_ONE)
-        # cost scalar encodes, then one that compiles and applies the map
+        # one scalar encode, then one that compiles and applies the map
         slot = encoders[PLUS_ONE].encoder
-        assert (slot.map is None) == (slot.uses <= cost)
-    assert slot.map is not None and slot.uses == cost + 1
+        assert (slot.map is None) == (slot.uses == 1)
+    assert slot.map is not None and slot.uses == 2
 
 
 def test_wide_field_encode_stays_scalar(encoders):
@@ -755,7 +754,7 @@ def test_wide_field_never_builds_blocks(encoders, monkeypatch):
                   field=default_field(10))
     blocks = record_fill_blocks(monkeypatch)
     rng = random.Random(181)
-    for _ in range(gpc.encoder_cost(p.dimension()) + 2):
+    for _ in range(3):
         rand_codeword(p, rng)
     for arr in shared_column_cases(p, rng):
         for decoder in (decode_rows, decode_iterative):

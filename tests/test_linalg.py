@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gpcodes import linalg
+from gpcodes import gpc, linalg
 from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import GpcParams, component_parity_check
@@ -248,7 +248,7 @@ def test_fill_ignores_the_erased_symbols(build, erased, compiled):
     for values, expected in cases:
         if compiled:
             slot = PlanSlot()
-            slot.uses = linalg._PLAN_COST    # this use compiles the plan
+            slot.uses = 1                # this use compiles the plan
             code._plans[erased] = slot
         else:
             code._plans.clear()          # a first use: the scalar solve
@@ -308,13 +308,14 @@ def test_syndrome_equals_mul_vec():
                   for _ in range(8)]
         for word in words:
             assert code.syndrome(word) == h.mul_vec(word), name
-        # one column set per code, shared with the fill of no erasures
+        # one column set per code, equal to the fill of no erasures' plan
         checks = code._checks
         assert (checks is None) == (code.field.w > 8), name
         if checks is not None:
             code.syndrome(words[-1])
-            code.fill(list(words[0]), ())
-            assert code._checks is checks is code._plans[()].map, name
+            code.fill(list(words[0]), (), 2)
+            assert code._checks is checks, name
+            assert code._plans[()].map.columns == checks.columns, name
         with pytest.raises(ValueError, match="length"):
             code.syndrome([0] * (code.length + 1))
     ws = {int(n.split("/w")[1].split("/")[0]) for n in names
@@ -397,9 +398,9 @@ def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
         block = len(words)
         code._plans.clear()
         if compiled:
-            # this block compiles the plan; the empty pattern's costs 0
+            # this block compiles the plan, the empty pattern's too
             slot = code._plans[erased] = PlanSlot()
-            slot.uses = min(len(erased), linalg._PLAN_COST)
+            slot.uses = 1
         packed = pack_blocks(words)
         code.fill(packed, erased, block)
         assert _unpacked(packed, block) == expected
@@ -416,24 +417,59 @@ def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
 
 def test_block_uses_count_toward_the_compile():
     """A block of L words counts L uses: a slot compiles on the block
-    that passes its cost, and only then."""
+    that takes its count past one, and only then."""
     code = _g16_level_1()
     erased = (3, 17, 29)
     words = [[0] * code.length for _ in range(2)]
-    assert linalg._PLAN_COST == 1
-    code.fill(list(words[0]), erased)               # uses 0 -> 1 <= 1
+    code.fill(list(words[0]), erased)               # uses 0 -> 1
     assert code._plans[erased].map is None
     code._plans.clear()
     code.fill(pack_blocks(words), erased, 2)        # uses 0 -> 2 > 1
     slot = code._plans[erased]
     assert slot.map is not None and slot.uses == 2
-    # a cost of 3: blocks of 2 compile on the second, at 4 uses
+    # one use, then a block of 2 compiles, at 3 uses
     slot = PlanSlot()
-    assert slot.plan(G16.field, 3, 1, lambda: "map", uses=2) is None
-    assert slot.plan(G16.field, 3, 1, lambda: "map", uses=2) == "map"
-    assert slot.uses == 4
+    assert slot.plan(G16.field, 1, lambda: "map") is None
+    assert slot.plan(G16.field, 1, lambda: "map", uses=2) == "map"
+    assert slot.uses == 3
     big = PlanSlot()
-    assert big.plan(G16.field, 3, 1, lambda: "map", uses=100) == "map"
+    assert big.plan(G16.field, 1, lambda: "map", uses=100) == "map"
+
+
+def _rule_case(case):
+    """The slot of one kind of compiled map, built fresh, and one use of
+    it, ``use(block)``, on L = ``block`` words."""
+    if case == "G16_encoder":
+        data = [7] * G16.dimension()
+        return (lambda: gpc._view(G16).encoder,
+                lambda block: gpc.encode(data, G16))
+    column = {i * 17 + 5 for i in range(15)}
+    build, erased = {
+        "G16_row_plan": (lambda: _levels(G16)[0], (3, 17)),
+        "G16_block_of_two": (lambda: _levels(G16)[0], (3, 17)),
+        "H2_plan": (lambda: build_h2(15, 17), tuple(sorted(column | {3, 40}))),
+        "H2_no_erasures": (lambda: build_h2(15, 17), ()),
+    }[case]
+    code = build()
+    word = [0] * code.length
+    return (lambda: code._plans[erased],
+            lambda block: code.fill(pack_blocks([word] * block), erased,
+                                    block))
+
+
+@pytest.mark.parametrize("case", ["G16_encoder", "G16_row_plan",
+                                  "H2_plan", "H2_no_erasures",
+                                  "G16_block_of_two"])
+def test_every_map_compiles_on_its_second_use(case, monkeypatch):
+    """PlanSlot's one rule: every kind of compiled map stays scalar on
+    its first single use and compiles on its second, a block of two
+    words as the second use included."""
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    slot, use = _rule_case(case)
+    use(1)
+    assert slot().map is None and slot().uses == 1
+    use(2 if case == "G16_block_of_two" else 1)
+    assert slot().map is not None
 
 
 @pytest.mark.parametrize("build, size",

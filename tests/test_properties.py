@@ -8,12 +8,11 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gpcodes import epc, gpc, linalg
+from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
-                            _eliminate, _work_rows, combine, erasure_plan,
-                            rank)
+                            _eliminate, _work_rows, combine, rank)
 from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
@@ -153,7 +152,7 @@ def test_erasure_plan_matches_the_solve(name, seed, kind):
     fresh = LinearCode(code.field, code.length, code.check_matrix)
     expected = _decode_outcome(values, erased, fresh)
     slot = PlanSlot()
-    slot.uses = linalg._PLAN_COST   # the next decode compiles the plan
+    slot.uses = 1                   # the next decode compiles the plan
     code._plans[tuple(sorted(erased))] = slot
     for _ in range(2):
         assert _decode_outcome(values, erased, code) == expected
@@ -284,8 +283,8 @@ def _reference_plan(h, erased):
 @given(st.sampled_from(sorted(ROW_PLAN_CODES)), st.integers(0, 2**32 - 1))
 def test_plans_from_a_codes_rows_equal_erasure_plan(name, seed):
     # A code compiles its plans from check rows it keeps as bytes; they
-    # must equal erasure_plan and the plan built from scratch, dependent
-    # patterns (None) included, and leave the kept rows as they were.
+    # must equal the plan built from scratch, dependent patterns (None)
+    # included, and leave the kept rows as they were.
     if name not in _BUILT:
         _BUILT[name] = ROW_PLAN_CODES[name]()
     code = _BUILT[name]
@@ -294,7 +293,6 @@ def test_plans_from_a_codes_rows_equal_erasure_plan(name, seed):
     size = rng.randint(1, min(h.rows + 2, code.length))
     erased = tuple(sorted(rng.sample(range(code.length), size)))
     fresh = _reference_plan(h, erased)
-    assert _map(erasure_plan(h, erased)) == fresh
     assert _map(code._compile(erased)) == fresh
     # through fill: a block of two words compiles on its first use
     code._plans.clear()
