@@ -537,9 +537,10 @@ class LinearCode:
             raise ValueError("vector length mismatch")
         if self.field.w > 8:
             return h.mul_vec(word)
-        if self._checks is None:
-            self._checks = self._compile(())
-        return list(self._checks.image(word).to_bytes(h.rows, "little"))
+        checks = self._checks
+        if checks is None:
+            checks = self._compile(())
+        return list(checks.image(word).to_bytes(h.rows, "little"))
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
         # The solve of ``check_matrix @ word = 0`` for the positions
@@ -552,7 +553,12 @@ class LinearCode:
         # survivors, and the survivors are consistent with the code
         # exactly when B sends them to zero: the residual rows, kept as
         # the map's check symbols, that solve tests.  None when the
-        # erased columns are dependent.
+        # erased columns are dependent.  The plan of no erasures is the
+        # check rows themselves, built once and shared with syndrome.
+        if not erased:
+            if self._checks is None:
+                self._checks = ByteMap(self.field, self._rows, ())
+            return self._checks
         rows = list(self._rows)
         if len(_eliminate(rows, self.field, erased, full=True)) < len(erased):
             return None

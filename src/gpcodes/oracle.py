@@ -10,7 +10,9 @@ expanded into its w binary multiples, each packed into one int, which
 makes dependence checks a handful of XORs.  It first certifies that no
 set below the cap is dependent with one pass just under it, descending
 whenever a pass meets a dependent set, and then finds the colex-least
-dependent set of minimum size, so results are reproducible.
+dependent set of minimum size, so results are reproducible.  Sets that
+lie within an independent run of leading columns are certified in
+bulk rather than one by one (see :func:`brute_min_distance`).
 """
 
 from __future__ import annotations
@@ -74,10 +76,23 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     a dependent set of size p, whole or as a prefix, restarts at size
     p - 1; once a pass certifies, the next size up gives the witness,
     the colex-least dependent column set of minimum size (the support
-    of a minimum-weight codeword).  Pass sizes decrease until that last
-    one, so ``subsets_examined`` (whole subsets tested plus dependent
-    prefixes met) never exceeds ``search_cost(n, cap)``.  The work
-    scales with C(n, cap - 1), so a cap above the distance costs more.
+    of a minimum-weight codeword).
+
+    With columns P chosen so far, let the frontier L be the largest
+    index with P and columns 0..L independent: every set drawn from
+    0..L joined to P is then independent, and those sets come first in
+    colex order.  The search finds L by inserting columns 0, 1, ...
+    until one is dependent, counts the C(L + 1, k) sets of k more
+    columns in bulk and walks on from column L + 1.  A node computes
+    its frontier only when its parent's frontier, an upper bound on
+    it, leaves room for a set.  Distance, witness and
+    ``subsets_examined`` are those of a search that tests every set.
+
+    ``subsets_examined`` counts subsets tested one by one or certified
+    in bulk, plus dependent prefixes met.  Pass sizes decrease until
+    the last one, so it never exceeds ``search_cost(n, cap)``.  The
+    work scales with C(n, cap - 1) at most, so a cap above the distance
+    costs more.
 
     Raises :class:`SearchBudgetError` before doing any work if the
     total number of subsets within the cap exceeds ``budget``, and
@@ -128,11 +143,13 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                 return None
         return added
 
-    def scan(need: int, hi: int) -> tuple[int, ...] | None:
+    def scan(need: int, hi: int, bound: int) -> tuple[int, ...] | None:
         # Walks, in colex order, the sets of ``need`` columns from 0..hi
         # joined to the inserted ones, and returns the new columns of the
-        # first dependent set met, whole or as a prefix.  Restores the
-        # pivots it sets.
+        # first dependent set met, whole or as a prefix.  ``bound`` is at
+        # least the frontier, the largest L for which columns 0..L joined
+        # to the inserted ones are independent.  Restores the pivots it
+        # sets.
         nonlocal examined
         if need == 1:
             for j in range(hi + 1):
@@ -147,12 +164,31 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                     return (j,)
             examined += hi + 1
             return None
-        for j in range(need - 1, hi + 1):
+        start = need - 1
+        front = min(hi, bound)
+        if front >= start:
+            # The frontier: insert 0, 1, ... up to the first dependent
+            # column.  Every set drawn from 0..front is then independent,
+            # and those sets come first in colex order: count them in
+            # bulk and scan on from the next column.
+            restore: list[int] = []
+            for j in range(front + 1):
+                added = insert(j)
+                if added is None:
+                    front = j - 1
+                    break
+                restore += added
+            for b in restore:
+                pivots[b] = 0
+            if front >= start:
+                examined += comb(front + 1, need)
+                start = front + 1
+        for j in range(start, hi + 1):
             added = insert(j)
             if added is None:
                 examined += 1
                 return (j,)
-            found = scan(need - 1, j - 1)
+            found = scan(need - 1, j - 1, front)
             for b in added:
                 pivots[b] = 0
             if found is not None:
@@ -162,14 +198,14 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     top = min(cap, n)
     size, witness = top - 1, None
     while size:
-        found = scan(size, n - 1)
+        found = scan(size, n - 1, n - 1)
         if found is None:
             break
         witness = found if len(found) == size else None
         size = len(found) - 1
     # No dependent set has ``size`` columns or fewer.
     if witness is None:
-        witness = scan(size + 1, n - 1)
+        witness = scan(size + 1, n - 1, n - 1)
         if witness is None:
             raise DistanceCapError(
                 f"no dependent set of size <= {top} "

@@ -1,5 +1,6 @@
 """Tests for the rank oracle, distance search and equivalence harness."""
 
+import math
 import random
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from gpcodes.oracle import (DistanceCapError, SearchBudgetError,
                             brute_min_distance, correctable,
                             decoder_oracle_equivalence,
                             random_decodable_pattern, search_cost)
+from test_acceptance import _small_param_grid
 
 F8 = default_field(3)
 F16 = default_field(4)
@@ -154,21 +156,6 @@ def _random_check_matrix(rng):
     return Matrix(f, data)
 
 
-def test_brute_min_distance_matches_ascending_reference():
-    rng = random.Random(61)
-    for _ in range(60):
-        h = _random_check_matrix(rng)
-        n = h.cols
-        expected = _ascending_search(h)
-        for cap in range(1, n + 1):
-            try:
-                report = brute_min_distance(h, cap)
-            except DistanceCapError:
-                assert expected is None or len(expected) > cap, (h, cap)
-                continue
-            assert (report.distance, report.witness) == \
-                (len(expected), expected), (h, cap)
-            assert report.subsets_examined <= search_cost(n, cap)
 
 
 def test_brute_min_distance_descends_past_dependent_prefix():
@@ -181,6 +168,133 @@ def test_brute_min_distance_descends_past_dependent_prefix():
     report = brute_min_distance(h, cap=5)
     assert (report.distance, report.witness) == (1, (6,))
     assert report.subsets_examined <= search_cost(7, 5)
+
+
+def _unpruned_min_distance(h, cap):
+    """The distance search as it was before the frontier prune, as a
+    reference: every subset is tested one by one.  The same
+    (distance, witness, subsets examined), or None where
+    :func:`brute_min_distance` raises :class:`DistanceCapError`."""
+    n, f = h.cols, h.field
+    w = f.w
+    basis = oracle._row_basis(h)
+    colbits = [[sum(f.mul(row[j], 1 << k) << (r * w)
+                    for r, row in enumerate(basis) if row[j])
+                for k in range(w)] for j in range(n)]
+    first = [bits[0] for bits in colbits]
+    pivots = [0] * (len(basis) * w)
+    examined = 0
+
+    def insert(j):
+        added = []
+        for v in colbits[j]:
+            while v:
+                b = v.bit_length() - 1
+                if pivots[b]:
+                    v ^= pivots[b]
+                else:
+                    pivots[b] = v
+                    added.append(b)
+                    break
+            else:
+                return None
+        return added
+
+    def scan(need, hi):
+        nonlocal examined
+        if need == 1:
+            for j in range(hi + 1):
+                v = first[j]
+                while v and pivots[v.bit_length() - 1]:
+                    v ^= pivots[v.bit_length() - 1]
+                if not v:
+                    examined += j + 1
+                    return (j,)
+            examined += hi + 1
+            return None
+        for j in range(need - 1, hi + 1):
+            added = insert(j)
+            if added is None:
+                examined += 1
+                return (j,)
+            found = scan(need - 1, j - 1)
+            for b in added:
+                pivots[b] = 0
+            if found is not None:
+                return found + (j,)
+        return None
+
+    top = min(cap, n)
+    size, witness = top - 1, None
+    while size:
+        found = scan(size, n - 1)
+        if found is None:
+            break
+        witness = found if len(found) == size else None
+        size = len(found) - 1
+    if witness is None:
+        witness = scan(size + 1, n - 1)
+        if witness is None:
+            return None
+    return len(witness), witness, examined
+
+
+def _pruned_min_distance(h, cap):
+    try:
+        report = brute_min_distance(h, cap)
+    except DistanceCapError:
+        return None
+    return report.distance, report.witness, report.subsets_examined
+
+
+def test_brute_min_distance_matches_ascending_reference():
+    # and the unpruned search, in all three report fields
+    rng = random.Random(61)
+    for _ in range(150):
+        h = _random_check_matrix(rng)
+        n = h.cols
+        expected = _ascending_search(h)
+        for cap in range(1, n + 2):
+            report = _pruned_min_distance(h, cap)
+            assert report == _unpruned_min_distance(h, cap), (h, cap)
+            if report is None:
+                assert expected is None or len(expected) > cap, (h, cap)
+                continue
+            assert report[:2] == (len(expected), expected), (h, cap)
+            assert report[2] <= search_cost(n, cap)
+
+
+def test_frontier_prune_matches_unpruned_search_on_grid_codes():
+    # criterion 6's codes, kept to those whose search one above the
+    # distance stays within 100 000 subsets
+    grid = [p for p in _small_param_grid()
+            if search_cost(p.m * p.n, p.min_distance() + 1) <= 100_000]
+    for p in random.Random(439).sample(grid, 30):
+        h = full_parity_matrix(p)
+        d = p.min_distance()
+        for cap in (d - 1, d, d + 1):
+            assert _pruned_min_distance(h, cap) == \
+                _unpruned_min_distance(h, cap), (p.notation(), cap)
+
+
+def test_frontier_prune_certifies_independent_prefix_at_the_root(
+        monkeypatch):
+    # Columns 0..3 are the unit vectors and 4 = e0 + e1, so every pass
+    # certifies the sets within 0..3 in bulk at its root.
+    h = Matrix(F8, [[1, 0, 0, 0, 1, 0],
+                    [0, 1, 0, 0, 1, 0],
+                    [0, 0, 1, 0, 0, 1],
+                    [0, 0, 0, 1, 0, 1]])
+    counted = []
+
+    def comb(n, k):
+        counted.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(oracle, "comb", comb)
+    assert _pruned_min_distance(h, 3) == (3, (0, 1, 4), 15 + 4 + 1) == \
+        _unpruned_min_distance(h, 3)
+    assert (4, 2) in counted and (4, 3) in counted
 
 
 def test_random_decodable_pattern_is_decodable():
