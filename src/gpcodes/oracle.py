@@ -12,7 +12,9 @@ set below the cap is dependent with one pass just under it, descending
 whenever a pass meets a dependent set, and then finds the colex-least
 dependent set of minimum size, so results are reproducible.  Sets that
 lie within an independent run of leading columns are certified in
-bulk rather than one by one (see :func:`brute_min_distance`).
+bulk rather than one by one, and a search node with two columns left
+reads that run off its parent's pivots with no insertion of its own
+(see :func:`brute_min_distance`).
 """
 
 from __future__ import annotations
@@ -85,7 +87,12 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     until one is dependent, counts the C(L + 1, k) sets of k more
     columns in bulk and walks on from column L + 1.  A node computes
     its frontier only when its parent's frontier, an upper bound on
-    it, leaves room for a set.  Distance, witness and
+    it, leaves room for a set.  A node with two columns left inserts
+    nothing to find its frontier: its parent, with three left, tags
+    each pivot of its own walk with the column that set it, and one
+    reduction of the child's column against those pivots gives the
+    child's frontier, c - 1 for the largest tag c it uses, or L when
+    the column lies outside their span.  Distance, witness and
     ``subsets_examined`` are those of a search that tests every set.
 
     ``subsets_examined`` counts subsets tested one by one or certified
@@ -143,13 +150,26 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                 return None
         return added
 
+    def walk(last: int) -> tuple[int, list[int]]:
+        # Inserts columns 0, 1, ... up to ``last`` until one is dependent.
+        # Returns the frontier, the last column inserted, and the pivot
+        # bits set, w per column in column order, for the caller to clear.
+        walked: list[int] = []
+        for j in range(last + 1):
+            added = insert(j)
+            if added is None:
+                return j - 1, walked
+            walked += added
+        return last, walked
+
     def scan(need: int, hi: int, bound: int) -> tuple[int, ...] | None:
         # Walks, in colex order, the sets of ``need`` columns from 0..hi
         # joined to the inserted ones, and returns the new columns of the
         # first dependent set met, whole or as a prefix.  ``bound`` is at
-        # least the frontier, the largest L for which columns 0..L joined
-        # to the inserted ones are independent.  Restores the pivots it
-        # sets.
+        # least the frontier, the largest L <= hi for which columns 0..L
+        # joined to the inserted ones are independent, and with two
+        # columns left it is the frontier, or both are below 1.  Restores
+        # the pivots it sets.
         nonlocal examined
         if need == 1:
             for j in range(hi + 1):
@@ -166,46 +186,70 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
             return None
         start = need - 1
         front = min(hi, bound)
-        if front >= start:
-            # The frontier: insert 0, 1, ... up to the first dependent
-            # column.  Every set drawn from 0..front is then independent,
-            # and those sets come first in colex order: count them in
-            # bulk and scan on from the next column.
-            restore: list[int] = []
-            for j in range(front + 1):
-                added = insert(j)
-                if added is None:
-                    front = j - 1
-                    break
-                restore += added
-            for b in restore:
+        fronts = None
+        # With three columns left the walk also serves the children, so
+        # it runs whenever one of them could certify a set.
+        if need > 2 and front >= (1 if need == 3 else start):
+            front, walked = walk(front)
+            if need == 3:
+                # Tag each pivot with the column that set it.  Child j's
+                # frontier is c - 1 for the least c with j in the span of
+                # columns 0..c joined to the inserted ones.  No two pivots
+                # share a leading bit, so j is a sum of pivots in one way
+                # only: c is the largest tag its reduction uses, and
+                # front + 1 when j is outside the span.
+                tags = [-1] * len(pivots)
+                for i, b in enumerate(walked):
+                    tags[b] = i // w
+                fronts = []
+                for j in range(max(start, front + 1), hi + 1):
+                    v, c = first[j], -1
+                    while v:
+                        b = v.bit_length() - 1
+                        p = pivots[b]
+                        if not p:
+                            c = front + 1
+                            break
+                        if tags[b] > c:
+                            c = tags[b]
+                        v ^= p
+                    fronts.append(c - 1)
+            for b in walked:
                 pivots[b] = 0
-            if front >= start:
-                examined += comb(front + 1, need)
-                start = front + 1
+        if front >= start:
+            # Every set drawn from 0..front is independent, and those
+            # sets come first in colex order: count them in bulk and scan
+            # on from the next column.
+            examined += comb(front + 1, need)
+            start = front + 1
         for j in range(start, hi + 1):
             added = insert(j)
             if added is None:
                 examined += 1
                 return (j,)
-            found = scan(need - 1, j - 1, front)
+            child = front if fronts is None else fronts[j - start]
+            found = scan(need - 1, j - 1, child)
             for b in added:
                 pivots[b] = 0
             if found is not None:
                 return found + (j,)
         return None
 
+    # The root's exact frontier, so that a pass of two needs no walk.
+    root, walked = walk(n - 1)
+    for b in walked:
+        pivots[b] = 0
     top = min(cap, n)
     size, witness = top - 1, None
     while size:
-        found = scan(size, n - 1, n - 1)
+        found = scan(size, n - 1, root)
         if found is None:
             break
         witness = found if len(found) == size else None
         size = len(found) - 1
     # No dependent set has ``size`` columns or fewer.
     if witness is None:
-        witness = scan(size + 1, n - 1, n - 1)
+        witness = scan(size + 1, n - 1, root)
         if witness is None:
             raise DistanceCapError(
                 f"no dependent set of size <= {top} "

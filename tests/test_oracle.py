@@ -8,7 +8,7 @@ import pytest
 
 from gpcodes import gpc, linalg, oracle
 from gpcodes.epc import build_h2
-from gpcodes.fields import default_field
+from gpcodes.fields import GF, default_field
 from gpcodes.gpc import ErasureProfile, GpcParams, UncorrectableError, \
     decodable_profile, full_parity_matrix
 from gpcodes.linalg import Matrix, null_space, rank
@@ -138,8 +138,9 @@ def _ascending_search(h):
     return None
 
 
-def _random_check_matrix(rng):
-    f = default_field(rng.choice((2, 3, 4)))
+def _random_check_matrix(rng, f=None):
+    if f is None:
+        f = default_field(rng.choice((2, 3, 4)))
     rows, n = rng.randint(1, 6), rng.randint(2, 8)
     data = [[rng.randrange(1 << f.w) if rng.random() < 0.85 else 0
              for _ in range(n)] for _ in range(rows)]
@@ -154,8 +155,6 @@ def _random_check_matrix(rng):
         for row, v in zip(data, extra):
             row.append(v)
     return Matrix(f, data)
-
-
 
 
 def test_brute_min_distance_descends_past_dependent_prefix():
@@ -295,6 +294,61 @@ def test_frontier_prune_certifies_independent_prefix_at_the_root(
     assert _pruned_min_distance(h, 3) == (3, (0, 1, 4), 15 + 4 + 1) == \
         _unpruned_min_distance(h, 3)
     assert (4, 2) in counted and (4, 3) in counted
+
+
+def _matches_unpruned_search_at_every_cap(h):
+    for cap in range(1, h.cols + 2):
+        assert _pruned_min_distance(h, cap) == \
+            _unpruned_min_distance(h, cap), (h, cap)
+
+
+def test_two_column_nodes_read_their_frontiers_from_the_parent(
+        monkeypatch):
+    # Columns 0..3 and 5 are unit vectors and 4 = e0 + e1 + e2.  The
+    # root of the pass of three has frontier 3.  Its child 4 lies in the
+    # span of columns 0..2, so that child's frontier is 1; its child 5
+    # lies outside the span of 0..3, so that child's frontier is 3.
+    h = Matrix(F8, [[1, 0, 0, 0, 1, 0],
+                    [0, 1, 0, 0, 1, 0],
+                    [0, 0, 1, 0, 1, 0],
+                    [0, 0, 0, 1, 0, 0],
+                    [0, 0, 0, 0, 0, 1]])
+    counted = []
+
+    def comb(n, k):
+        counted.append((n, k))
+        return math.comb(n, k)
+
+    monkeypatch.setattr(oracle, "comb", comb)
+    assert _pruned_min_distance(h, 4) == (4, (0, 1, 2, 4), 20 + 2)
+    # search_cost's terms, then the root's C(4, 3), child 4's C(2, 2),
+    # child 5's C(4, 2) and the C(4, 4) of the root of the pass of four
+    assert counted == [(6, 1), (6, 2), (6, 3), (6, 4),
+                       (4, 3), (2, 2), (4, 2), (4, 4)]
+    _matches_unpruned_search_at_every_cap(h)
+
+
+def test_frontier_walk_that_stops_below_two_columns():
+    # Column 2 = e0 + e1, so a node with three columns left walks no
+    # further than column 1, short of the two columns a bulk count of
+    # its own needs: the root of the pass of three, and in the pass of
+    # four the root's child 3, whose bound is 1.  Their children still
+    # read their frontiers from the walked pivots.
+    h = Matrix(F8, [[1, 0, 1, 0, 1, 0, 2],
+                    [0, 1, 1, 0, 0, 1, 3],
+                    [0, 0, 0, 1, 2, 3, 1],
+                    [0, 0, 0, 0, 1, 1, 1]])
+    assert _pruned_min_distance(h, 4) == (3, (0, 1, 2), 1 + 21)
+    _matches_unpruned_search_at_every_cap(h)
+
+
+@pytest.mark.parametrize("field", [default_field(8), GF.from_prime(13)],
+                         ids=["w8", "w12"])
+def test_frontier_handover_matches_unpruned_search_in_wide_fields(field):
+    rng = random.Random(2207)
+    for _ in range(20):
+        _matches_unpruned_search_at_every_cap(
+            _random_check_matrix(rng, field))
 
 
 def test_random_decodable_pattern_is_decodable():
