@@ -92,8 +92,16 @@ def cmd_encode(args) -> int:
     return EXIT_OK
 
 
+def _gpc_only(spec, option: str, used) -> None:
+    # Options that run the gpc decoders need a gpc or epc-g1 code.
+    if used and spec.params is None:
+        raise ValueError(f"{option} needs a gpc or epc-g1 code, got kind "
+                         f"{spec.kind!r}")
+
+
 def cmd_decode(args) -> int:
     spec = files.load_code_spec(args.code)
+    _gpc_only(spec, "--single-pass", args.single_pass)
     arr, w = files.read_array(args.array)
     if w != spec.field.w:
         raise files.SpecFileError(
@@ -152,9 +160,8 @@ def _brute_force(h, args, prefix: str, target: str, floor: int,
 def cmd_verify(args) -> int:
     spec = files.load_code_spec(args.code)
     p = spec.params
-    if args.random and p is None:
-        raise ValueError(f"--random needs a gpc or epc-g1 code, got kind "
-                         f"{spec.kind!r}")
+    _gpc_only(spec, "--random", args.random)
+    bound = epc.distance_bound(spec.shape)[0] if spec.shape else None
     verdicts: list[bool | None] = []
     if p is not None:
         h = gpc.full_parity_matrix(p)
@@ -165,11 +172,10 @@ def cmd_verify(args) -> int:
         floor = p.min_distance()
         target = f"d_formula={floor}"
     else:
-        h = spec.linear.check_matrix
-        floor = 9 if spec.kind == "epc-h3" else 8
+        h, floor = spec.linear.check_matrix, bound
         target = f"expected={floor}"
     prefix, accept = "", lambda d: d == floor
-    if spec.kind == "epc-h3":
+    if spec.kind == "epc-h3" and floor == 9:
         violation = epc.check_condition_35(spec.shape.m, spec.shape.n,
                                            spec.field)
         if violation is None:
@@ -179,8 +185,7 @@ def cmd_verify(args) -> int:
             prefix = f"condition35=violated{violation} "
             target, accept = "expected=<9", lambda d: d < floor
     verdicts.append(_brute_force(h, args, prefix, target, floor, accept))
-    if p is not None and spec.shape is not None:
-        bound, _ = epc.distance_bound(spec.shape)
+    if p is not None and bound is not None:
         verdicts.append(_verdict(f"bound={bound} d_formula={floor}",
                                  bound == floor))
     if p is not None and args.random:

@@ -10,10 +10,11 @@ shapes.  Three concrete constructions are provided:
   generalized-product family (a two-level ladder),
 * :func:`build_h2` adds two global parities built on powers of alpha,
   reaching distance 8 for v = h = 1,
-* :func:`build_h3` adds a third power row, reaching distance 9 whenever
-  the field satisfies a quadruple non-vanishing condition
-  (:func:`check_condition_35`); the all-ones-modulus fields obtained
-  via :meth:`gpcodes.fields.GF.from_prime` satisfy it by construction.
+* :func:`build_h3` adds a third power row, reaching its bound of 10 with
+  two rows or two columns, and otherwise 9 whenever the field satisfies
+  a quadruple non-vanishing condition (:func:`check_condition_35`); the
+  all-ones-modulus fields of :meth:`gpcodes.fields.GF.from_prime`
+  satisfy it by construction.
 
 The latter two are plain linear codes on flattened arrays: a
 :class:`~gpcodes.linalg.LinearCode`, re-exported here, whose generic
@@ -125,14 +126,19 @@ def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
         GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
     rows = product.data + [_power_row(field, m * n, 1),
                            _power_row(field, m * n, -1)]
-    return LinearCode(field, m * n, Matrix(field, rows))
+    return LinearCode(Matrix(field, rows))
 
 
 def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
-    """EP(m, 1; n, 1; 3): the two-global construction plus a squared-power row."""
+    """EP(m, 1; n, 1; 3): the two-global construction plus a squared-power row.
+
+    Bound 10 when m = 2 or n = 2, reached over GF(2^4), GF(2^5), GF(2^8)
+    and ``GF.from_prime(19)`` by brute force; else 9, reached exactly
+    when the field meets :func:`check_condition_35`.
+    """
     base = build_h2(m, n, field)
     rows = base.check_matrix.data + [_power_row(base.field, m * n, 2)]
-    return LinearCode(base.field, m * n, Matrix(base.field, rows))
+    return LinearCode(Matrix(base.field, rows))
 
 
 def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] | None:
@@ -143,7 +149,8 @@ def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] |
 
         1 + alpha^(-j1) + alpha^(-i2*n + j2) + alpha^(-(i2 - i1)*n + j2) != 0,
 
-    otherwise the first violating (i1, i2, j1, j2) in loop order.
+    otherwise the first violating (i1, i2, j1, j2) in loop order.  It
+    decides 9 only where 9 is the bound, that is m, n >= 3.
     """
     f = field
     signed_i = list(range(1, m)) + list(range(-1, -m, -1))

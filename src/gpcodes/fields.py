@@ -25,7 +25,6 @@ from typing import Iterable
 # One primitive polynomial per width.  Bit i = coefficient of x^i, so
 # e.g. 0b1011 is x^3 + x + 1.  x (= the int 2) is primitive modulo each.
 DEFAULT_MODULI = {
-    1: 0b11,
     2: 0b111,
     3: 0b1011,
     4: 0b10011,
@@ -212,17 +211,18 @@ def find_construction_prime(min_size: int) -> int:
 class GF:
     """A finite field GF(2^w) together with an evaluation element alpha.
 
-    Elements are ints.  Widths up to 16 get exp/log tables built from a
-    primitive element found at construction time; larger widths fall
-    back to shift-and-xor multiplication.
+    Elements are ints.  Widths run from 2 to 63.  Widths up to 16 get
+    exp/log tables built from the least primitive element g >= 2, found
+    at construction time; larger widths fall back to shift-and-xor
+    multiplication.
     """
 
     __slots__ = ("w", "modulus", "alpha", "order", "_exp", "_log",
                  "_alpha_order", "_order_factors", "_mul_tables")
 
     def __init__(self, w: int, modulus: int | None = None, alpha: int = 2):
-        if not 1 <= w <= MAX_WIDTH:
-            raise ValueError(f"width must be in [1, {MAX_WIDTH}], got {w}")
+        if not 2 <= w <= MAX_WIDTH:
+            raise ValueError(f"width must be in [2, {MAX_WIDTH}], got {w}")
         if modulus is None:
             if w not in DEFAULT_MODULI:
                 raise ValueError(f"no default modulus for width {w}; pass one")
@@ -233,7 +233,7 @@ class GF:
             )
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible")
-        if alpha in (0, 1) or not 0 <= alpha < (1 << w):
+        if not 2 <= alpha < 1 << w:
             raise ValueError(f"alpha must lie in [2, 2^{w}), got {alpha}")
         self.w = w
         self.modulus = modulus
@@ -248,25 +248,16 @@ class GF:
             self._build_tables()
 
     def _build_tables(self) -> None:
+        # exp/log tables of the least primitive element g >= 2.
         n = self.order
-        for g in range(2, n + 2):
-            exp = [1] * (2 * n)
-            log = [0] * (n + 1)
-            val = 1
-            ok = True
-            for i in range(1, n):
-                val = _poly_mulmod(val, g, self.modulus)
-                if val == 1:  # order of g divides i < n: not primitive
-                    ok = False
-                    break
-                exp[i] = val
-                log[val] = i
-            if ok:
-                for i in range(n, 2 * n):
-                    exp[i] = exp[i - n]
-                self._exp, self._log = exp, log
-                return
-        raise AssertionError("no primitive element found; modulus not irreducible?")
+        g = next(g for g in range(2, n + 1) if self.element_order(g) == n)
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = _poly_mulmod(exp[i - 1], g, self.modulus)
+        log = [0] * (n + 1)
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = exp + exp, log
 
     # -- arithmetic -------------------------------------------------
 
@@ -407,6 +398,6 @@ def default_field(w: int) -> GF:
 def field_with_order(min_order: int) -> GF:
     """Smallest table field whose alpha has order >= min_order."""
     for w in sorted(DEFAULT_MODULI):
-        if w >= 2 and (1 << w) - 1 >= min_order:
+        if (1 << w) - 1 >= min_order:
             return default_field(w)
     raise ValueError(f"no table field with multiplicative order >= {min_order}")

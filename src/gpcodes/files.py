@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1)
+from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1,
+                  distance_bound)
 from .fields import GF, MAX_WIDTH, field_with_order
 from .gpc import GpcParams, SymbolArray
 
@@ -101,8 +102,9 @@ def parse_code_spec(obj: dict) -> CodeSpec:
         if kind in ("epc-h2", "epc-h3"):
             m, n = _require(obj, ["m", "n"], kind)
             build, g = (build_h2, 2) if kind == "epc-h2" else (build_h3, 3)
-            return CodeSpec(kind, linear=build(m, n, field),
-                            shape=EpcShape(m, 1, n, 1, g))
+            code, shape = build(m, n, field), EpcShape(m, 1, n, 1, g)
+            distance_bound(shape)    # raises on shapes with no data symbols
+            return CodeSpec(kind, linear=code, shape=shape)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):
             raise

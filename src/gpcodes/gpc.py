@@ -341,9 +341,7 @@ def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
-        f, n = params.field, params.n
-        return _View(params,
-                     [LinearCode(f, n, h) for h in _level_checks(params)],
+        return _View(params, [LinearCode(h) for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot())
     return recall(_VIEWS, params, _VIEW_LIMIT, build)

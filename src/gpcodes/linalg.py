@@ -114,19 +114,8 @@ class Matrix:
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        f = self.field
-        ot = list(zip(*other.data))
-        out = []
-        for row in self.data:
-            out_row = []
-            for col in ot:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc ^= f.mul(a, b)
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(f, out)
+        cols = [self.mul_vec(col) for col in zip(*other.data)]
+        return Matrix(self.field, zip(*cols) if cols else [[]] * self.rows)
 
 
 def vstack(blocks: Sequence[Matrix]) -> Matrix:
@@ -468,24 +457,23 @@ class PlanSlot:
 
 
 # Plan memory per code, in bytes: a LinearCode keeps at most
-# _PLAN_BUDGET // (length * (rows + 48)) plan slots, and at least one,
+# _PLAN_BUDGET // (length * (rows + 64)) plan slots, and at least one,
 # least recently used evicted first.  By tracemalloc a plan takes 1.2 to
-# 1.3 KB on G16's level codes (so level 0 keeps 699 slots) and 18.2 to
-# 19.1 KB on build_h2(15, 17) (50 slots).
+# 1.5 KB on G16's level codes (so level 0 keeps 529 slots, level 1 514)
+# and 18.2 to 19.1 KB on build_h2(15, 17) (41 slots).
 _PLAN_BUDGET = 1 << 20
 
 
 @dataclass
 class LinearCode:
-    """A linear code given by its parity-check matrix over GF(2^w)."""
+    """A linear code given by its parity-check matrix over GF(2^w); its
+    ``field`` and ``length`` are the matrix's field and width."""
 
-    field: GF
-    length: int
     check_matrix: Matrix
 
     def __post_init__(self):
-        if self.check_matrix.cols != self.length:
-            raise ValueError("check matrix width does not match length")
+        self.field = self.check_matrix.field
+        self.length = self.check_matrix.cols
         self._parity_positions: tuple[int, ...] | None = None
         self._data_positions: tuple[int, ...] | None = None
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
@@ -494,8 +482,10 @@ class LinearCode:
         # and the parity choice eliminate a shallow copy.
         self._rows = _work_rows(self.field, self.check_matrix.data)
         # A plan's footprint, bounded above: per position, a column of
-        # one byte per check row and about 48 bytes of object overhead.
-        self._plan_bytes = self.length * (self.check_matrix.rows + 48)
+        # one byte per check row and at most 64 bytes of object overhead
+        # (by tracemalloc, held plans fill 73% of this bound on G16's
+        # level 1 and 76% on build_h2(15, 17)).
+        self._plan_bytes = self.length * (self.check_matrix.rows + 64)
 
     @property
     def redundancy(self) -> int:

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gpcodes import cli, gpc, oracle
-from gpcodes.files import parse_array_text, read_array
+from gpcodes import cli, epc, gpc, oracle
+from gpcodes.files import parse_array_text, parse_code_spec, read_array
 from gpcodes.oracle import DistanceReport
 from test_oracle import corrupt_survivors, flip_first_recovered
 
@@ -19,6 +19,11 @@ G1_SPEC = {"kind": "epc-g1", "m": 4, "v": 1, "n": 5, "h": 1}
 H2_SPEC = {"kind": "epc-h2", "m": 3, "n": 3}
 H3_SPEC = {"kind": "epc-h3", "m": 3, "n": 3,
            "field": {"w": 10, "modulus_hex": "7ff"}}
+# The epc-h2 and epc-h3 shapes with no data symbols: no admissible
+# rectangle, so no distance bound.
+NO_DATA_SHAPES = [("epc-h2", 2, 2), ("epc-h2", 2, 3), ("epc-h2", 3, 2),
+                  ("epc-h3", 2, 2), ("epc-h3", 2, 3), ("epc-h3", 2, 4),
+                  ("epc-h3", 3, 2), ("epc-h3", 4, 2)]
 
 
 def write_spec(tmp_path, obj, name="code.json"):
@@ -92,6 +97,20 @@ def test_info_linear(tmp_path, capsys):
     assert "shape: EP(3,1;3,1;2)" in out
     assert "N=9 K=2" in out
     assert "distance upper bound: 8" in out
+
+
+@pytest.mark.parametrize("command", ["info", "encode", "verify"])
+@pytest.mark.parametrize("kind, m, n", NO_DATA_SHAPES)
+def test_shapes_with_no_data_symbols_exit_2(tmp_path, capsys, command,
+                                            kind, m, n):
+    code = write_spec(tmp_path, {"kind": kind, "m": m, "n": n})
+    extra = [write_data(tmp_path, [])] if command == "encode" else []
+    assert cli.main([command, code, *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    g = 2 if kind == "epc-h2" else 3
+    assert err == (f"error: degenerate shape EP({m},1;{n},1;{g}): "
+                   "no admissible rectangle\n")
 
 
 def test_info_missing_file(tmp_path, capsys):
@@ -239,6 +258,28 @@ def test_decode_single_pass_vs_iterative(tmp_path, capsys):
     dec = str(tmp_path / "dec.txt")
     assert cli.main(["decode", code, holes, "-o", dec]) == 0
     assert Path(dec).read_text() == Path(enc).read_text()
+
+
+@pytest.mark.parametrize("spec", [H2_SPEC, H3_SPEC], ids=["h2", "h3"])
+def test_decode_single_pass_refuses_codes_without_gpc_decoders(
+        tmp_path, capsys, monkeypatch, spec):
+    code = write_spec(tmp_path, spec)
+    data = write_data(tmp_path, [1] * parse_code_spec(spec).linear.dimension)
+    enc = str(tmp_path / "enc.txt")
+    assert cli.main(["encode", code, data, "-o", enc]) == 0
+    holes = str(tmp_path / "holes.txt")
+    punch_holes(enc, holes, [(0, 0)])
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("decoded before refusing --single-pass")
+    monkeypatch.setattr(epc, "lc_erasure_decode", no_decode)
+    out = tmp_path / "dec.txt"
+    assert cli.main(["decode", code, holes, "--single-pass",
+                     "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --single-pass needs a gpc or epc-g1 code, got kind "
+            f"{spec['kind']!r}\n")
+    assert not out.exists()
 
 
 def test_decode_uncorrectable_writes_partial(tmp_path, capsys):
@@ -501,6 +542,19 @@ def test_verify_h3_prime_field(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "condition35=ok" in out
     assert "d_bruteforce=9 expected=9 OK" in out
+
+
+@pytest.mark.parametrize("m, n, line", [
+    (2, 5, "d_bruteforce=10 expected=10 OK"),
+    (5, 2, "d_bruteforce=10 expected=10 OK"),
+    (3, 3, "condition35=violated(1, 2, 2, -2) d_bruteforce=8 expected=<9 OK"),
+])
+def test_verify_h3_expects_the_distance_bound(tmp_path, capsys, m, n, line):
+    # With two rows or two columns the bound is 10, and condition 3.5,
+    # which decides whether the code reaches 9, does not apply.
+    code = write_spec(tmp_path, {"kind": "epc-h3", "m": m, "n": n})
+    assert cli.main(["verify", code]) == 0
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_verify_h2(tmp_path, capsys):

@@ -111,11 +111,6 @@ def test_linear_code_positions():
     assert rank(sub) == 7
 
 
-def test_linear_code_shape_mismatch():
-    with pytest.raises(ValueError):
-        LinearCode(F16, 5, Matrix.identity(F16, 4))
-
-
 def greedy_parity_reference(code):
     # Scan right to left and keep column j only if the rank grows.
     h = code.check_matrix
@@ -135,7 +130,7 @@ def degenerate_code(field, rng):
     for row in data:
         row[zero] = 0
         row[dst] = row[src]
-    return LinearCode(field, length, Matrix(field, data))
+    return LinearCode(Matrix(field, data))
 
 
 def test_parity_positions_match_greedy_rank_scan():
@@ -228,6 +223,32 @@ def test_h2_and_h3_reach_their_distance_over_a_field_without_tables():
         assert report.distance == d
 
 
+@pytest.mark.parametrize("field", [default_field(4), default_field(5),
+                                   default_field(8), GF.from_prime(19)],
+                         ids=["w4", "w5", "w8", "p19"])
+def test_h3_with_two_rows_or_two_columns_reaches_its_bound_of_10(field):
+    # Only a = 4 (two rows) or a = 1 (two columns) is admissible, and
+    # each gives 10: one more than the 9 of a = 2.
+    for m, n in ((2, 5), (5, 2), (2, 6), (6, 2)):
+        bound, _ = distance_bound(EpcShape(m, 1, n, 1, 3))
+        h = build_h3(m, n, field).check_matrix
+        assert bound == brute_min_distance(h, cap=10).distance == 10
+
+
+def test_shapes_without_a_bound_are_those_with_no_data_symbols():
+    none = set()
+    for build, g in ((build_h2, 2), (build_h3, 3)):
+        for m in range(2, 12):
+            for n in range(2, 12):
+                try:
+                    distance_bound(EpcShape(m, 1, n, 1, g))
+                except ValueError:
+                    none.add((g, m, n))
+                assert (build(m, n).dimension == 0) == ((g, m, n) in none)
+    assert none == {(2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 3),
+                    (3, 2, 4), (3, 3, 2), (3, 4, 2)}
+
+
 @pytest.mark.parametrize("w", [3, 4, 8, 10])
 def test_lc_is_member_rejects_symbols_out_of_field(w):
     field = default_field(w)
@@ -259,7 +280,7 @@ def test_lc_encode_roundtrip():
 def _scalar(code):
     """A fresh copy of ``code``: its first decode of any pattern is the
     scalar syndrome solve, the reference every plan must equal."""
-    return LinearCode(code.field, code.length, code.check_matrix)
+    return LinearCode(code.check_matrix)
 
 
 def _scalar_encode(data, code):

@@ -119,6 +119,56 @@ def test_alpha_validation():
         GF(1)
 
 
+def test_width_one_is_outside_the_range():
+    # x^1 + 1 leaves no alpha in [2, 2^1), so widths start at 2
+    with pytest.raises(ValueError,
+                       match=r"^width must be in \[2, 63\], got 1$"):
+        GF(1)
+    assert 1 not in DEFAULT_MODULI
+
+
+def _product(a, b, modulus):
+    # Shift-and-xor product, independent of the field under test.
+    acc, top = 0, 1 << (modulus.bit_length() - 1)
+    while b:
+        if b & 1:
+            acc ^= a
+        a, b = a << 1, b >> 1
+        if a & top:
+            a ^= modulus
+    return acc
+
+
+def _least_primitive(f):
+    # The first g >= 2 whose orbit returns to 1 only after 2^w - 1 steps.
+    for g in range(2, 1 << f.w):
+        val, steps = g, 1
+        while val != 1:
+            val, steps = _product(val, g, f.modulus), steps + 1
+        if steps == f.order:
+            return g
+    raise AssertionError("no primitive element")
+
+
+TABLE_FIELDS = ([default_field(w) for w in range(2, 17)]
+                + [GF.from_prime(p) for p in (3, 5, 11, 13)]
+                + [GF(w, mod) for w in range(3, 7)
+                   for mod in range((1 << w) + 1, 1 << (w + 1), 2)
+                   if is_irreducible(mod)])
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=repr)
+def test_tables_run_over_the_least_primitive_element(f):
+    g, n = _least_primitive(f), f.order
+    assert len(f._exp) == 2 * n and len(f._log) == n + 1
+    assert f._log[0] == 0
+    val = 1
+    for i in range(n):
+        assert f._exp[i] == f._exp[i + n] == val
+        assert f._log[val] == i
+        val = _product(val, g, f.modulus)
+
+
 def test_invalid_arguments_raise():
     for w in (0, 64):
         with pytest.raises(ValueError, match="width must be in"):

@@ -163,7 +163,7 @@ def test_parity_layout_matches_generic_linear_code():
     codes = [*_small_param_grid(), FLAGSHIP, g16]
     assert len(codes) == 1248
     for p in codes:
-        generic = LinearCode(p.field, p.m * p.n, full_parity_matrix(p))
+        generic = LinearCode(full_parity_matrix(p))
         flat = tuple(sorted(r * p.n + c for r, c in p.parity_positions()))
         assert generic.parity_positions() == flat, p.notation()
 

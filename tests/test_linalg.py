@@ -48,6 +48,12 @@ def test_identity_and_matmul():
     assert a.matmul(b).mul_vec(v) == a.mul_vec(b.mul_vec(v))
 
 
+def test_product_with_a_zero_column_right_factor_keeps_its_rows():
+    a = Matrix(F16, [[1, 2], [3, 4], [5, 6]])
+    prod = a.matmul(Matrix(F16, [[], []]))
+    assert (prod.rows, prod.cols, prod.data) == (3, 0, [[], [], []])
+
+
 def test_shape_and_field_mismatches_raise():
     a = Matrix(F16, [[1, 2], [3, 4]])
     with pytest.raises(ValueError, match="vector length mismatch"):
@@ -211,7 +217,7 @@ def test_kron_single_parity_product_code():
 # ------------------------------------------------------- LinearCode.fill
 
 def _g16_level_1():
-    return LinearCode(G16.field, G16.n, component_parity_check(G16, 1))
+    return LinearCode(component_parity_check(G16, 1))
 
 
 def _written(word, positions, symbols):
@@ -281,7 +287,7 @@ def _levels(p):
     the identity."""
     checks = [component_parity_check(p, i) for i in range(p.t)]
     checks.append(Matrix.identity(p.field, p.n))
-    return [LinearCode(p.field, p.n, h) for h in checks]
+    return [LinearCode(h) for h in checks]
 
 
 def _syndrome_codes():
@@ -330,7 +336,7 @@ def _level_codes():
     GF(2^4..2^8)."""
     for p in [G16, *grid_codes_over_wider_fields()]:
         for i in range(p.t):
-            yield LinearCode(p.field, p.n, component_parity_check(p, i))
+            yield LinearCode(component_parity_check(p, i))
 
 
 def _unpacked(word, count, block=1):
@@ -507,9 +513,15 @@ def test_held_plans_stay_within_the_budget(build, size):
                                  + patterns[limit:])
 
 
+def test_linear_code_reads_field_and_length_from_its_check_matrix():
+    h = component_parity_check(G16, 1)
+    code = LinearCode(h)
+    assert code.field is h.field
+    assert code.length == h.cols == G16.n
+
+
 def test_wide_field_block_fill_raises():
     f = default_field(10)
-    code = LinearCode(f, 5, vandermonde(f, [f.alpha_pow(j)
-                                            for j in range(5)], 2))
+    code = LinearCode(vandermonde(f, [f.alpha_pow(j) for j in range(5)], 2))
     with pytest.raises(ValueError, match="w <= 8"):
         code.fill([0, 1, 2, 0, 0], (3, 4), 2)

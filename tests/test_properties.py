@@ -149,7 +149,7 @@ def test_erasure_plan_matches_the_solve(name, seed, kind):
     if kind == "flipped" and survivors:
         values[rng.choice(survivors)] ^= rng.randrange(1, top)
     # a fresh copy of the code decodes the pattern once: the scalar solve
-    fresh = LinearCode(code.field, code.length, code.check_matrix)
+    fresh = LinearCode(code.check_matrix)
     expected = _decode_outcome(values, erased, fresh)
     slot = PlanSlot()
     slot.uses = 1                   # the next decode compiles the plan
@@ -258,7 +258,7 @@ def test_strided_bytemap_columns_equal_the_zip_reference(field, nrows, size,
 
 # G16's level row codes (the last the identity) and the benchmark's H2.
 ROW_PLAN_CODES = {
-    **{f"G16/{i}": (lambda h=h: LinearCode(G16.field, G16.n, h))
+    **{f"G16/{i}": (lambda h=h: LinearCode(h))
        for i, h in enumerate(gpc._level_checks(G16))},
     "H2(15,17)": lambda: build_h2(15, 17),
 }
