@@ -19,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, compress
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (ByteMap, LinearCode, Matrix,  # noqa: F401
-                     NoSolutionError, PlanSlot, combine, kron, null_space,
-                     pack_blocks, recall, row_reduce, solve, unpack_block,
-                     vandermonde, vstack)
+                     NoSolutionError, PlanSlot, SplitMap, combine, kron,
+                     null_space, pack_blocks, recall, row_reduce, solve,
+                     unpack_block, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -318,13 +319,15 @@ class _View(NamedTuple):
     params: GpcParams
     levels: list[LinearCode]    # row codes 0..t; level t has the identity
     col_params: GpcParams | None   # None when k = m
-    encoder: PlanSlot
+    encoder: PlanSlot           # of an _Encoder
+    dim: int                    # K, the data symbols per array
 
 
 # Views by params, least recently used evicted first: at most 16
-# entries, each an encoder map of at most 64 KiB and t + 1 row codes of
-# length n (G16's row view holds 14 KB of check lists, its column view
-# 6 KB), each with at most 1 MiB of row plans.
+# entries, each an encoder (its map at most 64 KiB as bytes, held as split
+# tables of 1.71 MB for G16 and at most 6.9 MB; see linalg.MAP_BYTES_LIMIT)
+# and t + 1 row codes of length n (G16's row view holds 14 KB of check
+# lists, its column view 6 KB), each with at most 1 MiB of row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
@@ -343,7 +346,7 @@ def _view(params: GpcParams) -> _View:
     def build() -> _View:
         return _View(params, [LinearCode(h) for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
-                     PlanSlot())
+                     PlanSlot(), params.dimension())
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -619,6 +622,29 @@ def _compile_encoder(params: GpcParams) -> ByteMap:
                    targets)
 
 
+class _Encoder(NamedTuple):
+    """A compiled gpc encoder as its slot holds it."""
+
+    parity: SplitMap    # the K data symbols to the P parity symbols
+    rows: list[Callable[[list[int]], tuple[int, ...]]]  # cells of each row
+
+
+def _split_encoder(params: GpcParams) -> _Encoder:
+    # _compile_encoder's map as split tables over its data columns, which
+    # are the data cells in row-major order, and one itemgetter per array
+    # row that picks the row's symbols from the data followed by the
+    # parity, cells in row-major order both (n >= 2, so each picks a
+    # tuple).
+    enc = _compile_encoder(params)
+    targets = set(enc.targets)
+    size, n = params.m * params.n, params.n
+    data = [j for j in range(size) if j not in targets]
+    where = {j: i for i, j in enumerate(chain(data, enc.targets))}
+    return _Encoder(SplitMap(params.field, [enc.columns[j] for j in data]),
+                    [itemgetter(*(where[j] for j in range(r, r + n)))
+                     for r in range(0, size, n)])
+
+
 def _encode_pass(data: Sequence[int], params: GpcParams,
                  parity: frozenset[tuple[int, int]],
                  block: int = 1) -> SymbolArray:
@@ -642,26 +668,27 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     parity cells are treated as erasures and recovered by the row
     decoder.  For w <= 8 the code's encoder slot, kept per ``params``,
     decides by :class:`~gpcodes.linalg.PlanSlot`'s rule when the parity
-    cells are filled with a compiled :class:`~gpcodes.linalg.ByteMap`
-    instead, equal to the scalar path bit for bit.  The map is compiled
-    in one row pass over blocks of N = m * n bytes, the K unit data
-    vectors side by side, each at its own cell's byte.  Codes whose map
-    would exceed ``linalg.MAP_BYTES_LIMIT`` (64 KiB) stay scalar.
+    is computed by a compiled map instead, equal to the scalar path bit
+    for bit.  The map is compiled in one row pass over blocks of
+    N = m * n bytes, the K unit data vectors side by side, each at its
+    own cell's byte, and held as :class:`~gpcodes.linalg.SplitMap`
+    tables over the K data symbols: two lookups and two XORs per data
+    symbol, and the rows picked from the data and the parity by cell
+    orders kept with the tables.  Codes whose map would exceed
+    ``linalg.MAP_BYTES_LIMIT`` (64 KiB as a byte map) stay scalar.
     """
     view = _view(params)
-    dim = params.dimension()
+    dim = view.dim
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
     params.field.check_symbols(data, "data symbol")
     enc = view.encoder.plan(params.field, dim * (params.m * params.n - dim),
-                            lambda: _compile_encoder(params))
+                            lambda: _split_encoder(params))
     if enc is None:
         return _encode_pass(data, params, params.parity_positions())
-    it = iter(data)
-    word = [next(it) if col else 0 for col in enc.columns]
-    enc.apply(word)
-    n = params.n
-    return SymbolArray([word[i:i + n] for i in range(0, len(word), n)])
+    parity = enc.parity
+    symbols = [*data, *parity.image(data).to_bytes(parity.height, "little")]
+    return SymbolArray([row(symbols) for row in enc.rows])
 
 
 def min_weight_codeword(params: GpcParams, level: int,

@@ -24,11 +24,14 @@ w <= 8: a fill of a word's target positions from its other symbols,
 applied with ``bytes.translate``, whose check symbols must vanish.  It
 serves both encode and decode: a systematic encoder fills the parity
 positions, and a :class:`LinearCode` compiles :func:`solve`'s erasure
-system for a fixed pattern, checks included.  :func:`combine` sums
-weighted rows with the same product tables, and holds the symbol-wise
-loop for w > 8.  :class:`PlanSlot` holds the one rule for when a map is
-compiled, and :func:`recall` is the get-or-build rule of every bounded
-cache, evicting the least recently used entry.
+system for a fixed pattern, checks included.  :class:`SplitMap` holds
+a map's columns as split product tables instead, two lookups per
+symbol at about 40 times the memory; gpc's encoder keeps its map that
+way.  :func:`combine` sums weighted rows with the same product tables,
+and holds the symbol-wise loop for w > 8.  :class:`PlanSlot` holds the
+one rule for when a map is compiled, and :func:`recall` is the
+get-or-build rule of every bounded cache, evicting the least recently
+used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
@@ -45,7 +48,7 @@ to :meth:`Matrix.mul_vec`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .fields import GF
 
@@ -267,8 +270,13 @@ def null_space(m: Matrix) -> list[list[int]]:
     return basis
 
 
-# Largest compiled map, in bytes; larger codes and patterns stay on the
-# scalar path.  G16's encoder needs 372 x 108 = 40 176 bytes.
+# Largest compiled map, in bytes as a ByteMap; larger codes and patterns
+# stay on the scalar path.  G16's encoder needs K x P = 372 x 108 =
+# 40 176 bytes.  A gpc encoder holds its map as SplitMap tables instead,
+# about 40 times that by tracemalloc: 1.71 MB for G16.  Narrow maps cost
+# more per byte: the worst encoder under the limit, a 16 x 255 code over
+# GF(2^8) with K = 4064 and P = 16, would hold 6.9 MB, so gpc's 16 views
+# hold at most about 110 MB of encoder tables.
 MAP_BYTES_LIMIT = 1 << 16
 
 
@@ -357,6 +365,59 @@ class ByteMap:
         return acc
 
 
+class SplitMap:
+    """A GF(2^w)-linear map of symbols to one int as split product
+    tables, for w <= 8: the 4-bit split of Plank, Greenan and Miller
+    ("Screaming fast Galois field arithmetic using Intel SIMD
+    instructions", FAST 2013).
+
+    Source j is given by its column, ``bytes`` with one byte per output
+    symbol, as in :class:`ByteMap`.  The tuple ``lo[j]`` holds t times
+    the column and ``hi[j]`` holds 16t times it, each product as one
+    int, for every t below 16 whose multiple lies in the field.
+    :meth:`image` then maps a symbol v with two lookups,
+    ``lo[j][v & 15] ^ hi[j][v >> 4]``, and no ``bytes.translate`` or
+    ``int.from_bytes``.  The w bit multiples take one translate each,
+    and every other entry is the XOR of two entries before it.  Tuples
+    keep their items inline: one pointer fewer per lookup than lists.
+    The tables hold about 32 ints per column, about 40 times a ByteMap
+    column's bytes on G16's encoder (see ``MAP_BYTES_LIMIT``), so only
+    gpc's encoder, a long map applied once per array, holds them; plans
+    keep ByteMaps.
+    """
+
+    __slots__ = ("lo", "hi", "height")
+
+    def __init__(self, field: GF, columns: Sequence[bytes]):
+        tables, from_bytes = field.mul_tables(), int.from_bytes
+        self.height = len(columns[0]) if columns else 0
+        self.lo: list[tuple[int, ...]] = []
+        self.hi: list[tuple[int, ...]] = []
+        for col in columns:
+            bits = [from_bytes(col.translate(tables[1 << b]), "little")
+                    for b in range(field.w)]
+            self.lo.append(_span(bits[:4]))
+            self.hi.append(_span(bits[4:]))
+
+    def image(self, symbols: Iterable[int]) -> int:
+        """The map of ``symbols`` (in range, one per column) as one int:
+        byte i is output symbol i.  A negative symbol reads a wrong
+        entry silently, so callers check symbols first."""
+        acc = 0
+        for lo, hi, v in zip(self.lo, self.hi, symbols):
+            acc ^= lo[v & 15] ^ hi[v >> 4]
+        return acc
+
+
+def _span(basis: list[int]) -> tuple[int, ...]:
+    # Every XOR of a subset of ``basis``: entry t takes basis[i] for each
+    # bit i set in t.
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return tuple(out)
+
+
 def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
     # The bytes of a row of blocks of ``block`` bytes each, little-endian
     # and end to end.
@@ -412,8 +473,9 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
 
 
 class PlanSlot:
-    """One code's or pattern's uses so far, and its :class:`ByteMap`
-    once built.
+    """One code's or pattern's uses so far, and its compiled map once
+    built: a :class:`ByteMap`, or for a gpc encoder its
+    :class:`SplitMap` tables.
 
     The one compile rule of every compiled map (a gpc encoder, and each
     erasure plan of a :class:`LinearCode`, the pattern of no erasures
@@ -426,10 +488,12 @@ class PlanSlot:
     ``build_h2(15, 17)`` and 0.57 to 0.85 scalar row solves on G16's
     level codes), so a process that repeats a fill never takes much
     more than twice its scalar time.  G16's encoder, one row pass over
-    blocks of its K = 372 unit data vectors, compiles in 3.7 to 5.6 ms
-    against 0.36 ms per scalar encode: the rule's one cost is a process
-    that encodes one gpc code only a few times, twice at worst.  The
-    compile is tried that once: fields with w > 8, maps above
+    blocks of its K = 372 unit data vectors and the split tables built
+    from the map, compiles in about 16 ms, 10 ms of them for the map,
+    against about 0.6 ms per scalar encode and 0.12 ms per compiled one
+    (timed together on a shared 2-core Xeon): the rule's one cost is a
+    process that encodes one gpc code only a few times, twice at worst.
+    The compile is tried that once: fields with w > 8, maps above
     ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
     live in caches bounded by :func:`recall`, so a slot in use is kept
     and an evicted one starts again from zero uses.
@@ -439,11 +503,10 @@ class PlanSlot:
 
     def __init__(self):
         self.uses = 0
-        self.map: ByteMap | None = None
+        self.map: Any = None
 
-    def plan(self, field: GF, nbytes: int,
-             build: Callable[[], ByteMap | None],
-             uses: int = 1) -> ByteMap | None:
+    def plan(self, field: GF, nbytes: int, build: Callable[[], Any],
+             uses: int = 1) -> Any:
         """Count ``uses`` uses of a map of ``nbytes`` bytes: the map to
         apply, built by ``build`` when it falls due, or None for the
         scalar path."""

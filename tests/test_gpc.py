@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -221,8 +222,12 @@ def compile_on_next_encode(params):
     return slot
 
 
-@pytest.mark.parametrize("params", [G16, FLAGSHIP, K_EQ_M],
-                         ids=["G16", "flagship", "k_eq_m"])
+@pytest.mark.parametrize(
+    "params",
+    [pytest.param(G16, id="G16"), pytest.param(FLAGSHIP, id="flagship"),
+     pytest.param(K_EQ_M, id="k_eq_m"), pytest.param(PLUS_ONE, id="plus_one"),
+     *grid_codes_over_wider_fields()],
+    ids=lambda p: f"{p.m}x{p.n}_k{p.k}_w{p.field.w}")
 def test_compiled_encode_matches_scalar(params, encoders, monkeypatch):
     cases = [(data, scalar_encode(data, params))
              for data in stripes(params, random.Random(71))]
@@ -309,7 +314,38 @@ def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
     slot = compile_on_next_encode(FLAGSHIP)
     encode([0] * k, FLAGSHIP)
-    assert sum(map(len, slot.map.columns)) == size
+    assert len(slot.map.parity.lo) * slot.map.parity.height == size
+
+
+@pytest.mark.parametrize("bad", [16, -1, 256])
+def test_compiled_encode_still_checks_symbols(bad, encoders):
+    """The split tables would read a wrong entry for a negative symbol,
+    so a compiled encode checks the data symbols first."""
+    p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4), field=F16)
+    data = stripes(p, random.Random(85))[0]
+    slot = compile_on_next_encode(p)
+    expected = encode(data, p)
+    assert slot.map is not None and expected == scalar_encode(data, p)
+    data[5] = bad
+    with pytest.raises(ValueError, match="data symbol out of field range"):
+        encode(data, p)
+
+
+def test_held_encoder_memory_is_bounded(encoders):
+    """G16's compiled encoder, held as split tables, takes at most 1.8 MB
+    by tracemalloc, about 40 times its 40 KB as a byte map."""
+    data = stripes(G16, random.Random(86))[0]
+    gpc._compile_encoder(G16)       # its row plans and product tables
+    slot = compile_on_next_encode(G16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        encode(data, G16)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert slot.map is not None
+    assert held <= 1_800_000
 
 
 def test_encoder_cache_is_bounded(encoders, monkeypatch):

@@ -10,8 +10,8 @@ from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import GpcParams, component_parity_check
 from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
-                            UnderdeterminedError, combine, kron, null_space,
-                            pack_blocks, rank, row_reduce, solve,
+                            SplitMap, UnderdeterminedError, combine, kron,
+                            null_space, pack_blocks, rank, row_reduce, solve,
                             unpack_block, vandermonde, vstack)
 from test_acceptance import _small_param_grid
 from test_gpc import G16, grid_codes_over_wider_fields
@@ -371,6 +371,35 @@ def test_combine_blocks_equal_per_word_sums(field):
     got = combine(field, [(g, pack_blocks(rows)) for g, rows in terms],
                   width, count)
     assert _unpacked(got, count) == expected
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_split_map_entries_are_the_column_products(w):
+    """Every entry of a random map's split tables is its multiplier times
+    the column, symbol by symbol with GF.mul, for every multiplier in
+    the field; every symbol v maps to v times the column."""
+    field = default_field(w)
+    rng = random.Random(197 + w)
+    top, height = 1 << w, rng.randrange(1, 40)
+    columns = [bytes(rng.randrange(top) for _ in range(height))
+               for _ in range(6)] + [bytes(height)]
+
+    def times(v, col):
+        return int.from_bytes(bytes(field.mul(v, x) for x in col), "little")
+
+    split = SplitMap(field, columns)
+    assert split.height == height
+    for col, lo, hi in zip(columns, split.lo, split.hi):
+        assert lo == tuple(times(t, col) for t in range(min(16, top)))
+        assert hi == tuple(times(t << 4, col) for t in range(max(1, top >> 4)))
+        assert all(lo[v & 15] ^ hi[v >> 4] == times(v, col)
+                   for v in range(top))
+    for _ in range(5):
+        symbols = [rng.randrange(top) for _ in columns]
+        expected = 0
+        for v, col in zip(symbols, columns):
+            expected ^= times(v, col)
+        assert split.image(symbols) == expected
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["solve", "plan"])
