@@ -24,10 +24,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
-from .linalg import (ByteMap, LinearCode, Matrix,  # noqa: F401
-                     NoSolutionError, PlanSlot, SplitMap, combine, kron,
-                     null_space, pack_blocks, recall, row_reduce, solve,
-                     unpack_block, vandermonde, vstack)
+from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
+                     PlanSlot, SplitMap, combine, kron, null_space,
+                     pack_blocks, recall, row_reduce, solve, unpack_block,
+                     vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -324,10 +324,10 @@ class _View(NamedTuple):
 
 
 # Views by params, least recently used evicted first: at most 16
-# entries, each an encoder (its map at most 64 KiB as bytes, held as split
-# tables of 1.71 MB for G16 and at most 6.9 MB; see linalg.MAP_BYTES_LIMIT)
-# and t + 1 row codes of length n (G16's row view holds 14 KB of check
-# lists, its column view 6 KB), each with at most 1 MiB of row plans.
+# entries, each an encoder (split tables of at most 2 MiB, 1.71 MB for
+# G16; see linalg.MAP_BYTES_LIMIT) and t + 1 row codes of length n (G16's
+# row view holds 14 KB of check lists, its column view 6 KB), each with
+# at most 1 MiB of row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
@@ -605,23 +605,6 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     return work
 
 
-def _compile_encoder(params: GpcParams) -> ByteMap:
-    # Fill the parity cells of the flat array: the column of data cell j
-    # holds the parity of the unit data vector at j.  One row pass over
-    # blocks of N = m * n bytes finds every column at once: data cell j
-    # holds the block whose byte j is 1, so parity cell t's block, as N
-    # bytes, is the map's row t over the whole word.
-    parity = params.parity_positions()
-    size = params.m * params.n
-    cells = [divmod(j, params.n) in parity for j in range(size)]
-    word = _encode_pass([1 << 8 * j for j, p in enumerate(cells) if not p],
-                        params, parity, size).flatten()
-    targets = [j for j, p in enumerate(cells) if p]
-    return ByteMap(params.field,
-                   [word[t].to_bytes(size, "little") for t in targets],
-                   targets)
-
-
 class _Encoder(NamedTuple):
     """A compiled gpc encoder as its slot holds it."""
 
@@ -629,18 +612,25 @@ class _Encoder(NamedTuple):
     rows: list[Callable[[list[int]], tuple[int, ...]]]  # cells of each row
 
 
-def _split_encoder(params: GpcParams) -> _Encoder:
-    # _compile_encoder's map as split tables over its data columns, which
-    # are the data cells in row-major order, and one itemgetter per array
-    # row that picks the row's symbols from the data followed by the
-    # parity, cells in row-major order both (n >= 2, so each picks a
-    # tuple).
-    enc = _compile_encoder(params)
-    targets = set(enc.targets)
+def _compile_encoder(params: GpcParams) -> _Encoder:
+    # The parity of the flat array as split tables over the data cells,
+    # whose column j holds the parity of the unit data vector at j.  One
+    # row pass over blocks of N = m * n bytes finds every column at once:
+    # data cell j holds the block whose byte j is 1, so parity cell t's
+    # block, as N bytes, is the map's row t over the whole word, and
+    # column j is byte j of every row.  One itemgetter per array row
+    # picks the row's symbols from the data followed by the parity,
+    # cells in row-major order both (n >= 2, so each picks a tuple).
+    parity = params.parity_positions()
     size, n = params.m * params.n, params.n
-    data = [j for j in range(size) if j not in targets]
-    where = {j: i for i, j in enumerate(chain(data, enc.targets))}
-    return _Encoder(SplitMap(params.field, [enc.columns[j] for j in data]),
+    cells = [divmod(j, n) in parity for j in range(size)]
+    data = [j for j, p in enumerate(cells) if not p]
+    targets = [j for j, p in enumerate(cells) if p]
+    word = _encode_pass([1 << 8 * j for j in data], params, parity,
+                        size).flatten()
+    joined = b"".join(word[t].to_bytes(size, "little") for t in targets)
+    where = {j: i for i, j in enumerate(data + targets)}
+    return _Encoder(SplitMap(params.field, [joined[j::size] for j in data]),
                     [itemgetter(*(where[j] for j in range(r, r + n)))
                      for r in range(0, size, n)])
 
@@ -671,19 +661,21 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     is computed by a compiled map instead, equal to the scalar path bit
     for bit.  The map is compiled in one row pass over blocks of
     N = m * n bytes, the K unit data vectors side by side, each at its
-    own cell's byte, and held as :class:`~gpcodes.linalg.SplitMap`
-    tables over the K data symbols: two lookups and two XORs per data
-    symbol, and the rows picked from the data and the parity by cell
-    orders kept with the tables.  Codes whose map would exceed
-    ``linalg.MAP_BYTES_LIMIT`` (64 KiB as a byte map) stay scalar.
+    own cell's byte, and its data columns are cut from those blocks
+    straight into :class:`~gpcodes.linalg.SplitMap` tables: two lookups
+    and two XORs per data symbol, and the rows picked from the data and
+    the parity by cell orders kept with the tables.  The slot is charged
+    32 * K * (P + 64) held bytes for the tables, and codes charged more
+    than ``linalg.MAP_BYTES_LIMIT`` (2 MiB) stay scalar.
     """
     view = _view(params)
     dim = view.dim
     if len(data) != dim:
         raise ValueError(f"expected {dim} data symbols, got {len(data)}")
     params.field.check_symbols(data, "data symbol")
-    enc = view.encoder.plan(params.field, dim * (params.m * params.n - dim),
-                            lambda: _split_encoder(params))
+    enc = view.encoder.plan(params.field,
+                            32 * dim * (params.m * params.n - dim + 64),
+                            lambda: _compile_encoder(params))
     if enc is None:
         return _encode_pass(data, params, params.parity_positions())
     parity = enc.parity

@@ -19,19 +19,19 @@ picks unit pivots top to bottom and has two modes:
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
 
-:class:`ByteMap` is the one compiled-map kernel, for fields with
-w <= 8: a fill of a word's target positions from its other symbols,
-applied with ``bytes.translate``, whose check symbols must vanish.  It
-serves both encode and decode: a systematic encoder fills the parity
-positions, and a :class:`LinearCode` compiles :func:`solve`'s erasure
-system for a fixed pattern, checks included.  :class:`SplitMap` holds
-a map's columns as split product tables instead, two lookups per
-symbol at about 40 times the memory; gpc's encoder keeps its map that
-way.  :func:`combine` sums weighted rows with the same product tables,
-and holds the symbol-wise loop for w > 8.  :class:`PlanSlot` holds the
-one rule for when a map is compiled, and :func:`recall` is the
-get-or-build rule of every bounded cache, evicting the least recently
-used entry.
+:class:`ByteMap` is the compiled map of a :class:`LinearCode`, for
+fields with w <= 8: a fill of a word's target positions from its other
+symbols, applied with ``bytes.translate``, whose check symbols must
+vanish.  It is :func:`solve`'s erasure system for a fixed pattern,
+checks included, so it serves both encode and decode: ``lc_encode``
+fills the parity positions.  :class:`SplitMap` is gpc's encoder map,
+its columns as split product tables: two lookups per symbol at about
+40 times the memory.  :func:`combine` sums weighted rows with the same
+product tables, and holds the symbol-wise loop for w > 8.
+:class:`PlanSlot` holds the one rule for when a map is compiled, and
+``MAP_BYTES_LIMIT`` the one bound on the bytes a compiled map holds;
+:func:`recall` is the get-or-build rule of every bounded cache,
+evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
@@ -270,14 +270,16 @@ def null_space(m: Matrix) -> list[list[int]]:
     return basis
 
 
-# Largest compiled map, in bytes as a ByteMap; larger codes and patterns
-# stay on the scalar path.  G16's encoder needs K x P = 372 x 108 =
-# 40 176 bytes.  A gpc encoder holds its map as SplitMap tables instead,
-# about 40 times that by tracemalloc: 1.71 MB for G16.  Narrow maps cost
-# more per byte: the worst encoder under the limit, a 16 x 255 code over
-# GF(2^8) with K = 4064 and P = 16, would hold 6.9 MB, so gpc's 16 views
-# hold at most about 110 MB of encoder tables.
-MAP_BYTES_LIMIT = 1 << 16
+# Most bytes one compiled map may hold; larger codes and patterns stay on
+# the scalar path.  A slot is charged its entries x (bytes per entry +
+# 64), the 64 for each entry's Python object: a plan N x (R + 64) (see
+# LinearCode._plan_bytes), a gpc encoder 32 x K x (P + 64) for the 32
+# entries per data symbol of its SplitMap, which take P + 34 to 37 bytes
+# each by tracemalloc.  G16's encoder is charged 2 047 488 bytes and holds
+# 1.71 MB; a 16 x 255 code over GF(2^8) (K = 4064, P = 16) is charged
+# 10.4 MB and stays scalar.  So gpc's 16 views hold at most 32 MiB of
+# encoder tables.
+MAP_BYTES_LIMIT = 1 << 21
 
 
 def recall(cache: dict, key, limit: int, build: Callable[[], object]):
@@ -294,7 +296,8 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
 
 
 class ByteMap:
-    """A GF(2^w)-linear fill of a word's target positions, for w <= 8.
+    """A GF(2^w)-linear fill of a word's target positions, for w <= 8:
+    every compiled map of a :class:`LinearCode`.
 
     The map is given by its ``rows``, as ``bytes``: one per target of
     ``targets`` (ascending), then one per check symbol that every
@@ -377,27 +380,29 @@ class SplitMap:
     int, for every t below 16 whose multiple lies in the field.
     :meth:`image` then maps a symbol v with two lookups,
     ``lo[j][v & 15] ^ hi[j][v >> 4]``, and no ``bytes.translate`` or
-    ``int.from_bytes``.  The w bit multiples take one translate each,
-    and every other entry is the XOR of two entries before it.  Tuples
-    keep their items inline: one pointer fewer per lookup than lists.
-    The tables hold about 32 ints per column, about 40 times a ByteMap
-    column's bytes on G16's encoder (see ``MAP_BYTES_LIMIT``), so only
-    gpc's encoder, a long map applied once per array, holds them; plans
-    keep ByteMaps.
+    ``int.from_bytes``.  Each entry is one translate of the column,
+    through the product tables of 0 to 15 for ``lo`` and of 0, 16, ..,
+    240 for ``hi``.  Tuples keep their items inline: one pointer fewer
+    per lookup than lists.  The tables hold up to 32 ints per column,
+    about 40 times the column's bytes on G16's encoder, and a slot is
+    charged 32 * (P + 64) bytes per column for them (see
+    ``MAP_BYTES_LIMIT``), so only gpc's encoder, a long map applied once
+    per array, holds them; plans keep ByteMaps.
     """
 
     __slots__ = ("lo", "hi", "height")
 
     def __init__(self, field: GF, columns: Sequence[bytes]):
         tables, from_bytes = field.mul_tables(), int.from_bytes
+        low, high = tables[:16], tables[::16]
         self.height = len(columns[0]) if columns else 0
         self.lo: list[tuple[int, ...]] = []
         self.hi: list[tuple[int, ...]] = []
         for col in columns:
-            bits = [from_bytes(col.translate(tables[1 << b]), "little")
-                    for b in range(field.w)]
-            self.lo.append(_span(bits[:4]))
-            self.hi.append(_span(bits[4:]))
+            self.lo.append(tuple([from_bytes(col.translate(t), "little")
+                                  for t in low]))
+            self.hi.append(tuple([from_bytes(col.translate(t), "little")
+                                  for t in high]))
 
     def image(self, symbols: Iterable[int]) -> int:
         """The map of ``symbols`` (in range, one per column) as one int:
@@ -407,15 +412,6 @@ class SplitMap:
         for lo, hi, v in zip(self.lo, self.hi, symbols):
             acc ^= lo[v & 15] ^ hi[v >> 4]
         return acc
-
-
-def _span(basis: list[int]) -> tuple[int, ...]:
-    # Every XOR of a subset of ``basis``: entry t takes basis[i] for each
-    # bit i set in t.
-    out = [0]
-    for b in basis:
-        out += [x ^ b for x in out]
-    return tuple(out)
 
 
 def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
@@ -475,7 +471,7 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
 class PlanSlot:
     """One code's or pattern's uses so far, and its compiled map once
     built: a :class:`ByteMap`, or for a gpc encoder its
-    :class:`SplitMap` tables.
+    :class:`SplitMap` tables and row orders.
 
     The one compile rule of every compiled map (a gpc encoder, and each
     erasure plan of a :class:`LinearCode`, the pattern of no erasures
@@ -488,15 +484,16 @@ class PlanSlot:
     ``build_h2(15, 17)`` and 0.57 to 0.85 scalar row solves on G16's
     level codes), so a process that repeats a fill never takes much
     more than twice its scalar time.  G16's encoder, one row pass over
-    blocks of its K = 372 unit data vectors and the split tables built
-    from the map, compiles in about 16 ms, 10 ms of them for the map,
-    against about 0.6 ms per scalar encode and 0.12 ms per compiled one
-    (timed together on a shared 2-core Xeon): the rule's one cost is a
-    process that encodes one gpc code only a few times, twice at worst.
-    The compile is tried that once: fields with w > 8, maps above
-    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
-    live in caches bounded by :func:`recall`, so a slot in use is kept
-    and an evicted one starts again from zero uses.
+    blocks of its K = 372 unit data vectors whose data columns are cut
+    straight into split tables, compiles in about 17.5 ms, 7 ms of them
+    for the tables, against about 0.6 ms per scalar encode and 0.1 ms
+    per compiled one (timed together on a shared 2-core Xeon): the
+    rule's one cost is a process that encodes one gpc code only a few
+    times, twice at worst.  The compile is tried that once: fields with
+    w > 8, maps charged more held bytes than ``MAP_BYTES_LIMIT`` and
+    builds that return None stay scalar.  Slots live in caches bounded
+    by :func:`recall`, so a slot in use is kept and an evicted one
+    starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")
@@ -507,9 +504,9 @@ class PlanSlot:
 
     def plan(self, field: GF, nbytes: int, build: Callable[[], Any],
              uses: int = 1) -> Any:
-        """Count ``uses`` uses of a map of ``nbytes`` bytes: the map to
-        apply, built by ``build`` when it falls due, or None for the
-        scalar path."""
+        """Count ``uses`` uses of a map charged ``nbytes`` held bytes:
+        the map to apply, built by ``build`` when it falls due, or None
+        for the scalar path."""
         if self.map is None:
             before = self.uses
             self.uses += uses
@@ -523,7 +520,9 @@ class PlanSlot:
 # _PLAN_BUDGET // (length * (rows + 64)) plan slots, and at least one,
 # least recently used evicted first.  By tracemalloc a plan takes 1.2 to
 # 1.5 KB on G16's level codes (so level 0 keeps 529 slots, level 1 514)
-# and 18.2 to 19.1 KB on build_h2(15, 17) (41 slots).
+# and 18.2 to 19.1 KB on build_h2(15, 17) (41 slots).  A plan compiles
+# only when that bound is within MAP_BYTES_LIMIT, so a code holds at most
+# max(1 MiB, one plan) of plans.
 _PLAN_BUDGET = 1 << 20
 
 
@@ -547,7 +546,8 @@ class LinearCode:
         # A plan's footprint, bounded above: per position, a column of
         # one byte per check row and at most 64 bytes of object overhead
         # (by tracemalloc, held plans fill 73% of this bound on G16's
-        # level 1 and 76% on build_h2(15, 17)).
+        # level 1 and 76% on build_h2(15, 17)).  It is both the plan's
+        # charge against MAP_BYTES_LIMIT and its share of _PLAN_BUDGET.
         self._plan_bytes = self.length * (self.check_matrix.rows + 64)
 
     @property
@@ -638,8 +638,7 @@ class LinearCode:
         """
         slot = recall(self._plans, erased,
                       max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
-        plan = slot.plan(self.field,
-                         (self.length - len(erased)) * self.check_matrix.rows,
+        plan = slot.plan(self.field, self._plan_bytes,
                          lambda: self._compile(erased), block)
         if plan is not None:
             plan.apply(word, block)

@@ -394,16 +394,17 @@ def test_wide_field_lc_encode_stays_scalar():
 
 def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     code = build_h2(3, 3)
-    size = code.dimension * code.check_matrix.rows
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
+    rows = code.check_matrix.rows
+    charge = code.length * (rows + 64)      # a plan's held bytes, bounded
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge - 1)
     slot = _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(77)):
         assert lc_encode(data, code) == _scalar_encode(data, code)
     assert slot.map is None
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge)
     slot = _compile_on_next_encode(code)
     lc_encode([0] * code.dimension, code)
-    assert sum(map(len, slot.map.columns)) == size
+    assert sum(map(len, slot.map.columns)) == code.dimension * rows
 
 
 def _decode_outcome(values, erased, code):

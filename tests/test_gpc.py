@@ -279,10 +279,20 @@ def probe_encoder_columns(params):
     "params", [G16, FLAGSHIP, K_EQ_M, *grid_codes_over_wider_fields()],
     ids=lambda p: f"{p.m}x{p.n}_k{p.k}_w{p.field.w}")
 def test_block_compiled_encoder_equals_unit_vector_probes(params, encoders):
+    """Each data column's entry 1 is its unit-vector probe as an int, and
+    the row itemgetters, given the data cells then the parity cells in
+    row-major order, pick every array row's cells in place."""
     compiled = gpc._compile_encoder(params)
-    assert compiled.columns == probe_encoder_columns(params)
-    assert compiled.targets == sorted(
-        r * params.n + c for r, c in params.parity_positions())
+    columns = probe_encoder_columns(params)
+    size, n = params.m * params.n, params.n
+    targets = sorted(r * n + c for r, c in params.parity_positions())
+    data_cells = [j for j in range(size) if j not in set(targets)]
+    assert [lo[1] for lo in compiled.parity.lo] == [
+        int.from_bytes(columns[j], "little") for j in data_cells]
+    assert compiled.parity.height == len(targets)
+    cells = data_cells + targets
+    assert [row(cells) for row in compiled.rows] == [
+        tuple(range(r, r + n)) for r in range(0, size, n)]
 
 
 def test_encoder_compiles_on_the_second_encode(encoders):
@@ -303,18 +313,38 @@ def test_wide_field_encode_stays_scalar(encoders):
     assert slot.map is None
 
 
+def encoder_charge(params):
+    """The held bytes an encoder slot is charged: 32 table entries per
+    data symbol, each of P bytes and 64 of overhead."""
+    k = params.dimension()
+    return 32 * k * (params.m * params.n - k + 64)
+
+
 def test_oversized_encoder_is_not_compiled(encoders, monkeypatch):
     k = FLAGSHIP.dimension()
-    size = k * (FLAGSHIP.m * FLAGSHIP.n - k)
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size - 1)
+    charge = encoder_charge(FLAGSHIP)
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge - 1)
     slot = compile_on_next_encode(FLAGSHIP)
     for data in stripes(FLAGSHIP, random.Random(73)):
         assert encode(data, FLAGSHIP) == scalar_encode(data, FLAGSHIP)
     assert slot.map is None
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", size)
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge)
     slot = compile_on_next_encode(FLAGSHIP)
     encode([0] * k, FLAGSHIP)
-    assert len(slot.map.parity.lo) * slot.map.parity.height == size
+    parity = slot.map.parity
+    assert 32 * len(parity.lo) * (parity.height + 64) == charge
+
+
+def test_encoder_charged_above_the_limit_stays_scalar(encoders):
+    """A 16 x 255 code over GF(2^8), K = 4064 and P = 16, is charged
+    10.4 MB for its tables: it encodes twice on the scalar path."""
+    p = GpcParams(16, 255, 16, (16,), (1,), default_field(8))
+    assert p.dimension() == 4064
+    assert encoder_charge(p) > linalg.MAP_BYTES_LIMIT
+    for data in stripes(p, random.Random(87))[:2]:
+        assert encode(data, p) == scalar_encode(data, p)
+    slot = encoders[p].encoder
+    assert slot.uses == 2 and slot.map is None
 
 
 @pytest.mark.parametrize("bad", [16, -1, 256])
@@ -331,21 +361,40 @@ def test_compiled_encode_still_checks_symbols(bad, encoders):
         encode(data, p)
 
 
-def test_held_encoder_memory_is_bounded(encoders):
-    """G16's compiled encoder, held as split tables, takes at most 1.8 MB
-    by tracemalloc, about 40 times its 40 KB as a byte map."""
-    data = stripes(G16, random.Random(86))[0]
-    gpc._compile_encoder(G16)       # its row plans and product tables
-    slot = compile_on_next_encode(G16)
+def held_encoder_bytes(params):
+    """The bytes by tracemalloc that the encode which compiles the
+    encoder of ``params`` leaves held, its row plans compiled before."""
+    data = stripes(params, random.Random(86))[0]
+    gpc._compile_encoder(params)    # its row plans and product tables
+    slot = compile_on_next_encode(params)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        encode(data, G16)
+        encode(data, params)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert slot.map is not None
+    return held
+
+
+def test_held_encoder_memory_is_bounded(encoders):
+    """G16's compiled encoder, held as split tables, takes at most 1.8 MB
+    by tracemalloc, about 40 times its 40 KB as a byte map, and no more
+    than its charge, which is within MAP_BYTES_LIMIT."""
+    held = held_encoder_bytes(G16)
     assert held <= 1_800_000
+    assert held <= encoder_charge(G16) <= linalg.MAP_BYTES_LIMIT
+
+
+def test_narrow_encoder_memory_stays_within_its_charge(encoders):
+    """A narrow map over GF(2^8), K = 794 data symbols and P = 6 parity
+    symbols, each of which most data symbols reach, pays more per byte
+    of map for its tables than G16's: they still take no more than its
+    charge."""
+    p = GpcParams(m=4, n=200, k=4, s=(2, 2), u=(1, 2), field=default_field(8))
+    held = held_encoder_bytes(p)
+    assert held <= encoder_charge(p) <= linalg.MAP_BYTES_LIMIT
 
 
 def test_encoder_cache_is_bounded(encoders, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 from gpcodes import gpc, linalg
 from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import GpcParams, component_parity_check
+from gpcodes.gpc import (GpcParams, component_parity_check, encode,
+                         full_parity_matrix)
 from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
                             SplitMap, UnderdeterminedError, combine, kron,
                             null_space, pack_blocks, rank, row_reduce, solve,
@@ -505,6 +506,25 @@ def test_every_map_compiles_on_its_second_use(case, monkeypatch):
     assert slot().map is None and slot().uses == 1
     use(2 if case == "G16_block_of_two" else 1)
     assert slot().map is not None
+
+
+def test_long_code_compiles_a_small_pattern_on_its_second_use(monkeypatch):
+    """G16's full parity code is charged N * (R + 64) held bytes per
+    plan, whatever the pattern, so a pattern of 10 erasures compiles on
+    its second fill; each fill restores the codeword."""
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    code = LinearCode(full_parity_matrix(G16))
+    assert code._plan_bytes == code.length * (code.check_matrix.rows + 64)
+    assert code._plan_bytes <= linalg.MAP_BYTES_LIMIT
+    word = encode([(5 * i) % 256 for i in range(G16.dimension())],
+                  G16).flatten()
+    erased = tuple(r * G16.n + r for r in range(10))
+    for _ in range(2):
+        damaged = _written(word, erased, [0] * len(erased))
+        code.fill(damaged, erased)
+        assert damaged == word
+    slot = code._plans[erased]
+    assert slot.uses == 2 and slot.map is not None
 
 
 @pytest.mark.parametrize("build, size",

@@ -91,15 +91,15 @@ def test_contradictions_name_their_cells(params, seed):
 def test_compiled_encoder_matches_scalar(params, seed):
     rng = random.Random(seed)
     compiled = gpc._compile_encoder(params)
+    parity = compiled.parity
     for _ in range(3):
         data = [rng.randrange(1 << params.field.w)
                 for _ in range(params.dimension())]
-        expected = gpc._encode_pass(data, params,
-                                    params.parity_positions()).flatten()
-        word = [0 if j in compiled.targets else v
-                for j, v in enumerate(expected)]
-        compiled.apply(word)
-        assert word == expected
+        expected = gpc._encode_pass(data, params, params.parity_positions())
+        symbols = [*data, *parity.image(data).to_bytes(parity.height,
+                                                        "little")]
+        rows = [list(row(symbols)) for row in compiled.rows]
+        assert rows == expected.values
 
 
 # h2 and h3 codes over GF(2^4..2^8), and the benchmark's H2(15, 17),
