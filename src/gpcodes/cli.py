@@ -12,7 +12,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from . import epc, files, gpc, oracle
+from . import epc, files, gpc
 from .fields import PrimeSearchError, find_construction_prime
 from .linalg import rank
 
@@ -143,9 +143,11 @@ def _brute_force(h, args, prefix: str, target: str, floor: int,
                  accept) -> bool | None:
     # Exhaustive distance check up to --exhaustive-cap, or else the
     # floor; a cap below the floor that is hit gives no verdict (None).
+    from . import oracle     # loaded by verify only, not at start-up
     cap = args.exhaustive_cap or floor
+    budget = oracle.DEFAULT_BUDGET if args.budget is None else args.budget
     try:
-        d = oracle.brute_min_distance(h, cap, budget=args.budget).distance
+        d = oracle.brute_min_distance(h, cap, budget=budget).distance
     except oracle.DistanceCapError:
         if cap >= floor:
             return _verdict(f"{prefix}d_bruteforce>{cap} {target}", False)
@@ -158,6 +160,7 @@ def _brute_force(h, args, prefix: str, target: str, floor: int,
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     spec = files.load_code_spec(args.code)
     p = spec.params
     _gpc_only(spec, "--random", args.random)
@@ -254,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest dependent-set size to search for "
                         "(default: the expected distance); the cost "
                         "grows with C(N, cap - 1), not with the distance")
-    p.add_argument("--budget", type=_at_least(0),
-                   default=oracle.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_at_least(0), default=None,
                    help="refuse searches over this many subsets")
     p.add_argument("--random", type=_at_least(0), default=0, metavar="TRIALS",
                    help="also run randomized decoder/oracle agreement trials "

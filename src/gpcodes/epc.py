@@ -25,8 +25,8 @@ of :func:`gpcodes.gpc.full_parity_matrix`, plus the global power rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
+from typing import NamedTuple
 
 from .fields import GF, field_with_order
 from .gpc import GpcParams, UncorrectableError, _Rules, full_parity_matrix
@@ -35,15 +35,11 @@ from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
                      UnderdeterminedError, solve)
 
 
-@dataclass(frozen=True)
-class EpcShape(_Rules):
+class EpcShape(_Rules, NamedTuple("EpcShape", [
+        ("m", int), ("v", int), ("n", int), ("h", int), ("g", int)])):
     """The five defining counts of an extended product code."""
 
-    m: int
-    v: int
-    n: int
-    h: int
-    g: int
+    __slots__ = ()
 
     def violations(self) -> list[str]:
         out = []

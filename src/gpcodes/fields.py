@@ -203,6 +203,9 @@ def find_construction_prime(min_size: int) -> int:
     for p in range(max(min_size, 2) + 1, MAX_WIDTH + 2):
         if isprime(p) and is_two_primitive(p):
             return p
+    if min_size > MAX_WIDTH:
+        raise PrimeSearchError(f"no usable prime lies above {MAX_WIDTH}: "
+                               f"GF widths p - 1 stop at {MAX_WIDTH}")
     raise PrimeSearchError(
         f"no prime p with 2 primitive mod p in ({min_size}, {MAX_WIDTH + 1}]"
     )

@@ -14,7 +14,6 @@ marking an erased cell.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1,
                   distance_bound)
@@ -45,7 +44,6 @@ def field_from_json(obj: dict) -> GF:
         raise SpecFileError(str(exc)) from exc
 
 
-@dataclass
 class CodeSpec:
     """A parsed code description.
 
@@ -54,10 +52,11 @@ class CodeSpec:
     implies one.
     """
 
-    kind: str
-    params: GpcParams | None = None
-    linear: LinearCode | None = None
-    shape: EpcShape | None = None
+    def __init__(self, kind: str, params: GpcParams | None = None,
+                 linear: LinearCode | None = None,
+                 shape: EpcShape | None = None):
+        self.kind, self.params, self.linear, self.shape = (
+            kind, params, linear, shape)
 
     @property
     def field(self) -> GF:

@@ -17,7 +17,6 @@ value 0 and the mask is authoritative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import chain, compress
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -46,6 +45,8 @@ class UncorrectableError(ValueError):
 class _Rules:
     """A value whose ``violations()`` lists the rules it breaks."""
 
+    __slots__ = ()      # no instance dict: the tuples built on it stay frozen
+
     def check(self) -> _Rules:
         """Self, or ValueError naming every violation."""
         problems = self.violations()
@@ -54,8 +55,9 @@ class _Rules:
         return self
 
 
-@dataclass(frozen=True)
-class GpcParams(_Rules):
+class GpcParams(_Rules, NamedTuple("GpcParams", [
+        ("m", int), ("n", int), ("k", int), ("s", tuple[int, ...]),
+        ("u", tuple[int, ...]), ("field", GF)])):
     """Parameter set (m, n, k, s-vector, u-vector, field) for one code.
 
     ``s`` and ``u`` are the level vectors: level i contributes ``s[i]``
@@ -64,16 +66,11 @@ class GpcParams(_Rules):
     and u_at(t) = n.
     """
 
-    m: int
-    n: int
-    k: int
-    s: tuple[int, ...]
-    u: tuple[int, ...]
-    field: GF
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "u", tuple(self.u))
+    def __new__(cls, m: int, n: int, k: int, s: Iterable[int],
+                u: Iterable[int], field: GF) -> GpcParams:
+        return super().__new__(cls, m, n, k, tuple(s), tuple(u), field)
 
     @property
     def t(self) -> int:
@@ -269,8 +266,7 @@ def erase_positions(arr: SymbolArray,
     return out
 
 
-@dataclass(frozen=True)
-class ErasureProfile:
+class ErasureProfile(NamedTuple):
     """Per-row erasure counts, sorted non-increasing.
 
     Ties break toward the smaller original row index so the decoder's
@@ -439,16 +435,17 @@ def _repair_rows(work: SymbolArray, rows: Sequence[int],
             work.fill(r, c, x)
 
 
-@dataclass
 class DecodeTrace:
     """Optional record of the row decoder's internal steps."""
 
-    row_order: tuple[int, ...] = ()
-    counts: tuple[int, ...] = ()
-    system: Matrix | None = None
-    transform: Matrix | None = None
-    steps: list[tuple[int, int, int | None]] = dc_field(default_factory=list)
-    # steps: (profile position, row index, level used; None = vanishing combo)
+    def __init__(self, row_order: tuple[int, ...] = (),
+                 counts: tuple[int, ...] = (), system: Matrix | None = None,
+                 transform: Matrix | None = None,
+                 steps: list[tuple[int, int, int | None]] | None = None):
+        self.row_order, self.counts = row_order, counts
+        self.system, self.transform = system, transform
+        # (profile position, row index, level used; None = vanishing combo)
+        self.steps = [] if steps is None else steps
 
 
 # Triangulations by (params, row order, system size), least recently

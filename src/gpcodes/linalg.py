@@ -47,7 +47,6 @@ to :meth:`Matrix.mul_vec`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from .fields import GF
@@ -526,14 +525,12 @@ class PlanSlot:
 _PLAN_BUDGET = 1 << 20
 
 
-@dataclass
 class LinearCode:
     """A linear code given by its parity-check matrix over GF(2^w); its
     ``field`` and ``length`` are the matrix's field and width."""
 
-    check_matrix: Matrix
-
-    def __post_init__(self):
+    def __init__(self, check_matrix: Matrix):
+        self.check_matrix = check_matrix
         self.field = self.check_matrix.field
         self.length = self.check_matrix.cols
         self._parity_positions: tuple[int, ...] | None = None

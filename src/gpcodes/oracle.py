@@ -20,9 +20,8 @@ reads that run off its parent's pivots with no insertion of its own
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Matrix, _eliminate, _work_rows, rank, solve
 from . import gpc as _gpc
@@ -51,8 +50,7 @@ def correctable(positions: Iterable[int], check_matrix: Matrix) -> bool:
     return rank(check_matrix.submatrix(cols=cols)) == len(cols)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     distance: int
     witness: tuple[int, ...]
     subsets_examined: int
@@ -283,13 +281,14 @@ def _random_pattern(m: int, n: int, max_weight: int,
     return set(cells)
 
 
-@dataclass
 class EquivalenceReport:
-    trials: int
-    seed: int
-    correctable_count: int = 0
-    profile_accepted_count: int = 0
-    mismatches: list[str] = dc_field(default_factory=list)
+    def __init__(self, trials: int, seed: int, correctable_count: int = 0,
+                 profile_accepted_count: int = 0,
+                 mismatches: list[str] | None = None):
+        self.trials, self.seed = trials, seed
+        self.correctable_count = correctable_count
+        self.profile_accepted_count = profile_accepted_count
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self) -> bool:

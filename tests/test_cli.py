@@ -612,6 +612,12 @@ def test_find_prime(capsys):
     assert capsys.readouterr().out.strip() == "11"
     assert cli.main(["find-prime", "61"]) == 5
     assert "search limit" in capsys.readouterr().err
+    for size in ("64", "100"):
+        # not an empty interval (100, 64]: no width above 63 exists
+        assert cli.main(["find-prime", size]) == 5
+        assert capsys.readouterr().err == (
+            "search limit: no usable prime lies above 63: GF widths p - 1 "
+            "stop at 63\n")
 
 
 def test_find_prime_has_no_cap_option(capsys):
