@@ -57,10 +57,9 @@ def cmd_info(args) -> int:
         except ValueError:
             print("transpose: undefined (k = m)")
     else:
-        code = spec.linear
         print(f"shape: {spec.shape}")
-        print(f"N={code.length} K={code.dimension}")
-        print(_field_line(code.field))
+        print(f"N={spec.linear.length} K={spec.linear.dimension}")
+        print(_field_line(spec.field))
         bound, _ = epc.distance_bound(spec.shape)
         print(f"distance upper bound: {bound}")
     return EXIT_OK
@@ -75,19 +74,10 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _rows(word: Sequence[int], n: int) -> list[Sequence[int]]:
-    return [word[i:i + n] for i in range(0, len(word), n)]
-
-
 def cmd_encode(args) -> int:
     spec = files.load_code_spec(args.code)
     w = spec.field.w
-    data = files.read_symbols(args.data, w)
-    if spec.params is not None:
-        arr = gpc.encode(data, spec.params)
-    else:
-        word = epc.lc_encode(data, spec.linear)
-        arr = gpc.SymbolArray(_rows(word, spec.shape.n))
+    arr = spec.encode(files.read_symbols(args.data, w))
     _write_output(args.output, files.array_to_text(arr, w))
     return EXIT_OK
 
@@ -106,24 +96,15 @@ def cmd_decode(args) -> int:
     if w != spec.field.w:
         raise files.SpecFileError(
             f"array symbol width {w} does not match field width {spec.field.w}")
-    p = spec.params
-    m, n = (p.m, p.n) if p is not None else (spec.shape.m, spec.shape.n)
-    if (arr.m, arr.n) != (m, n):
+    if (arr.m, arr.n) != (spec.m, spec.n):
         raise files.SpecFileError(
-            f"array is {arr.m}x{arr.n}, code expects {m}x{n}")
+            f"array is {arr.m}x{arr.n}, code expects {spec.m}x{spec.n}")
     try:
-        if p is None:
-            erased = {r * n + c for r, c in arr.erased_positions()}
-            word = epc.lc_erasure_decode(arr.flatten(), erased, spec.linear)
-            result = gpc.SymbolArray(_rows(word, n))
-        elif args.single_pass:
-            result = gpc.decode_rows(arr, p)
-        else:
-            result = gpc.decode_iterative(arr, p)
+        result = (gpc.decode_rows(arr, spec.params) if args.single_pass
+                  else spec.decode(arr))
     except gpc.UncorrectableError as exc:
-        cells = sorted(divmod(j, n) if p is None else j for j in exc.remaining)
-        print(f"uncorrectable: {exc}; unresolved positions {cells}",
-              file=sys.stderr)
+        print(f"uncorrectable: {exc}; unresolved positions "
+              f"{sorted(exc.remaining)}", file=sys.stderr)
         return EXIT_UNCORRECTABLE
     _write_output(args.output, files.array_to_text(result, w))
     if result.erasure_count:

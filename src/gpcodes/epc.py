@@ -98,8 +98,21 @@ def build_optimal_g1(m: int, v: int, n: int, h: int,
                      u=(h, h + 1), field=field).check()
 
 
-def _power_row(field: GF, length: int, step: int) -> list[int]:
-    return [field.alpha_pow(step * j) for j in range(length)]
+def _power_rows_code(m: int, n: int, field: GF | None,
+                     steps: tuple[int, ...]) -> LinearCode:
+    # The product code's checks, then the row alpha^(step*j) per step.
+    if m < 2 or n < 2:
+        raise ValueError("need m, n >= 2")
+    if field is None:
+        field = field_with_order(m * n)
+    if field.alpha_order < m * n:
+        raise ValueError(
+            f"order(alpha)={field.alpha_order} < m*n={m * n}")
+    product = full_parity_matrix(
+        GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
+    powers = [[field.alpha_pow(step * j) for j in range(m * n)]
+              for step in steps]
+    return LinearCode(Matrix(field, product.data + powers))
 
 
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -111,18 +124,7 @@ def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
     inverse-power twin.  Needs order(alpha) >= m*n, which also makes
     that product code valid.
     """
-    if m < 2 or n < 2:
-        raise ValueError("need m, n >= 2")
-    if field is None:
-        field = field_with_order(m * n)
-    if field.alpha_order < m * n:
-        raise ValueError(
-            f"order(alpha)={field.alpha_order} < m*n={m * n}")
-    product = full_parity_matrix(
-        GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
-    rows = product.data + [_power_row(field, m * n, 1),
-                           _power_row(field, m * n, -1)]
-    return LinearCode(Matrix(field, rows))
+    return _power_rows_code(m, n, field, (1, -1))
 
 
 def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -132,9 +134,7 @@ def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
     and ``GF.from_prime(19)`` by brute force; else 9, reached exactly
     when the field meets :func:`check_condition_35`.
     """
-    base = build_h2(m, n, field)
-    rows = base.check_matrix.data + [_power_row(base.field, m * n, 2)]
-    return LinearCode(Matrix(base.field, rows))
+    return _power_rows_code(m, n, field, (1, -1, 2))
 
 
 def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] | None:
@@ -186,14 +186,8 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
         raise ValueError("erased position out of range")
     known = [0 if j in erased else v for j, v in enumerate(values)]
     code.field.check_symbols(known, "survivor")
-    return _fill(known, tuple(cols), code)
-
-
-def _fill(known: list[int], cols: tuple[int, ...],
-          code: LinearCode) -> list[int]:
-    # code.fill, with its errors reported as UncorrectableError.
     try:
-        code.fill(known, cols)
+        code.fill(known, tuple(cols))
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",
@@ -211,7 +205,9 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     The parity positions are an erasure pattern that
     :func:`lc_erasure_decode` recovers, so its plan, equal bit for bit,
     is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
-    ``code`` object.
+    ``code`` object.  They are a column basis of the check matrix, so
+    that fill has exactly one solution and zero residual rows whatever
+    the data, and cannot raise.
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
@@ -219,7 +215,8 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     word = [0] * code.length
     for pos, sym in zip(code.data_positions(), data):
         word[pos] = sym
-    return _fill(word, code.parity_positions(), code)
+    code.fill(word, code.parity_positions())
+    return word
 
 
 def lc_is_member(word: list[int], code: LinearCode) -> bool:

@@ -5,6 +5,7 @@ A code description is a JSON object with a ``kind`` of ``gpc``,
 kind.  Fields serialize as ``{"w": ..., "modulus_hex": ..., "alpha":
 ...}`` with the modulus packed low-bit-first (bit i = coefficient of
 x^i); when omitted, a sensible default field for the shape is chosen.
+The parsed :class:`CodeSpec` encodes and decodes arrays of its code.
 
 Array files are line-oriented text: a header ``m n w`` (1 <= w <= 63)
 followed by m rows of n whitespace-separated hex symbols, with ``?``
@@ -15,10 +16,11 @@ from __future__ import annotations
 
 import json
 
+from . import epc, gpc
 from .epc import (EpcShape, LinearCode, build_h2, build_h3, build_optimal_g1,
                   distance_bound)
 from .fields import GF, MAX_WIDTH, field_with_order
-from .gpc import GpcParams, SymbolArray
+from .gpc import GpcParams, SymbolArray, UncorrectableError
 
 
 class SpecFileError(ValueError):
@@ -45,11 +47,18 @@ def field_from_json(obj: dict) -> GF:
 
 
 class CodeSpec:
-    """A parsed code description.
+    """A parsed code description, and the codec of its kind.
 
-    Exactly one of ``params`` (array codes) or ``linear`` (flat codes)
-    is set; ``shape`` carries the extended-product shape when the kind
-    implies one.
+    ``params`` is set for the array codes (``gpc``, ``epc-g1``) and
+    ``linear`` for the flat ones (``epc-h2``, ``epc-h3``); ``shape``
+    carries the extended-product shape when the kind implies one.  This
+    is the one place that tells the two families apart: ``field``,
+    ``m`` and ``n`` are the code's field and array shape for every
+    kind, and :meth:`encode` and :meth:`decode` take and return m x n
+    arrays (:class:`~gpcodes.gpc.SymbolArray`) for every kind.  They
+    run ``gpc.encode`` and ``gpc.decode_iterative``, or
+    ``epc.lc_encode`` and ``epc.lc_erasure_decode`` on the array read
+    row by row, each looked up on its module at call time.
     """
 
     def __init__(self, kind: str, params: GpcParams | None = None,
@@ -57,10 +66,39 @@ class CodeSpec:
                  shape: EpcShape | None = None):
         self.kind, self.params, self.linear, self.shape = (
             kind, params, linear, shape)
+        if params is not None:
+            self.field, self.m, self.n = params.field, params.m, params.n
+        else:
+            self.field, self.m, self.n = linear.field, shape.m, shape.n
 
-    @property
-    def field(self) -> GF:
-        return self.params.field if self.params is not None else self.linear.field
+    def encode(self, data: list[int]) -> SymbolArray:
+        """The codeword array whose data cells hold ``data`` in order."""
+        if self.params is not None:
+            return gpc.encode(data, self.params)
+        return self._array(epc.lc_encode(data, self.linear))
+
+    def decode(self, arr: SymbolArray) -> SymbolArray:
+        """``arr`` with its erased cells recovered.
+
+        Raises :class:`~gpcodes.gpc.UncorrectableError`, with the
+        unresolved (row, col) cells as ``remaining``, when the survivors
+        contradict the code; a flat code raises so too on a pattern
+        beyond its reach, where a gpc decode returns those cells still
+        erased.
+        """
+        if self.params is not None:
+            return gpc.decode_iterative(arr, self.params)
+        erased = {r * self.n + c for r, c in arr.erased_positions()}
+        try:
+            word = epc.lc_erasure_decode(arr.flatten(), erased, self.linear)
+        except UncorrectableError as exc:
+            raise UncorrectableError(str(exc), remaining=frozenset(
+                divmod(j, self.n) for j in exc.remaining)) from exc
+        return self._array(word)
+
+    def _array(self, word: list[int]) -> SymbolArray:
+        return SymbolArray([word[i:i + self.n]
+                            for i in range(0, len(word), self.n)])
 
 
 def _require(obj: dict, keys: list[str], kind: str) -> list[int]:

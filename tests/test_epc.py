@@ -1,5 +1,6 @@
 """Tests for extended-product shapes, bounds and the three constructions."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
                          build_optimal_g1, check_condition_35, distance_bound,
                          lc_encode, lc_erasure_decode, lc_is_member)
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import UncorrectableError
+from gpcodes.gpc import GpcParams, UncorrectableError, full_parity_matrix
 from gpcodes.linalg import Matrix, rank
 from gpcodes.oracle import brute_min_distance
 from test_properties import low_rank_rows
@@ -196,6 +197,24 @@ def test_build_h3_adds_one_constraint():
     assert code3.redundancy == code2.redundancy + 1
 
 
+def test_h2_and_h3_check_matrices_and_errors_match_their_digest():
+    # The SHA-256 of every check matrix, or error message, of build_h2
+    # and build_h3 for m, n in 1..6 over the default field, GF(2^8) and
+    # GF(2^10) with the all-ones modulus (order(alpha) = 11).
+    digest = hashlib.sha256()
+    for build in (build_h2, build_h3):
+        for field in (None, GF(8), GF(10, 0x7ff)):
+            for m in range(1, 7):
+                for n in range(1, 7):
+                    try:
+                        out = build(m, n, field).check_matrix.data
+                    except ValueError as exc:
+                        out = str(exc)
+                    digest.update(repr(out).encode())
+    assert digest.hexdigest() == ("e18159c7d7b6c313f85939d0b5c9de96"
+                                  "5bc7eef172557c7a9cce93fd1cc45787")
+
+
 def test_condition_35_violated_on_small_field():
     # the default field for a 3x3 array is GF(2^4); the quadruple test
     # fails there, and the first failure in scan order is pinned
@@ -275,6 +294,31 @@ def test_lc_encode_roundtrip():
         assert [word[j] for j in code.data_positions()] == data
     with pytest.raises(ValueError):
         lc_encode([0] * 5, code)
+
+
+@pytest.mark.parametrize("w", [4, 8, 10])
+def test_lc_encode_fills_any_check_matrix_without_raising(w):
+    # The parity positions are a column basis of the check matrix, so
+    # their fill has one solution and zero residual rows: on random and
+    # rank-deficient check matrices, and on gpc parity-check matrices,
+    # whose rows are dependent.
+    field = default_field(w)
+    rng = random.Random(w)
+    codes = [degenerate_code(field, rng) for _ in range(10)]
+    codes += [LinearCode(Matrix(field, low_rank_rows(
+        field, rng, rng.randint(2, 8), rng.randint(4, 12))))
+        for _ in range(10)]
+    grids = [GpcParams(m, n, k, s, u, field) for m, n, k, s, u in (
+        (6, 7, 4, (2, 1, 3), (1, 3, 4)), (4, 5, 3, (2, 2), (1, 2)),
+        (4, 5, 3, (4,), (2,)))]
+    codes += [LinearCode(full_parity_matrix(p)) for p in grids]
+    assert any(code.redundancy < code.check_matrix.rows for code in codes)
+    for code in codes:
+        for _ in range(3):      # w <= 8: the second compiles a plan
+            data = [rng.randrange(1 << w) for _ in range(code.dimension)]
+            word = lc_encode(data, code)
+            assert lc_is_member(word, code)
+            assert [word[j] for j in code.data_positions()] == data
 
 
 def _scalar(code):

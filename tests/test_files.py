@@ -1,14 +1,17 @@
 """Tests for the JSON code descriptions and the array text format."""
 
 import json
+import random
 
 import pytest
 
+from gpcodes import epc, gpc
 from gpcodes.fields import GF, default_field
 from gpcodes.files import (SpecFileError, array_to_text, field_from_json,
                            load_code_spec, parse_array_text, parse_code_spec,
                            read_array, read_symbols)
-from gpcodes.gpc import SymbolArray
+from gpcodes.gpc import SymbolArray, UncorrectableError, erase_positions
+from test_cli_transcripts import BEYOND, SPECS
 
 
 def test_field_json_roundtrip():
@@ -175,3 +178,69 @@ def test_read_symbols(tmp_path):
         read_symbols(str(path), 4)
     with pytest.raises(SpecFileError):
         read_symbols(str(tmp_path / "nope.txt"), 4)
+
+
+# ------------------------------------------------------------------ codec
+
+def _codec_case(kind, seed=27):
+    """(spec, data, codeword array, the array with two cells erased)."""
+    spec = parse_code_spec(SPECS[kind])
+    rng = random.Random(seed)
+    k = (spec.params.dimension() if spec.params is not None
+         else spec.linear.dimension)
+    data = [rng.randrange(1 << spec.field.w) for _ in range(k)]
+    arr = spec.encode(data)
+    cells = rng.sample([(r, c) for r in range(spec.m)
+                        for c in range(spec.n)], 2)
+    return spec, data, arr, erase_positions(arr, cells)
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_codec_equals_the_library_calls_of_its_kind(kind):
+    spec, data, arr, holes = _codec_case(kind)
+    beyond = erase_positions(arr, BEYOND[kind])
+    assert (arr.m, arr.n, arr.erasure_count) == (spec.m, spec.n, 0)
+    assert spec.decode(holes) == arr
+    if spec.params is not None:
+        assert spec.field is spec.params.field
+        assert arr == gpc.encode(data, spec.params)
+        for damaged in (holes, beyond):
+            assert spec.decode(damaged) == gpc.decode_iterative(
+                damaged, spec.params)
+        return
+    assert spec.field is spec.linear.field
+    assert arr.flatten() == epc.lc_encode(data, spec.linear)
+    erased = {r * spec.n + c for r, c in holes.erased_positions()}
+    assert spec.decode(holes).flatten() == epc.lc_erasure_decode(
+        holes.flatten(), erased, spec.linear)
+
+
+@pytest.mark.parametrize("kind", ["epc-h2", "epc-h3"])
+def test_flat_codec_reports_unresolved_row_col_cells(kind):
+    spec, _, arr, _ = _codec_case(kind)
+    flipped = arr.copy()
+    flipped.values[1][2] ^= 1
+    cases = [(arr, BEYOND[kind], "span a dependent column set"),
+             (flipped, [], "inconsistent"),
+             (flipped, [(0, 0), (2, 1)], "inconsistent")]
+    for word, cells, message in cases:
+        with pytest.raises(UncorrectableError, match=message) as info:
+            spec.decode(erase_positions(word, cells))
+        assert info.value.remaining == frozenset(cells)
+
+
+@pytest.mark.parametrize("kind, module, name", [
+    ("gpc", gpc, "encode"), ("epc-g1", gpc, "decode_iterative"),
+    ("epc-h2", epc, "lc_encode"), ("epc-h3", epc, "lc_erasure_decode")])
+def test_codec_calls_the_library_through_module_attributes(
+        monkeypatch, kind, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args):
+        calls.append(name)
+        return original(*args)
+    monkeypatch.setattr(module, name, spy)
+    spec, _, arr, holes = _codec_case(kind)
+    assert spec.decode(holes) == arr
+    assert calls == [name]
