@@ -173,11 +173,11 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     with no erasures included.  Survivors must lie in the field; the
     symbols at erased positions are ignored.  Each pattern of ``code``
     solves from the code's :meth:`~gpcodes.linalg.LinearCode.syndrome`,
-    compiled once per code for w <= 8 (about 0.1 ms per decode for
-    |E| <= 7 on ``build_h2(15, 17)`` on a shared 2-core Xeon with
-    Python 3.11), until :class:`~gpcodes.linalg.PlanSlot`'s rule
-    compiles its plan (see :meth:`~gpcodes.linalg.LinearCode.fill`):
-    equal output, and the same errors, checks included.
+    compiled once per code for w <= 8 (the README's "Syndromes" item
+    gives the time of such a decode), until
+    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan (see
+    :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the
+    same errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")

@@ -18,7 +18,7 @@ value 0 and the mask is authoritative.
 from __future__ import annotations
 
 from itertools import chain, compress
-from operator import itemgetter
+from operator import gt, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import GF
@@ -200,15 +200,17 @@ class SymbolArray:
         return cls([[0] * n for _ in range(m)])
 
     @classmethod
-    def _masked(cls, values: list[list[int]],
-                erased: list[list[bool]]) -> "SymbolArray":
+    def _masked(cls, values: list[list[int]], erased: list[list[bool]],
+                zero: bool = True) -> "SymbolArray":
         # An array that takes new row lists of a valid shape as they
-        # are, without __init__'s checks.
+        # are, without __init__'s checks; ``zero=False`` when the erased
+        # cells already hold 0.
         out = cls.__new__(cls)
         out.values, out.erased = values, erased
         out.m = len(values)
         out.n = len(values[0]) if values else 0
-        out._zero_erased()
+        if zero:
+            out._zero_erased()
         return out
 
     def _zero_erased(self) -> None:
@@ -317,6 +319,8 @@ class _View(NamedTuple):
     col_params: GpcParams | None   # None when k = m
     encoder: PlanSlot           # of an _Encoder
     dim: int                    # K, the data symbols per array
+    budgets: tuple[int, ...]    # params.erasure_budgets()
+    powers: list[list[int]]     # alpha^(r * j) for r, j < m
 
 
 # Views by params, least recently used evicted first: at most 16
@@ -340,9 +344,12 @@ def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
+        f, m = params.field, params.m
+        nodes = [f.alpha_pow(j) for j in range(m)]
         return _View(params, [LinearCode(h) for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
-                     PlanSlot(), params.dimension())
+                     PlanSlot(), params.dimension(), params.erasure_budgets(),
+                     vandermonde(f, nodes, m).data)
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -371,13 +378,37 @@ def _check_shape(arr: SymbolArray, params: GpcParams) -> None:
             f"array is {arr.m}x{arr.n}, parameters expect {params.m}x{params.n}")
 
 
-def _checked_copy(arr: SymbolArray, params: GpcParams) -> SymbolArray:
-    # A decoder's work array: the shape must match and every survivor lie
-    # in the field (the copy holds 0 in every erased cell).
+def _work_rows(arr: SymbolArray,
+               params: GpcParams) -> tuple[list[list[int]], list[tuple]]:
+    # A decoder's work: a copy of each row with its erased cells zeroed,
+    # and each row's erased columns.  The shape must match and every
+    # survivor lie in the field.
     _check_shape(arr, params)
-    work = arr.copy()
-    params.field.check_symbols(chain.from_iterable(work.values), "survivor")
-    return work
+    span = range(arr.n)
+    erased = [tuple(compress(span, flags)) for flags in arr.erased]
+    values = [vals[:] for vals in arr.values]
+    for row, cols in zip(values, erased):
+        for c in cols:
+            row[c] = 0
+    params.field.check_symbols(chain.from_iterable(values), "survivor")
+    return values, erased
+
+
+def _flip(values: list[list[int]],
+          erased: list[tuple]) -> tuple[list[list[int]], list[tuple]]:
+    # The transpose of the work: columns as rows, each with its erased rows.
+    flipped: list[list[int]] = [[] for _ in values[0]]
+    for r, cols in enumerate(erased):
+        for c in cols:
+            flipped[c].append(r)
+    return list(map(list, zip(*values))), list(map(tuple, flipped))
+
+
+def _as_array(values: list[list[int]], erased: list[tuple]) -> SymbolArray:
+    span = range(len(values[0]))
+    return SymbolArray._masked(values, [
+        [c in cols for c in span] if cols else [False] * len(span)
+        for cols in erased], zero=False)
 
 
 def is_member(arr: SymbolArray, params: GpcParams) -> bool:
@@ -389,27 +420,25 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     the syndromes of the deeper levels it must lie in.  Raises
     ``ValueError`` when a symbol lies outside [0, 2^w).
     """
-    levels = _view(params).levels
+    view = _view(params)
     _check_shape(arr, params)
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
     f.check_symbols(chain.from_iterable(arr.values), "symbol")
     for row in arr.values:
-        if any(levels[0].syndrome(row)):
+        if any(view.levels[0].syndrome(row)):
             return False
     # Combination r weights row j by alpha^(r*j).
-    row_nodes = [f.alpha_pow(j) for j in range(params.m)]
-    weights = vandermonde(f, row_nodes, params.s_hat(1)).data
-    for r, gamma in enumerate(weights):
+    for r, gamma in enumerate(view.powers[:params.s_hat(1)]):
         combo = combine(f, zip(gamma, arr.values), params.n)
         for i in range(1, params.t + 1):
-            if r < params.s_hat(i) and any(levels[i].syndrome(combo)):
+            if r < params.s_hat(i) and any(view.levels[i].syndrome(combo)):
                 return False
     return True
 
 
-def _repair_rows(work: SymbolArray, rows: Sequence[int],
+def _repair_rows(values: list[list[int]], rows: Sequence[int],
                  cols: tuple[int, ...], view: _View, level: int, block: int,
                  offset: Sequence[int] | None = None) -> None:
     # Fill the erased cells ``cols`` of ``rows`` so that each row, plus
@@ -422,17 +451,19 @@ def _repair_rows(work: SymbolArray, rows: Sequence[int],
     # NoSolutionError.  An all-zero word solves to zeros.
     g = len(rows)
     if g > 1:
-        word = pack_blocks([work.values[r] for r in rows], block)
+        word = pack_blocks([values[r] for r in rows], block)
     else:
-        word = work.values[rows[0]]
+        word = values[rows[0]]
         if offset is not None:
             word = [a ^ b for a, b in zip(word, offset)]
     if any(word):
         view.levels[level].fill(word, cols, g * block)
+    if word is values[rows[0]]:
+        return      # a lone row with no offset filled in place
     for c in cols:
         v = word[c] if offset is None else word[c] ^ offset[c]
         for r, x in zip(rows, unpack_block(v, g, block) if g > 1 else (v,)):
-            work.fill(r, c, x)
+            values[r][c] = x
 
 
 class DecodeTrace:
@@ -458,23 +489,25 @@ _TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
 
 def _triangulated_system(params: GpcParams, order: tuple[int, ...],
                          nsys: int) -> tuple[Matrix, Matrix]:
-    f = params.field
+    # The power-weight matrix of the rows ``order``, entry (r, j) =
+    # alpha^(r * order[j]) for r < nsys, picked from the view's powers.
     return recall(_TRIANGULATION_CACHE, (params, order, nsys),
-                  _TRIANGULATION_LIMIT, lambda: row_reduce(vandermonde(
-                      f, [f.alpha_pow(j) for j in order], nsys)))
+                  _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix(
+                      params.field, [[row[j] for j in order]
+                                     for row in _view(params).powers[:nsys]])))
 
 
-def _row_pass(work: SymbolArray, view: _View,
+def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
               trace: DecodeTrace | None = None, block: int = 1) -> int:
-    # One in-place row pass: repair every row within reach of the weakest
-    # row code, then peel the rest if the profile fits the budgets.  Each
-    # cell holds a symbol, or with ``block`` L > 1 (w <= 8) a block of L
-    # symbols, one per array the pass repairs at once.  Returns the
+    # One in-place row pass over the rows ``values`` and each row's
+    # erased columns ``erased``, whose erased cells hold 0: repair every
+    # row within reach of the weakest row code, then peel the rest if
+    # the profile fits the budgets.  A repaired row's entry becomes ().
+    # Each cell holds a symbol, or with ``block`` L > 1 (w <= 8) a block
+    # of L symbols, one per array the pass repairs at once.  Returns the
     # number of cells left erased: 0 when every row is repaired, else the
     # count after the local repairs, which a refused peel keeps.
     params = view.params
-    span = range(work.n)
-    erased = [tuple(compress(span, flags)) for flags in work.erased]
     groups: dict[tuple[int, ...], list[int]] = {}
     for r, cols in enumerate(erased):
         if 0 < len(cols) <= params.u[0]:
@@ -484,18 +517,20 @@ def _row_pass(work: SymbolArray, view: _View,
     split = params.field.w > 8
     for cols, rows in groups.items():
         for part in ([r] for r in rows) if split else (rows,):
-            _repair_rows(work, part, cols, view, 0, block)
+            _repair_rows(values, part, cols, view, 0, block)
     left = sum(map(len, erased))
     if not left:
         return 0
-    profile = ErasureProfile.from_counts([len(cols) for cols in erased])
-    if not decodable_profile(profile, params):
+    # The profile: rows by erasure count, descending, ties by index
+    # (the sort is stable).
+    m, k, t = params.m, params.k, params.t
+    order = tuple(sorted(range(m), key=lambda r: len(erased[r]),
+                         reverse=True))
+    counts = tuple(len(erased[r]) for r in order)
+    if any(map(gt, counts, view.budgets)):
         return left
     f = params.field
-    m, k, t = params.m, params.k, params.t
-    order = profile.row_order
-    counts = profile.counts
-    nsys = max(m - k, sum(1 for c in counts if c))
+    nsys = max(m - k, m - counts.count(0))
     reduced, transform = _triangulated_system(params, order, nsys)
     if trace is not None:
         trace.row_order = order
@@ -508,20 +543,22 @@ def _row_pass(work: SymbolArray, view: _View,
         if p < m - k and not cols:
             continue
         gamma = reduced.data[p]
-        known = combine(f, [(gamma[j], work.values[order[j]])
+        known = combine(f, [(gamma[j], values[order[j]])
                             for j in range(p + 1, m) if gamma[j]],
                         params.n, block)
         if p < m - k:
             # The combination vanishes: the whole row equals the known part.
             level = None
+            row = values[row_idx]
             for c in cols:
-                work.fill(row_idx, c, known[c])
-            if work.values[row_idx] != known:
+                row[c] = known[c]
+            if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
             level = next(s for s in range(1, t) if params.u[s] >= counts[p]
                          and params.s_hat(s) >= p + 1)
-            _repair_rows(work, [row_idx], cols, view, level, block, known)
+            _repair_rows(values, [row_idx], cols, view, level, block, known)
+        erased[row_idx] = ()
         if trace is not None:
             trace.steps.append((p, row_idx, level))
     return 0
@@ -548,6 +585,8 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
+    The pass works on plain row lists and each row's erased columns,
+    built once from ``arr``, which it leaves unchanged.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
@@ -556,17 +595,18 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     (``remaining``: every erased cell of ``arr``).
     """
     view = _view(params)
-    work = _checked_copy(arr, params)
+    values, erased = _work_rows(arr, params)
     try:
-        left = _row_pass(work, view, trace)
+        left = _row_pass(values, erased, view, trace)
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
+    work = _as_array(values, erased)
     if left:
         bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
         raise UncorrectableError(
             f"erasure profile {bad} exceeds the decodable budgets "
-            f"{params.erasure_budgets()}",
+            f"{view.budgets}",
             remaining=frozenset(work.erased_positions()))
     return work
 
@@ -579,27 +619,29 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     alternation makes no progress.  On a stall the partial array is
     returned with its remaining erasures still masked.  Both passes
     repair rows as :func:`decode_rows` does, compiled row plans
-    included; the column view keeps its own.  A survivor outside
+    included; the column view keeps its own, and the column pass works
+    on the transposed row lists and erased rows.  A survivor outside
     [0, 2^w) raises ``ValueError``, and survivors that contradict the
     code raise :class:`UncorrectableError` naming every erased cell of
     ``arr``.
     """
     view = _view(params)
-    work = _checked_copy(arr, params)
+    values, erased = _work_rows(arr, params)
     try:
         # k = m leaves no column view (see GpcParams.transposed).  An
         # alternation whose column pass fills nothing leaves a state the
         # row pass cannot change either, so the loop stops there.
-        while (left := _row_pass(work, view)) and view.col_params is not None:
-            flipped = work.transposed()
-            after = _row_pass(flipped, _view(view.col_params))
-            work = flipped.transposed()
+        while (left := _row_pass(values, erased, view)) and \
+                view.col_params is not None:
+            col_values, col_erased = _flip(values, erased)
+            after = _row_pass(col_values, col_erased, _view(view.col_params))
+            values, erased = _flip(col_values, col_erased)
             if not 0 < after < left:
                 break
     except NoSolutionError as exc:
         raise UncorrectableError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
-    return work
+    return _as_array(values, erased)
 
 
 class _Encoder(NamedTuple):
@@ -639,13 +681,14 @@ def _encode_pass(data: Sequence[int], params: GpcParams,
     # order and one row pass recovers the parity cells, which always sit
     # inside the budgets with no survivor to contradict.
     it = iter(data)
-    cells = [[(r, c) in parity for c in range(params.n)]
-             for r in range(params.m)]
-    work = SymbolArray([[0 if e else next(it) for e in row] for row in cells],
-                       cells)
-    if _row_pass(work, _view(params), block=block):
+    span = range(params.n)
+    erased = [tuple(c for c in span if (r, c) in parity)
+              for r in range(params.m)]
+    values = [[0 if (r, c) in parity else next(it) for c in span]
+              for r in range(params.m)]
+    if _row_pass(values, erased, _view(params), block=block):
         raise AssertionError("parity cells outside the decodable budgets")
-    return work
+    return SymbolArray(values)
 
 
 def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:

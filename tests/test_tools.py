@@ -66,3 +66,36 @@ def test_distance_check_reports_each_differing_code(monkeypatch, capsys):
     assert [line.split(" at cap ")[0] for line in lines] == \
         [p.notation() for p in codes]
     assert summary == "3 codes of criterion 6 checked, 3 differ"
+
+
+def _result_line(ops, cli_ms, failed=0):
+    """A benchmark result line with two of its metrics."""
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"gpc_ops_per_s": {"value": ops, "unit": "1/s"},
+                        "cli_ms": {"value": cli_ms, "unit": "ms"}}}
+
+
+def test_bench_pairs_summarises_medians_quartiles_and_wins():
+    tool = load_tool("bench_pairs")
+    metrics = [{"name": "gpc_ops_per_s", "better": "higher", "bound": 0.2},
+               {"name": "cli_ms", "better": "lower", "bound": 0.25}]
+    parent = [(100, 300), (110, 280), (90, 320), (105, 290), (95, 310)]
+    change = [(120, 400), (105, 270), (99, 420), (130, 300), (100, 390)]
+    runs = [{"side": side, "pair": pair, "result": _result_line(*values)}
+            for pair, (p, c) in enumerate(zip(parent, change), 1)
+            for side, values in (("change", c), ("parent", p))]
+    summary = tool.summarise(runs, metrics)
+    assert summary["pairs"] == 5 and summary["correct"]
+    assert summary["failed_parent"] == summary["failed_change"] == 0
+    assert summary["gpc_ops_per_s"] == {
+        "parent_median": 100, "parent_iqr": 10, "change_median": 105,
+        "ratio": 1.05, "wins": 4, "within_bound": True}
+    # cli_ms: lower is better; 390 / 300 = 1.3 is beyond the 0.25 bound
+    assert summary["cli_ms"] == {
+        "parent_median": 300, "parent_iqr": 20, "change_median": 390,
+        "ratio": 1.3, "wins": 1, "within_bound": False}
+    runs[0]["result"] = _result_line(120, 400, failed=2)
+    summary = tool.summarise(runs, metrics)
+    assert (summary["failed_change"], summary["correct"]) == (2, False)
+    # a pair missing one side is left out
+    assert tool.summarise(runs[1:], metrics)["pairs"] == 4

@@ -1,0 +1,132 @@
+"""Run the benchmark alternately in two checkouts and compare them.
+
+    python tools/bench_pairs.py PARENT CHANGE --workload scrub --seed 402 \\
+        --seconds 15 --pairs 5 [--out BENCH_N.json]
+
+Each pair runs ``python3 perfbench/run.py --workload W --seed S
+--seconds T --trace 0`` once from the root of each checkout, one
+process at a time, the parent first in odd pairs and the change first
+in even ones.  Bytecode is not written (``PYTHONDONTWRITEBYTECODE=1``),
+so no run leaves a cache that speeds up the later ones; compare
+checkouts that hold no ``__pycache__``, since a cache already there is
+still read and lowers ``setup_s`` and ``cli_ms``.  For every end-to-end
+metric of ``BENCHMARK.json`` it prints the parent's median and
+interquartile range, the change's median, their ratio (change over
+parent), the pairs the change won, and whether the change's median
+lies within the metric's bound.  ``--out`` adds the series to a JSON
+record, created if missing, under ``summary["<workload>_seed<seed>"]``
+and ``runs``, the shape the ``BENCH_*.json`` files keep.  Exits 1 when
+any run fails an operation or reports wrong outputs.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
+
+def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of one untraced benchmark run in ``checkout``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise RuntimeError(f"perfbench failed in {checkout} "
+                           f"(exit {proc.returncode}): {proc.stderr[-500:]}")
+    return json.loads(lines[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summarise(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per-metric comparison of a series of runs.
+
+    ``runs`` holds ``{"side": "parent" | "change", "pair": i, "result":
+    <run.py result line>}`` for each run, and ``metrics`` the
+    ``end_to_end`` entries of ``BENCHMARK.json`` (name, better, bound).
+    A pair is won when the change's value is better than the parent's.
+    """
+    results = {(r["side"], r["pair"]): r["result"] for r in runs}
+    pairs = sorted({p for side, p in results if side == "parent"}
+                   & {p for side, p in results if side == "change"})
+    out = {"pairs": len(pairs),
+           "failed_parent": sum(results["parent", p]["failed"] for p in pairs),
+           "failed_change": sum(results["change", p]["failed"] for p in pairs),
+           "correct": all(results[side, p]["correct"] for p in pairs
+                          for side in ("parent", "change"))}
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+
+        def values(side):
+            return [results[side, p]["metrics"][name]["value"] for p in pairs]
+
+        parent, change = values("parent"), values("change")
+        q1, parent_median, q3 = _quartiles(parent)
+        change_median = statistics.median(change)
+        ratio = change_median / parent_median
+        bound = metric["bound"]
+        out[name] = {
+            "parent_median": round(parent_median, 4),
+            "parent_iqr": round(q3 - q1, 4),
+            "change_median": round(change_median, 4),
+            "ratio": round(ratio, 3),
+            "wins": sum((c > p) if higher else (c < p)
+                        for p, c in zip(parent, change)),
+            "within_bound": ratio >= 1 - bound if higher else ratio <= 1 + bound,
+        }
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args(argv)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    runs = []
+    for pair in range(1, args.pairs + 1):
+        sides = [("parent", args.parent), ("change", args.change)]
+        for side, checkout in sides if pair % 2 else sides[::-1]:
+            result = run_once(checkout, args.workload, args.seed, args.seconds)
+            runs.append({"side": side, "workload": args.workload,
+                         "seed": args.seed, "pair": pair, "result": result})
+    summary = {"seed": args.seed, **summarise(runs, metrics)}
+    key = f"{args.workload}_seed{args.seed}"
+    print(f"{key}: {summary['pairs']} pairs, failed "
+          f"{summary['failed_parent']} / {summary['failed_change']}, "
+          f"correct {summary['correct']}")
+    for metric in metrics:
+        s = summary[metric["name"]]
+        print(f"  {metric['name']}: parent {s['parent_median']} "
+              f"(IQR {s['parent_iqr']}), change {s['change_median']}, "
+              f"ratio {s['ratio']}, won {s['wins']} of {summary['pairs']}, "
+              f"within bound {s['within_bound']}")
+    if args.out:
+        record = json.loads(args.out.read_text()) if args.out.exists() else {}
+        record.setdefault("summary", {})[key] = summary
+        record["runs"] = record.get("runs", []) + runs
+        args.out.write_text(json.dumps(record, indent=1) + "\n")
+    ok = summary["correct"] and not summary["failed_parent"] + \
+        summary["failed_change"]
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
