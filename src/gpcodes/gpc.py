@@ -448,7 +448,7 @@ def _repair_rows(values: list[list[int]], rows: Sequence[int],
     # row + offset, whose erased symbols it ignores, so the offset goes
     # back into the filled cells.  The solution is unique (Vandermonde
     # columns); survivors that contradict the code raise
-    # NoSolutionError.  An all-zero word solves to zeros.
+    # NoSolutionError.
     g = len(rows)
     if g > 1:
         word = pack_blocks([values[r] for r in rows], block)
@@ -456,10 +456,7 @@ def _repair_rows(values: list[list[int]], rows: Sequence[int],
         word = values[rows[0]]
         if offset is not None:
             word = [a ^ b for a, b in zip(word, offset)]
-    if any(word):
-        view.levels[level].fill(word, cols, g * block)
-    if word is values[rows[0]]:
-        return      # a lone row with no offset filled in place
+    view.levels[level].fill(word, cols, g * block)
     for c in cols:
         v = word[c] if offset is None else word[c] ^ offset[c]
         for r, x in zip(rows, unpack_block(v, g, block) if g > 1 else (v,)):

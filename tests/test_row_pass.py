@@ -6,7 +6,7 @@ from itertools import chain, compress
 
 import pytest
 
-from gpcodes import gpc
+from gpcodes import gpc, linalg
 from gpcodes.fields import default_field
 from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams,
                          UncorrectableError, decodable_profile,
@@ -265,6 +265,56 @@ def test_decoders_leave_input_untouched_and_return_fresh_rows(decoder,
             assert out == word, name
         if name == "stall":
             assert out.erasure_count and decoder is decode_iterative
+
+
+# Level-0 rows sharing their erased columns (one block), a lone level-0
+# row, a row peeled through level 1, and a whole row that the vanishing
+# combination restores.
+@pytest.mark.parametrize("limit", [linalg.MAP_BYTES_LIMIT, 0],
+                         ids=["compiled", "scalar"])
+@pytest.mark.parametrize("params, pattern", [
+    (FLAGSHIP, {(1, 3), (2, 3), (3, 5), (0, 0), (0, 1), (0, 2), (5, 0),
+                (5, 1), *((4, c) for c in range(7))}),
+    (G16, {*((r, c) for r in range(10) for c in (0, 1)), (10, 5), (11, 2),
+           (11, 3), (11, 4), (13, 6), (13, 7), (13, 8),
+           *((12, c) for c in range(30))}),
+], ids=["flagship", "G16"])
+def test_the_all_zero_codeword_decodes_to_zeros(params, pattern, limit,
+                                                monkeypatch):
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", limit)
+    zero = encode([0] * params.dimension(), params)
+    assert zero.values == [[0] * params.n for _ in range(params.m)]
+    damaged = erase_positions(zero, pattern)
+    trace = DecodeTrace()
+    assert decode_rows(damaged, params, trace) == zero
+    assert [level for _, _, level in trace.steps] == [1, None, None]
+    # a pattern's plan compiles on its second use
+    for _ in range(2):
+        assert decode_rows(damaged, params) == zero
+        assert decode_iterative(damaged, params) == zero
+    plans = [slot.map for code in gpc._view(params).levels
+             for slot in code._plans.values()]
+    assert any(plans) == (limit > 0)
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 1(a): a row solved with no spare "
+                          "check row spreads a flipped survivor into its "
+                          "filled cells, and the decode returns a "
+                          "non-codeword")
+def test_a_flipped_survivor_on_the_archive_loss_is_reported():
+    # The benchmark's archive loss: two whole columns and one whole row.
+    for seed in range(5):
+        rng = random.Random(seed)
+        word = rand_codeword(G16, rng)
+        cols = rng.sample(range(G16.n), 2)
+        row = rng.randrange(G16.m)
+        loss = {(r, c) for r in range(G16.m) for c in cols}
+        loss |= {(row, c) for c in range(G16.n)}
+        damaged = with_flipped_survivor(erase_positions(word, loss), rng)
+        with pytest.raises(UncorrectableError):
+            decode_iterative(damaged, G16)
 
 
 # ------------------------------------------------------------ reference

@@ -2,6 +2,7 @@
 
 import importlib.util
 import itertools
+import json
 import re
 from pathlib import Path
 
@@ -99,3 +100,33 @@ def test_bench_pairs_summarises_medians_quartiles_and_wins():
     assert (summary["failed_change"], summary["correct"]) == (2, False)
     # a pair missing one side is left out
     assert tool.summarise(runs[1:], metrics)["pairs"] == 4
+
+
+def test_bench_pairs_refuses_a_bytecode_cache_in_one_checkout(
+        tmp_path, monkeypatch, capsys):
+    tool = load_tool("bench_pairs")
+    names = [m["name"] for m in
+             json.loads(tool.BENCHMARK.read_text())["end_to_end"]]
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append(checkout)
+        return {"correct": True, "failed": 0,
+                "metrics": {name: {"value": 1.0} for name in names}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    cache = change / "src" / "gpcodes" / "__pycache__"
+    (parent / "src" / "gpcodes").mkdir(parents=True)
+    cache.mkdir(parents=True)
+    options = ["--workload", "scrub", "--seed", "1", "--seconds", "1",
+               "--pairs", "1"]
+    assert tool.main([str(parent), str(change), *options]) == 2
+    assert runs == []
+    err = capsys.readouterr().err
+    assert f"only checkout {change} holds" in err and f"rm -r {cache}" in err
+    # the same checkout twice, or both cached, is compared
+    assert tool.main([str(change), str(change), *options]) == 0
+    (parent / "src" / "gpcodes" / "__pycache__").mkdir()
+    assert tool.main([str(parent), str(change), *options]) == 0
+    assert len(runs) == 4

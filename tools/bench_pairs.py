@@ -7,9 +7,10 @@ Each pair runs ``python3 perfbench/run.py --workload W --seed S
 --seconds T --trace 0`` once from the root of each checkout, one
 process at a time, the parent first in odd pairs and the change first
 in even ones.  Bytecode is not written (``PYTHONDONTWRITEBYTECODE=1``),
-so no run leaves a cache that speeds up the later ones; compare
-checkouts that hold no ``__pycache__``, since a cache already there is
-still read and lowers ``setup_s`` and ``cli_ms``.  For every end-to-end
+so no run leaves a cache that speeds up the later ones.  A cache already
+there is still read and lowers ``setup_s`` and ``cli_ms``, so the tool
+exits 2 before any run when only one checkout holds
+``src/gpcodes/__pycache__``.  For every end-to-end
 metric of ``BENCHMARK.json`` it prints the parent's median and
 interquartile range, the change's median, their ratio (change over
 parent), the pairs the change won, and whether the change's median
@@ -99,6 +100,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    caches = [Path(checkout) / "src" / "gpcodes" / "__pycache__"
+              for checkout in (args.parent, args.change)]
+    held = [cache for cache in caches if cache.is_dir()]
+    if len(held) == 1:
+        print(f"error: only checkout {held[0].parents[2]} holds a bytecode "
+              f"cache, which lowers setup_s and cli_ms; clear it with "
+              f"rm -r {held[0]}", file=sys.stderr)
+        return 2
     metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
     runs = []
     for pair in range(1, args.pairs + 1):
