@@ -93,7 +93,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         if self.m < 1 or self.n < 1:
             out.append(f"array shape {self.m}x{self.n} must be positive")
         if self.t == 0 or len(self.u) != self.t:
-            out.append(f"level vectors disagree: {len(self.s)} vs {len(self.u)}")
+            out.append("need at least one level in s and u" if self.t == 0 else
+                       f"level vectors disagree: {len(self.s)} vs {len(self.u)}")
             return out
         if sum(self.s) != self.m:
             out.append(f"sum(s)={sum(self.s)} != m={self.m}")
@@ -468,10 +469,8 @@ class DecodeTrace:
 
     def __init__(self, row_order: tuple[int, ...] = (),
                  counts: tuple[int, ...] = (), system: Matrix | None = None,
-                 transform: Matrix | None = None,
                  steps: list[tuple[int, int, int | None]] | None = None):
-        self.row_order, self.counts = row_order, counts
-        self.system, self.transform = system, transform
+        self.row_order, self.counts, self.system = row_order, counts, system
         # (profile position, row index, level used; None = vanishing combo)
         self.steps = [] if steps is None else steps
 
@@ -481,13 +480,14 @@ class DecodeTrace:
 # all new hit almost never (a 15 s scrub of the benchmark's G16 code: 16
 # hits in 464 lookups), so a small limit keeps the hits that come.
 _TRIANGULATION_LIMIT = 64
-_TRIANGULATION_CACHE: dict[tuple, tuple[Matrix, Matrix]] = {}
+_TRIANGULATION_CACHE: dict[tuple, Matrix] = {}
 
 
 def _triangulated_system(params: GpcParams, order: tuple[int, ...],
-                         nsys: int) -> tuple[Matrix, Matrix]:
+                         nsys: int) -> Matrix:
     # The power-weight matrix of the rows ``order``, entry (r, j) =
-    # alpha^(r * order[j]) for r < nsys, picked from the view's powers.
+    # alpha^(r * order[j]) for r < nsys, picked from the view's powers,
+    # in row echelon form.
     return recall(_TRIANGULATION_CACHE, (params, order, nsys),
                   _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix(
                       params.field, [[row[j] for j in order]
@@ -528,12 +528,9 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
         return left
     f = params.field
     nsys = max(m - k, m - counts.count(0))
-    reduced, transform = _triangulated_system(params, order, nsys)
+    reduced = _triangulated_system(params, order, nsys)
     if trace is not None:
-        trace.row_order = order
-        trace.counts = counts
-        trace.system = reduced
-        trace.transform = transform
+        trace.row_order, trace.counts, trace.system = order, counts, reduced
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
         cols = erased[row_idx]
@@ -561,6 +558,30 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
     return 0
 
 
+def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
+            trace: DecodeTrace | None = None) -> tuple[SymbolArray, int]:
+    # The driver of decode_rows and of decode_iterative, which alternates
+    # row and column passes (``iterate``): the array and the count of
+    # cells the last row pass left.
+    view = _view(params)
+    values, erased = _work_rows(arr, params)
+    try:
+        # k = m leaves no column view (see GpcParams.transposed).  An
+        # alternation whose column pass fills nothing leaves a state the
+        # row pass cannot change either, so the loop stops there.
+        while (left := _row_pass(values, erased, view, trace)) and \
+                iterate and view.col_params is not None:
+            col_values, col_erased = _flip(values, erased)
+            after = _row_pass(col_values, col_erased, _view(view.col_params))
+            values, erased = _flip(col_values, col_erased)
+            if not 0 < after < left:
+                break
+    except NoSolutionError as exc:
+        raise UncorrectableError(f"row solve failed: {exc}",
+                                 frozenset(arr.erased_positions())) from exc
+    return _as_array(values, erased), left
+
+
 def decode_rows(arr: SymbolArray, params: GpcParams,
                 trace: DecodeTrace | None = None) -> SymbolArray:
     """Single-pass erasure decoder working row by row.
@@ -582,8 +603,9 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
-    The pass works on plain row lists and each row's erased columns,
-    built once from ``arr``, which it leaves unchanged.
+    It shares its driver with :func:`decode_iterative`, which works on
+    plain row lists and each row's erased columns, built once from
+    ``arr``, and leaves ``arr`` unchanged.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
@@ -591,19 +613,12 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     repairs), or when surviving symbols contradict a row code
     (``remaining``: every erased cell of ``arr``).
     """
-    view = _view(params)
-    values, erased = _work_rows(arr, params)
-    try:
-        left = _row_pass(values, erased, view, trace)
-    except NoSolutionError as exc:
-        raise UncorrectableError(f"row solve failed: {exc}",
-                                 frozenset(arr.erased_positions())) from exc
-    work = _as_array(values, erased)
+    work, left = _decode(arr, params, iterate=False, trace=trace)
     if left:
         bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
         raise UncorrectableError(
             f"erasure profile {bad} exceeds the decodable budgets "
-            f"{view.budgets}",
+            f"{params.erasure_budgets()}",
             remaining=frozenset(work.erased_positions()))
     return work
 
@@ -614,31 +629,15 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     Runs the row pass on the array and on its transpose (under the
     column-view parameters) until everything is recovered or a full
     alternation makes no progress.  On a stall the partial array is
-    returned with its remaining erasures still masked.  Both passes
-    repair rows as :func:`decode_rows` does, compiled row plans
-    included; the column view keeps its own, and the column pass works
-    on the transposed row lists and erased rows.  A survivor outside
+    returned with its remaining erasures still masked.  It shares its
+    driver with :func:`decode_rows`, compiled row plans included; the
+    column view keeps its own, and the column pass works on the
+    transposed row lists and erased rows.  A survivor outside
     [0, 2^w) raises ``ValueError``, and survivors that contradict the
     code raise :class:`UncorrectableError` naming every erased cell of
     ``arr``.
     """
-    view = _view(params)
-    values, erased = _work_rows(arr, params)
-    try:
-        # k = m leaves no column view (see GpcParams.transposed).  An
-        # alternation whose column pass fills nothing leaves a state the
-        # row pass cannot change either, so the loop stops there.
-        while (left := _row_pass(values, erased, view)) and \
-                view.col_params is not None:
-            col_values, col_erased = _flip(values, erased)
-            after = _row_pass(col_values, col_erased, _view(view.col_params))
-            values, erased = _flip(col_values, col_erased)
-            if not 0 < after < left:
-                break
-    except NoSolutionError as exc:
-        raise UncorrectableError(f"row solve failed: {exc}",
-                                 frozenset(arr.erased_positions())) from exc
-    return _as_array(values, erased)
+    return _decode(arr, params, iterate=True)[0]
 
 
 class _Encoder(NamedTuple):

@@ -14,8 +14,8 @@ picks unit pivots top to bottom and has two modes:
   adds multiples of earlier pivot rows to later rows (plus the
   occasional swap), so on a matrix whose leading minors are
   nonsingular :func:`row_reduce` produces exactly the unit upper
-  triangular form the array decoders reason about, together with the
-  transform that produced it;
+  triangular form the array decoders reason about, each of its rows a
+  combination of that row and the rows above it in the input;
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
 
@@ -215,20 +215,18 @@ def _eliminate(rows: list, field: GF, cols: Iterable[int],
     return pivots
 
 
-def row_reduce(m: Matrix) -> tuple[Matrix, Matrix]:
+def row_reduce(m: Matrix) -> Matrix:
     """Forward elimination to row echelon form with unit pivots.
 
-    Returns ``(r, t)`` with ``t.matmul(m) == r``.  Pivots are chosen as
-    the first row (top to bottom) with a nonzero entry in the current
-    column; each pivot row is scaled to make the pivot 1 and then
-    cleared *below* only, so rows keep their triangular structure.
+    Pivots are chosen as the first row (top to bottom) with a nonzero
+    entry in the current column; each pivot row is scaled to make the
+    pivot 1 and then cleared *below* only, so rows keep their triangular
+    structure: with no swaps, echelon row p is a combination of rows
+    0..p of ``m``.
     """
-    c = m.cols
-    aug = _work_rows(m.field, (row + [int(i == j) for j in range(m.rows)]
-                               for i, row in enumerate(m.data)))
-    _eliminate(aug, m.field, range(c), full=False)
-    return (Matrix(m.field, [row[:c] for row in aug]),
-            Matrix(m.field, [row[c:] for row in aug]))
+    work = _work_rows(m.field, m.data)
+    _eliminate(work, m.field, range(m.cols), full=False)
+    return Matrix(m.field, work)
 
 
 def rank(m: Matrix) -> int:

@@ -136,8 +136,9 @@ def test_info_rejects_non_integer_levels(tmp_path, capsys, change):
 @pytest.mark.parametrize("change, message", [
     ({"m": 0, "k": 0}, "array shape 0x7 must be positive"),
     ({"u": [1, 3]}, "level vectors disagree: 3 vs 2"),
-    ({"s": [3, 0, 3]}, "every s_i must be >= 1")],
-    ids=["empty_shape", "level_lengths", "empty_level"])
+    ({"s": [3, 0, 3]}, "every s_i must be >= 1"),
+    ({"s": [], "u": []}, "need at least one level in s and u")],
+    ids=["empty_shape", "level_lengths", "empty_level", "no_levels"])
 def test_info_reports_params_violations(tmp_path, capsys, change, message):
     code = write_spec(tmp_path, {**FLAGSHIP_SPEC, **change})
     assert cli.main(["info", code]) == 2

@@ -569,16 +569,14 @@ def test_decode_trace_structure():
     assert decoded == arr
     assert trace.row_order == (1, 4, 2, 3, 0, 5)
     assert trace.counts == (7, 7, 4, 3, 0, 0)  # rows 0 and 5 fixed locally
-    # triangulation came from the power-weight matrix of the row order
+    # unit upper triangular system, whose row i combines the first i + 1
+    # rows of the power-weight matrix of the row order
     f = p.field
     vm = [[f.alpha_pow(r * j) for j in trace.row_order] for r in range(4)]
-    prod = trace.transform.matmul(
-        type(trace.system)(f, vm))
-    assert prod.data == trace.system.data
-    # unit upper triangular system
     for i in range(4):
         assert trace.system.data[i][i] == 1
         assert all(trace.system.data[i][j] == 0 for j in range(i))
+        assert rank(Matrix(f, vm[:i + 1] + [trace.system.data[i]])) == i + 1
     # peeling happens bottom-up: positions strictly decreasing
     positions = [pos for pos, _, _ in trace.steps]
     assert positions == sorted(positions, reverse=True)

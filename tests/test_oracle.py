@@ -8,7 +8,7 @@ import pytest
 
 from gpcodes import gpc, linalg, oracle
 from gpcodes.epc import build_h2
-from gpcodes.fields import GF, default_field
+from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.gpc import ErasureProfile, GpcParams, UncorrectableError, \
     decodable_profile, full_parity_matrix
 from gpcodes.linalg import Matrix, null_space, rank
@@ -98,6 +98,29 @@ def test_product_codes_are_the_single_level_case(m, v, n, h):
     d = (v + 1) * (h + 1)
     assert p.min_distance() == d
     assert brute_min_distance(checks, d).distance == d
+
+
+def test_integrated_interleaved_codes_are_the_k_eq_m_two_level_case():
+    # Hassner et al., "Integrated interleaving -- a novel ECC
+    # architecture", IEEE Trans. Magn. 2001: m interleaves of an [n, n-r0]
+    # code, gamma of them in the stronger [n, n-r1] code, is the k = m
+    # ladder s = (m - gamma, gamma), u = (r0, r1).
+    checked = 0
+    for m in range(2, 5):
+        for n in range(3, 7):
+            field = field_with_order(max(m, n))
+            for gamma in range(1, m):
+                for r0, r1 in combinations(range(1, n), 2):
+                    p = GpcParams(m, n, k=m, s=(m - gamma, gamma),
+                                  u=(r0, r1), field=field).check()
+                    checks = full_parity_matrix(p)
+                    dim = m * n - (m - gamma) * r0 - gamma * r1
+                    assert m * n - rank(checks) == dim, p.notation()
+                    d = min((gamma + 1) * (r0 + 1), r1 + 1)
+                    report = brute_min_distance(checks, d, budget=200_000)
+                    assert report.distance == d, p.notation()
+                    checked += 1
+    assert checked == 120
 
 
 def test_brute_min_distance_witness_is_colex_least():
