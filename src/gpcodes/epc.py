@@ -16,16 +16,26 @@ shapes.  Three concrete constructions are provided:
   all-ones-modulus fields of :meth:`gpcodes.fields.GF.from_prime`
   satisfy it by construction.
 
-The latter two are plain linear codes on flattened arrays: a
-:class:`~gpcodes.linalg.LinearCode`, re-exported here, whose generic
-erasure decoding is :meth:`~gpcodes.linalg.LinearCode.fill`.  Their
-check rows are the product code's, the t = 1 generalized product code
-of :func:`gpcodes.gpc.full_parity_matrix`, plus the global power rows.
+The latter two are linear codes on flattened arrays: a
+:class:`~gpcodes.linalg.LinearCode`, re-exported here, that knows its
+array shape and power steps.  Their check rows are the product code's,
+the t = 1 generalized product code of
+:func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
+per array column, plus the global power rows.  :func:`lc_erasure_decode`
+decodes them local first, as storage codes with local and global
+parities are meant to be repaired: it peels every erasure that is the
+last one in its row or column from that line's sum, leaves only what
+the peel cannot reach, a stopping set, to the generic
+:meth:`~gpcodes.linalg.LinearCode.fill`, and checks a fully peeled word
+against the sums and the power rows in grid form.  A ``LinearCode``
+built from a check matrix alone decodes by the fill.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import ceil
+from operator import xor
 from typing import NamedTuple
 
 from .fields import GF, field_with_order
@@ -98,6 +108,67 @@ def build_optimal_g1(m: int, v: int, n: int, h: int,
                      u=(h, h + 1), field=field).check()
 
 
+class _PowerRowsCode(LinearCode):
+    # build_h2's and build_h3's code: check rows that are the m row sums
+    # and n column sums of an m x n array flattened row by row, then the
+    # row alpha^(step*j) for each of ``steps``.  lc_erasure_decode peels
+    # its words on the sums before any fill.
+
+    def __init__(self, check_matrix: Matrix, m: int, n: int,
+                 steps: tuple[int, ...]):
+        super().__init__(check_matrix)
+        self.m, self.n, self.steps = m, n, steps
+        self._power_tables: list[tuple[list[bytes], bytes]] | None = None
+
+    def line_sums(self, word: list[int]) -> tuple[list[int], list[int]]:
+        """The m row sums and the n column sums of ``word`` (symbols in
+        range) as an array.  For w <= 8 in grid form: the column sums
+        XOR the m row slices of its bytes as big integers, and the row
+        sums its n strided slices."""
+        m, n = self.m, self.n
+        if self.field.w > 8:
+            return ([reduce(xor, word[i:i + n]) for i in range(0, m * n, n)],
+                    [reduce(xor, word[c::n]) for c in range(n)])
+        raw, from_bytes = bytes(word), int.from_bytes
+        rows = cols = 0
+        for c in range(n):
+            rows ^= from_bytes(raw[c::n], "little")
+        for i in range(0, m * n, n):
+            cols ^= from_bytes(raw[i:i + n], "little")
+        return (list(rows.to_bytes(m, "little")),
+                list(cols.to_bytes(n, "little")))
+
+    def powers_vanish(self, word: list[int]) -> bool:
+        """Whether every power row sends ``word`` (symbols in range) to
+        zero.  For w <= 8 in grid form: with j = r*n + c, the row
+        alpha^(s*j) is sum over c of alpha^(s*c) times V_c, V_c the sum
+        over r of alpha^(s*r*n) times the cell (r, c).  So V is one
+        ``bytes.translate`` per array row, XORed as one big integer, and
+        the sum an n-step Horner in alpha^s.  Wider fields read the
+        :meth:`~gpcodes.linalg.LinearCode.syndrome`."""
+        if self.field.w > 8:
+            return not any(self.syndrome(word))
+        n, from_bytes = self.n, int.from_bytes
+        tables = self._power_tables
+        if tables is None:
+            f, mul = self.field, self.field.mul_tables()
+            tables = self._power_tables = [
+                ([mul[f.alpha_pow(s * r * n)] for r in range(self.m)],
+                 mul[f.alpha_pow(s)]) for s in self.steps]
+        raw = bytes(word)
+        rows = [raw[i:i + n] for i in range(0, len(raw), n)]
+        for row_tables, step in tables:
+            acc = 0
+            for row, table in zip(rows, row_tables):
+                acc ^= from_bytes(row.translate(table), "little")
+            total = 0
+            for v in acc.to_bytes(n, "big"):
+                total = step[total] ^ v
+            if total:
+                return False
+        return True
+
+
 def _power_rows_code(m: int, n: int, field: GF | None,
                      steps: tuple[int, ...]) -> LinearCode:
     # The product code's checks, then the row alpha^(step*j) per step.
@@ -112,7 +183,7 @@ def _power_rows_code(m: int, n: int, field: GF | None,
         GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
     powers = [[field.alpha_pow(step * j) for j in range(m * n)]
               for step in steps]
-    return LinearCode(Matrix(field, product.data + powers))
+    return _PowerRowsCode(Matrix(field, product.data + powers), m, n, steps)
 
 
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -163,31 +234,88 @@ def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] |
     return None
 
 
+def _peel_then_fill(word: list[int], erased: list[int],
+                    code: _PowerRowsCode) -> None:
+    # Fill ``erased`` (ascending, zero in ``word``) in place: first every
+    # cell that is the one erasure left in its array row or column, from
+    # that line's sum, then what is left with code.fill.  Each peeled
+    # symbol is forced by a check row, so the fill sees exactly the
+    # system the erasures had.  Raises what fill raises, or
+    # NoSolutionError when a fully peeled word breaks a check row.
+    m, n = code.m, code.n
+    row_sums, col_sums = code.line_sums(word)
+    in_row, in_col = [0] * m, [0] * n
+    for j in erased:
+        in_row[j // n] += 1
+        in_col[j % n] += 1
+    left = erased
+    while left:
+        stuck = []
+        for j in left:
+            r, c = divmod(j, n)
+            if in_row[r] == 1:
+                v = row_sums[r]
+            elif in_col[c] == 1:
+                v = col_sums[c]
+            else:
+                stuck.append(j)
+                continue
+            word[j] = v
+            row_sums[r] ^= v
+            col_sums[c] ^= v
+            in_row[r] -= 1
+            in_col[c] -= 1
+        if len(stuck) == len(left):
+            code.fill(word, tuple(stuck))
+            return
+        left = stuck
+    if any(row_sums) or any(col_sums) or not code.powers_vanish(word):
+        raise NoSolutionError("inconsistent system")
+
+
 def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
                       code: LinearCode) -> list[int]:
-    """Generic erasure decoding by solving the syndrome system.
+    """The codeword of ``code`` that agrees with ``values`` outside
+    ``erased``.
 
     Needs the erased check-matrix columns to be independent; otherwise
     the pattern is uncorrectable and :class:`UncorrectableError` is
     raised, as it is when the survivors contradict the code, a word
     with no erasures included.  Survivors must lie in the field; the
-    symbols at erased positions are ignored.  Each pattern of ``code``
-    solves from the code's :meth:`~gpcodes.linalg.LinearCode.syndrome`,
-    compiled once per code for w <= 8 (the README's "Syndromes" item
-    gives the time of such a decode), until
-    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan (see
-    :meth:`~gpcodes.linalg.LinearCode.fill`): equal output, and the
-    same errors, checks included.
+    symbols at erased positions are ignored.
+
+    The codes of :func:`build_h2` and :func:`build_h3` decode local
+    first.  While an array row or column holds exactly one erasure,
+    that cell is filled from the line's sum; every such fill is forced
+    by a check row.  A word peeled to the end is checked against every
+    row sum, column sum and power row (see
+    ``_PowerRowsCode.powers_vanish``) and never reaches a plan.  The
+    cells the peel cannot reach, a stopping set such as the corners of
+    a rectangle, go to the code's fill with the peeled symbols as
+    survivors, which is the same system as before the peel.  So output
+    and errors, ``remaining`` included, equal those of the fill of the
+    whole pattern.
+
+    Any other code, and that residual, runs
+    :meth:`~gpcodes.linalg.LinearCode.fill`: each pattern solves from
+    the code's :meth:`~gpcodes.linalg.LinearCode.syndrome` until
+    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, with
+    equal output and the same errors, checks included.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
     cols = sorted(erased)
     if cols and not 0 <= cols[0] <= cols[-1] < code.length:
         raise ValueError("erased position out of range")
-    known = [0 if j in erased else v for j, v in enumerate(values)]
+    known = list(values)
+    for j in cols:
+        known[j] = 0
     code.field.check_symbols(known, "survivor")
     try:
-        code.fill(known, tuple(cols))
+        if isinstance(code, _PowerRowsCode):
+            _peel_then_fill(known, cols, code)
+        else:
+            code.fill(known, tuple(cols))
     except UnderdeterminedError as exc:
         raise UncorrectableError(
             f"{len(cols)} erased positions span a dependent column set",
@@ -203,8 +331,8 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     """Systematic encoding: data fills the non-parity positions in order.
 
     The parity positions are an erasure pattern that
-    :func:`lc_erasure_decode` recovers, so its plan, equal bit for bit,
-    is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
+    :meth:`~gpcodes.linalg.LinearCode.fill` recovers, so its plan, equal
+    bit for bit, is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
     ``code`` object.  They are a column basis of the check matrix, so
     that fill has exactly one solution and zero residual rows whatever
     the data, and cannot raise.

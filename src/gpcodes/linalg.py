@@ -35,8 +35,9 @@ evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
-h3 codes a whole word at a time, ``gpc`` one array row at a time
-against one level's row code.  Its :meth:`LinearCode.syndrome` is
+h3 codes a whole word at a time, once their row and column sums have
+peeled what they can, ``gpc`` one array row at a time against one
+level's row code.  Its :meth:`LinearCode.syndrome` is
 compiled once per code, not once per pattern: for w <= 8 the check
 matrix's columns as bytes, the check-only plan of no erasures, so
 ``H @ word`` costs one ``bytes.translate`` per nonzero symbol.  The

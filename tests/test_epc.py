@@ -365,22 +365,26 @@ def test_lc_encode_rejects_symbols_out_of_field(data):
 
 @pytest.mark.parametrize("bad", [-1, 20, 300])
 def test_lc_erasure_decode_rejects_survivors_out_of_field(bad):
-    code = build_h2(3, 3)          # over GF(2^4)
+    peeled = build_h2(3, 3)        # over GF(2^4)
+    code = _scalar(peeled)         # the generic fill, which has plans
     word = lc_encode([3, 9], code)
     erased = {0, 4}
     damaged = [0 if j in erased else v for j, v in enumerate(word)]
     corrupt = list(damaged)
     corrupt[8] = bad
-    with pytest.raises(ValueError, match="out of field range"):
-        lc_erasure_decode(corrupt, erased, code)
+    for c in (peeled, code):
+        with pytest.raises(ValueError, match="out of field range"):
+            lc_erasure_decode(corrupt, erased, c)
     for _ in range(len(erased) + 1):
         assert lc_erasure_decode(list(damaged), erased, code) == word
     assert code._plans[(0, 4)].map is not None
     with pytest.raises(ValueError, match="out of field range"):
         lc_erasure_decode(corrupt, erased, code)
     # the symbols at erased positions are ignored, as before
-    assert lc_erasure_decode([bad if j in erased else v
-                              for j, v in enumerate(word)], erased, code) == word
+    for c in (peeled, code):
+        assert lc_erasure_decode([bad if j in erased else v
+                                  for j, v in enumerate(word)],
+                                 erased, c) == word
 
 
 def test_lc_erasure_decode_rejects_positions_out_of_range():
@@ -460,8 +464,10 @@ def _decode_outcome(values, erased, code):
 
 
 def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
-    """The archive pattern and its variants, through the public path."""
-    code = build_h2(15, 17)
+    """The archive pattern and its variants, through the public path of
+    the generic fill; the peel of build_h2's code gives the same."""
+    peeled = build_h2(15, 17)
+    code = _scalar(peeled)
     rng = random.Random(79)
     word = lc_encode([rng.randrange(256) for _ in range(code.dimension)], code)
     column = {i * 17 + 5 for i in range(15)}
@@ -478,6 +484,7 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
     assert cases[0][2] == word and cases[1][2][0] is UncorrectableError
     assert "dependent" in cases[2][2][1] and "inconsistent" in cases[3][2][1]
     for values, erased, expected in cases:
+        assert _decode_outcome(values, erased, peeled) == expected
         _compile_on_next_use(code, erased)
         assert _decode_outcome(values, erased, code) == expected
     assert code._plans[tuple(sorted(cases[0][1]))].map is not None
@@ -489,7 +496,7 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
 
 def test_plan_slots_are_bounded_and_unique_patterns_never_compile(
         monkeypatch):
-    code = build_h2(3, 3)
+    code = _scalar(build_h2(3, 3))
     # a budget of four plans
     monkeypatch.setattr(linalg, "_PLAN_BUDGET", 4 * code._plan_bytes)
     word = lc_encode([3, 9], code)
@@ -564,26 +571,69 @@ def test_lc_erasure_decode_inconsistent_survivors_report_remaining():
     assert exc_info.value.remaining == frozenset({0, 8})
 
 
-def test_flipped_survivor_raises_through_the_solve_on_h2():
-    """Patterns on their first decode, so the scalar solve of the
-    compiled syndrome runs: one flipped survivor with |E| + 1 < d = 8
-    always contradicts the code."""
-    code = build_h2(15, 17)
+def _flipped_survivor_cases(code):
+    """Twelve seeded patterns of 1 to 6 erasures on a codeword of
+    ``code``, each with its damaged word and that word with one survivor
+    flipped: with |E| + 1 < d = 8 the flip always contradicts the code."""
     rng = random.Random(223)
     word = lc_encode([rng.randrange(256) for _ in range(code.dimension)],
                      code)
     for _ in range(12):
         erased = frozenset(rng.sample(range(code.length), rng.randint(1, 6)))
-        assert tuple(sorted(erased)) not in code._plans
         damaged = [0 if j in erased else v for j, v in enumerate(word)]
         bad = list(damaged)
         j = rng.choice([j for j in range(code.length) if j not in erased])
         bad[j] ^= rng.randrange(1, 256)
+        yield word, erased, damaged, bad
+
+
+def test_flipped_survivor_raises_through_the_solve_on_h2():
+    """Patterns on their first decode, so the scalar solve of the
+    compiled syndrome runs: one flipped survivor with |E| + 1 < d = 8
+    always contradicts the code."""
+    code = _scalar(build_h2(15, 17))
+    for word, erased, damaged, bad in _flipped_survivor_cases(code):
+        assert tuple(sorted(erased)) not in code._plans
         with pytest.raises(UncorrectableError, match="inconsistent") as exc:
             lc_erasure_decode(bad, erased, code)
         assert exc.value.remaining == erased
         assert code._plans[tuple(sorted(erased))].map is None
         assert lc_erasure_decode(damaged, erased, code) == word
+
+
+def test_flipped_survivor_raises_through_the_peel_on_h2():
+    """The same patterns peel fully on build_h2's code: the grid-form
+    check finds the flip, and no pattern reaches the plan cache."""
+    code = build_h2(15, 17)
+    for word, erased, damaged, bad in _flipped_survivor_cases(code):
+        with pytest.raises(UncorrectableError, match="inconsistent") as exc:
+            lc_erasure_decode(bad, erased, code)
+        assert exc.value.remaining == erased
+        assert lc_erasure_decode(damaged, erased, code) == word
+    assert list(code._plans) == [code.parity_positions()]
+
+
+def test_a_fully_peeled_decode_adds_no_plan_slot():
+    """Only a stopping set, here a 2 x 2 rectangle that no row or column
+    sum can start on, hands its cells to the fill and takes a slot."""
+    code = build_h2(15, 17)
+    rng = random.Random(41)
+    word = lc_encode([rng.randrange(256) for _ in range(code.dimension)],
+                     code)
+    before = list(code._plans)
+    column = {i * 17 + 5 for i in range(15)}
+    for erased in (column | {3, 40}, set(), {0, 18, 254}):
+        damaged = [0 if j in erased else v for j, v in enumerate(word)]
+        for _ in range(2):
+            assert lc_erasure_decode(list(damaged), erased, code) == word
+        damaged[1 if 1 not in erased else 2] ^= 9
+        with pytest.raises(UncorrectableError, match="inconsistent"):
+            lc_erasure_decode(damaged, erased, code)
+    assert list(code._plans) == before
+    rectangle = {20, 22, 54, 56}
+    damaged = [0 if j in rectangle else v for j, v in enumerate(word)]
+    assert lc_erasure_decode(damaged, rectangle, code) == word
+    assert list(code._plans) == before + [tuple(sorted(rectangle))]
 
 
 def test_lc_erasure_decode_word_length():

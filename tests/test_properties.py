@@ -123,8 +123,10 @@ def test_compiled_encoder_matches_scalar():
                 assert rows == expected.values
 
 
-# h2 and h3 codes over GF(2^4..2^8), and the benchmark's H2(15, 17),
-# built on first use and shared by the cases.
+# h2 and h3 codes over GF(2^4..2^8), and the benchmark's H2(15, 17).
+# Their check matrices, as plain LinearCodes whose decode is the generic
+# fill, are built on first use and shared by the cases: the local-first
+# decode of build_h2's and build_h3's own codes seldom reaches a plan.
 PLAN_CODES = {
     "h2(3,3)/w4": lambda: build_h2(3, 3, default_field(4)),
     "h3(3,4)/w4": lambda: build_h3(3, 4, default_field(4)),
@@ -139,6 +141,7 @@ PLAN_CODES = {
     "H2(15,17)": lambda: build_h2(15, 17),
 }
 _BUILT: dict[str, LinearCode] = {}
+_GENERIC: dict[str, LinearCode] = {}
 
 
 def _decode_outcome(values, erased, code):
@@ -154,9 +157,9 @@ def test_erasure_plan_matches_the_solve():
                     range(5))
     for seed, (name, kind, _) in enumerate(cases):
         with named(name, kind, f"seed {seed}"):
-            if name not in _BUILT:
-                _BUILT[name] = PLAN_CODES[name]()
-            code = _BUILT[name]
+            if name not in _GENERIC:
+                _GENERIC[name] = LinearCode(PLAN_CODES[name]().check_matrix)
+            code = _GENERIC[name]
             rng = random.Random(seed)
             top = 1 << code.field.w
             word = epc.lc_encode([rng.randrange(top)
@@ -189,6 +192,83 @@ def test_erasure_plan_matches_the_solve():
                     UncorrectableError,
                     f"{size} erased positions span a dependent column set",
                     erased))
+
+
+def _local_first_equals_generic(code, patterns, rng):
+    """Decode a random codeword of ``code`` under each pattern, clean and
+    with one survivor flipped, both with ``code`` and with the plain
+    LinearCode of its check matrix; the outcomes must be equal."""
+    generic = LinearCode(code.check_matrix)
+    top = 1 << code.field.w
+    word = epc.lc_encode([rng.randrange(top)
+                          for _ in range(code.dimension)], generic)
+    outcomes = []
+    for erased in patterns:
+        values = [0 if j in erased else v for j, v in enumerate(word)]
+        cases = [("clean", values)]
+        survivors = [j for j in range(code.length) if j not in erased]
+        if survivors:
+            flipped = list(values)
+            flipped[rng.choice(survivors)] ^= rng.randrange(1, top)
+            cases.append(("flipped", flipped))
+        for kind, values in cases:
+            with named(kind, sorted(erased)):
+                expected = _decode_outcome(values, erased, generic)
+                assert _decode_outcome(values, erased, code) == expected
+                outcomes.append(expected)
+    return outcomes
+
+
+def _kind(outcome):
+    if type(outcome) is list:
+        return "word"
+    return "dependent" if "dependent" in outcome[1] else "inconsistent"
+
+
+# Small h2 and h3 codes, w <= 8 and w > 8, and the stride of the walk
+# over their erasure patterns as bit masks: every pattern of every
+# weight, and every 5th on the slow scalar field of GF.from_prime(13):
+# an odd stride, so that every cell is erased in some.
+SMALL_GRID_CODES = {
+    "h2(3,3)": (lambda: build_h2(3, 3), 1),
+    "h2(3,4)": (lambda: build_h2(3, 4), 1),
+    "h3(3,4)": (lambda: build_h3(3, 4), 1),
+    "h3(2,5)": (lambda: build_h3(2, 5), 1),
+    "h3(3,3)/w10": (lambda: build_h3(3, 3, GF(10, 0x7ff)), 1),
+    "h3(3,4)/p13": (lambda: build_h3(3, 4, GF.from_prime(13)), 5),
+}
+
+
+def test_local_first_decode_equals_the_generic_fill_on_every_pattern():
+    kinds = set()
+    for seed, (name, (build, stride)) in enumerate(SMALL_GRID_CODES.items()):
+        with named(name):
+            code = build()
+            patterns = [frozenset(c for c in range(code.length)
+                                  if bits >> c & 1)
+                        for bits in range(0, 1 << code.length, stride)]
+            kinds.update(map(_kind, _local_first_equals_generic(
+                code, patterns, random.Random(seed))))
+    assert kinds == {"word", "dependent", "inconsistent"}
+
+
+def test_local_first_decode_equals_the_generic_fill_on_stopping_sets():
+    # build_h2(15, 17) with 2 x 2 rectangles and 3 x 3 squares, stopping
+    # sets of the peel, plus up to three more cells; and no erasures.
+    code = build_h2(15, 17)
+    rng = random.Random(31)
+    patterns = [frozenset()]
+    for side in (2, 2, 2, 3) * 6:
+        rows = rng.sample(range(code.m), side)
+        cols = rng.sample(range(code.n), side)
+        extra = rng.sample(range(code.length), rng.randint(0, 3))
+        patterns.append(frozenset(r * code.n + c for r in rows
+                                  for c in cols).union(extra))
+    outcomes = _local_first_equals_generic(code, patterns, rng)
+    assert set(map(_kind, outcomes)) == {"word", "dependent", "inconsistent"}
+    # the residuals reached the plan cache, each within its pattern
+    assert code._plans and all(any(set(key) <= erased for erased in patterns)
+                               for key in code._plans)
 
 
 def low_rank_rows(field, rng, nrows, ncols):
