@@ -18,7 +18,7 @@ shapes.  Three concrete constructions are provided:
 
 The latter two are linear codes on flattened arrays: a
 :class:`~gpcodes.linalg.LinearCode`, re-exported here, that knows its
-array shape and power steps.  Their check rows are the product code's,
+array shape.  Their check rows are the product code's,
 the t = 1 generalized product code of
 :func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
 per array column, plus the global power rows.  :func:`lc_erasure_decode`
@@ -112,13 +112,19 @@ class _PowerRowsCode(LinearCode):
     # build_h2's and build_h3's code: check rows that are the m row sums
     # and n column sums of an m x n array flattened row by row, then the
     # row alpha^(step*j) for each of ``steps``.  lc_erasure_decode peels
-    # its words on the sums before any fill.
+    # its words on the sums before any fill.  For w <= 8, powers_vanish's
+    # tables are built with the code: per step, the product tables of
+    # alpha^(step*r*n) for each array row r, and that of alpha^step.
 
     def __init__(self, check_matrix: Matrix, m: int, n: int,
                  steps: tuple[int, ...]):
         super().__init__(check_matrix)
-        self.m, self.n, self.steps = m, n, steps
-        self._power_tables: list[tuple[list[bytes], bytes]] | None = None
+        self.m, self.n = m, n
+        f = self.field
+        mul = f.mul_tables() if f.w <= 8 else None
+        self._power_tables = None if mul is None else [
+            ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
+             mul[f.alpha_pow(s)]) for s in steps]
 
     def line_sums(self, word: list[int]) -> tuple[list[int], list[int]]:
         """The m row sums and the n column sums of ``word`` (symbols in
@@ -149,15 +155,9 @@ class _PowerRowsCode(LinearCode):
         if self.field.w > 8:
             return not any(self.syndrome(word))
         n, from_bytes = self.n, int.from_bytes
-        tables = self._power_tables
-        if tables is None:
-            f, mul = self.field, self.field.mul_tables()
-            tables = self._power_tables = [
-                ([mul[f.alpha_pow(s * r * n)] for r in range(self.m)],
-                 mul[f.alpha_pow(s)]) for s in self.steps]
         raw = bytes(word)
         rows = [raw[i:i + n] for i in range(0, len(raw), n)]
-        for row_tables, step in tables:
+        for row_tables, step in self._power_tables:
             acc = 0
             for row, table in zip(rows, row_tables):
                 acc ^= from_bytes(row.translate(table), "little")

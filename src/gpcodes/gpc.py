@@ -242,10 +242,6 @@ class SymbolArray:
         return [(r, c) for r in range(self.m) for c in range(self.n)
                 if self.erased[r][c]]
 
-    def transposed(self) -> "SymbolArray":
-        return self._masked(list(map(list, zip(*self.values))),
-                            list(map(list, zip(*self.erased))))
-
     def flatten(self) -> list[int]:
         return [v for row in self.values for v in row]
 
@@ -290,10 +286,6 @@ class ErasureProfile(NamedTuple):
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(c for c, _ in self.entries)
-
-    @property
-    def row_order(self) -> tuple[int, ...]:
-        return tuple(r for _, r in self.entries)
 
 
 def decodable_profile(profile: ErasureProfile, params: GpcParams) -> bool:
@@ -467,12 +459,12 @@ def _repair_rows(values: list[list[int]], rows: Sequence[int],
 class DecodeTrace:
     """Optional record of the row decoder's internal steps."""
 
-    def __init__(self, row_order: tuple[int, ...] = (),
-                 counts: tuple[int, ...] = (), system: Matrix | None = None,
-                 steps: list[tuple[int, int, int | None]] | None = None):
-        self.row_order, self.counts, self.system = row_order, counts, system
+    def __init__(self):
+        self.row_order: tuple[int, ...] = ()
+        self.counts: tuple[int, ...] = ()
+        self.system: Matrix | None = None
         # (profile position, row index, level used; None = vanishing combo)
-        self.steps = [] if steps is None else steps
+        self.steps: list[tuple[int, int, int | None]] = []
 
 
 # Triangulations by (params, row order, system size), least recently

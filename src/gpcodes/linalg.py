@@ -37,10 +37,10 @@ evicting the least recently used entry.
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
 h3 codes a whole word at a time, once their row and column sums have
 peeled what they can, ``gpc`` one array row at a time against one
-level's row code.  Its :meth:`LinearCode.syndrome` is
-compiled once per code, not once per pattern: for w <= 8 the check
-matrix's columns as bytes, the check-only plan of no erasures, so
-``H @ word`` costs one ``bytes.translate`` per nonzero symbol.  The
+level's row code.  Its :meth:`LinearCode.syndrome` map is built with
+the code, not once per pattern: for w <= 8 the check matrix's columns
+as bytes, the check-only plan of no erasures, so ``H @ word`` costs
+one ``bytes.translate`` per nonzero symbol.  The
 scalar fill of a pattern with no plan yet solves from that syndrome,
 and both families' membership tests read it.  Wider fields fall back
 to :meth:`Matrix.mul_vec`.
@@ -79,15 +79,8 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def zeros(cls, field: GF, rows: int, cols: int) -> "Matrix":
-        return cls(field, [[0] * cols for _ in range(rows)])
-
-    @classmethod
     def identity(cls, field: GF, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -113,12 +106,6 @@ class Matrix:
                     acc ^= f.mul(a, b)
             out.append(acc)
         return out
-
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        cols = [self.mul_vec(col) for col in zip(*other.data)]
-        return Matrix(self.field, zip(*cols) if cols else [[]] * self.rows)
 
 
 def vstack(blocks: Sequence[Matrix]) -> Matrix:
@@ -535,10 +522,13 @@ class LinearCode:
         self._parity_positions: tuple[int, ...] | None = None
         self._data_positions: tuple[int, ...] | None = None
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
-        self._checks: ByteMap | None = None
         # The check rows as working rows, built once: every plan compile
         # and the parity choice eliminate a shallow copy.
         self._rows = _work_rows(self.field, self.check_matrix.data)
+        # For w <= 8, syndrome's map, which is also the plan of no
+        # erasures.
+        self._checks = (ByteMap(self.field, self._rows, ())
+                        if self.field.w <= 8 else None)
         # A plan's footprint, bounded above: per position, a column of
         # one byte per check row and at most 64 bytes of object overhead
         # (by tracemalloc, held plans fill 73% of this bound on G16's
@@ -575,8 +565,8 @@ class LinearCode:
     def syndrome(self, word: Sequence[int]) -> list[int]:
         """``check_matrix.mul_vec(word)`` for a word of symbols in range.
 
-        For w <= 8 it runs the code's check-only plan, compiled on first
-        use: the check matrix's columns as bytes, one byte per check row
+        For w <= 8 it runs the code's check-only plan, built with the
+        code: the check matrix's columns as bytes, one byte per check row
         (the plan of no erasures), each multiplied with one
         ``bytes.translate`` and XORed as one big integer.  Wider fields
         run :meth:`Matrix.mul_vec`.
@@ -586,10 +576,7 @@ class LinearCode:
             raise ValueError("vector length mismatch")
         if self.field.w > 8:
             return h.mul_vec(word)
-        checks = self._checks
-        if checks is None:
-            checks = self._compile(())
-        return list(checks.image(word).to_bytes(h.rows, "little"))
+        return list(self._checks.image(word).to_bytes(h.rows, "little"))
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
         # The solve of ``check_matrix @ word = 0`` for the positions
@@ -602,11 +589,9 @@ class LinearCode:
         # survivors, and the survivors are consistent with the code
         # exactly when B sends them to zero: the residual rows, kept as
         # the map's check symbols, that solve tests.  None when the
-        # erased columns are dependent.  The plan of no erasures is the
-        # check rows themselves, built once and shared with syndrome.
+        # erased columns are dependent.  The plan of no erasures is
+        # syndrome's map.
         if not erased:
-            if self._checks is None:
-                self._checks = ByteMap(self.field, self._rows, ())
             return self._checks
         rows = list(self._rows)
         if len(_eliminate(rows, self.field, erased, full=True)) < len(erased):

@@ -282,17 +282,10 @@ def _random_pattern(m: int, n: int, max_weight: int,
 
 
 class EquivalenceReport:
-    def __init__(self, trials: int, seed: int, correctable_count: int = 0,
-                 profile_accepted_count: int = 0,
-                 mismatches: list[str] | None = None):
+    def __init__(self, trials: int, seed: int):
         self.trials, self.seed = trials, seed
-        self.correctable_count = correctable_count
-        self.profile_accepted_count = profile_accepted_count
-        self.mismatches = [] if mismatches is None else mismatches
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
+        self.correctable_count = self.profile_accepted_count = 0
+        self.mismatches: list[str] = []
 
 
 def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,

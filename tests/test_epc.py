@@ -268,6 +268,33 @@ def test_shapes_without_a_bound_are_those_with_no_data_symbols():
                     (3, 2, 4), (3, 3, 2), (3, 4, 2)}
 
 
+def _generic_code(shape, field, rng):
+    # EP(m, v; n, h; g) with random global rows: the checks of the t = 1
+    # gpc product code (v vertical, h horizontal parities), then g rows
+    # of nonzero random symbols.
+    m, v, n, h, g = shape
+    product = full_parity_matrix(
+        GpcParams(m, n, k=m - v, s=(m,), u=(h,), field=field))
+    top = 1 << field.w
+    return Matrix(field, product.data + [
+        [rng.randrange(1, top) for _ in range(m * n)] for _ in range(g)])
+
+
+@pytest.mark.parametrize("v, h", [(1, 2), (2, 1), (2, 2)])
+def test_generic_codes_meet_the_distance_bound(v, h):
+    # where no construction pins the bound: v or h is 2, g = 1, 2, 3;
+    # 4 x 5 and 5 x 4 draw one seed each, as their searches are longer
+    field = default_field(16)
+    for m, n, seeds in ((4, 4, (0, 1)), (4, 5, (0,)), (5, 4, (0,))):
+        for g in (1, 2, 3):
+            shape = EpcShape(m, v, n, h, g)
+            bound, _ = distance_bound(shape)
+            for seed in seeds:
+                h_matrix = _generic_code(shape, field, random.Random(seed))
+                report = brute_min_distance(h_matrix, cap=bound)
+                assert report.distance == bound, (str(shape), seed)
+
+
 @pytest.mark.parametrize("w", [3, 4, 8, 10])
 def test_lc_is_member_rejects_symbols_out_of_field(w):
     field = default_field(w)

@@ -9,7 +9,7 @@ import pytest
 from gpcodes import gpc, linalg
 from gpcodes.fields import default_field
 from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams,
-                         UncorrectableError, decodable_profile,
+                         SymbolArray, UncorrectableError, decodable_profile,
                          decode_iterative, decode_rows, encode,
                          erase_positions, full_parity_matrix,
                          min_weight_codeword)
@@ -76,7 +76,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
         return left
     f = params.field
     m, k, t = params.m, params.k, params.t
-    order = profile.row_order
+    order = tuple(r for _, r in profile.entries)
     counts = profile.counts
     nsys = max(m - k, sum(1 for c in counts if c))
     reduced = gpc._triangulated_system(params, order, nsys)
@@ -130,15 +130,20 @@ def ref_decode_rows(arr, params, trace=None):
     return work
 
 
+def _transposed(work):
+    # The column view of a SymbolArray: its values and mask, zipped.
+    return SymbolArray(zip(*work.values), zip(*work.erased))
+
+
 def ref_decode_iterative(arr, params):
     view = gpc._view(params)
     work = _ref_checked_copy(arr, params)
     try:
         while (left := _ref_row_pass(work, view)) and \
                 view.col_params is not None:
-            flipped = work.transposed()
+            flipped = _transposed(work)
             after = _ref_row_pass(flipped, gpc._view(view.col_params))
-            work = flipped.transposed()
+            work = _transposed(flipped)
             if not 0 < after < left:
                 break
     except NoSolutionError as exc:
@@ -300,13 +305,13 @@ def test_the_all_zero_codeword_decodes_to_zeros(params, pattern, limit,
 
 
 def test_every_erasure_pattern_of_the_smallest_codes():
-    """All 3872 erasure patterns of the 23 grid codes with mn <= 8, on
+    """All 27 936 erasure patterns of the 51 grid codes with mn <= 10, on
     one seeded codeword each: decode_rows recovers every pattern that
     decodable_profile guarantees and returns only the codeword, on
     oracle-correctable patterns; decode_iterative never writes a wrong
     symbol and fills every cell only of oracle-correctable patterns."""
-    codes = [p for p in _small_param_grid() if p.m * p.n <= 8]
-    assert len(codes) == 23
+    codes = [p for p in _small_param_grid() if p.m * p.n <= 10]
+    assert len(codes) == 51
     rng = random.Random(30)
     patterns = 0
     for p in codes:
@@ -331,7 +336,7 @@ def test_every_erasure_pattern_of_the_smallest_codes():
                 for v, e, x in zip(vr, er, wr)), case
             assert out.erasure_count or ok, case
             patterns += 1
-    assert patterns == 3872
+    assert patterns == 27936
 
 
 @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,

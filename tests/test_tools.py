@@ -130,3 +130,25 @@ def test_bench_pairs_refuses_a_bytecode_cache_in_one_checkout(
     (parent / "src" / "gpcodes" / "__pycache__").mkdir()
     assert tool.main([str(parent), str(change), *options]) == 0
     assert len(runs) == 4
+
+
+def test_mutants_reports_a_surviving_mutant_and_a_stale_pattern(capsys):
+    tool = load_tool("mutants")
+    live = tool.MUTANTS[0]
+    stale = live._replace(name="stale", old="text that is in no file")
+    seen = []
+
+    def tests_pass(root, tests):      # no subprocess: every mutant survives
+        seen.append(((root / live.path).read_text().count(live.new), tests))
+        return False
+
+    assert tool.run_table([live, stale], run=tests_pass) == 1
+    assert seen == [(1, live.tests)]   # the stale mutant never ran
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"SURVIVED: {live.name}",
+        f"STALE (old text found 0 times in {live.path}): stale"]
+    assert lines[2].startswith("2 mutants, 0 caught")
+    assert tool.run_table([live], run=lambda root, tests: True) == 0
+    assert capsys.readouterr().out.startswith(f"caught: {live.name}\n")
+

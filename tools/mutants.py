@@ -1,0 +1,259 @@
+"""Check that the tests still catch a table of known bugs (mutants).
+
+Each mutant is an exact replacement of old text by new text in one
+file, which must match exactly once, plus the tests that must catch it,
+as pytest node ids.  For each mutant the tool copies ``src``, ``tests``,
+``tools``, ``README.md`` and ``pyproject.toml`` to a temporary
+directory, applies the replacement there and runs
+``pytest -x -q -W error`` on the mutant's tests.  The mutant is caught
+when a test in that run fails.  It prints one line per mutant, and
+exits 1 when a mutant survives, its tests cannot run, or its old text
+is stale, so that a refactor of the code a mutant names updates the
+table on purpose.  Standard library only; run from anywhere:
+
+    python tools/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "tools", "README.md", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str                 # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]    # pytest node ids, relative to the root
+
+
+GPC, LINALG, EPC, ORACLE = (f"src/gpcodes/{m}.py"
+                            for m in ("gpc", "linalg", "epc", "oracle"))
+ROW_PASS = "tests/test_row_pass.py::"
+REFERENCE = ROW_PASS + "test_decoders_match_the_symbol_array_reference"
+CENSUS = ROW_PASS + "test_every_erasure_pattern_of_the_smallest_codes"
+LOCAL_FIRST = ("tests/test_properties.py::test_local_first_decode_equals_the_"
+               "generic_fill_on_every_pattern")
+
+MUTANTS = (
+    # gpc: the row pass, the decode driver, arrays and parameters
+    Mutant("profile ties break toward larger rows", GPC,
+           "sorted(range(m), key=lambda r: len(erased[r]),",
+           "sorted(range(m - 1, -1, -1), key=lambda r: len(erased[r]),",
+           (REFERENCE,)),
+    Mutant("a peeled row keeps its erased columns", GPC,
+           "        erased[row_idx] = ()\n", "", (REFERENCE,)),
+    Mutant("erased cells keep what the caller wrote", GPC,
+           "        for c in cols:\n            row[c] = 0\n",
+           "        for c in cols:\n            pass\n",
+           (ROW_PASS + "test_decoders_leave_input_untouched_and_return_"
+            "fresh_rows",)),
+    Mutant("the decode works on the caller's rows", GPC,
+           "values = [vals[:] for vals in arr.values]",
+           "values = arr.values",
+           (ROW_PASS + "test_decoders_leave_input_untouched_and_return_"
+            "fresh_rows",)),
+    Mutant("a row repair never writes its cells back", GPC,
+           "            values[r][c] = x\n", "            pass\n",
+           ("tests/test_gpc.py::test_decode_rows_roundtrip_random",)),
+    Mutant("decode_rows returns what it could not repair", GPC,
+           "iterate=False, trace=trace)\n    if left:",
+           "iterate=False, trace=trace)\n    if False:", (CENSUS,)),
+    Mutant("the row pass peels past the budgets", GPC,
+           "    if any(map(gt, counts, view.budgets)):\n        return left\n",
+           "", (CENSUS,)),
+    Mutant("a stall writes one wrong symbol", GPC,
+           "    return _as_array(values, erased), left\n",
+           "    if left:\n"
+           "        r = next(r for r, cols in enumerate(erased)\n"
+           "                 if len(cols) < len(values[r]))\n"
+           "        values[r][min(set(range(len(values[r]))) - set(erased[r]))]"
+           " ^= 1\n"
+           "    return _as_array(values, erased), left\n", (CENSUS,)),
+    Mutant("the column pass is skipped", GPC,
+           "after = _row_pass(col_values, col_erased, "
+           "_view(view.col_params))", "after = 0", (REFERENCE,)),
+    Mutant("codes have no column view", GPC,
+           "params.transposed() if params.k < params.m else None,", "None,",
+           ("tests/test_gpc.py::test_decode_iterative_staircase",)),
+    Mutant("arrays keep junk in their erased cells", GPC,
+           "                    vals[c] = 0\n", "                    pass\n",
+           ("tests/test_gpc.py::test_symbol_array_copy_zeroes_erased_cells",)),
+    Mutant("arrays take ragged rows", GPC,
+           "for row in self.values):\n            raise ValueError(\"ragged "
+           "rows\")", "for row in self.values):\n            pass",
+           ("tests/test_gpc.py::test_symbol_array_mask_is_authoritative",)),
+    Mutant("profile ties break toward larger rows, from counts", GPC,
+           "key=lambda r: (-counts[r], r))", "key=lambda r: (-counts[r], -r))",
+           ("tests/test_gpc.py::test_profile_ordering",)),
+    Mutant("the column view's strengths are off by one", GPC,
+           "u_new = tuple(self.s_hat(t - i) for i in range(t))",
+           "u_new = tuple(self.s_hat(t - i) - (i == 0) for i in range(t))",
+           ("tests/test_gpc.py::test_transpose_preserves_code",)),
+    Mutant("GpcParams gets an instance dict", GPC,
+           "    __slots__ = ()\n\n    def __new__", "    def __new__",
+           ("tests/test_package.py::test_records_are_immutable_values",)),
+    # linalg
+    Mutant("kron flattens columns column-major", LINALG,
+           "for x in ar for y in br]", "for y in br for x in ar]",
+           ("tests/test_linalg.py::test_kron_mixed_product",)),
+    Mutant("identity fills its upper triangle", LINALG,
+           "int(i == j)", "int(i <= j)",
+           ("tests/test_linalg.py::test_identity_and_mul_vec",)),
+    Mutant("rank is the smaller dimension", LINALG,
+           "    return len(_eliminate(_work_rows(m.field, m.data), m.field,\n"
+           "                          range(m.cols), full=False))\n",
+           "    return min(m.rows, m.cols)\n",
+           ("tests/test_linalg.py::test_rank",)),
+    Mutant("row_reduce clears above its pivots too", LINALG,
+           "    _eliminate(work, m.field, range(m.cols), full=False)\n"
+           "    return Matrix(m.field, work)",
+           "    _eliminate(work, m.field, range(m.cols), full=True)\n"
+           "    return Matrix(m.field, work)",
+           ("tests/test_linalg.py::test_row_reduce_keeps_triangular_"
+            "structure",)),
+    Mutant("maps compile on their third use", LINALG,
+           "before <= 1 < self.uses", "before <= 2 < self.uses",
+           ("tests/test_linalg.py::test_every_map_compiles_on_its_second_use",)),
+    Mutant("caches evict one entry late", LINALG,
+           "while len(cache) >= limit:", "while len(cache) > limit:",
+           ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
+    Mutant("a plan ignores its check symbols", LINALG,
+           "        if acc >> 8 * width:\n", "        if False:\n",
+           ("tests/test_gpc.py::test_contradicting_survivor_reports_erased_"
+            "cells",)),
+    Mutant("the plan of no erasures is not syndrome's map", LINALG,
+           "        if not erased:\n            return self._checks\n", "",
+           ("tests/test_linalg.py::test_syndrome_equals_mul_vec",)),
+    # epc's local-first decode
+    Mutant("a peeled word skips its line sums", EPC,
+           "if any(row_sums) or any(col_sums) or not code.powers_vanish",
+           "if not code.powers_vanish", (LOCAL_FIRST,)),
+    Mutant("a peeled word skips its power rows", EPC,
+           "if any(row_sums) or any(col_sums) or not code.powers_vanish(word)",
+           "if any(row_sums) or any(col_sums)", (LOCAL_FIRST,)),
+    Mutant("the power check runs Horner backwards", EPC,
+           'for v in acc.to_bytes(n, "big"):',
+           'for v in acc.to_bytes(n, "little"):',
+           ("tests/test_epc.py::test_a_fully_peeled_decode_adds_no_plan_slot",)),
+    Mutant("the peel fills lines with two erasures", EPC,
+           "if in_row[r] == 1:", "if in_row[r] <= 2:",
+           ("tests/test_epc.py::test_lc_erasure_decode_small_patterns",)),
+    # the distance oracle and the equivalence report
+    Mutant("the frontier walk stops one column low", ORACLE,
+           "return j - 1, walked", "return j - 2, walked",
+           ("tests/test_oracle.py::test_frontier_prune_certifies_independent_"
+            "prefix_at_the_root",)),
+    Mutant("a dependent single column is reported as the last one", ORACLE,
+           "                    examined += j + 1\n"
+           "                    return (j,)\n",
+           "                    examined += j + 1\n"
+           "                    return (hi,)\n",
+           ("tests/test_oracle.py::test_brute_min_distance_cap_and_budget",)),
+    Mutant("the distance search takes a matrix with no columns", ORACLE,
+           "    if n == 0:\n        raise DistanceCapError(\"empty matrix has "
+           "no columns\")\n", "",
+           ("tests/test_oracle.py::test_brute_min_distance_cap_and_budget",)),
+    Mutant("a report starts with a mismatch", ORACLE,
+           "self.mismatches: list[str] = []",
+           "self.mismatches: list[str] = [\"spurious\"]",
+           ("tests/test_oracle.py::test_equivalence_flagship",)),
+    Mutant("the equivalence check returns an empty report", ORACLE,
+           "                f\"{tag}: iterative decoder 'succeeded' on an "
+           "ambiguous pattern\")\n    return report\n",
+           "                f\"{tag}: iterative decoder 'succeeded' on an "
+           "ambiguous pattern\")\n    return EquivalenceReport(trials, seed)\n",
+           ("tests/test_oracle.py::test_equivalence_reports_every_kind_of_"
+            "mismatch",)),
+    # the CLI's start-up
+    Mutant("the CLI loads the oracle at start-up", "src/gpcodes/cli.py",
+           "from . import epc, files, gpc\n",
+           "from . import epc, files, gpc, oracle  # noqa: F401\n",
+           ("tests/test_package.py::test_cli_import_skips_dataclasses_"
+            "inspect_and_oracle",)),
+)
+
+
+def apply(root: Path, mutant: Mutant) -> str | None:
+    """Apply ``mutant`` to the tree at ``root``: None, or why its old text
+    is stale, with the tree left as it was."""
+    path = root / mutant.path
+    text = path.read_text() if path.is_file() else ""
+    found = text.count(mutant.old)
+    if found != 1:
+        return f"old text found {found} times in {mutant.path}"
+    path.write_text(text.replace(mutant.old, mutant.new))
+    return None
+
+
+def tests_fail(root: Path, tests: Sequence[str]) -> bool:
+    """Whether pytest, run in ``root`` on ``tests``, finds a failing
+    test.  Raises RuntimeError when it could not run them, as on a
+    collection error, a node id that matches no test or a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-W", "error",
+             "-p", "no:cacheprovider", *tests],
+            cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    except subprocess.TimeoutExpired as exc:
+        raise RuntimeError(f"pytest ran past {exc.timeout} s") from exc
+    if done.returncode in (0, 1):       # passed, or a test failed
+        return done.returncode == 1
+    raise RuntimeError(f"pytest exited {done.returncode}:\n"
+                       + done.stdout[-1500:] + done.stderr[-1500:])
+
+
+def check(mutant: Mutant,
+          run: Callable[[Path, Sequence[str]], bool] = tests_fail) -> str:
+    """The verdict on ``mutant``: ``caught``, ``SURVIVED``,
+    ``STALE (<why>)`` or ``ERROR (<why>)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, root / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(ROOT / name, root / name)
+        stale = apply(root, mutant)
+        if stale:
+            return f"STALE ({stale})"
+        try:
+            return "caught" if run(root, mutant.tests) else "SURVIVED"
+        except RuntimeError as exc:
+            return f"ERROR ({exc})"
+
+
+def run_table(mutants: Sequence[Mutant],
+              run: Callable[[Path, Sequence[str]], bool] = tests_fail) -> int:
+    """Print each mutant's verdict, in table order; 0 when every one is
+    caught, else 1.  Two mutants run at a time, each in its own copy."""
+    start = time.perf_counter()
+    bad = 0
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        verdicts = pool.map(lambda m: check(m, run), mutants)
+        for mutant, verdict in zip(mutants, verdicts):
+            print(f"{verdict}: {mutant.name}", flush=True)
+            bad += verdict != "caught"
+    print(f"{len(mutants)} mutants, {len(mutants) - bad} caught, "
+          f"{time.perf_counter() - start:.1f} s")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    return run_table(MUTANTS)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
