@@ -96,9 +96,6 @@ def cmd_decode(args) -> int:
     if w != spec.field.w:
         raise files.SpecFileError(
             f"array symbol width {w} does not match field width {spec.field.w}")
-    if (arr.m, arr.n) != (spec.m, spec.n):
-        raise files.SpecFileError(
-            f"array is {arr.m}x{arr.n}, code expects {spec.m}x{spec.n}")
     try:
         result = (gpc.decode_rows(arr, spec.params) if args.single_pass
                   else spec.decode(arr))

@@ -17,8 +17,9 @@ shapes.  Three concrete constructions are provided:
   satisfy it by construction.
 
 The latter two are linear codes on flattened arrays: a
-:class:`~gpcodes.linalg.LinearCode`, re-exported here, that knows its
-array shape.  Their check rows are the product code's,
+:class:`~gpcodes.linalg.LinearCode`, re-exported here, that builds its
+own check rows from m, n, the field and its power steps, and keeps its
+:class:`EpcShape` as ``shape``.  Those rows are the product code's,
 the t = 1 generalized product code of
 :func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
 per array column, plus the global power rows.  :func:`lc_erasure_decode`
@@ -109,18 +110,28 @@ def build_optimal_g1(m: int, v: int, n: int, h: int,
 
 
 class _PowerRowsCode(LinearCode):
-    # build_h2's and build_h3's code: check rows that are the m row sums
-    # and n column sums of an m x n array flattened row by row, then the
-    # row alpha^(step*j) for each of ``steps``.  lc_erasure_decode peels
-    # its words on the sums before any fill.  For w <= 8, powers_vanish's
-    # tables are built with the code: per step, the product tables of
-    # alpha^(step*r*n) for each array row r, and that of alpha^step.
+    # build_h2's and build_h3's code, EP(m, 1; n, 1; len(steps)), which
+    # builds its own check rows: the t = 1 product code's m row sums and
+    # n column sums of an m x n array flattened row by row, then the row
+    # alpha^(step*j) for each of ``steps``.  It keeps that EpcShape as
+    # ``shape``.  lc_erasure_decode peels its words on the sums before
+    # any fill.  For w <= 8, powers_vanish's tables are built with the
+    # code: per step, the product tables of alpha^(step*r*n) for each
+    # array row r, and that of alpha^step.
 
-    def __init__(self, check_matrix: Matrix, m: int, n: int,
+    def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
-        super().__init__(check_matrix)
+        if m < 2 or n < 2:
+            raise ValueError("need m, n >= 2")
+        f = field_with_order(m * n) if field is None else field
+        if f.alpha_order < m * n:
+            raise ValueError(f"order(alpha)={f.alpha_order} < m*n={m * n}")
+        product = full_parity_matrix(
+            GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=f))
+        super().__init__(Matrix(f, product.data + [
+            [f.alpha_pow(step * j) for j in range(m * n)] for step in steps]))
         self.m, self.n = m, n
-        f = self.field
+        self.shape = EpcShape(m, 1, n, 1, len(steps))
         mul = f.mul_tables() if f.w <= 8 else None
         self._power_tables = None if mul is None else [
             ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
@@ -169,23 +180,6 @@ class _PowerRowsCode(LinearCode):
         return True
 
 
-def _power_rows_code(m: int, n: int, field: GF | None,
-                     steps: tuple[int, ...]) -> LinearCode:
-    # The product code's checks, then the row alpha^(step*j) per step.
-    if m < 2 or n < 2:
-        raise ValueError("need m, n >= 2")
-    if field is None:
-        field = field_with_order(m * n)
-    if field.alpha_order < m * n:
-        raise ValueError(
-            f"order(alpha)={field.alpha_order} < m*n={m * n}")
-    product = full_parity_matrix(
-        GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=field))
-    powers = [[field.alpha_pow(step * j) for j in range(m * n)]
-              for step in steps]
-    return _PowerRowsCode(Matrix(field, product.data + powers), m, n, steps)
-
-
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
     """EP(m, 1; n, 1; 2) on flattened m x n arrays.
 
@@ -195,7 +189,7 @@ def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
     inverse-power twin.  Needs order(alpha) >= m*n, which also makes
     that product code valid.
     """
-    return _power_rows_code(m, n, field, (1, -1))
+    return _PowerRowsCode(m, n, field, (1, -1))
 
 
 def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -205,7 +199,7 @@ def build_h3(m: int, n: int, field: GF | None = None) -> LinearCode:
     and ``GF.from_prime(19)`` by brute force; else 9, reached exactly
     when the field meets :func:`check_condition_35`.
     """
-    return _power_rows_code(m, n, field, (1, -1, 2))
+    return _PowerRowsCode(m, n, field, (1, -1, 2))
 
 
 def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] | None:

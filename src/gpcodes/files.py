@@ -54,9 +54,11 @@ class CodeSpec:
     carries the extended-product shape when the kind implies one.  This
     is the one place that tells the two families apart: ``field``,
     ``m`` and ``n`` are the code's field and array shape for every
-    kind, and :meth:`encode` and :meth:`decode` take and return m x n
-    arrays (:class:`~gpcodes.gpc.SymbolArray`) for every kind.  They
-    run ``gpc.encode`` and ``gpc.decode_iterative``, or
+    kind, read from the code it holds, and :meth:`encode` and
+    :meth:`decode` take and return m x n arrays
+    (:class:`~gpcodes.gpc.SymbolArray`) for every kind; :meth:`decode`
+    checks the array's shape against the code's before any decode.
+    They run ``gpc.encode`` and ``gpc.decode_iterative``, or
     ``epc.lc_encode`` and ``epc.lc_erasure_decode`` on the array read
     row by row, each looked up on its module at call time.
     """
@@ -66,10 +68,8 @@ class CodeSpec:
                  shape: EpcShape | None = None):
         self.kind, self.params, self.linear, self.shape = (
             kind, params, linear, shape)
-        if params is not None:
-            self.field, self.m, self.n = params.field, params.m, params.n
-        else:
-            self.field, self.m, self.n = linear.field, shape.m, shape.n
+        code = linear if params is None else params
+        self.field, self.m, self.n = code.field, code.m, code.n
 
     def encode(self, data: list[int]) -> SymbolArray:
         """The codeword array whose data cells hold ``data`` in order."""
@@ -80,12 +80,15 @@ class CodeSpec:
     def decode(self, arr: SymbolArray) -> SymbolArray:
         """``arr`` with its erased cells recovered.
 
-        Raises :class:`~gpcodes.gpc.UncorrectableError`, with the
-        unresolved (row, col) cells as ``remaining``, when the survivors
-        contradict the code; a flat code raises so too on a pattern
-        beyond its reach, where a gpc decode returns those cells still
-        erased.
+        Raises ``ValueError`` when ``arr`` is not m x n.  Raises
+        :class:`~gpcodes.gpc.UncorrectableError`, with the unresolved
+        (row, col) cells as ``remaining``, when the survivors contradict
+        the code; a flat code raises so too on a pattern beyond its
+        reach, where a gpc decode returns those cells still erased.
         """
+        if (arr.m, arr.n) != (self.m, self.n):
+            raise ValueError(f"array is {arr.m}x{arr.n}, code expects "
+                             f"{self.m}x{self.n}")
         if self.params is not None:
             return gpc.decode_iterative(arr, self.params)
         erased = {r * self.n + c for r, c in arr.erased_positions()}
@@ -138,10 +141,9 @@ def parse_code_spec(obj: dict) -> CodeSpec:
             return CodeSpec(kind, params=params, shape=EpcShape(m, v, n, h, 1))
         if kind in ("epc-h2", "epc-h3"):
             m, n = _require(obj, ["m", "n"], kind)
-            build, g = (build_h2, 2) if kind == "epc-h2" else (build_h3, 3)
-            code, shape = build(m, n, field), EpcShape(m, 1, n, 1, g)
-            distance_bound(shape)    # raises on shapes with no data symbols
-            return CodeSpec(kind, linear=code, shape=shape)
+            code = (build_h2 if kind == "epc-h2" else build_h3)(m, n, field)
+            distance_bound(code.shape)   # raises on shapes with no data symbols
+            return CodeSpec(kind, linear=code, shape=code.shape)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):
             raise

@@ -368,7 +368,7 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
 def _check_shape(arr: SymbolArray, params: GpcParams) -> None:
     if (arr.m, arr.n) != (params.m, params.n):
         raise ValueError(
-            f"array is {arr.m}x{arr.n}, parameters expect {params.m}x{params.n}")
+            f"array is {arr.m}x{arr.n}, code expects {params.m}x{params.n}")
 
 
 def _work_rows(arr: SymbolArray,

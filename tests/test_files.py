@@ -97,6 +97,9 @@ def test_parse_epc_specs():
                                     "alpha": 2}})
     assert h3.linear.check_matrix.rows == 9
     assert h3.field.w == 10
+    for m, n in ((3, 3), (3, 4), (5, 2)):
+        assert epc.build_h2(m, n).shape == epc.EpcShape(m, 1, n, 1, 2)
+        assert epc.build_h3(m, n).shape == epc.EpcShape(m, 1, n, 1, 3)
 
 
 def test_parse_spec_unknown_kind():
@@ -244,3 +247,19 @@ def test_codec_calls_the_library_through_module_attributes(
     spec, _, arr, holes = _codec_case(kind)
     assert spec.decode(holes) == arr
     assert calls == [name]
+
+
+@pytest.mark.parametrize("kind", list(SPECS))
+def test_codec_refuses_an_array_of_another_shape(kind):
+    # A 3 x 4 codeword written back transposed, and the zero array, each
+    # 4 x 3 with one cell erased: every kind refuses both before any
+    # decode (a flat code would read the zero array as 3 x 4).
+    extra = {"gpc": {"k": 2, "s": [3], "u": [1]}, "epc-g1": {"v": 1, "h": 1}}
+    spec = parse_code_spec({"kind": kind, "m": 3, "n": 4,
+                            **extra.get(kind, {})})
+    k = (spec.params.dimension() if spec.params is not None
+         else spec.linear.dimension)
+    arr = spec.encode([(7 * i + 1) % (1 << spec.field.w) for i in range(k)])
+    for wrong in (SymbolArray(zip(*arr.values)), SymbolArray.zeros(4, 3)):
+        with pytest.raises(ValueError, match="array is 4x3, code expects 3x4"):
+            spec.decode(erase_positions(wrong, [(1, 2)]))

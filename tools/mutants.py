@@ -134,7 +134,11 @@ MUTANTS = (
     Mutant("the plan of no erasures is not syndrome's map", LINALG,
            "        if not erased:\n            return self._checks\n", "",
            ("tests/test_linalg.py::test_syndrome_equals_mul_vec",)),
-    # epc's local-first decode
+    # epc: the flat codes' shape and their local-first decode
+    Mutant("a flat code records one global parity too few", EPC,
+           "EpcShape(m, 1, n, 1, len(steps))",
+           "EpcShape(m, 1, n, 1, len(steps) - 1)",
+           ("tests/test_cli.py::test_shapes_with_no_data_symbols_exit_2",)),
     Mutant("a peeled word skips its line sums", EPC,
            "if any(row_sums) or any(col_sums) or not code.powers_vanish",
            "if not code.powers_vanish", (LOCAL_FIRST,)),
@@ -174,6 +178,14 @@ MUTANTS = (
            "ambiguous pattern\")\n    return EquivalenceReport(trials, seed)\n",
            ("tests/test_oracle.py::test_equivalence_reports_every_kind_of_"
             "mismatch",)),
+    # the codec
+    Mutant("the codec decodes a mis-shaped array", "src/gpcodes/files.py",
+           "        if (arr.m, arr.n) != (self.m, self.n):\n"
+           "            raise ValueError(f\"array is {arr.m}x{arr.n}, code "
+           "expects \"\n                             f\"{self.m}x{self.n}\")\n",
+           "",
+           ("tests/test_files.py::test_codec_refuses_an_array_of_another_"
+            "shape",)),
     # the CLI's start-up
     Mutant("the CLI loads the oracle at start-up", "src/gpcodes/cli.py",
            "from . import epc, files, gpc\n",
