@@ -132,7 +132,7 @@ class _PowerRowsCode(LinearCode):
             [f.alpha_pow(step * j) for j in range(m * n)] for step in steps]))
         self.m, self.n = m, n
         self.shape = EpcShape(m, 1, n, 1, len(steps))
-        mul = f.mul_tables() if f.w <= 8 else None
+        mul = f.mul_tables
         self._power_tables = None if mul is None else [
             ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
              mul[f.alpha_pow(s)]) for s in steps]

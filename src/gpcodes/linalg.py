@@ -5,7 +5,7 @@ arithmetic.  A :class:`Matrix` holds its rows as plain lists of ints.
 Every elimination runs through one in-place kernel, ``_eliminate``,
 on working rows built by ``_work_rows``: ``bytes`` for w <= 8, so that
 a row is scaled with one ``bytes.translate`` through a product table
-(see :meth:`GF.mul_tables`) and cleared by XORing the translated pivot
+(see :attr:`GF.mul_tables`) and cleared by XORing the translated pivot
 row as one big integer, and int lists, multiplied entry by entry, for
 w > 8.  The kernel pivots on the columns it is given, in that order,
 picks unit pivots top to bottom and has two modes:
@@ -171,7 +171,7 @@ def _eliminate(rows: list, field: GF, cols: Iterable[int],
     # of a list of working rows is a working copy.
     mul, from_bytes = field.mul, int.from_bytes
     nrows = len(rows)
-    tables = field.mul_tables() if rows and type(rows[0]) is bytes else None
+    tables = field.mul_tables if rows and type(rows[0]) is bytes else None
     pivots: list[int] = []
     for col in cols:
         p = len(pivots)
@@ -292,7 +292,7 @@ class ByteMap:
     slice; a target has the empty column, whatever its rows hold there,
     so its symbol is ignored.  :meth:`apply` multiplies a column with
     one ``bytes.translate`` through the field's product table (see
-    :meth:`GF.mul_tables`) and XORs the columns as one big integer:
+    :attr:`GF.mul_tables`) and XORs the columns as one big integer:
     Jerasure's idiom, with no per-symbol field arithmetic.  It fills
     blocks of L words at once as well.
     """
@@ -301,7 +301,7 @@ class ByteMap:
 
     def __init__(self, field: GF, rows: Sequence[bytes],
                  targets: Sequence[int]):
-        self.tables = field.mul_tables()
+        self.tables = field.mul_tables
         self.targets = targets
         self.height = len(rows)
         size = len(rows[0]) if rows else 0
@@ -378,7 +378,7 @@ class SplitMap:
     __slots__ = ("lo", "hi", "height")
 
     def __init__(self, field: GF, columns: Sequence[bytes]):
-        tables, from_bytes = field.mul_tables(), int.from_bytes
+        tables, from_bytes = field.mul_tables, int.from_bytes
         low, high = tables[:16], tables[::16]
         self.height = len(columns[0]) if columns else 0
         self.lo: list[tuple[int, ...]] = []
@@ -438,7 +438,7 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     fields multiply symbol by symbol and take no blocks.
     """
     if field.w <= 8:
-        tables, from_bytes = field.mul_tables(), int.from_bytes
+        tables, from_bytes = field.mul_tables, int.from_bytes
         raw = _raw(block)
         acc = 0
         for g, row in terms:
@@ -519,12 +519,19 @@ class LinearCode:
         self.check_matrix = check_matrix
         self.field = self.check_matrix.field
         self.length = self.check_matrix.cols
-        self._parity_positions: tuple[int, ...] | None = None
-        self._data_positions: tuple[int, ...] | None = None
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
         # The check rows as working rows, built once: every plan compile
         # and the parity choice eliminate a shallow copy.
         self._rows = _work_rows(self.field, self.check_matrix.data)
+        # The greedy systematic choice: pivoting right to left picks the
+        # last positions whose check columns stay independent.
+        parity = set(_eliminate(list(self._rows), self.field,
+                                range(self.length - 1, -1, -1), full=False))
+        self._parity_positions = tuple(sorted(parity))
+        self._data_positions = tuple(
+            j for j in range(self.length) if j not in parity)
+        self.redundancy = len(parity)
+        self.dimension = self.length - self.redundancy
         # For w <= 8, syndrome's map, which is also the plan of no
         # erasures.
         self._checks = (ByteMap(self.field, self._rows, ())
@@ -536,30 +543,13 @@ class LinearCode:
         # charge against MAP_BYTES_LIMIT and its share of _PLAN_BUDGET.
         self._plan_bytes = self.length * (self.check_matrix.rows + 64)
 
-    @property
-    def redundancy(self) -> int:
-        return len(self.parity_positions())
-
-    @property
-    def dimension(self) -> int:
-        return self.length - self.redundancy
-
     def parity_positions(self) -> tuple[int, ...]:
-        """Greedy systematic choice: the last positions, scanned right to
-        left, whose check columns stay linearly independent."""
-        if self._parity_positions is None:
-            # Pivoting right to left makes exactly that greedy choice,
-            # rank-many columns.
-            self._parity_positions = tuple(sorted(_eliminate(
-                list(self._rows), self.field, range(self.length - 1, -1, -1),
-                full=False)))
+        """The greedy systematic choice, made with the code: the last
+        positions, scanned right to left, whose check columns stay
+        linearly independent (``redundancy`` of them, ascending)."""
         return self._parity_positions
 
     def data_positions(self) -> tuple[int, ...]:
-        if self._data_positions is None:
-            parity = set(self.parity_positions())
-            self._data_positions = tuple(
-                j for j in range(self.length) if j not in parity)
         return self._data_positions
 
     def syndrome(self, word: Sequence[int]) -> list[int]:

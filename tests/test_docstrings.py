@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import gpcodes
 
 SOURCES = Path(gpcodes.__file__).resolve().parent
-ROLE = re.compile(r":(?:func|meth|class):`~?([\w.]+)`")
+ROLE = re.compile(r":(?:func|meth|class|attr):`~?([\w.]+)`")
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 

@@ -178,8 +178,7 @@ def test_invalid_arguments_raise():
     with pytest.raises(ValueError, match="need n >= 1"):
         _prime_factors(0)
     assert not is_irreducible(0b110)         # x^2 + x = x (x + 1)
-    with pytest.raises(ValueError, match="product tables need w <= 8"):
-        GF(10).mul_tables()
+    assert GF(10).mul_tables is None
     with pytest.raises(ZeroDivisionError):
         default_field(4).element_order(0)
 
@@ -189,11 +188,24 @@ def test_mul_tables_equal_the_field_product():
     # GF(4, 0b11111)'s x is not primitive, so its generator is not x.
     for f in ([default_field(w) for w in range(2, 9)]
               + [GF(4, modulus=0b11111), GF.from_prime(3), GF.from_prime(5)]):
-        tables = f.mul_tables()
+        tables = f.mul_tables
         assert len(tables) == 1 << f.w
         for v, table in enumerate(tables):
             assert table == bytes(f.mul(v, x) if x >> f.w == 0 else 0
                                   for x in range(256))
+
+
+def test_a_field_is_built_whole():
+    # Product tables and alpha's order exist straight after construction:
+    # a tuple of 2^w tables for w <= 8, and None for wider fields, those
+    # past the exp/log tables included.
+    for f in [default_field(w) for w in range(2, 9)] + [GF(4, 0b11111)]:
+        assert type(f.mul_tables) is tuple and len(f.mul_tables) == 1 << f.w
+    for f in (GF(10), GF.from_prime(13), GF(20, 0x100009)):
+        assert f.mul_tables is None
+    # In GF(4, 0b11111) x has order 5, but alpha = x + 1 is primitive.
+    f = GF(4, modulus=0b11111, alpha=3)
+    assert f.alpha_order == 15 and f.element_order(2) == 5
 
 
 def test_modulus_validation():

@@ -36,8 +36,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]    # pytest node ids, relative to the root
 
 
-GPC, LINALG, EPC, ORACLE = (f"src/gpcodes/{m}.py"
-                            for m in ("gpc", "linalg", "epc", "oracle"))
+GPC, LINALG, EPC, ORACLE, FIELDS = (
+    f"src/gpcodes/{m}.py"
+    for m in ("gpc", "linalg", "epc", "oracle", "fields"))
 ROW_PASS = "tests/test_row_pass.py::"
 REFERENCE = ROW_PASS + "test_decoders_match_the_symbol_array_reference"
 CENSUS = ROW_PASS + "test_every_erasure_pattern_of_the_smallest_codes"
@@ -102,6 +103,13 @@ MUTANTS = (
     Mutant("GpcParams gets an instance dict", GPC,
            "    __slots__ = ()\n\n    def __new__", "    def __new__",
            ("tests/test_package.py::test_records_are_immutable_values",)),
+    # fields
+    Mutant("alpha's order is taken for x", FIELDS,
+           "element_order(alpha)", "element_order(2)",
+           ("tests/test_fields.py::test_a_field_is_built_whole",)),
+    Mutant("the product tables step by g^2, not g", FIELDS,
+           "self.mul(exp[1], x)", "self.mul(exp[2], x)",
+           ("tests/test_fields.py::test_mul_tables_equal_the_field_product",)),
     # linalg
     Mutant("kron flattens columns column-major", LINALG,
            "for x in ar for y in br]", "for y in br for x in ar]",
@@ -134,6 +142,10 @@ MUTANTS = (
     Mutant("the plan of no erasures is not syndrome's map", LINALG,
            "        if not erased:\n            return self._checks\n", "",
            ("tests/test_linalg.py::test_syndrome_equals_mul_vec",)),
+    Mutant("parity positions are scanned left to right", LINALG,
+           "range(self.length - 1, -1, -1)", "range(self.length)",
+           ("tests/test_epc.py::test_parity_positions_match_greedy_rank_"
+            "scan",)),
     # epc: the flat codes' shape and their local-first decode
     Mutant("a flat code records one global parity too few", EPC,
            "EpcShape(m, 1, n, 1, len(steps))",
