@@ -3,12 +3,13 @@
 Subcommands: ``info``, ``bound``, ``encode``, ``decode``, ``verify``,
 ``find-prime``.  Exit codes: 0 success, 2 malformed input or invalid
 code description, 3 uncorrectable pattern, 4 verification mismatch,
-5 search budget exceeded.
+5 search budget exceeded, 6 standard output closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -21,6 +22,7 @@ EXIT_SPEC = 2
 EXIT_UNCORRECTABLE = 3
 EXIT_MISMATCH = 4
 EXIT_BUDGET = 5
+EXIT_PIPE = 6
 
 
 def _field_line(field) -> str:
@@ -254,7 +256,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left: later writes, the exit's flush included, go
+        # nowhere instead of raising again.
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
     except PrimeSearchError as exc:
         print(f"search limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -9,7 +9,11 @@ row codes, and the last ``m - k`` such combinations vanish outright:
 they lie in level t of the ladder, the zero code, whose strength is n.
 That nesting is what the erasure decoder exploits: it triangulates the
 power-weight matrix of the erased rows and peels them off from the most
-constrained combination to the least.
+constrained combination to the least.  Every row pass of a code with
+k < m applies all m - k vanishing combinations, arrays with no erasures
+included, so survivors that contradict them are reported; a k = m code
+(integrated-interleaved) has none and checks only the rows its solves
+use.
 
 Arrays carry an explicit erasure mask; an erased cell always stores the
 value 0 and the mask is authoritative.
@@ -490,8 +494,10 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
               trace: DecodeTrace | None = None, block: int = 1) -> int:
     # One in-place row pass over the rows ``values`` and each row's
     # erased columns ``erased``, whose erased cells hold 0: repair every
-    # row within reach of the weakest row code, then peel the rest if
-    # the profile fits the budgets.  A repaired row's entry becomes ().
+    # row within reach of the weakest row code, then, if the profile fits
+    # the budgets, peel the rest and compare each of the m - k vanishing
+    # combinations with its pivot row, erased or not (so a pass with
+    # nothing erased still checks them).  A repaired row's entry becomes ().
     # Each cell holds a symbol, or with ``block`` L > 1 (w <= 8) a block
     # of L symbols, one per array the pass repairs at once.  Returns the
     # number of cells left erased: 0 when every row is repaired, else the
@@ -508,8 +514,6 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
         for part in ([r] for r in rows) if split else (rows,):
             _repair_rows(values, part, cols, view, 0, block)
     left = sum(map(len, erased))
-    if not left:
-        return 0
     # The profile: rows by erasure count, descending, ties by index
     # (the sort is stable).
     m, k, t = params.m, params.k, params.t
@@ -526,8 +530,6 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
         cols = erased[row_idx]
-        if p < m - k and not cols:
-            continue
         gamma = reduced.data[p]
         known = combine(f, [(gamma[j], values[order[j]])
                             for j in range(p + 1, m) if gamma[j]],
@@ -595,6 +597,10 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
+    A code with k < m applies each of its m - k vanishing combinations,
+    even when the local repairs leave nothing erased or a combination's
+    pivot row has none, so an array with no erasures is checked too; a
+    k = m code checks only the rows its solves use.
     It shares its driver with :func:`decode_iterative`, which works on
     plain row lists and each row's erased columns, built once from
     ``arr``, and leaves ``arr`` unchanged.
@@ -624,10 +630,12 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     returned with its remaining erasures still masked.  It shares its
     driver with :func:`decode_rows`, compiled row plans included; the
     column view keeps its own, and the column pass works on the
-    transposed row lists and erased rows.  A survivor outside
-    [0, 2^w) raises ``ValueError``, and survivors that contradict the
-    code raise :class:`UncorrectableError` naming every erased cell of
-    ``arr``.
+    transposed row lists and erased rows.  Each row pass of a code with
+    k < m applies its m - k vanishing combinations, arrays with no
+    erasures included; a k = m code checks only the rows its solves use.
+    A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
+    contradict the checks raise :class:`UncorrectableError` naming every
+    erased cell of ``arr``.
     """
     return _decode(arr, params, iterate=True)[0]
 

@@ -1,7 +1,10 @@
 """End-to-end tests for the command-line interface (exit codes + output)."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -400,6 +403,31 @@ def test_decode_linear_checks_arrays_with_no_erasures(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [[], ["--single-pass"]],
+                         ids=["iterative", "single_pass"])
+def test_decode_gpc_checks_arrays_with_no_erasures(tmp_path, capsys, extra):
+    # with nothing erased the row pass still applies the m - k = 2
+    # vanishing combinations, which the changed symbol breaks
+    code = write_spec(tmp_path, FLAGSHIP_SPEC)
+    rng = random.Random(2)
+    data = write_data(tmp_path, [rng.randrange(8) for _ in range(19)])
+    enc = tmp_path / "enc.txt"
+    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+    out = tmp_path / "dec.txt"
+    assert cli.main(["decode", code, str(enc), "-o", str(out), *extra]) == 0
+    assert out.read_text() == enc.read_text()
+    out.unlink()
+    lines = [line.split() for line in enc.read_text().splitlines()]
+    lines[3][4] = f"{int(lines[3][4], 16) ^ 1:x}"     # no "?" anywhere
+    flipped = tmp_path / "flipped.txt"
+    flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
+    capsys.readouterr()
+    assert cli.main(["decode", code, str(flipped), "-o", str(out),
+                     *extra]) == 3
+    assert capsys.readouterr().err.endswith("unresolved positions []\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", [{"w": 4.0}, {"w": 4, "alpha": True},
                                    {"w": 4, "modulus_hex": 19}],
                          ids=["float_w", "bool_alpha", "int_modulus"])
@@ -619,6 +647,29 @@ def test_find_prime(capsys):
         assert capsys.readouterr().err == (
             "search limit: no usable prime lies above 63: GF widths p - 1 "
             "stop at 63\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["info", "{code}"],
+    ["bound", "7", "2", "8", "3", "3"],
+    ["verify", "{code}", "--random", "5", "--seed", "1"],
+], ids=["info", "bound", "verify_random"])
+def test_a_closed_output_pipe_exits_quietly(tmp_path, command):
+    # The child's standard output is a pipe whose reader closed before
+    # the child wrote anything, as in `gpcodes info code.json | head -0`.
+    code = write_spec(tmp_path, G1_SPEC)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gpcodes.cli",
+             *(arg.format(code=code) for arg in command)],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
 
 
 def test_find_prime_has_no_cap_option(capsys):

@@ -20,7 +20,7 @@ from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
                          encode, erase_positions, full_parity_matrix)
 from gpcodes.oracle import correctable, random_decodable_pattern
-from test_gpc import G16
+from test_gpc import FLAGSHIP, G16
 
 
 @contextmanager
@@ -98,7 +98,53 @@ def test_contradictions_name_their_cells():
                 try:
                     decoder(damaged, params)
                 except UncorrectableError as exc:
-                    assert exc.remaining and exc.remaining <= set(pattern)
+                    # a flip with no erasure raises with no cell to name
+                    assert exc.remaining <= set(pattern)
+                    assert exc.remaining or not pattern
+
+
+def _locally_repaired_and_flipped(params, rng, count):
+    """``count`` damaged codewords of ``params``, each with at most u_0
+    erasures in every row (the first with none) and one survivor flipped:
+    the local repairs fill every row, so only the vanishing combinations
+    can see the flip."""
+    word = encode([rng.randrange(1 << params.field.w)
+                   for _ in range(params.dimension())], params)
+    out = []
+    for i in range(count):
+        pattern = {(r, c) for r in range(params.m) for c in rng.sample(
+            range(params.n), rng.randint(0, params.u[0]) if i else 0)}
+        damaged = erase_positions(word, pattern)
+        r, c = rng.choice([(r, c) for r in range(params.m)
+                           for c in range(params.n) if (r, c) not in pattern])
+        damaged.fill(r, c, damaged.values[r][c]
+                     ^ rng.randrange(1, 1 << params.field.w))
+        out.append((damaged, frozenset(pattern)))
+    return out
+
+
+def test_a_flip_behind_local_repairs_is_reported():
+    """With k < m every decode applies the m - k vanishing combinations,
+    arrays with no erasures included.  Power row 0 sums all rows, so a
+    flip that the local repairs spread through its row always breaks it:
+    10 patterns on each of the 425 small codes with k < m, and 100 each
+    on G16 and the flagship."""
+    codes = [(p, 10) for p in small_codes() if p.k < p.m]
+    assert len(codes) == 425
+    codes += [(G16, 100), (FLAGSHIP, 100)]
+    for seed, (params, count) in enumerate(codes):
+        rng = random.Random(seed)
+        for damaged, pattern in _locally_repaired_and_flipped(params, rng,
+                                                              count):
+            for decoder in (decode_rows, decode_iterative):
+                with named(params.notation(), f"seed {seed}",
+                           decoder.__name__, sorted(pattern)):
+                    try:
+                        decoder(damaged, params)
+                    except UncorrectableError as exc:
+                        assert exc.remaining == pattern
+                    else:
+                        raise AssertionError("decoded a non-codeword")
 
 
 def test_compiled_encoder_matches_scalar():

@@ -69,8 +69,6 @@ def _ref_row_pass(work, view, trace=None, block=1):
         for part in ([r] for r in rows) if split else (rows,):
             _ref_repair_rows(work, part, cols, view, 0, block)
     left = sum(map(len, erased))
-    if not left:
-        return 0
     profile = ErasureProfile.from_counts([len(cols) for cols in erased])
     if not decodable_profile(profile, params):
         return left
@@ -85,8 +83,6 @@ def _ref_row_pass(work, view, trace=None, block=1):
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
         cols = erased[row_idx]
-        if p < m - k and not cols:
-            continue
         gamma = reduced.data[p]
         known = combine(f, [(gamma[j], work.values[order[j]])
                             for j in range(p + 1, m) if gamma[j]],
@@ -339,11 +335,6 @@ def test_every_erasure_pattern_of_the_smallest_codes():
     assert patterns == 27936
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 1(a): a row solved with no spare "
-                          "check row spreads a flipped survivor into its "
-                          "filled cells, and the decode returns a "
-                          "non-codeword")
 def test_a_flipped_survivor_on_the_archive_loss_is_reported():
     # The benchmark's archive loss: two whole columns and one whole row.
     for seed in range(5):

@@ -42,6 +42,10 @@ GPC, LINALG, EPC, ORACLE, FIELDS = (
 ROW_PASS = "tests/test_row_pass.py::"
 REFERENCE = ROW_PASS + "test_decoders_match_the_symbol_array_reference"
 CENSUS = ROW_PASS + "test_every_erasure_pattern_of_the_smallest_codes"
+ARCHIVE_FLIP = (ROW_PASS + "test_a_flipped_survivor_on_the_archive_loss_is_"
+                "reported")
+FLIP_BEHIND_LOCAL = ("tests/test_properties.py::test_a_flip_behind_local_"
+                     "repairs_is_reported")
 LOCAL_FIRST = ("tests/test_properties.py::test_local_first_decode_equals_the_"
                "generic_fill_on_every_pattern")
 
@@ -72,6 +76,15 @@ MUTANTS = (
     Mutant("the row pass peels past the budgets", GPC,
            "    if any(map(gt, counts, view.budgets)):\n        return left\n",
            "", (CENSUS,)),
+    Mutant("the row pass returns once local repairs leave nothing erased",
+           GPC, "    left = sum(map(len, erased))\n",
+           "    left = sum(map(len, erased))\n"
+           "    if not left:\n        return 0\n", (FLIP_BEHIND_LOCAL,)),
+    Mutant("the row pass skips vanishing combinations whose pivot row has no "
+           "erasure", GPC, "        cols = erased[row_idx]\n",
+           "        cols = erased[row_idx]\n"
+           "        if p < m - k and not cols:\n            continue\n",
+           (ARCHIVE_FLIP, FLIP_BEHIND_LOCAL)),
     Mutant("a stall writes one wrong symbol", GPC,
            "    return _as_array(values, erased), left\n",
            "    if left:\n"
