@@ -22,11 +22,11 @@ _EXPORTS = {
     "linalg": ("Matrix", "LinearSolveError", "NoSolutionError",
                "UnderdeterminedError", "kron", "null_space", "rank",
                "row_reduce", "solve", "vandermonde", "vstack"),
-    "gpc": ("DecodeTrace", "ErasureProfile", "GpcParams", "SymbolArray",
-            "UncorrectableError", "component_parity_check",
-            "decodable_profile", "decode_iterative", "decode_rows", "encode",
-            "erase_positions", "full_parity_matrix", "is_member",
-            "min_weight_codeword"),
+    "gpc": ("ContradictionError", "DecodeTrace", "ErasureProfile",
+            "GpcParams", "SymbolArray", "UncorrectableError",
+            "component_parity_check", "decodable_profile", "decode_iterative",
+            "decode_rows", "encode", "erase_positions", "full_parity_matrix",
+            "is_member", "min_weight_codeword"),
     "epc": ("EpcShape", "LinearCode", "build_h2", "build_h3",
             "build_optimal_g1", "check_condition_35", "distance_bound",
             "lc_encode", "lc_erasure_decode", "lc_is_member"),

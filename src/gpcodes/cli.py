@@ -2,8 +2,9 @@
 
 Subcommands: ``info``, ``bound``, ``encode``, ``decode``, ``verify``,
 ``find-prime``.  Exit codes: 0 success, 2 malformed input or invalid
-code description, 3 uncorrectable pattern, 4 verification mismatch,
-5 search budget exceeded, 6 standard output closed by its reader.
+code description, 3 erasure pattern beyond the decoder's reach,
+4 verification mismatch, 5 search budget exceeded, 6 standard output
+closed by its reader, 7 surviving symbols that contradict the code.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_UNCORRECTABLE = 3
 EXIT_MISMATCH = 4
 EXIT_BUDGET = 5
 EXIT_PIPE = 6
+EXIT_CONTRADICTION = 7
 
 
 def _field_line(field) -> str:
@@ -104,7 +106,8 @@ def cmd_decode(args) -> int:
     except gpc.UncorrectableError as exc:
         print(f"uncorrectable: {exc}; unresolved positions "
               f"{sorted(exc.remaining)}", file=sys.stderr)
-        return EXIT_UNCORRECTABLE
+        return (EXIT_CONTRADICTION if isinstance(exc, gpc.ContradictionError)
+                else EXIT_UNCORRECTABLE)
     _write_output(args.output, files.array_to_text(result, w))
     if result.erasure_count:
         residual = result.erased_positions()

@@ -22,14 +22,26 @@ own check rows from m, n, the field and its power steps, and keeps its
 :class:`EpcShape` as ``shape``.  Those rows are the product code's,
 the t = 1 generalized product code of
 :func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
-per array column, plus the global power rows.  :func:`lc_erasure_decode`
-decodes them local first, as storage codes with local and global
-parities are meant to be repaired: it peels every erasure that is the
-last one in its row or column from that line's sum, leaves only what
-the peel cannot reach, a stopping set, to the generic
-:meth:`~gpcodes.linalg.LinearCode.fill`, and checks a fully peeled word
-against the sums and the power rows in grid form.  A ``LinearCode``
-built from a check matrix alone decodes by the fill.
+per array column, plus the global power rows.
+
+For w <= 8 their syndrome is computed in grid form: the m row sums and
+n column sums from strided and plain slices of the word's bytes, and
+each power row from one ``bytes.translate`` per array row and an
+n-step Horner sum.  That is the syndrome form in which partial-MDS
+codes are decoded (Blaum, Hafner and Hetzler, IEEE Trans. IT 2013).
+Their erasure plans read this syndrome, r = m + n + g check symbols,
+not the N symbols of the word.  So an encode or a stopping-set repair
+costs m * g translates and m + n slices for the syndrome, and at most
+r translates for the plan.
+
+:func:`lc_erasure_decode` decodes them local first, as storage codes
+with local and global parities are meant to be repaired: it peels
+every erasure that is the last one in its row or column from that
+line's sum, leaves only what the peel cannot reach, a stopping set, to
+the generic :meth:`~gpcodes.linalg.LinearCode.fill`, and checks a
+fully peeled word against the sums and the power part of the grid
+syndrome.  A ``LinearCode`` built from a check matrix alone decodes by
+the fill, with plans that read the word.
 """
 
 from __future__ import annotations
@@ -37,10 +49,11 @@ from __future__ import annotations
 from functools import reduce
 from math import ceil
 from operator import xor
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .fields import GF, field_with_order
-from .gpc import GpcParams, UncorrectableError, _Rules, full_parity_matrix
+from .gpc import (ContradictionError, GpcParams, UncorrectableError, _Rules,
+                  full_parity_matrix)
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
                      UnderdeterminedError, solve)
@@ -115,9 +128,14 @@ class _PowerRowsCode(LinearCode):
     # n column sums of an m x n array flattened row by row, then the row
     # alpha^(step*j) for each of ``steps``.  It keeps that EpcShape as
     # ``shape``.  lc_erasure_decode peels its words on the sums before
-    # any fill.  For w <= 8, powers_vanish's tables are built with the
-    # code: per step, the product tables of alpha^(step*r*n) for each
-    # array row r, and that of alpha^step.
+    # any fill.  For w <= 8 its syndrome is computed in grid form, and
+    # its plans read that syndrome, the r = m + n + g check symbols,
+    # where a plan of the word would translate all N symbols: so a plan
+    # is charged r * (r + 64) bytes.  power_sums' tables are built with
+    # the code: per step, the product tables of alpha^(step*r*n) for
+    # each array row r, and that of alpha^step.
+
+    _syndrome_plans = True
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
@@ -137,7 +155,7 @@ class _PowerRowsCode(LinearCode):
             ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
              mul[f.alpha_pow(s)]) for s in steps]
 
-    def line_sums(self, word: list[int]) -> tuple[list[int], list[int]]:
+    def line_sums(self, word: Sequence[int]) -> tuple[list[int], list[int]]:
         """The m row sums and the n column sums of ``word`` (symbols in
         range) as an array.  For w <= 8 in grid form: the column sums
         XOR the m row slices of its bytes as big integers, and the row
@@ -155,19 +173,20 @@ class _PowerRowsCode(LinearCode):
         return (list(rows.to_bytes(m, "little")),
                 list(cols.to_bytes(n, "little")))
 
-    def powers_vanish(self, word: list[int]) -> bool:
-        """Whether every power row sends ``word`` (symbols in range) to
-        zero.  For w <= 8 in grid form: with j = r*n + c, the row
-        alpha^(s*j) is sum over c of alpha^(s*c) times V_c, V_c the sum
-        over r of alpha^(s*r*n) times the cell (r, c).  So V is one
-        ``bytes.translate`` per array row, XORed as one big integer, and
-        the sum an n-step Horner in alpha^s.  Wider fields read the
-        :meth:`~gpcodes.linalg.LinearCode.syndrome`."""
+    def power_sums(self, word: Sequence[int]) -> list[int]:
+        """The power rows of the check matrix times ``word`` (symbols in
+        range), one symbol per step.  For w <= 8 in grid form: with
+        j = r*n + c, the row alpha^(s*j) is sum over c of alpha^(s*c)
+        times V_c, V_c the sum over r of alpha^(s*r*n) times the cell
+        (r, c).  So V is one ``bytes.translate`` per array row, XORed as
+        one big integer, and the sum an n-step Horner in alpha^s.  Wider
+        fields read :meth:`Matrix.mul_vec`."""
         if self.field.w > 8:
-            return not any(self.syndrome(word))
+            return super().syndrome(word)[self.m + self.n:]
         n, from_bytes = self.n, int.from_bytes
         raw = bytes(word)
         rows = [raw[i:i + n] for i in range(0, len(raw), n)]
+        out = []
         for row_tables, step in self._power_tables:
             acc = 0
             for row, table in zip(rows, row_tables):
@@ -175,9 +194,19 @@ class _PowerRowsCode(LinearCode):
             total = 0
             for v in acc.to_bytes(n, "big"):
                 total = step[total] ^ v
-            if total:
-                return False
-        return True
+            out.append(total)
+        return out
+
+    def syndrome(self, word: Sequence[int]) -> list[int]:
+        """``check_matrix.mul_vec(word)`` for a word of symbols in range:
+        for w <= 8 its :meth:`line_sums`, then its :meth:`power_sums`.
+        Wider fields run :meth:`Matrix.mul_vec`."""
+        if self.field.w > 8:
+            return super().syndrome(word)
+        if len(word) != self.length:
+            raise ValueError("vector length mismatch")
+        rows, cols = self.line_sums(word)
+        return rows + cols + self.power_sums(word)
 
 
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -263,7 +292,7 @@ def _peel_then_fill(word: list[int], erased: list[int],
             code.fill(word, tuple(stuck))
             return
         left = stuck
-    if any(row_sums) or any(col_sums) or not code.powers_vanish(word):
+    if any(row_sums) or any(col_sums) or any(code.power_sums(word)):
         raise NoSolutionError("inconsistent system")
 
 
@@ -274,18 +303,19 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
 
     Needs the erased check-matrix columns to be independent; otherwise
     the pattern is uncorrectable and :class:`UncorrectableError` is
-    raised, as it is when the survivors contradict the code, a word
-    with no erasures included.  Survivors must lie in the field; the
-    symbols at erased positions are ignored.
+    raised.  When the survivors contradict the code, a word with no
+    erasures included, its subclass :class:`ContradictionError` is
+    raised.  Survivors must lie in the field; the symbols at erased
+    positions are ignored.
 
     The codes of :func:`build_h2` and :func:`build_h3` decode local
     first.  While an array row or column holds exactly one erasure,
     that cell is filled from the line's sum; every such fill is forced
     by a check row.  A word peeled to the end is checked against every
-    row sum, column sum and power row (see
-    ``_PowerRowsCode.powers_vanish``) and never reaches a plan.  The
-    cells the peel cannot reach, a stopping set such as the corners of
-    a rectangle, go to the code's fill with the peeled symbols as
+    row sum and column sum the peel kept, and against the power part of
+    the code's grid syndrome, and never reaches a plan.  The cells the
+    peel cannot reach, a stopping set such as the corners of a
+    rectangle, go to the code's fill with the peeled symbols as
     survivors, which is the same system as before the peel.  So output
     and errors, ``remaining`` included, equal those of the fill of the
     whole pattern.
@@ -294,7 +324,10 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     :meth:`~gpcodes.linalg.LinearCode.fill`: each pattern solves from
     the code's :meth:`~gpcodes.linalg.LinearCode.syndrome` until
     :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, with
-    equal output and the same errors, checks included.
+    equal output and the same errors, checks included.  For w <= 8 the
+    plans of the codes of :func:`build_h2` and :func:`build_h3` read
+    that grid syndrome, r = m + n + g check symbols, and those of any
+    other code read the word.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
@@ -315,7 +348,7 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
             f"{len(cols)} erased positions span a dependent column set",
             remaining=frozenset(cols)) from exc
     except NoSolutionError as exc:
-        raise UncorrectableError(
+        raise ContradictionError(
             "known symbols are inconsistent with the code",
             remaining=frozenset(cols)) from exc
     return known
@@ -329,14 +362,20 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     bit for bit, is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
     ``code`` object.  They are a column basis of the check matrix, so
     that fill has exactly one solution and zero residual rows whatever
-    the data, and cannot raise.
+    the data, and cannot raise.  On the codes of :func:`build_h2` and
+    :func:`build_h3` (w <= 8) the plan maps the grid syndrome of the
+    data, r symbols, to the parity: one ``bytes.translate`` per array
+    row and power row, and one per check symbol, where a plan of the
+    word translates every nonzero data symbol.
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")
     code.field.check_symbols(data, "data symbol")
-    word = [0] * code.length
-    for pos, sym in zip(code.data_positions(), data):
-        word[pos] = sym
+    # The data in order with a zero inserted at each parity position,
+    # ascending, so that every later position is already shifted.
+    word = list(data)
+    for pos in code.parity_positions():
+        word.insert(pos, 0)
     code.fill(word, code.parity_positions())
     return word
 

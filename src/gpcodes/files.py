@@ -81,9 +81,10 @@ class CodeSpec:
         """``arr`` with its erased cells recovered.
 
         Raises ``ValueError`` when ``arr`` is not m x n.  Raises
-        :class:`~gpcodes.gpc.UncorrectableError`, with the unresolved
+        :class:`~gpcodes.gpc.ContradictionError`, with the unresolved
         (row, col) cells as ``remaining``, when the survivors contradict
-        the code; a flat code raises so too on a pattern beyond its
+        the code.  A flat code raises its base class
+        :class:`~gpcodes.gpc.UncorrectableError` on a pattern beyond its
         reach, where a gpc decode returns those cells still erased.
         """
         if (arr.m, arr.n) != (self.m, self.n):
@@ -95,7 +96,7 @@ class CodeSpec:
         try:
             word = epc.lc_erasure_decode(arr.flatten(), erased, self.linear)
         except UncorrectableError as exc:
-            raise UncorrectableError(str(exc), remaining=frozenset(
+            raise type(exc)(str(exc), remaining=frozenset(
                 divmod(j, self.n) for j in exc.remaining)) from exc
         return self._array(word)
 

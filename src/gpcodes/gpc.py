@@ -37,13 +37,19 @@ class UncorrectableError(ValueError):
     """The requested decoder cannot fix the erasure pattern.
 
     The pattern exceeds the decoder's reach, or the survivors contradict
-    the code.  ``remaining`` (required) holds the unresolved positions:
-    (row, col) pairs for array codes, flat indices for linear codes.
+    the code, which raises the subclass :class:`ContradictionError`.
+    ``remaining`` (required) holds the unresolved positions: (row, col)
+    pairs for array codes, flat indices for linear codes.
     """
 
     def __init__(self, message: str, remaining: frozenset):
         super().__init__(message)
         self.remaining = remaining
+
+
+class ContradictionError(UncorrectableError):
+    """The surviving symbols contradict the code: no codeword agrees
+    with them, whatever the erased symbols hold."""
 
 
 class _Rules:
@@ -571,7 +577,7 @@ def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
             if not 0 < after < left:
                 break
     except NoSolutionError as exc:
-        raise UncorrectableError(f"row solve failed: {exc}",
+        raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
     return _as_array(values, erased), left
 
@@ -608,8 +614,9 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
     guaranteed budgets (``remaining``: the cells left after the local
-    repairs), or when surviving symbols contradict a row code
-    (``remaining``: every erased cell of ``arr``).
+    repairs), or its :class:`ContradictionError` when surviving
+    symbols contradict a row code (``remaining``: every erased cell of
+    ``arr``).
     """
     work, left = _decode(arr, params, iterate=False, trace=trace)
     if left:
@@ -634,7 +641,7 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     k < m applies its m - k vanishing combinations, arrays with no
     erasures included; a k = m code checks only the rows its solves use.
     A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
-    contradict the checks raise :class:`UncorrectableError` naming every
+    contradict the checks raise :class:`ContradictionError` naming every
     erased cell of ``arr``.
     """
     return _decode(arr, params, iterate=True)[0]

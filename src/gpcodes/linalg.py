@@ -24,9 +24,12 @@ fields with w <= 8: a fill of a word's target positions from its other
 symbols, applied with ``bytes.translate``, whose check symbols must
 vanish.  It is :func:`solve`'s erasure system for a fixed pattern,
 checks included, so it serves both encode and decode: ``lc_encode``
-fills the parity positions.  :class:`SplitMap` is gpc's encoder map,
-its columns as split product tables: two lookups per symbol at about
-40 times the memory.  :func:`combine` sums weighted rows with the same
+fills the parity positions.  A code whose syndrome costs far less than
+the word map, as ``epc``'s flat codes' grid syndrome does, keeps plans
+of the syndrome instead: maps of its R check symbols to the erased
+symbols and the residual checks, compiled from R x (|E| + R) rows.
+:class:`SplitMap` is gpc's encoder map, its columns as split product
+tables: two lookups per symbol at about 40 times the memory.  :func:`combine` sums weighted rows with the same
 product tables, and holds the symbol-wise loop for w > 8.
 :class:`PlanSlot` holds the one rule for when a map is compiled, and
 ``MAP_BYTES_LIMIT`` the one bound on the bytes a compiled map holds;
@@ -40,10 +43,10 @@ peeled what they can, ``gpc`` one array row at a time against one
 level's row code.  Its :meth:`LinearCode.syndrome` map is built with
 the code, not once per pattern: for w <= 8 the check matrix's columns
 as bytes, the check-only plan of no erasures, so ``H @ word`` costs
-one ``bytes.translate`` per nonzero symbol.  The
-scalar fill of a pattern with no plan yet solves from that syndrome,
-and both families' membership tests read it.  Wider fields fall back
-to :meth:`Matrix.mul_vec`.
+one ``bytes.translate`` per nonzero symbol; the flat codes compute
+theirs in grid form.  The scalar fill of a pattern with no plan yet
+solves from that syndrome, and both families' membership tests read
+it.  Wider fields fall back to :meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -257,13 +260,14 @@ def null_space(m: Matrix) -> list[list[int]]:
 
 # Most bytes one compiled map may hold; larger codes and patterns stay on
 # the scalar path.  A slot is charged its entries x (bytes per entry +
-# 64), the 64 for each entry's Python object: a plan N x (R + 64) (see
-# LinearCode._plan_bytes), a gpc encoder 32 x K x (P + 64) for the 32
-# entries per data symbol of its SplitMap, which take P + 34 to 37 bytes
-# each by tracemalloc.  G16's encoder is charged 2 047 488 bytes and holds
-# 1.71 MB; a 16 x 255 code over GF(2^8) (K = 4064, P = 16) is charged
-# 10.4 MB and stays scalar.  So gpc's 16 views hold at most 32 MiB of
-# encoder tables.
+# 64), the 64 for each entry's Python object: a plan N x (R + 64), or
+# R x (R + 64) when it reads the syndrome (see LinearCode._plan_bytes),
+# a gpc encoder 32 x K x (P + 64) for the 32 entries per data symbol of
+# its SplitMap, which take P + 34 to 37 bytes each by tracemalloc.
+# G16's encoder is charged 2 047 488 bytes and holds 1.71 MB; a
+# 16 x 255 code over GF(2^8) (K = 4064, P = 16) is charged 10.4 MB and
+# stays scalar.  So gpc's 16 views hold at most 32 MiB of encoder
+# tables.
 MAP_BYTES_LIMIT = 1 << 21
 
 
@@ -464,13 +468,11 @@ class PlanSlot:
     count past one compiles the map and applies it.  A fill of a block
     of L words counts L uses, so a block of two or more compiles at
     once.  An erasure plan, one elimination of the code's check rows
-    held as bytes, compiles in less time than one scalar use (by timeit
-    on a 2-core Xeon, 0.56 to 0.91 scalar decodes on
-    ``build_h2(15, 17)`` and 0.57 to 0.85 scalar row solves on G16's
-    level codes), so a process that repeats a fill never takes much
-    more than twice its scalar time.  G16's encoder, one row pass over
-    blocks of its K = 372 unit data vectors whose data columns are cut
-    straight into split tables, compiles in about 17.5 ms, 7 ms of them
+    held as bytes, compiles in about the time of one scalar use, so a
+    process that repeats a fill never takes much more than twice its
+    scalar time.  G16's encoder, one row pass over blocks of its K =
+    372 unit data vectors whose data columns are cut straight into
+    split tables, compiles in about 17.5 ms, 7 ms of them
     for the tables, against about 0.6 ms per scalar encode and 0.1 ms
     per compiled one (timed together on a shared 2-core Xeon): the
     rule's one cost is a process that encodes one gpc code only a few
@@ -502,18 +504,25 @@ class PlanSlot:
 
 
 # Plan memory per code, in bytes: a LinearCode keeps at most
-# _PLAN_BUDGET // (length * (rows + 64)) plan slots, and at least one,
-# least recently used evicted first.  By tracemalloc a plan takes 1.2 to
-# 1.5 KB on G16's level codes (so level 0 keeps 529 slots, level 1 514)
-# and 18.2 to 19.1 KB on build_h2(15, 17) (41 slots).  A plan compiles
-# only when that bound is within MAP_BYTES_LIMIT, so a code holds at most
-# max(1 MiB, one plan) of plans.
+# _PLAN_BUDGET // _plan_bytes plan slots, and at least one, least
+# recently used evicted first.  By tracemalloc a plan takes 1.2 to 1.5
+# KB on G16's level codes (so level 0 keeps 529 slots, level 1 514) and
+# about 2.9 KB on build_h2(15, 17), whose plans read its 34 check
+# symbols (314 slots).  A plan compiles only when its charge is within
+# MAP_BYTES_LIMIT, so a code holds at most max(1 MiB, one plan) of plans.
 _PLAN_BUDGET = 1 << 20
 
 
 class LinearCode:
     """A linear code given by its parity-check matrix over GF(2^w); its
     ``field`` and ``length`` are the matrix's field and width."""
+
+    # Whether the erasure plans read the syndrome, R check symbols, in
+    # place of the word's N symbols.  A subclass sets it when its own
+    # syndrome costs far less than one translate per symbol, as the grid
+    # syndrome of epc's flat codes does; here the syndrome is the word
+    # map, so a plan of the word saves its cost.
+    _syndrome_plans = False
 
     def __init__(self, check_matrix: Matrix):
         self.check_matrix = check_matrix
@@ -533,15 +542,17 @@ class LinearCode:
         self.redundancy = len(parity)
         self.dimension = self.length - self.redundancy
         # For w <= 8, syndrome's map, which is also the plan of no
-        # erasures.
+        # erasures; a code whose plans read its syndrome computes it its
+        # own way.
         self._checks = (ByteMap(self.field, self._rows, ())
-                        if self.field.w <= 8 else None)
-        # A plan's footprint, bounded above: per position, a column of
-        # one byte per check row and at most 64 bytes of object overhead
-        # (by tracemalloc, held plans fill 73% of this bound on G16's
-        # level 1 and 76% on build_h2(15, 17)).  It is both the plan's
+                        if self.field.w <= 8 and not self._syndrome_plans
+                        else None)
+        # A plan's footprint, bounded above: per symbol it reads, the
+        # word's or the syndrome's, a column of one byte per check row
+        # and at most 64 bytes of object overhead.  It is both the plan's
         # charge against MAP_BYTES_LIMIT and its share of _PLAN_BUDGET.
-        self._plan_bytes = self.length * (self.check_matrix.rows + 64)
+        reads = len(self._rows) if self._syndrome_plans else self.length
+        self._plan_bytes = reads * (len(self._rows) + 64)
 
     def parity_positions(self) -> tuple[int, ...]:
         """The greedy systematic choice, made with the code: the last
@@ -570,21 +581,33 @@ class LinearCode:
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
         # The solve of ``check_matrix @ word = 0`` for the positions
-        # ``erased`` (ascending, w <= 8) as a ByteMap of the word.  One
-        # full elimination of a copy of the code's rows, pivoting on the
+        # ``erased`` (ascending, w <= 8) as a ByteMap, None when the
+        # erased columns are dependent.  A plan of the word: one full
+        # elimination of a copy of the code's rows, pivoting on the
         # erased columns in order, gives T @ h, whose first |E| rows are
         # the unit vectors on the erased columns plus A on the survivors,
         # and whose other rows vanish on the erased columns and are B on
         # the survivors.  So the erased symbols are A times the
         # survivors, and the survivors are consistent with the code
         # exactly when B sends them to zero: the residual rows, kept as
-        # the map's check symbols, that solve tests.  None when the
-        # erased columns are dependent.  The plan of no erasures is
-        # syndrome's map.
+        # the map's check symbols, that solve tests.  The plan of no
+        # erasures is syndrome's map.  A plan of the syndrome eliminates
+        # the R x (|E| + R) rows [H_E | I] on their first |E| columns
+        # instead, to [T H_E | T], and keeps T: it maps the syndrome of
+        # the survivors to the erased symbols, then to the residual
+        # checks, the rows of T whose rows of T H_E are zero.
+        e = len(erased)
+        if self._syndrome_plans:
+            rows = [bytes([row[c] for c in erased])
+                    + (1 << 8 * i).to_bytes(len(self._rows), "little")
+                    for i, row in enumerate(self._rows)]
+            if len(_eliminate(rows, self.field, range(e), full=True)) < e:
+                return None
+            return ByteMap(self.field, [row[e:] for row in rows], ())
         if not erased:
             return self._checks
         rows = list(self._rows)
-        if len(_eliminate(rows, self.field, erased, full=True)) < len(erased):
+        if len(_eliminate(rows, self.field, erased, full=True)) < e:
             return None
         return ByteMap(self.field, rows, erased)
 
@@ -602,7 +625,9 @@ class LinearCode:
         slots as plans fit in ``_PLAN_BUDGET`` (1 MiB), least recently
         used dropped first.  Until the compile, and when no plan is
         built, the :func:`solve` runs, word by word, on the
-        :meth:`syndrome` of the word with its erased symbols zeroed.
+        :meth:`syndrome` of the word with its erased symbols zeroed.  A
+        plan of the word fills blocks at once; a plan of the syndrome
+        fills word by word from each word's syndrome, as the solve does.
         Raises :class:`UnderdeterminedError` on dependent erased columns
         and :class:`NoSolutionError` when the survivors contradict the
         code, leaving ``word`` as it was.
@@ -611,24 +636,35 @@ class LinearCode:
                       max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
         plan = slot.plan(self.field, self._plan_bytes,
                          lambda: self._compile(erased), block)
-        if plan is not None:
+        if plan is not None and not self._syndrome_plans:
             plan.apply(word, block)
             return
         if block > 1:
             if self.field.w > 8:
                 raise ValueError("blocks need a field with w <= 8")
             words = zip(*(unpack_block(v, block) for v in word))
-            missing = [self._solve(w, erased) for w in words]
+            missing = [self._solve(w, erased, plan) for w in words]
             for c, v in zip(erased, pack_blocks(missing)):
                 word[c] = v
             return
-        for c, v in zip(erased, self._solve(word, erased)):
+        for c, v in zip(erased, self._solve(word, erased, plan)):
             word[c] = v
 
-    def _solve(self, word: Sequence[int],
-               erased: tuple[int, ...]) -> list[int]:
+    def _solve(self, word: Sequence[int], erased: tuple[int, ...],
+               plan: ByteMap | None) -> list[int]:
         # The symbols at ``erased`` of the codeword agreeing with word's
-        # other symbols, by one solve.
+        # other symbols: by one solve, or from ``plan``, a plan of the
+        # syndrome.  With x the symbols at ``erased``, the syndrome of the
+        # word is H_E x plus that of its survivors, and the plan sends
+        # H_E x to x, so each of its outputs is added to what the
+        # position held.
+        if plan is not None:
+            e = len(erased)
+            acc = plan.image(self.syndrome(word))
+            if acc >> 8 * e:
+                raise NoSolutionError("inconsistent system")
+            return [word[c] ^ v
+                    for c, v in zip(erased, acc.to_bytes(e, "little"))]
         h = self.check_matrix
         known = list(word)
         for c in erased:

@@ -352,7 +352,7 @@ def test_decode_contradicting_survivor(tmp_path, capsys):
     for extra in ([], ["--single-pass"]):
         capsys.readouterr()
         assert cli.main(["decode", code, str(holes), "-o", str(out),
-                         *extra]) == 3
+                         *extra]) == 7
         err = capsys.readouterr().err
         assert err.startswith("uncorrectable: ")
         assert err.endswith("unresolved positions [(0, 0)]\n")
@@ -377,7 +377,7 @@ def test_decode_contradicting_vanishing_row_survivor(tmp_path, capsys):
     for extra in ([], ["--single-pass"]):
         capsys.readouterr()
         assert cli.main(["decode", code, str(holes), "-o", str(out),
-                         *extra]) == 3
+                         *extra]) == 7
         assert "uncorrectable" in capsys.readouterr().err
         assert not out.exists()
 
@@ -398,8 +398,34 @@ def test_decode_linear_checks_arrays_with_no_erasures(tmp_path, capsys,
     flipped = tmp_path / "flipped.txt"
     flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
     capsys.readouterr()
-    assert cli.main(["decode", code, str(flipped), "-o", str(out)]) == 3
+    assert cli.main(["decode", code, str(flipped), "-o", str(out)]) == 7
     assert "uncorrectable" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_linear_contradicting_survivor_in_a_stopping_set(tmp_path,
+                                                                capsys):
+    # the 2 x 2 corners of an epc-h2 array are a stopping set of the
+    # peel, so they reach the fill; one changed survivor contradicts it
+    code = write_spec(tmp_path, {"kind": "epc-h2", "m": 4, "n": 4})
+    data = write_data(tmp_path, [1, 2, 3, 4, 5, 6, 7])
+    enc = tmp_path / "enc.txt"
+    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+    corners = [(0, 1), (0, 2), (3, 1), (3, 2)]
+    holes = tmp_path / "holes.txt"
+    punch_holes(enc, holes, corners)
+    out = tmp_path / "dec.txt"
+    assert cli.main(["decode", code, str(holes), "-o", str(out)]) == 0
+    assert out.read_text() == enc.read_text()
+    out.unlink()
+    lines = [line.split() for line in holes.read_text().splitlines()]
+    lines[2][0] = f"{int(lines[2][0], 16) ^ 1:x}"
+    holes.write_text("\n".join(map(" ".join, lines)) + "\n")
+    capsys.readouterr()
+    assert cli.main(["decode", code, str(holes), "-o", str(out)]) == 7
+    assert capsys.readouterr() == (
+        "", "uncorrectable: known symbols are inconsistent with the code; "
+            f"unresolved positions {corners}\n")
     assert not out.exists()
 
 
@@ -423,7 +449,7 @@ def test_decode_gpc_checks_arrays_with_no_erasures(tmp_path, capsys, extra):
     flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
     capsys.readouterr()
     assert cli.main(["decode", code, str(flipped), "-o", str(out),
-                     *extra]) == 3
+                     *extra]) == 7
     assert capsys.readouterr().err.endswith("unresolved positions []\n")
     assert not out.exists()
 

@@ -10,8 +10,9 @@ from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
                          build_optimal_g1, check_condition_35, distance_bound,
                          lc_encode, lc_erasure_decode, lc_is_member)
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import GpcParams, UncorrectableError, full_parity_matrix
-from gpcodes.linalg import Matrix, rank
+from gpcodes.gpc import (ContradictionError, GpcParams, UncorrectableError,
+                         full_parity_matrix)
+from gpcodes.linalg import Matrix, NoSolutionError, rank
 from gpcodes.oracle import brute_min_distance
 from test_properties import low_rank_rows
 
@@ -178,6 +179,35 @@ def test_h2_and_h3_rows_are_product_checks_then_power_rows(m, n, field):
               for step in (1, -1, 2)]
     assert h2 == row_sums + col_sums + powers[:2]
     assert h3 == row_sums + col_sums + powers
+
+
+@pytest.mark.parametrize("field", [default_field(4), default_field(5),
+                                   default_field(8), default_field(10)],
+                         ids=["w4", "w5", "w8", "w10"])
+def test_grid_syndrome_equals_mul_vec(field):
+    """The syndrome of build_h2's and build_h3's codes, for w <= 8 their
+    line sums then their power sums, is the check matrix times the
+    word: on every shape up to 6 x 6 that the field allows, and on
+    15 x 17, for random words and the all-zero and all-maximum ones."""
+    rng = random.Random(field.w)
+    top = 1 << field.w
+    shapes = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(15, 17)]
+    built = 0
+    for m, n in shapes:
+        if field.alpha_order < m * n:
+            continue
+        for build in (build_h2, build_h3):
+            code = build(m, n, field)
+            h = code.check_matrix
+            words = [[0] * code.length, [top - 1] * code.length]
+            words += [[rng.randrange(top) for _ in range(code.length)]
+                      for _ in range(4)]
+            for word in words:
+                rows, cols = code.line_sums(word)
+                assert code.syndrome(word) == h.mul_vec(word) == \
+                    rows + cols + code.power_sums(word), (build, m, n)
+            built += 1
+    assert built == {4: 28, 5: 48, 8: 52, 10: 52}[field.w]
 
 
 def test_build_h2_validation():
@@ -470,7 +500,8 @@ def test_wide_field_lc_encode_stays_scalar():
 def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     code = build_h2(3, 3)
     rows = code.check_matrix.rows
-    charge = code.length * (rows + 64)      # a plan's held bytes, bounded
+    # a plan's held bytes, bounded: it reads the r check symbols
+    charge = rows * (rows + 64)
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge - 1)
     slot = _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(77)):
@@ -479,7 +510,7 @@ def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge)
     slot = _compile_on_next_encode(code)
     lc_encode([0] * code.dimension, code)
-    assert sum(map(len, slot.map.columns)) == code.dimension * rows
+    assert [len(col) for col in slot.map.columns] == [rows] * rows
 
 
 def _decode_outcome(values, erased, code):
@@ -508,7 +539,7 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
             cases.append((values, erased,
                           _decode_outcome(values, erased, _scalar(code))))
     # the second pattern is dependent: a 3 x 3 square holds codewords
-    assert cases[0][2] == word and cases[1][2][0] is UncorrectableError
+    assert cases[0][2] == word and cases[1][2][0] is ContradictionError
     assert "dependent" in cases[2][2][1] and "inconsistent" in cases[3][2][1]
     for values, erased, expected in cases:
         assert _decode_outcome(values, erased, peeled) == expected
@@ -519,6 +550,46 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
     _no_scalar_solve(monkeypatch)
     for values, erased, expected in cases[:2]:
         assert _decode_outcome(values, erased, code) == expected
+
+
+@pytest.mark.parametrize("build, rows, cols", [
+    (lambda: build_h2(15, 17), (3, 14), (2, 7)),
+    (lambda: build_h2(15, 17), (0, 9), (4, 5, 16)),
+    (lambda: build_h3(5, 6), (1, 3), (0, 2, 5))],
+    ids=["H2(15,17)/2x2", "H2(15,17)/2x3", "h3(5,6)/2x3"])
+def test_compiled_residual_plans_match_the_solve(build, rows, cols,
+                                                 monkeypatch):
+    """A rectangle is a stopping set of the peel, so it reaches the fill
+    whole.  Its compiled plan, which reads the grid syndrome, gives the
+    scalar solve's codeword and, with one flipped survivor, its error,
+    message and cells included, and leaves the word as it was."""
+    code = build()
+    rng = random.Random(83)
+    top = 1 << code.field.w
+    word = lc_encode([rng.randrange(top) for _ in range(code.dimension)],
+                     code)
+    erased = frozenset(r * code.n + c for r in rows for c in cols)
+    key = tuple(sorted(erased))
+    damaged = [0 if j in erased else v for j, v in enumerate(word)]
+    flips = []
+    for j in rng.sample(sorted(set(range(code.length)) - erased), 4):
+        flips.append(list(damaged))
+        flips[-1][j] ^= rng.randrange(1, top)
+    cases = [(values, _decode_outcome(values, erased, _scalar(code)))
+             for values in (damaged, *flips)]
+    assert cases[0][1] == word
+    assert all(outcome[0] is ContradictionError for _, outcome in cases[1:])
+    _compile_on_next_use(code, erased)
+    assert lc_erasure_decode(damaged, erased, code) == word
+    assert code._plans[key].map is not None
+    _no_scalar_solve(monkeypatch)
+    for values, outcome in cases:
+        assert _decode_outcome(values, erased, code) == outcome
+    for bad in flips:
+        before = list(bad)
+        with pytest.raises(NoSolutionError):
+            code.fill(bad, key)
+        assert bad == before
 
 
 def test_plan_slots_are_bounded_and_unique_patterns_never_compile(

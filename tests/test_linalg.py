@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from gpcodes import gpc, linalg
-from gpcodes.epc import build_h2, build_h3
+from gpcodes.epc import _PowerRowsCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (GpcParams, component_parity_check, encode,
                          full_parity_matrix)
@@ -309,14 +309,22 @@ def test_syndrome_equals_mul_vec():
                   for _ in range(8)]
         for word in words:
             assert code.syndrome(word) == h.mul_vec(word), name
-        # one check map per code, shared with the fill of no erasures
-        checks = code._checks
-        assert (checks is None) == (code.field.w > 8), name
-        if checks is not None:
+        # one check map per code, shared with the fill of no erasures;
+        # build_h2's code keeps none: its syndrome is in grid form, and
+        # its plans read it, so its plan of no erasures is the identity
+        checks, grid = code._checks, isinstance(code, _PowerRowsCode)
+        assert (checks is None) == (code.field.w > 8 or grid), name
+        if code.field.w <= 8:
             code.syndrome(words[-1])
             code.fill(list(words[0]), (), 2)
             assert code._checks is checks, name
-            assert code._plans[()].map is checks, name
+            plan = code._plans[()].map
+            if grid:
+                assert plan.columns == [bytes(i) + b"\x01" +
+                                        bytes(h.rows - 1 - i)
+                                        for i in range(h.rows)], name
+            else:
+                assert plan is checks, name
         with pytest.raises(ValueError, match="length"):
             code.syndrome([0] * (code.length + 1))
     ws = {int(n.split("/w")[1].split("/")[0]) for n in names
@@ -406,11 +414,14 @@ def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
     if not compiled:
         # no map fits: the block fill solves word by word
         monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
-    for code in _level_codes():
-        h, top = code.check_matrix, 1 << code.field.w
-        # fewer erasures than check rows, so a flip always shows
+    # each code with a bound on its erasures below d - 1, so a flip
+    # always shows: a level code's check rows, and 6 on build_h2's code
+    # (d = 8), whose plans read its grid syndrome and fill word by word
+    codes = [(code, code.check_matrix.rows) for code in _level_codes()]
+    for code, most in codes + [(build_h2(4, 5), 7)]:
+        top = 1 << code.field.w
         erased = tuple(sorted(rng.sample(range(code.length),
-                                         rng.randrange(h.rows))))
+                                         rng.randrange(most))))
         parity = code.parity_positions()
         words = []
         for _ in range(rng.randint(2, 5)):

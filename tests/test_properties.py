@@ -422,15 +422,25 @@ def _map(plan):
     return None if plan is None else (plan.targets, plan.height, plan.columns)
 
 
-def _reference_plan(h, erased):
-    """_map of the plan built from scratch: a fresh elimination of h's
-    rows, its columns transposed with zip."""
-    rows = _work_rows(h.field, h.data)
-    if len(_eliminate(rows, h.field, erased, full=True)) < len(erased):
+def _reference_plan(code, erased):
+    """_map of the plan built from scratch: a fresh elimination of the
+    code's check rows, its columns transposed with zip.  The plans of
+    build_h2's code read its syndrome: they eliminate [H_E | I] on its
+    first |E| columns, and the map is the part that was I."""
+    h, e = code.check_matrix, len(erased)
+    if not isinstance(code, epc._PowerRowsCode):
+        rows = _work_rows(h.field, h.data)
+        if len(_eliminate(rows, h.field, erased, full=True)) < e:
+            return None
+        skip = set(erased)
+        return erased, len(rows), [b"" if j in skip else bytes(col)
+                                   for j, col in enumerate(zip(*rows))]
+    rows = _work_rows(h.field, ([row[c] for c in erased]
+                                + [int(i == k) for k in range(h.rows)]
+                                for i, row in enumerate(h.data)))
+    if len(_eliminate(rows, h.field, range(e), full=True)) < e:
         return None
-    skip = set(erased)
-    return erased, len(rows), [b"" if j in skip else bytes(col)
-                               for j, col in enumerate(zip(*rows))]
+    return (), len(rows), [bytes(col) for col in zip(*rows)][e:]
 
 
 def test_plans_from_a_codes_rows_equal_erasure_plan():
@@ -447,7 +457,7 @@ def test_plans_from_a_codes_rows_equal_erasure_plan():
             rng = random.Random(seed)
             size = rng.randint(1, min(h.rows + 2, code.length))
             erased = tuple(sorted(rng.sample(range(code.length), size)))
-            fresh = _reference_plan(h, erased)
+            fresh = _reference_plan(code, erased)
             assert _map(code._compile(erased)) == fresh
             # through fill: a block of two words compiles on its first use
             code._plans.clear()

@@ -8,10 +8,10 @@ import pytest
 
 from gpcodes import gpc, linalg
 from gpcodes.fields import default_field
-from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams,
-                         SymbolArray, UncorrectableError, decodable_profile,
-                         decode_iterative, decode_rows, encode,
-                         erase_positions, full_parity_matrix,
+from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
+                         GpcParams, SymbolArray, UncorrectableError,
+                         decodable_profile, decode_iterative, decode_rows,
+                         encode, erase_positions, full_parity_matrix,
                          min_weight_codeword)
 from gpcodes.linalg import NoSolutionError, combine, pack_blocks, unpack_block
 from gpcodes.oracle import correctable, random_decodable_pattern
@@ -115,7 +115,7 @@ def ref_decode_rows(arr, params, trace=None):
     try:
         left = _ref_row_pass(work, view, trace)
     except NoSolutionError as exc:
-        raise UncorrectableError(f"row solve failed: {exc}",
+        raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
     if left:
         bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
@@ -143,7 +143,7 @@ def ref_decode_iterative(arr, params):
             if not 0 < after < left:
                 break
     except NoSolutionError as exc:
-        raise UncorrectableError(f"row solve failed: {exc}",
+        raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
     return work
 

@@ -155,6 +155,10 @@ MUTANTS = (
     Mutant("the plan of no erasures is not syndrome's map", LINALG,
            "        if not erased:\n            return self._checks\n", "",
            ("tests/test_linalg.py::test_syndrome_equals_mul_vec",)),
+    Mutant("the syndrome plan ignores its residual checks", LINALG,
+           "            if acc >> 8 * e:\n", "            if False:\n",
+           ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
+            "solve",)),
     Mutant("parity positions are scanned left to right", LINALG,
            "range(self.length - 1, -1, -1)", "range(self.length)",
            ("tests/test_epc.py::test_parity_positions_match_greedy_rank_"
@@ -165,10 +169,10 @@ MUTANTS = (
            "EpcShape(m, 1, n, 1, len(steps) - 1)",
            ("tests/test_cli.py::test_shapes_with_no_data_symbols_exit_2",)),
     Mutant("a peeled word skips its line sums", EPC,
-           "if any(row_sums) or any(col_sums) or not code.powers_vanish",
-           "if not code.powers_vanish", (LOCAL_FIRST,)),
+           "if any(row_sums) or any(col_sums) or any(code.power_sums",
+           "if any(code.power_sums", (LOCAL_FIRST,)),
     Mutant("a peeled word skips its power rows", EPC,
-           "if any(row_sums) or any(col_sums) or not code.powers_vanish(word)",
+           "if any(row_sums) or any(col_sums) or any(code.power_sums(word))",
            "if any(row_sums) or any(col_sums)", (LOCAL_FIRST,)),
     Mutant("the power check runs Horner backwards", EPC,
            'for v in acc.to_bytes(n, "big"):',
