@@ -491,7 +491,7 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
     # alpha^(r * order[j]) for r < nsys, picked from the view's powers,
     # in row echelon form.
     return recall(_TRIANGULATION_CACHE, (params, order, nsys),
-                  _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix(
+                  _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix._fresh(
                       params.field, [[row[j] for j in order]
                                      for row in _view(params).powers[:nsys]])))
 

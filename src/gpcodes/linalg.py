@@ -6,9 +6,10 @@ Every elimination runs through one in-place kernel, ``_eliminate``,
 on working rows built by ``_work_rows``: ``bytes`` for w <= 8, so that
 a row is scaled with one ``bytes.translate`` through a product table
 (see :attr:`GF.mul_tables`) and cleared by XORing the translated pivot
-row as one big integer, and int lists, multiplied entry by entry, for
-w > 8.  The kernel pivots on the columns it is given, in that order,
-picks unit pivots top to bottom and has two modes:
+row as one big integer, and int lists for w > 8, cleared entry by
+entry through the field's exp/log tables up to w = 16 and with
+``GF.mul`` past them.  The kernel pivots on the columns it is given,
+in that order, picks unit pivots top to bottom and has two modes:
 
 * below-only, for :func:`row_reduce` and :func:`rank`.  It only ever
   adds multiples of earlier pivot rows to later rows (plus the
@@ -82,6 +83,16 @@ class Matrix:
             raise ValueError("ragged rows")
 
     @classmethod
+    def _fresh(cls, field: GF, data: list[list[int]]) -> "Matrix":
+        # A matrix that takes new int-list rows of one length as they
+        # are, without __init__'s copy and ragged-row check.
+        out = cls.__new__(cls)
+        out.field, out.data = field, data
+        out.rows = len(data)
+        out.cols = len(data[0]) if data else 0
+        return out
+
+    @classmethod
     def identity(cls, field: GF, n: int) -> "Matrix":
         return cls(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
@@ -95,7 +106,8 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})\n{body}"
 
     def submatrix(self, cols: Sequence[int]) -> "Matrix":
-        return Matrix(self.field, [[row[c] for c in cols] for row in self.data])
+        return Matrix._fresh(self.field,
+                             [[row[c] for c in cols] for row in self.data])
 
     def mul_vec(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.cols:
@@ -116,10 +128,7 @@ def vstack(blocks: Sequence[Matrix]) -> Matrix:
     cols = blocks[0].cols
     if any(b.cols != cols or b.field != field for b in blocks):
         raise ValueError("blocks must share field and width")
-    data: list[list[int]] = []
-    for b in blocks:
-        data.extend(b.data)
-    return Matrix(field, data)
+    return Matrix._fresh(field, [row[:] for b in blocks for row in b.data])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -131,7 +140,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     for ar in a.data:
         for br in b.data:
             data.append([f.mul(x, y) if x and y else 0 for x in ar for y in br])
-    return Matrix(f, data)
+    return Matrix._fresh(f, data)
 
 
 def vandermonde(field: GF, nodes: Sequence[int], num_rows: int) -> Matrix:
@@ -148,7 +157,7 @@ def vandermonde(field: GF, nodes: Sequence[int], num_rows: int) -> Matrix:
     for _ in range(1, num_rows):
         prev = data[-1]
         data.append([field.mul(p, n) for p, n in zip(prev, nodes)])
-    return Matrix(field, data[:num_rows])
+    return Matrix._fresh(field, data[:num_rows])
 
 
 def _work_rows(field: GF, data: Iterable[Sequence[int]]) -> list:
@@ -168,11 +177,14 @@ def _eliminate(rows: list, field: GF, cols: Iterable[int],
     # every other row when ``full``.  Returns the pivot columns, in order.
     # Rows held as bytes (w <= 8, see _work_rows) are scaled with one
     # ``bytes.translate`` through a product table and cleared by XORing
-    # the translated pivot row as one int; int lists, any w, multiply
-    # entry by entry.  Either form gives the same pivots and rows.  Rows
-    # are replaced in the list, never changed in place, so a shallow copy
-    # of a list of working rows is a working copy.
+    # the translated pivot row as one int; int lists, any w, are cleared
+    # entry by entry, through the field's exp/log tables inline when it
+    # has them (w <= 16) and with ``GF.mul`` past them.  Either form
+    # gives the same pivots and rows.  Rows are replaced in the list,
+    # never changed in place, so a shallow copy of a list of working rows
+    # is a working copy.
     mul, from_bytes = field.mul, int.from_bytes
+    exp, log = field._exp, field._log
     nrows = len(rows)
     tables = field.mul_tables if rows and type(rows[0]) is bytes else None
     pivots: list[int] = []
@@ -200,6 +212,10 @@ def _eliminate(rows: list, field: GF, cols: Iterable[int],
                     rows[i] = (from_bytes(row, "little") ^ from_bytes(
                         prow.translate(tables[factor]), "little")
                     ).to_bytes(size, "little")
+                elif log:
+                    lf = log[factor]
+                    rows[i] = [v ^ exp[lf + log[q]] if q else v
+                               for v, q in zip(row, prow)]
                 else:
                     rows[i] = [v ^ mul(factor, q) for v, q in zip(row, prow)]
         pivots.append(col)
@@ -217,7 +233,7 @@ def row_reduce(m: Matrix) -> Matrix:
     """
     work = _work_rows(m.field, m.data)
     _eliminate(work, m.field, range(m.cols), full=False)
-    return Matrix(m.field, work)
+    return Matrix._fresh(m.field, [list(row) for row in work])
 
 
 def rank(m: Matrix) -> int:

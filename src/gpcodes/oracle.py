@@ -3,14 +3,19 @@
 Correctability of an erasure pattern and exact minimum distance are
 both column-rank statements about the check matrix, so everything here
 works directly on matrices and never consults the structured decoders
-or their compiled maps.
+or their compiled maps.  :func:`correctable` takes the rank of the
+erased columns as rows, the transpose of their submatrix, so that one
+elimination of |E| short rows settles a pattern.
 The distance search enumerates column subsets in colexicographic order,
 maintaining an incremental GF(2) elimination state: a GF(2^w) column is
 expanded into its w binary multiples, each packed into one int, which
-makes dependence checks a handful of XORs.  It first certifies that no
-set below the cap is dependent with one pass just under it, descending
-whenever a pass meets a dependent set, and then finds the colex-least
-dependent set of minimum size, so results are reproducible.  Sets that
+makes dependence checks a handful of XORs.  The column's symbols sit in
+w-bit lanes of one int, and each next multiple by x doubles every lane
+at once, a shift and one reduction by the modulus, with no field
+multiplication.  It first certifies that no set below the cap is
+dependent with one pass just under it, descending whenever a pass meets
+a dependent set, and then finds the colex-least dependent set of
+minimum size, so results are reproducible.  Sets that
 lie within an independent run of leading columns are certified in
 bulk rather than one by one, and a search node with two columns left
 reads that run off its parent's pivots with no insertion of its own
@@ -23,6 +28,7 @@ import random
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
+from .fields import GF
 from .linalg import Matrix, _eliminate, _work_rows, rank, solve
 from . import gpc as _gpc
 
@@ -40,14 +46,22 @@ class DistanceCapError(RuntimeError):
 def correctable(positions: Iterable[int], check_matrix: Matrix) -> bool:
     """Whether an erasure pattern is recoverable under the given checks.
 
-    True exactly when the selected columns are linearly independent.
+    True exactly when the selected columns are linearly independent,
+    that is when the submatrix H_E of the erased columns has rank |E|.
+    Rank does not change under transposition, so the one :func:`rank`
+    runs on the transpose of H_E, one row per erased column built
+    straight from the check matrix's rows: at most |E|(|E| - 1)/2 row
+    updates of R symbols for R check rows, and the elimination stops at
+    the |E|-th pivot.
     """
     cols = sorted(set(positions))
     if not cols:
         return True
     if cols[0] < 0 or cols[-1] >= check_matrix.cols:
         raise ValueError("position out of range")
-    return rank(check_matrix.submatrix(cols=cols)) == len(cols)
+    data = check_matrix.data
+    return rank(Matrix._fresh(check_matrix.field, [
+        [row[c] for row in data] for c in cols])) == len(cols)
 
 
 class DistanceReport(NamedTuple):
@@ -59,6 +73,31 @@ class DistanceReport(NamedTuple):
 def _row_basis(m: Matrix) -> list[Sequence[int]]:
     work = _work_rows(m.field, m.data)
     return work[:len(_eliminate(work, m.field, range(m.cols), full=False))]
+
+
+def _column_expansions(basis: list[Sequence[int]], field: GF,
+                       n: int) -> list[list[int]]:
+    # Column j's expansions by the field's GF(2) basis 1, x, ..., x^(w-1):
+    # its symbols in the rows of ``basis`` packed into one int, row r in
+    # the w-bit lane at bit r * w, then its multiples by x, lane by lane.
+    # Doubling shifts each lane's low w - 1 bits up one place and adds
+    # the modulus's low terms to every lane whose top bit it dropped.
+    w = field.w
+    ones = sum(1 << r * w for r in range(len(basis)))
+    keep = ones * ((1 << w - 1) - 1)
+    low = field.modulus ^ 1 << w
+    packed = [0] * n
+    for r, row in enumerate(basis):
+        shift = r * w
+        packed = [v | s << shift for v, s in zip(packed, row)]
+    colbits = []
+    for v in packed:
+        bits = [v]
+        for _ in range(w - 1):
+            v = ((v & keep) << 1) ^ ((v >> w - 1) & ones) * low
+            bits.append(v)
+        colbits.append(bits)
+    return colbits
 
 
 def search_cost(n: int, cap: int) -> int:
@@ -114,13 +153,9 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
             f"the budget of {budget}; lower the cap or raise the budget")
     if n == 0:
         raise DistanceCapError("empty matrix has no columns")
-    f = check_matrix.field
-    w = f.w
+    w = check_matrix.field.w
     basis = _row_basis(check_matrix)
-    # Column j's expansions by the field's GF(2) basis 1, x, ..., x^(w-1).
-    colbits = [[sum(f.mul(row[j], 1 << k) << (r * w)
-                    for r, row in enumerate(basis) if row[j])
-                for k in range(w)] for j in range(n)]
+    colbits = _column_expansions(basis, check_matrix.field, n)
     # The GF(2) span of the inserted columns' expansions is closed under
     # field scalars, so a column lies in it exactly when its scalar-1
     # expansion reduces to zero.

@@ -111,6 +111,61 @@ def test_rank():
         assert rank(a) == rank(Matrix(F16, list(zip(*a.data))))
 
 
+def _mul_eliminate(rows, field, cols, full):
+    # _eliminate's loop with one GF.mul per entry, as a reference: the
+    # same pivot choice, scaling and row updates, in place on int lists.
+    mul, nrows = field.mul, len(rows)
+    pivots = []
+    for col in cols:
+        p = len(pivots)
+        if p == nrows:
+            break
+        sel = next((i for i in range(p, nrows) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[sel], rows[p] = rows[p], rows[sel]
+        inv = field.inv(rows[p][col])
+        prow = rows[p] = [mul(inv, v) for v in rows[p]]
+        for i in range(0 if full else p + 1, nrows):
+            factor = rows[i][col]
+            if factor and i != p:
+                rows[i] = [v ^ mul(factor, q) for v, q in zip(rows[i], prow)]
+        pivots.append(col)
+    return pivots
+
+
+@pytest.mark.parametrize("field", [
+    default_field(3), default_field(8), default_field(9), default_field(10),
+    default_field(12), default_field(16), GF.from_prime(13),
+    GF(20, 0x100009)], ids=repr)
+@pytest.mark.parametrize("full", [False, True])
+def test_eliminate_on_int_lists_equals_the_mul_reference(field, full):
+    # Int-list rows are cleared through the exp/log tables for w <= 16
+    # and with GF.mul past them; both give the reference's pivots and
+    # rows, on sparse random rows, rank deficits and any column order.
+    # For w <= 8 the bytes rows give them too.
+    rng = random.Random(field.w * 2 + full)
+    top = 1 << field.w
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 9)
+        rows = [[rng.randrange(top) if rng.random() < 0.7 else 0
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.3:
+            g = rng.randrange(1, top)
+            rows[-1] = [field.mul(g, v) for v in rows[0]]
+        order = rng.sample(range(ncols), rng.randint(0, ncols))
+        want = [row[:] for row in rows]
+        pivots = _mul_eliminate(want, field, order, full)
+        work = [row[:] for row in rows]
+        assert linalg._eliminate(work, field, order, full) == pivots
+        assert work == want
+        if field.w <= 8:
+            work = linalg._work_rows(field, rows)
+            assert type(work[0]) is bytes
+            assert linalg._eliminate(work, field, order, full) == pivots
+            assert [list(row) for row in work] == want
+
+
 def test_solve_unique():
     rng = random.Random(17)
     for _ in range(40):

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from gpcodes import gpc, linalg, oracle
-from gpcodes.epc import build_h2
+from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.gpc import ErasureProfile, GpcParams, UncorrectableError, \
     decodable_profile, full_parity_matrix
@@ -36,6 +36,23 @@ def test_correctable_basics():
         correctable([3], h)
     with pytest.raises(ValueError):
         correctable([-1], h)
+
+
+@pytest.mark.parametrize("h", [
+    build_h3(3, 4, GF.from_prime(13)).check_matrix,
+    build_h2(3, 3).check_matrix,
+    full_parity_matrix(GpcParams(m=2, n=5, k=2, s=(1, 1), u=(2, 4),
+                                 field=F8))], ids=["h3", "h2", "gpc"])
+def test_correctable_equals_the_rank_of_the_erased_columns(h):
+    # On every pattern: dependent ones, and ones with more erased columns
+    # than check rows (the gpc code's 8 rows have rank 6).
+    kinds = set()
+    for size in range(1, h.cols + 1):
+        for cols in combinations(range(h.cols), size):
+            want = rank(h.submatrix(cols=cols)) == size
+            assert correctable(cols, h) == want, cols
+            kinds.add((want, size > h.rows))
+    assert kinds == {(True, False), (False, False), (False, True)}
 
 
 def test_correctable_matches_decoding_limit():
@@ -192,17 +209,41 @@ def test_brute_min_distance_descends_past_dependent_prefix():
     assert report.subsets_examined <= search_cost(7, 5)
 
 
+def _mul_expansions(basis, f, n):
+    """Column j's expansions by 1, x, ..., x^(w-1) with one GF.mul per
+    symbol, as a reference: row r of ``basis`` in the w bits at r * w."""
+    w = f.w
+    return [[sum(f.mul(row[j], 1 << k) << (r * w)
+                 for r, row in enumerate(basis) if row[j])
+             for k in range(w)] for j in range(n)]
+
+
+@pytest.mark.parametrize("field", [
+    F8, default_field(8), GF.from_prime(13), default_field(16),
+    GF(20, 0x100009)], ids=repr)
+def test_lane_expansions_equal_the_mul_reference(field):
+    # Every lane's top bit is set in some column, so a doubling that
+    # lets it into the next lane, or past the last one, shows.
+    rng = random.Random(field.w)
+    top = 1 << field.w
+    for _ in range(20):
+        rows, n = rng.randint(1, 6), rng.randint(1, 8)
+        basis = [[rng.randrange(top) if rng.random() < 0.7 else 0
+                  for _ in range(n)] for _ in range(rows)]
+        basis[-1][0] = top - 1
+        assert oracle._column_expansions(basis, field, n) == \
+            _mul_expansions(basis, field, n)
+    assert oracle._column_expansions([], field, 3) == [[0] * field.w] * 3
+
+
 def _unpruned_min_distance(h, cap):
     """The distance search as it was before the frontier prune, as a
     reference: every subset is tested one by one.  The same
     (distance, witness, subsets examined), or None where
     :func:`brute_min_distance` raises :class:`DistanceCapError`."""
-    n, f = h.cols, h.field
-    w = f.w
+    n, w = h.cols, h.field.w
     basis = oracle._row_basis(h)
-    colbits = [[sum(f.mul(row[j], 1 << k) << (r * w)
-                    for r, row in enumerate(basis) if row[j])
-                for k in range(w)] for j in range(n)]
+    colbits = _mul_expansions(basis, h.field, n)
     first = [bits[0] for bits in colbits]
     pivots = [0] * (len(basis) * w)
     examined = 0

@@ -137,11 +137,16 @@ MUTANTS = (
            ("tests/test_linalg.py::test_rank",)),
     Mutant("row_reduce clears above its pivots too", LINALG,
            "    _eliminate(work, m.field, range(m.cols), full=False)\n"
-           "    return Matrix(m.field, work)",
+           "    return Matrix._fresh(",
            "    _eliminate(work, m.field, range(m.cols), full=True)\n"
-           "    return Matrix(m.field, work)",
+           "    return Matrix._fresh(",
            ("tests/test_linalg.py::test_row_reduce_keeps_triangular_"
             "structure",)),
+    Mutant("the wide-field row update drops its zero test", LINALG,
+           "rows[i] = [v ^ exp[lf + log[q]] if q else v",
+           "rows[i] = [v ^ exp[lf + log[q]]",
+           ("tests/test_linalg.py::test_eliminate_on_int_lists_equals_the_"
+            "mul_reference",)),
     Mutant("maps compile on their third use", LINALG,
            "before <= 1 < self.uses", "before <= 2 < self.uses",
            ("tests/test_linalg.py::test_every_map_compiles_on_its_second_use",)),
@@ -182,6 +187,15 @@ MUTANTS = (
            "if in_row[r] == 1:", "if in_row[r] <= 2:",
            ("tests/test_epc.py::test_lc_erasure_decode_small_patterns",)),
     # the distance oracle and the equivalence report
+    Mutant("correctable compares its rank with the check rows", ORACLE,
+           "for c in cols])) == len(cols)",
+           "for c in cols])) == check_matrix.rows",
+           ("tests/test_oracle.py::test_correctable_equals_the_rank_of_the_"
+            "erased_columns",)),
+    Mutant("the lane doubling lets the overflow bit into the next lane",
+           ORACLE, "v = ((v & keep) << 1) ^", "v = (v << 1) ^",
+           ("tests/test_oracle.py::test_lane_expansions_equal_the_mul_"
+            "reference",)),
     Mutant("the frontier walk stops one column low", ORACLE,
            "return j - 1, walked", "return j - 2, walked",
            ("tests/test_oracle.py::test_frontier_prune_certifies_independent_"
