@@ -226,9 +226,8 @@ class GF:
     byte symbol of a block by v.  Table g * v is table v translated
     through table g, so one table of products and one translate per
     power of g give them all.  Past the tables, factoring is the one
-    construction cost of note.  Over widths 17 to 63 it peaks at w = 62,
-    where 2^62 - 1 has two prime factors near 10^9 that Pollard rho must
-    split: 26 to 29 ms on a 2-core Xeon.
+    construction cost of note: it is largest where 2^w - 1 has two large
+    prime factors for Pollard rho to split, as at w = 62.
     """
 
     __slots__ = ("w", "modulus", "alpha", "order", "_exp", "_log",

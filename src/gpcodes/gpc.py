@@ -7,12 +7,15 @@ Every array row belongs to the weakest row code; selected combinations
 of rows (weighted by powers of alpha) fall into progressively stronger
 row codes, and the last ``m - k`` such combinations vanish outright:
 they lie in level t of the ladder, the zero code, whose strength is n.
-That nesting is what the erasure decoder exploits: it triangulates the
-power-weight matrix of the erased rows and peels them off from the most
-constrained combination to the least.  Every row pass of a code with
-k < m applies all m - k vanishing combinations, arrays with no erasures
-included, so survivors that contradict them are reported; a k = m code
-(integrated-interleaved) has none and checks only the rows its solves
+Combination r lies in level i exactly when r < s_hat(i); erasure budget
+r is the strength of the deepest such level.  That nesting is what the
+erasure decoder exploits: it triangulates the power-weight matrix of the
+erased rows and peels them off from the most constrained combination to
+the least.  Every row pass repairs each row within reach of the weakest
+row code, rows with no erasure included, so a survivor that breaks its
+own row's checks is always reported, and a code with k < m applies all
+m - k vanishing combinations too.  A k = m code (integrated-interleaved)
+has none, so past level 0 it checks only the combinations its solves
 use.
 
 Arrays carry an explicit erasure mask; an erased cell always stores the
@@ -21,6 +24,7 @@ value 0 and the mask is authoritative.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, compress
 from operator import gt, itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -135,10 +139,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         return f"C({self.n};{self.k},({body}))"
 
     def dimension(self) -> int:
-        """Number of free symbols per array."""
-        return self.m * self.n - sum(
-            (self.s_hat(i) - self.s_hat(i + 1)) * self.u_at(i)
-            for i in range(self.t + 1))
+        """Number of free symbols per array: m*n less the budgets."""
+        return self.m * self.n - sum(self.erasure_budgets())
 
     def min_distance(self) -> int:
         return min((self.s_hat(i + 1) + 1) * (self.u[i] + 1)
@@ -147,8 +149,10 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
     def erasure_budgets(self) -> tuple[int, ...]:
         """Largest tolerable per-row erasure counts, sorted non-increasing.
 
-        A sorted profile is decodable by the row decoder exactly when it
-        is dominated entrywise by this vector.
+        Budget p is the strength of the deepest level combination p lies
+        in (n for the m - k vanishing ones, u_0 for the rows past
+        s_hat(1)).  A sorted profile is decodable by the row decoder
+        exactly when it is dominated entrywise by this vector.
         """
         out: list[int] = []
         for i in range(self.t, -1, -1):
@@ -158,13 +162,14 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
     def parity_positions(self) -> frozenset[tuple[int, int]]:
         """Systematic layout: cells solved by the encoder.
 
-        Level i claims the last u_at(i) columns of its row band, so the
-        bottom m - k rows (level t) are parity in full.
+        Row r claims its last ``erasure_budgets()[m - 1 - r]`` cells, so
+        the budgets read bottom row first: the bottom m - k rows (level
+        t) are parity in full, and the top s_0 rows hold u_0 each.
         """
-        return frozenset(
-            (r, c) for i in range(self.t + 1)
-            for r in range(self.m - self.s_hat(i), self.m - self.s_hat(i + 1))
-            for c in range(self.n - self.u_at(i), self.n))
+        budgets = self.erasure_budgets()
+        return frozenset((r, c) for r in range(self.m)
+                         for c in range(self.n - budgets[self.m - 1 - r],
+                                        self.n))
 
     def transposed(self) -> "GpcParams":
         """Parameters of the same code viewed column-wise.
@@ -318,7 +323,7 @@ class _View(NamedTuple):
     """What gpc keeps per params."""
 
     params: GpcParams
-    levels: list[LinearCode]    # row codes 0..t; level t has the identity
+    levels: list[LinearCode]    # row codes 0..t-1 (level t is zero)
     col_params: GpcParams | None   # None when k = m
     encoder: PlanSlot           # of an _Encoder
     dim: int                    # K, the data symbols per array
@@ -327,20 +332,18 @@ class _View(NamedTuple):
 
 
 # Views by params, least recently used evicted first: at most 16
-# entries, each an encoder (split tables of at most 2 MiB, 1.71 MB for
-# G16; see linalg.MAP_BYTES_LIMIT) and t + 1 row codes of length n (G16's
-# row view holds 14 KB of check lists, its column view 6 KB), each with
-# at most 1 MiB of row plans.
+# entries, each an encoder (split tables of at most 2 MiB; see
+# linalg.MAP_BYTES_LIMIT) and t row codes of length n, each with at most
+# 1 MiB of row plans.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
 
 def _level_checks(params: GpcParams) -> list[Matrix]:
-    # Check matrices of the row codes 0..t, after validating params;
+    # Check matrices of the row codes 0..t-1, after validating params;
     # callers that run no compiled map use these and evict no view.
     params.check()
-    checks = [component_parity_check(params, i) for i in range(params.t)]
-    return checks + [Matrix.identity(params.field, params.n)]
+    return [component_parity_check(params, i) for i in range(params.t)]
 
 
 def _view(params: GpcParams) -> _View:
@@ -364,8 +367,8 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     t) last.  Rows may be redundant; the rank always equals m*n minus
     the dimension.
     """
-    checks = _level_checks(params)
     f = params.field
+    checks = _level_checks(params) + [Matrix.identity(f, params.n)]
     row_nodes = [f.alpha_pow(j) for j in range(params.m)]
     blocks = [kron(Matrix.identity(f, params.m), checks[0])]
     for i in range(1, params.t + 1):
@@ -419,8 +422,10 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
 
     Every row goes through the level-0 code's
     :meth:`~gpcodes.linalg.LinearCode.syndrome`, and each row
-    combination, summed with :func:`~gpcodes.linalg.combine`, through
-    the syndromes of the deeper levels it must lie in.  Raises
+    combination r < s_hat(1), summed with
+    :func:`~gpcodes.linalg.combine`, through the syndrome of the deepest
+    level it lies in (budget r is its strength; level t's is zero).  The
+    levels nest, so that check implies the shallower ones.  Raises
     ``ValueError`` when a symbol lies outside [0, 2^w).
     """
     view = _view(params)
@@ -435,9 +440,10 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     # Combination r weights row j by alpha^(r*j).
     for r, gamma in enumerate(view.powers[:params.s_hat(1)]):
         combo = combine(f, zip(gamma, arr.values), params.n)
-        for i in range(1, params.t + 1):
-            if r < params.s_hat(i) and any(view.levels[i].syndrome(combo)):
-                return False
+        level = bisect_left(params.u, view.budgets[r])
+        if any(view.levels[level].syndrome(combo) if level < params.t
+               else combo):
+            return False
     return True
 
 
@@ -479,8 +485,7 @@ class DecodeTrace:
 
 # Triangulations by (params, row order, system size), least recently
 # used evicted first.  A repeated loss needs one entry; patterns that are
-# all new hit almost never (a 15 s scrub of the benchmark's G16 code: 16
-# hits in 464 lookups), so a small limit keeps the hits that come.
+# all new hit almost never, so a small limit keeps the hits that come.
 _TRIANGULATION_LIMIT = 64
 _TRIANGULATION_CACHE: dict[tuple, Matrix] = {}
 
@@ -500,10 +505,10 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
               trace: DecodeTrace | None = None, block: int = 1) -> int:
     # One in-place row pass over the rows ``values`` and each row's
     # erased columns ``erased``, whose erased cells hold 0: repair every
-    # row within reach of the weakest row code, then, if the profile fits
-    # the budgets, peel the rest and compare each of the m - k vanishing
-    # combinations with its pivot row, erased or not (so a pass with
-    # nothing erased still checks them).  A repaired row's entry becomes ().
+    # row within reach of the weakest row code, clean rows included,
+    # then, if the profile fits the budgets, peel the rest and compare
+    # each of the m - k vanishing combinations with its pivot row, erased
+    # or not.  A repaired row's entry becomes ().
     # Each cell holds a symbol, or with ``block`` L > 1 (w <= 8) a block
     # of L symbols, one per array the pass repairs at once.  Returns the
     # number of cells left erased: 0 when every row is repaired, else the
@@ -511,10 +516,10 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
     params = view.params
     groups: dict[tuple[int, ...], list[int]] = {}
     for r, cols in enumerate(erased):
-        if 0 < len(cols) <= params.u[0]:
+        if len(cols) <= params.u[0]:
             groups.setdefault(cols, []).append(r)
             erased[r] = ()
-    # Rows with equal erased columns repair as one block (w <= 8).
+    # Rows with equal erased columns (or none) repair as one block (w <= 8).
     split = params.field.w > 8
     for cols, rows in groups.items():
         for part in ([r] for r in rows) if split else (rows,):
@@ -522,7 +527,7 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
     left = sum(map(len, erased))
     # The profile: rows by erasure count, descending, ties by index
     # (the sort is stable).
-    m, k, t = params.m, params.k, params.t
+    m, k = params.m, params.k
     order = tuple(sorted(range(m), key=lambda r: len(erased[r]),
                          reverse=True))
     counts = tuple(len(erased[r]) for r in order)
@@ -549,8 +554,9 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
             if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
-            level = next(s for s in range(1, t) if params.u[s] >= counts[p]
-                         and params.s_hat(s) >= p + 1)
+            # counts[p] is within budget p, the deepest level p lies in,
+            # so the weakest level that covers it is one p lies in too.
+            level = bisect_left(params.u, counts[p])
             _repair_rows(values, [row_idx], cols, view, level, block, known)
         erased[row_idx] = ()
         if trace is not None:
@@ -586,27 +592,30 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
                 trace: DecodeTrace | None = None) -> SymbolArray:
     """Single-pass erasure decoder working row by row.
 
-    First settles every row within reach of the weakest row code, then
-    orders the remaining rows by erasure count, triangulates their
-    power-weight matrix, and peels rows from strongest combination to
-    weakest: each triangulated row states that the current array row
-    plus a known combination of later rows lies in some row code (or
-    vanishes), which pins its erased symbols.
+    First settles every row within reach of the weakest row code, rows
+    with no erasure included, then orders the remaining rows by erasure
+    count, triangulates their power-weight matrix, and peels rows from
+    strongest combination to weakest: each triangulated row states that
+    the current array row plus a known combination of later rows lies in
+    some row code (or vanishes), which pins its erased symbols.  A pivot
+    row repairs in the weakest level whose strength covers its count.
 
     Every row repair fills the row's erased cells in one level's row
     code with :meth:`~gpcodes.linalg.LinearCode.fill`.  For w <= 8, the
     rows within reach of the weakest row code that share their erased
-    columns fill together, as one block of one byte per row.  Each set
+    columns fill together, as one block of one byte per row, and so do
+    the rows with no erasure, through the plan of no erasures.  Each set
     of erased columns in one level under equal ``params`` has its own
     erasure plan, compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule
     (as many per level as fit in 1 MiB, least recently used dropped
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).
     The output and the errors are those of the solves, checks included.
-    A code with k < m applies each of its m - k vanishing combinations,
-    even when the local repairs leave nothing erased or a combination's
-    pivot row has none, so an array with no erasures is checked too; a
-    k = m code checks only the rows its solves use.
+    Every row is checked against the weakest row code, and a code with
+    k < m applies each of its m - k vanishing combinations, even when the
+    local repairs leave nothing erased or a combination's pivot row has
+    none; past level 0 a k = m code checks only the combinations its
+    solves use.
     It shares its driver with :func:`decode_iterative`, which works on
     plain row lists and each row's erased columns, built once from
     ``arr``, and leaves ``arr`` unchanged.
@@ -637,9 +646,8 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     returned with its remaining erasures still masked.  It shares its
     driver with :func:`decode_rows`, compiled row plans included; the
     column view keeps its own, and the column pass works on the
-    transposed row lists and erased rows.  Each row pass of a code with
-    k < m applies its m - k vanishing combinations, arrays with no
-    erasures included; a k = m code checks only the rows its solves use.
+    transposed row lists and erased rows.  Its row passes check what
+    those of :func:`decode_rows` check.
     A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
     contradict the checks raise :class:`ContradictionError` naming every
     erased cell of ``arr``.

@@ -279,10 +279,7 @@ def null_space(m: Matrix) -> list[list[int]]:
 # 64), the 64 for each entry's Python object: a plan N x (R + 64), or
 # R x (R + 64) when it reads the syndrome (see LinearCode._plan_bytes),
 # a gpc encoder 32 x K x (P + 64) for the 32 entries per data symbol of
-# its SplitMap, which take P + 34 to 37 bytes each by tracemalloc.
-# G16's encoder is charged 2 047 488 bytes and holds 1.71 MB; a
-# 16 x 255 code over GF(2^8) (K = 4064, P = 16) is charged 10.4 MB and
-# stays scalar.  So gpc's 16 views hold at most 32 MiB of encoder
+# its SplitMap.  So gpc's 16 views hold at most 32 MiB of encoder
 # tables.
 MAP_BYTES_LIMIT = 1 << 21
 
@@ -486,13 +483,10 @@ class PlanSlot:
     once.  An erasure plan, one elimination of the code's check rows
     held as bytes, compiles in about the time of one scalar use, so a
     process that repeats a fill never takes much more than twice its
-    scalar time.  G16's encoder, one row pass over blocks of its K =
-    372 unit data vectors whose data columns are cut straight into
-    split tables, compiles in about 17.5 ms, 7 ms of them
-    for the tables, against about 0.6 ms per scalar encode and 0.1 ms
-    per compiled one (timed together on a shared 2-core Xeon): the
-    rule's one cost is a process that encodes one gpc code only a few
-    times, twice at worst.  The compile is tried that once: fields with
+    scalar time.  A gpc encoder, one row pass over blocks of its K unit
+    data vectors, costs many scalar encodes to compile, so the rule's
+    one cost is a process that encodes one gpc code only a few times.
+    The compile is tried that once: fields with
     w > 8, maps charged more held bytes than ``MAP_BYTES_LIMIT`` and
     builds that return None stay scalar.  Slots live in caches bounded
     by :func:`recall`, so a slot in use is kept and an evicted one
@@ -521,11 +515,9 @@ class PlanSlot:
 
 # Plan memory per code, in bytes: a LinearCode keeps at most
 # _PLAN_BUDGET // _plan_bytes plan slots, and at least one, least
-# recently used evicted first.  By tracemalloc a plan takes 1.2 to 1.5
-# KB on G16's level codes (so level 0 keeps 529 slots, level 1 514) and
-# about 2.9 KB on build_h2(15, 17), whose plans read its 34 check
-# symbols (314 slots).  A plan compiles only when its charge is within
-# MAP_BYTES_LIMIT, so a code holds at most max(1 MiB, one plan) of plans.
+# recently used evicted first.  A plan compiles only when its charge is
+# within MAP_BYTES_LIMIT, so a code holds at most max(1 MiB, one plan)
+# of plans.
 _PLAN_BUDGET = 1 << 20
 
 

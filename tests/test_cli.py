@@ -16,6 +16,8 @@ from test_oracle import corrupt_survivors, flip_first_recovered
 
 FLAGSHIP_SPEC = {"kind": "gpc", "m": 6, "n": 7, "k": 4,
                  "s": [2, 1, 3], "u": [1, 3, 4]}
+K_EQ_M_SPEC = {"kind": "gpc", "m": 4, "n": 6, "k": 4,
+               "s": [2, 2], "u": [1, 2]}
 STAIR_SPEC = {"kind": "gpc", "m": 6, "n": 7, "k": 5,
               "s": [2, 2, 2], "u": [1, 3, 5]}
 G1_SPEC = {"kind": "epc-g1", "m": 4, "v": 1, "n": 5, "h": 1}
@@ -87,8 +89,7 @@ def test_info_g1_prints_its_shape_and_bound(tmp_path, capsys):
 
 
 def test_info_gpc_without_column_view(tmp_path, capsys):
-    code = write_spec(tmp_path, {"kind": "gpc", "m": 4, "n": 6, "k": 4,
-                                 "s": [2, 2], "u": [1, 2]})
+    code = write_spec(tmp_path, K_EQ_M_SPEC)
     assert cli.main(["info", code]) == 0
     assert "transpose: undefined (k = m)" in capsys.readouterr().out
 
@@ -432,26 +433,29 @@ def test_decode_linear_contradicting_survivor_in_a_stopping_set(tmp_path,
 @pytest.mark.parametrize("extra", [[], ["--single-pass"]],
                          ids=["iterative", "single_pass"])
 def test_decode_gpc_checks_arrays_with_no_erasures(tmp_path, capsys, extra):
-    # with nothing erased the row pass still applies the m - k = 2
-    # vanishing combinations, which the changed symbol breaks
-    code = write_spec(tmp_path, FLAGSHIP_SPEC)
-    rng = random.Random(2)
-    data = write_data(tmp_path, [rng.randrange(8) for _ in range(19)])
-    enc = tmp_path / "enc.txt"
-    assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
-    out = tmp_path / "dec.txt"
-    assert cli.main(["decode", code, str(enc), "-o", str(out), *extra]) == 0
-    assert out.read_text() == enc.read_text()
-    out.unlink()
-    lines = [line.split() for line in enc.read_text().splitlines()]
-    lines[3][4] = f"{int(lines[3][4], 16) ^ 1:x}"     # no "?" anywhere
-    flipped = tmp_path / "flipped.txt"
-    flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
-    capsys.readouterr()
-    assert cli.main(["decode", code, str(flipped), "-o", str(out),
-                     *extra]) == 7
-    assert capsys.readouterr().err.endswith("unresolved positions []\n")
-    assert not out.exists()
+    # with nothing erased every row still repairs in the weakest row code,
+    # which the changed symbol breaks: on the flagship, and on a k = m
+    # code, which has no vanishing combinations
+    for spec, dim in ((FLAGSHIP_SPEC, 19), (K_EQ_M_SPEC, 18)):
+        code = write_spec(tmp_path, spec)
+        rng = random.Random(2)
+        data = write_data(tmp_path, [rng.randrange(8) for _ in range(dim)])
+        enc = tmp_path / "enc.txt"
+        assert cli.main(["encode", code, data, "-o", str(enc)]) == 0
+        out = tmp_path / "dec.txt"
+        assert cli.main(["decode", code, str(enc), "-o", str(out),
+                         *extra]) == 0
+        assert out.read_text() == enc.read_text()
+        out.unlink()
+        lines = [line.split() for line in enc.read_text().splitlines()]
+        lines[3][4] = f"{int(lines[3][4], 16) ^ 1:x}"     # no "?" anywhere
+        flipped = tmp_path / "flipped.txt"
+        flipped.write_text("\n".join(map(" ".join, lines)) + "\n")
+        capsys.readouterr()
+        assert cli.main(["decode", code, str(flipped), "-o", str(out),
+                         *extra]) == 7, spec
+        assert capsys.readouterr().err.endswith("unresolved positions []\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("field", [{"w": 4.0}, {"w": 4, "alpha": True},

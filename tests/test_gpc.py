@@ -504,6 +504,37 @@ def test_membership_past_the_row_checks_matches_parity_matrix(params):
     assert False in seen
 
 
+@pytest.mark.parametrize("params", [
+    G16, FLAGSHIP, K_EQ_M, GpcParams(m=6, n=7, k=4, s=(2, 1, 3),
+                                     u=(1, 3, 4), field=default_field(10))],
+    ids=["G16", "flagship", "k_eq_m", "w10"])
+def test_each_combination_is_checked_in_its_deepest_level(params):
+    """A word of level l - 1 that breaks level l's extra checks, added to
+    one row, breaks exactly the combinations r < s_hat(l): each lies in
+    level l or deeper, and a check one level too weak passes the ones in
+    level l (for l = t, every vanishing one)."""
+    rng = random.Random(223)
+    top = 1 << params.field.w
+    h = full_parity_matrix(params)
+    word = rand_codeword(params, rng)
+    checks = [component_parity_check(params, i) for i in range(params.t)]
+    for level in range(1, params.t + 1):
+        basis = linalg.null_space(checks[level - 1])
+        for _ in range(3):
+            extra = [0] * params.n
+            while not any(checks[level].mul_vec(extra) if level < params.t
+                          else extra):
+                extra = linalg.combine(
+                    params.field, [(rng.randrange(top), v) for v in basis],
+                    params.n)
+            arr = word.copy()
+            r = rng.randrange(params.m)
+            arr.values[r] = [a ^ b for a, b in zip(arr.values[r], extra)]
+            member = not any(h.mul_vec(arr.flatten()))
+            assert is_member(arr, params) == member
+            assert member == (params.s_hat(level) == 0)
+
+
 def test_full_parity_matrix_rank():
     for p in (FLAGSHIP, PLUS_ONE, PRODUCT):
         assert rank(full_parity_matrix(p)) == p.m * p.n - p.dimension()
@@ -848,16 +879,18 @@ def test_wide_field_never_builds_blocks(encoders, monkeypatch):
 
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
-    # a budget of two plans per level-0 row code
-    monkeypatch.setattr(linalg, "_PLAN_BUDGET",
-                        2 * gpc._view(FLAGSHIP).levels[0]._plan_bytes)
+    # a budget of three plans per level-0 row code, one of them taken by
+    # the plan of no erasures, which the five clean rows use after row 0
+    level0 = gpc._view(FLAGSHIP).levels[0]
+    monkeypatch.setattr(linalg, "_PLAN_BUDGET", 3 * level0._plan_bytes)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
         assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
-    rows = gpc._view(FLAGSHIP).levels[0]._plans
+    rows = level0._plans
     # column 2 was the least recently used when column 3 came
-    assert list(rows) == [(1,), (3,)]
+    assert list(rows) == [(1,), (3,), ()]
     assert rows[(1,)].map is not None and rows[(3,)].map is None
+    assert rows[()].map is level0._checks
 
 
 def test_wide_field_never_compiles_row_plans(encoders):

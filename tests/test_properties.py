@@ -16,9 +16,10 @@ from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
                             _eliminate, _work_rows, combine, rank)
-from gpcodes.gpc import (ErasureProfile, GpcParams, UncorrectableError,
-                         decodable_profile, decode_iterative, decode_rows,
-                         encode, erase_positions, full_parity_matrix)
+from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
+                         UncorrectableError, decodable_profile,
+                         decode_iterative, decode_rows, encode,
+                         erase_positions, full_parity_matrix)
 from gpcodes.oracle import correctable, random_decodable_pattern
 from test_gpc import FLAGSHIP, G16
 
@@ -145,6 +146,38 @@ def test_a_flip_behind_local_repairs_is_reported():
                         assert exc.remaining == pattern
                     else:
                         raise AssertionError("decoded a non-codeword")
+
+
+def test_a_flip_in_a_row_with_no_erasure_is_reported():
+    """Every row with at most u_0 erasures repairs in the weakest row
+    code, rows with none included, so a flip in a row that the pattern
+    leaves clean always breaks that row's level-0 checks, whatever the
+    pattern does elsewhere, beyond the budgets too: 4 patterns on each of
+    the 850 small codes, k = m included, and 40 each on G16, the
+    flagship and the flagship over GF(2^10)."""
+    wide = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                     field=default_field(10))
+    codes = [(p, 4) for p in small_codes()]
+    codes += [(G16, 40), (FLAGSHIP, 40), (wide, 40)]
+    for seed, (params, count) in enumerate(codes):
+        rng = random.Random(seed)
+        top = 1 << params.field.w
+        word = encode([rng.randrange(top) for _ in range(params.dimension())],
+                      params)
+        cells = [(r, c) for r in range(params.m) for c in range(params.n)]
+        for _ in range(count):
+            r, c = rng.choice(cells)
+            others = [cell for cell in cells if cell[0] != r]
+            pattern = frozenset(rng.sample(others,
+                                           rng.randint(0, len(others))))
+            damaged = erase_positions(word, pattern)
+            damaged.fill(r, c, damaged.values[r][c] ^ rng.randrange(1, top))
+            for decoder in (decode_rows, decode_iterative):
+                with named(params.notation(), f"seed {seed}",
+                           decoder.__name__, (r, c), sorted(pattern)):
+                    with pytest.raises(ContradictionError) as caught:
+                        decoder(damaged, params)
+                    assert caught.value.remaining == pattern
 
 
 def test_compiled_encoder_matches_scalar():

@@ -61,7 +61,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
     erased = [tuple(compress(span, flags)) for flags in work.erased]
     groups = {}
     for r, cols in enumerate(erased):
-        if 0 < len(cols) <= params.u[0]:
+        if len(cols) <= params.u[0]:
             groups.setdefault(cols, []).append(r)
             erased[r] = ()
     split = params.field.w > 8

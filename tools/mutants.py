@@ -46,6 +46,8 @@ ARCHIVE_FLIP = (ROW_PASS + "test_a_flipped_survivor_on_the_archive_loss_is_"
                 "reported")
 FLIP_BEHIND_LOCAL = ("tests/test_properties.py::test_a_flip_behind_local_"
                      "repairs_is_reported")
+NO_ERASURE_FLIP = ("tests/test_properties.py::test_a_flip_in_a_row_with_no_"
+                   "erasure_is_reported")
 LOCAL_FIRST = ("tests/test_properties.py::test_local_first_decode_equals_the_"
                "generic_fill_on_every_pattern")
 
@@ -93,6 +95,24 @@ MUTANTS = (
            "        values[r][min(set(range(len(values[r]))) - set(erased[r]))]"
            " ^= 1\n"
            "    return _as_array(values, erased), left\n", (CENSUS,)),
+    Mutant("rows with no erasure skip the weakest row code", GPC,
+           "        if len(cols) <= params.u[0]:\n",
+           "        if 0 < len(cols) <= params.u[0]:\n",
+           (NO_ERASURE_FLIP,
+            "tests/test_gpc.py::test_row_plan_cache_is_bounded_lru")),
+    Mutant("a pivot takes the next level up", GPC,
+           "level = bisect_left(params.u, counts[p])",
+           "level = bisect_left(params.u, counts[p] + 1)",
+           (REFERENCE, "tests/test_acceptance.py::test_criterion_03_"
+            "decoder_trace")),
+    Mutant("membership checks each combination one level too weak", GPC,
+           "level = bisect_left(params.u, view.budgets[r])",
+           "level = bisect_left(params.u, view.budgets[r]) - 1",
+           ("tests/test_gpc.py::test_each_combination_is_checked_in_its_"
+            "deepest_level",)),
+    Mutant("the parity layout reads the budgets top row first", GPC,
+           "budgets[self.m - 1 - r]", "budgets[r]",
+           ("tests/test_gpc.py::test_parity_positions_layout",)),
     Mutant("the column pass is skipped", GPC,
            "after = _row_pass(col_values, col_erased, "
            "_view(view.col_params))", "after = 0", (REFERENCE,)),
