@@ -29,10 +29,10 @@ n column sums from strided and plain slices of the word's bytes, and
 each power row from one ``bytes.translate`` per array row and an
 n-step Horner sum.  That is the syndrome form in which partial-MDS
 codes are decoded (Blaum, Hafner and Hetzler, IEEE Trans. IT 2013).
-Their erasure plans read this syndrome, r = m + n + g check symbols,
-not the N symbols of the word.  So an encode or a stopping-set repair
+Every erasure plan of a ``LinearCode`` reads the syndrome, here these
+r = m + n + g check symbols.  So an encode or a stopping-set repair
 costs m * g translates and m + n slices for the syndrome, and at most
-r translates for the plan.
+r translates for the plan.  Blocks of words take the generic syndrome.
 
 :func:`lc_erasure_decode` decodes them local first, as storage codes
 with local and global parities are meant to be repaired: it peels
@@ -41,7 +41,7 @@ line's sum, leaves only what the peel cannot reach, a stopping set, to
 the generic :meth:`~gpcodes.linalg.LinearCode.fill`, and checks a
 fully peeled word against the sums and the power part of the grid
 syndrome.  A ``LinearCode`` built from a check matrix alone decodes by
-the fill, with plans that read the word.
+the fill, with plans that read the syndrome of its check matrix.
 """
 
 from __future__ import annotations
@@ -128,14 +128,10 @@ class _PowerRowsCode(LinearCode):
     # n column sums of an m x n array flattened row by row, then the row
     # alpha^(step*j) for each of ``steps``.  It keeps that EpcShape as
     # ``shape``.  lc_erasure_decode peels its words on the sums before
-    # any fill.  For w <= 8 its syndrome is computed in grid form, and
-    # its plans read that syndrome, the r = m + n + g check symbols,
-    # where a plan of the word would translate all N symbols: so a plan
-    # is charged r * (r + 64) bytes.  power_sums' tables are built with
-    # the code: per step, the product tables of alpha^(step*r*n) for
+    # any fill.  For w <= 8 the syndrome of a single word, which every
+    # plan reads, is computed in grid form.  power_sums' tables are built
+    # with the code: per step, the product tables of alpha^(step*r*n) for
     # each array row r, and that of alpha^step.
-
-    _syndrome_plans = True
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
@@ -197,12 +193,12 @@ class _PowerRowsCode(LinearCode):
             out.append(total)
         return out
 
-    def syndrome(self, word: Sequence[int]) -> list[int]:
+    def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
         """``check_matrix.mul_vec(word)`` for a word of symbols in range:
         for w <= 8 its :meth:`line_sums`, then its :meth:`power_sums`.
-        Wider fields run :meth:`Matrix.mul_vec`."""
-        if self.field.w > 8:
-            return super().syndrome(word)
+        Blocks and wider fields run :meth:`LinearCode.syndrome`."""
+        if self.field.w > 8 or block > 1:
+            return super().syndrome(word, block)
         if len(word) != self.length:
             raise ValueError("vector length mismatch")
         rows, cols = self.line_sums(word)
@@ -323,11 +319,10 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     Any other code, and that residual, runs
     :meth:`~gpcodes.linalg.LinearCode.fill`: each pattern solves from
     the code's :meth:`~gpcodes.linalg.LinearCode.syndrome` until
-    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, with
-    equal output and the same errors, checks included.  For w <= 8 the
-    plans of the codes of :func:`build_h2` and :func:`build_h3` read
-    that grid syndrome, r = m + n + g check symbols, and those of any
-    other code read the word.
+    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, which
+    maps that syndrome to the erased symbols, with equal output and the
+    same errors, checks included.  On the codes of :func:`build_h2` and
+    :func:`build_h3` (w <= 8) the plan reads their grid syndrome.
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
@@ -362,11 +357,10 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
     bit for bit, is compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule, per
     ``code`` object.  They are a column basis of the check matrix, so
     that fill has exactly one solution and zero residual rows whatever
-    the data, and cannot raise.  On the codes of :func:`build_h2` and
-    :func:`build_h3` (w <= 8) the plan maps the grid syndrome of the
-    data, r symbols, to the parity: one ``bytes.translate`` per array
-    row and power row, and one per check symbol, where a plan of the
-    word translates every nonzero data symbol.
+    the data, and cannot raise.  The plan maps the syndrome of the data,
+    R check symbols, to the parity: on the codes of :func:`build_h2` and
+    :func:`build_h3` (w <= 8) the grid syndrome, one ``bytes.translate``
+    per array row and power row, then one per check symbol.
     """
     if len(data) != code.dimension:
         raise ValueError(f"expected {code.dimension} symbols, got {len(data)}")

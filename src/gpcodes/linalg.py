@@ -20,34 +20,34 @@ in that order, picks unit pivots top to bottom and has two modes:
 * fully reduced (above and below), for :func:`solve` and
   :func:`null_space`.
 
-:class:`ByteMap` is the compiled map of a :class:`LinearCode`, for
-fields with w <= 8: a fill of a word's target positions from its other
-symbols, applied with ``bytes.translate``, whose check symbols must
-vanish.  It is :func:`solve`'s erasure system for a fixed pattern,
-checks included, so it serves both encode and decode: ``lc_encode``
-fills the parity positions.  A code whose syndrome costs far less than
-the word map, as ``epc``'s flat codes' grid syndrome does, keeps plans
-of the syndrome instead: maps of its R check symbols to the erased
-symbols and the residual checks, compiled from R x (|E| + R) rows.
+:class:`ByteMap` is a linear map of symbols applied with
+``bytes.translate``, for fields with w <= 8, one-word or blocks of
+words at once.  A :class:`LinearCode` keeps two kinds: its syndrome map,
+and its erasure plans, each of which maps the syndrome, R check
+symbols, to the erased symbols and the residual checks that must
+vanish.  A plan is :func:`solve`'s erasure system for a fixed pattern,
+checks included, compiled from R x (|E| + R) rows, so it serves both
+encode and decode: ``lc_encode`` fills the parity positions.
 :class:`SplitMap` is gpc's encoder map, its columns as split product
-tables: two lookups per symbol at about 40 times the memory.  :func:`combine` sums weighted rows with the same
-product tables, and holds the symbol-wise loop for w > 8.
-:class:`PlanSlot` holds the one rule for when a map is compiled, and
-``MAP_BYTES_LIMIT`` the one bound on the bytes a compiled map holds;
-:func:`recall` is the get-or-build rule of every bounded cache,
-evicting the least recently used entry.
+tables: two lookups per symbol at about 40 times the memory.
+:func:`combine` sums weighted rows with the same product tables, and
+holds the symbol-wise loop for w > 8.  :class:`PlanSlot` holds the one
+rule for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound
+on the bytes a compiled map holds; :func:`recall` is the get-or-build
+rule of every bounded cache, evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
 h3 codes a whole word at a time, once their row and column sums have
-peeled what they can, ``gpc`` one array row at a time against one
-level's row code.  Its :meth:`LinearCode.syndrome` map is built with
-the code, not once per pattern: for w <= 8 the check matrix's columns
-as bytes, the check-only plan of no erasures, so ``H @ word`` costs
-one ``bytes.translate`` per nonzero symbol; the flat codes compute
-theirs in grid form.  The scalar fill of a pattern with no plan yet
-solves from that syndrome, and both families' membership tests read
-it.  Wider fields fall back to :meth:`Matrix.mul_vec`.
+peeled what they can, ``gpc`` one array row, or a block of rows, at a
+time against one level's row code.  Every fill starts from the word's
+:meth:`LinearCode.syndrome`, whose map is built with the code, not once
+per pattern: for w <= 8 the check matrix's columns as bytes, so
+``H @ word`` costs one ``bytes.translate`` per nonzero symbol; the flat
+codes compute theirs in grid form.  A plan then reads the R check
+symbols, and a pattern with no plan yet solves from them.  Both
+families' membership tests read the syndrome too.  Wider fields fall
+back to :meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -276,9 +276,9 @@ def null_space(m: Matrix) -> list[list[int]]:
 
 # Most bytes one compiled map may hold; larger codes and patterns stay on
 # the scalar path.  A slot is charged its entries x (bytes per entry +
-# 64), the 64 for each entry's Python object: a plan N x (R + 64), or
-# R x (R + 64) when it reads the syndrome (see LinearCode._plan_bytes),
-# a gpc encoder 32 x K x (P + 64) for the 32 entries per data symbol of
+# 64), the 64 for each entry's Python object: a plan R x (R + 64) plus
+# 256 bytes for its objects (see LinearCode._plan_bytes), a gpc encoder
+# 32 x K x (P + 64) for the 32 entries per data symbol of
 # its SplitMap.  So gpc's 16 views hold at most 32 MiB of encoder
 # tables.
 MAP_BYTES_LIMIT = 1 << 21
@@ -298,76 +298,54 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
 
 
 class ByteMap:
-    """A GF(2^w)-linear fill of a word's target positions, for w <= 8:
-    every compiled map of a :class:`LinearCode`.
+    """A GF(2^w)-linear map of a word to ``height`` symbols, for w <= 8:
+    a code's syndrome map, and every erasure plan of a
+    :class:`LinearCode`.
 
-    The map is given by its ``rows``, as ``bytes``: one per target of
-    ``targets`` (ascending), then one per check symbol that every
-    consistent word sends to zero, each over every position of the word
-    in order.  ``columns[j]`` holds, one byte per row, the image of the
-    unit word at position j, cut from the joined rows as one strided
-    slice; a target has the empty column, whatever its rows hold there,
-    so its symbol is ignored.  :meth:`apply` multiplies a column with
+    The map is given by its ``rows``, as ``bytes``, each over every
+    position of the word in order.  ``columns[j]`` holds, one byte per
+    row, the image of the unit word at position j, cut from the joined
+    rows as one strided slice.  :meth:`image` multiplies a column with
     one ``bytes.translate`` through the field's product table (see
     :attr:`GF.mul_tables`) and XORs the columns as one big integer:
-    Jerasure's idiom, with no per-symbol field arithmetic.  It fills
+    Jerasure's idiom, with no per-symbol field arithmetic.  It maps
     blocks of L words at once as well.
     """
 
-    __slots__ = ("tables", "columns", "targets", "height")
+    __slots__ = ("tables", "columns", "height")
 
-    def __init__(self, field: GF, rows: Sequence[bytes],
-                 targets: Sequence[int]):
+    def __init__(self, field: GF, rows: Sequence[bytes]):
         self.tables = field.mul_tables
-        self.targets = targets
         self.height = len(rows)
         size = len(rows[0]) if rows else 0
         joined = b"".join(rows)
-        skip = set(targets)
-        self.columns = [b"" if j in skip else joined[j::size]
-                        for j in range(size)]
+        self.columns = [joined[j::size] for j in range(size)]
 
-    def apply(self, word: list[int], block: int = 1) -> None:
-        """Fill the targets of ``word`` (symbols in range) in place.
+    def image(self, word: Sequence[int], block: int = 1) -> list[int]:
+        """The map of ``word`` (symbols in range), one symbol per row.
 
         With ``block`` L > 1 each position holds a block: an int of L
-        little-endian bytes, byte i the symbol of the i-th of L words.
-        Each nonzero (source, target) coefficient then multiplies the
-        source block with one ``bytes.translate``.  Raises
-        :class:`NoSolutionError`, leaving ``word`` as it was, when a
-        check symbol (of any of the L words) is nonzero.
+        little-endian bytes, byte i the symbol of the i-th of L words
+        (see :func:`pack_blocks`), and so does each output.  Each
+        nonzero (position, row) coefficient then multiplies the
+        position's block with one ``bytes.translate``.
         """
-        width = len(self.targets)
-        if block > 1:
-            tables, from_bytes = self.tables, int.from_bytes
-            acc = [0] * self.height
+        tables, from_bytes = self.tables, int.from_bytes
+        if block == 1:
+            acc = 0
             for col, v in zip(self.columns, word):
                 if v:
-                    src = v.to_bytes(block, "little")
-                    for i, g in enumerate(col):
-                        if g:
-                            acc[i] ^= from_bytes(src.translate(tables[g]),
-                                                 "little")
-            if any(acc[width:]):
-                raise NoSolutionError("inconsistent system")
-            for j, v in zip(self.targets, acc):
-                word[j] = v
-            return
-        acc = self.image(word)
-        if acc >> 8 * width:
-            raise NoSolutionError("inconsistent system")
-        for j, v in zip(self.targets, acc.to_bytes(width, "little")):
-            word[j] = v
-
-    def image(self, word: Sequence[int]) -> int:
-        """The map of ``word`` (symbols in range) as one int: byte i is
-        the i-th target symbol, then the check symbols, in order."""
-        tables, from_bytes = self.tables, int.from_bytes
-        acc = 0
+                    acc ^= from_bytes(col.translate(tables[v]), "little")
+            return list(acc.to_bytes(self.height, "little"))
+        out = [0] * self.height
         for col, v in zip(self.columns, word):
             if v:
-                acc ^= from_bytes(col.translate(tables[v]), "little")
-        return acc
+                src = v.to_bytes(block, "little")
+                for i, g in enumerate(col):
+                    if g:
+                        out[i] ^= from_bytes(src.translate(tables[g]),
+                                             "little")
+        return out
 
 
 class SplitMap:
@@ -447,11 +425,11 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
             width: int, block: int = 1) -> list[int]:
     """The sum of ``weight * row`` over ``terms``, (weight, row) pairs
     of nonzero weights and rows of ``width`` symbols in range, or of
-    ``width`` blocks of ``block`` bytes (see :meth:`ByteMap.apply`).
+    ``width`` blocks of ``block`` bytes (see :func:`pack_blocks`).
 
     For w <= 8 a row is multiplied with one ``bytes.translate`` over its
     width * block bytes through the weight's product table and the rows
-    are XORed as one big integer, as in :meth:`ByteMap.apply`; wider
+    are XORed as one big integer, as in :meth:`ByteMap.image`; wider
     fields multiply symbol by symbol and take no blocks.
     """
     if field.w <= 8:
@@ -480,8 +458,8 @@ class PlanSlot:
     included): the first use runs scalar, and the use that takes the
     count past one compiles the map and applies it.  A fill of a block
     of L words counts L uses, so a block of two or more compiles at
-    once.  An erasure plan, one elimination of the code's check rows
-    held as bytes, compiles in about the time of one scalar use, so a
+    once.  An erasure plan, one elimination of the R x (|E| + R) bytes
+    of [H_E | I], compiles in about the time of one scalar use, so a
     process that repeats a fill never takes much more than twice its
     scalar time.  A gpc encoder, one row pass over blocks of its K unit
     data vectors, costs many scalar encodes to compile, so the rule's
@@ -525,20 +503,14 @@ class LinearCode:
     """A linear code given by its parity-check matrix over GF(2^w); its
     ``field`` and ``length`` are the matrix's field and width."""
 
-    # Whether the erasure plans read the syndrome, R check symbols, in
-    # place of the word's N symbols.  A subclass sets it when its own
-    # syndrome costs far less than one translate per symbol, as the grid
-    # syndrome of epc's flat codes does; here the syndrome is the word
-    # map, so a plan of the word saves its cost.
-    _syndrome_plans = False
-
     def __init__(self, check_matrix: Matrix):
         self.check_matrix = check_matrix
         self.field = self.check_matrix.field
         self.length = self.check_matrix.cols
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
         # The check rows as working rows, built once: every plan compile
-        # and the parity choice eliminate a shallow copy.
+        # reads its erased columns from them, and the parity choice
+        # eliminates a shallow copy.
         self._rows = _work_rows(self.field, self.check_matrix.data)
         # The greedy systematic choice: pivoting right to left picks the
         # last positions whose check columns stay independent.
@@ -549,18 +521,17 @@ class LinearCode:
             j for j in range(self.length) if j not in parity)
         self.redundancy = len(parity)
         self.dimension = self.length - self.redundancy
-        # For w <= 8, syndrome's map, which is also the plan of no
-        # erasures; a code whose plans read its syndrome computes it its
-        # own way.
-        self._checks = (ByteMap(self.field, self._rows, ())
-                        if self.field.w <= 8 and not self._syndrome_plans
-                        else None)
-        # A plan's footprint, bounded above: per symbol it reads, the
-        # word's or the syndrome's, a column of one byte per check row
-        # and at most 64 bytes of object overhead.  It is both the plan's
-        # charge against MAP_BYTES_LIMIT and its share of _PLAN_BUDGET.
-        reads = len(self._rows) if self._syndrome_plans else self.length
-        self._plan_bytes = reads * (len(self._rows) + 64)
+        # For w <= 8, syndrome's map: the check matrix's columns as bytes.
+        self._checks = (ByteMap(self.field, self._rows)
+                        if self.field.w <= 8 else None)
+        # A plan's footprint, bounded above: per syndrome symbol it reads,
+        # a column of one byte per check row and at most 64 bytes of
+        # object overhead, and per plan 256 bytes for its ByteMap, its
+        # column list, its PlanSlot, its key and its dict entry.  It is
+        # both the plan's charge against MAP_BYTES_LIMIT and its share of
+        # _PLAN_BUDGET.
+        checks = len(self._rows)
+        self._plan_bytes = checks * (checks + 64) + 256
 
     def parity_positions(self) -> tuple[int, ...]:
         """The greedy systematic choice, made with the code: the last
@@ -571,53 +542,41 @@ class LinearCode:
     def data_positions(self) -> tuple[int, ...]:
         return self._data_positions
 
-    def syndrome(self, word: Sequence[int]) -> list[int]:
+    def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
         """``check_matrix.mul_vec(word)`` for a word of symbols in range.
 
-        For w <= 8 it runs the code's check-only plan, built with the
-        code: the check matrix's columns as bytes, one byte per check row
-        (the plan of no erasures), each multiplied with one
-        ``bytes.translate`` and XORed as one big integer.  Wider fields
-        run :meth:`Matrix.mul_vec`.
+        With ``block`` L > 1 (w <= 8 only) each position holds a block
+        of L words, as in :func:`pack_blocks`, and so does each check
+        symbol.  For w <= 8 it runs :meth:`ByteMap.image` of the code's
+        check matrix, built with the code: its columns as bytes, one byte
+        per check row, each multiplied with one ``bytes.translate``.
+        Wider fields run :meth:`Matrix.mul_vec`.
         """
-        h = self.check_matrix
         if len(word) != self.length:
             raise ValueError("vector length mismatch")
-        if self.field.w > 8:
-            return h.mul_vec(word)
-        return list(self._checks.image(word).to_bytes(h.rows, "little"))
+        if self.field.w <= 8:
+            return self._checks.image(word, block)
+        if block > 1:
+            raise ValueError("blocks need a field with w <= 8")
+        return self.check_matrix.mul_vec(word)
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
         # The solve of ``check_matrix @ word = 0`` for the positions
-        # ``erased`` (ascending, w <= 8) as a ByteMap, None when the
-        # erased columns are dependent.  A plan of the word: one full
-        # elimination of a copy of the code's rows, pivoting on the
-        # erased columns in order, gives T @ h, whose first |E| rows are
-        # the unit vectors on the erased columns plus A on the survivors,
-        # and whose other rows vanish on the erased columns and are B on
-        # the survivors.  So the erased symbols are A times the
-        # survivors, and the survivors are consistent with the code
-        # exactly when B sends them to zero: the residual rows, kept as
-        # the map's check symbols, that solve tests.  The plan of no
-        # erasures is syndrome's map.  A plan of the syndrome eliminates
-        # the R x (|E| + R) rows [H_E | I] on their first |E| columns
-        # instead, to [T H_E | T], and keeps T: it maps the syndrome of
-        # the survivors to the erased symbols, then to the residual
-        # checks, the rows of T whose rows of T H_E are zero.
+        # ``erased`` (ascending, w <= 8) as a ByteMap of the syndrome, None
+        # when the erased columns are dependent.  One full elimination of
+        # the R x (|E| + R) rows [H_E | I] on their first |E| columns gives
+        # [T H_E | T], and the map keeps T.  The first |E| rows of T H_E
+        # are the unit vectors and its other rows vanish, so T maps the
+        # syndrome of the survivors to the erased symbols, then to the
+        # residual checks: the survivors are consistent with the code
+        # exactly when those vanish, which is what solve tests.
         e = len(erased)
-        if self._syndrome_plans:
-            rows = [bytes([row[c] for c in erased])
-                    + (1 << 8 * i).to_bytes(len(self._rows), "little")
-                    for i, row in enumerate(self._rows)]
-            if len(_eliminate(rows, self.field, range(e), full=True)) < e:
-                return None
-            return ByteMap(self.field, [row[e:] for row in rows], ())
-        if not erased:
-            return self._checks
-        rows = list(self._rows)
-        if len(_eliminate(rows, self.field, erased, full=True)) < e:
+        rows = [bytes([row[c] for c in erased])
+                + (1 << 8 * i).to_bytes(len(self._rows), "little")
+                for i, row in enumerate(self._rows)]
+        if len(_eliminate(rows, self.field, range(e), full=True)) < e:
             return None
-        return ByteMap(self.field, rows, erased)
+        return ByteMap(self.field, [row[e:] for row in rows])
 
     def fill(self, word: list[int], erased: tuple[int, ...],
              block: int = 1) -> None:
@@ -625,56 +584,50 @@ class LinearCode:
         other symbols lie in the field, in place with the codeword that
         agrees with those symbols; the erased symbols are ignored.  With
         ``block`` L > 1 (w <= 8 only) each position holds a block of L
-        words, as in :meth:`ByteMap.apply`, and every word is filled.
+        words, as in :func:`pack_blocks`, and every word is filled.
 
-        Each pattern, no erasures included, has a :class:`PlanSlot`,
-        whose rule decides when the pattern's plan is compiled from the
-        check rows the code keeps as bytes.  The code keeps as many
-        slots as plans fit in ``_PLAN_BUDGET`` (1 MiB), least recently
-        used dropped first.  Until the compile, and when no plan is
-        built, the :func:`solve` runs, word by word, on the
-        :meth:`syndrome` of the word with its erased symbols zeroed.  A
-        plan of the word fills blocks at once; a plan of the syndrome
-        fills word by word from each word's syndrome, as the solve does.
-        Raises :class:`UnderdeterminedError` on dependent erased columns
-        and :class:`NoSolutionError` when the survivors contradict the
-        code, leaving ``word`` as it was.
+        Every fill starts from the :meth:`syndrome` of the word with its
+        erased symbols zeroed.  Each pattern, no erasures included, has a
+        :class:`PlanSlot`, whose rule decides when the pattern's plan is
+        compiled from the check rows the code keeps as bytes.  The code
+        keeps as many slots as plans fit in ``_PLAN_BUDGET`` (1 MiB),
+        least recently used dropped first.  A plan maps the syndrome, R
+        check symbols, to the erased symbols and the residual checks,
+        blocks included.  Until the compile, and when no plan is built,
+        :func:`solve` runs on the syndrome word by word, and a pattern of
+        no erasures only tests that the syndrome vanishes.  Raises
+        :class:`UnderdeterminedError` on dependent erased columns and
+        :class:`NoSolutionError` when the survivors contradict the code,
+        leaving ``word`` as it was.
         """
+        known = list(word)
+        for c in erased:
+            known[c] = 0
+        syndrome = self.syndrome(known, block)
         slot = recall(self._plans, erased,
                       max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
         plan = slot.plan(self.field, self._plan_bytes,
                          lambda: self._compile(erased), block)
-        if plan is not None and not self._syndrome_plans:
-            plan.apply(word, block)
-            return
-        if block > 1:
-            if self.field.w > 8:
-                raise ValueError("blocks need a field with w <= 8")
-            words = zip(*(unpack_block(v, block) for v in word))
-            missing = [self._solve(w, erased, plan) for w in words]
-            for c, v in zip(erased, pack_blocks(missing)):
-                word[c] = v
-            return
-        for c, v in zip(erased, self._solve(word, erased, plan)):
+        if plan is None:
+            missing = self._solve(syndrome, erased, block)
+        else:
+            missing = plan.image(syndrome, block)
+            if any(missing[len(erased):]):
+                raise NoSolutionError("inconsistent system")
+        for c, v in zip(erased, missing):
             word[c] = v
 
-    def _solve(self, word: Sequence[int], erased: tuple[int, ...],
-               plan: ByteMap | None) -> list[int]:
-        # The symbols at ``erased`` of the codeword agreeing with word's
-        # other symbols: by one solve, or from ``plan``, a plan of the
-        # syndrome.  With x the symbols at ``erased``, the syndrome of the
-        # word is H_E x plus that of its survivors, and the plan sends
-        # H_E x to x, so each of its outputs is added to what the
-        # position held.
-        if plan is not None:
-            e = len(erased)
-            acc = plan.image(self.syndrome(word))
-            if acc >> 8 * e:
+    def _solve(self, syndrome: list[int], erased: tuple[int, ...],
+               block: int) -> list[int]:
+        # The scalar path: the symbols at ``erased`` of the codeword whose
+        # survivors have ``syndrome``, by one solve of H_E x = syndrome per
+        # word; with no erasures, a test that the syndrome vanishes.
+        if not erased:
+            if any(syndrome):
                 raise NoSolutionError("inconsistent system")
-            return [word[c] ^ v
-                    for c, v in zip(erased, acc.to_bytes(e, "little"))]
-        h = self.check_matrix
-        known = list(word)
-        for c in erased:
-            known[c] = 0
-        return solve(h.submatrix(cols=erased), self.syndrome(known))
+            return []
+        h = self.check_matrix.submatrix(cols=erased)
+        if block == 1:
+            return solve(h, syndrome)
+        words = zip(*(unpack_block(v, block) for v in syndrome))
+        return pack_blocks([solve(h, s) for s in words])

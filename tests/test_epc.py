@@ -11,9 +11,10 @@ from gpcodes.epc import (EpcShape, LinearCode, build_h2, build_h3,
                          lc_encode, lc_erasure_decode, lc_is_member)
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (ContradictionError, GpcParams, UncorrectableError,
-                         full_parity_matrix)
+                         component_parity_check, full_parity_matrix)
 from gpcodes.linalg import Matrix, NoSolutionError, rank
 from gpcodes.oracle import brute_min_distance
+from test_gpc import G16
 from test_properties import low_rank_rows
 
 F16 = default_field(4)
@@ -500,8 +501,9 @@ def test_wide_field_lc_encode_stays_scalar():
 def test_oversized_lc_encoder_is_not_compiled(monkeypatch):
     code = build_h2(3, 3)
     rows = code.check_matrix.rows
-    # a plan's held bytes, bounded: it reads the r check symbols
-    charge = rows * (rows + 64)
+    # a plan's held bytes, bounded: it reads the r check symbols, and
+    # each plan holds its objects and its slot's key
+    charge = rows * (rows + 64) + 256
     monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", charge - 1)
     slot = _compile_on_next_encode(code)
     for data in _stripes(code, random.Random(77)):
@@ -552,23 +554,38 @@ def test_erasure_plan_matches_the_solve_on_h2_15_17(monkeypatch):
         assert _decode_outcome(values, erased, code) == expected
 
 
-@pytest.mark.parametrize("build, rows, cols", [
-    (lambda: build_h2(15, 17), (3, 14), (2, 7)),
-    (lambda: build_h2(15, 17), (0, 9), (4, 5, 16)),
-    (lambda: build_h3(5, 6), (1, 3), (0, 2, 5))],
-    ids=["H2(15,17)/2x2", "H2(15,17)/2x3", "h3(5,6)/2x3"])
-def test_compiled_residual_plans_match_the_solve(build, rows, cols,
-                                                 monkeypatch):
+def _rectangle(n, rows, cols):
+    """The cells of ``rows`` x ``cols`` in an array of n columns,
+    flattened row by row."""
+    return frozenset(r * n + c for r in rows for c in cols)
+
+
+def _g16_level(level):
+    return LinearCode(component_parity_check(G16, level))
+
+
+@pytest.mark.parametrize("build, erased", [
+    (lambda: build_h2(15, 17), _rectangle(17, (3, 14), (2, 7))),
+    (lambda: build_h2(15, 17), _rectangle(17, (0, 9), (4, 5, 16))),
+    (lambda: build_h3(5, 6), _rectangle(6, (1, 3), (0, 2, 5))),
+    (lambda: _g16_level(0), frozenset({11})),
+    (lambda: _g16_level(1), frozenset({0, 17, 29})),
+    (lambda: _g16_level(2), frozenset({2, 3, 5, 8, 13, 21}))],
+    ids=["H2(15,17)/2x2", "H2(15,17)/2x3", "h3(5,6)/2x3",
+         "G16_level_0/1", "G16_level_1/3", "G16_level_2/6"])
+def test_compiled_residual_plans_match_the_solve(build, erased, monkeypatch):
     """A rectangle is a stopping set of the peel, so it reaches the fill
-    whole.  Its compiled plan, which reads the grid syndrome, gives the
-    scalar solve's codeword and, with one flipped survivor, its error,
-    message and cells included, and leaves the word as it was."""
+    whole; a G16 level code fills at once.  The compiled plan, which
+    reads the syndrome (in grid form on build_h2's and build_h3's
+    codes), gives the scalar solve's codeword and, with one flipped
+    survivor, its error, message and cells included, and leaves the word
+    as it was, on single words and on blocks of words side by side."""
     code = build()
     rng = random.Random(83)
     top = 1 << code.field.w
-    word = lc_encode([rng.randrange(top) for _ in range(code.dimension)],
-                     code)
-    erased = frozenset(r * code.n + c for r in rows for c in cols)
+    words = [lc_encode([rng.randrange(top) for _ in range(code.dimension)],
+                       code) for _ in range(3)]
+    word = words[0]
     key = tuple(sorted(erased))
     damaged = [0 if j in erased else v for j, v in enumerate(word)]
     flips = []
@@ -590,6 +607,19 @@ def test_compiled_residual_plans_match_the_solve(build, rows, cols,
         with pytest.raises(NoSolutionError):
             code.fill(bad, key)
         assert bad == before
+    block = [[0 if j in erased else v for j, v in enumerate(w)]
+             for w in words]
+    packed = linalg.pack_blocks(block)
+    code.fill(packed, key, len(words))
+    assert packed == linalg.pack_blocks(words)
+    for i, bad in enumerate(flips[:len(words)]):
+        block[i], good = bad, block[i]
+        packed = linalg.pack_blocks(block)
+        before = list(packed)
+        with pytest.raises(NoSolutionError):
+            code.fill(packed, key, len(words))
+        assert packed == before
+        block[i] = good
 
 
 def test_plan_slots_are_bounded_and_unique_patterns_never_compile(

@@ -9,11 +9,12 @@ import pytest
 from gpcodes import gpc, linalg
 from gpcodes.epc import LinearCode, build_h2
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import (DecodeTrace, ErasureProfile, GpcParams, SymbolArray,
-                         UncorrectableError, component_parity_check,
-                         decodable_profile, decode_iterative, decode_rows,
-                         encode, erase_positions, full_parity_matrix,
-                         is_member, min_weight_codeword)
+from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
+                         GpcParams, SymbolArray, UncorrectableError,
+                         component_parity_check, decodable_profile,
+                         decode_iterative, decode_rows, encode,
+                         erase_positions, full_parity_matrix, is_member,
+                         min_weight_codeword)
 from gpcodes.linalg import Matrix, rank, row_reduce
 from gpcodes.oracle import (decoder_oracle_equivalence,
                             random_decodable_pattern)
@@ -890,7 +891,12 @@ def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
     # column 2 was the least recently used when column 3 came
     assert list(rows) == [(1,), (3,), ()]
     assert rows[(1,)].map is not None and rows[(3,)].map is None
-    assert rows[()].map is level0._checks
+    # the () plan maps level 0's syndrome to itself: every output a
+    # residual check
+    checks = level0.check_matrix.rows
+    assert rows[()].map.height == checks
+    assert rows[()].map.columns == [(1 << 8 * i).to_bytes(checks, "little")
+                                    for i in range(checks)]
 
 
 def test_wide_field_never_compiles_row_plans(encoders):
@@ -902,6 +908,38 @@ def test_wide_field_never_compiles_row_plans(encoders):
             outcome(decode_iterative, arr, p)
     rows = row_plans(encoders[p])
     assert rows and all(s.map is None for s in rows)
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+@pytest.mark.parametrize("p", [
+    GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+              field=default_field(10)),
+    GpcParams(m=4, n=6, k=4, s=(2, 2), u=(1, 2), field=default_field(10))],
+    ids=["flagship", "k_eq_m"])
+def test_clean_wide_field_decode_runs_no_solve(decoder, p, encoders,
+                                               monkeypatch):
+    """Over GF(2^10) a row with no erasure is a syndrome test: a clean
+    array decodes with no call of linalg.solve, and a changed symbol
+    still raises ContradictionError, also with k = m, where no vanishing
+    combination would show it.  A row with an erasure solves."""
+    calls = []
+    real = linalg.solve
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(239)
+    for _ in range(4):
+        word = rand_codeword(p, rng)
+        calls.clear()       # the encoder's solves
+        assert decoder(word, p) == word
+        assert calls == []
+        r, c = rng.randrange(p.m), rng.randrange(p.n)
+        bad = word.copy()
+        bad.fill(r, c, bad.values[r][c] ^ rng.randrange(1, 1 << 10))
+        with pytest.raises(ContradictionError):
+            decoder(bad, p)
+        assert calls == []
+    assert decoder(erase_positions(word, [(0, 0)]), p) == word
+    assert calls
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from gpcodes import gpc, linalg
-from gpcodes.epc import _PowerRowsCode, build_h2, build_h3
+from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (GpcParams, component_parity_check, encode,
                          full_parity_matrix)
@@ -364,27 +364,56 @@ def test_syndrome_equals_mul_vec():
                   for _ in range(8)]
         for word in words:
             assert code.syndrome(word) == h.mul_vec(word), name
-        # one check map per code, shared with the fill of no erasures;
-        # build_h2's code keeps none: its syndrome is in grid form, and
-        # its plans read it, so its plan of no erasures is the identity
-        checks, grid = code._checks, isinstance(code, _PowerRowsCode)
-        assert (checks is None) == (code.field.w > 8 or grid), name
+        # one check map per code for w <= 8, kept through fills; like
+        # every plan, that of no erasures reads the syndrome, which it
+        # maps to itself: the identity, all residual checks
+        checks = code._checks
+        assert (checks is None) == (code.field.w > 8), name
         if code.field.w <= 8:
+            assert checks.columns == [bytes(col) for col in zip(*h.data)]
             code.syndrome(words[-1])
             code.fill(list(words[0]), (), 2)
             assert code._checks is checks, name
             plan = code._plans[()].map
-            if grid:
-                assert plan.columns == [bytes(i) + b"\x01" +
-                                        bytes(h.rows - 1 - i)
-                                        for i in range(h.rows)], name
-            else:
-                assert plan is checks, name
+            assert plan.height == h.rows, name
+            assert plan.columns == [bytes(i) + b"\x01" + bytes(h.rows - 1 - i)
+                                    for i in range(h.rows)], name
         with pytest.raises(ValueError, match="length"):
             code.syndrome([0] * (code.length + 1))
     ws = {int(n.split("/w")[1].split("/")[0]) for n in names
           if n.startswith("C(")}
     assert ws == set(range(3, 9)) and len(names) > 20
+
+
+def _block_syndrome_codes():
+    """(name, code): G16's level codes, and build_h2's and build_h3's
+    codes over GF(2^4) and GF(2^8)."""
+    for i, h in enumerate(gpc._level_checks(G16)):
+        yield f"G16/{i}", LinearCode(h)
+    for w in (4, 8):
+        yield f"h2(3,4)/w{w}", build_h2(3, 4, default_field(w))
+        yield f"h3(3,5)/w{w}", build_h3(3, 5, default_field(w))
+
+
+def test_block_syndrome_equals_per_word_syndromes():
+    """The syndrome of L words side by side in blocks is, block by
+    block, the syndromes of the single words, the grid syndrome of
+    build_h2's and build_h3's codes included; a wide field takes no
+    blocks."""
+    rng = random.Random(233)
+    for name, code in _block_syndrome_codes():
+        top = 1 << code.field.w
+        for count in (2, 3, 7):
+            words = [[rng.randrange(top) for _ in range(code.length)]
+                     for _ in range(count)]
+            words[0] = [0] * code.length
+            words[1][rng.randrange(code.length)] = 0
+            got = code.syndrome(pack_blocks(words), count)
+            assert _unpacked(got, count) == [code.syndrome(w) for w in words]
+            assert len(got) == code.check_matrix.rows, name
+    wide = build_h3(3, 3, GF(10, 0x7ff))
+    with pytest.raises(ValueError, match="w <= 8"):
+        wide.syndrome([0] * wide.length, 2)
 
 
 # ------------------------------------------------------------ blocks
@@ -569,12 +598,14 @@ def test_every_map_compiles_on_its_second_use(case, monkeypatch):
 
 
 def test_long_code_compiles_a_small_pattern_on_its_second_use(monkeypatch):
-    """G16's full parity code is charged N * (R + 64) held bytes per
-    plan, whatever the pattern, so a pattern of 10 erasures compiles on
-    its second fill; each fill restores the codeword."""
+    """G16's full parity code is charged R * (R + 64) + 256 held bytes
+    per plan, whatever the pattern, so a pattern of 10 erasures compiles
+    on its second fill, an R x R map of the syndrome; each fill restores
+    the codeword."""
     monkeypatch.setattr(gpc, "_VIEWS", {})
     code = LinearCode(full_parity_matrix(G16))
-    assert code._plan_bytes == code.length * (code.check_matrix.rows + 64)
+    rows = code.check_matrix.rows
+    assert code._plan_bytes == rows * (rows + 64) + 256
     assert code._plan_bytes <= linalg.MAP_BYTES_LIMIT
     word = encode([(5 * i) % 256 for i in range(G16.dimension())],
                   G16).flatten()
@@ -584,18 +615,26 @@ def test_long_code_compiles_a_small_pattern_on_its_second_use(monkeypatch):
         code.fill(damaged, erased)
         assert damaged == word
     slot = code._plans[erased]
-    assert slot.uses == 2 and slot.map is not None
+    assert slot.uses == 2 and slot.map.height == rows
+    assert [len(col) for col in slot.map.columns] == [rows] * rows
 
 
-@pytest.mark.parametrize("build, size",
-                         [(_g16_level_1, 4), (lambda: build_h2(15, 17), 7)],
-                         ids=["G16_level_1", "H2(15,17)"])
-def test_held_plans_stay_within_the_budget(build, size):
+@pytest.mark.parametrize("build, size, plans",
+                         [(lambda: LinearCode(component_parity_check(G16, 0)),
+                           2, 400),
+                          (_g16_level_1, 4, None),
+                          (lambda: build_h2(15, 17), 7, None)],
+                         ids=["G16_level_0", "G16_level_1", "H2(15,17)"])
+def test_held_plans_stay_within_the_budget(build, size, plans, monkeypatch):
     """More distinct patterns than a code's plan limit, each compiled:
     the plans held take at most the budget by tracemalloc, at most
-    ``_plan_bytes`` each, and the least recently used went first."""
+    ``_plan_bytes`` each, and the least recently used went first.  G16's
+    level 0 has 435 patterns of size 2, fewer than 1 MiB holds, so its
+    budget is ``plans`` plans."""
     code = build()
     code.syndrome([0] * code.length)        # the check map is no slot
+    if plans:
+        monkeypatch.setattr(linalg, "_PLAN_BUDGET", plans * code._plan_bytes)
     limit = linalg._PLAN_BUDGET // code._plan_bytes
     rng = random.Random(191)
     patterns = []

@@ -7,7 +7,9 @@ generators seeded by the case, and a failure names its case."""
 
 import random
 from contextlib import contextmanager
+from functools import reduce
 from itertools import combinations, groupby, islice, product
+from operator import xor
 
 import pytest
 
@@ -15,7 +17,8 @@ from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
-                            _eliminate, _work_rows, combine, rank)
+                            _eliminate, _work_rows, combine, pack_blocks,
+                            rank, unpack_block)
 from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
                          UncorrectableError, decodable_profile,
                          decode_iterative, decode_rows, encode,
@@ -415,35 +418,39 @@ def test_eliminate_on_bytes_rows_equals_the_list_loop():
 
 def test_strided_bytemap_columns_equal_the_zip_reference():
     # ByteMap cuts column j from the joined rows as joined[j::size]; the
-    # reference transposes the rows with zip.  Case i has seed i; the
-    # first two are fixed, the rest draw their row count and size.
+    # reference transposes the rows with zip.  Its image of a word is the
+    # rows times the word by GF.mul, and its image of L words side by
+    # side in blocks is, block by block, their images.  Case i has seed
+    # i; the first two are fixed, the rest draw their row count, size and
+    # block.
     draw = random.Random(0)
-    cases = [(default_field(8), 1, 7, "ends"),
-             (default_field(3), 1, 1, "ends")]
-    cases += [(field, draw.randint(1, 8), draw.randint(1, 12), targets)
-              for field, targets, _ in product(
-                  [default_field(w) for w in range(2, 9)],
-                  ("random", "ends", "none"), range(8))]
-    for seed, (field, nrows, size, targets) in enumerate(cases):
-        with named(field, f"{nrows} rows", f"size {size}", targets,
+    cases = [(default_field(8), 1, 7, 1), (default_field(3), 1, 1, 2)]
+    cases += [(field, draw.randint(1, 8), draw.randint(1, 12),
+               draw.choice((1, 2, 5)))
+              for field, _ in product([default_field(w) for w in range(2, 9)],
+                                      range(24))]
+    for seed, (field, nrows, size, block) in enumerate(cases):
+        with named(field, f"{nrows} rows", f"size {size}", f"block {block}",
                    f"seed {seed}"):
             rng = random.Random(seed)
-            rows = [bytes(rng.randrange(1 << field.w) for _ in range(size))
+            top = 1 << field.w
+            rows = [bytes(rng.randrange(top) for _ in range(size))
                     for _ in range(nrows)]
-            if targets == "ends":
-                chosen = sorted({0, size - 1})
-            elif targets == "random":
-                chosen = sorted(rng.sample(range(size), rng.randint(1, size)))
-            else:
-                chosen = []
-            plan = ByteMap(field, rows, chosen)
-            skip = set(chosen)
-            assert plan.columns == [b"" if j in skip else bytes(col)
-                                    for j, col in enumerate(zip(*rows))]
-            assert plan.height == nrows and plan.targets == chosen
+            plan = ByteMap(field, rows)
+            assert plan.columns == [bytes(col) for col in zip(*rows)]
+            assert plan.height == nrows
+            words = [[rng.randrange(top) for _ in range(size)]
+                     for _ in range(block)]
+            words[0][rng.randrange(size)] = 0
+            expected = [[reduce(xor, map(field.mul, row, word), 0)
+                         for row in rows] for word in words]
+            assert [plan.image(word) for word in words] == expected
+            got = plan.image(pack_blocks(words), block)
+            assert [list(w) for w in zip(*(unpack_block(v, block)
+                                           for v in got))] == expected
 
 
-# G16's level row codes (the last the identity) and the benchmark's H2.
+# G16's level row codes and the benchmark's H2.
 ROW_PLAN_CODES = {
     **{f"G16/{i}": (lambda h=h: LinearCode(h))
        for i, h in enumerate(gpc._level_checks(G16))},
@@ -452,28 +459,20 @@ ROW_PLAN_CODES = {
 
 
 def _map(plan):
-    return None if plan is None else (plan.targets, plan.height, plan.columns)
+    return None if plan is None else (plan.height, plan.columns)
 
 
 def _reference_plan(code, erased):
     """_map of the plan built from scratch: a fresh elimination of the
-    code's check rows, its columns transposed with zip.  The plans of
-    build_h2's code read its syndrome: they eliminate [H_E | I] on its
-    first |E| columns, and the map is the part that was I."""
+    R x (|E| + R) rows [H_E | I] on their first |E| columns, its columns
+    transposed with zip; the map is the part that was I."""
     h, e = code.check_matrix, len(erased)
-    if not isinstance(code, epc._PowerRowsCode):
-        rows = _work_rows(h.field, h.data)
-        if len(_eliminate(rows, h.field, erased, full=True)) < e:
-            return None
-        skip = set(erased)
-        return erased, len(rows), [b"" if j in skip else bytes(col)
-                                   for j, col in enumerate(zip(*rows))]
     rows = _work_rows(h.field, ([row[c] for c in erased]
                                 + [int(i == k) for k in range(h.rows)]
                                 for i, row in enumerate(h.data)))
     if len(_eliminate(rows, h.field, range(e), full=True)) < e:
         return None
-    return (), len(rows), [bytes(col) for col in zip(*rows)][e:]
+    return len(rows), [bytes(col) for col in zip(*rows)][e:]
 
 
 def test_plans_from_a_codes_rows_equal_erasure_plan():
@@ -491,7 +490,13 @@ def test_plans_from_a_codes_rows_equal_erasure_plan():
             size = rng.randint(1, min(h.rows + 2, code.length))
             erased = tuple(sorted(rng.sample(range(code.length), size)))
             fresh = _reference_plan(code, erased)
-            assert _map(code._compile(erased)) == fresh
+            plan = code._compile(erased)
+            assert _map(plan) == fresh
+            # it sends the erased columns of H to the unit vectors on the
+            # erased symbols, with every residual check zero
+            for i, c in enumerate(erased if plan else ()):
+                assert plan.image([row[c] for row in h.data]) == [
+                    int(i == k) for k in range(h.rows)]
             # through fill: a block of two words compiles on its first use
             code._plans.clear()
             word = [0] * code.length

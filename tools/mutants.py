@@ -174,16 +174,23 @@ MUTANTS = (
            "while len(cache) >= limit:", "while len(cache) > limit:",
            ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
     Mutant("a plan ignores its check symbols", LINALG,
-           "        if acc >> 8 * width:\n", "        if False:\n",
-           ("tests/test_gpc.py::test_contradicting_survivor_reports_erased_"
-            "cells",)),
-    Mutant("the plan of no erasures is not syndrome's map", LINALG,
-           "        if not erased:\n            return self._checks\n", "",
-           ("tests/test_linalg.py::test_syndrome_equals_mul_vec",)),
-    Mutant("the syndrome plan ignores its residual checks", LINALG,
-           "            if acc >> 8 * e:\n", "            if False:\n",
+           "            if any(missing[len(erased):]):\n",
+           "            if False:\n",
+           (NO_ERASURE_FLIP, "tests/test_epc.py::test_compiled_residual_"
+            "plans_match_the_solve")),
+    Mutant("the fill of no erasures skips its syndrome test", LINALG,
+           "            if any(syndrome):\n", "            if False:\n",
+           ("tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve",
+            NO_ERASURE_FLIP)),
+    Mutant("the syndrome plan reads one residual check too few", LINALG,
+           "any(missing[len(erased):])", "any(missing[len(erased) + 1:])",
            ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
             "solve",)),
+    Mutant("the block syndrome skips a coefficient", LINALG,
+           "                    if g:\n", "                    if g > 1:\n",
+           ("tests/test_linalg.py::test_block_syndrome_equals_per_word_"
+            "syndromes", "tests/test_epc.py::test_compiled_residual_plans_"
+            "match_the_solve")),
     Mutant("parity positions are scanned left to right", LINALG,
            "range(self.length - 1, -1, -1)", "range(self.length)",
            ("tests/test_epc.py::test_parity_positions_match_greedy_rank_"
