@@ -24,31 +24,31 @@ the t = 1 generalized product code of
 :func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
 per array column, plus the global power rows.
 
-For w <= 8 their syndrome is computed in grid form: the m row sums and
-n column sums from strided and plain slices of the word's bytes, and
-each power row from one ``bytes.translate`` per array row and an
-n-step Horner sum.  That is the syndrome form in which partial-MDS
-codes are decoded (Blaum, Hafner and Hetzler, IEEE Trans. IT 2013).
-Every erasure plan of a ``LinearCode`` reads the syndrome, here these
-r = m + n + g check symbols.  So an encode or a stopping-set repair
-costs m * g translates and m + n slices for the syndrome, and at most
-r translates for the plan.  Blocks of words take the generic syndrome.
+Each has one syndrome, for w <= 8 computed in grid form: the m row
+sums and n column sums from strided and plain slices of the word's
+bytes, and each power row from one ``bytes.translate`` per array row
+and an n-step Horner sum.  That is the syndrome form in which
+partial-MDS codes are decoded (Blaum, Hafner and Hetzler, IEEE Trans.
+IT 2013).  Every erasure plan of a ``LinearCode`` reads the syndrome,
+here these r = m + n + g check symbols.  So an encode or a stopping-set
+repair costs m * g translates and m + n slices for the syndrome, and
+at most r translates for the plan.  Blocks of words take the generic
+syndrome.
 
 :func:`lc_erasure_decode` decodes them local first, as storage codes
-with local and global parities are meant to be repaired: it peels
-every erasure that is the last one in its row or column from that
-line's sum, leaves only what the peel cannot reach, a stopping set, to
-the generic :meth:`~gpcodes.linalg.LinearCode.fill`, and checks a
-fully peeled word against the sums and the power part of the grid
-syndrome.  A ``LinearCode`` built from a check matrix alone decodes by
-the fill, with plans that read the syndrome of its check matrix.
+with local and global parities are meant to be repaired: it takes the
+word's syndrome once, peels every erasure that is the last one in its
+row or column from that line's entry, adding each peeled symbol into
+the syndrome, leaves only what the peel cannot reach, a stopping set,
+to the generic :meth:`~gpcodes.linalg.LinearCode.fill`, and accepts a
+fully peeled word exactly when the syndrome it tracked vanishes.  A
+``LinearCode`` built from a check matrix alone decodes by the fill,
+with plans that read the syndrome of its check matrix.
 """
 
 from __future__ import annotations
 
-from functools import reduce
 from math import ceil
-from operator import xor
 from typing import NamedTuple, Sequence
 
 from .fields import GF, field_with_order
@@ -128,10 +128,10 @@ class _PowerRowsCode(LinearCode):
     # n column sums of an m x n array flattened row by row, then the row
     # alpha^(step*j) for each of ``steps``.  It keeps that EpcShape as
     # ``shape``.  lc_erasure_decode peels its words on the sums before
-    # any fill.  For w <= 8 the syndrome of a single word, which every
-    # plan reads, is computed in grid form.  power_sums' tables are built
-    # with the code: per step, the product tables of alpha^(step*r*n) for
-    # each array row r, and that of alpha^step.
+    # any fill.  For w <= 8 the syndrome of a single word, which the peel
+    # tracks and every plan reads, is computed in grid form, with power
+    # tables built with the code: per step, the product tables of
+    # alpha^(step*r*n) for each array row r, and that of alpha^step.
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
@@ -151,38 +151,32 @@ class _PowerRowsCode(LinearCode):
             ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
              mul[f.alpha_pow(s)]) for s in steps]
 
-    def line_sums(self, word: Sequence[int]) -> tuple[list[int], list[int]]:
-        """The m row sums and the n column sums of ``word`` (symbols in
-        range) as an array.  For w <= 8 in grid form: the column sums
-        XOR the m row slices of its bytes as big integers, and the row
-        sums its n strided slices."""
-        m, n = self.m, self.n
-        if self.field.w > 8:
-            return ([reduce(xor, word[i:i + n]) for i in range(0, m * n, n)],
-                    [reduce(xor, word[c::n]) for c in range(n)])
-        raw, from_bytes = bytes(word), int.from_bytes
-        rows = cols = 0
-        for c in range(n):
-            rows ^= from_bytes(raw[c::n], "little")
-        for i in range(0, m * n, n):
-            cols ^= from_bytes(raw[i:i + n], "little")
-        return (list(rows.to_bytes(m, "little")),
-                list(cols.to_bytes(n, "little")))
+    def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
+        """``check_matrix.mul_vec(word)`` for a word of symbols in range.
 
-    def power_sums(self, word: Sequence[int]) -> list[int]:
-        """The power rows of the check matrix times ``word`` (symbols in
-        range), one symbol per step.  For w <= 8 in grid form: with
-        j = r*n + c, the row alpha^(s*j) is sum over c of alpha^(s*c)
-        times V_c, V_c the sum over r of alpha^(s*r*n) times the cell
-        (r, c).  So V is one ``bytes.translate`` per array row, XORed as
-        one big integer, and the sum an n-step Horner in alpha^s.  Wider
-        fields read :meth:`Matrix.mul_vec`."""
-        if self.field.w > 8:
-            return super().syndrome(word)[self.m + self.n:]
-        n, from_bytes = self.n, int.from_bytes
+        For a single word with w <= 8 in grid form, from the word's
+        bytes and their m row slices.  The m row sums XOR its n strided
+        slices as big integers, and the n column sums its row slices.
+        With j = r*n + c, power row alpha^(s*j) is the sum over c of
+        alpha^(s*c) times V_c, V_c the sum over r of alpha^(s*r*n) times
+        the cell (r, c).  So V is one ``bytes.translate`` per array row,
+        XORed as one big integer, and the sum an n-step Horner in
+        alpha^s.  Blocks and wider fields run :meth:`LinearCode.syndrome`.
+        """
+        if self.field.w > 8 or block > 1:
+            return super().syndrome(word, block)
+        if len(word) != self.length:
+            raise ValueError("vector length mismatch")
+        m, n, from_bytes = self.m, self.n, int.from_bytes
         raw = bytes(word)
-        rows = [raw[i:i + n] for i in range(0, len(raw), n)]
-        out = []
+        rows = [raw[i:i + n] for i in range(0, m * n, n)]
+        row_sums = col_sums = 0
+        for c in range(n):
+            row_sums ^= from_bytes(raw[c::n], "little")
+        for row in rows:
+            col_sums ^= from_bytes(row, "little")
+        out = [*row_sums.to_bytes(m, "little"),
+               *col_sums.to_bytes(n, "little")]
         for row_tables, step in self._power_tables:
             acc = 0
             for row, table in zip(rows, row_tables):
@@ -192,17 +186,6 @@ class _PowerRowsCode(LinearCode):
                 total = step[total] ^ v
             out.append(total)
         return out
-
-    def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
-        """``check_matrix.mul_vec(word)`` for a word of symbols in range:
-        for w <= 8 its :meth:`line_sums`, then its :meth:`power_sums`.
-        Blocks and wider fields run :meth:`LinearCode.syndrome`."""
-        if self.field.w > 8 or block > 1:
-            return super().syndrome(word, block)
-        if len(word) != self.length:
-            raise ValueError("vector length mismatch")
-        rows, cols = self.line_sums(word)
-        return rows + cols + self.power_sums(word)
 
 
 def build_h2(m: int, n: int, field: GF | None = None) -> LinearCode:
@@ -257,12 +240,17 @@ def _peel_then_fill(word: list[int], erased: list[int],
                     code: _PowerRowsCode) -> None:
     # Fill ``erased`` (ascending, zero in ``word``) in place: first every
     # cell that is the one erasure left in its array row or column, from
-    # that line's sum, then what is left with code.fill.  Each peeled
-    # symbol is forced by a check row, so the fill sees exactly the
-    # system the erasures had.  Raises what fill raises, or
-    # NoSolutionError when a fully peeled word breaks a check row.
+    # that line's sum, then what is left with code.fill.  The peel tracks
+    # the word's syndrome: a symbol v peeled at j = r*n + c is read from
+    # entry r or m + c, is added to both, and H[i][j] * v is added to each
+    # power entry i.  Each peeled symbol is forced by a check row, so the
+    # fill sees exactly the system the erasures had.  Raises what fill
+    # raises, or NoSolutionError when a fully peeled word's syndrome does
+    # not vanish.
     m, n = code.m, code.n
-    row_sums, col_sums = code.line_sums(word)
+    mul, checks = code.field.mul, code.check_matrix.data
+    syndrome = code.syndrome(word)
+    powers = range(m + n, len(syndrome))
     in_row, in_col = [0] * m, [0] * n
     for j in erased:
         in_row[j // n] += 1
@@ -273,22 +261,24 @@ def _peel_then_fill(word: list[int], erased: list[int],
         for j in left:
             r, c = divmod(j, n)
             if in_row[r] == 1:
-                v = row_sums[r]
+                v = syndrome[r]
             elif in_col[c] == 1:
-                v = col_sums[c]
+                v = syndrome[m + c]
             else:
                 stuck.append(j)
                 continue
             word[j] = v
-            row_sums[r] ^= v
-            col_sums[c] ^= v
+            syndrome[r] ^= v
+            syndrome[m + c] ^= v
+            for i in powers:
+                syndrome[i] ^= mul(checks[i][j], v)
             in_row[r] -= 1
             in_col[c] -= 1
         if len(stuck) == len(left):
             code.fill(word, tuple(stuck))
             return
         left = stuck
-    if any(row_sums) or any(col_sums) or any(code.power_sums(word)):
+    if any(syndrome):
         raise NoSolutionError("inconsistent system")
 
 
@@ -305,16 +295,19 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     positions are ignored.
 
     The codes of :func:`build_h2` and :func:`build_h3` decode local
-    first.  While an array row or column holds exactly one erasure,
-    that cell is filled from the line's sum; every such fill is forced
-    by a check row.  A word peeled to the end is checked against every
-    row sum and column sum the peel kept, and against the power part of
-    the code's grid syndrome, and never reaches a plan.  The cells the
-    peel cannot reach, a stopping set such as the corners of a
-    rectangle, go to the code's fill with the peeled symbols as
-    survivors, which is the same system as before the peel.  So output
-    and errors, ``remaining`` included, equal those of the fill of the
-    whole pattern.
+    first, from the code's syndrome of the word with its erased symbols
+    zeroed.  While an array row or column holds exactly one erasure,
+    that cell is filled from the line's entry of the syndrome; every
+    such fill is forced by a check row.  Each peeled symbol is added
+    into the syndrome, into its row's and its column's entries and,
+    times its coefficient, into each power row's, so the syndrome stays
+    that of the word.  A word peeled to the end is a
+    codeword exactly when that syndrome vanishes, and never reaches a
+    plan.  The cells the peel cannot reach, a stopping set such as the
+    corners of a rectangle, go to the code's fill with the peeled
+    symbols as survivors, which is the same system as before the peel.
+    So output and errors, ``remaining`` included, equal those of the
+    fill of the whole pattern.
 
     Any other code, and that residual, runs
     :meth:`~gpcodes.linalg.LinearCode.fill`: each pattern solves from

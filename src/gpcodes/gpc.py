@@ -604,9 +604,10 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     code with :meth:`~gpcodes.linalg.LinearCode.fill`.  For w <= 8, the
     rows within reach of the weakest row code that share their erased
     columns fill together, as one block of one byte per row, and so do
-    the rows with no erasure, through the plan of no erasures.  Each set
-    of erased columns in one level under equal ``params`` has its own
-    erasure plan, compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule
+    the rows with no erasure, a fill of no erasures that tests their
+    syndrome in the weakest row code.  Each set of erased columns in
+    one level under equal ``params`` has its own erasure plan, compiled
+    by :class:`~gpcodes.linalg.PlanSlot`'s rule
     (as many per level as fit in 1 MiB, least recently used dropped
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).

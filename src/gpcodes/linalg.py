@@ -45,9 +45,10 @@ time against one level's row code.  Every fill starts from the word's
 per pattern: for w <= 8 the check matrix's columns as bytes, so
 ``H @ word`` costs one ``bytes.translate`` per nonzero symbol; the flat
 codes compute theirs in grid form.  A plan then reads the R check
-symbols, and a pattern with no plan yet solves from them.  Both
-families' membership tests read the syndrome too.  Wider fields fall
-back to :meth:`Matrix.mul_vec`.
+symbols, and a pattern with no plan yet solves from them; a pattern of
+no erasures tests that they vanish and has no plan.  Both families'
+membership tests read the syndrome too.  Wider fields fall back to
+:meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -454,11 +455,11 @@ class PlanSlot:
     :class:`SplitMap` tables and row orders.
 
     The one compile rule of every compiled map (a gpc encoder, and each
-    erasure plan of a :class:`LinearCode`, the pattern of no erasures
-    included): the first use runs scalar, and the use that takes the
-    count past one compiles the map and applies it.  A fill of a block
-    of L words counts L uses, so a block of two or more compiles at
-    once.  An erasure plan, one elimination of the R x (|E| + R) bytes
+    erasure plan of a :class:`LinearCode`; a fill of no erasures has no
+    plan and no slot): the first use runs scalar, and the use that takes
+    the count past one compiles the map and applies it.  A fill of a
+    block of L words counts L uses, so a block of two or more compiles
+    at once.  An erasure plan, one elimination of the R x (|E| + R) bytes
     of [H_E | I], compiles in about the time of one scalar use, so a
     process that repeats a fill never takes much more than twice its
     scalar time.  A gpc encoder, one row pass over blocks of its K unit
@@ -587,19 +588,23 @@ class LinearCode:
         words, as in :func:`pack_blocks`, and every word is filled.
 
         Every fill starts from the :meth:`syndrome` of the word with its
-        erased symbols zeroed.  Each pattern, no erasures included, has a
+        erased symbols zeroed.  A pattern of no erasures tests the
+        syndrome and holds no slot.  Every other pattern has a
         :class:`PlanSlot`, whose rule decides when the pattern's plan is
         compiled from the check rows the code keeps as bytes.  The code
         keeps as many slots as plans fit in ``_PLAN_BUDGET`` (1 MiB),
         least recently used dropped first.  A plan maps the syndrome, R
         check symbols, to the erased symbols and the residual checks,
         blocks included.  Until the compile, and when no plan is built,
-        :func:`solve` runs on the syndrome word by word, and a pattern of
-        no erasures only tests that the syndrome vanishes.  Raises
+        :func:`solve` runs on the syndrome word by word.  Raises
         :class:`UnderdeterminedError` on dependent erased columns and
         :class:`NoSolutionError` when the survivors contradict the code,
         leaving ``word`` as it was.
         """
+        if not erased:
+            if any(self.syndrome(word, block)):
+                raise NoSolutionError("inconsistent system")
+            return
         known = list(word)
         for c in erased:
             known[c] = 0
@@ -621,11 +626,7 @@ class LinearCode:
                block: int) -> list[int]:
         # The scalar path: the symbols at ``erased`` of the codeword whose
         # survivors have ``syndrome``, by one solve of H_E x = syndrome per
-        # word; with no erasures, a test that the syndrome vanishes.
-        if not erased:
-            if any(syndrome):
-                raise NoSolutionError("inconsistent system")
-            return []
+        # word.
         h = self.check_matrix.submatrix(cols=erased)
         if block == 1:
             return solve(h, syndrome)

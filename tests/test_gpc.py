@@ -880,23 +880,27 @@ def test_wide_field_never_builds_blocks(encoders, monkeypatch):
 
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
-    # a budget of three plans per level-0 row code, one of them taken by
-    # the plan of no erasures, which the five clean rows use after row 0
+    # a budget of two plans per level-0 row code; the five clean rows
+    # after row 0 fill as one block of no erasures, a syndrome test that
+    # holds no slot
     level0 = gpc._view(FLAGSHIP).levels[0]
-    monkeypatch.setattr(linalg, "_PLAN_BUDGET", 3 * level0._plan_bytes)
+    monkeypatch.setattr(linalg, "_PLAN_BUDGET", 2 * level0._plan_bytes)
+    fills = []
+
+    def fill(word, erased, block=1):
+        fills.append((erased, block))
+        LinearCode.fill(level0, word, erased, block)
+
+    monkeypatch.setattr(level0, "fill", fill)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
         assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
+        assert fills.count(((), 5)) == 1 and () not in level0._plans
+        fills.clear()
     rows = level0._plans
     # column 2 was the least recently used when column 3 came
-    assert list(rows) == [(1,), (3,), ()]
+    assert list(rows) == [(1,), (3,)]
     assert rows[(1,)].map is not None and rows[(3,)].map is None
-    # the () plan maps level 0's syndrome to itself: every output a
-    # residual check
-    checks = level0.check_matrix.rows
-    assert rows[()].map.height == checks
-    assert rows[()].map.columns == [(1 << 8 * i).to_bytes(checks, "little")
-                                    for i in range(checks)]
 
 
 def test_wide_field_never_compiles_row_plans(encoders):

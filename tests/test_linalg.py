@@ -364,9 +364,8 @@ def test_syndrome_equals_mul_vec():
                   for _ in range(8)]
         for word in words:
             assert code.syndrome(word) == h.mul_vec(word), name
-        # one check map per code for w <= 8, kept through fills; like
-        # every plan, that of no erasures reads the syndrome, which it
-        # maps to itself: the identity, all residual checks
+        # one check map per code for w <= 8, kept through fills; a fill
+        # of no erasures is the syndrome test, with no plan slot
         checks = code._checks
         assert (checks is None) == (code.field.w > 8), name
         if code.field.w <= 8:
@@ -374,10 +373,14 @@ def test_syndrome_equals_mul_vec():
             code.syndrome(words[-1])
             code.fill(list(words[0]), (), 2)
             assert code._checks is checks, name
-            plan = code._plans[()].map
-            assert plan.height == h.rows, name
-            assert plan.columns == [bytes(i) + b"\x01" + bytes(h.rows - 1 - i)
-                                    for i in range(h.rows)], name
+        for word in words:
+            try:
+                code.fill(list(word), ())
+            except NoSolutionError:
+                assert any(h.mul_vec(word)), name
+            else:
+                assert not any(h.mul_vec(word)), name
+        assert () not in code._plans, name
         with pytest.raises(ValueError, match="length"):
             code.syndrome([0] * (code.length + 1))
     ws = {int(n.split("/w")[1].split("/")[0]) for n in names
@@ -522,14 +525,17 @@ def test_block_fill_equals_per_word_fills(compiled, monkeypatch):
             expected.append(out)
         block = len(words)
         code._plans.clear()
-        if compiled:
-            # this block compiles the plan, the empty pattern's too
+        if compiled and erased:
+            # this block compiles the plan
             slot = code._plans[erased] = PlanSlot()
             slot.uses = 1
         packed = pack_blocks(words)
         code.fill(packed, erased, block)
         assert _unpacked(packed, block) == expected
-        assert (code._plans[erased].map is not None) == compiled
+        # a draw of no erasures is a syndrome test and holds no slot
+        assert (erased in code._plans) == bool(erased)
+        if erased:
+            assert (code._plans[erased].map is not None) == compiled
         i = rng.randrange(block)
         j = rng.choice([j for j in range(code.length) if j not in erased])
         bad = pack_blocks(words)
@@ -577,7 +583,7 @@ def _rule_case(case):
     }[case]
     code = build()
     word = [0] * code.length
-    return (lambda: code._plans[erased],
+    return (lambda: code._plans.get(erased),
             lambda block: code.fill(pack_blocks([word] * block), erased,
                                     block))
 
@@ -588,13 +594,58 @@ def _rule_case(case):
 def test_every_map_compiles_on_its_second_use(case, monkeypatch):
     """PlanSlot's one rule: every kind of compiled map stays scalar on
     its first single use and compiles on its second, a block of two
-    words as the second use included."""
+    words as the second use included.  A fill of no erasures compiles
+    nothing and holds no slot, however often it runs."""
     monkeypatch.setattr(gpc, "_VIEWS", {})
     slot, use = _rule_case(case)
+    if case == "H2_no_erasures":
+        for block in (1, 1, 2, 3):
+            use(block)
+            assert slot() is None
+        return
     use(1)
     assert slot().map is None and slot().uses == 1
     use(2 if case == "G16_block_of_two" else 1)
     assert slot().map is not None
+
+
+@pytest.mark.parametrize("build", [lambda: _levels(G16)[0],
+                                   lambda: build_h2(3, 4)],
+                         ids=["G16_level_0", "h2(3,4)"])
+def test_a_fill_of_no_erasures_is_its_syndrome_test(build):
+    """A fill of no erasures tests that the syndrome vanishes and holds
+    no plan slot: three codewords pass, one by one and as a block of
+    three, and a changed symbol in one word raises NoSolutionError,
+    leaving the word or the block as it was."""
+    code = build()
+    rng = random.Random(233)
+    top = 1 << code.field.w
+    parity = code.parity_positions()
+    words = []
+    for _ in range(3):
+        word = [0 if j in parity else rng.randrange(top)
+                for j in range(code.length)]
+        code.fill(word, parity)
+        words.append(word)
+    code._plans.clear()
+    for word in words:
+        out = list(word)
+        code.fill(out, ())
+        assert out == word
+    packed = pack_blocks(words)
+    code.fill(packed, (), 3)
+    assert packed == pack_blocks(words)
+    assert code._plans == {}
+    # word 1 alone, then word 2 of the block, changed at position j
+    j = rng.randrange(code.length)
+    for bad, block, flip in ((list(words[1]), 1, 1),
+                             (pack_blocks(words), 3, 1 << 16)):
+        bad[j] ^= flip
+        before = list(bad)
+        with pytest.raises(NoSolutionError):
+            code.fill(bad, (), block)
+        assert bad == before
+    assert code._plans == {}
 
 
 def test_long_code_compiles_a_small_pattern_on_its_second_use(monkeypatch):

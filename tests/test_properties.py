@@ -317,6 +317,7 @@ SMALL_GRID_CODES = {
     "h3(3,4)": (lambda: build_h3(3, 4), 1),
     "h3(2,5)": (lambda: build_h3(2, 5), 1),
     "h3(3,3)/w10": (lambda: build_h3(3, 3, GF(10, 0x7ff)), 1),
+    "h3(3,3)/w20": (lambda: build_h3(3, 3, GF(20, 0x100009)), 1),
     "h3(3,4)/p13": (lambda: build_h3(3, 4, GF.from_prime(13)), 5),
 }
 

@@ -176,12 +176,14 @@ MUTANTS = (
     Mutant("a plan ignores its check symbols", LINALG,
            "            if any(missing[len(erased):]):\n",
            "            if False:\n",
-           (NO_ERASURE_FLIP, "tests/test_epc.py::test_compiled_residual_"
-            "plans_match_the_solve")),
+           ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
+            "solve",)),
     Mutant("the fill of no erasures skips its syndrome test", LINALG,
-           "            if any(syndrome):\n", "            if False:\n",
+           "            if any(self.syndrome(word, block)):\n",
+           "            if False:\n",
            ("tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve",
-            NO_ERASURE_FLIP)),
+            NO_ERASURE_FLIP, "tests/test_linalg.py::test_a_fill_of_no_"
+            "erasures_is_its_syndrome_test")),
     Mutant("the syndrome plan reads one residual check too few", LINALG,
            "any(missing[len(erased):])", "any(missing[len(erased) + 1:])",
            ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
@@ -201,11 +203,14 @@ MUTANTS = (
            "EpcShape(m, 1, n, 1, len(steps) - 1)",
            ("tests/test_cli.py::test_shapes_with_no_data_symbols_exit_2",)),
     Mutant("a peeled word skips its line sums", EPC,
-           "if any(row_sums) or any(col_sums) or any(code.power_sums",
-           "if any(code.power_sums", (LOCAL_FIRST,)),
+           "    if any(syndrome):\n", "    if any(syndrome[m + n:]):\n",
+           (LOCAL_FIRST,)),
     Mutant("a peeled word skips its power rows", EPC,
-           "if any(row_sums) or any(col_sums) or any(code.power_sums(word))",
-           "if any(row_sums) or any(col_sums)", (LOCAL_FIRST,)),
+           "    if any(syndrome):\n", "    if any(syndrome[:m + n]):\n",
+           (LOCAL_FIRST,)),
+    Mutant("the peel leaves the power rows behind", EPC,
+           "                syndrome[i] ^= mul(checks[i][j], v)\n",
+           "                pass\n", (LOCAL_FIRST,)),
     Mutant("the power check runs Horner backwards", EPC,
            'for v in acc.to_bytes(n, "big"):',
            'for v in acc.to_bytes(n, "little"):',
