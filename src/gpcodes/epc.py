@@ -40,10 +40,11 @@ with local and global parities are meant to be repaired: it takes the
 word's syndrome once, peels every erasure that is the last one in its
 row or column from that line's entry, adding each peeled symbol into
 the syndrome, leaves only what the peel cannot reach, a stopping set,
-to the generic :meth:`~gpcodes.linalg.LinearCode.fill`, and accepts a
-fully peeled word exactly when the syndrome it tracked vanishes.  A
-``LinearCode`` built from a check matrix alone decodes by the fill,
-with plans that read the syndrome of its check matrix.
+to the generic :meth:`~gpcodes.linalg.LinearCode.solve_syndrome` of
+the syndrome it tracked, and accepts a fully peeled word exactly when
+that syndrome vanishes.  A ``LinearCode`` built from a check matrix
+alone decodes by :meth:`~gpcodes.linalg.LinearCode.fill`, with plans
+that read the syndrome of its check matrix.
 """
 
 from __future__ import annotations
@@ -240,13 +241,15 @@ def _peel_then_fill(word: list[int], erased: list[int],
                     code: _PowerRowsCode) -> None:
     # Fill ``erased`` (ascending, zero in ``word``) in place: first every
     # cell that is the one erasure left in its array row or column, from
-    # that line's sum, then what is left with code.fill.  The peel tracks
-    # the word's syndrome: a symbol v peeled at j = r*n + c is read from
-    # entry r or m + c, is added to both, and H[i][j] * v is added to each
-    # power entry i.  Each peeled symbol is forced by a check row, so the
-    # fill sees exactly the system the erasures had.  Raises what fill
-    # raises, or NoSolutionError when a fully peeled word's syndrome does
-    # not vanish.
+    # that line's sum, then what is left from the syndrome the peel
+    # tracked.  A symbol v peeled at j = r*n + c is read from entry r or
+    # m + c, is added to both, and H[i][j] * v is added to each power
+    # entry i, so the syndrome stays that of the word, whose stuck cells
+    # still hold 0: code.solve_syndrome of it and the stuck cells is
+    # code.fill of them, without a second syndrome.  Each peeled symbol
+    # is forced by a check row, so that solve sees exactly the system the
+    # erasures had.  Raises what it raises, or NoSolutionError when a
+    # fully peeled word's syndrome does not vanish.
     m, n = code.m, code.n
     mul, checks = code.field.mul, code.check_matrix.data
     syndrome = code.syndrome(word)
@@ -275,7 +278,9 @@ def _peel_then_fill(word: list[int], erased: list[int],
             in_row[r] -= 1
             in_col[c] -= 1
         if len(stuck) == len(left):
-            code.fill(word, tuple(stuck))
+            stuck = tuple(stuck)
+            for j, v in zip(stuck, code.solve_syndrome(syndrome, stuck)):
+                word[j] = v
             return
         left = stuck
     if any(syndrome):
@@ -304,15 +309,17 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     that of the word.  A word peeled to the end is a
     codeword exactly when that syndrome vanishes, and never reaches a
     plan.  The cells the peel cannot reach, a stopping set such as the
-    corners of a rectangle, go to the code's fill with the peeled
-    symbols as survivors, which is the same system as before the peel.
-    So output and errors, ``remaining`` included, equal those of the
-    fill of the whole pattern.
+    corners of a rectangle, solve from that tracked syndrome, the
+    syndrome of the word with the peeled symbols as survivors, which is
+    the same system as before the peel, and no syndrome is computed
+    again.  So output and errors, ``remaining`` included, equal those
+    of the fill of the whole pattern.
 
-    Any other code, and that residual, runs
-    :meth:`~gpcodes.linalg.LinearCode.fill`: each pattern solves from
-    the code's :meth:`~gpcodes.linalg.LinearCode.syndrome` until
-    :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, which
+    Any other code runs :meth:`~gpcodes.linalg.LinearCode.fill`, and
+    that residual its step
+    :meth:`~gpcodes.linalg.LinearCode.solve_syndrome`: each pattern
+    solves from the code's :meth:`~gpcodes.linalg.LinearCode.syndrome`
+    until :class:`~gpcodes.linalg.PlanSlot`'s rule compiles its plan, which
     maps that syndrome to the erased symbols, with equal output and the
     same errors, checks included.  On the codes of :func:`build_h2` and
     :func:`build_h3` (w <= 8) the plan reads their grid syndrome.

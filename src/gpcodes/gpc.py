@@ -421,7 +421,8 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     """Exact membership test by direct syndrome evaluation.
 
     Every row goes through the level-0 code's
-    :meth:`~gpcodes.linalg.LinearCode.syndrome`, and each row
+    :meth:`~gpcodes.linalg.LinearCode.syndrome`, for w <= 8 as one word
+    of m-byte blocks, all rows at once, and row by row past it; each row
     combination r < s_hat(1), summed with
     :func:`~gpcodes.linalg.combine`, through the syndrome of the deepest
     level it lies in (budget r is its strength; level t's is zero).  The
@@ -434,9 +435,11 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
         raise ValueError("membership is undefined for arrays with erasures")
     f = params.field
     f.check_symbols(chain.from_iterable(arr.values), "symbol")
-    for row in arr.values:
-        if any(view.levels[0].syndrome(row)):
-            return False
+    level0 = view.levels[0]
+    syndromes = ([level0.syndrome(pack_blocks(arr.values), params.m)]
+                 if f.w <= 8 else map(level0.syndrome, arr.values))
+    if any(map(any, syndromes)):
+        return False
     # Combination r weights row j by alpha^(r*j).
     for r, gamma in enumerate(view.powers[:params.s_hat(1)]):
         combo = combine(f, zip(gamma, arr.values), params.n)
@@ -447,29 +450,45 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     return True
 
 
-def _repair_rows(values: list[list[int]], rows: Sequence[int],
-                 cols: tuple[int, ...], view: _View, level: int, block: int,
-                 offset: Sequence[int] | None = None) -> None:
-    # Fill the erased cells ``cols`` of ``rows`` so that each row, plus
-    # ``offset`` for a single row, lies in the level's row code.  Several
-    # rows, which must share their erased columns, fill as one word of
-    # blocks, row i at byte offset i * block.  The level code fills
-    # row + offset, whose erased symbols it ignores, so the offset goes
-    # back into the filled cells.  The solution is unique (Vandermonde
-    # columns); survivors that contradict the code raise
-    # NoSolutionError.
-    g = len(rows)
-    if g > 1:
-        word = pack_blocks([values[r] for r in rows], block)
-    else:
-        word = values[rows[0]]
-        if offset is not None:
-            word = [a ^ b for a, b in zip(word, offset)]
-    view.levels[level].fill(word, cols, g * block)
-    for c in cols:
-        v = word[c] if offset is None else word[c] ^ offset[c]
-        for r, x in zip(rows, unpack_block(v, g, block) if g > 1 else (v,)):
-            values[r][c] = x
+def _repair_row(row: list[int], cols: tuple[int, ...], code: LinearCode,
+                block: int, offset: Sequence[int] | None = None) -> None:
+    # Fill the erased cells ``cols`` of ``row`` in place so that row plus
+    # ``offset`` lies in ``code``.  The code fills row + offset, whose
+    # erased symbols it ignores, so the offset goes back into the filled
+    # cells.  The solution is unique (Vandermonde columns); survivors
+    # that contradict the code raise NoSolutionError.
+    word = row if offset is None else [a ^ b for a, b in zip(row, offset)]
+    code.fill(word, cols, block)
+    if offset is not None:
+        for c in cols:
+            row[c] = word[c] ^ offset[c]
+
+
+def _repair_groups(values: list[list[int]],
+                   groups: dict[tuple[int, ...], list[int]], code: LinearCode,
+                   block: int) -> None:
+    # Fill each group's rows, which share their erased columns, in the
+    # level-0 ``code`` (w <= 8).  The erased cells hold 0, so one
+    # syndrome of the groups' rows, group after group, as one word of
+    # blocks, row i at byte offset i * block, holds every row's
+    # syndrome; each group solves from its g rows' bytes of it, a word
+    # of (g * block)-byte blocks.  A group of no erasures is the test
+    # that its bytes vanish.
+    rows = [r for part in groups.values() for r in part]
+    if not rows:
+        return
+    syndrome = code.syndrome(pack_blocks([values[r] for r in rows], block),
+                             len(rows) * block)
+    shift = 0
+    for cols, part in groups.items():
+        width = len(part) * block       # the group's bytes per symbol
+        mask = (1 << 8 * width) - 1
+        missing = code.solve_syndrome([v >> shift & mask for v in syndrome],
+                                      cols, width)
+        shift += 8 * width
+        for c, v in zip(cols, missing):
+            for r, x in zip(part, unpack_block(v, len(part), block)):
+                values[r][c] = x
 
 
 class DecodeTrace:
@@ -519,11 +538,14 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
         if len(cols) <= params.u[0]:
             groups.setdefault(cols, []).append(r)
             erased[r] = ()
-    # Rows with equal erased columns (or none) repair as one block (w <= 8).
-    split = params.field.w > 8
-    for cols, rows in groups.items():
-        for part in ([r] for r in rows) if split else (rows,):
-            _repair_rows(values, part, cols, view, 0, block)
+    # Rows with equal erased columns (or none) repair as one block, from
+    # one syndrome of all those rows (w <= 8); wider fields row by row.
+    if params.field.w <= 8:
+        _repair_groups(values, groups, view.levels[0], block)
+    else:
+        for cols, rows in groups.items():
+            for r in rows:
+                _repair_row(values[r], cols, view.levels[0], block)
     left = sum(map(len, erased))
     # The profile: rows by erasure count, descending, ties by index
     # (the sort is stable).
@@ -557,7 +579,8 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
             # counts[p] is within budget p, the deepest level p lies in,
             # so the weakest level that covers it is one p lies in too.
             level = bisect_left(params.u, counts[p])
-            _repair_rows(values, [row_idx], cols, view, level, block, known)
+            _repair_row(values[row_idx], cols, view.levels[level], block,
+                        known)
         erased[row_idx] = ()
         if trace is not None:
             trace.steps.append((p, row_idx, level))
@@ -600,14 +623,18 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     some row code (or vanishes), which pins its erased symbols.  A pivot
     row repairs in the weakest level whose strength covers its count.
 
-    Every row repair fills the row's erased cells in one level's row
-    code with :meth:`~gpcodes.linalg.LinearCode.fill`.  For w <= 8, the
-    rows within reach of the weakest row code that share their erased
-    columns fill together, as one block of one byte per row, and so do
-    the rows with no erasure, a fill of no erasures that tests their
-    syndrome in the weakest row code.  Each set of erased columns in
-    one level under equal ``params`` has its own erasure plan, compiled
-    by :class:`~gpcodes.linalg.PlanSlot`'s rule
+    Every row repair solves for the row's erased cells in one level's
+    row code with :meth:`~gpcodes.linalg.LinearCode.solve_syndrome`.
+    For w <= 8 a row pass takes the weakest row code's syndrome once, of
+    every row within its reach as one word of blocks of one byte per
+    row, erased cells zero, the rows that share their erased columns
+    side by side.  Each such group then solves from its rows' bytes of
+    it, and the rows with no erasure are a test that theirs vanish.
+    Wider fields fill those rows one by one, each from its own
+    syndrome, and a peeled pivot row fills from its own syndrome in its
+    level with :meth:`~gpcodes.linalg.LinearCode.fill`.  Each set of
+    erased columns in one level under equal ``params`` has its own
+    erasure plan, compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule
     (as many per level as fit in 1 MiB, least recently used dropped
     first), and the peel sums its known rows with product tables
     (:func:`~gpcodes.linalg.combine`).

@@ -37,18 +37,23 @@ on the bytes a compiled map holds; :func:`recall` is the get-or-build
 rule of every bounded cache, evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
-repair erasures with its one :meth:`LinearCode.fill`: ``epc``'s h2 and
-h3 codes a whole word at a time, once their row and column sums have
-peeled what they can, ``gpc`` one array row, or a block of rows, at a
-time against one level's row code.  Every fill starts from the word's
-:meth:`LinearCode.syndrome`, whose map is built with the code, not once
-per pattern: for w <= 8 the check matrix's columns as bytes, so
-``H @ word`` costs one ``bytes.translate`` per nonzero symbol; the flat
-codes compute theirs in grid form.  A plan then reads the R check
-symbols, and a pattern with no plan yet solves from them; a pattern of
-no erasures tests that they vanish and has no plan.  Both families'
-membership tests read the syndrome too.  Wider fields fall back to
-:meth:`Matrix.mul_vec`.
+repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
+which solves for the erased symbols from the R check symbols of the
+word's :meth:`LinearCode.syndrome`: ``epc``'s h2 and h3 codes a whole
+word at a time, once their row and column sums have peeled what they
+can, ``gpc`` one array row, or a block of rows, at a time against one
+level's row code.  :meth:`LinearCode.fill` computes the syndrome and
+takes that step; a caller that holds the syndrome already takes the
+step alone, so each syndrome is computed once: gpc's row pass takes
+level 0's of every row within reach as one block (w <= 8), and the
+flat codes' stopping set reads the one its peel tracked.  The syndrome
+map is built with the code, not once per pattern: for w <= 8 the check
+matrix's columns as bytes, so ``H @ word`` costs one ``bytes.translate``
+per nonzero symbol; the flat codes compute theirs in grid form.  A plan
+reads the R check symbols, and a pattern with no plan yet solves from
+them; a pattern of no erasures tests that they vanish and has no plan.
+Both families' membership tests read the syndrome too.  Wider fields
+fall back to :meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -328,8 +333,10 @@ class ByteMap:
         With ``block`` L > 1 each position holds a block: an int of L
         little-endian bytes, byte i the symbol of the i-th of L words
         (see :func:`pack_blocks`), and so does each output.  Each
-        nonzero (position, row) coefficient then multiplies the
-        position's block with one ``bytes.translate``.
+        (position, row) coefficient past 1 then multiplies the
+        position's block with one ``bytes.translate``, and a coefficient
+        1, as in a Vandermonde row code's first row and column, adds the
+        block as it is.
         """
         tables, from_bytes = self.tables, int.from_bytes
         if block == 1:
@@ -343,7 +350,9 @@ class ByteMap:
             if v:
                 src = v.to_bytes(block, "little")
                 for i, g in enumerate(col):
-                    if g:
+                    if g == 1:
+                        out[i] ^= v
+                    elif g:
                         out[i] ^= from_bytes(src.translate(tables[g]),
                                              "little")
         return out
@@ -406,7 +415,10 @@ def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
 def pack_blocks(words: Sequence[Sequence[int]], block: int = 1) -> list[int]:
     """g words of equal length, whose positions hold blocks of ``block``
     bytes, as one word of (g * block)-byte blocks: word i's block sits
-    at byte offset i * block of each position."""
+    at byte offset i * block of each position.  One word packs to
+    itself."""
+    if len(words) == 1:
+        return list(words[0])
     from_bytes, raw = int.from_bytes, _raw(block)
     return [from_bytes(raw(col), "little") for col in zip(*words)]
 
@@ -414,6 +426,8 @@ def pack_blocks(words: Sequence[Sequence[int]], block: int = 1) -> list[int]:
 def unpack_block(value: int, count: int, block: int = 1) -> list[int]:
     """The ``count`` blocks of ``block`` bytes in one position packed by
     :func:`pack_blocks`, first word first."""
+    if count == 1:
+        return [value]
     raw = value.to_bytes(count * block, "little")
     if block == 1:
         return list(raw)
@@ -455,9 +469,10 @@ class PlanSlot:
     :class:`SplitMap` tables and row orders.
 
     The one compile rule of every compiled map (a gpc encoder, and each
-    erasure plan of a :class:`LinearCode`; a fill of no erasures has no
+    erasure plan of a :class:`LinearCode`, counted by
+    :meth:`LinearCode.solve_syndrome`; a pattern of no erasures has no
     plan and no slot): the first use runs scalar, and the use that takes
-    the count past one compiles the map and applies it.  A fill of a
+    the count past one compiles the map and applies it.  A solve for a
     block of L words counts L uses, so a block of two or more compiles
     at once.  An erasure plan, one elimination of the R x (|E| + R) bytes
     of [H_E | I], compiles in about the time of one scalar use, so a
@@ -587,10 +602,31 @@ class LinearCode:
         ``block`` L > 1 (w <= 8 only) each position holds a block of L
         words, as in :func:`pack_blocks`, and every word is filled.
 
-        Every fill starts from the :meth:`syndrome` of the word with its
-        erased symbols zeroed.  A pattern of no erasures tests the
-        syndrome and holds no slot.  Every other pattern has a
-        :class:`PlanSlot`, whose rule decides when the pattern's plan is
+        A fill is the :meth:`syndrome` of the word with its erased
+        symbols zeroed, handed to :meth:`solve_syndrome`, whose symbols
+        it writes; it raises what that raises, leaving ``word`` as it
+        was.
+        """
+        known = list(word) if erased else word
+        for c in erased:
+            known[c] = 0
+        missing = self.solve_syndrome(self.syndrome(known, block), erased,
+                                      block)
+        for c, v in zip(erased, missing):
+            word[c] = v
+
+    def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
+                       block: int = 1) -> list[int]:
+        """The symbols at ``erased`` (ascending) of the codeword that
+        agrees with a word whose :meth:`syndrome`, erased symbols zeroed,
+        is ``syndrome``: what :meth:`fill` writes, for a caller that
+        holds that syndrome already.  With ``block`` L > 1 (w <= 8 only)
+        each check symbol and each output is a block of L words, as in
+        :func:`pack_blocks`.
+
+        A pattern of no erasures tests that the syndrome vanishes and
+        holds no slot.  Every other pattern has a :class:`PlanSlot`,
+        counted L uses, whose rule decides when the pattern's plan is
         compiled from the check rows the code keeps as bytes.  The code
         keeps as many slots as plans fit in ``_PLAN_BUDGET`` (1 MiB),
         least recently used dropped first.  A plan maps the syndrome, R
@@ -598,29 +634,22 @@ class LinearCode:
         blocks included.  Until the compile, and when no plan is built,
         :func:`solve` runs on the syndrome word by word.  Raises
         :class:`UnderdeterminedError` on dependent erased columns and
-        :class:`NoSolutionError` when the survivors contradict the code,
-        leaving ``word`` as it was.
+        :class:`NoSolutionError` when the survivors contradict the code.
         """
         if not erased:
-            if any(self.syndrome(word, block)):
+            if any(syndrome):
                 raise NoSolutionError("inconsistent system")
-            return
-        known = list(word)
-        for c in erased:
-            known[c] = 0
-        syndrome = self.syndrome(known, block)
+            return []
         slot = recall(self._plans, erased,
                       max(1, _PLAN_BUDGET // self._plan_bytes), PlanSlot)
         plan = slot.plan(self.field, self._plan_bytes,
                          lambda: self._compile(erased), block)
         if plan is None:
-            missing = self._solve(syndrome, erased, block)
-        else:
-            missing = plan.image(syndrome, block)
-            if any(missing[len(erased):]):
-                raise NoSolutionError("inconsistent system")
-        for c, v in zip(erased, missing):
-            word[c] = v
+            return self._solve(syndrome, erased, block)
+        missing = plan.image(syndrome, block)
+        if any(missing[len(erased):]):
+            raise NoSolutionError("inconsistent system")
+        return missing[:len(erased)]
 
     def _solve(self, syndrome: list[int], erased: tuple[int, ...],
                block: int) -> list[int]:

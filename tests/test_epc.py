@@ -764,6 +764,35 @@ def test_a_fully_peeled_decode_adds_no_plan_slot():
     assert list(code._plans) == before + [tuple(sorted(rectangle))]
 
 
+@pytest.mark.parametrize("build", [build_h2, build_h3], ids=["h2", "h3"])
+def test_a_stopping_set_solves_from_the_syndrome_the_peel_tracked(
+        build, monkeypatch):
+    """A 2 x 2 rectangle peels nothing: its fill starts from the
+    syndrome the peel took, so each decode takes the syndrome once, on
+    the scalar solve, on the compiled plan and on a flipped survivor."""
+    code = build(15, 17)
+    rng = random.Random(43)
+    word = lc_encode([rng.randrange(256) for _ in range(code.dimension)],
+                     code)
+    calls = []
+    syndrome = code.syndrome
+    monkeypatch.setattr(code, "syndrome",
+                        lambda w, block=1: calls.append(block)
+                        or syndrome(w, block))
+    rectangle = {20, 22, 54, 56}
+    damaged = [0 if j in rectangle else v for j, v in enumerate(word)]
+    for _ in range(2):
+        calls.clear()
+        assert lc_erasure_decode(damaged, rectangle, code) == word
+        assert calls == [1]
+    assert code._plans[tuple(sorted(rectangle))].map is not None
+    damaged[0] ^= 1
+    calls.clear()
+    with pytest.raises(ContradictionError) as exc:
+        lc_erasure_decode(damaged, rectangle, code)
+    assert calls == [1] and exc.value.remaining == rectangle
+
+
 def test_lc_erasure_decode_word_length():
     code = build_h2(3, 3)
     with pytest.raises(ValueError):

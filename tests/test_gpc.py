@@ -809,17 +809,18 @@ def shared_column_cases(params, rng):
     return cases
 
 
-def record_fill_blocks(monkeypatch):
-    """The list that records the block size of every LinearCode.fill
-    from here on."""
+def record_step_blocks(monkeypatch):
+    """The list that records the block size of every
+    LinearCode.solve_syndrome from here on: every row repair takes that
+    step, through fill or from a syndrome it is given."""
     blocks = []
-    fill = LinearCode.fill
+    step = LinearCode.solve_syndrome
 
-    def recording_fill(self, word, erased, block=1):
+    def recording_step(self, syndrome, erased, block=1):
         blocks.append(block)
-        return fill(self, word, erased, block)
+        return step(self, syndrome, erased, block)
 
-    monkeypatch.setattr(LinearCode, "fill", recording_fill)
+    monkeypatch.setattr(LinearCode, "solve_syndrome", recording_step)
     return blocks
 
 
@@ -838,7 +839,7 @@ def test_grouped_row_repairs_match_scalar_reference(decoder, encoders,
     monkeypatch.undo()
     encoders.clear()
     monkeypatch.setattr(gpc, "_VIEWS", encoders)
-    blocks = record_fill_blocks(monkeypatch)
+    blocks = record_step_blocks(monkeypatch)
     for _ in range(2):
         for (p, arr), want in zip(cases, expected):
             assert outcome(decoder, arr, p) == want
@@ -868,7 +869,7 @@ def test_flipped_survivor_in_grouped_rows_raises(decoder, encoders):
 def test_wide_field_never_builds_blocks(encoders, monkeypatch):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                   field=default_field(10))
-    blocks = record_fill_blocks(monkeypatch)
+    blocks = record_step_blocks(monkeypatch)
     rng = random.Random(181)
     for _ in range(3):
         rand_codeword(p, rng)
@@ -881,22 +882,23 @@ def test_wide_field_never_builds_blocks(encoders, monkeypatch):
 
 def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
     # a budget of two plans per level-0 row code; the five clean rows
-    # after row 0 fill as one block of no erasures, a syndrome test that
-    # holds no slot
+    # after row 0 are tested once per decode, as one block of no
+    # erasures, a syndrome test that holds no slot
     level0 = gpc._view(FLAGSHIP).levels[0]
     monkeypatch.setattr(linalg, "_PLAN_BUDGET", 2 * level0._plan_bytes)
-    fills = []
+    steps = []
 
-    def fill(word, erased, block=1):
-        fills.append((erased, block))
-        LinearCode.fill(level0, word, erased, block)
+    def step(syndrome, erased, block=1):
+        steps.append((erased, block))
+        return LinearCode.solve_syndrome(level0, syndrome, erased, block)
 
-    monkeypatch.setattr(level0, "fill", fill)
+    monkeypatch.setattr(level0, "solve_syndrome", step)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
         assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
-        assert fills.count(((), 5)) == 1 and () not in level0._plans
-        fills.clear()
+        assert steps.count(((), 5)) == 1 and () not in level0._plans
+        assert [e for e, _ in steps].count(()) == 1
+        steps.clear()
     rows = level0._plans
     # column 2 was the least recently used when column 3 came
     assert list(rows) == [(1,), (3,)]

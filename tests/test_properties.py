@@ -17,8 +17,8 @@ from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
-                            _eliminate, _work_rows, combine, pack_blocks,
-                            rank, unpack_block)
+                            _eliminate, _work_rows, combine, null_space,
+                            pack_blocks, rank, unpack_block)
 from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
                          UncorrectableError, decodable_profile,
                          decode_iterative, decode_rows, encode,
@@ -181,6 +181,47 @@ def test_a_flip_in_a_row_with_no_erasure_is_reported():
                     with pytest.raises(ContradictionError) as caught:
                         decoder(damaged, params)
                     assert caught.value.remaining == pattern
+
+
+@pytest.mark.parametrize("params", [
+    G16, FLAGSHIP, GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                             field=default_field(10))],
+    ids=["G16", "flagship", "flagship/w10"])
+def test_is_member_equals_the_full_parity_checks(params):
+    """is_member, which reads every row's level-0 syndrome from one
+    block for w <= 8 and row by row past it, against
+    ``full_parity_matrix(params).mul_vec``, on seeded codewords, on each
+    with one symbol changed at every position, and on each with a word
+    of the level-0 row code added into one row, which passes every row
+    check.  The checks of a word with one changed symbol are the
+    codeword's plus the change times that position's column."""
+    f = params.field
+    h = full_parity_matrix(params)
+    columns = list(zip(*h.data))
+    level0 = gpc.component_parity_check(params, 0)
+    cols = range(params.u[0] + 1)
+    (row_word,) = null_space(level0.submatrix(cols))
+    rng = random.Random(433)
+    for _ in range(2):
+        word = encode([rng.randrange(1 << f.w)
+                       for _ in range(params.dimension())], params)
+        flat = word.flatten()
+        assert gpc.is_member(word, params) and not any(h.mul_vec(flat))
+        for j, column in enumerate(columns):
+            delta = rng.randrange(1, 1 << f.w)
+            changed = word.copy()
+            r, c = divmod(j, params.n)
+            changed.values[r][c] ^= delta
+            with named(params.notation(), j, delta):
+                assert gpc.is_member(changed, params) == \
+                    (not any(f.mul(delta, x) for x in column))
+        for r in range(params.m):
+            added = word.copy()
+            for c, x in zip(cols, row_word):
+                added.values[r][c] ^= x
+            with named(params.notation(), r):
+                assert gpc.is_member(added, params) == \
+                    (not any(h.mul_vec(added.flatten())))
 
 
 def test_compiled_encoder_matches_scalar():

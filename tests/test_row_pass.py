@@ -381,3 +381,52 @@ def test_decoders_match_the_symbol_array_reference(params, count):
             outcome(ref_decode_iterative, arr, params), arr
         assert traced_outcome(decode_rows, arr, params) == \
             traced_outcome(ref_decode_rows, arr, params), arr
+
+
+# ------------------------------------------------------- level-0 syndrome
+
+@pytest.mark.parametrize("decoder, reference",
+                         [(decode_rows, ref_decode_rows),
+                          (decode_iterative, ref_decode_iterative)],
+                         ids=["decode_rows", "decode_iterative"])
+@pytest.mark.parametrize("params", [G16, WIDE], ids=["G16", "wide"])
+def test_each_row_pass_takes_the_level_0_syndrome_once(decoder, reference,
+                                                       params, monkeypatch):
+    """For w <= 8 a row pass, the column pass of decode_iterative
+    included, takes its level-0 syndrome once, as one block of its rows
+    within reach of level 0, and every local repair solves from its
+    rows' part of it.  Over GF(2^10) each such row still fills on its
+    own, from its own syndrome.  The outputs and errors are the
+    reference's either way."""
+    cases = reference_cases(params, 419, 12)
+    expected = [outcome(reference, arr, params) for arr in cases]
+    passes = []
+    row_pass, syndrome = gpc._row_pass, linalg.LinearCode.syndrome
+
+    def recording_pass(values, erased, view, trace=None, block=1):
+        local = sum(len(cols) <= view.params.u[0] for cols in erased)
+        passes.append((view, local, []))
+        return row_pass(values, erased, view, trace, block)
+
+    def recording_syndrome(self, word, block=1):
+        passes[-1][2].append((self, block))
+        return syndrome(self, word, block)
+
+    monkeypatch.setattr(gpc, "_row_pass", recording_pass)
+    monkeypatch.setattr(linalg.LinearCode, "syndrome", recording_syndrome)
+    column_passes = 0
+    for arr, want in zip(cases, expected):
+        passes.clear()
+        assert outcome(decoder, arr, params) == want, arr
+        failed = want[0] is ContradictionError
+        for view, local, calls in passes:
+            column_passes += view.params != params
+            level0 = [block for code, block in calls
+                      if code is view.levels[0]]
+            if params.field.w <= 8:
+                assert level0 == ([local] if local else [])
+            elif failed:    # the fills stop at the first contradiction
+                assert level0 == [1] * len(level0) and len(level0) <= local
+            else:
+                assert level0 == [1] * local
+    assert column_passes or decoder is decode_rows

@@ -48,6 +48,8 @@ FLIP_BEHIND_LOCAL = ("tests/test_properties.py::test_a_flip_behind_local_"
                      "repairs_is_reported")
 NO_ERASURE_FLIP = ("tests/test_properties.py::test_a_flip_in_a_row_with_no_"
                    "erasure_is_reported")
+LEVEL_0_ONCE = (ROW_PASS + "test_each_row_pass_takes_the_level_0_syndrome_"
+                "once")
 LOCAL_FIRST = ("tests/test_properties.py::test_local_first_decode_equals_the_"
                "generic_fill_on_every_pattern")
 
@@ -70,7 +72,7 @@ MUTANTS = (
            (ROW_PASS + "test_decoders_leave_input_untouched_and_return_"
             "fresh_rows",)),
     Mutant("a row repair never writes its cells back", GPC,
-           "            values[r][c] = x\n", "            pass\n",
+           "                values[r][c] = x\n", "                pass\n",
            ("tests/test_gpc.py::test_decode_rows_roundtrip_random",)),
     Mutant("decode_rows returns what it could not repair", GPC,
            "iterate=False, trace=trace)\n    if left:",
@@ -98,6 +100,15 @@ MUTANTS = (
     Mutant("rows with no erasure skip the weakest row code", GPC,
            "        if len(cols) <= params.u[0]:\n",
            "        if 0 < len(cols) <= params.u[0]:\n",
+           (NO_ERASURE_FLIP,
+            "tests/test_gpc.py::test_row_plan_cache_is_bounded_lru")),
+    Mutant("a group reads its neighbour row's syndrome", GPC,
+           "    shift = 0\n", "    shift = 8 * block\n",
+           (REFERENCE, LEVEL_0_ONCE)),
+    Mutant("the clean rows skip the block syndrome test", GPC,
+           "    for cols, part in groups.items():\n",
+           "    for cols, part in groups.items():\n        if not cols:\n"
+           "            continue\n",
            (NO_ERASURE_FLIP,
             "tests/test_gpc.py::test_row_plan_cache_is_bounded_lru")),
     Mutant("a pivot takes the next level up", GPC,
@@ -174,12 +185,12 @@ MUTANTS = (
            "while len(cache) >= limit:", "while len(cache) > limit:",
            ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
     Mutant("a plan ignores its check symbols", LINALG,
-           "            if any(missing[len(erased):]):\n",
-           "            if False:\n",
+           "        if any(missing[len(erased):]):\n",
+           "        if False:\n",
            ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
             "solve",)),
     Mutant("the fill of no erasures skips its syndrome test", LINALG,
-           "            if any(self.syndrome(word, block)):\n",
+           "            if any(syndrome):\n",
            "            if False:\n",
            ("tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve",
             NO_ERASURE_FLIP, "tests/test_linalg.py::test_a_fill_of_no_"
@@ -189,7 +200,7 @@ MUTANTS = (
            ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
             "solve",)),
     Mutant("the block syndrome skips a coefficient", LINALG,
-           "                    if g:\n", "                    if g > 1:\n",
+           "                    elif g:\n", "                    elif g > 2:\n",
            ("tests/test_linalg.py::test_block_syndrome_equals_per_word_"
             "syndromes", "tests/test_epc.py::test_compiled_residual_plans_"
             "match_the_solve")),
@@ -215,6 +226,12 @@ MUTANTS = (
            'for v in acc.to_bytes(n, "big"):',
            'for v in acc.to_bytes(n, "little"):',
            ("tests/test_epc.py::test_a_fully_peeled_decode_adds_no_plan_slot",)),
+    Mutant("the stopping set's fill starts from a zero syndrome", EPC,
+           "code.solve_syndrome(syndrome, stuck)",
+           "code.solve_syndrome([0] * len(syndrome), stuck)",
+           ("tests/test_epc.py::test_a_stopping_set_solves_from_the_syndrome_"
+            "the_peel_tracked", "tests/test_properties.py::test_local_first_"
+            "decode_equals_the_generic_fill_on_stopping_sets")),
     Mutant("the peel fills lines with two erasures", EPC,
            "if in_row[r] == 1:", "if in_row[r] <= 2:",
            ("tests/test_epc.py::test_lc_erasure_decode_small_patterns",)),
