@@ -32,9 +32,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
-                     PlanSlot, SplitMap, combine, kron, null_space,
-                     pack_blocks, recall, row_reduce, solve, unpack_block,
-                     vandermonde, vstack)
+                     PlanSlot, SplitMap, combine, kron, null_space, recall,
+                     row_reduce, solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -420,29 +419,27 @@ def _as_array(values: list[list[int]], erased: list[tuple]) -> SymbolArray:
 def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     """Exact membership test by direct syndrome evaluation.
 
-    Every row goes through the level-0 code's
-    :meth:`~gpcodes.linalg.LinearCode.syndrome`, for w <= 8 as one word
-    of m-byte blocks, all rows at once, and row by row past it; each row
-    combination r < s_hat(1), summed with
-    :func:`~gpcodes.linalg.combine`, through the syndrome of the deepest
-    level it lies in (budget r is its strength; level t's is zero).  The
-    levels nest, so that check implies the shallower ones.  Raises
-    ``ValueError`` when a symbol lies outside [0, 2^w).
+    Every row's level-0 checks are one batch fill of no erasures,
+    :meth:`~gpcodes.linalg.LinearCode.fill_rows`, which raises when a
+    row's syndrome does not vanish; each row combination r < s_hat(1),
+    summed with :func:`~gpcodes.linalg.combine`, goes through the
+    syndrome of the deepest level it lies in (budget r is its strength;
+    level t's is zero).  The levels nest, so that check implies the
+    shallower ones.  Raises ``ValueError`` when a symbol lies outside
+    [0, 2^w).
     """
     view = _view(params)
     _check_shape(arr, params)
     if arr.erasure_count:
         raise ValueError("membership is undefined for arrays with erasures")
-    f = params.field
-    f.check_symbols(chain.from_iterable(arr.values), "symbol")
-    level0 = view.levels[0]
-    syndromes = ([level0.syndrome(pack_blocks(arr.values), params.m)]
-                 if f.w <= 8 else map(level0.syndrome, arr.values))
-    if any(map(any, syndromes)):
+    params.field.check_symbols(chain.from_iterable(arr.values), "symbol")
+    try:
+        view.levels[0].fill_rows(arr.values, {(): range(params.m)})
+    except NoSolutionError:
         return False
     # Combination r weights row j by alpha^(r*j).
     for r, gamma in enumerate(view.powers[:params.s_hat(1)]):
-        combo = combine(f, zip(gamma, arr.values), params.n)
+        combo = combine(params.field, zip(gamma, arr.values), params.n)
         level = bisect_left(params.u, view.budgets[r])
         if any(view.levels[level].syndrome(combo) if level < params.t
                else combo):
@@ -451,44 +448,16 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
 
 
 def _repair_row(row: list[int], cols: tuple[int, ...], code: LinearCode,
-                block: int, offset: Sequence[int] | None = None) -> None:
-    # Fill the erased cells ``cols`` of ``row`` in place so that row plus
-    # ``offset`` lies in ``code``.  The code fills row + offset, whose
-    # erased symbols it ignores, so the offset goes back into the filled
-    # cells.  The solution is unique (Vandermonde columns); survivors
-    # that contradict the code raise NoSolutionError.
-    word = row if offset is None else [a ^ b for a, b in zip(row, offset)]
+                block: int, offset: Sequence[int]) -> None:
+    # Fill a peeled pivot row's erased cells ``cols`` in place so that
+    # row plus ``offset`` lies in ``code``.  The code fills row + offset,
+    # whose erased symbols it ignores, so the offset goes back into the
+    # filled cells.  The solution is unique (Vandermonde columns);
+    # survivors that contradict the code raise NoSolutionError.
+    word = [a ^ b for a, b in zip(row, offset)]
     code.fill(word, cols, block)
-    if offset is not None:
-        for c in cols:
-            row[c] = word[c] ^ offset[c]
-
-
-def _repair_groups(values: list[list[int]],
-                   groups: dict[tuple[int, ...], list[int]], code: LinearCode,
-                   block: int) -> None:
-    # Fill each group's rows, which share their erased columns, in the
-    # level-0 ``code`` (w <= 8).  The erased cells hold 0, so one
-    # syndrome of the groups' rows, group after group, as one word of
-    # blocks, row i at byte offset i * block, holds every row's
-    # syndrome; each group solves from its g rows' bytes of it, a word
-    # of (g * block)-byte blocks.  A group of no erasures is the test
-    # that its bytes vanish.
-    rows = [r for part in groups.values() for r in part]
-    if not rows:
-        return
-    syndrome = code.syndrome(pack_blocks([values[r] for r in rows], block),
-                             len(rows) * block)
-    shift = 0
-    for cols, part in groups.items():
-        width = len(part) * block       # the group's bytes per symbol
-        mask = (1 << 8 * width) - 1
-        missing = code.solve_syndrome([v >> shift & mask for v in syndrome],
-                                      cols, width)
-        shift += 8 * width
-        for c, v in zip(cols, missing):
-            for r, x in zip(part, unpack_block(v, len(part), block)):
-                values[r][c] = x
+    for c in cols:
+        row[c] = word[c] ^ offset[c]
 
 
 class DecodeTrace:
@@ -528,8 +497,8 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
     # then, if the profile fits the budgets, peel the rest and compare
     # each of the m - k vanishing combinations with its pivot row, erased
     # or not.  A repaired row's entry becomes ().
-    # Each cell holds a symbol, or with ``block`` L > 1 (w <= 8) a block
-    # of L symbols, one per array the pass repairs at once.  Returns the
+    # Each cell holds a symbol, or with ``block`` L > 1 a block of L
+    # symbols, one per array the pass repairs at once.  Returns the
     # number of cells left erased: 0 when every row is repaired, else the
     # count after the local repairs, which a refused peel keeps.
     params = view.params
@@ -538,14 +507,7 @@ def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
         if len(cols) <= params.u[0]:
             groups.setdefault(cols, []).append(r)
             erased[r] = ()
-    # Rows with equal erased columns (or none) repair as one block, from
-    # one syndrome of all those rows (w <= 8); wider fields row by row.
-    if params.field.w <= 8:
-        _repair_groups(values, groups, view.levels[0], block)
-    else:
-        for cols, rows in groups.items():
-            for r in rows:
-                _repair_row(values[r], cols, view.levels[0], block)
+    view.levels[0].fill_rows(values, groups, block)
     left = sum(map(len, erased))
     # The profile: rows by erasure count, descending, ties by index
     # (the sort is stable).
@@ -623,21 +585,16 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     some row code (or vanishes), which pins its erased symbols.  A pivot
     row repairs in the weakest level whose strength covers its count.
 
-    Every row repair solves for the row's erased cells in one level's
-    row code with :meth:`~gpcodes.linalg.LinearCode.solve_syndrome`.
-    For w <= 8 a row pass takes the weakest row code's syndrome once, of
-    every row within its reach as one word of blocks of one byte per
-    row, erased cells zero, the rows that share their erased columns
-    side by side.  Each such group then solves from its rows' bytes of
-    it, and the rows with no erasure are a test that theirs vanish.
-    Wider fields fill those rows one by one, each from its own
-    syndrome, and a peeled pivot row fills from its own syndrome in its
-    level with :meth:`~gpcodes.linalg.LinearCode.fill`.  Each set of
-    erased columns in one level under equal ``params`` has its own
-    erasure plan, compiled by :class:`~gpcodes.linalg.PlanSlot`'s rule
-    (as many per level as fit in 1 MiB, least recently used dropped
-    first), and the peel sums its known rows with product tables
-    (:func:`~gpcodes.linalg.combine`).
+    A row pass fills every row within reach of the weakest row code as
+    one batch, grouped by erased columns, with
+    :meth:`~gpcodes.linalg.LinearCode.fill_rows`; the group of rows with
+    no erasure is the test that their syndromes vanish.  A peeled pivot
+    row fills in its level with :meth:`~gpcodes.linalg.LinearCode.fill`,
+    and the peel sums its known rows with
+    :func:`~gpcodes.linalg.combine`.  Each set of erased columns in one
+    level under equal ``params`` has its own erasure plan, compiled by
+    :class:`~gpcodes.linalg.PlanSlot`'s rule (as many per level as fit
+    in 1 MiB, least recently used dropped first).
     The output and the errors are those of the solves, checks included.
     Every row is checked against the weakest row code, and a code with
     k < m applies each of its m - k vanishing combinations, even when the
@@ -672,10 +629,10 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     column-view parameters) until everything is recovered or a full
     alternation makes no progress.  On a stall the partial array is
     returned with its remaining erasures still masked.  It shares its
-    driver with :func:`decode_rows`, compiled row plans included; the
-    column view keeps its own, and the column pass works on the
-    transposed row lists and erased rows.  Its row passes check what
-    those of :func:`decode_rows` check.
+    driver with :func:`decode_rows`, batch fills and compiled row plans
+    included; the column view keeps its own plans, and the column pass
+    works on the transposed row lists and erased rows.  Its row passes
+    check what those of :func:`decode_rows` check.
     A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
     contradict the checks raise :class:`ContradictionError` naming every
     erased cell of ``arr``.

@@ -41,19 +41,19 @@ repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
 which solves for the erased symbols from the R check symbols of the
 word's :meth:`LinearCode.syndrome`: ``epc``'s h2 and h3 codes a whole
 word at a time, once their row and column sums have peeled what they
-can, ``gpc`` one array row, or a block of rows, at a time against one
-level's row code.  :meth:`LinearCode.fill` computes the syndrome and
-takes that step; a caller that holds the syndrome already takes the
-step alone, so each syndrome is computed once: gpc's row pass takes
-level 0's of every row within reach as one block (w <= 8), and the
-flat codes' stopping set reads the one its peel tracked.  The syndrome
-map is built with the code, not once per pattern: for w <= 8 the check
+can, ``gpc`` array rows against one level's row code.
+:meth:`LinearCode.fill` computes the syndrome and takes that step; the
+flat codes' stopping set, holding the syndrome its peel tracked, takes
+the step alone.  :meth:`LinearCode.fill_rows`, the one owner of how
+rows share a syndrome as blocks (see :func:`pack_blocks`), fills a
+batch of rows grouped by their erased positions: gpc's row pass and
+membership test take level 0's checks through it.  The syndrome map
+is built with the code, not once per pattern: for w <= 8 the check
 matrix's columns as bytes, so ``H @ word`` costs one ``bytes.translate``
 per nonzero symbol; the flat codes compute theirs in grid form.  A plan
 reads the R check symbols, and a pattern with no plan yet solves from
 them; a pattern of no erasures tests that they vanish and has no plan.
-Both families' membership tests read the syndrome too.  Wider fields
-fall back to :meth:`Matrix.mul_vec`.
+Wider fields fall back to :meth:`Matrix.mul_vec`.
 """
 
 from __future__ import annotations
@@ -416,7 +416,8 @@ def pack_blocks(words: Sequence[Sequence[int]], block: int = 1) -> list[int]:
     """g words of equal length, whose positions hold blocks of ``block``
     bytes, as one word of (g * block)-byte blocks: word i's block sits
     at byte offset i * block of each position.  One word packs to
-    itself."""
+    itself.  A block holds one byte per symbol, so only fields with
+    w <= 8 take blocks."""
     if len(words) == 1:
         return list(words[0])
     from_bytes, raw = int.from_bytes, _raw(block)
@@ -561,12 +562,12 @@ class LinearCode:
     def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
         """``check_matrix.mul_vec(word)`` for a word of symbols in range.
 
-        With ``block`` L > 1 (w <= 8 only) each position holds a block
-        of L words, as in :func:`pack_blocks`, and so does each check
-        symbol.  For w <= 8 it runs :meth:`ByteMap.image` of the code's
-        check matrix, built with the code: its columns as bytes, one byte
-        per check row, each multiplied with one ``bytes.translate``.
-        Wider fields run :meth:`Matrix.mul_vec`.
+        With ``block`` L > 1 each position holds a block of L words (see
+        :func:`pack_blocks`), and so does each check symbol.  For w <= 8
+        it runs :meth:`ByteMap.image` of the code's check matrix, built
+        with the code: its columns as bytes, one byte per check row, each
+        multiplied with one ``bytes.translate``.  Wider fields run
+        :meth:`Matrix.mul_vec`.
         """
         if len(word) != self.length:
             raise ValueError("vector length mismatch")
@@ -599,13 +600,13 @@ class LinearCode:
         """Fill the positions ``erased`` (ascending) of ``word``, whose
         other symbols lie in the field, in place with the codeword that
         agrees with those symbols; the erased symbols are ignored.  With
-        ``block`` L > 1 (w <= 8 only) each position holds a block of L
-        words, as in :func:`pack_blocks`, and every word is filled.
+        ``block`` L > 1 each position holds a block of L words (see
+        :func:`pack_blocks`), and every word is filled.
 
         A fill is the :meth:`syndrome` of the word with its erased
         symbols zeroed, handed to :meth:`solve_syndrome`, whose symbols
         it writes; it raises what that raises, leaving ``word`` as it
-        was.
+        was.  :meth:`fill_rows` fills many rows from one syndrome.
         """
         known = list(word) if erased else word
         for c in erased:
@@ -615,14 +616,54 @@ class LinearCode:
         for c, v in zip(erased, missing):
             word[c] = v
 
+    def fill_rows(self, rows: list[list[int]],
+                  groups: dict[tuple[int, ...], Sequence[int]],
+                  block: int = 1) -> None:
+        """Fill each row ``rows[r]`` in place, for each r of each group
+        ``cols: part`` of ``groups``, at its erased positions ``cols``
+        (ascending), which hold 0, as :meth:`fill` would.
+
+        For w <= 8 one :meth:`syndrome` of the whole batch, row i at byte
+        offset i * L of each block of L bytes (see :func:`pack_blocks`),
+        holds every row's syndrome, and each group of g rows solves from
+        its bytes of it as one word of (g * L)-byte blocks.  Wider fields
+        solve row by row.  A group of no erasures is the test that its
+        rows' syndromes vanish.  Each group is written once all its rows
+        solve, so when one raises what :meth:`solve_syndrome` raises, the
+        groups before it stay filled and the rest are left as they were.
+        """
+        batch = [r for part in groups.values() for r in part]
+        if not batch:
+            return
+        if self.field.w > 8:
+            for cols, part in groups.items():
+                filled = [self.solve_syndrome(self.syndrome(rows[r], block),
+                                              cols, block) for r in part]
+                for r, missing in zip(part, filled):
+                    for c, v in zip(cols, missing):
+                        rows[r][c] = v
+            return
+        syndrome = self.syndrome(
+            pack_blocks([rows[r] for r in batch], block), len(batch) * block)
+        shift = 0
+        for cols, part in groups.items():
+            width = len(part) * block   # the group's bytes per symbol
+            mask = (1 << 8 * width) - 1
+            missing = self.solve_syndrome(
+                [v >> shift & mask for v in syndrome], cols, width)
+            shift += 8 * width
+            for c, v in zip(cols, missing):
+                for r, x in zip(part, unpack_block(v, len(part), block)):
+                    rows[r][c] = x
+
     def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
                        block: int = 1) -> list[int]:
         """The symbols at ``erased`` (ascending) of the codeword that
         agrees with a word whose :meth:`syndrome`, erased symbols zeroed,
         is ``syndrome``: what :meth:`fill` writes, for a caller that
-        holds that syndrome already.  With ``block`` L > 1 (w <= 8 only)
-        each check symbol and each output is a block of L words, as in
-        :func:`pack_blocks`.
+        holds that syndrome already.  With ``block`` L > 1 each check
+        symbol and each output is a block of L words (see
+        :func:`pack_blocks`).
 
         A pattern of no erasures tests that the syndrome vanishes and
         holds no slot.  Every other pattern has a :class:`PlanSlot`,

@@ -948,6 +948,49 @@ def test_clean_wide_field_decode_runs_no_solve(decoder, p, encoders,
     assert calls
 
 
+@pytest.mark.parametrize("field", [GF(20, 0x100009), GF.from_prime(19)],
+                         ids=["w20", "from_prime_19"])
+def test_gpc_over_a_field_without_tables(field):
+    """PLUS_ONE's shape (d = 6) over fields with no exp/log tables, where
+    every product runs GF.mul: encode is systematic and gives members;
+    a changed symbol is no member.  Both decoders recover a full-budget
+    profile (5, 2, 1, 1) and refuse a codeword's support, decode_rows by
+    raising and decode_iterative by stalling.  That support with a
+    changed survivor in row 3, which has no erasure, raises
+    ContradictionError naming every erased cell: only row 3's own checks
+    see the change, since no peel runs."""
+    p = GpcParams(m=4, n=5, k=3, s=(2, 2), u=(1, 2), field=field)
+    assert field._log is None
+    rng = random.Random(269 + field.w)
+    data = [rng.randrange(1 << field.w) for _ in range(p.dimension())]
+    word = encode(data, p)
+    parity = p.parity_positions()
+    assert [v for r, row in enumerate(word.values)
+            for c, v in enumerate(row) if (r, c) not in parity] == data
+    assert is_member(word, p)
+    bad = word.copy()
+    bad.fill(2, 3, bad.values[2][3] ^ rng.randrange(1, 1 << field.w))
+    assert not is_member(bad, p)
+    rows = [(3, c) for c in range(5)] + [(1, 0), (1, 4), (0, 2), (2, 1)]
+    stall = min_weight_codeword(p, 0, rows=range(3), cols=range(2))
+    support = [(r, c) for r in range(3) for c in range(2)
+               if stall.values[r][c]]
+    for decoder in (decode_rows, decode_iterative):
+        damaged = erase_positions(word, rows)
+        assert decoder(damaged, p) == word
+        hidden = erase_positions(word, support)
+        if decoder is decode_rows:
+            with pytest.raises(UncorrectableError) as refused:
+                decoder(hidden, p)
+            assert type(refused.value) is UncorrectableError
+        else:
+            assert decoder(hidden, p).erasure_count
+        hidden.fill(3, 3, hidden.values[3][3] ^ 1)
+        with pytest.raises(ContradictionError) as caught:
+            decoder(hidden, p)
+        assert caught.value.remaining == set(support)
+
+
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
 @pytest.mark.parametrize("value", [-1, 16, 20, 300])
 def test_out_of_field_survivor_raises(decoder, value, encoders):

@@ -648,6 +648,92 @@ def test_a_fill_of_no_erasures_is_its_syndrome_test(build):
     assert code._plans == {}
 
 
+# ------------------------------------------------------------ batch fills
+
+BATCH_FIELDS = [default_field(4), default_field(8), default_field(10),
+                GF(20, 0x100009)]
+BATCH_IDS = ["w4", "w8", "w10", "w20"]
+
+
+def _batch(field, block, rng):
+    """A row code of length 7 with 4 checks over ``field``, rows of
+    ``block``-byte blocks of codewords with their erased cells zeroed,
+    and the groups of a batch fill: 1 to 3 rows each, one group of no
+    erasures, the rows of a group not side by side in ``rows``."""
+    code = LinearCode(vandermonde(field, [field.alpha_pow(j)
+                                          for j in range(7)], 4))
+    top, parity = 1 << field.w, code.parity_positions()
+    patterns = [(1,), (), (0, 4), (2, 5, 6)]
+    sizes = [1, 2, 3, 2]
+    slots = [i for i, g in enumerate(sizes) for _ in range(g)]
+    rng.shuffle(slots)
+    groups = {cols: [] for cols in patterns}
+    rows = []
+    for r, i in enumerate(slots):
+        words = []
+        for _ in range(block):
+            word = [0 if j in parity else rng.randrange(top)
+                    for j in range(code.length)]
+            code.fill(word, parity)
+            words.append(_written(word, patterns[i], [0] * len(patterns[i])))
+        rows.append(pack_blocks(words))
+        groups[patterns[i]].append(r)
+    return code, rows, groups
+
+
+@pytest.mark.parametrize("block", [1, 3])
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=BATCH_IDS)
+def test_a_batch_fill_equals_per_row_fills(field, block):
+    """LinearCode.fill_rows writes what a fill of each row alone writes,
+    with one syndrome of the whole batch for w <= 8 and row by row past
+    it.  A wide field takes no blocks: given rows of its symbols as
+    blocks of three bytes, the batch raises ValueError before it writes,
+    as each row's fill does."""
+    wide = field.w > 8
+    code, rows, groups = _batch(field, 1 if wide else block,
+                                random.Random(251 + field.w))
+    if wide and block > 1:
+        before = [list(row) for row in rows]
+        with pytest.raises(ValueError, match="w <= 8"):
+            code.fill(list(rows[0]), (), block)
+        with pytest.raises(ValueError, match="w <= 8"):
+            code.fill_rows(rows, groups, block)
+        assert rows == before
+        return
+    expected = [list(row) for row in rows]
+    for cols, part in groups.items():
+        for r in part:
+            code.fill(expected[r], cols, block)
+    assert any(row != out for row, out in zip(rows, expected))
+    code._plans.clear()
+    code.fill_rows(rows, groups, block)
+    assert rows == expected
+    assert set(code._plans) == set(groups) - {()}
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=BATCH_IDS)
+def test_a_contradicting_group_leaves_the_groups_after_it_unwritten(field):
+    """A changed survivor in the last row of any one group, the group of
+    no erasures included, raises NoSolutionError: the groups before it
+    in ``groups`` stay filled, and its own rows and those of the groups
+    after it are left as they were."""
+    rng = random.Random(263 + field.w)
+    code, rows, groups = _batch(field, 1, rng)
+    filled = [list(row) for row in rows]
+    code.fill_rows(filled, groups)
+    for i, (cols, part) in enumerate(groups.items()):
+        r = part[-1]
+        bad = [list(row) for row in rows]
+        j = rng.choice([j for j in range(code.length) if j not in cols])
+        bad[r][j] ^= 1
+        before = [list(row) for row in bad]
+        with pytest.raises(NoSolutionError):
+            code.fill_rows(bad, groups)
+        done = {s for part in list(groups.values())[:i] for s in part}
+        assert bad == [filled[s] if s in done else before[s]
+                       for s in range(len(rows))], cols
+
+
 def test_long_code_compiles_a_small_pattern_on_its_second_use(monkeypatch):
     """G16's full parity code is charged R * (R + 64) + 256 held bytes
     per plan, whatever the pattern, so a pattern of 10 erasures compiles

@@ -69,6 +69,23 @@ def test_distance_check_reports_each_differing_code(monkeypatch, capsys):
     assert summary == "3 codes of criterion 6 checked, 3 differ"
 
 
+def test_flip_walk_counts_every_single_flip_of_the_smallest_codes():
+    """Every (E, j) pair of the 23 grid codes with mn <= 8, both
+    decoders alike: within |E| + 1 < d every pair raises but 180, which
+    return a silent non-codeword, and beyond it 372 pairs do.  These
+    counts are a ratchet: a change that alters a decode moves them, and
+    the fix for silent non-codewords lowers both to 0."""
+    counts = load_tool("flip_walk").walk(8)
+    assert list(counts) == ["decode_rows", "decode_iterative"]
+    for name, tally in counts.items():
+        within = sum(n for (inside, _), n in tally.items() if inside)
+        beyond = sum(n for (inside, _), n in tally.items() if not inside)
+        assert (within, beyond) == (5600, 9312), name
+        assert (tally[True, "raised"], tally[True, "silent"]) == (5420, 180)
+        assert tally[False, "silent"] == 372, name
+    assert counts["decode_rows"][False, "stalled"] == 0
+
+
 def _result_line(ops, cli_ms, failed=0):
     """A benchmark result line with two of its metrics."""
     return {"correct": failed == 0, "attempted": 10, "failed": failed,
