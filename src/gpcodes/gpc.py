@@ -16,7 +16,9 @@ row code, rows with no erasure included, so a survivor that breaks its
 own row's checks is always reported, and a code with k < m applies all
 m - k vanishing combinations too.  A k = m code (integrated-interleaved)
 has none, so past level 0 it checks only the combinations its solves
-use.
+use.  Each level's row code is a Reed-Solomon code, and its erasures
+solve in closed form (:class:`_RowCode`): row repairs hold no plan and
+run no elimination.
 
 Arrays carry an explicit erasure mask; an erased cell always stores the
 value 0 and the mask is authoritative.
@@ -32,8 +34,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
-                     PlanSlot, SplitMap, combine, kron, null_space, recall,
-                     row_reduce, solve, vandermonde, vstack)
+                     PlanSlot, SplitMap, UnderdeterminedError, combine, kron,
+                     null_space, recall, row_reduce, solve, vandermonde,
+                     vstack)
 
 
 class UncorrectableError(ValueError):
@@ -318,11 +321,74 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
     return vandermonde(f, nodes, params.u[i])
 
 
+def _scaler(field: GF, block: int) -> Callable[[int, int], int]:
+    # a * v for a field element a and a symbol v, or with ``block`` L > 1
+    # a block of L byte symbols (w <= 8) each times a: the three forms of
+    # linalg's _eliminate, one bytes.translate per block, inline exp/log
+    # lookups in a field with tables, and GF.mul past them.
+    if block > 1:
+        tables, from_bytes = field.mul_tables, int.from_bytes
+        return lambda a, v: from_bytes(
+            v.to_bytes(block, "little").translate(tables[a]), "little")
+    exp, log = field._exp, field._log
+    if log:
+        return lambda a, v: exp[log[a] + log[v]] if v else 0
+    return field.mul
+
+
+class _RowCode(LinearCode):
+    """A level's row code: check rows alpha^(r*j) for r < u over the
+    nodes z_j = alpha^j, a Reed-Solomon code.  Its erasures solve in
+    closed form, so it holds no plan and never eliminates."""
+
+    def __init__(self, check_matrix: Matrix, nodes: Sequence[int]):
+        super().__init__(check_matrix)
+        self.nodes = nodes
+        self._scale = _scaler(self.field, 1)
+
+    def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
+                       block: int = 1) -> list[int]:
+        """:meth:`LinearCode.solve_syndrome` by Bjorck and Pereyra's dual
+        algorithm ("Solution of Vandermonde systems of equations", Math.
+        Comp. 1970), in O(e^2) field operations for e erased columns.
+
+        The erased symbols x solve sum_k x_k z_k^r = s_r for r < e, with
+        z_k the node of the k-th erased column: stage 1 clears with the
+        nodes, and stage 2 divides by their differences and sums back.
+        Each check r >= e then compares s_r with sum_k x_k z_k^r and
+        raises :class:`NoSolutionError` on a difference; more than u
+        erasures raise :class:`UnderdeterminedError`, as the generic
+        solve does.
+        """
+        u, e = len(syndrome), len(erased)
+        if e > u:
+            raise UnderdeterminedError(f"rank {u} < {e} unknowns")
+        mul = self._scale if block == 1 else _scaler(self.field, block)
+        x = syndrome[:e]
+        if e > 1:
+            nodes, inv = self.nodes, self.field.inv
+            z = [nodes[c] for c in erased]
+            for k in range(e - 1):
+                for i in range(e - 1, k, -1):
+                    x[i] ^= mul(z[k], x[i - 1])
+            for k in range(e - 2, -1, -1):
+                for i in range(k + 1, e):
+                    x[i] = mul(inv(z[i] ^ z[i - k - 1]), x[i])
+                for i in range(k, e - 1):
+                    x[i] ^= x[i + 1]
+        for row, s in zip(self.check_matrix.data[e:], syndrome[e:]):
+            for c, v in zip(erased, x):
+                s ^= mul(row[c], v)
+            if s:
+                raise NoSolutionError("inconsistent system")
+        return x
+
+
 class _View(NamedTuple):
     """What gpc keeps per params."""
 
     params: GpcParams
-    levels: list[LinearCode]    # row codes 0..t-1 (level t is zero)
+    levels: list[_RowCode]      # row codes 0..t-1 (level t is zero)
     col_params: GpcParams | None   # None when k = m
     encoder: PlanSlot           # of an _Encoder
     dim: int                    # K, the data symbols per array
@@ -332,8 +398,8 @@ class _View(NamedTuple):
 
 # Views by params, least recently used evicted first: at most 16
 # entries, each an encoder (split tables of at most 2 MiB; see
-# linalg.MAP_BYTES_LIMIT) and t row codes of length n, each with at most
-# 1 MiB of row plans.
+# linalg.MAP_BYTES_LIMIT) and t row codes of length n, which hold their
+# check rows and syndrome map and no plan.
 _VIEW_LIMIT = 16
 _VIEWS: dict[GpcParams, _View] = {}
 
@@ -350,11 +416,12 @@ def _view(params: GpcParams) -> _View:
     # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
         f, m = params.field, params.m
-        nodes = [f.alpha_pow(j) for j in range(m)]
-        return _View(params, [LinearCode(h) for h in _level_checks(params)],
+        nodes = [f.alpha_pow(j) for j in range(max(m, params.n))]
+        return _View(params, [_RowCode(h, nodes[:params.n])
+                              for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot(), params.dimension(), params.erasure_budgets(),
-                     vandermonde(f, nodes, m).data)
+                     vandermonde(f, nodes[:m], m).data)
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -591,10 +658,9 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     no erasure is the test that their syndromes vanish.  A peeled pivot
     row fills in its level with :meth:`~gpcodes.linalg.LinearCode.fill`,
     and the peel sums its known rows with
-    :func:`~gpcodes.linalg.combine`.  Each set of erased columns in one
-    level under equal ``params`` has its own erasure plan, compiled by
-    :class:`~gpcodes.linalg.PlanSlot`'s rule (as many per level as fit
-    in 1 MiB, least recently used dropped first).
+    :func:`~gpcodes.linalg.combine`.  Every row solve, grouped or not,
+    runs the level's closed form (see :class:`_RowCode`): no plan, no
+    slot and no elimination per set of erased columns.
     The output and the errors are those of the solves, checks included.
     Every row is checked against the weakest row code, and a code with
     k < m applies each of its m - k vanishing combinations, even when the
@@ -629,10 +695,10 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     column-view parameters) until everything is recovered or a full
     alternation makes no progress.  On a stall the partial array is
     returned with its remaining erasures still masked.  It shares its
-    driver with :func:`decode_rows`, batch fills and compiled row plans
-    included; the column view keeps its own plans, and the column pass
-    works on the transposed row lists and erased rows.  Its row passes
-    check what those of :func:`decode_rows` check.
+    driver with :func:`decode_rows`, batch fills and closed-form row
+    solves included; the column view has its own row codes, and the
+    column pass works on the transposed row lists and erased rows.  Its
+    row passes check what those of :func:`decode_rows` check.
     A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
     contradict the checks raise :class:`ContradictionError` naming every
     erased cell of ``arr``.

@@ -41,7 +41,10 @@ repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
 which solves for the erased symbols from the R check symbols of the
 word's :meth:`LinearCode.syndrome`: ``epc``'s h2 and h3 codes a whole
 word at a time, once their row and column sums have peeled what they
-can, ``gpc`` array rows against one level's row code.
+can, ``gpc`` array rows against one level's row code.  gpc's row codes
+are Reed-Solomon codes that override the step with a closed form and
+keep no plans, so erasure plans serve ``epc``'s codes and any code
+built from a check matrix alone.
 :meth:`LinearCode.fill` computes the syndrome and takes that step; the
 flat codes' stopping set, holding the syndrome its peel tracked, takes
 the step alone.  :meth:`LinearCode.fill_rows`, the one owner of how
@@ -472,20 +475,21 @@ class PlanSlot:
     The one compile rule of every compiled map (a gpc encoder, and each
     erasure plan of a :class:`LinearCode`, counted by
     :meth:`LinearCode.solve_syndrome`; a pattern of no erasures has no
-    plan and no slot): the first use runs scalar, and the use that takes
-    the count past one compiles the map and applies it.  A solve for a
-    block of L words counts L uses, so a block of two or more compiles
-    at once.  An erasure plan, one elimination of the R x (|E| + R) bytes
-    of [H_E | I], compiles in about the time of one scalar use, so a
-    process that repeats a fill never takes much more than twice its
-    scalar time.  A gpc encoder, one row pass over blocks of its K unit
-    data vectors, costs many scalar encodes to compile, so the rule's
-    one cost is a process that encodes one gpc code only a few times.
-    The compile is tried that once: fields with
-    w > 8, maps charged more held bytes than ``MAP_BYTES_LIMIT`` and
-    builds that return None stay scalar.  Slots live in caches bounded
-    by :func:`recall`, so a slot in use is kept and an evicted one
-    starts again from zero uses.
+    plan and no slot, and gpc's row codes, which solve in closed form,
+    take none, so plans are compiled for ``epc``'s codes): the first use
+    runs scalar, and the use that takes the count past one compiles the
+    map and applies it.  A solve for a block of L words counts L uses,
+    so a block of two or more compiles at once.  An erasure plan, one
+    elimination of the R x (|E| + R) bytes of [H_E | I], compiles in
+    about the time of one scalar use, so a process that repeats a fill
+    never takes much more than twice its scalar time.  A gpc encoder,
+    one row pass over blocks of its K unit data vectors, costs many
+    scalar encodes to compile, so the rule's one cost is a process that
+    encodes one gpc code only a few times.  The compile is tried that
+    once: fields with w > 8, maps charged more held bytes than
+    ``MAP_BYTES_LIMIT`` and builds that return None stay scalar.  Slots
+    live in caches bounded by :func:`recall`, so a slot in use is kept
+    and an evicted one starts again from zero uses.
     """
 
     __slots__ = ("uses", "map")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gpcodes import cli, epc, gpc, oracle
+from gpcodes import cli, epc, gpc, linalg, oracle
 from gpcodes.files import parse_array_text, parse_code_spec, read_array
 from gpcodes.oracle import DistanceReport
 from test_oracle import corrupt_survivors, flip_first_recovered
@@ -213,38 +213,54 @@ G16_SPEC = {"kind": "gpc", "m": 16, "n": 30, "k": 14, "s": [8, 4, 4],
             "u": [2, 4, 8], "field": {"w": 8}}
 
 
-def compiled_plans():
-    """{(view m, level): the erased columns of its compiled row plans}."""
-    return {(p.m, i): sorted(k for k, s in code._plans.items() if s.map)
+def row_slots():
+    """{(view m, level): the erased columns of every plan slot its row
+    code holds}."""
+    return {(p.m, i): sorted(code._plans)
             for p, view in gpc._VIEWS.items()
             for i, code in enumerate(view.levels) if code._plans}
 
 
 def test_one_command_compiles_only_the_plans_it_reuses(tmp_path, capsys,
                                                        monkeypatch):
-    """A plan compiles on its second use, and a block of L rows counts L
-    uses: one G16 encode compiles the plans of the parity columns that
-    several rows of a level share, but not the encoder map; one decode of
-    two lost columns and one lost row compiles the level-0 plan of the
-    two columns, which 15 rows share."""
+    """Row codes solve in closed form and keep no plan: one G16 encode
+    solves level 0's parity columns for the 8 rows that share them as
+    one block and each deeper parity row alone, and one decode of two
+    lost columns and one lost row solves the two columns for the 15
+    rows that share them as one block, with no plan slot and no call of
+    linalg.solve.  The encoder map, used once, is counted and not
+    compiled."""
+    calls, solves = [], []
+    real, step = linalg.solve, gpc._RowCode.solve_syndrome
+    monkeypatch.setattr(linalg, "solve",
+                        lambda *args: calls.append(args) or real(*args))
+
+    def recording_step(self, syndrome, erased, block=1):
+        solves.append((erased, block))
+        return step(self, syndrome, erased, block)
+
+    monkeypatch.setattr(gpc._RowCode, "solve_syndrome", recording_step)
     rng = random.Random(402)
     code = write_spec(tmp_path, G16_SPEC)
     data = write_data(tmp_path, [rng.randrange(256) for _ in range(372)])
     enc = str(tmp_path / "enc.txt")
     monkeypatch.setattr(gpc, "_VIEWS", {})
     assert cli.main(["encode", code, data, "-o", enc]) == 0
-    assert compiled_plans() == {(16, 0): [(28, 29)],
-                                (16, 1): [(26, 27, 28, 29)],
-                                (16, 2): [tuple(range(22, 30))]}
-    assert all(view.encoder.map is None for view in gpc._VIEWS.values())
+    assert solves == [((28, 29), 8)] + [((26, 27, 28, 29), 1)] * 4 + [
+        (tuple(range(22, 30)), 1)] * 2
+    assert row_slots() == {} and calls == []
+    assert [(view.encoder.uses, view.encoder.map)
+            for view in gpc._VIEWS.values()] == [(1, None)]
     holes = str(tmp_path / "holes.txt")
     punch_holes(enc, holes, [(r, c) for r in range(16) for c in range(30)
                              if c in (14, 17) or r == 5])
     dec = str(tmp_path / "dec.txt")
     monkeypatch.setattr(gpc, "_VIEWS", {})
+    solves.clear()
     assert cli.main(["decode", code, holes, "-o", dec]) == 0
     assert Path(dec).read_text() == Path(enc).read_text()
-    assert compiled_plans() == {(16, 0): [(14, 17)]}
+    assert solves == [((14, 17), 15)]
+    assert row_slots() == {} and calls == []
 
 
 def test_decode_single_pass_vs_iterative(tmp_path, capsys):

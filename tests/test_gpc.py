@@ -735,7 +735,7 @@ def test_contradiction_in_column_pass_reports_row_col_cells():
     assert exc_info.value.remaining == set(pattern)
 
 
-# ---------------------------------------------------------------- row plans
+# ---------------------------------------------------------------- row solves
 
 def outcome(decoder, arr, params):
     """A decode's output, or its error with message and remaining."""
@@ -764,28 +764,117 @@ def decode_cases(params, rng, patterns=2):
 
 
 def row_plans(view):
-    """Every row-plan slot of a gpc view, over all its level codes."""
+    """Every plan slot of a gpc view, over all its level codes."""
     return [s for code in view.levels for s in code._plans.values()]
+
+
+def scalar_row_solves(monkeypatch):
+    """From here on every gpc row solve is the generic scalar one,
+    ``LinearCode._solve``: one ``linalg.solve`` per word."""
+    monkeypatch.setattr(
+        gpc._RowCode, "solve_syndrome",
+        lambda self, syndrome, erased, block=1:
+            LinearCode._solve(self, syndrome, erased, block))
+
+
+def record_row_solves(monkeypatch):
+    """The list that records (code, erased, block) for every closed-form
+    ``solve_syndrome`` of a gpc row code from here on: every row repair
+    takes that step, through fill or from a syndrome it is given."""
+    solves = []
+    step = gpc._RowCode.solve_syndrome
+
+    def recording_step(self, syndrome, erased, block=1):
+        solves.append((self, erased, block))
+        return step(self, syndrome, erased, block)
+
+    monkeypatch.setattr(gpc._RowCode, "solve_syndrome", recording_step)
+    return solves
+
+
+def forbid_solve(monkeypatch):
+    """From here on a call of ``linalg.solve`` fails the test."""
+    def forbidden(*args):
+        raise AssertionError("linalg.solve called")
+    monkeypatch.setattr(linalg, "solve", forbidden)
+
+
+def solve_answer(solve):
+    """What ``solve()`` returns, or the class and message it raises."""
+    try:
+        return solve()
+    except linalg.LinearSolveError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [
+    F16, default_field(8), default_field(10), default_field(16),
+    GF(20, 0x100009), GF.from_prime(13), GF.from_prime(19)],
+    ids=["w4", "w8", "w10", "w16", "w20", "from_prime_13", "from_prime_19"])
+def test_closed_form_row_solves_equal_the_generic_solve(field):
+    """A row code's closed form (Bjorck-Pereyra) returns the symbols, or
+    raises the class and message, of a plain LinearCode's scalar solve
+    over the same checks: for u = 1 and G16's strengths 2, 4 and 8, every
+    e <= u on seeded columns, survivors clean and with one changed, and
+    for w <= 8 blocks of L = 1, 3 and N = 480 words; e = u + 1 raises the
+    generic UnderdeterminedError."""
+    rng = random.Random(field.w + field.alpha_order)
+    n = min(30, field.alpha_order)
+    nodes = [field.alpha_pow(j) for j in range(n)]
+    blocks = (1, 3, 16 * 30) if field.w <= 8 else (1,)
+    for u in (1, 2, 4, 8):
+        check = linalg.vandermonde(field, nodes, u)
+        code, plain = gpc._RowCode(check, nodes), LinearCode(check)
+        for e in range(u + 2):
+            cols = tuple(sorted(rng.sample(range(n), e)))
+            for block in blocks:
+                words = []
+                for _ in range(block):
+                    word = [rng.randrange(1 << field.w) for _ in range(n)]
+                    plain.fill(word, tuple(range(n - u, n)))
+                    words.append(word)
+                for flip in (False, True):
+                    known = [[0 if c in cols else v for c, v in enumerate(w)]
+                             for w in words]
+                    if flip:
+                        j = rng.choice([c for c in range(n) if c not in cols])
+                        known[-1][j] ^= rng.randrange(1, 1 << field.w)
+                    syndrome = plain.syndrome(linalg.pack_blocks(known), block)
+                    got = solve_answer(lambda: code.solve_syndrome(
+                        syndrome, cols, block))
+                    assert got == solve_answer(lambda: plain._solve(
+                        syndrome, cols, block)), (u, e, block, flip)
+                    if e > u:
+                        assert got == (linalg.UnderdeterminedError,
+                                       f"rank {u} < {e} unknowns")
+                    elif not flip:
+                        assert got == linalg.pack_blocks(
+                            [[w[c] for c in cols] for w in words])
+        assert code._plans == {}
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
 def test_row_plans_match_scalar_solves(decoder, encoders, monkeypatch):
+    """Row codes solve in closed form with the outputs and errors of the
+    generic scalar solve, hold no plan, and call no linalg.solve."""
     rng = random.Random(131)
     codes = list(grid_codes_over_wider_fields()) + [FLAGSHIP, G16]
+    scalar_row_solves(monkeypatch)
     cases = [(p, arr) for p in codes for arr in decode_cases(p, rng)]
-    # maps of at most 0 bytes: every row repair runs the scalar solve
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
     expected = [outcome(decoder, arr, p) for p, arr in cases]
     monkeypatch.undo()
     encoders.clear()
     monkeypatch.setattr(gpc, "_VIEWS", encoders)
-    # a row plan compiles on its second use
+    forbid_solve(monkeypatch)
+    solves = record_row_solves(monkeypatch)
+    # a solve keeps no state: a repeat gives the same answer
     for (p, arr), want in zip(cases, expected):
-        for _ in range(max(p.m, p.n)):
+        for _ in range(2):
             assert outcome(decoder, arr, p) == want
-    compiled = {p: sum(s.map is not None for s in row_plans(encoders[p]))
-                for p in codes}
-    assert all(compiled.values())
+    solved = {id(code) for code, _, _ in solves}
+    for p in codes:
+        assert id(encoders[p].levels[0]) in solved
+        assert row_plans(encoders[p]) == []
 
 
 def shared_column_cases(params, rng):
@@ -809,51 +898,38 @@ def shared_column_cases(params, rng):
     return cases
 
 
-def record_step_blocks(monkeypatch):
-    """The list that records the block size of every
-    LinearCode.solve_syndrome from here on: every row repair takes that
-    step, through fill or from a syndrome it is given."""
-    blocks = []
-    step = LinearCode.solve_syndrome
-
-    def recording_step(self, syndrome, erased, block=1):
-        blocks.append(block)
-        return step(self, syndrome, erased, block)
-
-    monkeypatch.setattr(LinearCode, "solve_syndrome", recording_step)
-    return blocks
-
-
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
 def test_grouped_row_repairs_match_scalar_reference(decoder, encoders,
                                                     monkeypatch):
-    """Rows that share their erased columns repair as one block, with
-    the output and errors of the scalar solves."""
+    """Rows that share their erased columns repair as one block, in
+    closed form, with the output and errors of the scalar solves."""
     rng = random.Random(173)
     codes = list(grid_codes_over_wider_fields()) + [FLAGSHIP, G16, K_EQ_M]
+    scalar_row_solves(monkeypatch)
     cases = [(p, arr) for p in codes
              for arr in shared_column_cases(p, rng) + decode_cases(p, rng)]
-    # maps of at most 0 bytes: every row repair runs the scalar solve
-    monkeypatch.setattr(linalg, "MAP_BYTES_LIMIT", 0)
     expected = [outcome(decoder, arr, p) for p, arr in cases]
     monkeypatch.undo()
     encoders.clear()
     monkeypatch.setattr(gpc, "_VIEWS", encoders)
-    blocks = record_step_blocks(monkeypatch)
+    solves = record_row_solves(monkeypatch)
     for _ in range(2):
         for (p, arr), want in zip(cases, expected):
             assert outcome(decoder, arr, p) == want
-    assert max(blocks) >= G16.m - 1
+    assert max(block for _, _, block in solves) >= G16.m - 1
+    assert all(row_plans(view) == [] for view in encoders.values())
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
-def test_flipped_survivor_in_grouped_rows_raises(decoder, encoders):
-    """G16 loses one whole column: all 16 rows repair as one block with
-    a check row to spare, so any flipped survivor raises."""
+def test_flipped_survivor_in_grouped_rows_raises(decoder, encoders,
+                                                 monkeypatch):
+    """G16 loses one whole column: all 16 rows repair as one block of
+    level 0 with a check row to spare, so any flipped survivor raises."""
     rng = random.Random(179)
     word = rand_codeword(G16, rng)
     col = rng.randrange(G16.n)
     damaged = erase_positions(word, [(r, col) for r in range(G16.m)])
+    solves = record_row_solves(monkeypatch)
     for _ in range(3):
         assert decoder(damaged, G16) == word
         bad = damaged.copy()
@@ -863,28 +939,31 @@ def test_flipped_survivor_in_grouped_rows_raises(decoder, encoders):
         with pytest.raises(UncorrectableError) as exc_info:
             decoder(bad, G16)
         assert exc_info.value.remaining == set(damaged.erased_positions())
-    assert encoders[G16].levels[0]._plans[(col,)].map is not None
+    level0 = encoders[G16].levels[0]
+    assert solves.count((level0, (col,), G16.m)) == 6
+    assert row_plans(encoders[G16]) == []
 
 
 def test_wide_field_never_builds_blocks(encoders, monkeypatch):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                   field=default_field(10))
-    blocks = record_step_blocks(monkeypatch)
+    solves = record_row_solves(monkeypatch)
     rng = random.Random(181)
     for _ in range(3):
         rand_codeword(p, rng)
     for arr in shared_column_cases(p, rng):
         for decoder in (decode_rows, decode_iterative):
             outcome(decoder, arr, p)
-    assert blocks and set(blocks) == {1}
+    assert solves and {block for _, _, block in solves} == {1}
     assert encoders[p].encoder.map is None
 
 
-def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
-    # a budget of two plans per level-0 row code; the five clean rows
-    # after row 0 are tested once per decode, as one block of no
-    # erasures, a syndrome test that holds no slot
-    level0 = gpc._view(FLAGSHIP).levels[0]
+def test_row_plan_cache_is_bounded_lru(monkeypatch):
+    # a plain LinearCode of FLAGSHIP's level-0 row checks, with a budget
+    # of two plans; each batch fills row 0 at one column and tests the
+    # five rows after it as one block of no erasures, a syndrome test
+    # that holds no slot
+    level0 = LinearCode(component_parity_check(FLAGSHIP, 0))
     monkeypatch.setattr(linalg, "_PLAN_BUDGET", 2 * level0._plan_bytes)
     steps = []
 
@@ -895,9 +974,11 @@ def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
     monkeypatch.setattr(level0, "solve_syndrome", step)
     word = rand_codeword(FLAGSHIP, random.Random(133))
     for c in (1, 2, 1, 1, 3):
-        assert decode_rows(erase_positions(word, [(0, c)]), FLAGSHIP) == word
-        assert steps.count(((), 5)) == 1 and () not in level0._plans
-        assert [e for e, _ in steps].count(()) == 1
+        rows = [row[:] for row in word.values]
+        rows[0][c] = 0
+        level0.fill_rows(rows, {(c,): [0], (): range(1, FLAGSHIP.m)})
+        assert rows == word.values
+        assert steps == [((c,), 1), ((), 5)] and () not in level0._plans
         steps.clear()
     rows = level0._plans
     # column 2 was the least recently used when column 3 came
@@ -905,15 +986,17 @@ def test_row_plan_cache_is_bounded_lru(encoders, monkeypatch):
     assert rows[(1,)].map is not None and rows[(3,)].map is None
 
 
-def test_wide_field_never_compiles_row_plans(encoders):
+def test_wide_field_never_compiles_row_plans(encoders, monkeypatch):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                   field=default_field(10))
+    forbid_solve(monkeypatch)
+    solves = record_row_solves(monkeypatch)
     rng = random.Random(137)
     for arr in decode_cases(p, rng):
         for _ in range(10):
             outcome(decode_iterative, arr, p)
-    rows = row_plans(encoders[p])
-    assert rows and all(s.map is None for s in rows)
+    assert solves and row_plans(encoders[p]) == []
+    assert encoders[p].encoder.map is None
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
@@ -927,7 +1010,8 @@ def test_clean_wide_field_decode_runs_no_solve(decoder, p, encoders,
     """Over GF(2^10) a row with no erasure is a syndrome test: a clean
     array decodes with no call of linalg.solve, and a changed symbol
     still raises ContradictionError, also with k = m, where no vanishing
-    combination would show it.  A row with an erasure solves."""
+    combination would show it.  A row with an erasure solves in closed
+    form, with no call of linalg.solve either."""
     calls = []
     real = linalg.solve
     monkeypatch.setattr(linalg, "solve",
@@ -935,22 +1019,21 @@ def test_clean_wide_field_decode_runs_no_solve(decoder, p, encoders,
     rng = random.Random(239)
     for _ in range(4):
         word = rand_codeword(p, rng)
-        calls.clear()       # the encoder's solves
         assert decoder(word, p) == word
-        assert calls == []
         r, c = rng.randrange(p.m), rng.randrange(p.n)
         bad = word.copy()
         bad.fill(r, c, bad.values[r][c] ^ rng.randrange(1, 1 << 10))
         with pytest.raises(ContradictionError):
             decoder(bad, p)
-        assert calls == []
+    solves = record_row_solves(monkeypatch)
     assert decoder(erase_positions(word, [(0, 0)]), p) == word
-    assert calls
+    assert (encoders[p].levels[0], (0,), 1) in solves
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", [GF(20, 0x100009), GF.from_prime(19)],
                          ids=["w20", "from_prime_19"])
-def test_gpc_over_a_field_without_tables(field):
+def test_gpc_over_a_field_without_tables(field, monkeypatch):
     """PLUS_ONE's shape (d = 6) over fields with no exp/log tables, where
     every product runs GF.mul: encode is systematic and gives members;
     a changed symbol is no member.  Both decoders recover a full-budget
@@ -958,9 +1041,11 @@ def test_gpc_over_a_field_without_tables(field):
     raising and decode_iterative by stalling.  That support with a
     changed survivor in row 3, which has no erasure, raises
     ContradictionError naming every erased cell: only row 3's own checks
-    see the change, since no peel runs."""
+    see the change, since no peel runs.  Row solves run in closed form
+    on GF.mul and GF.inv, with no call of linalg.solve."""
     p = GpcParams(m=4, n=5, k=3, s=(2, 2), u=(1, 2), field=field)
     assert field._log is None
+    forbid_solve(monkeypatch)
     rng = random.Random(269 + field.w)
     data = [rng.randrange(1 << field.w) for _ in range(p.dimension())]
     word = encode(data, p)
@@ -993,7 +1078,7 @@ def test_gpc_over_a_field_without_tables(field):
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
 @pytest.mark.parametrize("value", [-1, 16, 20, 300])
-def test_out_of_field_survivor_raises(decoder, value, encoders):
+def test_out_of_field_survivor_raises(decoder, value, encoders, monkeypatch):
     p = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4), field=F16)
     word = rand_codeword(p, random.Random(139))
     damaged = erase_positions(word, [(0, 0)])   # row 0 repairs locally
@@ -1001,9 +1086,13 @@ def test_out_of_field_survivor_raises(decoder, value, encoders):
     bad.values[0][1] = value
     with pytest.raises(ValueError, match="survivor out of field range"):
         decoder(bad, p)
-    for _ in range(2):   # the second use compiles the row's plan
+    # row 0's closed form runs on exp/log lookups, which an out-of-field
+    # survivor would index past or alias
+    solves = record_row_solves(monkeypatch)
+    for _ in range(2):
         assert decoder(damaged, p) == word
-    assert encoders[p].levels[0]._plans[(0,)].map is not None
+    assert solves.count((encoders[p].levels[0], (0,), 1)) == 2
+    assert row_plans(encoders[p]) == []
     with pytest.raises(ValueError, match="survivor out of field range"):
         decoder(bad, p)
 

@@ -56,6 +56,10 @@ BATCH_FILL = "tests/test_linalg.py::test_a_batch_fill_equals_per_row_fills"
 GROUP_RAISES = ("tests/test_linalg.py::test_a_contradicting_group_leaves_the_"
                 "groups_after_it_unwritten")
 NO_TABLES = "tests/test_gpc.py::test_gpc_over_a_field_without_tables"
+CLOSED_FORM = ("tests/test_gpc.py::test_closed_form_row_solves_equal_the_"
+               "generic_solve")
+GROUPED_ROWS = ("tests/test_gpc.py::test_grouped_row_repairs_match_scalar_"
+                "reference")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -102,7 +106,7 @@ MUTANTS = (
            "        if len(cols) <= params.u[0]:\n",
            "        if 0 < len(cols) <= params.u[0]:\n",
            (NO_ERASURE_FLIP,
-            "tests/test_gpc.py::test_row_plan_cache_is_bounded_lru")),
+            "tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve")),
     Mutant("a pivot takes the next level up", GPC,
            "level = bisect_left(params.u, counts[p])",
            "level = bisect_left(params.u, counts[p] + 1)",
@@ -136,6 +140,22 @@ MUTANTS = (
            "u_new = tuple(self.s_hat(t - i) for i in range(t))",
            "u_new = tuple(self.s_hat(t - i) - (i == 0) for i in range(t))",
            ("tests/test_gpc.py::test_transpose_preserves_code",)),
+    Mutant("the closed form skips its residual checks", GPC,
+           "            if s:\n"
+           "                raise NoSolutionError(\"inconsistent system\")\n",
+           "            pass\n",
+           (CLOSED_FORM, NO_ERASURE_FLIP, GROUPED_ROWS)),
+    Mutant("stage 2 divides by the last node's difference", GPC,
+           "inv(z[i] ^ z[i - k - 1])", "inv(z[e - 1] ^ z[i - k - 1])",
+           (CLOSED_FORM, "tests/test_gpc.py::test_row_plans_match_scalar_"
+            "solves", "tests/test_gpc.py::test_encode_is_systematic")),
+    Mutant("stage 1 stops one step short", GPC,
+           "for k in range(e - 1):", "for k in range(e - 2):",
+           (CLOSED_FORM, "tests/test_gpc.py::test_decode_rows_roundtrip_"
+            "random")),
+    Mutant("a block is multiplied by the wrong node", GPC,
+           "translate(tables[a])", "translate(tables[a ^ 1])",
+           (CLOSED_FORM, GROUPED_ROWS)),
     Mutant("GpcParams gets an instance dict", GPC,
            "    __slots__ = ()\n\n    def __new__", "    def __new__",
            ("tests/test_package.py::test_records_are_immutable_values",)),
@@ -184,9 +204,8 @@ MUTANTS = (
     Mutant("the fill of no erasures skips its syndrome test", LINALG,
            "            if any(syndrome):\n",
            "            if False:\n",
-           ("tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve",
-            NO_ERASURE_FLIP, "tests/test_linalg.py::test_a_fill_of_no_"
-            "erasures_is_its_syndrome_test")),
+           ("tests/test_linalg.py::test_a_fill_of_no_erasures_is_its_"
+            "syndrome_test",)),
     Mutant("the syndrome plan reads one residual check too few", LINALG,
            "any(missing[len(erased):])", "any(missing[len(erased) + 1:])",
            ("tests/test_epc.py::test_compiled_residual_plans_match_the_"
