@@ -11,14 +11,18 @@ Combination r lies in level i exactly when r < s_hat(i); erasure budget
 r is the strength of the deepest such level.  That nesting is what the
 erasure decoder exploits: it triangulates the power-weight matrix of the
 erased rows and peels them off from the most constrained combination to
-the least.  Every row pass repairs each row within reach of the weakest
-row code, rows with no erasure included, so a survivor that breaks its
-own row's checks is always reported, and a code with k < m applies all
-m - k vanishing combinations too.  A k = m code (integrated-interleaved)
-has none, so past level 0 it checks only the combinations its solves
-use.  Each level's row code is a Reed-Solomon code, and its erasures
-solve in closed form (:class:`_RowCode`): row repairs hold no plan and
-run no elimination.
+the least.
+
+A decode plans, then executes.  Every decision the row pass and the
+row-column alternation take (which rows repair locally, the profile, the
+triangulated system, each pivot's level and known rows, when to turn to
+the columns) reads the erasure mask alone, so :class:`_Plan` holds them
+and a bounded cache keeps the plans by code and mask: a repeated loss
+plans once.  The execute step only touches symbols: it runs the plan's
+fills and combinations and compares the vanishing rows.  Each level's
+row code is a Reed-Solomon code whose erasures solve in closed form
+(:class:`_RowCode`), so row repairs hold no state and run no
+elimination.
 
 Arrays carry an explicit erasure mask; an erased cell always stores the
 value 0 and the mask is authoritative.
@@ -327,6 +331,8 @@ def _scaler(field: GF, block: int) -> Callable[[int, int], int]:
     # linalg's _eliminate, one bytes.translate per block, inline exp/log
     # lookups in a field with tables, and GF.mul past them.
     if block > 1:
+        if field.w > 8:
+            raise ValueError("blocks need a field with w <= 8")
         tables, from_bytes = field.mul_tables, int.from_bytes
         return lambda a, v: from_bytes(
             v.to_bytes(block, "little").translate(tables[a]), "little")
@@ -358,12 +364,12 @@ class _RowCode(LinearCode):
         Each check r >= e then compares s_r with sum_k x_k z_k^r and
         raises :class:`NoSolutionError` on a difference; more than u
         erasures raise :class:`UnderdeterminedError`, as the generic
-        solve does.
+        solve does, and blocks over w > 8 ``ValueError`` first.
         """
+        mul = self._scale if block == 1 else _scaler(self.field, block)
         u, e = len(syndrome), len(erased)
         if e > u:
             raise UnderdeterminedError(f"rank {u} < {e} unknowns")
-        mul = self._scale if block == 1 else _scaler(self.field, block)
         x = syndrome[:e]
         if e > 1:
             nodes, inv = self.nodes, self.field.inv
@@ -450,37 +456,26 @@ def _check_shape(arr: SymbolArray, params: GpcParams) -> None:
             f"array is {arr.m}x{arr.n}, code expects {params.m}x{params.n}")
 
 
-def _work_rows(arr: SymbolArray,
-               params: GpcParams) -> tuple[list[list[int]], list[tuple]]:
-    # A decoder's work: a copy of each row with its erased cells zeroed,
-    # and each row's erased columns.  The shape must match and every
-    # survivor lie in the field.
-    _check_shape(arr, params)
-    span = range(arr.n)
-    erased = [tuple(compress(span, flags)) for flags in arr.erased]
+def _work_rows(arr: SymbolArray, plan: _Plan,
+               field: GF) -> list[list[int]]:
+    # A decode's work: a copy of each row with its erased cells zeroed,
+    # read from the plan; every survivor must lie in the field.
     values = [vals[:] for vals in arr.values]
-    for row, cols in zip(values, erased):
+    for row, cols in zip(values, plan.erased):
         for c in cols:
             row[c] = 0
-    params.field.check_symbols(chain.from_iterable(values), "survivor")
-    return values, erased
+    field.check_symbols(chain.from_iterable(values), "survivor")
+    return values
 
 
-def _flip(values: list[list[int]],
-          erased: list[tuple]) -> tuple[list[list[int]], list[tuple]]:
-    # The transpose of the work: columns as rows, each with its erased rows.
-    flipped: list[list[int]] = [[] for _ in values[0]]
+def _flip(erased: list[tuple], width: int) -> list[tuple]:
+    # The transpose of a pattern: for each of the ``width`` columns, its
+    # erased rows.
+    flipped: list[list[int]] = [[] for _ in range(width)]
     for r, cols in enumerate(erased):
         for c in cols:
             flipped[c].append(r)
-    return list(map(list, zip(*values))), list(map(tuple, flipped))
-
-
-def _as_array(values: list[list[int]], erased: list[tuple]) -> SymbolArray:
-    span = range(len(values[0]))
-    return SymbolArray._masked(values, [
-        [c in cols for c in span] if cols else [False] * len(span)
-        for cols in erased], zero=False)
+    return list(map(tuple, flipped))
 
 
 def is_member(arr: SymbolArray, params: GpcParams) -> bool:
@@ -497,7 +492,7 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     """
     view = _view(params)
     _check_shape(arr, params)
-    if arr.erasure_count:
+    if any(True in flags for flags in arr.erased):
         raise ValueError("membership is undefined for arrays with erasures")
     params.field.check_symbols(chain.from_iterable(arr.values), "symbol")
     try:
@@ -528,7 +523,9 @@ def _repair_row(row: list[int], cols: tuple[int, ...], code: LinearCode,
 
 
 class DecodeTrace:
-    """Optional record of the row decoder's internal steps."""
+    """Optional record of the row decoder's internal steps, taken from
+    its plan as the steps run: a contradiction leaves the steps before
+    it."""
 
     def __init__(self):
         self.row_order: tuple[int, ...] = ()
@@ -556,120 +553,203 @@ def _triangulated_system(params: GpcParams, order: tuple[int, ...],
                                      for row in _view(params).powers[:nsys]])))
 
 
-def _row_pass(values: list[list[int]], erased: list[tuple], view: _View,
-              trace: DecodeTrace | None = None, block: int = 1) -> int:
-    # One in-place row pass over the rows ``values`` and each row's
-    # erased columns ``erased``, whose erased cells hold 0: repair every
-    # row within reach of the weakest row code, clean rows included,
-    # then, if the profile fits the budgets, peel the rest and compare
-    # each of the m - k vanishing combinations with its pivot row, erased
-    # or not.  A repaired row's entry becomes ().
-    # Each cell holds a symbol, or with ``block`` L > 1 a block of L
-    # symbols, one per array the pass repairs at once.  Returns the
-    # number of cells left erased: 0 when every row is repaired, else the
-    # count after the local repairs, which a refused peel keeps.
+class _Pass(NamedTuple):
+    """One row pass of a plan, over rows (or, in a column pass, the
+    columns) of the code ``params``."""
+
+    params: GpcParams
+    groups: dict[tuple[int, ...], list[int]]  # local fills; never modified
+    order: tuple[int, ...] = ()     # the profile, when the peel runs
+    counts: tuple[int, ...] = ()
+    system: Matrix | None = None    # None: the profile exceeds the budgets
+    # The pivots in peel order, each (p, row, erased columns, level,
+    # gamma past p, profile past p), zero weights dropped: the row at
+    # profile position p repairs in ``level`` (None for a vanishing
+    # combination) against the sum of the rows after it, each times its
+    # gamma.
+    peel: tuple[tuple, ...] = ()
+
+
+class _Plan(NamedTuple):
+    """A decode's every decision, read from the erasure mask alone.
+
+    Each pass fills its rows within reach of the weakest row code, clean
+    rows included, as one batch grouped by erased columns
+    (:meth:`~gpcodes.linalg.LinearCode.fill_rows`).  When the profile
+    fits the budgets it then peels the rest off the triangulated system,
+    each pivot row against the sum of its known rows
+    (:func:`~gpcodes.linalg.combine`), and compares each of the m - k
+    vanishing combinations with its pivot row, erased or not.  Built by
+    :func:`_plan` on a cache miss; :func:`_execute` runs it, raising on
+    the first contradiction a solve or comparison meets.
+    """
+
+    erased: tuple[tuple[int, ...], ...]  # each row's erased columns
+    passes: tuple[_Pass, ...]       # row passes even, column passes odd
+    left: int                       # cells the last row pass left
+    mask: tuple[tuple[bool, ...], ...]   # the cells left erased
+
+
+# Plans by (params, iterate, mask rows as bytes), least recently used
+# evicted first.  A repeated loss needs one entry and a decode of a new
+# pattern pays one insert; each entry holds its pattern's tuples and a
+# system the triangulation cache may hold too.
+_PLAN_LIMIT = 64
+_PLANS: dict[tuple, _Plan] = {}
+
+
+def _plan_for(view: _View, mask: Sequence[Sequence[bool]],
+              iterate: bool) -> _Plan:
+    # The plan of a decode of the rows whose erased cells are flagged in
+    # ``mask`` (of the code's shape), from the cache when it holds one.
+    return recall(_PLANS, (view.params, iterate, tuple(map(bytes, mask))),
+                  _PLAN_LIMIT, lambda: _plan(view, mask, iterate))
+
+
+def _plan(view: _View, mask: Sequence[Sequence[bool]],
+          iterate: bool) -> _Plan:
+    # The row pass and, with ``iterate``, the alternation that follows:
+    # k = m leaves no column view (see GpcParams.transposed), and an
+    # alternation whose column pass fills nothing leaves a state the row
+    # pass cannot change either, so it stops there.
+    params = view.params
+    span = range(params.n)
+    erased = [tuple(compress(span, flags)) for flags in mask]
+    work, passes = list(erased), []
+    while (left := _plan_pass(view, work, passes)) and \
+            iterate and view.col_params is not None:
+        col_erased = _flip(work, params.n)
+        after = _plan_pass(_view(view.col_params), col_erased, passes)
+        work = _flip(col_erased, params.m)
+        if not 0 < after < left:
+            break
+    clean = (False,) * params.n
+    return _Plan(tuple(erased), tuple(passes), left, tuple(
+        tuple([c in cols for c in span]) if cols else clean for cols in work)
+        if left else (clean,) * params.m)
+
+
+def _plan_pass(view: _View, erased: list[tuple],
+               passes: list[_Pass]) -> int:
+    # The decisions of one row pass over rows with the erased columns
+    # ``erased``, appended to ``passes``: fill every row within reach of
+    # the weakest row code, clean rows included, then, if the profile
+    # fits the budgets, peel the rest, taking each of the m - k
+    # vanishing combinations, pivot row erased or not.  A row that the
+    # pass fills gets (); returns the cells left, 0 after a peel.
     params = view.params
     groups: dict[tuple[int, ...], list[int]] = {}
     for r, cols in enumerate(erased):
         if len(cols) <= params.u[0]:
             groups.setdefault(cols, []).append(r)
             erased[r] = ()
-    view.levels[0].fill_rows(values, groups, block)
-    left = sum(map(len, erased))
+    lens = list(map(len, erased))
+    left = sum(lens)
     # The profile: rows by erasure count, descending, ties by index
     # (the sort is stable).
     m, k = params.m, params.k
-    order = tuple(sorted(range(m), key=lambda r: len(erased[r]),
-                         reverse=True))
-    counts = tuple(len(erased[r]) for r in order)
+    order = tuple(sorted(range(m), key=lens.__getitem__, reverse=True))
+    counts = tuple(map(lens.__getitem__, order))
     if any(map(gt, counts, view.budgets)):
+        passes.append(_Pass(params, groups))
         return left
-    f = params.field
     nsys = max(m - k, m - counts.count(0))
     reduced = _triangulated_system(params, order, nsys)
-    if trace is not None:
-        trace.row_order, trace.counts, trace.system = order, counts, reduced
+    peel = []
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
         cols = erased[row_idx]
-        gamma = reduced.data[p]
-        known = combine(f, [(gamma[j], values[order[j]])
-                            for j in range(p + 1, m) if gamma[j]],
-                        params.n, block)
-        if p < m - k:
-            # The combination vanishes: the whole row equals the known part.
-            level = None
-            row = values[row_idx]
+        # A vanishing combination's row equals the known part (None);
+        # else counts[p] is within budget p, the deepest level p lies
+        # in, so the weakest level that covers it is one p lies in too.
+        level = None if p < m - k else bisect_left(params.u, counts[p])
+        gamma, rows = reduced.data[p][p + 1:], order[p + 1:]
+        if 0 in gamma:
+            gamma, rows = tuple(compress(gamma, gamma)), compress(rows, gamma)
+        peel.append((p, row_idx, cols, level, gamma, tuple(rows)))
+        erased[row_idx] = ()
+    passes.append(_Pass(params, groups, order, counts, reduced, tuple(peel)))
+    return 0
+
+
+def _execute(plan: _Plan, view: _View, values: list[list[int]],
+             block: int = 1,
+             trace: DecodeTrace | None = None) -> list[list[int]]:
+    # Run ``plan`` on the rows ``values`` of ``view``'s code, whose
+    # erased cells hold 0; a column pass runs on the transposed rows.
+    # Each cell holds a symbol, or with ``block`` L > 1 a block of L
+    # symbols, one per array repaired at once.  Returns the rows, filled
+    # where the plan fills them; survivors that contradict a check raise
+    # NoSolutionError.
+    for i, step in enumerate(plan.passes):
+        if i % 2:
+            values = list(map(list, zip(*values)))
+            _execute_pass(step, _view(view.col_params).levels, values, block)
+            values = list(map(list, zip(*values)))
+        else:
+            _execute_pass(step, view.levels, values, block, trace)
+    return values
+
+
+def _execute_pass(step: _Pass, levels: list[_RowCode],
+                  values: list[list[int]], block: int,
+                  trace: DecodeTrace | None = None) -> None:
+    # One planned row pass in place, with the pass's row codes ``levels``.
+    levels[0].fill_rows(values, step.groups, block)
+    if step.system is None:
+        return
+    if trace is not None:
+        trace.row_order, trace.counts = step.order, step.counts
+        trace.system = step.system
+    f, n = step.params.field, step.params.n
+    for p, row_idx, cols, level, gamma, rows in step.peel:
+        known = combine(f, zip(gamma, map(values.__getitem__, rows)), n,
+                        block)
+        row = values[row_idx]
+        if level is None:
             for c in cols:
                 row[c] = known[c]
             if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
-            # counts[p] is within budget p, the deepest level p lies in,
-            # so the weakest level that covers it is one p lies in too.
-            level = bisect_left(params.u, counts[p])
-            _repair_row(values[row_idx], cols, view.levels[level], block,
-                        known)
-        erased[row_idx] = ()
+            _repair_row(row, cols, levels[level], block, known)
         if trace is not None:
             trace.steps.append((p, row_idx, level))
-    return 0
 
 
 def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
             trace: DecodeTrace | None = None) -> tuple[SymbolArray, int]:
-    # The driver of decode_rows and of decode_iterative, which alternates
-    # row and column passes (``iterate``): the array and the count of
-    # cells the last row pass left.
+    # The decode shared by decode_rows and decode_iterative
+    # (``iterate``): the array and the count of cells the last row pass
+    # left.
     view = _view(params)
-    values, erased = _work_rows(arr, params)
+    _check_shape(arr, params)
+    plan = _plan_for(view, arr.erased, iterate)
+    values = _work_rows(arr, plan, params.field)
     try:
-        # k = m leaves no column view (see GpcParams.transposed).  An
-        # alternation whose column pass fills nothing leaves a state the
-        # row pass cannot change either, so the loop stops there.
-        while (left := _row_pass(values, erased, view, trace)) and \
-                iterate and view.col_params is not None:
-            col_values, col_erased = _flip(values, erased)
-            after = _row_pass(col_values, col_erased, _view(view.col_params))
-            values, erased = _flip(col_values, col_erased)
-            if not 0 < after < left:
-                break
+        values = _execute(plan, view, values, trace=trace)
     except NoSolutionError as exc:
         raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
-    return _as_array(values, erased), left
+    return SymbolArray._masked(values, list(map(list, plan.mask)),
+                               zero=False), plan.left
 
 
 def decode_rows(arr: SymbolArray, params: GpcParams,
                 trace: DecodeTrace | None = None) -> SymbolArray:
     """Single-pass erasure decoder working row by row.
 
-    First settles every row within reach of the weakest row code, rows
-    with no erasure included, then orders the remaining rows by erasure
-    count, triangulates their power-weight matrix, and peels rows from
-    strongest combination to weakest: each triangulated row states that
-    the current array row plus a known combination of later rows lies in
-    some row code (or vanishes), which pins its erased symbols.  A pivot
-    row repairs in the weakest level whose strength covers its count.
-
-    A row pass fills every row within reach of the weakest row code as
-    one batch, grouped by erased columns, with
-    :meth:`~gpcodes.linalg.LinearCode.fill_rows`; the group of rows with
-    no erasure is the test that their syndromes vanish.  A peeled pivot
-    row fills in its level with :meth:`~gpcodes.linalg.LinearCode.fill`,
-    and the peel sums its known rows with
-    :func:`~gpcodes.linalg.combine`.  Every row solve, grouped or not,
-    runs the level's closed form (see :class:`_RowCode`): no plan, no
-    slot and no elimination per set of erased columns.
-    The output and the errors are those of the solves, checks included.
-    Every row is checked against the weakest row code, and a code with
-    k < m applies each of its m - k vanishing combinations, even when the
-    local repairs leave nothing erased or a combination's pivot row has
-    none; past level 0 a k = m code checks only the combinations its
-    solves use.
-    It shares its driver with :func:`decode_iterative`, which works on
-    plain row lists and each row's erased columns, built once from
-    ``arr``, and leaves ``arr`` unchanged.
+    Runs one planned row pass (see :class:`_Plan`): rows within reach of
+    the weakest row code repair locally, then, when the profile fits the
+    budgets, the rest peel off the triangulated power-weight system, each
+    pivot in the weakest level that covers its count.  The plan is read
+    from ``arr``'s mask alone and cached, so a repeated loss only runs
+    the fills.  Every row is checked against the weakest row code, and a
+    code with k < m applies each of its m - k vanishing combinations,
+    even when the local repairs leave nothing erased or a combination's
+    pivot row has none; past level 0 a k = m code checks only the
+    combinations its solves use.  ``arr`` is left unchanged, and
+    ``trace`` records the plan's profile, system and steps as they run.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
@@ -694,11 +774,10 @@ def decode_iterative(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     Runs the row pass on the array and on its transpose (under the
     column-view parameters) until everything is recovered or a full
     alternation makes no progress.  On a stall the partial array is
-    returned with its remaining erasures still masked.  It shares its
-    driver with :func:`decode_rows`, batch fills and closed-form row
-    solves included; the column view has its own row codes, and the
-    column pass works on the transposed row lists and erased rows.  Its
-    row passes check what those of :func:`decode_rows` check.
+    returned with its remaining erasures still masked.  Its plan (see
+    :class:`_Plan`) holds every pass of the alternation, read from the
+    mask alone and cached like those of :func:`decode_rows`, whose
+    checks each of its row passes applies.
     A survivor outside [0, 2^w) raises ``ValueError``, and survivors that
     contradict the checks raise :class:`ContradictionError` naming every
     erased cell of ``arr``.
@@ -740,17 +819,17 @@ def _encode_pass(data: Sequence[int], params: GpcParams,
                  parity: frozenset[tuple[int, int]],
                  block: int = 1) -> SymbolArray:
     # The reference encoder: data fills the non-parity cells in row-major
-    # order and one row pass recovers the parity cells, which always sit
-    # inside the budgets with no survivor to contradict.
+    # order and one planned row pass recovers the parity cells, which
+    # always sit inside the budgets with no survivor to contradict.
+    view = _view(params)
     it = iter(data)
     span = range(params.n)
-    erased = [tuple(c for c in span if (r, c) in parity)
-              for r in range(params.m)]
-    values = [[0 if (r, c) in parity else next(it) for c in span]
-              for r in range(params.m)]
-    if _row_pass(values, erased, _view(params), block=block):
+    mask = [[(r, c) in parity for c in span] for r in range(params.m)]
+    plan = _plan_for(view, mask, False)
+    if plan.left:
         raise AssertionError("parity cells outside the decodable budgets")
-    return SymbolArray(values)
+    values = [[0 if flag else next(it) for flag in flags] for flags in mask]
+    return SymbolArray(_execute(plan, view, values, block))
 
 
 def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:

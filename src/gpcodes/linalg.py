@@ -679,8 +679,11 @@ class LinearCode:
         blocks included.  Until the compile, and when no plan is built,
         :func:`solve` runs on the syndrome word by word.  Raises
         :class:`UnderdeterminedError` on dependent erased columns and
-        :class:`NoSolutionError` when the survivors contradict the code.
+        :class:`NoSolutionError` when the survivors contradict the code,
+        and ``ValueError`` before any work on blocks over w > 8.
         """
+        if block > 1 and self.field.w > 8:
+            raise ValueError("blocks need a field with w <= 8")
         if not erased:
             if any(syndrome):
                 raise NoSolutionError("inconsistent system")

@@ -649,6 +649,135 @@ def test_triangulation_cache_is_bounded(monkeypatch):
         assert len(gpc._TRIANGULATION_CACHE) <= 4
 
 
+def archive_loss(rng):
+    """The benchmark's archive loss on G16: two whole columns and one
+    whole row."""
+    cols = rng.sample(range(G16.n), 2)
+    row = rng.randrange(G16.m)
+    return {(r, c) for r in range(G16.m) for c in cols} | \
+        {(row, c) for c in range(G16.n)}
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty plan cache, and an empty triangulation cache, for one
+    test; the plan cache is returned."""
+    cache = {}
+    monkeypatch.setattr(gpc, "_PLANS", cache)
+    monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
+    return cache
+
+
+def test_plan_cache_is_a_bounded_lru(plans, monkeypatch):
+    """Plans are kept per (params, iterate, mask), at most _PLAN_LIMIT of
+    them, the least recently used dropped first; a pattern that differs
+    from a cached one in its last row only gets a plan of its own."""
+    monkeypatch.setattr(gpc, "_PLAN_LIMIT", 3)
+    rng = random.Random(181)
+    word = rand_codeword(FLAGSHIP, rng)
+    plans.clear()           # the encoder's plan
+    last = FLAGSHIP.m - 1
+    patterns = {"a": [(0, 0), (last, 1)], "b": [(0, 0), (last, 2)],
+                "c": [(2, 3)], "d": [(1, 1), (4, 4)]}
+    keys, sizes = {}, []
+    for name in "abcad":
+        damaged = erase_positions(word, patterns[name])
+        assert decode_iterative(damaged, FLAGSHIP) == word
+        keys[name] = (FLAGSHIP, True, tuple(map(bytes, damaged.erased)))
+        sizes.append(len(plans))
+    assert sizes == [1, 2, 3, 3, 3]
+    # b went first: a was used again after it
+    assert list(plans) == [keys["c"], keys["a"], keys["d"]]
+    # decode_rows plans apart from decode_iterative
+    decode_rows(erase_positions(word, patterns["a"]), FLAGSHIP)
+    assert list(plans)[-1] == (FLAGSHIP, False) + keys["a"][2:]
+
+
+def test_a_repeated_loss_plans_once(plans, monkeypatch):
+    """The archive loss decoded three times builds one plan and one
+    triangulation."""
+    rng = random.Random(191)
+    loss = archive_loss(rng)
+    words = [rand_codeword(G16, rng) for _ in range(3)]
+    plans.clear()           # the encoder's plan
+    gpc._TRIANGULATION_CACHE.clear()
+    built, reduced = [], []
+    plan, row_reduce_ = gpc._plan, gpc.row_reduce
+    monkeypatch.setattr(gpc, "_plan", lambda *a: built.append(a) or plan(*a))
+    monkeypatch.setattr(gpc, "row_reduce",
+                        lambda m: reduced.append(m) or row_reduce_(m))
+    for word in words:
+        assert decode_iterative(erase_positions(word, loss), G16) == word
+    assert len(built) == 1 and len(reduced) == 1
+    assert len(plans) == 1 and len(gpc._TRIANGULATION_CACHE) == 1
+
+
+@pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
+def test_a_changed_survivor_under_a_cached_plan_raises(decoder, plans):
+    """Under the archive loss each of the 15 rows with two erasures fills
+    with no check to spare, so a changed survivor in one of them is
+    caught by a vanishing combination alone; a cached plan still runs
+    that comparison and reports every erased cell."""
+    rng = random.Random(193)
+    loss = archive_loss(rng)
+    word = rand_codeword(G16, rng)
+    assert decoder(erase_positions(word, loss), G16) == word
+    assert len(plans) == 1
+    for _ in range(3):
+        damaged = erase_positions(rand_codeword(G16, rng), loss)
+        r, c = rng.choice([(r, c) for r in range(G16.m) for c in range(G16.n)
+                           if not damaged.erased[r][c]])
+        damaged.fill(r, c, damaged.values[r][c] ^ rng.randrange(1, 256))
+        with pytest.raises(ContradictionError, match="inconsistent") as exc:
+            decoder(damaged, G16)
+        assert exc.value.remaining == loss
+    assert len(plans) == 1
+
+
+def test_a_trace_on_a_cached_plan_equals_a_fresh_one(plans):
+    """decode_rows with a DecodeTrace records the same row order, counts,
+    system and steps from a cached plan as from a fresh one, the partial
+    steps of a contradiction included."""
+    rng = random.Random(197)
+    word = rand_codeword(FLAGSHIP, rng)
+    for _ in range(30):
+        damaged = erase_positions(word, random_decodable_pattern(FLAGSHIP,
+                                                                 rng))
+        if rng.random() < 0.5:
+            r, c = rng.choice([(r, c) for r in range(FLAGSHIP.m)
+                               for c in range(FLAGSHIP.n)
+                               if not damaged.erased[r][c]])
+            damaged.fill(r, c, damaged.values[r][c] ^ rng.randrange(1, 8))
+        traces = []
+        for fresh in (True, False):
+            if fresh:
+                plans.clear()
+            trace = DecodeTrace()
+            try:
+                decode_rows(damaged, FLAGSHIP, trace)
+            except ContradictionError:
+                pass
+            traces.append((trace.row_order, trace.counts, trace.system,
+                           trace.steps))
+        assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("make", [
+    lambda h, nodes: LinearCode(h), lambda h, nodes: gpc._RowCode(h, nodes)],
+    ids=["LinearCode", "_RowCode"])
+def test_blocks_over_a_wide_field_raise_before_any_work(make):
+    """solve_syndrome refuses blocks over GF(2^10) as syndrome and
+    combine do, before its erasure count is looked at."""
+    field = default_field(10)
+    nodes = [field.alpha_pow(j) for j in range(7)]
+    code = make(linalg.vandermonde(field, nodes, 3), nodes)
+    for erased in ((0, 1), (0, 1, 2, 3), ()):
+        with pytest.raises(ValueError, match=r"^blocks need a field with "
+                           r"w <= 8$"):
+            code.solve_syndrome([5, 6, 7], erased, 3)
+    assert code.solve_syndrome([0, 0, 0], (), 1) == []
+
+
 def test_decode_iterative_staircase():
     """A stair of double erasures defeats the row pass but not the
     column view: ten erasures, exactly the distance of the code."""

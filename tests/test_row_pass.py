@@ -302,12 +302,21 @@ def test_the_all_zero_codeword_decodes_to_zeros(params, pattern, limit,
     assert (view.encoder.map is not None) == (limit > 0)
 
 
+def planned_cells(plan):
+    """The cells that ``plan``, read from the mask alone, leaves erased."""
+    return {(r, c) for r, flags in enumerate(plan.mask)
+            for c, flag in enumerate(flags) if flag}
+
+
 def test_every_erasure_pattern_of_the_smallest_codes():
     """All 27 936 erasure patterns of the 51 grid codes with mn <= 10, on
     one seeded codeword each: decode_rows recovers every pattern that
     decodable_profile guarantees and returns only the codeword, on
     oracle-correctable patterns; decode_iterative never writes a wrong
-    symbol and fills every cell only of oracle-correctable patterns."""
+    symbol and fills every cell only of oracle-correctable patterns.
+    Each decoder's verdict is the one its plan predicts from the mask
+    alone: recovered, or refused (decode_rows) or stalled
+    (decode_iterative) with exactly the cells the plan leaves."""
     codes = [p for p in _small_param_grid() if p.m * p.n <= 10]
     assert len(codes) == 51
     rng = random.Random(30)
@@ -315,24 +324,30 @@ def test_every_erasure_pattern_of_the_smallest_codes():
     for p in codes:
         word = rand_codeword(p, rng)
         checks = full_parity_matrix(p)
+        view = gpc._view(p)
         size = p.m * p.n
         for mask in range(1 << size):
             flat = [i for i in range(size) if mask >> i & 1]
             damaged = erase_positions(word, [divmod(i, p.n) for i in flat])
             case = (p.notation(), flat)
             ok = correctable(flat, checks)
+            plan = gpc._plan(view, damaged.erased, False)
             try:
                 out = decode_rows(damaged, p)
-            except UncorrectableError:
+            except UncorrectableError as exc:
                 assert not decodable_profile(
                     ErasureProfile.from_array(damaged), p), case
+                assert type(exc) is UncorrectableError and plan.left, case
+                assert exc.remaining == planned_cells(plan), case
             else:
-                assert out == word and ok, case
+                assert out == word and ok and not plan.left, case
+            plan = gpc._plan(view, damaged.erased, True)
             out = decode_iterative(damaged, p)
             assert all(e or v == x for vr, er, wr in zip(
                 out.values, out.erased, word.values)
                 for v, e, x in zip(vr, er, wr)), case
             assert out.erasure_count or ok, case
+            assert set(out.erased_positions()) == planned_cells(plan), case
             patterns += 1
     assert patterns == 27936
 
@@ -403,28 +418,27 @@ def test_each_row_pass_takes_the_level_0_syndrome_once(decoder, reference,
     cases = reference_cases(params, 419, 12)
     expected = [outcome(reference, arr, params) for arr in cases]
     passes = []
-    row_pass, syndrome = gpc._row_pass, linalg.LinearCode.syndrome
+    run_pass, syndrome = gpc._execute_pass, linalg.LinearCode.syndrome
 
-    def recording_pass(values, erased, view, trace=None, block=1):
-        local = sum(len(cols) <= view.params.u[0] for cols in erased)
-        passes.append((view, local, []))
-        return row_pass(values, erased, view, trace, block)
+    def recording_pass(step, levels, values, block, trace=None):
+        local = sum(map(len, step.groups.values()))
+        passes.append((step.params, levels, local, []))
+        return run_pass(step, levels, values, block, trace)
 
     def recording_syndrome(self, word, block=1):
-        passes[-1][2].append((self, block))
+        passes[-1][3].append((self, block))
         return syndrome(self, word, block)
 
-    monkeypatch.setattr(gpc, "_row_pass", recording_pass)
+    monkeypatch.setattr(gpc, "_execute_pass", recording_pass)
     monkeypatch.setattr(linalg.LinearCode, "syndrome", recording_syndrome)
     column_passes = 0
     for arr, want in zip(cases, expected):
         passes.clear()
         assert outcome(decoder, arr, params) == want, arr
         failed = want[0] is ContradictionError
-        for view, local, calls in passes:
-            column_passes += view.params != params
-            level0 = [block for code, block in calls
-                      if code is view.levels[0]]
+        for code_params, levels, local, calls in passes:
+            column_passes += code_params != params
+            level0 = [block for code, block in calls if code is levels[0]]
             if params.field.w <= 8:
                 assert level0 == ([local] if local else [])
             elif failed:    # the fills stop at the first contradiction

@@ -64,8 +64,8 @@ GROUPED_ROWS = ("tests/test_gpc.py::test_grouped_row_repairs_match_scalar_"
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
     Mutant("profile ties break toward larger rows", GPC,
-           "sorted(range(m), key=lambda r: len(erased[r]),",
-           "sorted(range(m - 1, -1, -1), key=lambda r: len(erased[r]),",
+           "sorted(range(m), key=lens.__getitem__,",
+           "sorted(range(m - 1, -1, -1), key=lens.__getitem__,",
            (REFERENCE,)),
     Mutant("a peeled row keeps its erased columns", GPC,
            "        erased[row_idx] = ()\n", "", (REFERENCE,)),
@@ -83,33 +83,37 @@ MUTANTS = (
            "iterate=False, trace=trace)\n    if left:",
            "iterate=False, trace=trace)\n    if False:", (CENSUS,)),
     Mutant("the row pass peels past the budgets", GPC,
-           "    if any(map(gt, counts, view.budgets)):\n        return left\n",
+           "    if any(map(gt, counts, view.budgets)):\n"
+           "        passes.append(_Pass(params, groups))\n"
+           "        return left\n",
            "", (CENSUS,)),
     Mutant("the row pass returns once local repairs leave nothing erased",
-           GPC, "    left = sum(map(len, erased))\n",
-           "    left = sum(map(len, erased))\n"
-           "    if not left:\n        return 0\n", (FLIP_BEHIND_LOCAL,)),
+           GPC, "    left = sum(lens)\n",
+           "    left = sum(lens)\n    if not left:\n"
+           "        passes.append(_Pass(params, groups))\n        return 0\n",
+           (FLIP_BEHIND_LOCAL,)),
     Mutant("the row pass skips vanishing combinations whose pivot row has no "
            "erasure", GPC, "        cols = erased[row_idx]\n",
            "        cols = erased[row_idx]\n"
            "        if p < m - k and not cols:\n            continue\n",
            (ARCHIVE_FLIP, FLIP_BEHIND_LOCAL)),
     Mutant("a stall writes one wrong symbol", GPC,
-           "    return _as_array(values, erased), left\n",
-           "    if left:\n"
-           "        r = next(r for r, cols in enumerate(erased)\n"
-           "                 if len(cols) < len(values[r]))\n"
-           "        values[r][min(set(range(len(values[r]))) - set(erased[r]))]"
-           " ^= 1\n"
-           "    return _as_array(values, erased), left\n", (CENSUS,)),
+           "    return SymbolArray._masked(values, list(map(list, plan.mask"
+           ")),\n",
+           "    if plan.left:\n"
+           "        r, c = next((r, c) for r, flags in enumerate(plan.mask)\n"
+           "                    for c, flag in enumerate(flags) if not flag)\n"
+           "        values[r][c] ^= 1\n"
+           "    return SymbolArray._masked(values, list(map(list, plan.mask"
+           ")),\n", (CENSUS,)),
     Mutant("rows with no erasure skip the weakest row code", GPC,
            "        if len(cols) <= params.u[0]:\n",
            "        if 0 < len(cols) <= params.u[0]:\n",
            (NO_ERASURE_FLIP,
             "tests/test_gpc.py::test_clean_wide_field_decode_runs_no_solve")),
     Mutant("a pivot takes the next level up", GPC,
-           "level = bisect_left(params.u, counts[p])",
-           "level = bisect_left(params.u, counts[p] + 1)",
+           "bisect_left(params.u, counts[p])",
+           "bisect_left(params.u, counts[p] + 1)",
            (REFERENCE, "tests/test_acceptance.py::test_criterion_03_"
             "decoder_trace")),
     Mutant("membership checks each combination one level too weak", GPC,
@@ -121,8 +125,21 @@ MUTANTS = (
            "budgets[self.m - 1 - r]", "budgets[r]",
            ("tests/test_gpc.py::test_parity_positions_layout",)),
     Mutant("the column pass is skipped", GPC,
-           "after = _row_pass(col_values, col_erased, "
-           "_view(view.col_params))", "after = 0", (REFERENCE,)),
+           "after = _plan_pass(_view(view.col_params), col_erased, passes)",
+           "after = 0", (REFERENCE,)),
+    Mutant("the plan key ignores the last row's mask", GPC,
+           "tuple(map(bytes, mask))", "tuple(map(bytes, mask[:-1]))",
+           ("tests/test_gpc.py::test_plan_cache_is_a_bounded_lru", CENSUS)),
+    Mutant("a cached plan's vanishing comparison is skipped", GPC,
+           "            if row != known:\n"
+           "                raise NoSolutionError(\"inconsistent system\")\n",
+           "            seen = _execute_pass.__dict__.setdefault(\"seen\","
+           " set())\n"
+           "            if row != known and (id(step), p) not in seen:\n"
+           "                raise NoSolutionError(\"inconsistent system\")\n"
+           "            seen.add((id(step), p))\n",
+           ("tests/test_gpc.py::test_a_changed_survivor_under_a_cached_plan_"
+            "raises",)),
     Mutant("codes have no column view", GPC,
            "params.transposed() if params.k < params.m else None,", "None,",
            ("tests/test_gpc.py::test_decode_iterative_staircase",)),
