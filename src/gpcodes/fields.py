@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import index
 from typing import Iterable
 
 # One primitive polynomial per width.  Bit i = coefficient of x^i, so
@@ -316,22 +317,23 @@ class GF:
 
     def check_symbols(self, values: Iterable[int], what: str) -> None:
         """Raise ``ValueError("<what> out of field range")`` unless every
-        value lies in [0, 2^w).
+        value is an int (a bool counts) in [0, 2^w).
 
-        For w <= 8, ``bytes`` rejects everything outside [0, 256) in one
-        C pass, and only w < 8 needs a ``max`` of the bytes after it.
+        For w <= 8, ``bytes`` rejects every value that is no int in
+        [0, 256) in one C pass, and only w < 8 needs a ``max`` of the
+        bytes after it; wider fields take each value's ``__index__``
+        first, as ``bytes`` does.
         """
-        if self.w <= 8:
-            try:
+        try:
+            if self.w <= 8:
                 block = bytes(values)
-            except ValueError:
-                ok = False
-            else:
                 ok = self.w == 8 or max(block, default=0) >> self.w == 0
-        else:
-            values = list(values)
-            ok = not values or (
-                min(values) >= 0 and max(values) >> self.w == 0)
+            else:
+                values = list(map(index, values))
+                ok = not values or (
+                    min(values) >= 0 and max(values) >> self.w == 0)
+        except (TypeError, ValueError):
+            ok = False
         if not ok:
             raise ValueError(f"{what} out of field range")
 

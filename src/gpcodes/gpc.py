@@ -39,8 +39,8 @@ from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
                      PlanSlot, SplitMap, UnderdeterminedError, combine, kron,
-                     null_space, recall, row_reduce, solve, vandermonde,
-                     vstack)
+                     null_space, recall, row_reduce, scaler, solve,
+                     vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -325,32 +325,17 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
     return vandermonde(f, nodes, params.u[i])
 
 
-def _scaler(field: GF, block: int) -> Callable[[int, int], int]:
-    # a * v for a field element a and a symbol v, or with ``block`` L > 1
-    # a block of L byte symbols (w <= 8) each times a: the three forms of
-    # linalg's _eliminate, one bytes.translate per block, inline exp/log
-    # lookups in a field with tables, and GF.mul past them.
-    if block > 1:
-        if field.w > 8:
-            raise ValueError("blocks need a field with w <= 8")
-        tables, from_bytes = field.mul_tables, int.from_bytes
-        return lambda a, v: from_bytes(
-            v.to_bytes(block, "little").translate(tables[a]), "little")
-    exp, log = field._exp, field._log
-    if log:
-        return lambda a, v: exp[log[a] + log[v]] if v else 0
-    return field.mul
-
-
 class _RowCode(LinearCode):
     """A level's row code: check rows alpha^(r*j) for r < u over the
     nodes z_j = alpha^j, a Reed-Solomon code.  Its erasures solve in
-    closed form, so it holds no plan and never eliminates."""
+    closed form, so it holds no plan and never eliminates.  Its multiply
+    is :func:`~gpcodes.linalg.scaler`'s, the symbol form kept with the
+    code."""
 
     def __init__(self, check_matrix: Matrix, nodes: Sequence[int]):
         super().__init__(check_matrix)
         self.nodes = nodes
-        self._scale = _scaler(self.field, 1)
+        self._scale = scaler(self.field)
 
     def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
                        block: int = 1) -> list[int]:
@@ -364,9 +349,10 @@ class _RowCode(LinearCode):
         Each check r >= e then compares s_r with sum_k x_k z_k^r and
         raises :class:`NoSolutionError` on a difference; more than u
         erasures raise :class:`UnderdeterminedError`, as the generic
-        solve does, and blocks over w > 8 ``ValueError`` first.
+        solve does, and blocks over w > 8 ``ValueError`` first, from
+        linalg's block rule as the multiply is taken.
         """
-        mul = self._scale if block == 1 else _scaler(self.field, block)
+        mul = self._scale if block == 1 else scaler(self.field, block)
         u, e = len(syndrome), len(erased)
         if e > u:
             raise UnderdeterminedError(f"rank {u} < {e} unknowns")
@@ -859,8 +845,7 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
                             lambda: _compile_encoder(params))
     if enc is None:
         return _encode_pass(data, params, params.parity_positions())
-    parity = enc.parity
-    symbols = [*data, *parity.image(data).to_bytes(parity.height, "little")]
+    symbols = [*data, *enc.parity.image(data)]
     return SymbolArray([row(symbols) for row in enc.rows])
 
 

@@ -31,7 +31,14 @@ encode and decode: ``lc_encode`` fills the parity positions.
 :class:`SplitMap` is gpc's encoder map, its columns as split product
 tables: two lookups per symbol at about 40 times the memory.
 :func:`combine` sums weighted rows with the same product tables, and
-holds the symbol-wise loop for w > 8.  :class:`PlanSlot` holds the one
+holds the symbol-wise loop for w > 8.  :func:`scaler` is the one
+multiply of a field element by a symbol (``GF.mul``) or by a block of L
+byte symbols (one ``bytes.translate``), the form gpc's closed-form row
+solves take.  A block holds one byte per symbol, so only fields with
+product tables (w <= 8) take blocks: :func:`scaler`, :func:`combine`,
+:meth:`LinearCode.syndrome` and :meth:`LinearCode.solve_syndrome` refuse
+the others through one check, ``_check_blocks``, before any work, and a
+call of one symbol never runs it.  :class:`PlanSlot` holds the one
 rule for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound
 on the bytes a compiled map holds; :func:`recall` is the get-or-build
 rule of every bounded cache, evicting the least recently used entry.
@@ -362,8 +369,8 @@ class ByteMap:
 
 
 class SplitMap:
-    """A GF(2^w)-linear map of symbols to one int as split product
-    tables, for w <= 8: the 4-bit split of Plank, Greenan and Miller
+    """A GF(2^w)-linear map of symbols to ``height`` symbols as split
+    product tables, for w <= 8: the 4-bit split of Plank, Greenan and Miller
     ("Screaming fast Galois field arithmetic using Intel SIMD
     instructions", FAST 2013).
 
@@ -373,7 +380,8 @@ class SplitMap:
     int, for every t below 16 whose multiple lies in the field.
     :meth:`image` then maps a symbol v with two lookups,
     ``lo[j][v & 15] ^ hi[j][v >> 4]``, and no ``bytes.translate`` or
-    ``int.from_bytes``.  Each entry is one translate of the column,
+    ``int.from_bytes``, and returns the sum's ``height`` bytes, one per
+    output symbol.  Each entry is one translate of the column,
     through the product tables of 0 to 15 for ``lo`` and of 0, 16, ..,
     240 for ``hi``.  Tuples keep their items inline: one pointer fewer
     per lookup than lists.  The tables hold up to 32 ints per column,
@@ -397,14 +405,39 @@ class SplitMap:
             self.hi.append(tuple([from_bytes(col.translate(t), "little")
                                   for t in high]))
 
-    def image(self, symbols: Iterable[int]) -> int:
-        """The map of ``symbols`` (in range, one per column) as one int:
-        byte i is output symbol i.  A negative symbol reads a wrong
-        entry silently, so callers check symbols first."""
+    def image(self, symbols: Iterable[int]) -> bytes:
+        """The map of ``symbols`` (in range, one per column), one output
+        symbol per byte.  A negative symbol reads a wrong entry
+        silently, so callers check symbols first."""
         acc = 0
         for lo, hi, v in zip(self.lo, self.hi, symbols):
             acc ^= lo[v & 15] ^ hi[v >> 4]
-        return acc
+        return acc.to_bytes(self.height, "little")
+
+
+def _check_blocks(field: GF) -> None:
+    # The one block rule: a block holds one byte per symbol, so only a
+    # field with product tables (w <= 8) takes blocks of L > 1 words.
+    # Each block entry point (scaler, combine, LinearCode.syndrome and
+    # solve_syndrome) calls it for L > 1 before any work; a scalar call
+    # never does.
+    if field.mul_tables is None:
+        raise ValueError("blocks need a field with w <= 8")
+
+
+def scaler(field: GF, block: int = 1) -> Callable[[int, int], int]:
+    """The multiply ``a * v`` of a field element a by a symbol v, or with
+    ``block`` L > 1 by a block of L byte symbols (see :func:`pack_blocks`),
+    each times a: one ``bytes.translate`` through a's product table (see
+    :attr:`GF.mul_tables`).  The symbol form is ``GF.mul``.  Blocks over
+    a field with no product tables raise ``ValueError`` here, before any
+    multiply."""
+    if block == 1:
+        return field.mul
+    _check_blocks(field)
+    tables, from_bytes = field.mul_tables, int.from_bytes
+    return lambda a, v: from_bytes(
+        v.to_bytes(block, "little").translate(tables[a]), "little")
 
 
 def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
@@ -420,7 +453,8 @@ def pack_blocks(words: Sequence[Sequence[int]], block: int = 1) -> list[int]:
     bytes, as one word of (g * block)-byte blocks: word i's block sits
     at byte offset i * block of each position.  One word packs to
     itself.  A block holds one byte per symbol, so only fields with
-    w <= 8 take blocks."""
+    product tables (w <= 8) take blocks: :func:`scaler`, :func:`combine`
+    and :class:`LinearCode` refuse the others by one check."""
     if len(words) == 1:
         return list(words[0])
     from_bytes, raw = int.from_bytes, _raw(block)
@@ -451,15 +485,15 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     are XORed as one big integer, as in :meth:`ByteMap.image`; wider
     fields multiply symbol by symbol and take no blocks.
     """
-    if field.w <= 8:
-        tables, from_bytes = field.mul_tables, int.from_bytes
-        raw = _raw(block)
+    if block > 1:
+        _check_blocks(field)
+    tables = field.mul_tables
+    if tables is not None:
+        from_bytes, raw = int.from_bytes, _raw(block)
         acc = 0
         for g, row in terms:
             acc ^= from_bytes(raw(row).translate(tables[g]), "little")
         return unpack_block(acc, width, block)
-    if block > 1:
-        raise ValueError("blocks need a field with w <= 8")
     mul = field.mul
     out = [0] * width
     for g, row in terms:
@@ -575,10 +609,10 @@ class LinearCode:
         """
         if len(word) != self.length:
             raise ValueError("vector length mismatch")
-        if self.field.w <= 8:
-            return self._checks.image(word, block)
         if block > 1:
-            raise ValueError("blocks need a field with w <= 8")
+            _check_blocks(self.field)
+        if self._checks is not None:
+            return self._checks.image(word, block)
         return self.check_matrix.mul_vec(word)
 
     def _compile(self, erased: Sequence[int]) -> ByteMap | None:
@@ -682,8 +716,8 @@ class LinearCode:
         :class:`NoSolutionError` when the survivors contradict the code,
         and ``ValueError`` before any work on blocks over w > 8.
         """
-        if block > 1 and self.field.w > 8:
-            raise ValueError("blocks need a field with w <= 8")
+        if block > 1:
+            _check_blocks(self.field)
         if not erased:
             if any(syndrome):
                 raise NoSolutionError("inconsistent system")

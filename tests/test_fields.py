@@ -221,16 +221,21 @@ def test_modulus_validation():
         GF(17)                       # no default modulus for width 17
 
 
-@pytest.mark.parametrize("w", [4, 8, 10])
+@pytest.mark.parametrize("w", [4, 8, 10, 20])
 def test_check_symbols_accepts_exactly_the_field(w):
-    f = GF(w)
+    """Ints and bools in [0, 2^w) pass; anything else, a value that is no
+    int included, raises the documented ValueError, at either width."""
+    f = GF(w, 0x100009) if w == 20 else GF(w)
     top = (1 << w) - 1
     f.check_symbols([], "symbol")
     f.check_symbols([0, top, 1], "symbol")
     f.check_symbols(iter([top] * 3), "symbol")
-    for bad in (-1, top + 1, 2 * top, 1 << 20):
-        with pytest.raises(ValueError, match="^symbol out of field range$"):
-            f.check_symbols([0, bad, 1], "symbol")
+    f.check_symbols([True, False, top], "symbol")
+    for bad in (-1, top + 1, 2 * top, 1 << 30, 1.5, 2.0, "3", None):
+        for values in ([0, bad, 1], [bad], [top, bad]):
+            with pytest.raises(ValueError,
+                               match="^symbol out of field range$"):
+                f.check_symbols(values, "symbol")
 
 
 def test_two_primitive_known_values():

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from gpcodes import gpc, linalg
-from gpcodes.epc import LinearCode, build_h2
+from gpcodes.epc import LinearCode, build_h2, lc_encode, lc_erasure_decode
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
                          GpcParams, SymbolArray, UncorrectableError,
@@ -766,16 +766,29 @@ def test_a_trace_on_a_cached_plan_equals_a_fresh_one(plans):
     lambda h, nodes: LinearCode(h), lambda h, nodes: gpc._RowCode(h, nodes)],
     ids=["LinearCode", "_RowCode"])
 def test_blocks_over_a_wide_field_raise_before_any_work(make):
-    """solve_syndrome refuses blocks over GF(2^10) as syndrome and
-    combine do, before its erasure count is looked at."""
-    field = default_field(10)
-    nodes = [field.alpha_pow(j) for j in range(7)]
-    code = make(linalg.vandermonde(field, nodes, 3), nodes)
-    for erased in ((0, 1), (0, 1, 2, 3), ()):
-        with pytest.raises(ValueError, match=r"^blocks need a field with "
-                           r"w <= 8$"):
-            code.solve_syndrome([5, 6, 7], erased, 3)
-    assert code.solve_syndrome([0, 0, 0], (), 1) == []
+    """A row code's block entry points, its closed-form solve_syndrome
+    included, refuse blocks over GF(2^10) and GF(2^20) through linalg's
+    one block rule, before the erasure count is looked at and before any
+    row or symbol is written; L = 1 runs."""
+    for field in (default_field(10), GF(20, 0x100009)):
+        nodes = [field.alpha_pow(j) for j in range(7)]
+        code = make(linalg.vandermonde(field, nodes, 3), nodes)
+        syndrome, word = [5, 6, 7], [1, 2, 3, 4, 5, 0, 0]
+        rows = [word[:], [7, 6, 5, 4, 3, 0, 0]]
+        calls = [lambda e=e: code.solve_syndrome(syndrome, e, 3)
+                 for e in ((0, 1), (0, 1, 2, 3), ())]
+        calls += [lambda: code.syndrome(word, 3),
+                  lambda: code.fill(word, (5, 6), 3),
+                  lambda: code.fill_rows(rows, {(5, 6): [0, 1]}, 3)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^blocks need a field "
+                               r"with w <= 8$"):
+                call()
+        assert syndrome == [5, 6, 7] and word == [1, 2, 3, 4, 5, 0, 0]
+        assert rows == [word, [7, 6, 5, 4, 3, 0, 0]]
+        assert code.solve_syndrome([0, 0, 0], (), 1) == []
+        code.fill(word, (4, 5, 6))
+        assert not any(code.syndrome(word))
 
 
 def test_decode_iterative_staircase():
@@ -1224,6 +1237,35 @@ def test_out_of_field_survivor_raises(decoder, value, encoders, monkeypatch):
     assert row_plans(encoders[p]) == []
     with pytest.raises(ValueError, match="survivor out of field range"):
         decoder(bad, p)
+
+
+@pytest.mark.parametrize("field", [F16, default_field(8), default_field(10),
+                                   GF(20, 0x100009)],
+                         ids=["w4", "w8", "w10", "w20"])
+@pytest.mark.parametrize("bad", [1.5, 2.0, "3", None])
+def test_symbols_that_are_no_int_raise_the_range_error(field, bad):
+    """A float, a string or None among the data, the symbols of a word
+    or its survivors raises the same ValueError as an int outside the
+    field, before any work, from every entry point and at every width."""
+    p = GpcParams(m=4, n=5, k=3, s=(2, 2), u=(1, 2), field=field)
+    code = build_h2(3, 3, field)
+    rng = random.Random(239)
+    word = rand_codeword(p, rng)
+    flat = lc_encode([rng.randrange(1 << field.w)
+                      for _ in range(code.dimension)], code)
+    data = [1] * (p.dimension() - 1) + [bad]
+    changed = word.copy()
+    changed.values[1][2] = bad
+    cases = [("data symbol", encode, data, p),
+             ("symbol", is_member, changed, p),
+             ("survivor", decode_rows, erase_positions(changed, [(0, 0)]), p),
+             ("data symbol", lc_encode, [1] * (code.dimension - 1) + [bad],
+              code),
+             ("survivor", lc_erasure_decode, flat[:-1] + [bad], {0}, code)]
+    for what, fn, *args in cases:
+        with pytest.raises(ValueError, match=f"^{what} out of field range$"):
+            fn(*args)
+    assert decode_rows(erase_positions(word, [(0, 0)]), p) == word
 
 
 # ---------------------------------------------------------------- transpose

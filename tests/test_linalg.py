@@ -489,7 +489,7 @@ def test_split_map_entries_are_the_column_products(w):
         expected = 0
         for v, col in zip(symbols, columns):
             expected ^= times(v, col)
-        assert split.image(symbols) == expected
+        assert split.image(symbols) == expected.to_bytes(height, "little")
 
 
 @pytest.mark.parametrize("compiled", [False, True], ids=["solve", "plan"])
@@ -806,7 +806,27 @@ def test_linear_code_reads_field_and_length_from_its_check_matrix():
 
 
 def test_wide_field_block_fill_raises():
-    f = default_field(10)
-    code = LinearCode(vandermonde(f, [f.alpha_pow(j) for j in range(5)], 2))
-    with pytest.raises(ValueError, match="w <= 8"):
-        code.fill([0, 1, 2, 0, 0], (3, 4), 2)
+    """Every block entry point refuses blocks of L > 1 words over
+    GF(2^10) and GF(2^20), which have no product tables, with the one
+    block rule's error and before it writes anything; L = 1 runs."""
+    for f in (default_field(10), GF(20, 0x100009)):
+        code = LinearCode(vandermonde(f, [f.alpha_pow(j) for j in range(5)],
+                                      2))
+        word, rows = [0, 1, 2, 0, 0], [[0, 1, 2, 0, 0], [3, 0, 4, 0, 0]]
+        syndrome = [5, 6]
+        calls = [lambda: linalg.scaler(f, 2),
+                 lambda: combine(f, [(3, [1, 2, 3, 4, 5])], 5, 2),
+                 lambda: code.syndrome(word, 2),
+                 lambda: code.fill(word, (3, 4), 2),
+                 lambda: code.fill_rows(rows, {(3, 4): [0, 1]}, 2),
+                 lambda: code.solve_syndrome(syndrome, (3, 4), 2),
+                 lambda: code.solve_syndrome(syndrome, (), 2)]
+        for call in calls:
+            with pytest.raises(ValueError,
+                               match=r"^blocks need a field with w <= 8$"):
+                call()
+        assert word == [0, 1, 2, 0, 0] and syndrome == [5, 6]
+        assert rows == [[0, 1, 2, 0, 0], [3, 0, 4, 0, 0]]
+        assert linalg.scaler(f)(3, 5) == f.mul(3, 5)
+        code.fill(word, (3, 4))
+        assert not any(code.syndrome(word))

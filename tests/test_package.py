@@ -1,9 +1,11 @@
 """The package root's lazy exports, what a CLI launch imports, and the
 value records of the library."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +80,36 @@ def test_gpc_params_level_vectors_become_tuples():
     tupled = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4), field=F8)
     assert listed == tupled and hash(listed) == hash(tupled)
     assert listed != GpcParams(6, 7, 4, [2, 1, 3], [1, 3, 5], F8)
+
+
+# Attributes that reach into a field's tables or a symbol's bytes: gpc
+# takes every multiply from linalg, so outside its encoder compile it
+# reads none of them.
+FIELD_INTERNALS = {"mul_tables", "_exp", "_log", "to_bytes", "from_bytes",
+                   "translate"}
+
+
+def _attribute_reads(node, scope=()):
+    """(scope, attribute) for every attribute read under ``node``, scope
+    the names of the classes and functions that enclose it."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Attribute):
+            yield scope, child.attr
+        yield from _attribute_reads(child, inner)
+
+
+def test_gpc_takes_its_field_arithmetic_from_linalg():
+    """Outside the encoder compile, gpc reads no product table, exp/log
+    table or byte form of a symbol, and reads a field's width only to
+    validate parameters: linalg owns every multiply and the block rule."""
+    source = (Path(gpcodes.__file__).parent / "gpc.py").read_text()
+    reads = list(_attribute_reads(ast.parse(source)))
+    assert (("_compile_encoder",), "to_bytes") in reads   # the walk sees it
+    assert [(scope, attr) for scope, attr in reads
+            if attr in FIELD_INTERNALS
+            and "_compile_encoder" not in scope] == []
+    assert {scope for scope, attr in reads if attr == "w"} == {
+        ("GpcParams", "violations")}

@@ -240,8 +240,7 @@ def test_compiled_encoder_matches_scalar():
                         for _ in range(params.dimension())]
                 expected = gpc._encode_pass(data, params,
                                             params.parity_positions())
-                symbols = [*data, *parity.image(data).to_bytes(
-                    parity.height, "little")]
+                symbols = [*data, *parity.image(data)]
                 rows = [list(row(symbols)) for row in compiled.rows]
                 assert rows == expected.values
 

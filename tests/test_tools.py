@@ -169,3 +169,12 @@ def test_mutants_reports_a_surviving_mutant_and_a_stale_pattern(capsys):
     assert tool.run_table([live], run=lambda root, tests: True) == 0
     assert capsys.readouterr().out.startswith(f"caught: {live.name}\n")
 
+
+def test_digest_of_the_library_outputs_is_pinned():
+    """tools/digest.py hashes the outputs, traces and errors of every
+    decoder and encoder on its seeded inputs.  A change that alters any
+    of them must update this pin and say why in CHANGES.md."""
+    digest = load_tool("digest").compute()
+    assert (digest.items, digest.raised) == (1798, 432)
+    assert digest.hash.hexdigest() == (
+        "63d2b07139b6eb809092de21a9bcb957caff661be530c39690d8f37345fac827")

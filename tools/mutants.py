@@ -60,6 +60,7 @@ CLOSED_FORM = ("tests/test_gpc.py::test_closed_form_row_solves_equal_the_"
                "generic_solve")
 GROUPED_ROWS = ("tests/test_gpc.py::test_grouped_row_repairs_match_scalar_"
                 "reference")
+BLOCK_RULE = "tests/test_linalg.py::test_wide_field_block_fill_raises"
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -170,9 +171,6 @@ MUTANTS = (
            "for k in range(e - 1):", "for k in range(e - 2):",
            (CLOSED_FORM, "tests/test_gpc.py::test_decode_rows_roundtrip_"
             "random")),
-    Mutant("a block is multiplied by the wrong node", GPC,
-           "translate(tables[a])", "translate(tables[a ^ 1])",
-           (CLOSED_FORM, GROUPED_ROWS)),
     Mutant("GpcParams gets an instance dict", GPC,
            "    __slots__ = ()\n\n    def __new__", "    def __new__",
            ("tests/test_package.py::test_records_are_immutable_values",)),
@@ -207,6 +205,18 @@ MUTANTS = (
            "rows[i] = [v ^ exp[lf + log[q]]",
            ("tests/test_linalg.py::test_eliminate_on_int_lists_equals_the_"
             "mul_reference",)),
+    Mutant("a block is multiplied by the wrong node", LINALG,
+           "translate(tables[a])", "translate(tables[a ^ 1])",
+           (CLOSED_FORM, GROUPED_ROWS)),
+    Mutant("a block multiply reverses the bytes of its block", LINALG,
+           'v.to_bytes(block, "little").translate(tables[a])',
+           'v.to_bytes(block, "big").translate(tables[a])',
+           (CLOSED_FORM, GROUPED_ROWS)),
+    Mutant("the block rule lets GF(2^10) through", LINALG,
+           "    if field.mul_tables is None:\n",
+           "    if field.w > 16:\n",
+           (BLOCK_RULE, "tests/test_gpc.py::test_blocks_over_a_wide_field_"
+            "raise_before_any_work")),
     Mutant("maps compile on their third use", LINALG,
            "before <= 1 < self.uses", "before <= 2 < self.uses",
            ("tests/test_linalg.py::test_every_map_compiles_on_its_second_use",)),
