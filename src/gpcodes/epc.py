@@ -24,16 +24,18 @@ the t = 1 generalized product code of
 :func:`gpcodes.gpc.full_parity_matrix`, one sum per array row and one
 per array column, plus the global power rows.
 
-Each has one syndrome, for w <= 8 computed in grid form: the m row
-sums and n column sums from strided and plain slices of the word's
-bytes, and each power row from one ``bytes.translate`` per array row
-and an n-step Horner sum.  That is the syndrome form in which
-partial-MDS codes are decoded (Blaum, Hafner and Hetzler, IEEE Trans.
-IT 2013).  Every erasure plan of a ``LinearCode`` reads the syndrome,
-here these r = m + n + g check symbols.  So an encode or a stopping-set
-repair costs m * g translates and m + n slices for the syndrome, and
-at most r translates for the plan.  Blocks of words take the generic
-syndrome.
+Each has one syndrome, for w <= 8 computed in grid form from the
+word's bytes as one int, by power sums in halvings
+(:class:`~gpcodes.linalg.Fold`): the n column sums fold the m array
+rows, the m row sums fold each row's n bytes at once, and each power
+row folds the array rows with one base, then takes an n-step Horner
+sum.  That is the syndrome form in which partial-MDS codes are decoded
+(Blaum, Hafner and Hetzler, IEEE Trans. IT 2013).  Every erasure plan
+of a ``LinearCode`` reads the syndrome, here these r = m + n + g check
+symbols.  So an encode or a stopping-set repair costs
+(g + 1) * ceil(log2 m) + ceil(log2 n) halvings for the syndrome,
+g * ceil(log2 m) of them with one translate each, and at most r
+translates for the plan.  Blocks of words take the generic syndrome.
 
 :func:`lc_erasure_decode` decodes them local first, as storage codes
 with local and global parities are meant to be repaired: it takes the
@@ -56,8 +58,8 @@ from .fields import GF, field_with_order
 from .gpc import (ContradictionError, GpcParams, UncorrectableError, _Rules,
                   full_parity_matrix)
 # ``solve`` is unused but stays bound for perfbench's tracer test.
-from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
-                     UnderdeterminedError, solve)
+from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
+                     NoSolutionError, UnderdeterminedError, solve)
 
 
 class EpcShape(_Rules, NamedTuple("EpcShape", [
@@ -130,9 +132,8 @@ class _PowerRowsCode(LinearCode):
     # alpha^(step*j) for each of ``steps``.  It keeps that EpcShape as
     # ``shape``.  lc_erasure_decode peels its words on the sums before
     # any fill.  For w <= 8 the syndrome of a single word, which the peel
-    # tracks and every plan reads, is computed in grid form, with power
-    # tables built with the code: per step, the product tables of
-    # alpha^(step*r*n) for each array row r, and that of alpha^step.
+    # tracks and every plan reads, is computed in grid form, with fold
+    # plans built with the code.
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
@@ -147,44 +148,39 @@ class _PowerRowsCode(LinearCode):
             [f.alpha_pow(step * j) for j in range(m * n)] for step in steps]))
         self.m, self.n = m, n
         self.shape = EpcShape(m, 1, n, 1, len(steps))
-        mul = f.mul_tables
-        self._power_tables = None if mul is None else [
-            ([mul[f.alpha_pow(s * r * n)] for r in range(m)],
-             mul[f.alpha_pow(s)]) for s in steps]
+        # The syndrome's folds (see syndrome), for w <= 8: the column sums
+        # and V_s per step, the row sums, and Horner's alpha^s per step.
+        if f.mul_tables is not None:
+            self._col = Fold(f, m, n, [f.alpha_pow(s * n) for s in (0,) + steps])
+            self._row = Fold(f, n, 1, [1], repeat=m)
+            self._horner = [f.mul_tables[f.alpha_pow(s)] for s in steps]
 
     def syndrome(self, word: Sequence[int], block: int = 1) -> list[int]:
         """``check_matrix.mul_vec(word)`` for a word of symbols in range.
 
-        For a single word with w <= 8 in grid form, from the word's
-        bytes and their m row slices.  The m row sums XOR its n strided
-        slices as big integers, and the n column sums its row slices.
-        With j = r*n + c, power row alpha^(s*j) is the sum over c of
-        alpha^(s*c) times V_c, V_c the sum over r of alpha^(s*r*n) times
-        the cell (r, c).  So V is one ``bytes.translate`` per array row,
-        XORed as one big integer, and the sum an n-step Horner in
-        alpha^s.  Blocks and wider fields run :meth:`LinearCode.syndrome`.
+        For a single word with w <= 8 in grid form, from the word's bytes
+        as one int, by :class:`~gpcodes.linalg.Fold` plans built with the
+        code.  The n column sums fold the m array rows, and the m row sums
+        fold each row's n bytes at once.  With j = r*n + c, power row
+        alpha^(s*j) is the sum over c of alpha^(s*c) times V_c, V_c the
+        sum over r of alpha^(s*r*n) times the cell (r, c).  So V folds the
+        array rows with base alpha^(s*n), in ceil(log2 m) translates, and
+        the sum is an n-step Horner in alpha^s.  Blocks and wider fields
+        run :meth:`LinearCode.syndrome`.
         """
         if self.field.w > 8 or block > 1:
             return super().syndrome(word, block)
         if len(word) != self.length:
             raise ValueError("vector length mismatch")
-        m, n, from_bytes = self.m, self.n, int.from_bytes
-        raw = bytes(word)
-        rows = [raw[i:i + n] for i in range(0, m * n, n)]
-        row_sums = col_sums = 0
-        for c in range(n):
-            row_sums ^= from_bytes(raw[c::n], "little")
-        for row in rows:
-            col_sums ^= from_bytes(row, "little")
-        out = [*row_sums.to_bytes(m, "little"),
+        m, n = self.m, self.n
+        cells = int.from_bytes(bytearray(word), "little")
+        col_sums, *powers = self._col(cells)
+        out = [*self._row(cells)[0].to_bytes(m * n, "little")[::n],
                *col_sums.to_bytes(n, "little")]
-        for row_tables, step in self._power_tables:
-            acc = 0
-            for row, table in zip(rows, row_tables):
-                acc ^= from_bytes(row.translate(table), "little")
+        for v, step in zip(powers, self._horner):
             total = 0
-            for v in acc.to_bytes(n, "big"):
-                total = step[total] ^ v
+            for c in v.to_bytes(n, "big"):
+                total = step[total] ^ c
             out.append(total)
         return out
 
@@ -297,7 +293,8 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     raised.  When the survivors contradict the code, a word with no
     erasures included, its subclass :class:`ContradictionError` is
     raised.  Survivors must lie in the field; the symbols at erased
-    positions are ignored.
+    positions are ignored.  An erased position that is not an int in
+    ``range(code.length)`` raises ``ValueError``.
 
     The codes of :func:`build_h2` and :func:`build_h3` decode local
     first, from the code's syndrome of the word with its erased symbols
@@ -326,9 +323,9 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     """
     if len(values) != code.length:
         raise ValueError("word length mismatch")
-    cols = sorted(erased)
-    if cols and not 0 <= cols[0] <= cols[-1] < code.length:
+    if not all(isinstance(j, int) and 0 <= j < code.length for j in erased):
         raise ValueError("erased position out of range")
+    cols = sorted(erased)
     known = list(values)
     for j in cols:
         known[j] = 0

@@ -319,14 +319,14 @@ class GF:
         """Raise ``ValueError("<what> out of field range")`` unless every
         value is an int (a bool counts) in [0, 2^w).
 
-        For w <= 8, ``bytes`` rejects every value that is no int in
-        [0, 256) in one C pass, and only w < 8 needs a ``max`` of the
-        bytes after it; wider fields take each value's ``__index__``
-        first, as ``bytes`` does.
+        For w <= 8, ``bytearray`` rejects every value that is no int in
+        [0, 256) in one C pass, faster than ``bytes`` on a list, and only
+        w < 8 needs a ``max`` of the bytes after it; wider fields take
+        each value's ``__index__`` first, as ``bytearray`` does.
         """
         try:
             if self.w <= 8:
-                block = bytes(values)
+                block = bytearray(values)
                 ok = self.w == 8 or max(block, default=0) >> self.w == 0
             else:
                 values = list(map(index, values))

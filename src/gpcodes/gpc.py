@@ -37,10 +37,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
-from .linalg import (LinearCode, Matrix, NoSolutionError,  # noqa: F401
-                     PlanSlot, SplitMap, UnderdeterminedError, combine, kron,
-                     null_space, recall, row_reduce, scaler, solve,
-                     vandermonde, vstack)
+from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
+                     NoSolutionError, PlanSlot, SplitMap, UnderdeterminedError,
+                     combine, kron, null_space, recall, row_reduce, scaler,
+                     solve, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -248,10 +248,18 @@ class SymbolArray:
                             [flags[:] for flags in self.erased])
 
     def erase(self, r: int, c: int) -> None:
-        self.values[r][c] = 0
+        """Erase cell (r, c); ``ValueError`` unless r and c are ints in
+        range."""
+        self.fill(r, c, 0)
         self.erased[r][c] = True
 
     def fill(self, r: int, c: int, value: int) -> None:
+        """Set cell (r, c) to ``value`` and clear its erasure;
+        ``ValueError`` unless r and c are ints in range: an index never
+        wraps around from the end."""
+        if not (isinstance(r, int) and isinstance(c, int)
+                and 0 <= r < self.m and 0 <= c < self.n):
+            raise ValueError(f"cell {r, c} not in the {self.m}x{self.n} array")
         self.values[r][c] = value
         self.erased[r][c] = False
 
@@ -280,6 +288,9 @@ class SymbolArray:
 
 def erase_positions(arr: SymbolArray,
                     positions: Iterable[tuple[int, int]]) -> SymbolArray:
+    """A copy of ``arr`` with the cells ``positions``, (row, column)
+    pairs, erased; ``ValueError`` on a position that is not a pair of
+    ints in range, negative ones included."""
     out = arr.copy()
     for r, c in positions:
         out.erase(r, c)
@@ -386,6 +397,7 @@ class _View(NamedTuple):
     dim: int                    # K, the data symbols per array
     budgets: tuple[int, ...]    # params.erasure_budgets()
     powers: list[list[int]]     # alpha^(r * j) for r, j < m
+    combos: Fold                # the row combinations r < s_hat(1)
 
 
 # Views by params, least recently used evicted first: at most 16
@@ -413,7 +425,8 @@ def _view(params: GpcParams) -> _View:
                               for h in _level_checks(params)],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot(), params.dimension(), params.erasure_budgets(),
-                     vandermonde(f, nodes[:m], m).data)
+                     vandermonde(f, nodes[:m], m).data,
+                     Fold(f, m, params.n, nodes[:params.s_hat(1)]))
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -470,7 +483,8 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     Every row's level-0 checks are one batch fill of no erasures,
     :meth:`~gpcodes.linalg.LinearCode.fill_rows`, which raises when a
     row's syndrome does not vanish; each row combination r < s_hat(1),
-    summed with :func:`~gpcodes.linalg.combine`, goes through the
+    row j weighted by alpha^(r*j), is one power sum of the view's
+    :class:`~gpcodes.linalg.Fold` with base alpha^r, and goes through the
     syndrome of the deepest level it lies in (budget r is its strength;
     level t's is zero).  The levels nest, so that check implies the
     shallower ones.  Raises ``ValueError`` when a symbol lies outside
@@ -485,9 +499,7 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
         view.levels[0].fill_rows(arr.values, {(): range(params.m)})
     except NoSolutionError:
         return False
-    # Combination r weights row j by alpha^(r*j).
-    for r, gamma in enumerate(view.powers[:params.s_hat(1)]):
-        combo = combine(params.field, zip(gamma, arr.values), params.n)
+    for r, combo in enumerate(view.combos.sums(arr.values)):
         level = bisect_left(params.u, view.budgets[r])
         if any(view.levels[level].syndrome(combo) if level < params.t
                else combo):

@@ -31,17 +31,21 @@ encode and decode: ``lc_encode`` fills the parity positions.
 :class:`SplitMap` is gpc's encoder map, its columns as split product
 tables: two lookups per symbol at about 40 times the memory.
 :func:`combine` sums weighted rows with the same product tables, and
-holds the symbol-wise loop for w > 8.  :func:`scaler` is the one
+holds the symbol-wise loop for w > 8.  :class:`Fold` sums the m rows of
+a word held as one big integer, row r weighted by b^r, in ceil(log2 m)
+halvings of at most one translate each: the flat codes' grid syndrome
+and gpc's membership combinations take it.  :func:`scaler` is the one
 multiply of a field element by a symbol (``GF.mul``) or by a block of L
 byte symbols (one ``bytes.translate``), the form gpc's closed-form row
 solves take.  A block holds one byte per symbol, so only fields with
 product tables (w <= 8) take blocks: :func:`scaler`, :func:`combine`,
-:meth:`LinearCode.syndrome` and :meth:`LinearCode.solve_syndrome` refuse
-the others through one check, ``_check_blocks``, before any work, and a
-call of one symbol never runs it.  :class:`PlanSlot` holds the one
-rule for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound
-on the bytes a compiled map holds; :func:`recall` is the get-or-build
-rule of every bounded cache, evicting the least recently used entry.
+a :class:`Fold` call, :meth:`LinearCode.syndrome` and
+:meth:`LinearCode.solve_syndrome` refuse the others through one check,
+``_check_blocks``, before any work, and a call of one symbol never runs
+it.  :class:`PlanSlot` holds the one rule for when a map is compiled,
+and ``MAP_BYTES_LIMIT`` the one bound on the bytes a compiled map
+holds; :func:`recall` is the get-or-build rule of every bounded cache,
+evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
@@ -420,7 +424,8 @@ def _check_blocks(field: GF) -> None:
     # field with product tables (w <= 8) takes blocks of L > 1 words.
     # Each block entry point (scaler, combine, LinearCode.syndrome and
     # solve_syndrome) calls it for L > 1 before any work; a scalar call
-    # never does.
+    # never does.  A Fold call, whose word is a block of rows, always
+    # does.
     if field.mul_tables is None:
         raise ValueError("blocks need a field with w <= 8")
 
@@ -499,6 +504,72 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     for g, row in terms:
         out = [a ^ mul(g, v) if v else a for a, v in zip(out, row)]
     return out
+
+
+class Fold:
+    """For each base b of ``bases``, the power sum sum_r b^r * row_r of
+    the ``rows`` rows of a word, in ceil(log2 rows) halvings.
+
+    For w <= 8 a call takes the word as one little-endian int, row r at
+    byte offset r * ``size``, and returns one int of ``size`` bytes per
+    base.  A halving of k rows keeps the low keep = ceil(k / 2) rows and
+    adds to them the floor(k / 2) rows above, shifted down and
+    multiplied by b^keep with one ``bytes.translate`` through its
+    product table (none when b^keep = 1): sum_(r<k) b^r row_r is
+    sum_(r<keep) b^r (row_r + b^keep row_(keep+r)).  With ``repeat`` R
+    the word holds R such groups of rows end to end, masks repeated per
+    group halve every group at once, and group i's sum is the ``size``
+    bytes at offset i * rows * size, every other byte 0: with one-byte
+    rows, each array row's own byte sum.  The plan, each halving's
+    shift, masks and tables, is built once with the object.  A field
+    with no product tables (w > 8) takes only :meth:`sums`, and a call
+    over it raises ``ValueError`` through linalg's block rule.
+    """
+
+    __slots__ = ("field", "size", "bases", "plans")
+
+    def __init__(self, field: GF, rows: int, size: int, bases: Sequence[int],
+                 repeat: int = 1):
+        self.field, self.size, self.bases = field, size, bases
+        every = sum(1 << 8 * rows * size * i for i in range(repeat))
+        tables, steps, keep = field.mul_tables, [], rows
+        while tables and keep > 1:
+            keep, top = (keep + 1) // 2, keep // 2
+            # A lone group's shift leaves only its top rows: no mask.
+            steps.append((keep, 8 * keep * size,
+                          ((1 << 8 * keep * size) - 1) * every,
+                          ((1 << 8 * top * size) - 1) * every if repeat > 1
+                          else None, ((repeat - 1) * rows + top) * size))
+        # Per base, each halving's shift, masks, bytes shifted and table.
+        self.plans = [[(*step, tables[g] if (g := field.pow(b, k)) != 1
+                        else None) for k, *step in steps] for b in bases]
+
+    def __call__(self, word: int) -> list[int]:
+        """Each base's power sum of ``word``, an int of symbols in range
+        laid out as the class describes, one int per base."""
+        _check_blocks(self.field)
+        from_bytes, out = int.from_bytes, []
+        for plan, acc in zip(self.plans, [word] * len(self.plans)):
+            for shift, low, high, length, table in plan:
+                top = acc >> shift if high is None else acc >> shift & high
+                if table is not None:
+                    top = from_bytes(top.to_bytes(length, "little")
+                                     .translate(table), "little")
+                acc = acc & low ^ top
+            out.append(acc)
+        return out
+
+    def sums(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """Each base's power sum of ``rows``, ``size`` symbols each in
+        range, as a list of symbols: for w <= 8 a call on the rows' bytes
+        joined into one int, for wider fields :func:`combine` of the rows,
+        row r weighted by b^r."""
+        f, size = self.field, self.size
+        if f.mul_tables is None:
+            return [combine(f, ((f.pow(b, r), row) for r, row in
+                                enumerate(rows)), size) for b in self.bases]
+        word = int.from_bytes(b"".join(map(bytearray, rows)), "little")
+        return [list(v.to_bytes(size, "little")) for v in self(word)]
 
 
 class PlanSlot:

@@ -187,12 +187,15 @@ def test_h2_and_h3_rows_are_product_checks_then_power_rows(m, n, field):
                          ids=["w4", "w5", "w8", "w10"])
 def test_grid_syndrome_equals_mul_vec(field):
     """The syndrome of build_h2's and build_h3's codes, for w <= 8 in
-    grid form, is the check matrix times the word: on every shape up to
-    6 x 6 that the field allows, and on 15 x 17, for random words and
-    the all-zero and all-maximum ones."""
+    grid form, is the check matrix times the word: on every shape with
+    m, n in 2..9, 16 or 17 that the field allows, so that the folds of
+    the array rows and of each row's bytes meet an odd count at every
+    halving, and on 15 x 17, for random words and the all-zero and
+    all-maximum ones."""
     rng = random.Random(field.w)
     top = 1 << field.w
-    shapes = [(m, n) for m in range(2, 7) for n in range(2, 7)] + [(15, 17)]
+    sizes = [*range(2, 10), 16, 17]
+    shapes = [(m, n) for m in sizes for n in sizes] + [(15, 17)]
     built = 0
     for m, n in shapes:
         if field.alpha_order < m * n:
@@ -206,7 +209,7 @@ def test_grid_syndrome_equals_mul_vec(field):
             for word in words:
                 assert code.syndrome(word) == h.mul_vec(word), (build, m, n)
             built += 1
-    assert built == {4: 28, 5: 48, 8: 52, 10: 52}[field.w]
+    assert built == {4: 32, 5: 76, 8: 194, 10: 202}[field.w]
 
 
 def test_build_h2_validation():
@@ -446,7 +449,7 @@ def test_lc_erasure_decode_rejects_survivors_out_of_field(bad):
 def test_lc_erasure_decode_rejects_positions_out_of_range():
     code = build_h2(3, 3)
     word = lc_encode([3, 9], code)
-    for erased in ({-1}, {9}, {0, 9}):
+    for erased in ({-1}, {9}, {0, 9}, {1.0}, {"1"}, {None}, {0, "1"}):
         with pytest.raises(ValueError, match="erased position out of range"):
             lc_erasure_decode(word, erased, code)
 

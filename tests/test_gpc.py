@@ -536,6 +536,58 @@ def test_each_combination_is_checked_in_its_deepest_level(params):
             assert member == (params.s_hat(level) == 0)
 
 
+# a w = 4 grid code whose membership test takes three combinations
+W4_GRID = next(GpcParams(p.m, p.n, p.k, p.s, p.u, F16)
+               for p in _small_param_grid()
+               if not p.violations() and p.s_hat(1) == 3 and p.n > 3)
+
+
+@pytest.mark.parametrize("params", [
+    G16, FLAGSHIP, W4_GRID, GpcParams(m=6, n=7, k=4, s=(2, 1, 3),
+                                      u=(1, 3, 4), field=default_field(10))],
+    ids=["G16", "flagship", "w4_grid", "w10"])
+def test_membership_folds_equal_the_combined_rows(params):
+    """The view's folds give is_member each row combination r < s_hat(1),
+    r = 0 included, as combine sums it, row j times alpha^(r*j): on
+    random rows, codewords or not."""
+    view = gpc._view(params)
+    rng = random.Random(params.m * params.n)
+    top = 1 << params.field.w
+    for _ in range(4):
+        rows = [[rng.randrange(top) for _ in range(params.n)]
+                for _ in range(params.m)]
+        assert view.combos.sums(rows) == [
+            linalg.combine(params.field, zip(view.powers[r], rows), params.n)
+            for r in range(params.s_hat(1))]
+
+
+def test_codes_and_views_build_their_fold_plans_once(monkeypatch):
+    """build_h2's code builds its two fold plans with the code, and a
+    view its one with the view: syndromes, decodes, encodes and
+    membership tests build none."""
+    built = []
+    real = linalg.Fold.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[:3])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.Fold, "__init__", counting)
+    monkeypatch.setattr(gpc, "_VIEWS", {})
+    code = build_h2(15, 17)
+    assert len(built) == 2
+    word = lc_encode(list(range(code.dimension)), code)
+    for _ in range(3):
+        code.syndrome(word)
+        lc_erasure_decode(word, {0, 1, 17, 18}, code)
+    rng = random.Random(5)
+    arr = rand_codeword(G16, rng)
+    for _ in range(3):
+        assert is_member(arr, G16)
+        assert decode_rows(erase_positions(arr, [(0, 0)]), G16) == arr
+    assert built[2:] == [(G16.field, G16.m, G16.n)]
+
+
 def test_full_parity_matrix_rank():
     for p in (FLAGSHIP, PLUS_ONE, PRODUCT):
         assert rank(full_parity_matrix(p)) == p.m * p.n - p.dimension()
@@ -1412,3 +1464,22 @@ def test_symbol_array_copy_zeroes_erased_cells():
     assert arr.values[1] == [8, 5, 6] and not arr.erased[1][2]
     assert dup.flatten() == [1, 2, 0, 8, 7, 0]
 
+
+@pytest.mark.parametrize("position", [(-1, 0), (0, -1), (10**9, 0), (0, 3),
+                                      (2, 0), (0.0, 1), (0, 1.0), ("0", 1),
+                                      (None, 1)],
+                         ids=["negative row", "negative column", "huge row",
+                              "column past the end", "row past the end",
+                              "float row", "float column", "string row",
+                              "None row"])
+def test_a_position_outside_the_array_raises_value_error(position):
+    """erase_positions, SymbolArray.erase and SymbolArray.fill take only
+    int positions in range: a negative one never wraps around to the
+    end, and the array is left as it was."""
+    arr = SymbolArray([[1, 2, 3], [4, 5, 6]])
+    for call in (lambda: erase_positions(arr, [(1, 1), position]),
+                 lambda: arr.erase(*position),
+                 lambda: arr.fill(*position, 7)):
+        with pytest.raises(ValueError, match=r"not in the 2x3 array"):
+            call()
+        assert arr == SymbolArray([[1, 2, 3], [4, 5, 6]])

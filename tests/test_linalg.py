@@ -10,10 +10,10 @@ from gpcodes.epc import build_h2, build_h3
 from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (GpcParams, component_parity_check, encode,
                          full_parity_matrix)
-from gpcodes.linalg import (LinearCode, Matrix, NoSolutionError, PlanSlot,
-                            SplitMap, UnderdeterminedError, combine, kron,
-                            null_space, pack_blocks, rank, row_reduce, solve,
-                            unpack_block, vandermonde, vstack)
+from gpcodes.linalg import (Fold, LinearCode, Matrix, NoSolutionError,
+                            PlanSlot, SplitMap, UnderdeterminedError, combine,
+                            kron, null_space, pack_blocks, rank, row_reduce,
+                            solve, unpack_block, vandermonde, vstack)
 from test_acceptance import _small_param_grid
 from test_gpc import G16, grid_codes_over_wider_fields
 
@@ -461,6 +461,38 @@ def test_combine_blocks_equal_per_word_sums(field):
     got = combine(field, [(g, pack_blocks(rows)) for g, rows in terms],
                   width, count)
     assert _unpacked(got, count) == expected
+
+
+@pytest.mark.parametrize("field", [default_field(4), default_field(8),
+                                   default_field(10)], ids=["w4", "w8", "w10"])
+def test_fold_equals_the_weighted_row_sums(field):
+    """Fold's halvings give sum_r b^r row_r, the sum combine takes, for
+    every row count from 1 to 17, so with an odd count at every
+    halving, for b = 1, alpha and a random base, on rows of one to three
+    bytes, in one group or repeated groups each summed on its own; a
+    field without product tables takes only sums."""
+    rng = random.Random(211)
+    top = 1 << field.w
+    for rows in range(1, 18):
+        for size, repeat in ((1, 1), (3, 1), (1, 4), (2, 3)):
+            bases = [1, field.alpha_pow(1), rng.randrange(2, top)]
+            fold = Fold(field, rows, size, bases, repeat)
+            groups = [[[rng.randrange(top) for _ in range(size)]
+                       for _ in range(rows)] for _ in range(repeat)]
+            sums = [[combine(field, [(field.pow(b, r), row)
+                                     for r, row in enumerate(group)], size)
+                     for group in groups] for b in bases]
+            assert fold.sums(groups[0]) == [own[0] for own in sums]
+            if field.mul_tables is None:
+                with pytest.raises(ValueError, match="w <= 8"):
+                    fold(0)
+                continue
+            gap = bytes((rows - 1) * size)
+            word = b"".join(bytes(v for row in group for v in row)
+                            for group in groups)
+            assert fold(int.from_bytes(word, "little")) == [
+                int.from_bytes(gap.join(map(bytes, own)), "little")
+                for own in sums], (rows, size, repeat)
 
 
 @pytest.mark.parametrize("w", range(2, 9))

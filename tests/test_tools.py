@@ -4,6 +4,7 @@ import importlib.util
 import itertools
 import json
 import re
+import subprocess
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -147,6 +148,48 @@ def test_bench_pairs_refuses_a_bytecode_cache_in_one_checkout(
     (parent / "src" / "gpcodes" / "__pycache__").mkdir()
     assert tool.main([str(parent), str(change), *options]) == 0
     assert len(runs) == 4
+
+
+def test_bench_pairs_compares_archive_throughputs_from_the_report_line(
+        tmp_path, monkeypatch, capsys):
+    """Archive's encode and repair MB/s, read from the report line, are
+    printed and summarised next to the end-to-end metrics, with no
+    bound; a workload whose report has none prints none."""
+    tool = load_tool("bench_pairs")
+    names = [m["name"] for m in
+             json.loads(tool.BENCHMARK.read_text())["end_to_end"]]
+    speeds = {"parent": [2.0, 4.0, 3.0], "change": [3.0, 5.0, 2.5]}
+
+    def run(argv, cwd, **kwargs):
+        speed = speeds[Path(cwd).name].pop(0)
+        named = {"failed_ratio": {"value": 0.0, "unit": "ratio"}}
+        if "archive" in argv:
+            named.update({name: {"value": speed * (i + 1), "unit": "MB/s"}
+                          for i, name in enumerate(tool.THROUGHPUTS)})
+        result = {"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {name: {"value": 1.0} for name in names}}
+        lines = [json.dumps({"report": {"named": named}}), json.dumps(result)]
+        return subprocess.CompletedProcess(argv, 0, "\n".join(lines), "")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    checkouts = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    out = tmp_path / "bench.json"
+    options = ["--seed", "3", "--seconds", "1", "--pairs", "3"]
+    assert tool.main([*checkouts, "--workload", "archive", *options,
+                      "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1 + len(names):] == [
+        f"  {name}: parent {3.0 * i} (IQR {1.0 * i}), change {3.0 * i}, "
+        f"ratio 1.0, won 2 of 3" for i, name in enumerate(tool.THROUGHPUTS, 1)]
+    summary = json.loads(out.read_text())["summary"]["archive_seed3"]
+    assert summary["epc_repair_MBps"] == {
+        "parent_median": 12.0, "parent_iqr": 4.0, "change_median": 12.0,
+        "ratio": 1.0, "wins": 2}
+    speeds.update(parent=[1.0], change=[1.0])
+    assert tool.main([*checkouts, "--workload", "scrub", *options[:4],
+                      "--pairs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(names) and "within bound" in lines[-1]
 
 
 def test_mutants_reports_a_surviving_mutant_and_a_stale_pattern(capsys):

@@ -14,10 +14,14 @@ exits 2 before any run when only one checkout holds
 metric of ``BENCHMARK.json`` it prints the parent's median and
 interquartile range, the change's median, their ratio (change over
 parent), the pairs the change won, and whether the change's median
-lies within the metric's bound.  ``--out`` adds the series to a JSON
-record, created if missing, under ``summary["<workload>_seed<seed>"]``
-and ``runs``, the shape the ``BENCH_*.json`` files keep.  Exits 1 when
-any run fails an operation or reports wrong outputs.
+lies within the metric's bound.  Next to them it prints the same for
+archive's encode and repair throughputs, each family apart
+(``THROUGHPUTS``, in MB/s, higher better, no bound), read from the
+report line that precedes the result line.  ``--out`` adds the series
+to a JSON record, created if missing, under
+``summary["<workload>_seed<seed>"]`` and ``runs``, the shape the
+``BENCH_*.json`` files keep.  Exits 1 when any run fails an operation
+or reports wrong outputs.
 """
 
 import argparse
@@ -29,10 +33,14 @@ import sys
 from pathlib import Path
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# Named figures of archive's report, one per family and step.
+THROUGHPUTS = ("gpc_encode_MBps", "gpc_repair_MBps", "epc_encode_MBps",
+               "epc_repair_MBps")
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run in ``checkout``."""
+    """The result line of one untraced benchmark run in ``checkout``, with
+    the values of the report's ``THROUGHPUTS`` under ``"named"``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -42,7 +50,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode or not lines:
         raise RuntimeError(f"perfbench failed in {checkout} "
                            f"(exit {proc.returncode}): {proc.stderr[-500:]}")
-    return json.loads(lines[-1])
+    named = json.loads(lines[-2])["report"]["named"]
+    return {**json.loads(lines[-1]), "named": {
+        name: named[name]["value"] for name in THROUGHPUTS if name in named}}
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -58,6 +68,8 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
     <run.py result line>}`` for each run, and ``metrics`` the
     ``end_to_end`` entries of ``BENCHMARK.json`` (name, better, bound).
     A pair is won when the change's value is better than the parent's.
+    The ``THROUGHPUTS`` that every result holds under ``"named"`` are
+    compared the same way, with no bound.
     """
     results = {(r["side"], r["pair"]): r["result"] for r in runs}
     pairs = sorted({p for side, p in results if side == "parent"}
@@ -69,25 +81,32 @@ def summarise(runs: list[dict], metrics: list[dict]) -> dict:
                           for side in ("parent", "change"))}
     for metric in metrics:
         name, higher = metric["name"], metric["better"] == "higher"
+        out[name] = _compare(
+            [[results[side, p]["metrics"][name]["value"] for p in pairs]
+             for side in ("parent", "change")], higher)
+        ratio, bound = out[name]["ratio"], metric["bound"]
+        out[name]["within_bound"] = (ratio >= 1 - bound if higher
+                                     else ratio <= 1 + bound)
+    for name in THROUGHPUTS:
+        if pairs and all(name in r.get("named", {}) for r in results.values()):
+            out[name] = _compare(
+                [[results[side, p]["named"][name] for p in pairs]
+                 for side in ("parent", "change")], True)
+    return out
 
-        def values(side):
-            return [results[side, p]["metrics"][name]["value"] for p in pairs]
 
-        parent, change = values("parent"), values("change")
-        q1, parent_median, q3 = _quartiles(parent)
-        change_median = statistics.median(change)
-        ratio = change_median / parent_median
-        bound = metric["bound"]
-        out[name] = {
-            "parent_median": round(parent_median, 4),
+def _compare(series: list[list[float]], higher: bool) -> dict:
+    # The parent's median and interquartile range, the change's median,
+    # their ratio and the change's wins, from the two sides' values.
+    parent, change = series
+    q1, parent_median, q3 = _quartiles(parent)
+    change_median = statistics.median(change)
+    return {"parent_median": round(parent_median, 4),
             "parent_iqr": round(q3 - q1, 4),
             "change_median": round(change_median, 4),
-            "ratio": round(ratio, 3),
+            "ratio": round(change_median / parent_median, 3),
             "wins": sum((c > p) if higher else (c < p)
-                        for p, c in zip(parent, change)),
-            "within_bound": ratio >= 1 - bound if higher else ratio <= 1 + bound,
-        }
-    return out
+                        for p, c in zip(parent, change))}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,12 +140,15 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{key}: {summary['pairs']} pairs, failed "
           f"{summary['failed_parent']} / {summary['failed_change']}, "
           f"correct {summary['correct']}")
-    for metric in metrics:
-        s = summary[metric["name"]]
-        print(f"  {metric['name']}: parent {s['parent_median']} "
-              f"(IQR {s['parent_iqr']}), change {s['change_median']}, "
-              f"ratio {s['ratio']}, won {s['wins']} of {summary['pairs']}, "
-              f"within bound {s['within_bound']}")
+    for name in [m["name"] for m in metrics] + list(THROUGHPUTS):
+        if name in summary:
+            s = summary[name]
+            bound = (f", within bound {s['within_bound']}"
+                     if "within_bound" in s else "")
+            print(f"  {name}: parent {s['parent_median']} "
+                  f"(IQR {s['parent_iqr']}), change {s['change_median']}, "
+                  f"ratio {s['ratio']}, won {s['wins']} of "
+                  f"{summary['pairs']}{bound}")
     if args.out:
         record = json.loads(args.out.read_text()) if args.out.exists() else {}
         record.setdefault("summary", {})[key] = summary

@@ -61,6 +61,9 @@ CLOSED_FORM = ("tests/test_gpc.py::test_closed_form_row_solves_equal_the_"
 GROUPED_ROWS = ("tests/test_gpc.py::test_grouped_row_repairs_match_scalar_"
                 "reference")
 BLOCK_RULE = "tests/test_linalg.py::test_wide_field_block_fill_raises"
+FOLD = "tests/test_linalg.py::test_fold_equals_the_weighted_row_sums"
+MEMBER_FOLDS = ("tests/test_gpc.py::test_membership_folds_equal_the_combined_"
+                "rows")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -171,6 +174,11 @@ MUTANTS = (
            "for k in range(e - 1):", "for k in range(e - 2):",
            (CLOSED_FORM, "tests/test_gpc.py::test_decode_rows_roundtrip_"
             "random")),
+    Mutant("a negative cell index wraps around to the end", GPC,
+           "and 0 <= r < self.m and 0 <= c < self.n):",
+           "and -self.m <= r < self.m and -self.n <= c < self.n):",
+           ("tests/test_gpc.py::test_a_position_outside_the_array_raises_"
+            "value_error",)),
     Mutant("GpcParams gets an instance dict", GPC,
            "    __slots__ = ()\n\n    def __new__", "    def __new__",
            ("tests/test_package.py::test_records_are_immutable_values",)),
@@ -260,6 +268,18 @@ MUTANTS = (
            "cols, block) for r in part]",
            "cols, block) for r in part if cols]",
            (NO_ERASURE_FLIP, NO_TABLES, GROUP_RAISES)),
+    Mutant("a halving drops the odd top row", LINALG,
+           "keep, top = (keep + 1) // 2, keep // 2",
+           "keep, top = keep // 2, keep // 2",
+           (FOLD, "tests/test_epc.py::test_grid_syndrome_equals_mul_vec",
+            MEMBER_FOLDS)),
+    Mutant("a halving multiplies by b^(keep - 1)", LINALG,
+           "(g := field.pow(b, k))", "(g := field.pow(b, k - 1))",
+           (FOLD, "tests/test_epc.py::test_grid_syndrome_equals_mul_vec",
+            MEMBER_FOLDS)),
+    Mutant("repeated groups skip their masks on the rows shifted down",
+           LINALG, "* every if repeat > 1", "* every if repeat > 99",
+           (FOLD, "tests/test_epc.py::test_grid_syndrome_equals_mul_vec")),
     Mutant("parity positions are scanned left to right", LINALG,
            "range(self.length - 1, -1, -1)", "range(self.length)",
            ("tests/test_epc.py::test_parity_positions_match_greedy_rank_"
@@ -279,8 +299,8 @@ MUTANTS = (
            "                syndrome[i] ^= mul(checks[i][j], v)\n",
            "                pass\n", (LOCAL_FIRST,)),
     Mutant("the power check runs Horner backwards", EPC,
-           'for v in acc.to_bytes(n, "big"):',
-           'for v in acc.to_bytes(n, "little"):',
+           'for c in v.to_bytes(n, "big"):',
+           'for c in v.to_bytes(n, "little"):',
            ("tests/test_epc.py::test_a_fully_peeled_decode_adds_no_plan_slot",)),
     Mutant("the stopping set's fill starts from a zero syndrome", EPC,
            "code.solve_syndrome(syndrome, stuck)",
