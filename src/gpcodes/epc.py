@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .fields import GF, field_with_order
 from .gpc import (ContradictionError, GpcParams, UncorrectableError, _Rules,
-                  full_parity_matrix)
+                  _not_ints, full_parity_matrix)
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
                      NoSolutionError, UnderdeterminedError, solve)
@@ -69,7 +69,9 @@ class EpcShape(_Rules, NamedTuple("EpcShape", [
     __slots__ = ()
 
     def violations(self) -> list[str]:
-        out = []
+        out = _not_ints(zip(self._fields, self))
+        if out:
+            return out
         if not 1 <= self.v < self.m:
             out.append(f"need 1 <= v < m, got v={self.v}, m={self.m}")
         if not 1 <= self.h < self.n:
@@ -137,8 +139,9 @@ class _PowerRowsCode(LinearCode):
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
-        if m < 2 or n < 2:
-            raise ValueError("need m, n >= 2")
+        bad = _not_ints(zip("mn", (m, n)))
+        if bad or m < 2 or n < 2:
+            raise ValueError("; ".join(bad) or "need m, n >= 2")
         f = field_with_order(m * n) if field is None else field
         if f.alpha_order < m * n:
             raise ValueError(f"order(alpha)={f.alpha_order} < m*n={m * n}")

@@ -235,20 +235,22 @@ class GF:
                  "_order_factors", "alpha_order", "mul_tables")
 
     def __init__(self, w: int, modulus: int | None = None, alpha: int = 2):
-        if not 2 <= w <= MAX_WIDTH:
-            raise ValueError(f"width must be in [2, {MAX_WIDTH}], got {w}")
+        if type(w) is not int or not 2 <= w <= MAX_WIDTH:
+            raise ValueError(f"width must be in [2, {MAX_WIDTH}], got {w!r}")
         if modulus is None:
             if w not in DEFAULT_MODULI:
                 raise ValueError(f"no default modulus for width {w}; pass one")
             modulus = DEFAULT_MODULI[w]
+        if type(modulus) is not int:
+            raise ValueError(f"modulus must be an int, got {modulus!r}")
         if poly_degree(modulus) != w:
             raise ValueError(
                 f"modulus degree {poly_degree(modulus)} does not match width {w}"
             )
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible")
-        if not 2 <= alpha < 1 << w:
-            raise ValueError(f"alpha must lie in [2, 2^{w}), got {alpha}")
+        if type(alpha) is not int or not 2 <= alpha < 1 << w:
+            raise ValueError(f"alpha must lie in [2, 2^{w}), got {alpha!r}")
         self.w = w
         self.modulus = modulus
         self.alpha = alpha

@@ -87,9 +87,7 @@ class CodeSpec:
         :class:`~gpcodes.gpc.UncorrectableError` on a pattern beyond its
         reach, where a gpc decode returns those cells still erased.
         """
-        if (arr.m, arr.n) != (self.m, self.n):
-            raise ValueError(f"array is {arr.m}x{arr.n}, code expects "
-                             f"{self.m}x{self.n}")
+        gpc._check_shape(arr, self.m, self.n)
         if self.params is not None:
             return gpc.decode_iterative(arr, self.params)
         erased = {r * self.n + c for r, c in arr.erased_positions()}

@@ -75,6 +75,13 @@ class _Rules:
         return self
 
 
+def _not_ints(named: Iterable[tuple[str, object]]) -> list[str]:
+    # A violation per (name, value) pair whose value is not an int, named
+    # before any rule compares it; a bool is not one, as in spec files.
+    return [f"{name} must be an int, got {value!r}"
+            for name, value in named if type(value) is not int]
+
+
 class GpcParams(_Rules, NamedTuple("GpcParams", [
         ("m", int), ("n", int), ("k", int), ("s", tuple[int, ...]),
         ("u", tuple[int, ...]), ("field", GF)])):
@@ -109,7 +116,11 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
 
     def violations(self) -> list[str]:
         """All constraint violations, empty when the parameters are valid."""
-        out = []
+        out = _not_ints([*zip("mnk", self), *(
+            (f"{name}[{i}]", x) for name in "su"
+            for i, x in enumerate(getattr(self, name)))])
+        if out:
+            return out
         if self.m < 1 or self.n < 1:
             out.append(f"array shape {self.m}x{self.n} must be positive")
         if self.t == 0 or len(self.u) != self.t:
@@ -398,6 +409,7 @@ class _View(NamedTuple):
     budgets: tuple[int, ...]    # params.erasure_budgets()
     powers: list[list[int]]     # alpha^(r * j) for r, j < m
     combos: Fold                # the row combinations r < s_hat(1)
+    parity: tuple[tuple[bool, ...], ...]   # params.parity_positions() as flags
 
 
 # Views by params, least recently used evicted first: at most 16
@@ -419,14 +431,17 @@ def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
     def build() -> _View:
-        f, m = params.field, params.m
-        nodes = [f.alpha_pow(j) for j in range(max(m, params.n))]
-        return _View(params, [_RowCode(h, nodes[:params.n])
-                              for h in _level_checks(params)],
+        checks = _level_checks(params)
+        f, m, n = params.field, params.m, params.n
+        nodes = [f.alpha_pow(j) for j in range(max(m, n))]
+        parity = params.parity_positions()
+        return _View(params, [_RowCode(h, nodes[:n]) for h in checks],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot(), params.dimension(), params.erasure_budgets(),
                      vandermonde(f, nodes[:m], m).data,
-                     Fold(f, m, params.n, nodes[:params.s_hat(1)]))
+                     Fold(f, m, n, nodes[:params.s_hat(1)]),
+                     tuple(tuple((r, c) in parity for c in range(n))
+                           for r in range(m)))
     return recall(_VIEWS, params, _VIEW_LIMIT, build)
 
 
@@ -449,22 +464,10 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
     return vstack(blocks)
 
 
-def _check_shape(arr: SymbolArray, params: GpcParams) -> None:
-    if (arr.m, arr.n) != (params.m, params.n):
-        raise ValueError(
-            f"array is {arr.m}x{arr.n}, code expects {params.m}x{params.n}")
-
-
-def _work_rows(arr: SymbolArray, plan: _Plan,
-               field: GF) -> list[list[int]]:
-    # A decode's work: a copy of each row with its erased cells zeroed,
-    # read from the plan; every survivor must lie in the field.
-    values = [vals[:] for vals in arr.values]
-    for row, cols in zip(values, plan.erased):
-        for c in cols:
-            row[c] = 0
-    field.check_symbols(chain.from_iterable(values), "survivor")
-    return values
+def _check_shape(arr: SymbolArray, m: int, n: int) -> None:
+    # The one shape check of an array against a code's m x n.
+    if (arr.m, arr.n) != (m, n):
+        raise ValueError(f"array is {arr.m}x{arr.n}, code expects {m}x{n}")
 
 
 def _flip(erased: list[tuple], width: int) -> list[tuple]:
@@ -491,7 +494,7 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     [0, 2^w).
     """
     view = _view(params)
-    _check_shape(arr, params)
+    _check_shape(arr, params.m, params.n)
     if any(True in flags for flags in arr.erased):
         raise ValueError("membership is undefined for arrays with erasures")
     params.field.check_symbols(chain.from_iterable(arr.values), "symbol")
@@ -505,19 +508,6 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
                else combo):
             return False
     return True
-
-
-def _repair_row(row: list[int], cols: tuple[int, ...], code: LinearCode,
-                block: int, offset: Sequence[int]) -> None:
-    # Fill a peeled pivot row's erased cells ``cols`` in place so that
-    # row plus ``offset`` lies in ``code``.  The code fills row + offset,
-    # whose erased symbols it ignores, so the offset goes back into the
-    # filled cells.  The solution is unique (Vandermonde columns);
-    # survivors that contradict the code raise NoSolutionError.
-    word = [a ^ b for a, b in zip(row, offset)]
-    code.fill(word, cols, block)
-    for c in cols:
-        row[c] = word[c] ^ offset[c]
 
 
 class DecodeTrace:
@@ -540,15 +530,15 @@ _TRIANGULATION_LIMIT = 64
 _TRIANGULATION_CACHE: dict[tuple, Matrix] = {}
 
 
-def _triangulated_system(params: GpcParams, order: tuple[int, ...],
+def _triangulated_system(view: _View, order: tuple[int, ...],
                          nsys: int) -> Matrix:
     # The power-weight matrix of the rows ``order``, entry (r, j) =
     # alpha^(r * order[j]) for r < nsys, picked from the view's powers,
     # in row echelon form.
-    return recall(_TRIANGULATION_CACHE, (params, order, nsys),
+    return recall(_TRIANGULATION_CACHE, (view.params, order, nsys),
                   _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix._fresh(
-                      params.field, [[row[j] for j in order]
-                                     for row in _view(params).powers[:nsys]])))
+                      view.params.field, [[row[j] for j in order]
+                                          for row in view.powers[:nsys]])))
 
 
 class _Pass(NamedTuple):
@@ -557,8 +547,8 @@ class _Pass(NamedTuple):
 
     params: GpcParams
     groups: dict[tuple[int, ...], list[int]]  # local fills; never modified
-    order: tuple[int, ...] = ()     # the profile, when the peel runs
-    counts: tuple[int, ...] = ()
+    order: tuple[int, ...]          # the profile the local fills leave
+    counts: tuple[int, ...]
     system: Matrix | None = None    # None: the profile exceeds the budgets
     # The pivots in peel order, each (p, row, erased columns, level,
     # gamma past p, profile past p), zero weights dropped: the row at
@@ -649,10 +639,10 @@ def _plan_pass(view: _View, erased: list[tuple],
     order = tuple(sorted(range(m), key=lens.__getitem__, reverse=True))
     counts = tuple(map(lens.__getitem__, order))
     if any(map(gt, counts, view.budgets)):
-        passes.append(_Pass(params, groups))
+        passes.append(_Pass(params, groups, order, counts))
         return left
     nsys = max(m - k, m - counts.count(0))
-    reduced = _triangulated_system(params, order, nsys)
+    reduced = _triangulated_system(view, order, nsys)
     peel = []
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
@@ -710,27 +700,38 @@ def _execute_pass(step: _Pass, levels: list[_RowCode],
             if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
-            _repair_row(row, cols, levels[level], block, known)
+            # The code fills row + known, whose erased symbols it
+            # ignores, so known goes back into the filled cells.  The
+            # solution is unique (Vandermonde columns).
+            word = [a ^ b for a, b in zip(row, known)]
+            levels[level].fill(word, cols, block)
+            for c in cols:
+                row[c] = word[c] ^ known[c]
         if trace is not None:
             trace.steps.append((p, row_idx, level))
 
 
 def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
-            trace: DecodeTrace | None = None) -> tuple[SymbolArray, int]:
+            trace: DecodeTrace | None = None) -> tuple[SymbolArray, _Plan]:
     # The decode shared by decode_rows and decode_iterative
-    # (``iterate``): the array and the count of cells the last row pass
-    # left.
+    # (``iterate``): the array and its plan.  The work is a copy of each
+    # row with its erased cells zeroed, and every survivor must lie in
+    # the field.
     view = _view(params)
-    _check_shape(arr, params)
+    _check_shape(arr, params.m, params.n)
     plan = _plan_for(view, arr.erased, iterate)
-    values = _work_rows(arr, plan, params.field)
+    values = [vals[:] for vals in arr.values]
+    for row, cols in zip(values, plan.erased):
+        for c in cols:
+            row[c] = 0
+    params.field.check_symbols(chain.from_iterable(values), "survivor")
     try:
         values = _execute(plan, view, values, trace=trace)
     except NoSolutionError as exc:
         raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
     return SymbolArray._masked(values, list(map(list, plan.mask)),
-                               zero=False), plan.left
+                               zero=False), plan
 
 
 def decode_rows(arr: SymbolArray, params: GpcParams,
@@ -756,9 +757,10 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     symbols contradict a row code (``remaining``: every erased cell of
     ``arr``).
     """
-    work, left = _decode(arr, params, iterate=False, trace=trace)
-    if left:
-        bad = [(c, r) for c, r in ErasureProfile.from_array(work).entries if c]
+    work, plan = _decode(arr, params, iterate=False, trace=trace)
+    if plan.left:
+        step = plan.passes[0]
+        bad = [(c, r) for c, r in zip(step.counts, step.order) if c]
         raise UncorrectableError(
             f"erasure profile {bad} exceeds the decodable budgets "
             f"{params.erasure_budgets()}",
@@ -790,7 +792,7 @@ class _Encoder(NamedTuple):
     rows: list[Callable[[list[int]], tuple[int, ...]]]  # cells of each row
 
 
-def _compile_encoder(params: GpcParams) -> _Encoder:
+def _compile_encoder(view: _View) -> _Encoder:
     # The parity of the flat array as split tables over the data cells,
     # whose column j holds the parity of the unit data vector at j.  One
     # row pass over blocks of N = m * n bytes finds every column at once:
@@ -799,13 +801,12 @@ def _compile_encoder(params: GpcParams) -> _Encoder:
     # column j is byte j of every row.  One itemgetter per array row
     # picks the row's symbols from the data followed by the parity,
     # cells in row-major order both (n >= 2, so each picks a tuple).
-    parity = params.parity_positions()
+    params = view.params
     size, n = params.m * params.n, params.n
-    cells = [divmod(j, n) in parity for j in range(size)]
+    cells = list(chain.from_iterable(view.parity))
     data = [j for j, p in enumerate(cells) if not p]
     targets = [j for j, p in enumerate(cells) if p]
-    word = _encode_pass([1 << 8 * j for j in data], params, parity,
-                        size).flatten()
+    word = _encode_pass([1 << 8 * j for j in data], view, size).flatten()
     joined = b"".join(word[t].to_bytes(size, "little") for t in targets)
     where = {j: i for i, j in enumerate(data + targets)}
     return _Encoder(SplitMap(params.field, [joined[j::size] for j in data]),
@@ -813,20 +814,17 @@ def _compile_encoder(params: GpcParams) -> _Encoder:
                      for r in range(0, size, n)])
 
 
-def _encode_pass(data: Sequence[int], params: GpcParams,
-                 parity: frozenset[tuple[int, int]],
+def _encode_pass(data: Sequence[int], view: _View,
                  block: int = 1) -> SymbolArray:
     # The reference encoder: data fills the non-parity cells in row-major
     # order and one planned row pass recovers the parity cells, which
     # always sit inside the budgets with no survivor to contradict.
-    view = _view(params)
     it = iter(data)
-    span = range(params.n)
-    mask = [[(r, c) in parity for c in span] for r in range(params.m)]
-    plan = _plan_for(view, mask, False)
+    plan = _plan_for(view, view.parity, False)
     if plan.left:
         raise AssertionError("parity cells outside the decodable budgets")
-    values = [[0 if flag else next(it) for flag in flags] for flags in mask]
+    values = [[0 if flag else next(it) for flag in flags]
+              for flags in view.parity]
     return SymbolArray(_execute(plan, view, values, block))
 
 
@@ -854,9 +852,9 @@ def encode(data: Sequence[int], params: GpcParams) -> SymbolArray:
     params.field.check_symbols(data, "data symbol")
     enc = view.encoder.plan(params.field,
                             32 * dim * (params.m * params.n - dim + 64),
-                            lambda: _compile_encoder(params))
+                            lambda: _compile_encoder(view))
     if enc is None:
-        return _encode_pass(data, params, params.parity_positions())
+        return _encode_pass(data, view)
     symbols = [*data, *enc.parity.image(data)]
     return SymbolArray([row(symbols) for row in enc.rows])
 
@@ -873,6 +871,8 @@ def min_weight_codeword(params: GpcParams, level: int,
     """
     params.check()
     f = params.field
+    if not all(isinstance(x, int) for x in (level, *rows, *cols)):
+        raise ValueError("level, rows and columns must be ints")
     rows = sorted(rows)
     cols = sorted(cols)
     if not 0 <= level < params.t:

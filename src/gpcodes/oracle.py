@@ -54,14 +54,15 @@ def correctable(positions: Iterable[int], check_matrix: Matrix) -> bool:
     updates of R symbols for R check rows, and the elimination stops at
     the |E|-th pivot.
     """
-    cols = sorted(set(positions))
+    cols = set(positions)
+    if not all(isinstance(c, int) and 0 <= c < check_matrix.cols
+               for c in cols):
+        raise ValueError("position out of range")
     if not cols:
         return True
-    if cols[0] < 0 or cols[-1] >= check_matrix.cols:
-        raise ValueError("position out of range")
     data = check_matrix.data
     return rank(Matrix._fresh(check_matrix.field, [
-        [row[c] for row in data] for c in cols])) == len(cols)
+        [row[c] for row in data] for c in sorted(cols)])) == len(cols)
 
 
 class DistanceReport(NamedTuple):

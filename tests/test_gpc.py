@@ -206,7 +206,7 @@ def encoders(monkeypatch):
 
 
 def scalar_encode(data, params):
-    return gpc._encode_pass(data, params, params.parity_positions())
+    return gpc._encode_pass(data, gpc._view(params))
 
 
 def stripes(params, rng):
@@ -284,7 +284,7 @@ def test_block_compiled_encoder_equals_unit_vector_probes(params, encoders):
     """Each data column's entry 1 is its unit-vector probe as an int, and
     the row itemgetters, given the data cells then the parity cells in
     row-major order, pick every array row's cells in place."""
-    compiled = gpc._compile_encoder(params)
+    compiled = gpc._compile_encoder(gpc._view(params))
     columns = probe_encoder_columns(params)
     size, n = params.m * params.n, params.n
     targets = sorted(r * n + c for r, c in params.parity_positions())
@@ -367,7 +367,8 @@ def held_encoder_bytes(params):
     """The bytes by tracemalloc that the encode which compiles the
     encoder of ``params`` leaves held, its row plans compiled before."""
     data = stripes(params, random.Random(86))[0]
-    gpc._compile_encoder(params)    # its row plans and product tables
+    # its row plans and product tables
+    gpc._compile_encoder(gpc._view(params))
     slot = compile_on_next_encode(params)
     tracemalloc.start()
     try:
@@ -685,7 +686,7 @@ def test_triangulation_cache_is_bounded(monkeypatch):
         order = tuple(rng.sample(range(FLAGSHIP.m), FLAGSHIP.m))
         nsys = rng.randint(1, FLAGSHIP.m)
         keys.append((order, nsys))
-        got = gpc._triangulated_system(FLAGSHIP, order, nsys)
+        got = gpc._triangulated_system(gpc._view(FLAGSHIP), order, nsys)
         fresh = row_reduce(Matrix(f, [[f.alpha_pow(r * j) for j in order]
                                       for r in range(nsys)]))
         assert got == fresh
@@ -1407,8 +1408,9 @@ def test_min_weight_codeword_single_row_when_k_equals_m():
 @pytest.mark.parametrize("bad", [
     GpcParams(m=3, n=4, k=2, s=(2, 2), u=(1, 2), field=F8),
     GpcParams(m=4, n=8, k=3, s=(4,), u=(2,), field=F8),
-    GpcParams(m=4, n=5, k=2, s=(2, 2), u=(2, 1), field=F8)],
-    ids=["sum_s", "field_size", "u_order"])
+    GpcParams(m=4, n=5, k=2, s=(2, 2), u=(2, 1), field=F8),
+    GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3), field=F8)],
+    ids=["sum_s", "field_size", "u_order", "level_count"])
 def test_entry_points_raise_the_violations_on_invalid_params(bad):
     message = re.escape("; ".join(bad.violations()))
     arr = SymbolArray.zeros(bad.m, bad.n)

@@ -233,13 +233,12 @@ def test_compiled_encoder_matches_scalar():
     for seed, params in enumerate(codes):
         with named(params.notation(), f"seed {seed}"):
             rng = random.Random(seed)
-            compiled = gpc._compile_encoder(params)
+            compiled = gpc._compile_encoder(gpc._view(params))
             parity = compiled.parity
             for _ in range(3):
                 data = [rng.randrange(1 << params.field.w)
                         for _ in range(params.dimension())]
-                expected = gpc._encode_pass(data, params,
-                                            params.parity_positions())
+                expected = gpc._encode_pass(data, gpc._view(params))
                 symbols = [*data, *parity.image(data)]
                 rows = [list(row(symbols)) for row in compiled.rows]
                 assert rows == expected.values

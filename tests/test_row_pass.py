@@ -77,7 +77,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
     order = tuple(r for _, r in profile.entries)
     counts = profile.counts
     nsys = max(m - k, sum(1 for c in counts if c))
-    reduced = gpc._triangulated_system(params, order, nsys)
+    reduced = gpc._triangulated_system(view, order, nsys)
     if trace is not None:
         trace.row_order, trace.counts, trace.system = order, counts, reduced
     for p in range(nsys - 1, -1, -1):
@@ -103,7 +103,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
 
 
 def _ref_checked_copy(arr, params):
-    gpc._check_shape(arr, params)
+    gpc._check_shape(arr, params.m, params.n)
     work = arr.copy()
     params.field.check_symbols(chain.from_iterable(work.values), "survivor")
     return work

@@ -64,6 +64,8 @@ BLOCK_RULE = "tests/test_linalg.py::test_wide_field_block_fill_raises"
 FOLD = "tests/test_linalg.py::test_fold_equals_the_weighted_row_sums"
 MEMBER_FOLDS = ("tests/test_gpc.py::test_membership_folds_equal_the_combined_"
                 "rows")
+CONTRACTS = ("tests/test_contracts.py::test_each_bad_count_or_position_raises_"
+             "value_error")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -84,11 +86,11 @@ MUTANTS = (
            (ROW_PASS + "test_decoders_leave_input_untouched_and_return_"
             "fresh_rows",)),
     Mutant("decode_rows returns what it could not repair", GPC,
-           "iterate=False, trace=trace)\n    if left:",
+           "iterate=False, trace=trace)\n    if plan.left:",
            "iterate=False, trace=trace)\n    if False:", (CENSUS,)),
     Mutant("the row pass peels past the budgets", GPC,
            "    if any(map(gt, counts, view.budgets)):\n"
-           "        passes.append(_Pass(params, groups))\n"
+           "        passes.append(_Pass(params, groups, order, counts))\n"
            "        return left\n",
            "", (CENSUS,)),
     Mutant("the row pass returns once local repairs leave nothing erased",
@@ -182,6 +184,10 @@ MUTANTS = (
     Mutant("GpcParams gets an instance dict", GPC,
            "    __slots__ = ()\n\n    def __new__", "    def __new__",
            ("tests/test_package.py::test_records_are_immutable_values",)),
+    Mutant("GpcParams accepts a float count", GPC,
+           "        out = _not_ints([*zip(\"mnk\", self), *(\n",
+           "        out = [] and _not_ints([*zip(\"mnk\", self), *(\n",
+           (CONTRACTS,)),
     # fields
     Mutant("alpha's order is taken for x", FIELDS,
            "element_order(alpha)", "element_order(2)",
@@ -313,10 +319,13 @@ MUTANTS = (
            ("tests/test_epc.py::test_lc_erasure_decode_small_patterns",)),
     # the distance oracle and the equivalence report
     Mutant("correctable compares its rank with the check rows", ORACLE,
-           "for c in cols])) == len(cols)",
-           "for c in cols])) == check_matrix.rows",
+           "for c in sorted(cols)])) == len(cols)",
+           "for c in sorted(cols)])) == check_matrix.rows",
            ("tests/test_oracle.py::test_correctable_equals_the_rank_of_the_"
             "erased_columns",)),
+    Mutant("correctable indexes with a float position", ORACLE,
+           "if not all(isinstance(c, int) and 0 <= c < check_matrix.cols\n",
+           "if not all(0 <= c < check_matrix.cols\n", (CONTRACTS,)),
     Mutant("the lane doubling lets the overflow bit into the next lane",
            ORACLE, "v = ((v & keep) << 1) ^", "v = (v << 1) ^",
            ("tests/test_oracle.py::test_lane_expansions_equal_the_mul_"
@@ -348,10 +357,7 @@ MUTANTS = (
             "mismatch",)),
     # the codec
     Mutant("the codec decodes a mis-shaped array", "src/gpcodes/files.py",
-           "        if (arr.m, arr.n) != (self.m, self.n):\n"
-           "            raise ValueError(f\"array is {arr.m}x{arr.n}, code "
-           "expects \"\n                             f\"{self.m}x{self.n}\")\n",
-           "",
+           "        gpc._check_shape(arr, self.m, self.n)\n", "",
            ("tests/test_files.py::test_codec_refuses_an_array_of_another_"
             "shape",)),
     # the CLI's start-up
