@@ -54,8 +54,7 @@ def cmd_info(args) -> int:
         print(f"levels: m={p.m} n={p.n} k={p.k} s={p.s} u={p.u}")
         print(f"parity cells: {len(p.parity_positions())}")
         if spec.shape is not None:
-            bound, _ = epc.distance_bound(spec.shape)
-            print(f"shape: {spec.shape} bound: {bound}")
+            print(f"shape: {spec.shape} bound: {spec.bound}")
         try:
             print(f"transpose: {p.transposed().notation()}")
         except ValueError:
@@ -64,8 +63,7 @@ def cmd_info(args) -> int:
         print(f"shape: {spec.shape}")
         print(f"N={spec.linear.length} K={spec.linear.dimension}")
         print(_field_line(spec.field))
-        bound, _ = epc.distance_bound(spec.shape)
-        print(f"distance upper bound: {bound}")
+        print(f"distance upper bound: {spec.bound}")
     return EXIT_OK
 
 
@@ -147,7 +145,6 @@ def cmd_verify(args) -> int:
     spec = files.load_code_spec(args.code)
     p = spec.params
     _gpc_only(spec, "--random", args.random)
-    bound = epc.distance_bound(spec.shape)[0] if spec.shape else None
     verdicts: list[bool | None] = []
     if p is not None:
         h = gpc.full_parity_matrix(p)
@@ -158,7 +155,7 @@ def cmd_verify(args) -> int:
         floor = p.min_distance()
         target = f"d_formula={floor}"
     else:
-        h, floor = spec.linear.check_matrix, bound
+        h, floor = spec.linear.check_matrix, spec.bound
         target = f"expected={floor}"
     prefix, accept = "", lambda d: d == floor
     if spec.kind == "epc-h3" and floor == 9:
@@ -171,9 +168,9 @@ def cmd_verify(args) -> int:
             prefix = f"condition35=violated{violation} "
             target, accept = "expected=<9", lambda d: d < floor
     verdicts.append(_brute_force(h, args, prefix, target, floor, accept))
-    if p is not None and bound is not None:
-        verdicts.append(_verdict(f"bound={bound} d_formula={floor}",
-                                 bound == floor))
+    if p is not None and spec.bound is not None:
+        verdicts.append(_verdict(f"bound={spec.bound} d_formula={floor}",
+                                 spec.bound == floor))
     if p is not None and args.random:
         report = oracle.decoder_oracle_equivalence(p, args.random, args.seed)
         verdicts.append(_verdict(

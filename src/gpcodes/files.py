@@ -51,10 +51,13 @@ class CodeSpec:
 
     ``params`` is set for the array codes (``gpc``, ``epc-g1``) and
     ``linear`` for the flat ones (``epc-h2``, ``epc-h3``); ``shape``
-    carries the extended-product shape when the kind implies one.  This
-    is the one place that tells the two families apart: ``field``,
-    ``m`` and ``n`` are the code's field and array shape for every
-    kind, read from the code it holds, and :meth:`encode` and
+    carries the extended-product shape when the kind implies one, and
+    ``bound`` its distance upper bound (:func:`~gpcodes.epc.distance_bound`),
+    or None with no shape; a shape with no admissible rectangle raises
+    ``ValueError`` here.  This is the one place that tells the two
+    families apart: ``field``, ``m`` and ``n`` are the code's field and
+    array shape for every kind, read from the code it holds, and
+    :meth:`encode` and
     :meth:`decode` take and return m x n arrays
     (:class:`~gpcodes.gpc.SymbolArray`) for every kind; :meth:`decode`
     checks the array's shape against the code's before any decode.
@@ -70,6 +73,7 @@ class CodeSpec:
             kind, params, linear, shape)
         code = linear if params is None else params
         self.field, self.m, self.n = code.field, code.m, code.n
+        self.bound = None if shape is None else distance_bound(shape)[0]
 
     def encode(self, data: list[int]) -> SymbolArray:
         """The codeword array whose data cells hold ``data`` in order."""
@@ -141,7 +145,6 @@ def parse_code_spec(obj: dict) -> CodeSpec:
         if kind in ("epc-h2", "epc-h3"):
             m, n = _require(obj, ["m", "n"], kind)
             code = (build_h2 if kind == "epc-h2" else build_h3)(m, n, field)
-            distance_bound(code.shape)   # raises on shapes with no data symbols
             return CodeSpec(kind, linear=code, shape=code.shape)
     except (ValueError, TypeError) as exc:
         if isinstance(exc, SpecFileError):

@@ -75,6 +75,16 @@ class _Rules:
         return self
 
 
+def _tuple(name: str, values: object) -> tuple:
+    # ``values`` as a tuple, or ValueError naming ``name`` when it is not
+    # iterable, as an int or None is.
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(
+            f"{name} must be a sequence of ints, got {values!r}") from None
+
+
 def _not_ints(named: Iterable[tuple[str, object]]) -> list[str]:
     # A violation per (name, value) pair whose value is not an int, named
     # before any rule compares it; a bool is not one, as in spec files.
@@ -97,7 +107,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
 
     def __new__(cls, m: int, n: int, k: int, s: Iterable[int],
                 u: Iterable[int], field: GF) -> GpcParams:
-        return super().__new__(cls, m, n, k, tuple(s), tuple(u), field)
+        return super().__new__(cls, m, n, k, _tuple("s", s), _tuple("u", u),
+                               field)
 
     @property
     def t(self) -> int:
@@ -119,6 +130,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         out = _not_ints([*zip("mnk", self), *(
             (f"{name}[{i}]", x) for name in "su"
             for i, x in enumerate(getattr(self, name)))])
+        if not isinstance(self.field, GF):
+            out.append(f"field must be a GF, got {self.field!r}")
         if out:
             return out
         if self.m < 1 or self.n < 1:
@@ -266,11 +279,15 @@ class SymbolArray:
 
     def fill(self, r: int, c: int, value: int) -> None:
         """Set cell (r, c) to ``value`` and clear its erasure;
-        ``ValueError`` unless r and c are ints in range: an index never
-        wraps around from the end."""
+        ``ValueError`` unless r and c are ints in range (an index never
+        wraps around from the end) and ``value`` is a non-negative int.
+        The field's width bounds a symbol too, which the decoders check:
+        an array has no field."""
         if not (isinstance(r, int) and isinstance(c, int)
                 and 0 <= r < self.m and 0 <= c < self.n):
             raise ValueError(f"cell {r, c} not in the {self.m}x{self.n} array")
+        if not isinstance(value, int) or value < 0:
+            raise ValueError(f"symbol {value!r} must be a non-negative int")
         self.values[r][c] = value
         self.erased[r][c] = False
 
@@ -351,13 +368,11 @@ class _RowCode(LinearCode):
     """A level's row code: check rows alpha^(r*j) for r < u over the
     nodes z_j = alpha^j, a Reed-Solomon code.  Its erasures solve in
     closed form, so it holds no plan and never eliminates.  Its multiply
-    is :func:`~gpcodes.linalg.scaler`'s, the symbol form kept with the
-    code."""
+    is :func:`~gpcodes.linalg.scaler`'s, taken per solve."""
 
     def __init__(self, check_matrix: Matrix, nodes: Sequence[int]):
         super().__init__(check_matrix)
         self.nodes = nodes
-        self._scale = scaler(self.field)
 
     def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
                        block: int = 1) -> list[int]:
@@ -374,7 +389,7 @@ class _RowCode(LinearCode):
         solve does, and blocks over w > 8 ``ValueError`` first, from
         linalg's block rule as the multiply is taken.
         """
-        mul = self._scale if block == 1 else scaler(self.field, block)
+        mul = scaler(self.field, block)
         u, e = len(syndrome), len(erased)
         if e > u:
             raise UnderdeterminedError(f"rank {u} < {e} unknowns")
@@ -430,6 +445,9 @@ def _level_checks(params: GpcParams) -> list[Matrix]:
 def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
+    # A params equal to the cached one but not it is validated too: a
+    # count of another type, n = 7.0 or a bool, compares equal to the
+    # int.
     def build() -> _View:
         checks = _level_checks(params)
         f, m, n = params.field, params.m, params.n
@@ -442,7 +460,10 @@ def _view(params: GpcParams) -> _View:
                      Fold(f, m, n, nodes[:params.s_hat(1)]),
                      tuple(tuple((r, c) in parity for c in range(n))
                            for r in range(m)))
-    return recall(_VIEWS, params, _VIEW_LIMIT, build)
+    view = recall(_VIEWS, params, _VIEW_LIMIT, build)
+    if params is not view.params:
+        params.check()
+    return view
 
 
 def full_parity_matrix(params: GpcParams) -> Matrix:
@@ -534,7 +555,10 @@ def _triangulated_system(view: _View, order: tuple[int, ...],
                          nsys: int) -> Matrix:
     # The power-weight matrix of the rows ``order``, entry (r, j) =
     # alpha^(r * order[j]) for r < nsys, picked from the view's powers,
-    # in row echelon form.
+    # in row echelon form.  That is the Newton basis over the distinct
+    # nodes x_j = alpha^order[j]: row p, entry j is the product over
+    # i < p of (x_j + x_i) / (x_p + x_i), so no weight past the pivot
+    # is zero.
     return recall(_TRIANGULATION_CACHE, (view.params, order, nsys),
                   _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix._fresh(
                       view.params.field, [[row[j] for j in order]
@@ -551,10 +575,10 @@ class _Pass(NamedTuple):
     counts: tuple[int, ...]
     system: Matrix | None = None    # None: the profile exceeds the budgets
     # The pivots in peel order, each (p, row, erased columns, level,
-    # gamma past p, profile past p), zero weights dropped: the row at
-    # profile position p repairs in ``level`` (None for a vanishing
-    # combination) against the sum of the rows after it, each times its
-    # gamma.
+    # gamma past p, profile past p): the row at profile position p
+    # repairs in ``level`` (None for a vanishing combination) against
+    # the sum of the rows after it, each times its gamma, which is never
+    # zero (see _triangulated_system).
     peel: tuple[tuple, ...] = ()
 
 
@@ -651,10 +675,8 @@ def _plan_pass(view: _View, erased: list[tuple],
         # else counts[p] is within budget p, the deepest level p lies
         # in, so the weakest level that covers it is one p lies in too.
         level = None if p < m - k else bisect_left(params.u, counts[p])
-        gamma, rows = reduced.data[p][p + 1:], order[p + 1:]
-        if 0 in gamma:
-            gamma, rows = tuple(compress(gamma, gamma)), compress(rows, gamma)
-        peel.append((p, row_idx, cols, level, gamma, tuple(rows)))
+        peel.append((p, row_idx, cols, level, reduced.data[p][p + 1:],
+                     order[p + 1:]))
         erased[row_idx] = ()
     passes.append(_Pass(params, groups, order, counts, reduced, tuple(peel)))
     return 0
@@ -871,10 +893,10 @@ def min_weight_codeword(params: GpcParams, level: int,
     """
     params.check()
     f = params.field
+    rows, cols = _tuple("rows", rows), _tuple("cols", cols)
     if not all(isinstance(x, int) for x in (level, *rows, *cols)):
         raise ValueError("level, rows and columns must be ints")
-    rows = sorted(rows)
-    cols = sorted(cols)
+    rows, cols = sorted(rows), sorted(cols)
     if not 0 <= level < params.t:
         raise ValueError(f"level {level} out of range")
     if len(cols) != params.u[level] + 1:

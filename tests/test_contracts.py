@@ -7,7 +7,15 @@ the argument's range.  The walk sends the call that int, a negative int,
 the valid value as a float and as a string, and None; each must raise
 ``ValueError``, never ``TypeError`` from a comparison or an index.  A
 count (a record's field, a field's width) refuses a bool as well, as spec
-files do; a position accepts one as the int it is.
+files do; a position accepts one as the int it is.  The gpc entry
+points take a params record equal to a valid one that is cached before
+the bad call, so a cached view refuses a float or bool count as a fresh
+one does.
+
+A second table names the other arguments of the same entry points (a
+record's sequence or field, a cell's symbol) with a call, a valid value
+and values the call must refuse with ``ValueError``, never ``TypeError``
+or ``AttributeError``.
 """
 
 from typing import Callable, NamedTuple
@@ -17,8 +25,9 @@ import pytest
 from gpcodes.epc import (EpcShape, build_h2, build_h3, build_optimal_g1,
                          distance_bound, lc_erasure_decode)
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import (GpcParams, SymbolArray, erase_positions,
-                         full_parity_matrix, min_weight_codeword)
+from gpcodes.gpc import (GpcParams, SymbolArray, decode_rows, encode,
+                         erase_positions, full_parity_matrix, is_member,
+                         min_weight_codeword)
 from gpcodes.oracle import correctable
 
 F8 = default_field(3)
@@ -47,8 +56,8 @@ def shape(m=4, v=1, n=5, h=1, g=1):
     return EpcShape(m, v, n, h, g).check()
 
 
-def fill(r=0, c=0):
-    SymbolArray.zeros(6, 7).fill(r, c, 1)
+def fill(r=0, c=0, value=1):
+    SymbolArray.zeros(6, 7).fill(r, c, value)
 
 
 def erase(r=0, c=0):
@@ -112,6 +121,40 @@ CONTRACTS = (
     Contract("SymbolArray.erase column", lambda x: erase(c=x), 6, 7),
     Contract("lc_erasure_decode position",
              lambda x: lc_erasure_decode([0] * 9, {0, x}, H2), 1, 9),
+    Contract("encode n, view cached",
+             lambda x: encode([0] * 19, params(n=x)), 7, 8, count=True),
+    Contract("decode_rows s[1], view cached",
+             lambda x: decode_rows(SymbolArray.zeros(6, 7),
+                                   params(s=(2, x, 3))), 1, 2, count=True),
+    Contract("is_member k, view cached",
+             lambda x: is_member(SymbolArray.zeros(6, 7), params(k=x)),
+             4, 7, count=True),
+)
+
+
+class Refusal(NamedTuple):
+    name: str
+    call: Callable[[object], object]
+    valid: object
+    bad: tuple                  # each must raise ValueError
+
+
+REFUSALS = (
+    Refusal("GpcParams s", lambda x: params(s=x).check(), (2, 1, 3),
+            (3, None)),
+    Refusal("GpcParams u", lambda x: params(u=x).check(), (1, 3, 4),
+            (4, None)),
+    Refusal("GpcParams field",
+            lambda x: GpcParams(6, 7, 4, (2, 1, 3), (1, 3, 4), x).check(),
+            F8, ("x", None, 3)),
+    Refusal("min_weight_codeword rows",
+            lambda x: min_weight_codeword(FLAGSHIP, 0, x, [1, 3]),
+            [0, 1, 3, 4, 5], (None, 5)),
+    Refusal("min_weight_codeword cols",
+            lambda x: min_weight_codeword(FLAGSHIP, 0, [0, 1, 3, 4, 5], x),
+            [1, 3], (None, 3)),
+    Refusal("SymbolArray.fill value", lambda x: fill(value=x), 1,
+            ("x", 2.5, -1, None)),
 )
 
 
@@ -135,7 +178,21 @@ def test_each_bad_count_or_position_raises_value_error(contract):
             contract.call(value)
 
 
+@pytest.mark.parametrize("refusal", REFUSALS, ids=lambda r: r.name)
+def test_each_bad_sequence_field_or_symbol_raises_value_error(refusal):
+    refusal.call(refusal.valid)
+    for value in refusal.bad:
+        with pytest.raises(ValueError):
+            refusal.call(value)
+
+
 def test_a_position_takes_a_bool_as_its_int():
     assert correctable([0, True], H) == correctable([0, 1], H)
     assert erase_positions(SymbolArray.zeros(2, 2), [(True, False)]) == \
         erase_positions(SymbolArray.zeros(2, 2), [(1, 0)])
+
+
+def test_a_cell_takes_a_bool_as_its_symbol():
+    arr = SymbolArray.zeros(2, 2)
+    arr.fill(0, 1, True)
+    assert arr.values == [[0, 1], [0, 0]]

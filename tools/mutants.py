@@ -66,6 +66,9 @@ MEMBER_FOLDS = ("tests/test_gpc.py::test_membership_folds_equal_the_combined_"
                 "rows")
 CONTRACTS = ("tests/test_contracts.py::test_each_bad_count_or_position_raises_"
              "value_error")
+REFUSALS = ("tests/test_contracts.py::test_each_bad_sequence_field_or_symbol_"
+            "raises_value_error")
+NEWTON = "tests/test_properties.py::test_the_triangulation_is_the_newton_basis"
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -188,6 +191,20 @@ MUTANTS = (
            "        out = _not_ints([*zip(\"mnk\", self), *(\n",
            "        out = [] and _not_ints([*zip(\"mnk\", self), *(\n",
            (CONTRACTS,)),
+    Mutant("the view cache serves params it never validated", GPC,
+           "    if params is not view.params:\n        params.check()\n", "",
+           (CONTRACTS,)),
+    Mutant("SymbolArray.fill stores a negative symbol", GPC,
+           "if not isinstance(value, int) or value < 0:",
+           "if not isinstance(value, int):", (REFUSALS,)),
+    Mutant("the triangulation clears above its pivots", GPC,
+           "def _triangulated_system(",
+           "def row_reduce(m):\n"
+           "    from .linalg import _eliminate, _work_rows\n"
+           "    work = _work_rows(m.field, m.data)\n"
+           "    _eliminate(work, m.field, range(m.cols), full=True)\n"
+           "    return Matrix._fresh(m.field, [list(row) for row in work])\n"
+           "\n\ndef _triangulated_system(", (NEWTON,)),
     # fields
     Mutant("alpha's order is taken for x", FIELDS,
            "element_order(alpha)", "element_order(2)",
