@@ -237,21 +237,21 @@ def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] |
 
 
 def _peel_then_fill(word: list[int], erased: list[int],
-                    code: _PowerRowsCode) -> None:
-    # Fill ``erased`` (ascending, zero in ``word``) in place: first every
-    # cell that is the one erasure left in its array row or column, from
-    # that line's sum, then what is left from the syndrome the peel
-    # tracked.  A symbol v peeled at j = r*n + c is read from entry r or
-    # m + c, is added to both, and H[i][j] * v is added to each power
-    # entry i, so the syndrome stays that of the word, whose stuck cells
-    # still hold 0: code.solve_syndrome of it and the stuck cells is
-    # code.fill of them, without a second syndrome.  Each peeled symbol
-    # is forced by a check row, so that solve sees exactly the system the
-    # erasures had.  Raises what it raises, or NoSolutionError when a
-    # fully peeled word's syndrome does not vanish.
+                    code: _PowerRowsCode, syndrome: list[int]) -> None:
+    # Fill ``erased`` (ascending, zero in ``word``) in place, given the
+    # word's ``syndrome``: first every cell that is the one erasure left
+    # in its array row or column, from that line's sum, then what is left
+    # from the syndrome the peel tracked.  A symbol v peeled at
+    # j = r*n + c is read from entry r or m + c, is added to both, and
+    # H[i][j] * v is added to each power entry i, so the syndrome stays
+    # that of the word, whose stuck cells still hold 0: code.solve_syndrome
+    # of it and the stuck cells is code.fill of them, without a second
+    # syndrome.  Each peeled symbol is forced by a check row, so that
+    # solve sees exactly the system the erasures had.  Raises what it
+    # raises, or NoSolutionError when a fully peeled word's syndrome does
+    # not vanish.
     m, n = code.m, code.n
     mul, checks = code.field.mul, code.check_matrix.data
-    syndrome = code.syndrome(word)
     powers = range(m + n, len(syndrome))
     in_row, in_col = [0] * m, [0] * n
     for j in erased:
@@ -332,10 +332,11 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     known = list(values)
     for j in cols:
         known[j] = 0
-    code.field.check_symbols(known, "survivor")
+    # The syndrome reads the survivors as their check built them.
+    cells = code.field.check_symbols(known, "survivor")
     try:
         if isinstance(code, _PowerRowsCode):
-            _peel_then_fill(known, cols, code)
+            _peel_then_fill(known, cols, code, code.syndrome(cells))
         else:
             code.fill(known, tuple(cols))
     except UnderdeterminedError as exc:
@@ -377,5 +378,4 @@ def lc_encode(data: list[int], code: LinearCode) -> list[int]:
 def lc_is_member(word: list[int], code: LinearCode) -> bool:
     """Whether ``word`` has a zero :meth:`~LinearCode.syndrome`; raises
     ``ValueError`` when a symbol lies outside [0, 2^w)."""
-    code.field.check_symbols(word, "symbol")
-    return not any(code.syndrome(word))
+    return not any(code.syndrome(code.field.check_symbols(word, "symbol")))

@@ -317,14 +317,17 @@ class GF:
             e >>= 1
         return acc
 
-    def check_symbols(self, values: Iterable[int], what: str) -> None:
+    def check_symbols(self, values: Iterable[int],
+                      what: str) -> bytearray | list[int]:
         """Raise ``ValueError("<what> out of field range")`` unless every
-        value is an int (a bool counts) in [0, 2^w).
+        value is an int (a bool counts) in [0, 2^w), and return the
+        values as it read them, which a caller may read in their place.
 
         For w <= 8, ``bytearray`` rejects every value that is no int in
         [0, 256) in one C pass, faster than ``bytes`` on a list, and only
-        w < 8 needs a ``max`` of the bytes after it; wider fields take
-        each value's ``__index__`` first, as ``bytearray`` does.
+        w < 8 needs a ``max`` of the bytes after it: the bytearray is
+        returned.  Wider fields take each value's ``__index__`` first, as
+        ``bytearray`` does, and return the list of them.
         """
         try:
             if self.w <= 8:
@@ -338,6 +341,7 @@ class GF:
             ok = False
         if not ok:
             raise ValueError(f"{what} out of field range")
+        return block if self.w <= 8 else values
 
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e)

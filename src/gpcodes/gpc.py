@@ -38,9 +38,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
-                     NoSolutionError, PlanSlot, SplitMap, UnderdeterminedError,
-                     combine, kron, null_space, recall, row_reduce, scaler,
-                     solve, vandermonde, vstack)
+                     NoSolutionError, PlanSlot, SplitMap, combine, kron,
+                     null_space, recall, row_form, row_reduce, solve,
+                     solve_vandermonde, vandermonde, vstack)
 
 
 class UncorrectableError(ValueError):
@@ -125,13 +125,19 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         """Level strengths with the sentinel u_t = n."""
         return self.n if i == self.t else self.u[i]
 
-    def violations(self) -> list[str]:
-        """All constraint violations, empty when the parameters are valid."""
+    def _type_violations(self) -> list[str]:
+        # The counts that are not ints and a field that is not a GF: all
+        # that can tell apart two params that compare equal.
         out = _not_ints([*zip("mnk", self), *(
             (f"{name}[{i}]", x) for name in "su"
             for i, x in enumerate(getattr(self, name)))])
         if not isinstance(self.field, GF):
             out.append(f"field must be a GF, got {self.field!r}")
+        return out
+
+    def violations(self) -> list[str]:
+        """All constraint violations, empty when the parameters are valid."""
+        out = self._type_violations()
         if out:
             return out
         if self.m < 1 or self.n < 1:
@@ -367,50 +373,35 @@ def component_parity_check(params: GpcParams, i: int) -> Matrix:
 class _RowCode(LinearCode):
     """A level's row code: check rows alpha^(r*j) for r < u over the
     nodes z_j = alpha^j, a Reed-Solomon code.  Its erasures solve in
-    closed form, so it holds no plan and never eliminates.  Its multiply
-    is :func:`~gpcodes.linalg.scaler`'s, taken per solve."""
+    closed form, so it holds no plan and never eliminates.  Given
+    ``batch`` rows, the most that :meth:`fill_rows` takes at once, it
+    builds the fold of its batch syndrome: check r of a row is its power
+    sum with base alpha^r = z_r."""
 
-    def __init__(self, check_matrix: Matrix, nodes: Sequence[int]):
+    def __init__(self, check_matrix: Matrix, nodes: Sequence[int],
+                 batch: int = 0):
         super().__init__(check_matrix)
         self.nodes = nodes
+        if batch:
+            self.fold = Fold(self.field, self.length, 1,
+                             nodes[:check_matrix.rows], batch)
 
     def solve_syndrome(self, syndrome: list[int], erased: tuple[int, ...],
                        block: int = 1) -> list[int]:
-        """:meth:`LinearCode.solve_syndrome` by Bjorck and Pereyra's dual
-        algorithm ("Solution of Vandermonde systems of equations", Math.
-        Comp. 1970), in O(e^2) field operations for e erased columns.
-
-        The erased symbols x solve sum_k x_k z_k^r = s_r for r < e, with
-        z_k the node of the k-th erased column: stage 1 clears with the
-        nodes, and stage 2 divides by their differences and sums back.
-        Each check r >= e then compares s_r with sum_k x_k z_k^r and
-        raises :class:`NoSolutionError` on a difference; more than u
-        erasures raise :class:`UnderdeterminedError`, as the generic
-        solve does, and blocks over w > 8 ``ValueError`` first, from
-        linalg's block rule as the multiply is taken.
+        """:meth:`LinearCode.solve_syndrome` in closed form: the erased
+        symbols x solve sum_k x_k z_k^r = s_r over the nodes z_k of the
+        erased columns, a Vandermonde system that
+        :func:`~gpcodes.linalg.solve_vandermonde` solves by Bjorck and
+        Pereyra's dual algorithm in O(e^2) field operations for e erased
+        columns, checking the other u - e syndrome symbols.  It raises
+        :class:`NoSolutionError` on a difference, and
+        :class:`~gpcodes.linalg.UnderdeterminedError` on more than u
+        erasures, as the generic solve does, and blocks over w > 8
+        ``ValueError`` first, from linalg's block rule.
         """
-        mul = scaler(self.field, block)
-        u, e = len(syndrome), len(erased)
-        if e > u:
-            raise UnderdeterminedError(f"rank {u} < {e} unknowns")
-        x = syndrome[:e]
-        if e > 1:
-            nodes, inv = self.nodes, self.field.inv
-            z = [nodes[c] for c in erased]
-            for k in range(e - 1):
-                for i in range(e - 1, k, -1):
-                    x[i] ^= mul(z[k], x[i - 1])
-            for k in range(e - 2, -1, -1):
-                for i in range(k + 1, e):
-                    x[i] = mul(inv(z[i] ^ z[i - k - 1]), x[i])
-                for i in range(k, e - 1):
-                    x[i] ^= x[i + 1]
-        for row, s in zip(self.check_matrix.data[e:], syndrome[e:]):
-            for c, v in zip(erased, x):
-                s ^= mul(row[c], v)
-            if s:
-                raise NoSolutionError("inconsistent system")
-        return x
+        nodes = self.nodes
+        return solve_vandermonde(self.field, [nodes[c] for c in erased],
+                                 syndrome, block)
 
 
 class _View(NamedTuple):
@@ -445,15 +436,16 @@ def _level_checks(params: GpcParams) -> list[Matrix]:
 def _view(params: GpcParams) -> _View:
     # Built once per params, which it validates (so an invalid params
     # never enters the cache); callers must not modify the level codes.
-    # A params equal to the cached one but not it is validated too: a
-    # count of another type, n = 7.0 or a bool, compares equal to the
-    # int.
+    # A params equal to the cached one but not it has its types checked:
+    # a count of another type, n = 7.0 or a bool, compares equal to the
+    # int, and the cached params has passed every other rule.
     def build() -> _View:
         checks = _level_checks(params)
         f, m, n = params.field, params.m, params.n
         nodes = [f.alpha_pow(j) for j in range(max(m, n))]
         parity = params.parity_positions()
-        return _View(params, [_RowCode(h, nodes[:n]) for h in checks],
+        return _View(params, [_RowCode(h, nodes[:n], 0 if i else m)
+                              for i, h in enumerate(checks)],
                      params.transposed() if params.k < params.m else None,
                      PlanSlot(), params.dimension(), params.erasure_budgets(),
                      vandermonde(f, nodes[:m], m).data,
@@ -461,8 +453,8 @@ def _view(params: GpcParams) -> _View:
                      tuple(tuple((r, c) in parity for c in range(n))
                            for r in range(m)))
     view = recall(_VIEWS, params, _VIEW_LIMIT, build)
-    if params is not view.params:
-        params.check()
+    if params is not view.params and (bad := params._type_violations()):
+        raise ValueError("; ".join(bad))
     return view
 
 
@@ -711,9 +703,13 @@ def _execute_pass(step: _Pass, levels: list[_RowCode],
     if trace is not None:
         trace.row_order, trace.counts = step.order, step.counts
         trace.system = step.system
+    # Each row's form, which combine reads, is taken once and retaken
+    # only when a pivot fills the row.
     f, n = step.params.field, step.params.n
+    form = row_form(f, block)
+    forms = list(map(form, values))
     for p, row_idx, cols, level, gamma, rows in step.peel:
-        known = combine(f, zip(gamma, map(values.__getitem__, rows)), n,
+        known = combine(f, zip(gamma, map(forms.__getitem__, rows)), n,
                         block)
         row = values[row_idx]
         if level is None:
@@ -729,6 +725,8 @@ def _execute_pass(step: _Pass, levels: list[_RowCode],
             levels[level].fill(word, cols, block)
             for c in cols:
                 row[c] = word[c] ^ known[c]
+        if cols:
+            forms[row_idx] = form(row)
         if trace is not None:
             trace.steps.append((p, row_idx, level))
 

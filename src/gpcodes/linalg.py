@@ -30,22 +30,25 @@ checks included, compiled from R x (|E| + R) rows, so it serves both
 encode and decode: ``lc_encode`` fills the parity positions.
 :class:`SplitMap` is gpc's encoder map, its columns as split product
 tables: two lookups per symbol at about 40 times the memory.
-:func:`combine` sums weighted rows with the same product tables, and
-holds the symbol-wise loop for w > 8.  :class:`Fold` sums the m rows of
-a word held as one big integer, row r weighted by b^r, in ceil(log2 m)
-halvings of at most one translate each: the flat codes' grid syndrome
-and gpc's membership combinations take it.  :func:`scaler` is the one
-multiply of a field element by a symbol (``GF.mul``) or by a block of L
-byte symbols (one ``bytes.translate``), the form gpc's closed-form row
-solves take.  A block holds one byte per symbol, so only fields with
-product tables (w <= 8) take blocks: :func:`scaler`, :func:`combine`,
-a :class:`Fold` call, :meth:`LinearCode.syndrome` and
-:meth:`LinearCode.solve_syndrome` refuse the others through one check,
-``_check_blocks``, before any work, and a call of one symbol never runs
-it.  :class:`PlanSlot` holds the one rule for when a map is compiled,
-and ``MAP_BYTES_LIMIT`` the one bound on the bytes a compiled map
-holds; :func:`recall` is the get-or-build rule of every bounded cache,
-evicting the least recently used entry.
+:func:`combine` sums weighted rows with the same product tables, each
+row in the form :func:`row_form` takes, and holds the symbol-wise loop
+for w > 8.  :class:`Fold` sums the m rows of a word held as one big
+integer, row r weighted by b^r, in ceil(log2 m) halvings of at most one
+translate each: the flat codes' grid syndrome, gpc's membership
+combinations and the level-0 batch syndromes of gpc's row pass take
+it.  :func:`solve_vandermonde` is the closed-form solve
+of gpc's row codes, on exp/log lookups for one symbol.  :func:`scaler`
+is the one multiply of a field element by a symbol (``GF.mul``) or by a
+block of L byte symbols (one ``bytes.translate``), the form that solve
+takes for blocks.  A block holds one byte per symbol, so only fields
+with product tables (w <= 8) take blocks: :func:`scaler`,
+:func:`combine`, :func:`solve_vandermonde`, a :class:`Fold` call,
+:meth:`LinearCode.syndrome` and :meth:`LinearCode.solve_syndrome` refuse
+the others through one check, ``_check_blocks``, before any work, and a
+call of one symbol never runs it.  :class:`PlanSlot` holds the one rule
+for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound on the
+bytes a compiled map holds; :func:`recall` is the get-or-build rule of
+every bounded cache, evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
@@ -60,8 +63,10 @@ built from a check matrix alone.
 flat codes' stopping set, holding the syndrome its peel tracked, takes
 the step alone.  :meth:`LinearCode.fill_rows`, the one owner of how
 rows share a syndrome as blocks (see :func:`pack_blocks`), fills a
-batch of rows grouped by their erased positions: gpc's row pass and
-membership test take level 0's checks through it.  The syndrome map
+batch of rows grouped by their erased positions from one
+:meth:`LinearCode.batch_syndrome`, a :class:`Fold` call for a code of
+power rows: gpc's row pass and membership test take level 0's checks
+through it.  The syndrome map
 is built with the code, not once per pattern: for w <= 8 the check
 matrix's columns as bytes, so ``H @ word`` costs one ``bytes.translate``
 per nonzero symbol; the flat codes compute theirs in grid form.  A plan
@@ -422,10 +427,10 @@ class SplitMap:
 def _check_blocks(field: GF) -> None:
     # The one block rule: a block holds one byte per symbol, so only a
     # field with product tables (w <= 8) takes blocks of L > 1 words.
-    # Each block entry point (scaler, combine, LinearCode.syndrome and
-    # solve_syndrome) calls it for L > 1 before any work; a scalar call
-    # never does.  A Fold call, whose word is a block of rows, always
-    # does.
+    # Each block entry point (scaler, combine, solve_vandermonde,
+    # LinearCode.syndrome and solve_syndrome) calls it for L > 1 before
+    # any work; a scalar call never does.  A Fold call, whose word is a
+    # block of rows, always does.
     if field.mul_tables is None:
         raise ValueError("blocks need a field with w <= 8")
 
@@ -443,6 +448,72 @@ def scaler(field: GF, block: int = 1) -> Callable[[int, int], int]:
     tables, from_bytes = field.mul_tables, int.from_bytes
     return lambda a, v: from_bytes(
         v.to_bytes(block, "little").translate(tables[a]), "little")
+
+
+def solve_vandermonde(field: GF, nodes: Sequence[int], rhs: list[int],
+                      block: int = 1) -> list[int]:
+    """The unique x with sum_k x_k * nodes[k]^r = rhs[r] for every
+    r < u = len(rhs), over e = len(nodes) distinct nonzero nodes: the
+    :func:`solve` of ``vandermonde(field, nodes, u)`` and ``rhs``, with
+    its errors and messages, in O(e * u) field operations.
+
+    The rows r < e solve by Bjorck and Pereyra's dual algorithm
+    ("Solution of Vandermonde systems of equations", Math. Comp. 1970):
+    stage 1 clears with the nodes, and stage 2 divides by their
+    differences and sums back.  Each spare row r >= e then compares
+    rhs[r] with sum_k x_k nodes[k]^r and raises
+    :class:`NoSolutionError` on a difference; e > u raises
+    :class:`UnderdeterminedError`.  With ``block`` L > 1 each rhs symbol
+    and each output is a block of L byte symbols (see
+    :func:`pack_blocks`), multiplied through :func:`scaler`, and blocks
+    over a field with no product tables raise ``ValueError`` first.
+    Single symbols run every product as exp/log lookups inline, as
+    ``_eliminate`` clears int rows, when the field has the tables
+    (w <= 16), and through ``GF.mul`` past them.
+    """
+    if block > 1:
+        _check_blocks(field)
+    u, e = len(rhs), len(nodes)
+    if e > u:
+        raise UnderdeterminedError(f"rank {u} < {e} unknowns")
+    exp, log, order = field._exp, field._log, field.order
+    x = rhs[:e]
+    if block > 1 or log is None:
+        mul, inv, power = scaler(field, block), field.inv, field.pow
+        for k in range(e - 1):
+            for i in range(e - 1, k, -1):
+                x[i] ^= mul(nodes[k], x[i - 1])
+        for k in range(e - 2, -1, -1):
+            for i in range(k + 1, e):
+                x[i] = mul(inv(nodes[i] ^ nodes[i - k - 1]), x[i])
+            for i in range(k, e - 1):
+                x[i] ^= x[i + 1]
+        for r in range(e, u):
+            s = rhs[r]
+            for z, v in zip(nodes, x):
+                s ^= mul(power(z, r), v)
+            if s:
+                raise NoSolutionError("inconsistent system")
+        return x
+    for k in range(e - 1):
+        lz = log[nodes[k]]
+        for i in range(e - 1, k, -1):
+            if v := x[i - 1]:
+                x[i] ^= exp[lz + log[v]]
+    for k in range(e - 2, -1, -1):
+        for i in range(k + 1, e):
+            if v := x[i]:
+                x[i] = exp[log[v] + order - log[nodes[i] ^ nodes[i - k - 1]]]
+        for i in range(k, e - 1):
+            x[i] ^= x[i + 1]
+    for r in range(e, u):
+        s = rhs[r]
+        for z, v in zip(nodes, x):
+            if v:
+                s ^= exp[log[z] * r % order + log[v]]
+        if s:
+            raise NoSolutionError("inconsistent system")
+    return x
 
 
 def _raw(block: int) -> Callable[[Iterable[int]], bytes]:
@@ -479,11 +550,23 @@ def unpack_block(value: int, count: int, block: int = 1) -> list[int]:
             for i in range(0, count * block, block)]
 
 
+def row_form(field: GF, block: int = 1) -> Callable[[Sequence[int]], Any]:
+    """The form in which :func:`combine` reads a row of symbols, or of
+    blocks of ``block`` bytes: for w <= 8 its bytes, blocks
+    little-endian and end to end, and for wider fields the row itself.
+    A caller that combines one row many times takes its form once and
+    retakes it only when the row changes."""
+    if field.mul_tables is None:
+        return lambda row: row
+    return _raw(block)
+
+
 def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
             width: int, block: int = 1) -> list[int]:
     """The sum of ``weight * row`` over ``terms``, (weight, row) pairs
     of nonzero weights and rows of ``width`` symbols in range, or of
-    ``width`` blocks of ``block`` bytes (see :func:`pack_blocks`).
+    ``width`` blocks of ``block`` bytes (see :func:`pack_blocks`), each
+    row given in its :func:`row_form`.
 
     For w <= 8 a row is multiplied with one ``bytes.translate`` over its
     width * block bytes through the weight's product table and the rows
@@ -494,10 +577,10 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
         _check_blocks(field)
     tables = field.mul_tables
     if tables is not None:
-        from_bytes, raw = int.from_bytes, _raw(block)
+        from_bytes = int.from_bytes
         acc = 0
         for g, row in terms:
-            acc ^= from_bytes(raw(row).translate(tables[g]), "little")
+            acc ^= from_bytes(row.translate(tables[g]), "little")
         return unpack_block(acc, width, block)
     mul = field.mul
     out = [0] * width
@@ -517,13 +600,13 @@ class Fold:
     multiplied by b^keep with one ``bytes.translate`` through its
     product table (none when b^keep = 1): sum_(r<k) b^r row_r is
     sum_(r<keep) b^r (row_r + b^keep row_(keep+r)).  With ``repeat`` R
-    the word holds R such groups of rows end to end, masks repeated per
-    group halve every group at once, and group i's sum is the ``size``
-    bytes at offset i * rows * size, every other byte 0: with one-byte
-    rows, each array row's own byte sum.  The plan, each halving's
-    shift, masks and tables, is built once with the object.  A field
-    with no product tables (w > 8) takes only :meth:`sums`, and a call
-    over it raises ``ValueError`` through linalg's block rule.
+    the word holds up to R such groups of rows end to end, masks
+    repeated per group halve every group at once, and group i's sum is
+    the ``size`` bytes at offset i * rows * size, every other byte 0:
+    with one-byte rows, each array row's own byte sum.  The plan, each
+    halving's shift, masks and tables, is built once with the object.  A
+    field with no product tables (w > 8) takes only :meth:`sums`, and a
+    call over it raises ``ValueError`` through linalg's block rule.
     """
 
     __slots__ = ("field", "size", "bases", "plans")
@@ -634,6 +717,10 @@ class LinearCode:
         self.field = self.check_matrix.field
         self.length = self.check_matrix.cols
         self._plans: dict[tuple[int, ...], PlanSlot] = {}
+        # The batch syndrome's fold, for a code whose check row r is
+        # b_r^j over the positions j: bases b_r and one group per row (see
+        # batch_syndrome).  Set by such a code, as gpc's row codes are.
+        self.fold: Fold | None = None
         # The check rows as working rows, built once: every plan compile
         # reads its erased columns from them, and the parity choice
         # eliminates a shallow copy.
@@ -725,6 +812,29 @@ class LinearCode:
         for c, v in zip(erased, missing):
             word[c] = v
 
+    def batch_syndrome(self, rows: Sequence[Sequence[int]],
+                       block: int = 1) -> list[int]:
+        """The :meth:`syndrome` of every row of ``rows`` (w <= 8), each a
+        word of symbols in range or of blocks of ``block`` bytes: one int
+        per check row, the check symbol of row i at byte offset i * L, as
+        the syndrome of the rows packed by :func:`pack_blocks` holds it.
+
+        A code with a ``fold`` takes the syndrome of single symbols from
+        one :class:`Fold` call over the rows' bytes end to end, one group
+        per row: check r of a row is the power sum of its positions with
+        base b_r.  Blocks, and a code with no fold, one built from a check
+        matrix alone, take the syndrome of the packed rows.
+        """
+        count, fold = len(rows), self.fold
+        if fold is None or block > 1:
+            return self.syndrome(pack_blocks(rows, block), count * block)
+        stride = self.length    # a row's bytes
+        from_bytes = int.from_bytes
+        return [from_bytes(v.to_bytes(count * stride, "little")[::stride],
+                           "little")
+                for v in fold(from_bytes(b"".join(map(bytes, rows)),
+                                         "little"))]
+
     def fill_rows(self, rows: list[list[int]],
                   groups: dict[tuple[int, ...], Sequence[int]],
                   block: int = 1) -> None:
@@ -732,14 +842,14 @@ class LinearCode:
         ``cols: part`` of ``groups``, at its erased positions ``cols``
         (ascending), which hold 0, as :meth:`fill` would.
 
-        For w <= 8 one :meth:`syndrome` of the whole batch, row i at byte
-        offset i * L of each block of L bytes (see :func:`pack_blocks`),
-        holds every row's syndrome, and each group of g rows solves from
-        its bytes of it as one word of (g * L)-byte blocks.  Wider fields
-        solve row by row.  A group of no erasures is the test that its
-        rows' syndromes vanish.  Each group is written once all its rows
-        solve, so when one raises what :meth:`solve_syndrome` raises, the
-        groups before it stay filled and the rest are left as they were.
+        For w <= 8 one :meth:`batch_syndrome` of the whole batch, row i
+        at byte offset i * L of each block of L bytes, holds every row's
+        syndrome, and each group of g rows solves from its bytes of it as
+        one word of (g * L)-byte blocks.  Wider fields solve row by row.
+        A group of no erasures is the test that its rows' syndromes
+        vanish.  Each group is written once all its rows solve, so when
+        one raises what :meth:`solve_syndrome` raises, the groups before
+        it stay filled and the rest are left as they were.
         """
         batch = [r for part in groups.values() for r in part]
         if not batch:
@@ -752,8 +862,7 @@ class LinearCode:
                     for c, v in zip(cols, missing):
                         rows[r][c] = v
             return
-        syndrome = self.syndrome(
-            pack_blocks([rows[r] for r in batch], block), len(batch) * block)
+        syndrome = self.batch_syndrome([rows[r] for r in batch], block)
         shift = 0
         for cols, part in groups.items():
             width = len(part) * block   # the group's bytes per symbol
@@ -761,6 +870,11 @@ class LinearCode:
             missing = self.solve_syndrome(
                 [v >> shift & mask for v in syndrome], cols, width)
             shift += 8 * width
+            if len(part) == 1:
+                row = rows[part[0]]
+                for c, v in zip(cols, missing):
+                    row[c] = v
+                continue
             for c, v in zip(cols, missing):
                 for r, x in zip(part, unpack_block(v, len(part), block)):
                     rows[r][c] = x

@@ -820,3 +820,30 @@ def test_lc_erasure_decode_checks_words_with_no_erasures(build):
         with pytest.raises(UncorrectableError, match="inconsistent") as exc:
             lc_erasure_decode(bad, set(), code)
         assert exc.value.remaining == frozenset()
+
+
+def test_a_flat_decode_reads_its_survivors_as_their_check_built_them(
+        monkeypatch):
+    """lc_erasure_decode on build_h2's code converts its survivors once:
+    the grid syndrome reads the bytearray that GF.check_symbols built to
+    validate them."""
+    code = build_h2(15, 17)
+    word = lc_encode(list(range(code.dimension)), code)
+    erased = {0, 1, 17, 40}
+    damaged = [0 if j in erased else v for j, v in enumerate(word)]
+    checked, read = [], []
+    check, syndrome = GF.check_symbols, type(code).syndrome
+
+    def recording_check(self, values, what):
+        checked.append(check(self, values, what))
+        return checked[-1]
+
+    def recording_syndrome(self, symbols, block=1):
+        read.append(symbols)
+        return syndrome(self, symbols, block)
+
+    monkeypatch.setattr(GF, "check_symbols", recording_check)
+    monkeypatch.setattr(type(code), "syndrome", recording_syndrome)
+    assert lc_erasure_decode(damaged, erased, code) == word
+    assert len(checked) == len(read) == 1 and read[0] is checked[0]
+    assert type(read[0]) is bytearray

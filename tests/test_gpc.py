@@ -489,6 +489,7 @@ def test_membership_past_the_row_checks_matches_parity_matrix(params):
     top = 1 << params.field.w
     h = full_parity_matrix(params)
     basis = linalg.null_space(component_parity_check(params, 0))
+    form = linalg.row_form(params.field)
     word = encode([rng.randrange(top) for _ in range(params.dimension())],
                   params)
     assert is_member(word, params)
@@ -497,8 +498,8 @@ def test_membership_past_the_row_checks_matches_parity_matrix(params):
         arr = word.copy()
         r = rng.randrange(params.m)
         extra = linalg.combine(params.field,
-                               [(rng.randrange(1, top), v) for v in basis],
-                               params.n)
+                               [(rng.randrange(1, top), form(v))
+                                for v in basis], params.n)
         arr.values[r] = [a ^ b for a, b in zip(arr.values[r], extra)]
         member = is_member(arr, params)
         assert member == (not any(h.mul_vec(arr.flatten())))
@@ -520,6 +521,7 @@ def test_each_combination_is_checked_in_its_deepest_level(params):
     h = full_parity_matrix(params)
     word = rand_codeword(params, rng)
     checks = [component_parity_check(params, i) for i in range(params.t)]
+    form = linalg.row_form(params.field)
     for level in range(1, params.t + 1):
         basis = linalg.null_space(checks[level - 1])
         for _ in range(3):
@@ -527,8 +529,8 @@ def test_each_combination_is_checked_in_its_deepest_level(params):
             while not any(checks[level].mul_vec(extra) if level < params.t
                           else extra):
                 extra = linalg.combine(
-                    params.field, [(rng.randrange(top), v) for v in basis],
-                    params.n)
+                    params.field, [(rng.randrange(top), form(v))
+                                   for v in basis], params.n)
             arr = word.copy()
             r = rng.randrange(params.m)
             arr.values[r] = [a ^ b for a, b in zip(arr.values[r], extra)]
@@ -554,18 +556,21 @@ def test_membership_folds_equal_the_combined_rows(params):
     view = gpc._view(params)
     rng = random.Random(params.m * params.n)
     top = 1 << params.field.w
+    form = linalg.row_form(params.field)
     for _ in range(4):
         rows = [[rng.randrange(top) for _ in range(params.n)]
                 for _ in range(params.m)]
         assert view.combos.sums(rows) == [
-            linalg.combine(params.field, zip(view.powers[r], rows), params.n)
+            linalg.combine(params.field,
+                           zip(view.powers[r], map(form, rows)), params.n)
             for r in range(params.s_hat(1))]
 
 
 def test_codes_and_views_build_their_fold_plans_once(monkeypatch):
     """build_h2's code builds its two fold plans with the code, and a
-    view its one with the view: syndromes, decodes, encodes and
-    membership tests build none."""
+    view its two with the view: its level-0 code's batch syndrome and
+    the membership combinations.  Syndromes, decodes, encodes (the
+    encoder's compile included) and membership tests build none."""
     built = []
     real = linalg.Fold.__init__
 
@@ -586,7 +591,8 @@ def test_codes_and_views_build_their_fold_plans_once(monkeypatch):
     for _ in range(3):
         assert is_member(arr, G16)
         assert decode_rows(erase_positions(arr, [(0, 0)]), G16) == arr
-    assert built[2:] == [(G16.field, G16.m, G16.n)]
+        rand_codeword(G16, rng)     # the second encode compiles
+    assert built[2:] == [(G16.field, G16.n, 1), (G16.field, G16.m, G16.n)]
 
 
 def test_full_parity_matrix_rank():
@@ -1423,6 +1429,27 @@ def test_entry_points_raise_the_violations_on_invalid_params(bad):
         with pytest.raises(ValueError, match=message):
             call()
     assert bad not in gpc._VIEWS
+
+
+def test_an_equal_params_hits_its_view_after_a_type_check(monkeypatch):
+    """A params equal to a cached view's but not the same object hits
+    that view after checking only its types, which are all that can tell
+    two equal params apart: violations() does not run again, and a count
+    of another type, equal to the int, is still refused."""
+    view = gpc._view(G16)
+    calls = []
+    monkeypatch.setattr(GpcParams, "violations",
+                        lambda self: calls.append(self) or [])
+    same = GpcParams(*G16)
+    assert same == G16 and same is not G16
+    assert gpc._view(same) is view and calls == []
+    for bad, message in ((same._replace(n=30.0), "n must be an int"),
+                         (same._replace(s=(8, 4.0, 4)), "s[1] must be an "
+                          "int")):
+        assert bad == G16
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gpc._view(bad)
+    assert calls == []
 
 
 def test_column_views_of_the_grid_are_valid():

@@ -12,8 +12,9 @@ from gpcodes.gpc import (GpcParams, component_parity_check, encode,
                          full_parity_matrix)
 from gpcodes.linalg import (Fold, LinearCode, Matrix, NoSolutionError,
                             PlanSlot, SplitMap, UnderdeterminedError, combine,
-                            kron, null_space, pack_blocks, rank, row_reduce,
-                            solve, unpack_block, vandermonde, vstack)
+                            kron, null_space, pack_blocks, rank, row_form,
+                            row_reduce, solve, unpack_block, vandermonde,
+                            vstack)
 from test_acceptance import _small_param_grid
 from test_gpc import G16, grid_codes_over_wider_fields
 
@@ -456,9 +457,10 @@ def test_combine_blocks_equal_per_word_sums(field):
         with pytest.raises(ValueError, match="w <= 8"):
             combine(field, [(1, [0] * width)], width, 2)
         return
-    expected = [combine(field, [(g, rows[i]) for g, rows in terms], width)
-                for i in range(count)]
-    got = combine(field, [(g, pack_blocks(rows)) for g, rows in terms],
+    form, blocks = row_form(field), row_form(field, count)
+    expected = [combine(field, [(g, form(rows[i])) for g, rows in terms],
+                        width) for i in range(count)]
+    got = combine(field, [(g, blocks(pack_blocks(rows))) for g, rows in terms],
                   width, count)
     assert _unpacked(got, count) == expected
 
@@ -479,7 +481,7 @@ def test_fold_equals_the_weighted_row_sums(field):
             fold = Fold(field, rows, size, bases, repeat)
             groups = [[[rng.randrange(top) for _ in range(size)]
                        for _ in range(rows)] for _ in range(repeat)]
-            sums = [[combine(field, [(field.pow(b, r), row)
+            sums = [[combine(field, [(field.pow(b, r), row_form(field)(row))
                                      for r, row in enumerate(group)], size)
                      for group in groups] for b in bases]
             assert fold.sums(groups[0]) == [own[0] for own in sums]
@@ -862,3 +864,47 @@ def test_wide_field_block_fill_raises():
         assert linalg.scaler(f)(3, 5) == f.mul(3, 5)
         code.fill(word, (3, 4))
         assert not any(code.syndrome(word))
+
+
+def _solve_answer(solve_it):
+    """What ``solve_it()`` returns, or the class and message it raises."""
+    try:
+        return solve_it()
+    except linalg.LinearSolveError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("field", [F8, default_field(8), default_field(10),
+                                   default_field(16), GF(20, 0x100009)],
+                         ids=["w3", "w8", "w10", "w16", "w20"])
+def test_vandermonde_solve_equals_the_generic_solve(field):
+    """solve_vandermonde, on exp/log lookups up to w = 16 and with
+    GF.mul on GF(2^20), which has no tables, returns what solve returns
+    on the erased check columns for every e <= u, and its error and
+    message when a spare syndrome symbol is changed or e > u."""
+    rng = random.Random(field.w + 719)
+    n = min(12, field.alpha_order)
+    nodes = [field.alpha_pow(j) for j in range(n)]
+    top = 1 << field.w
+    for u in (1, 2, 3, 5, 7):
+        for e in range(min(u + 1, n) + 1):
+            erased = [nodes[c] for c in sorted(rng.sample(range(n), e))]
+            check = vandermonde(field, erased, u)
+            x = [rng.randrange(top) for _ in range(e)]
+            rhs = check.mul_vec(x) if e else [0] * u
+            got = _solve_answer(lambda: linalg.solve_vandermonde(
+                field, erased, list(rhs)))
+            assert got == _solve_answer(lambda: solve(check, rhs)), (u, e)
+            if e > u:
+                assert got == (UnderdeterminedError, f"rank {u} < {e} "
+                               "unknowns")
+                continue
+            assert got == x
+            for r in range(e, u):
+                bad = list(rhs)
+                bad[r] ^= rng.randrange(1, top)
+                assert _solve_answer(lambda: linalg.solve_vandermonde(
+                    field, erased, bad)) == (NoSolutionError,
+                                             "inconsistent system")
+                assert _solve_answer(lambda: solve(check, bad))[0] is \
+                    NoSolutionError

@@ -18,7 +18,8 @@ from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
 from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
                             _eliminate, _work_rows, combine, null_space,
-                            pack_blocks, rank, unpack_block)
+                            pack_blocks, rank, row_form, unpack_block,
+                            vandermonde)
 from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
                          UncorrectableError, decodable_profile,
                          decode_iterative, decode_rows, encode,
@@ -428,8 +429,9 @@ def low_rank_rows(field, rng, nrows, ncols):
     top = 1 << field.w
     basis = [[rng.randrange(top) for _ in range(ncols)]
              for _ in range(rng.randint(1, nrows))]
-    return [combine(field, [(rng.randrange(1, top), b) for b in basis], ncols)
-            for _ in range(nrows)]
+    form = row_form(field)
+    return [combine(field, [(rng.randrange(1, top), form(b)) for b in basis],
+                    ncols) for _ in range(nrows)]
 
 
 def test_eliminate_on_a_column_order_equals_the_permuted_copy():
@@ -577,3 +579,31 @@ def test_plans_from_a_codes_rows_equal_erasure_plan():
             assert _map(code._plans[erased].map) == fresh
             assert code._rows == _work_rows(code.field, h.data)
             assert (fresh is None) == (rank(h.submatrix(cols=erased)) < size)
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_fold_batch_syndromes_equal_each_rows_syndrome(w):
+    """A row code's batch syndrome, one fold call over the rows' bytes,
+    holds each row's LinearCode.syndrome at its byte offset, and equals
+    the batch syndrome of a plain LinearCode with the same checks, which
+    has no fold: for every batch size from 1 to m = 6, blocks of one,
+    two and five bytes, and strengths 1, 2 and n - 1."""
+    field = default_field(w)
+    n, m = min(9, field.alpha_order), 6
+    nodes = [field.alpha_pow(j) for j in range(n)]
+    top = 1 << w
+    rng = random.Random(601 + w)
+    for u in sorted({1, 2, n - 1}):
+        check = vandermonde(field, nodes, u)
+        code, plain = gpc._RowCode(check, nodes, m), LinearCode(check)
+        for count, block in product(range(1, m + 1), (1, 2, 5)):
+            with named(w, u, count, block):
+                rows = [[int.from_bytes(bytes(rng.randrange(top)
+                                              for _ in range(block)),
+                                        "little") for _ in range(n)]
+                        for _ in range(count)]
+                got = code.batch_syndrome(rows, block)
+                assert got == plain.batch_syndrome(rows, block)
+                assert [unpack_block(v, count, block) for v in got] == [
+                    list(col) for col in zip(*(code.syndrome(row, block)
+                                               for row in rows))]

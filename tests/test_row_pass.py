@@ -73,6 +73,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
     if not decodable_profile(profile, params):
         return left
     f = params.field
+    form = linalg.row_form(f, block)
     m, k, t = params.m, params.k, params.t
     order = tuple(r for _, r in profile.entries)
     counts = profile.counts
@@ -84,7 +85,7 @@ def _ref_row_pass(work, view, trace=None, block=1):
         row_idx = order[p]
         cols = erased[row_idx]
         gamma = reduced.data[p]
-        known = combine(f, [(gamma[j], work.values[order[j]])
+        known = combine(f, [(gamma[j], form(work.values[order[j]]))
                             for j in range(p + 1, m) if gamma[j]],
                         params.n, block)
         if p < m - k:
@@ -410,38 +411,48 @@ def test_decoders_match_the_symbol_array_reference(params, count):
 def test_each_row_pass_takes_the_level_0_syndrome_once(decoder, reference,
                                                        params, monkeypatch):
     """For w <= 8 a row pass, the column pass of decode_iterative
-    included, takes its level-0 syndrome once, as one block of its rows
-    within reach of level 0, and every local repair solves from its
-    rows' part of it.  Over GF(2^10) each such row still fills on its
-    own, from its own syndrome.  The outputs and errors are the
-    reference's either way."""
+    included, takes its level-0 syndrome once, as one call of its level-0
+    code's fold over its rows within reach of level 0, and takes no
+    level-0 syndrome of a single row: every local repair solves from its
+    rows' part of the fold's sums.  Over GF(2^10) each such row still
+    fills on its own, from its own syndrome, and no fold runs.  The
+    outputs and errors are the reference's either way."""
     cases = reference_cases(params, 419, 12)
     expected = [outcome(reference, arr, params) for arr in cases]
     passes = []
     run_pass, syndrome = gpc._execute_pass, linalg.LinearCode.syndrome
+    fold = linalg.Fold.__call__
 
     def recording_pass(step, levels, values, block, trace=None):
         local = sum(map(len, step.groups.values()))
-        passes.append((step.params, levels, local, []))
+        passes.append((step.params, levels, local, [], []))
         return run_pass(step, levels, values, block, trace)
 
     def recording_syndrome(self, word, block=1):
         passes[-1][3].append((self, block))
         return syndrome(self, word, block)
 
+    def recording_fold(self, word):
+        passes[-1][4].append(self)
+        return fold(self, word)
+
     monkeypatch.setattr(gpc, "_execute_pass", recording_pass)
     monkeypatch.setattr(linalg.LinearCode, "syndrome", recording_syndrome)
+    monkeypatch.setattr(linalg.Fold, "__call__", recording_fold)
     column_passes = 0
     for arr, want in zip(cases, expected):
         passes.clear()
         assert outcome(decoder, arr, params) == want, arr
         failed = want[0] is ContradictionError
-        for code_params, levels, local, calls in passes:
+        for code_params, levels, local, calls, folds in passes:
             column_passes += code_params != params
             level0 = [block for code, block in calls if code is levels[0]]
             if params.field.w <= 8:
-                assert level0 == ([local] if local else [])
-            elif failed:    # the fills stop at the first contradiction
+                assert folds == ([levels[0].fold] if local else [])
+                assert level0 == []
+                continue
+            assert folds == []
+            if failed:      # the fills stop at the first contradiction
                 assert level0 == [1] * len(level0) and len(level0) <= local
             else:
                 assert level0 == [1] * local

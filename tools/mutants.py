@@ -69,6 +69,10 @@ CONTRACTS = ("tests/test_contracts.py::test_each_bad_count_or_position_raises_"
 REFUSALS = ("tests/test_contracts.py::test_each_bad_sequence_field_or_symbol_"
             "raises_value_error")
 NEWTON = "tests/test_properties.py::test_the_triangulation_is_the_newton_basis"
+VANDERMONDE = ("tests/test_linalg.py::test_vandermonde_solve_equals_the_"
+               "generic_solve")
+BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
+              "rows_syndrome")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -166,19 +170,9 @@ MUTANTS = (
            "u_new = tuple(self.s_hat(t - i) for i in range(t))",
            "u_new = tuple(self.s_hat(t - i) - (i == 0) for i in range(t))",
            ("tests/test_gpc.py::test_transpose_preserves_code",)),
-    Mutant("the closed form skips its residual checks", GPC,
-           "            if s:\n"
-           "                raise NoSolutionError(\"inconsistent system\")\n",
-           "            pass\n",
-           (CLOSED_FORM, NO_ERASURE_FLIP, GROUPED_ROWS)),
-    Mutant("stage 2 divides by the last node's difference", GPC,
-           "inv(z[i] ^ z[i - k - 1])", "inv(z[e - 1] ^ z[i - k - 1])",
-           (CLOSED_FORM, "tests/test_gpc.py::test_row_plans_match_scalar_"
-            "solves", "tests/test_gpc.py::test_encode_is_systematic")),
-    Mutant("stage 1 stops one step short", GPC,
-           "for k in range(e - 1):", "for k in range(e - 2):",
-           (CLOSED_FORM, "tests/test_gpc.py::test_decode_rows_roundtrip_"
-            "random")),
+    Mutant("the peel reads a row form that is not refreshed", GPC,
+           "        if cols:\n            forms[row_idx] = form(row)\n", "",
+           (REFERENCE,)),
     Mutant("a negative cell index wraps around to the end", GPC,
            "and 0 <= r < self.m and 0 <= c < self.n):",
            "and -self.m <= r < self.m and -self.n <= c < self.n):",
@@ -192,7 +186,9 @@ MUTANTS = (
            "        out = [] and _not_ints([*zip(\"mnk\", self), *(\n",
            (CONTRACTS,)),
     Mutant("the view cache serves params it never validated", GPC,
-           "    if params is not view.params:\n        params.check()\n", "",
+           "    if params is not view.params and (bad := "
+           "params._type_violations()):\n"
+           "        raise ValueError(\"; \".join(bad))\n", "",
            (CONTRACTS,)),
     Mutant("SymbolArray.fill stores a negative symbol", GPC,
            "if not isinstance(value, int) or value < 0:",
@@ -236,6 +232,42 @@ MUTANTS = (
            "rows[i] = [v ^ exp[lf + log[q]]",
            ("tests/test_linalg.py::test_eliminate_on_int_lists_equals_the_"
             "mul_reference",)),
+    Mutant("the row solve skips its spare checks", LINALG,
+           "        if s:\n"
+           "            raise NoSolutionError(\"inconsistent system\")\n"
+           "    return x\n", "    return x\n",
+           (VANDERMONDE, CLOSED_FORM, NO_ERASURE_FLIP)),
+    Mutant("the block and wide-field row solve skips its spare checks",
+           LINALG, "            if s:\n"
+           "                raise NoSolutionError(\"inconsistent system\")\n"
+           "        return x\n", "        return x\n",
+           (CLOSED_FORM, GROUPED_ROWS)),
+    Mutant("stage 2 divides by the last node's difference", LINALG,
+           "log[nodes[i] ^ nodes[i - k - 1]]",
+           "log[nodes[e - 1] ^ nodes[i - k - 1]]",
+           (VANDERMONDE, CLOSED_FORM, "tests/test_gpc.py::test_row_plans_"
+            "match_scalar_solves", "tests/test_gpc.py::test_encode_is_"
+            "systematic")),
+    Mutant("stage 1 stops one step short", LINALG,
+           "    for k in range(e - 1):\n        lz = log[nodes[k]]\n",
+           "    for k in range(e - 2):\n        lz = log[nodes[k]]\n",
+           (VANDERMONDE, CLOSED_FORM, "tests/test_gpc.py::test_decode_rows_"
+            "roundtrip_random")),
+    Mutant("the block and wide-field stage 2 divides by the last node's "
+           "difference", LINALG, "inv(nodes[i] ^ nodes[i - k - 1])",
+           "inv(nodes[e - 1] ^ nodes[i - k - 1])",
+           (VANDERMONDE, CLOSED_FORM, GROUPED_ROWS)),
+    Mutant("the block and wide-field stage 1 stops one step short", LINALG,
+           "        for k in range(e - 1):\n"
+           "            for i in range(e - 1, k, -1):\n"
+           "                x[i] ^= mul(",
+           "        for k in range(e - 2):\n"
+           "            for i in range(e - 1, k, -1):\n"
+           "                x[i] ^= mul(",
+           (VANDERMONDE, CLOSED_FORM, GROUPED_ROWS)),
+    Mutant("the level-0 fold drops the batch's last row", LINALG,
+           'b"".join(map(bytes, rows))', 'b"".join(map(bytes, rows[:-1]))',
+           (BATCH_FOLD, REFERENCE, LEVEL_0_ONCE)),
     Mutant("a block is multiplied by the wrong node", LINALG,
            "translate(tables[a])", "translate(tables[a ^ 1])",
            (CLOSED_FORM, GROUPED_ROWS)),
@@ -244,8 +276,9 @@ MUTANTS = (
            'v.to_bytes(block, "big").translate(tables[a])',
            (CLOSED_FORM, GROUPED_ROWS)),
     Mutant("the block rule lets GF(2^10) through", LINALG,
-           "    if field.mul_tables is None:\n",
-           "    if field.w > 16:\n",
+           "    if field.mul_tables is None:\n"
+           "        raise ValueError(\"blocks",
+           "    if field.w > 16:\n        raise ValueError(\"blocks",
            (BLOCK_RULE, "tests/test_gpc.py::test_blocks_over_a_wide_field_"
             "raise_before_any_work")),
     Mutant("maps compile on their third use", LINALG,
