@@ -17,10 +17,12 @@ A decode plans, then executes.  Every decision the row pass and the
 row-column alternation take (which rows repair locally, the profile, the
 triangulated system, each pivot's level and known rows, when to turn to
 the columns) reads the erasure mask alone, so :class:`_Plan` holds them
-and a bounded cache keeps the plans by code and mask: a repeated loss
-plans once.  The execute step only touches symbols: it runs the plan's
-fills and combinations and compares the vanishing rows.  Each level's
-row code is a Reed-Solomon code whose erasures solve in closed form
+and a bounded cache keeps the plans by code and mask, each held in a
+small probation segment until its mask is seen again: a repeated loss
+plans once, and masks seen once stay out of the cache.  The execute
+step only touches symbols: it runs the plan's fills and combinations
+and compares the vanishing rows.  Each level's row code is a
+Reed-Solomon code whose erasures solve in closed form
 (:class:`_RowCode`), so row repairs hold no state and run no
 elimination.
 
@@ -38,8 +40,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
-                     NoSolutionError, PlanSlot, SplitMap, combine, kron,
-                     null_space, recall, row_form, row_reduce, solve,
+                     NoSolutionError, PlanSlot, SplitMap, admit, combine,
+                     kron, null_space, recall, row_form, row_reduce, solve,
                      solve_vandermonde, vandermonde, vstack)
 
 
@@ -503,19 +505,23 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     :class:`~gpcodes.linalg.Fold` with base alpha^r, and goes through the
     syndrome of the deepest level it lies in (budget r is its strength;
     level t's is zero).  The levels nest, so that check implies the
-    shallower ones.  Raises ``ValueError`` when a symbol lies outside
-    [0, 2^w).
+    shallower ones.  Both read the rows as slices of what the field's
+    range check returned, so each symbol is converted once.  Raises
+    ``ValueError`` when a symbol lies outside [0, 2^w).
     """
     view = _view(params)
     _check_shape(arr, params.m, params.n)
     if any(True in flags for flags in arr.erased):
         raise ValueError("membership is undefined for arrays with erasures")
-    params.field.check_symbols(chain.from_iterable(arr.values), "symbol")
+    cells = params.field.check_symbols(chain.from_iterable(arr.values),
+                                       "symbol")
+    n = params.n
+    rows = [cells[i:i + n] for i in range(0, len(cells), n)]
     try:
-        view.levels[0].fill_rows(arr.values, {(): range(params.m)})
+        view.levels[0].fill_rows(rows, {(): range(params.m)})
     except NoSolutionError:
         return False
-    for r, combo in enumerate(view.combos.sums(arr.values)):
+    for r, combo in enumerate(view.combos.sums(rows)):
         level = bisect_left(params.u, view.budgets[r])
         if any(view.levels[level].syndrome(combo) if level < params.t
                else combo):
@@ -536,11 +542,16 @@ class DecodeTrace:
         self.steps: list[tuple[int, int, int | None]] = []
 
 
-# Triangulations by (params, row order, system size), least recently
-# used evicted first.  A repeated loss needs one entry; patterns that are
-# all new hit almost never, so a small limit keeps the hits that come.
+# Triangulations by (params, row order, system size), under probation
+# (linalg.admit): a key seen once waits among the few newest first
+# sightings, and one seen again there moves into this LRU, least
+# recently used evicted first.  A plan holds its own systems, so a
+# repeated loss reads its triangulation from its plan; the LRU keeps the
+# systems that new patterns share, and patterns that are all new leave
+# it empty instead of holding 64 systems read once.
 _TRIANGULATION_LIMIT = 64
 _TRIANGULATION_CACHE: dict[tuple, Matrix] = {}
+_TRIANGULATION_PROBATION: dict[tuple, Matrix] = {}
 
 
 def _triangulated_system(view: _View, order: tuple[int, ...],
@@ -551,10 +562,11 @@ def _triangulated_system(view: _View, order: tuple[int, ...],
     # nodes x_j = alpha^order[j]: row p, entry j is the product over
     # i < p of (x_j + x_i) / (x_p + x_i), so no weight past the pivot
     # is zero.
-    return recall(_TRIANGULATION_CACHE, (view.params, order, nsys),
-                  _TRIANGULATION_LIMIT, lambda: row_reduce(Matrix._fresh(
-                      view.params.field, [[row[j] for j in order]
-                                          for row in view.powers[:nsys]])))
+    return admit(_TRIANGULATION_CACHE, _TRIANGULATION_PROBATION,
+                 (view.params, order, nsys), _TRIANGULATION_LIMIT,
+                 lambda: row_reduce(Matrix._fresh(
+                     view.params.field, [[row[j] for j in order]
+                                         for row in view.powers[:nsys]])))
 
 
 class _Pass(NamedTuple):
@@ -567,10 +579,12 @@ class _Pass(NamedTuple):
     counts: tuple[int, ...]
     system: Matrix | None = None    # None: the profile exceeds the budgets
     # The pivots in peel order, each (p, row, erased columns, level,
-    # gamma past p, profile past p): the row at profile position p
-    # repairs in ``level`` (None for a vanishing combination) against
-    # the sum of the rows after it, each times its gamma, which is never
-    # zero (see _triangulated_system).
+    # weights, rows): the row at profile position p repairs in ``level``
+    # (None for a vanishing combination) from the sum of ``rows``, each
+    # times its weight, which is never zero (see _triangulated_system).
+    # A vanishing combination sums the rows after p, which its row must
+    # equal; any other pivot sums row p of the system, its own row with
+    # weight 1 and the rows after it, a word of its level once filled.
     peel: tuple[tuple, ...] = ()
 
 
@@ -580,10 +594,12 @@ class _Plan(NamedTuple):
     Each pass fills its rows within reach of the weakest row code, clean
     rows included, as one batch grouped by erased columns
     (:meth:`~gpcodes.linalg.LinearCode.fill_rows`).  When the profile
-    fits the budgets it then peels the rest off the triangulated system,
-    each pivot row against the sum of its known rows
-    (:func:`~gpcodes.linalg.combine`), and compares each of the m - k
-    vanishing combinations with its pivot row, erased or not.  Built by
+    fits the budgets it then peels the rest off the triangulated system:
+    each of the m - k vanishing combinations compares its pivot row,
+    erased or not, with the sum of its known rows
+    (:func:`~gpcodes.linalg.combine`), and every other pivot fills from
+    its combined row, the pivot row included
+    (:meth:`~gpcodes.linalg.LinearCode.fill_sum`).  Built by
     :func:`_plan` on a cache miss; :func:`_execute` runs it, raising on
     the first contradiction a solve or comparison meets.
     """
@@ -594,20 +610,26 @@ class _Plan(NamedTuple):
     mask: tuple[tuple[bool, ...], ...]   # the cells left erased
 
 
-# Plans by (params, iterate, mask rows as bytes), least recently used
-# evicted first.  A repeated loss needs one entry and a decode of a new
-# pattern pays one insert; each entry holds its pattern's tuples and a
-# system the triangulation cache may hold too.
+# Plans by (params, iterate, mask rows as bytes), under probation
+# (linalg.admit): a pattern's first plan waits among the few newest
+# first sightings, and its second sighting there moves that plan into
+# this LRU, least recently used evicted first.  So a repeated loss plans
+# once and then hits, and patterns seen once, as a scrub's are, leave
+# the LRU empty: their plans are freed a few decodes later, before the
+# garbage collector has walked them many times.  Each entry holds its
+# pattern's tuples and a system the triangulation cache may hold too.
 _PLAN_LIMIT = 64
 _PLANS: dict[tuple, _Plan] = {}
+_PLAN_PROBATION: dict[tuple, _Plan] = {}
 
 
 def _plan_for(view: _View, mask: Sequence[Sequence[bool]],
               iterate: bool) -> _Plan:
     # The plan of a decode of the rows whose erased cells are flagged in
     # ``mask`` (of the code's shape), from the cache when it holds one.
-    return recall(_PLANS, (view.params, iterate, tuple(map(bytes, mask))),
-                  _PLAN_LIMIT, lambda: _plan(view, mask, iterate))
+    return admit(_PLANS, _PLAN_PROBATION,
+                 (view.params, iterate, tuple(map(bytes, mask))),
+                 _PLAN_LIMIT, lambda: _plan(view, mask, iterate))
 
 
 def _plan(view: _View, mask: Sequence[Sequence[bool]],
@@ -667,8 +689,9 @@ def _plan_pass(view: _View, erased: list[tuple],
         # else counts[p] is within budget p, the deepest level p lies
         # in, so the weakest level that covers it is one p lies in too.
         level = None if p < m - k else bisect_left(params.u, counts[p])
-        peel.append((p, row_idx, cols, level, reduced.data[p][p + 1:],
-                     order[p + 1:]))
+        start = p + 1 if level is None else p
+        peel.append((p, row_idx, cols, level, reduced.data[p][start:],
+                     order[start:]))
         erased[row_idx] = ()
     passes.append(_Pass(params, groups, order, counts, reduced, tuple(peel)))
     return 0
@@ -703,28 +726,26 @@ def _execute_pass(step: _Pass, levels: list[_RowCode],
     if trace is not None:
         trace.row_order, trace.counts = step.order, step.counts
         trace.system = step.system
-    # Each row's form, which combine reads, is taken once and retaken
+    # Each row's form, which the sums read, is taken once and retaken
     # only when a pivot fills the row.
     f, n = step.params.field, step.params.n
     form = row_form(f, block)
     forms = list(map(form, values))
     for p, row_idx, cols, level, gamma, rows in step.peel:
-        known = combine(f, zip(gamma, map(forms.__getitem__, rows)), n,
-                        block)
+        terms = zip(gamma, map(forms.__getitem__, rows))
         row = values[row_idx]
         if level is None:
+            known = combine(f, terms, n, block)
             for c in cols:
                 row[c] = known[c]
             if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
-            # The code fills row + known, whose erased symbols it
-            # ignores, so known goes back into the filled cells.  The
+            # The sum holds the row, whose erased cells hold 0, so the
+            # level's fill of the sum gives the row's symbols there.  The
             # solution is unique (Vandermonde columns).
-            word = [a ^ b for a, b in zip(row, known)]
-            levels[level].fill(word, cols, block)
-            for c in cols:
-                row[c] = word[c] ^ known[c]
+            for c, v in zip(cols, levels[level].fill_sum(terms, cols, block)):
+                row[c] = v
         if cols:
             forms[row_idx] = form(row)
         if trace is not None:

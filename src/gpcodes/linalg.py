@@ -48,7 +48,9 @@ the others through one check, ``_check_blocks``, before any work, and a
 call of one symbol never runs it.  :class:`PlanSlot` holds the one rule
 for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound on the
 bytes a compiled map holds; :func:`recall` is the get-or-build rule of
-every bounded cache, evicting the least recently used entry.
+every bounded cache, evicting the least recently used entry, and
+:func:`admit` puts a probation segment before it for caches whose keys
+are mostly seen once, gpc's plans and triangulations.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
@@ -61,7 +63,9 @@ keep no plans, so erasure plans serve ``epc``'s codes and any code
 built from a check matrix alone.
 :meth:`LinearCode.fill` computes the syndrome and takes that step; the
 flat codes' stopping set, holding the syndrome its peel tracked, takes
-the step alone.  :meth:`LinearCode.fill_rows`, the one owner of how
+the step alone, and :meth:`LinearCode.fill_sum` takes it for a sum of
+weighted rows given in their :func:`row_form`, as gpc's peel pivots do.
+:meth:`LinearCode.fill_rows`, the one owner of how
 rows share a syndrome as blocks (see :func:`pack_blocks`), fills a
 batch of rows grouped by their erased positions from one
 :meth:`LinearCode.batch_syndrome`, a :class:`Fold` call for a code of
@@ -316,8 +320,42 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
     value = cache.pop(key, None)
     if value is None:
         value = build()
-        while len(cache) >= limit:
-            del cache[next(iter(cache))]
+        _make_room(cache, limit)
+    cache[key] = value
+    return value
+
+
+def _make_room(cache: dict, limit: int) -> None:
+    # Drop the first entries of ``cache``, its oldest or least recently
+    # used, until one more fits within ``limit``.
+    while len(cache) >= limit:
+        del cache[next(iter(cache))]
+
+
+# Entries a probation segment holds (see admit).
+PROBATION_LIMIT = 4
+
+
+def admit(cache: dict, probation: dict, key, limit: int,
+          build: Callable[[], object]):
+    """:func:`recall` for a cache whose keys are mostly seen once, by the
+    probation rule of 2Q (Johnson and Shasha, VLDB 1994).  A key first
+    seen is built and held in ``probation``, at most ``PROBATION_LIMIT``
+    entries, the oldest dropped first; seen there again, that same entry
+    moves into ``cache``, a :func:`recall` LRU of at most ``limit``.  So
+    a key seen once never reaches ``cache``, whose entries then live
+    long only when they are read again, and a key that repeats is built
+    once.  A call hashes ``key`` at most three times, one more than
+    :func:`recall`, since a tuple key does not keep its hash."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = probation.pop(key, None)
+        if value is None:
+            value = build()
+            _make_room(probation, PROBATION_LIMIT)
+            probation[key] = value
+            return value
+        _make_room(cache, limit)
     cache[key] = value
     return value
 
@@ -573,6 +611,16 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     are XORed as one big integer, as in :meth:`ByteMap.image`; wider
     fields multiply symbol by symbol and take no blocks.
     """
+    total = _sum(field, terms, width, block)
+    if type(total) is int:
+        return unpack_block(total, width, block)
+    return total
+
+
+def _sum(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
+         width: int, block: int) -> int | list[int]:
+    # combine's sum as it builds it: for w <= 8 one int of width * block
+    # bytes, else the list of symbols.
     if block > 1:
         _check_blocks(field)
     tables = field.mul_tables
@@ -581,7 +629,7 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
         acc = 0
         for g, row in terms:
             acc ^= from_bytes(row.translate(tables[g]), "little")
-        return unpack_block(acc, width, block)
+        return acc
     mul = field.mul
     out = [0] * width
     for g, row in terms:
@@ -646,7 +694,8 @@ class Fold:
         """Each base's power sum of ``rows``, ``size`` symbols each in
         range, as a list of symbols: for w <= 8 a call on the rows' bytes
         joined into one int, for wider fields :func:`combine` of the rows,
-        row r weighted by b^r."""
+        row r weighted by b^r.  A row given as its bytes, a slice of what
+        :meth:`GF.check_symbols` returns, is copied as it is."""
         f, size = self.field, self.size
         if f.mul_tables is None:
             return [combine(f, ((f.pow(b, r), row) for r, row in
@@ -812,6 +861,38 @@ class LinearCode:
         for c, v in zip(erased, missing):
             word[c] = v
 
+    def fill_sum(self, terms: Iterable[tuple[int, Sequence[int]]],
+                 erased: tuple[int, ...], block: int = 1) -> list[int]:
+        """The symbols d at the positions ``erased`` (ascending) that
+        make s + d a codeword, s being :func:`combine`'s sum of ``terms``,
+        (weight, row) pairs of rows in their :func:`row_form`: the
+        :meth:`fill` of s, its erased symbols ignored, plus s there.  So
+        a sum that counts, with weight 1, a row whose erased symbols are
+        0 gets that row's own symbols.
+
+        The sum stays in the form it is built in: for w <= 8 one int,
+        whose erased blocks are masked out and whose bytes the
+        :meth:`syndrome` reads (each block's int for blocks), and for
+        wider fields its list, whose erased symbols are zeroed in place.
+        Raises what :meth:`solve_syndrome` raises.
+        """
+        total = _sum(self.field, terms, self.length, block)
+        if type(total) is int:
+            step, ones = 8 * block, (1 << 8 * block) - 1
+            held = [total >> step * c & ones for c in erased]
+            for c, v in zip(erased, held):
+                total ^= v << step * c
+            word = (total.to_bytes(self.length, "little") if block == 1
+                    else unpack_block(total, self.length, block))
+        else:
+            held = [total[c] for c in erased]
+            for c in erased:
+                total[c] = 0
+            word = total
+        missing = self.solve_syndrome(self.syndrome(word, block), erased,
+                                      block)
+        return [x ^ v for x, v in zip(missing, held)]
+
     def batch_syndrome(self, rows: Sequence[Sequence[int]],
                        block: int = 1) -> list[int]:
         """The :meth:`syndrome` of every row of ``rows`` (w <= 8), each a
@@ -822,8 +903,10 @@ class LinearCode:
         A code with a ``fold`` takes the syndrome of single symbols from
         one :class:`Fold` call over the rows' bytes end to end, one group
         per row: check r of a row is the power sum of its positions with
-        base b_r.  Blocks, and a code with no fold, one built from a check
-        matrix alone, take the syndrome of the packed rows.
+        base b_r; a row given as its bytes, as a slice of what
+        :meth:`GF.check_symbols` returns, is copied as it is.  Blocks, and
+        a code with no fold, one built from a check matrix alone, take
+        the syndrome of the packed rows.
         """
         count, fold = len(rows), self.fold
         if fold is None or block > 1:
@@ -832,7 +915,7 @@ class LinearCode:
         from_bytes = int.from_bytes
         return [from_bytes(v.to_bytes(count * stride, "little")[::stride],
                            "little")
-                for v in fold(from_bytes(b"".join(map(bytes, rows)),
+                for v in fold(from_bytes(b"".join(map(bytearray, rows)),
                                          "little"))]
 
     def fill_rows(self, rows: list[list[int]],

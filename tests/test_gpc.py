@@ -552,7 +552,8 @@ W4_GRID = next(GpcParams(p.m, p.n, p.k, p.s, p.u, F16)
 def test_membership_folds_equal_the_combined_rows(params):
     """The view's folds give is_member each row combination r < s_hat(1),
     r = 0 included, as combine sums it, row j times alpha^(r*j): on
-    random rows, codewords or not."""
+    random rows, codewords or not, read from the rows or from the
+    symbols that the field's range check returned for them."""
     view = gpc._view(params)
     rng = random.Random(params.m * params.n)
     top = 1 << params.field.w
@@ -560,10 +561,59 @@ def test_membership_folds_equal_the_combined_rows(params):
     for _ in range(4):
         rows = [[rng.randrange(top) for _ in range(params.n)]
                 for _ in range(params.m)]
-        assert view.combos.sums(rows) == [
+        expected = [
             linalg.combine(params.field,
                            zip(view.powers[r], map(form, rows)), params.n)
             for r in range(params.s_hat(1))]
+        assert view.combos.sums(rows) == expected
+        cells = params.field.check_symbols(
+            [v for row in rows for v in row], "symbol")
+        n = params.n
+        assert view.combos.sums([cells[i:i + n] for i in range(
+            0, len(cells), n)]) == expected
+
+
+@pytest.mark.parametrize("params", [G16, FLAGSHIP], ids=["G16", "flagship"])
+def test_membership_reads_its_symbols_as_their_check_built_them(
+        params, monkeypatch):
+    """is_member converts its symbols to bytes once: the level-0 batch
+    syndrome and the combinations' fold both read the rows as slices of
+    the bytearray that GF.check_symbols built to validate the symbols,
+    and the answers stay those of the parity-check matrix."""
+    rng = random.Random(211)
+    word = rand_codeword(params, rng)
+    flipped = word.copy()
+    flipped.fill(3, 4, flipped.values[3][4] ^ 1)
+    checked, read = [], []
+    check = GF.check_symbols
+    batch, sums = LinearCode.batch_syndrome, linalg.Fold.sums
+
+    def recording_check(self, values, what):
+        checked.append(check(self, values, what))
+        return checked[-1]
+
+    def recording_batch(self, rows, block=1):
+        read.append(rows)
+        return batch(self, rows, block)
+
+    def recording_sums(self, rows):
+        read.append(rows)
+        return sums(self, rows)
+
+    monkeypatch.setattr(GF, "check_symbols", recording_check)
+    monkeypatch.setattr(LinearCode, "batch_syndrome", recording_batch)
+    monkeypatch.setattr(linalg.Fold, "sums", recording_sums)
+    assert is_member(word, params)
+    assert len(checked) == 1 and type(checked[0]) is bytearray
+    assert len(read) == 2
+    for rows in read:
+        assert len(rows) == params.m
+        assert all(type(row) is bytearray for row in rows)
+        assert b"".join(rows) == checked[0]
+    assert not is_member(flipped, params)
+    h = full_parity_matrix(params)
+    assert any(h.mul_vec(flipped.flatten())) and \
+        not any(h.mul_vec(word.flatten()))
 
 
 def test_codes_and_views_build_their_fold_plans_once(monkeypatch):
@@ -683,8 +733,11 @@ def test_decode_rows_rejects_shape_mismatch():
 
 
 def test_triangulation_cache_is_bounded(monkeypatch):
+    """Each key asked for twice, so that its second sighting moves it
+    from probation into the LRU: the LRU keeps the last four."""
     monkeypatch.setattr(gpc, "_TRIANGULATION_LIMIT", 4)
     monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
+    monkeypatch.setattr(gpc, "_TRIANGULATION_PROBATION", {})
     f = FLAGSHIP.field
     rng = random.Random(41)
     keys = []
@@ -692,11 +745,12 @@ def test_triangulation_cache_is_bounded(monkeypatch):
         order = tuple(rng.sample(range(FLAGSHIP.m), FLAGSHIP.m))
         nsys = rng.randint(1, FLAGSHIP.m)
         keys.append((order, nsys))
-        got = gpc._triangulated_system(gpc._view(FLAGSHIP), order, nsys)
         fresh = row_reduce(Matrix(f, [[f.alpha_pow(r * j) for j in order]
                                       for r in range(nsys)]))
-        assert got == fresh
-        assert len(gpc._TRIANGULATION_CACHE) <= 4
+        for _ in range(2):
+            got = gpc._triangulated_system(gpc._view(FLAGSHIP), order, nsys)
+            assert got == fresh
+            assert len(gpc._TRIANGULATION_CACHE) <= 4
     # the oldest entries went first
     assert set(gpc._TRIANGULATION_CACHE) == {(FLAGSHIP, *k) for k in keys[-4:]}
     # decoding through the small cache still recovers every pattern
@@ -717,49 +771,64 @@ def archive_loss(rng):
         {(row, c) for c in range(G16.n)}
 
 
+def clear_pattern_caches():
+    """Empty both pattern caches, LRUs and probation segments."""
+    for cache in (gpc._PLANS, gpc._PLAN_PROBATION, gpc._TRIANGULATION_CACHE,
+                  gpc._TRIANGULATION_PROBATION):
+        cache.clear()
+
+
 @pytest.fixture
 def plans(monkeypatch):
-    """An empty plan cache, and an empty triangulation cache, for one
-    test; the plan cache is returned."""
+    """An empty plan cache, and an empty triangulation cache, each with
+    an empty probation segment, for one test; the plan cache is
+    returned."""
     cache = {}
     monkeypatch.setattr(gpc, "_PLANS", cache)
-    monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
+    for name in ("_PLAN_PROBATION", "_TRIANGULATION_CACHE",
+                 "_TRIANGULATION_PROBATION"):
+        monkeypatch.setattr(gpc, name, {})
     return cache
 
 
 def test_plan_cache_is_a_bounded_lru(plans, monkeypatch):
     """Plans are kept per (params, iterate, mask), at most _PLAN_LIMIT of
     them, the least recently used dropped first; a pattern that differs
-    from a cached one in its last row only gets a plan of its own."""
+    from a cached one in its last row only gets a plan of its own.  Each
+    pattern is decoded twice in a row: its first plan waits in
+    probation, and the second decode moves it into the LRU."""
     monkeypatch.setattr(gpc, "_PLAN_LIMIT", 3)
     rng = random.Random(181)
     word = rand_codeword(FLAGSHIP, rng)
-    plans.clear()           # the encoder's plan
+    clear_pattern_caches()      # the encoder's plan
     last = FLAGSHIP.m - 1
     patterns = {"a": [(0, 0), (last, 1)], "b": [(0, 0), (last, 2)],
                 "c": [(2, 3)], "d": [(1, 1), (4, 4)]}
     keys, sizes = {}, []
     for name in "abcad":
         damaged = erase_positions(word, patterns[name])
-        assert decode_iterative(damaged, FLAGSHIP) == word
+        for _ in range(2):
+            assert decode_iterative(damaged, FLAGSHIP) == word
         keys[name] = (FLAGSHIP, True, tuple(map(bytes, damaged.erased)))
         sizes.append(len(plans))
     assert sizes == [1, 2, 3, 3, 3]
     # b went first: a was used again after it
     assert list(plans) == [keys["c"], keys["a"], keys["d"]]
     # decode_rows plans apart from decode_iterative
-    decode_rows(erase_positions(word, patterns["a"]), FLAGSHIP)
+    for _ in range(2):
+        decode_rows(erase_positions(word, patterns["a"]), FLAGSHIP)
     assert list(plans)[-1] == (FLAGSHIP, False) + keys["a"][2:]
 
 
 def test_a_repeated_loss_plans_once(plans, monkeypatch):
     """The archive loss decoded three times builds one plan and one
-    triangulation."""
+    triangulation: the second decode moves the plan from probation into
+    the LRU, and the plan holds its system, so the triangulation is
+    never asked for again and stays in probation."""
     rng = random.Random(191)
     loss = archive_loss(rng)
     words = [rand_codeword(G16, rng) for _ in range(3)]
-    plans.clear()           # the encoder's plan
-    gpc._TRIANGULATION_CACHE.clear()
+    clear_pattern_caches()      # the encoder's plan
     built, reduced = [], []
     plan, row_reduce_ = gpc._plan, gpc.row_reduce
     monkeypatch.setattr(gpc, "_plan", lambda *a: built.append(a) or plan(*a))
@@ -768,7 +837,42 @@ def test_a_repeated_loss_plans_once(plans, monkeypatch):
     for word in words:
         assert decode_iterative(erase_positions(word, loss), G16) == word
     assert len(built) == 1 and len(reduced) == 1
-    assert len(plans) == 1 and len(gpc._TRIANGULATION_CACHE) == 1
+    assert len(plans) == 1 and not gpc._PLAN_PROBATION
+    assert len(gpc._TRIANGULATION_PROBATION) == 1
+    assert not gpc._TRIANGULATION_CACHE
+
+
+def test_patterns_seen_once_stay_in_probation(plans, monkeypatch):
+    """100 distinct patterns, each with a row order of its own, leave
+    both LRUs empty and each probation segment full; a pattern seen
+    again moves the very plan and system built at its first sighting
+    into the LRUs, and a third sighting builds nothing."""
+    rng = random.Random(199)
+    word = rand_codeword(G16, rng)
+    clear_pattern_caches()      # the encoder's plan
+    pairs = rng.sample([(a, b) for a in range(G16.m) for b in range(G16.m)
+                        if a != b], 100)
+    for a, b in pairs:     # row a loses five cells, row b three
+        loss = {(a, c) for c in range(5)} | {(b, c) for c in range(5, 8)}
+        assert decode_iterative(erase_positions(word, loss), G16) == word
+    assert not plans and not gpc._TRIANGULATION_CACHE
+    assert len(gpc._PLAN_PROBATION) == linalg.PROBATION_LIMIT
+    assert len(gpc._TRIANGULATION_PROBATION) == linalg.PROBATION_LIMIT
+    # the last pattern's plan and system, built at its first sighting
+    key, held = next(reversed(gpc._PLAN_PROBATION.items()))
+    (_, *order), system = next(reversed(gpc._TRIANGULATION_PROBATION.items()))
+    assert held.passes[0].system is system
+    built, reduced = [], []
+    plan, row_reduce_ = gpc._plan, gpc.row_reduce
+    monkeypatch.setattr(gpc, "_plan", lambda *a: built.append(a) or plan(*a))
+    monkeypatch.setattr(gpc, "row_reduce",
+                        lambda m: reduced.append(m) or row_reduce_(m))
+    for _ in range(2):
+        assert decode_iterative(erase_positions(word, loss), G16) == word
+    assert list(plans.items()) == [(key, held)] and plans[key] is held
+    assert gpc._triangulated_system(gpc._view(G16), *order) is system
+    assert gpc._TRIANGULATION_CACHE[(G16, *order)] is system
+    assert built == reduced == []
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
@@ -776,11 +880,13 @@ def test_a_changed_survivor_under_a_cached_plan_raises(decoder, plans):
     """Under the archive loss each of the 15 rows with two erasures fills
     with no check to spare, so a changed survivor in one of them is
     caught by a vanishing combination alone; a cached plan still runs
-    that comparison and reports every erased cell."""
+    that comparison and reports every erased cell.  The loss is decoded
+    twice first, which moves its plan from probation into the LRU."""
     rng = random.Random(193)
     loss = archive_loss(rng)
     word = rand_codeword(G16, rng)
-    assert decoder(erase_positions(word, loss), G16) == word
+    for _ in range(2):
+        assert decoder(erase_positions(word, loss), G16) == word
     assert len(plans) == 1
     for _ in range(3):
         damaged = erase_positions(rand_codeword(G16, rng), loss)

@@ -73,6 +73,9 @@ VANDERMONDE = ("tests/test_linalg.py::test_vandermonde_solve_equals_the_"
                "generic_solve")
 BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
               "rows_syndrome")
+PROBATION = "tests/test_gpc.py::test_patterns_seen_once_stay_in_probation"
+SUM_FILL = ("tests/test_linalg.py::test_a_sum_fills_as_the_fill_of_its_"
+            "combined_row")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -266,7 +269,8 @@ MUTANTS = (
            "                x[i] ^= mul(",
            (VANDERMONDE, CLOSED_FORM, GROUPED_ROWS)),
     Mutant("the level-0 fold drops the batch's last row", LINALG,
-           'b"".join(map(bytes, rows))', 'b"".join(map(bytes, rows[:-1]))',
+           'fold(from_bytes(b"".join(map(bytearray, rows)),',
+           'fold(from_bytes(b"".join(map(bytearray, rows[:-1])),',
            (BATCH_FOLD, REFERENCE, LEVEL_0_ONCE)),
     Mutant("a block is multiplied by the wrong node", LINALG,
            "translate(tables[a])", "translate(tables[a ^ 1])",
@@ -284,6 +288,18 @@ MUTANTS = (
     Mutant("maps compile on their third use", LINALG,
            "before <= 1 < self.uses", "before <= 2 < self.uses",
            ("tests/test_linalg.py::test_every_map_compiles_on_its_second_use",)),
+    Mutant("a first sighting enters the LRU", LINALG,
+           "            _make_room(probation, PROBATION_LIMIT)\n"
+           "            probation[key] = value\n"
+           "            return value\n",
+           "            _make_room(cache, limit)\n", (PROBATION,)),
+    Mutant("promotion rebuilds instead of moving the held entry", LINALG,
+           "            return value\n        _make_room(cache, limit)\n",
+           "            return value\n        value = build()\n"
+           "        _make_room(cache, limit)\n", (PROBATION,)),
+    Mutant("a pivot's sum keeps its erased symbols in the syndrome", LINALG,
+           "                total ^= v << step * c\n",
+           "                pass\n", (SUM_FILL, REFERENCE)),
     Mutant("caches evict one entry late", LINALG,
            "while len(cache) >= limit:", "while len(cache) > limit:",
            ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
