@@ -232,7 +232,7 @@ class GF:
     """
 
     __slots__ = ("w", "modulus", "alpha", "order", "_exp", "_log",
-                 "_order_factors", "alpha_order", "mul_tables")
+                 "_order_factors", "alpha_order", "mul_tables", "_hash")
 
     def __init__(self, w: int, modulus: int | None = None, alpha: int = 2):
         if type(w) is not int or not 2 <= w <= MAX_WIDTH:
@@ -254,6 +254,7 @@ class GF:
         self.w = w
         self.modulus = modulus
         self.alpha = alpha
+        self._hash = hash((w, modulus, alpha))  # every cache key hashes it
         self.order = n = (1 << w) - 1  # size of the multiplicative group
         self._order_factors = _prime_factors(n)
         self._exp: list[int] | None = None
@@ -376,7 +377,7 @@ class GF:
             other.w, other.modulus, other.alpha)
 
     def __hash__(self) -> int:
-        return hash((self.w, self.modulus, self.alpha))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GF(2^{self.w}, modulus={self.modulus:#x}, alpha={self.alpha})"

@@ -328,7 +328,11 @@ def erase_positions(arr: SymbolArray,
     pairs, erased; ``ValueError`` on a position that is not a pair of
     ints in range, negative ones included."""
     out = arr.copy()
-    for r, c in positions:
+    for pos in positions:
+        try:
+            r, c = pos
+        except (TypeError, ValueError):
+            raise ValueError(f"{pos!r} is not a (row, column) pair") from None
         out.erase(r, c)
     return out
 
@@ -542,16 +546,10 @@ class DecodeTrace:
         self.steps: list[tuple[int, int, int | None]] = []
 
 
-# Triangulations by (params, row order, system size), under probation
-# (linalg.admit): a key seen once waits among the few newest first
-# sightings, and one seen again there moves into this LRU, least
-# recently used evicted first.  A plan holds its own systems, so a
-# repeated loss reads its triangulation from its plan; the LRU keeps the
-# systems that new patterns share, and patterns that are all new leave
-# it empty instead of holding 64 systems read once.
-_TRIANGULATION_LIMIT = 64
+# Empty: nothing fills it.  Each plan holds the systems it triangulated,
+# so _PLANS is gpc's one pattern cache.  perfbench/worker.py still
+# clears and counts this dict; ROADMAP item 2 removes the name.
 _TRIANGULATION_CACHE: dict[tuple, Matrix] = {}
-_TRIANGULATION_PROBATION: dict[tuple, Matrix] = {}
 
 
 def _triangulated_system(view: _View, order: tuple[int, ...],
@@ -562,11 +560,8 @@ def _triangulated_system(view: _View, order: tuple[int, ...],
     # nodes x_j = alpha^order[j]: row p, entry j is the product over
     # i < p of (x_j + x_i) / (x_p + x_i), so no weight past the pivot
     # is zero.
-    return admit(_TRIANGULATION_CACHE, _TRIANGULATION_PROBATION,
-                 (view.params, order, nsys), _TRIANGULATION_LIMIT,
-                 lambda: row_reduce(Matrix._fresh(
-                     view.params.field, [[row[j] for j in order]
-                                         for row in view.powers[:nsys]])))
+    return row_reduce(Matrix._fresh(view.params.field, [
+        [row[j] for j in order] for row in view.powers[:nsys]]))
 
 
 class _Pass(NamedTuple):
@@ -617,7 +612,7 @@ class _Plan(NamedTuple):
 # once and then hits, and patterns seen once, as a scrub's are, leave
 # the LRU empty: their plans are freed a few decodes later, before the
 # garbage collector has walked them many times.  Each entry holds its
-# pattern's tuples and a system the triangulation cache may hold too.
+# pattern's tuples and the systems it triangulated.
 _PLAN_LIMIT = 64
 _PLANS: dict[tuple, _Plan] = {}
 _PLAN_PROBATION: dict[tuple, _Plan] = {}

@@ -49,8 +49,8 @@ call of one symbol never runs it.  :class:`PlanSlot` holds the one rule
 for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound on the
 bytes a compiled map holds; :func:`recall` is the get-or-build rule of
 every bounded cache, evicting the least recently used entry, and
-:func:`admit` puts a probation segment before it for caches whose keys
-are mostly seen once, gpc's plans and triangulations.
+:func:`admit` puts a probation segment before it for a cache whose keys
+are mostly seen once, gpc's plans.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
@@ -338,15 +338,16 @@ PROBATION_LIMIT = 4
 
 def admit(cache: dict, probation: dict, key, limit: int,
           build: Callable[[], object]):
-    """:func:`recall` for a cache whose keys are mostly seen once, by the
-    probation rule of 2Q (Johnson and Shasha, VLDB 1994).  A key first
-    seen is built and held in ``probation``, at most ``PROBATION_LIMIT``
-    entries, the oldest dropped first; seen there again, that same entry
-    moves into ``cache``, a :func:`recall` LRU of at most ``limit``.  So
-    a key seen once never reaches ``cache``, whose entries then live
-    long only when they are read again, and a key that repeats is built
-    once.  A call hashes ``key`` at most three times, one more than
-    :func:`recall`, since a tuple key does not keep its hash."""
+    """:func:`recall` for a cache whose keys are mostly seen once, gpc's
+    plans, by the probation rule of 2Q (Johnson and Shasha, VLDB 1994).
+    A key first seen is built and held in ``probation``, at most
+    ``PROBATION_LIMIT`` entries, the oldest dropped first; seen there
+    again, that same entry moves into ``cache``, a :func:`recall` LRU of
+    at most ``limit``.  So a key seen once never reaches ``cache``,
+    whose entries then live long only when they are read again, and a
+    key that repeats is built once.  A call hashes ``key`` at most three
+    times, one more than :func:`recall`, since a tuple key does not keep
+    its hash."""
     value = cache.pop(key, None)
     if value is None:
         value = probation.pop(key, None)

@@ -155,6 +155,9 @@ REFUSALS = (
             [1, 3], (None, 3)),
     Refusal("SymbolArray.fill value", lambda x: fill(value=x), 1,
             ("x", 2.5, -1, None)),
+    Refusal("erase_positions position",
+            lambda x: erase_positions(SymbolArray.zeros(6, 7), [x]), (1, 2),
+            (5, None, (1, 2, 3))),
 )
 
 

@@ -313,6 +313,16 @@ def test_default_field_is_shared():
     assert GF(8) != GF(8, alpha=3)
 
 
+def test_equal_fields_built_apart_hash_equal():
+    """A field's hash is taken once, when it is built: equal fields
+    built apart hash equal, so each finds the other's cache entries."""
+    for args in [(3,), (8,), (16,), (4, 0b11001), (4, 0b11001, 3)]:
+        a, b = GF(*args), GF(*args)
+        assert a is not b and a == b and hash(a) == hash(b), args
+        assert {a: args}[b] == args
+    assert hash(GF(8)) == hash(GF(8, DEFAULT_MODULI[8], 2))
+
+
 # ------------------------------------------------------ integer arithmetic
 
 # Strong pseudoprimes to the bases 2..7, 2..23 and 2..37.

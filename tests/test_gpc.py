@@ -15,7 +15,7 @@ from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
                          decode_iterative, decode_rows, encode,
                          erase_positions, full_parity_matrix, is_member,
                          min_weight_codeword)
-from gpcodes.linalg import Matrix, rank, row_reduce
+from gpcodes.linalg import Matrix, rank
 from gpcodes.oracle import (decoder_oracle_equivalence,
                             random_decodable_pattern)
 from test_acceptance import _small_param_grid
@@ -732,36 +732,6 @@ def test_decode_rows_rejects_shape_mismatch():
         decode_rows(SymbolArray.zeros(3, 3), FLAGSHIP)
 
 
-def test_triangulation_cache_is_bounded(monkeypatch):
-    """Each key asked for twice, so that its second sighting moves it
-    from probation into the LRU: the LRU keeps the last four."""
-    monkeypatch.setattr(gpc, "_TRIANGULATION_LIMIT", 4)
-    monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
-    monkeypatch.setattr(gpc, "_TRIANGULATION_PROBATION", {})
-    f = FLAGSHIP.field
-    rng = random.Random(41)
-    keys = []
-    for _ in range(12):
-        order = tuple(rng.sample(range(FLAGSHIP.m), FLAGSHIP.m))
-        nsys = rng.randint(1, FLAGSHIP.m)
-        keys.append((order, nsys))
-        fresh = row_reduce(Matrix(f, [[f.alpha_pow(r * j) for j in order]
-                                      for r in range(nsys)]))
-        for _ in range(2):
-            got = gpc._triangulated_system(gpc._view(FLAGSHIP), order, nsys)
-            assert got == fresh
-            assert len(gpc._TRIANGULATION_CACHE) <= 4
-    # the oldest entries went first
-    assert set(gpc._TRIANGULATION_CACHE) == {(FLAGSHIP, *k) for k in keys[-4:]}
-    # decoding through the small cache still recovers every pattern
-    for _ in range(40):
-        word = rand_codeword(FLAGSHIP, rng)
-        damaged = erase_positions(word,
-                                  random_decodable_pattern(FLAGSHIP, rng))
-        assert decode_rows(damaged, FLAGSHIP) == word
-        assert len(gpc._TRIANGULATION_CACHE) <= 4
-
-
 def archive_loss(rng):
     """The benchmark's archive loss on G16: two whole columns and one
     whole row."""
@@ -772,22 +742,18 @@ def archive_loss(rng):
 
 
 def clear_pattern_caches():
-    """Empty both pattern caches, LRUs and probation segments."""
-    for cache in (gpc._PLANS, gpc._PLAN_PROBATION, gpc._TRIANGULATION_CACHE,
-                  gpc._TRIANGULATION_PROBATION):
-        cache.clear()
+    """Empty the plan cache and its probation segment."""
+    gpc._PLANS.clear()
+    gpc._PLAN_PROBATION.clear()
 
 
 @pytest.fixture
 def plans(monkeypatch):
-    """An empty plan cache, and an empty triangulation cache, each with
-    an empty probation segment, for one test; the plan cache is
-    returned."""
+    """An empty plan cache, with an empty probation segment, for one
+    test; the plan cache is returned."""
     cache = {}
     monkeypatch.setattr(gpc, "_PLANS", cache)
-    for name in ("_PLAN_PROBATION", "_TRIANGULATION_CACHE",
-                 "_TRIANGULATION_PROBATION"):
-        monkeypatch.setattr(gpc, name, {})
+    monkeypatch.setattr(gpc, "_PLAN_PROBATION", {})
     return cache
 
 
@@ -821,10 +787,10 @@ def test_plan_cache_is_a_bounded_lru(plans, monkeypatch):
 
 
 def test_a_repeated_loss_plans_once(plans, monkeypatch):
-    """The archive loss decoded three times builds one plan and one
-    triangulation: the second decode moves the plan from probation into
-    the LRU, and the plan holds its system, so the triangulation is
-    never asked for again and stays in probation."""
+    """The archive loss decoded three times builds one plan and
+    triangulates once: the second decode moves the plan from probation
+    into the LRU, and the plan holds its system, so no later decode
+    triangulates again."""
     rng = random.Random(191)
     loss = archive_loss(rng)
     words = [rand_codeword(G16, rng) for _ in range(3)]
@@ -838,15 +804,14 @@ def test_a_repeated_loss_plans_once(plans, monkeypatch):
         assert decode_iterative(erase_positions(word, loss), G16) == word
     assert len(built) == 1 and len(reduced) == 1
     assert len(plans) == 1 and not gpc._PLAN_PROBATION
-    assert len(gpc._TRIANGULATION_PROBATION) == 1
-    assert not gpc._TRIANGULATION_CACHE
 
 
 def test_patterns_seen_once_stay_in_probation(plans, monkeypatch):
     """100 distinct patterns, each with a row order of its own, leave
-    both LRUs empty and each probation segment full; a pattern seen
-    again moves the very plan and system built at its first sighting
-    into the LRUs, and a third sighting builds nothing."""
+    the plan LRU empty and its probation segment full; a pattern seen
+    again moves the very plan built at its first sighting, its system
+    with it, into the LRU, and a third sighting builds nothing and
+    triangulates nothing."""
     rng = random.Random(199)
     word = rand_codeword(G16, rng)
     clear_pattern_caches()      # the encoder's plan
@@ -855,13 +820,11 @@ def test_patterns_seen_once_stay_in_probation(plans, monkeypatch):
     for a, b in pairs:     # row a loses five cells, row b three
         loss = {(a, c) for c in range(5)} | {(b, c) for c in range(5, 8)}
         assert decode_iterative(erase_positions(word, loss), G16) == word
-    assert not plans and not gpc._TRIANGULATION_CACHE
+    assert not plans
     assert len(gpc._PLAN_PROBATION) == linalg.PROBATION_LIMIT
-    assert len(gpc._TRIANGULATION_PROBATION) == linalg.PROBATION_LIMIT
     # the last pattern's plan and system, built at its first sighting
     key, held = next(reversed(gpc._PLAN_PROBATION.items()))
-    (_, *order), system = next(reversed(gpc._TRIANGULATION_PROBATION.items()))
-    assert held.passes[0].system is system
+    assert held.passes[0].system is not None
     built, reduced = [], []
     plan, row_reduce_ = gpc._plan, gpc.row_reduce
     monkeypatch.setattr(gpc, "_plan", lambda *a: built.append(a) or plan(*a))
@@ -870,8 +833,6 @@ def test_patterns_seen_once_stay_in_probation(plans, monkeypatch):
     for _ in range(2):
         assert decode_iterative(erase_positions(word, loss), G16) == word
     assert list(plans.items()) == [(key, held)] and plans[key] is held
-    assert gpc._triangulated_system(gpc._view(G16), *order) is system
-    assert gpc._TRIANGULATION_CACHE[(G16, *order)] is system
     assert built == reduced == []
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import gpcodes
+from gpcodes import gpc
 from gpcodes.epc import EpcShape
 from gpcodes.fields import default_field
 from gpcodes.gpc import ErasureProfile, GpcParams
 from gpcodes.oracle import DistanceReport
+from test_gpc import FLAGSHIP
 
 MODULES = ("fields", "linalg", "gpc", "epc", "oracle")
 
@@ -113,3 +115,21 @@ def test_gpc_takes_its_field_arithmetic_from_linalg():
             and "_compile_encoder" not in scope] == []
     assert {scope for scope, attr in reads if attr == "w"} == {
         ("GpcParams", "violations")}
+
+
+def test_the_private_gpc_names_perfbench_reads_exist():
+    """perfbench's worker clears and counts ``gpc._TRIANGULATION_CACHE``,
+    and only ``pytest perfbench`` runs it: each private gpc name the
+    worker reads exists, and that cache is a dict nothing fills."""
+    worker = Path(__file__).resolve().parent.parent / "perfbench" / "worker.py"
+    reads = {node.attr for node in ast.walk(ast.parse(worker.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr[0] == "_"
+             and isinstance(node.value, ast.Name) and node.value.id == "gpc"}
+    assert reads == {"_TRIANGULATION_CACHE"}
+    for name in reads:
+        assert hasattr(gpc, name), name
+    assert type(gpc._TRIANGULATION_CACHE) is dict
+    trace = gpc.DecodeTrace()       # a decode that triangulates
+    gpc.decode_rows(gpc.erase_positions(gpc.SymbolArray.zeros(6, 7), [
+        (0, 0), (0, 1), (0, 2)]), FLAGSHIP, trace=trace)
+    assert trace.system is not None and gpc._TRIANGULATION_CACHE == {}

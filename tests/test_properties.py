@@ -16,10 +16,10 @@ import pytest
 from gpcodes import epc, gpc
 from gpcodes.epc import LinearCode, build_h2, build_h3
 from gpcodes.fields import GF, default_field, field_with_order
-from gpcodes.linalg import (ByteMap, PlanSlot, UnderdeterminedError,
+from gpcodes.linalg import (ByteMap, Matrix, PlanSlot, UnderdeterminedError,
                             _eliminate, _work_rows, combine, null_space,
-                            pack_blocks, rank, row_form, unpack_block,
-                            vandermonde)
+                            pack_blocks, rank, row_form, row_reduce,
+                            unpack_block, vandermonde)
 from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
                          UncorrectableError, decodable_profile,
                          decode_iterative, decode_rows, encode,
@@ -232,10 +232,10 @@ def test_the_triangulation_is_the_newton_basis(monkeypatch):
     nodes x_j = alpha^order[j]: row p, entry j is the product over i < p
     of (x_j + x_i) / (x_p + x_i).  So no entry past a pivot is zero, and
     the peel never meets a zero weight.  On every criterion-6 code and
-    G16, at two seeded row orders each; the prefix of p < nsys rows of
-    a smaller system is the same (no row swaps)."""
+    G16, at two seeded row orders each; a smaller system of a seeded
+    size nsys <= m is the prefix of its nsys rows (no row swaps), and
+    equals ``row_reduce`` of its power weights built apart."""
     monkeypatch.setattr(gpc, "_VIEWS", {})
-    monkeypatch.setattr(gpc, "_TRIANGULATION_CACHE", {})
     for i, params in enumerate([*_small_param_grid(), G16]):
         f, m = params.field, params.m
         view = gpc._view(params)
@@ -249,9 +249,14 @@ def test_the_triangulation_is_the_newton_basis(monkeypatch):
                 newton.append([f.mul(scale, v) for v in prods])
                 prods = [f.mul(v, xj ^ x[p]) for v, xj in zip(prods, x)]
             got = gpc._triangulated_system(view, order, m).data
-            with named(params.notation(), order):
+            nsys = rng.randint(1, m)
+            fresh = row_reduce(Matrix(f, [[f.alpha_pow(r * j) for j in order]
+                                          for r in range(nsys)]))
+            with named(params.notation(), order, nsys):
                 assert got == newton
                 assert all(all(row[p + 1:]) for p, row in enumerate(got))
+                assert gpc._triangulated_system(view, order, nsys) == fresh
+                assert fresh.data == newton[:nsys]
 
 
 def test_compiled_encoder_matches_scalar():

@@ -146,6 +146,11 @@ MUTANTS = (
     Mutant("the plan key ignores the last row's mask", GPC,
            "tuple(map(bytes, mask))", "tuple(map(bytes, mask[:-1]))",
            ("tests/test_gpc.py::test_plan_cache_is_a_bounded_lru", CENSUS)),
+    Mutant("a plan hit replans", GPC,
+           "    return admit(_PLANS, _PLAN_PROBATION,\n",
+           "    return _plan(view, mask, iterate)\n"
+           "    return admit(_PLANS, _PLAN_PROBATION,\n",
+           ("tests/test_gpc.py::test_a_repeated_loss_plans_once",)),
     Mutant("a cached plan's vanishing comparison is skipped", GPC,
            "            if row != known:\n"
            "                raise NoSolutionError(\"inconsistent system\")\n",
