@@ -20,6 +20,16 @@ lie within an independent run of leading columns are certified in
 bulk rather than one by one, and a search node with two columns left
 reads that run off its parent's pivots with no insertion of its own
 (see :func:`brute_min_distance`).
+
+A pass that would certify by walking all C(n, s) subsets of its size s
+can instead be settled from the code's generator, which
+:func:`~gpcodes.linalg.null_space` gives, when that takes fewer
+candidates.  With g disjoint information sets and g(t + 1) > s, every
+nonzero codeword of weight <= s has weight <= t on one of them, so
+enumerating each set's messages of weight <= t, one of each set of
+scalar multiples, either meets a codeword of weight <= s or proves that none
+exists (Grassl, "Searching for linear codes with large minimum
+distance", 2006).
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF
-from .linalg import Matrix, _eliminate, _work_rows, rank, solve
+from .linalg import Matrix, _eliminate, _work_rows, null_space, rank, solve
 from . import gpc as _gpc
 
 DEFAULT_BUDGET = 10_000_000
@@ -76,29 +86,119 @@ def _row_basis(m: Matrix) -> list[Sequence[int]]:
     return work[:len(_eliminate(work, m.field, range(m.cols), full=False))]
 
 
-def _column_expansions(basis: list[Sequence[int]], field: GF,
-                       n: int) -> list[list[int]]:
-    # Column j's expansions by the field's GF(2) basis 1, x, ..., x^(w-1):
-    # its symbols in the rows of ``basis`` packed into one int, row r in
-    # the w-bit lane at bit r * w, then its multiples by x, lane by lane.
-    # Doubling shifts each lane's low w - 1 bits up one place and adds
-    # the modulus's low terms to every lane whose top bit it dropped.
+def _lane_multiples(v: int, field: GF, ones: int) -> list[int]:
+    # The multiples of v, whose symbols sit in w-bit lanes, by the
+    # field's GF(2) basis 1, x, ..., x^(w-1), lane by lane; ``ones`` has
+    # bit 0 of each lane set.  Doubling shifts each lane's low w - 1
+    # bits up one place and adds the modulus's low terms to every lane
+    # whose top bit it dropped.
     w = field.w
-    ones = sum(1 << r * w for r in range(len(basis)))
     keep = ones * ((1 << w - 1) - 1)
     low = field.modulus ^ 1 << w
+    out = [v]
+    for _ in range(w - 1):
+        v = ((v & keep) << 1) ^ ((v >> w - 1) & ones) * low
+        out.append(v)
+    return out
+
+
+def _column_expansions(basis: list[Sequence[int]], field: GF,
+                       n: int) -> list[list[int]]:
+    # Column j's expansions by the field's GF(2) basis: its symbols in
+    # the rows of ``basis`` packed into one int, row r in the w-bit lane
+    # at bit r * w, then its multiples by x.
+    w = field.w
+    ones = sum(1 << r * w for r in range(len(basis)))
     packed = [0] * n
     for r, row in enumerate(basis):
         shift = r * w
         packed = [v | s << shift for v, s in zip(packed, row)]
-    colbits = []
-    for v in packed:
-        bits = [v]
-        for _ in range(w - 1):
-            v = ((v & keep) << 1) ^ ((v >> w - 1) & ones) * low
-            bits.append(v)
-        colbits.append(bits)
-    return colbits
+    return [_lane_multiples(v, field, ones) for v in packed]
+
+
+def _information_sets(check_matrix: Matrix, k: int) -> list[list[int]]:
+    # Disjoint information sets of the code of dimension k >= 0, taken
+    # greedily in column order from the generator that null_space gives,
+    # at most floor(n / k) of them (one, empty, when k = 0).  Each comes
+    # as the k rows of the generator systematic on it, row i holding 1
+    # at the set's i-th column and 0 at its others, each row packed into
+    # one int, column j in the w-bit lane at bit j * w.
+    field, n = check_matrix.field, check_matrix.cols
+    w = field.w
+    gen = _work_rows(field, null_space(check_matrix))
+    left = list(range(n))
+    sets = []
+    for _ in range(n // k if k else 1):
+        rows = list(gen)
+        chosen = _eliminate(rows, field, left, full=True)
+        if len(chosen) < k:
+            break
+        sets.append([sum(v << j * w for j, v in enumerate(row))
+                     for row in rows])
+        left = [c for c in left if c not in chosen]
+    return sets
+
+
+def _certificate_pays(k: int, w: int, sets: int, n: int, size: int) -> bool:
+    # The cost rule: the certificate runs when it enumerates fewer
+    # messages than a pass of ``size`` walks column subsets.  On each of
+    # ``sets`` information sets it enumerates the C(k, i) (q - 1)^(i - 1)
+    # projective messages of each weight i <= size // sets.
+    q = 1 << w
+    return sets * sum(comb(k, i) * (q - 1) ** (i - 1)
+                      for i in range(1, min(size // sets, k) + 1)) \
+        < comb(n, size)
+
+
+def _nonzero_multiples(v: int, field: GF, ones: int) -> list[int]:
+    # The multiples a v for a = 1, ..., q - 1, lane by lane: with x^i
+    # the lowest term of a, a v is (a + x^i) v XOR v x^i, which
+    # _lane_multiples gives.
+    basis = _lane_multiples(v, field, ones)
+    mult = [0] * (1 << field.w)
+    for a in range(1, len(mult)):
+        bit = a & -a
+        mult[a] = mult[a ^ bit] ^ basis[bit.bit_length() - 1]
+    return mult[1:]
+
+
+def _certify(sets: list[list[int]], field: GF, n: int, size: int) -> bool:
+    # Whether no nonzero codeword has weight <= size, from g disjoint
+    # information sets (see _information_sets).  Such a codeword has
+    # weight <= t = size // g on one of them, as g (t + 1) > size, and it
+    # is the codeword of its message there.  So it is met among each
+    # set's messages of weight <= t, one of each set of scalar multiples:
+    # those whose first nonzero symbol is 1.  A codeword is the XOR of
+    # its message's row multiples, all q - 1 of each row precomputed.
+    # Its weight is one popcount: the top bit of each w-bit lane serves
+    # as the lane's guard, set when the lane's top bit is, or when the
+    # lane's low bits, plus all ones, carry into it.
+    w = field.w
+    ones = sum(1 << j * w for j in range(n))
+    lows = ones * ((1 << w - 1) - 1)
+    tops = ones << w - 1
+    depth = size // len(sets)
+    for rows in sets:
+        multiples = ([_nonzero_multiples(row, field, ones) for row in rows]
+                     if depth > 1 else [])
+
+        def meets(acc: int, first: int, more: int) -> bool:
+            # Whether acc XOR at most ``more`` row multiples, one each of
+            # rows ``first`` on, has weight <= size; with acc = 0 the
+            # first row is taken as it is.
+            for r in range(first, len(rows)):
+                word = multiples[r] if acc else (rows[r],)
+                if min([((((x := acc ^ m) & lows) + lows | x) & tops)
+                        .bit_count() for m in word]) <= size:
+                    return True
+                if more > 1 and any(meets(acc ^ m, r + 1, more - 1)
+                                    for m in word):
+                    return True
+            return False
+
+        if depth and meets(0, 0, depth):
+            return False
+    return True
 
 
 def search_cost(n: int, cap: int) -> int:
@@ -130,8 +230,23 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     each pivot of its own walk with the column that set it, and one
     reduction of the child's column against those pivots gives the
     child's frontier, c - 1 for the largest tag c it uses, or L when
-    the column lies outside their span.  Distance, witness and
-    ``subsets_examined`` are those of a search that tests every set.
+    the column lies outside their span.
+
+    A pass of size s that would certify may be settled instead by an
+    information-set certificate for codes of dimension k.  It takes g
+    disjoint information sets of the generator from
+    :func:`~gpcodes.linalg.null_space`, with t = s // g so that
+    g(t + 1) > s, and enumerates on each the projective messages of
+    weight <= t: C(k, i) (q - 1)^(i - 1) of each weight i.  Each
+    codeword is packed into w-bit lanes and weighed by one popcount.
+    The cost rule is fixed: the certificate runs when those messages
+    number fewer than the C(n, s) subsets of the pass, first estimated
+    with g = n // k, an upper bound, so that a code the rule rejects
+    builds nothing, then with the sets found.  When it meets no codeword
+    of weight <= s, the pass counts C(n, s) subsets in bulk, as a walk
+    that certifies does; when it meets one, the walk runs.  The witness
+    pass always walks.  Distance, witness and ``subsets_examined`` are
+    those of a search that tests every set.
 
     ``subsets_examined`` counts subsets tested one by one or certified
     in bulk, plus dependent prefixes met.  Pass sizes decrease until
@@ -139,14 +254,20 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     work scales with C(n, cap - 1) at most, so a cap above the distance
     costs more.
 
-    Raises :class:`SearchBudgetError` before doing any work if the
-    total number of subsets within the cap exceeds ``budget``, and
+    Raises ValueError unless ``check_matrix`` is a :class:`Matrix`,
+    ``cap`` an int >= 1 and ``budget`` an int >= 0, a bool refused as
+    either, :class:`SearchBudgetError` before doing any work if the total
+    number of subsets within the cap exceeds ``budget``, and
     :class:`DistanceCapError` if every subset within the cap is
     independent.
     """
+    if not isinstance(check_matrix, Matrix):
+        raise ValueError("check_matrix must be a Matrix")
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, not {cap!r}")
+    if type(budget) is not int or budget < 0:
+        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
     n = check_matrix.cols
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     cost = search_cost(n, cap)
     if cost > budget:
         raise SearchBudgetError(
@@ -154,9 +275,10 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
             f"the budget of {budget}; lower the cap or raise the budget")
     if n == 0:
         raise DistanceCapError("empty matrix has no columns")
-    w = check_matrix.field.w
+    field = check_matrix.field
+    w = field.w
     basis = _row_basis(check_matrix)
-    colbits = _column_expansions(basis, check_matrix.field, n)
+    colbits = _column_expansions(basis, field, n)
     # The GF(2) span of the inserted columns' expansions is closed under
     # field scalars, so a column lies in it exactly when its scalar-1
     # expansion reduces to zero.
@@ -269,6 +391,21 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
                 return found + (j,)
         return None
 
+    k, sets = n - len(basis), None
+
+    def certified(size: int) -> bool:
+        # Whether the information-set certificate proves a pass of
+        # ``size`` free of dependent sets, tried when the cost rule
+        # prefers it: first with floor(n / k) sets, an upper bound, so
+        # that a code it rejects builds nothing, then with those found.
+        nonlocal sets
+        if not _certificate_pays(k, w, n // k if k else 1, n, size):
+            return False
+        if sets is None:
+            sets = _information_sets(check_matrix, k)
+        return (_certificate_pays(k, w, len(sets), n, size)
+                and _certify(sets, field, n, size))
+
     # The root's exact frontier, so that a pass of two needs no walk.
     root, walked = walk(n - 1)
     for b in walked:
@@ -276,6 +413,10 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     top = min(cap, n)
     size, witness = top - 1, None
     while size:
+        if certified(size):
+            # the count of a walk that meets no dependent set
+            examined += comb(n, size)
+            break
         found = scan(size, n - 1, root)
         if found is None:
             break

@@ -28,7 +28,7 @@ from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (GpcParams, SymbolArray, decode_rows, encode,
                          erase_positions, full_parity_matrix, is_member,
                          min_weight_codeword)
-from gpcodes.oracle import correctable
+from gpcodes.oracle import brute_min_distance, correctable
 
 F8 = default_field(3)
 GF256 = default_field(8)
@@ -109,6 +109,12 @@ CONTRACTS = (
     Contract("min_weight_codeword rows[1]", lambda x: weight(row=x), 1, 6),
     Contract("min_weight_codeword cols[1]", lambda x: weight(col=x), 3, 7),
     Contract("correctable position", lambda x: correctable([0, x], H), 1, 42),
+    Contract("brute_min_distance cap",
+             lambda x: brute_min_distance(H2.check_matrix, x), 8, 0,
+             count=True),
+    Contract("brute_min_distance budget",
+             lambda x: brute_min_distance(H2.check_matrix, 8, x), 511, None,
+             count=True),
     Contract("erase_positions row",
              lambda x: erase_positions(SymbolArray.zeros(6, 7), [(x, 0)]),
              1, 6),
@@ -155,6 +161,9 @@ REFUSALS = (
             [1, 3], (None, 3)),
     Refusal("SymbolArray.fill value", lambda x: fill(value=x), 1,
             ("x", 2.5, -1, None)),
+    Refusal("brute_min_distance check_matrix",
+            lambda x: brute_min_distance(x, 8), H2.check_matrix,
+            (None, [[1, 0], [0, 1]], H2)),
     Refusal("erase_positions position",
             lambda x: erase_positions(SymbolArray.zeros(6, 7), [x]), (1, 2),
             (5, None, (1, 2, 3))),

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -355,6 +355,8 @@ def test_frontier_prune_certifies_independent_prefix_at_the_root(
         return math.comb(n, k)
 
     monkeypatch.setattr(oracle, "comb", comb)
+    # the walk, not the information-set certificate, settles every pass
+    monkeypatch.setattr(oracle, "_certificate_pays", lambda *args: False)
     assert _pruned_min_distance(h, 3) == (3, (0, 1, 4), 15 + 4 + 1) == \
         _unpruned_min_distance(h, 3)
     assert (4, 2) in counted and (4, 3) in counted
@@ -384,6 +386,8 @@ def test_two_column_nodes_read_their_frontiers_from_the_parent(
         return math.comb(n, k)
 
     monkeypatch.setattr(oracle, "comb", comb)
+    # the walk, not the information-set certificate, settles every pass
+    monkeypatch.setattr(oracle, "_certificate_pays", lambda *args: False)
     assert _pruned_min_distance(h, 4) == (4, (0, 1, 2, 4), 20 + 2)
     # search_cost's terms, then the root's C(4, 3), child 4's C(2, 2),
     # child 5's C(4, 2) and the C(4, 4) of the root of the pass of four
@@ -413,6 +417,87 @@ def test_frontier_handover_matches_unpruned_search_in_wide_fields(field):
     for _ in range(20):
         _matches_unpruned_search_at_every_cap(
             _random_check_matrix(rng, field))
+
+
+@pytest.mark.parametrize("field", [None, default_field(10),
+                                   GF.from_prime(13)],
+                         ids=["w2-4", "w10", "w12"])
+def test_information_set_certificate_matches_the_unpruned_search(
+        monkeypatch, field):
+    # At caps from the distance up, a pass at or above the distance
+    # makes the certificate meet a codeword and leave the pass to the
+    # walk.  The certificate answers exactly whether the distance
+    # exceeds the pass size; the cost rule sends some passes to it and
+    # leaves every pass of other codes to the walk alone.
+    calls = []
+    real = oracle._certify
+
+    def certify(sets, f, n, size):
+        calls.append((size, real(sets, f, n, size)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(oracle, "_certify", certify)
+    rng = random.Random(5501)
+    codes = [_random_check_matrix(rng, field) for _ in range(60)]
+    f = field or F16
+    codes += [Matrix.identity(f, 4),                     # k = 0
+              Matrix(f, [[1, 0, 0, 1, 1, 1],             # k = 2, d = 4
+                         [0, 1, 0, 1, 2, 3],
+                         [0, 0, 1, 1, 3, 2],
+                         [0, 0, 0, 1, 4, 5]])]
+    seen = set()
+    for h in codes:
+        found = _ascending_search(h)
+        d = h.cols + 1 if found is None else len(found)
+        ran = False
+        for cap in range(min(d, h.cols), h.cols + 2):
+            calls.clear()
+            assert _pruned_min_distance(h, cap) == \
+                _unpruned_min_distance(h, cap), (h, cap)
+            assert all(ok == (size < d) for size, ok in calls), (h, cap)
+            seen.update(ok for _, ok in calls)
+            ran |= bool(calls)
+        seen.add("walk alone" if not ran else "certificate")
+    assert seen == {True, False, "walk alone", "certificate"}
+
+
+@pytest.mark.parametrize("field", [default_field(2), F8, F16],
+                         ids=["w2", "w3", "w4"])
+def test_information_set_certificate_is_exact_at_every_size(field):
+    # Codes of dimension 1 to 3 spanned by a generator, whose distance
+    # comes from all their codewords, one of each scalar multiple.  At
+    # every size, whatever the cost rule would choose, the certificate
+    # proves the distance exceeds the size exactly when it does, with t
+    # up to k.  The first generator's one information set is columns 0
+    # and 1, and its one light codeword, of weight 2, is the message
+    # (1, 1) there: the sum of the rows, the rows' weight being 4.
+    rng = random.Random(3301)
+    q = 1 << field.w
+    gens = [[[1, 0, 1, 1, 1], [0, 1, 1, 1, 1]]]
+    for _ in range(100):
+        n = rng.randint(3, 12)
+        k = rng.randint(1, min(3, n - 1))     # so that h has a row
+        gens.append([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+    depths = set()
+    for gen in gens:
+        k, n = len(gen), len(gen[0])
+        weights = []
+        for i in range(k):
+            for tail in product(range(q), repeat=k - 1 - i):
+                word = gen[i]
+                for a, row in zip(tail, gen[i + 1:]):
+                    word = [x ^ field.mul(a, y) for x, y in zip(word, row)]
+                weights.append(sum(map(bool, word)))
+        if 0 in weights:
+            continue                   # the generator lost rank
+        d = min(weights)
+        sets = oracle._information_sets(
+            Matrix(field, null_space(Matrix(field, gen))), k)
+        for size in range(1, n):
+            depths.add(size // len(sets))
+            assert oracle._certify(sets, field, n, size) == (size < d), \
+                (gen, size)
+    assert {0, 1, 2, 3} <= depths
 
 
 def test_random_decodable_pattern_is_decodable():

@@ -53,7 +53,9 @@ def test_count_lines_modules_add_up_to_the_total(capsys):
 
 def test_distance_check_reports_each_differing_code(monkeypatch, capsys):
     tool = load_tool("check_distance_search")
-    codes = list(itertools.islice(tool._small_param_grid(), 3))
+    # the column walk certifies the grid's 14th code, information sets
+    # its 13th and 15th
+    codes = list(itertools.islice(tool._small_param_grid(), 12, 15))
     monkeypatch.setattr(tool, "_small_param_grid", lambda: iter(codes))
     assert tool.main() == 0
     real = tool._pruned_min_distance
@@ -67,7 +69,9 @@ def test_distance_check_reports_each_differing_code(monkeypatch, capsys):
     *lines, summary = capsys.readouterr().out.splitlines()[1:]
     assert [line.split(" at cap ")[0] for line in lines] == \
         [p.notation() for p in codes]
-    assert summary == "3 codes of criterion 6 checked, 3 differ"
+    assert summary == ("3 codes of criterion 6 checked, 3 differ; "
+                       "2 certified by information sets, "
+                       "1 certified by the column walk")
 
 
 def test_flip_walk_counts_every_single_flip_of_the_smallest_codes():

@@ -74,6 +74,8 @@ VANDERMONDE = ("tests/test_linalg.py::test_vandermonde_solve_equals_the_"
 BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
               "rows_syndrome")
 PROBATION = "tests/test_gpc.py::test_patterns_seen_once_stay_in_probation"
+CERTIFICATE = ("tests/test_oracle.py::test_information_set_certificate_"
+               "matches_the_unpruned_search")
 SUM_FILL = ("tests/test_linalg.py::test_a_sum_fills_as_the_fill_of_its_"
             "combined_row")
 
@@ -405,6 +407,12 @@ MUTANTS = (
            "return j - 1, walked", "return j - 2, walked",
            ("tests/test_oracle.py::test_frontier_prune_certifies_independent_"
             "prefix_at_the_root",)),
+    Mutant("the certificate counts one more message weight than it "
+           "enumerated", ORACLE, "depth = size // len(sets)\n",
+           "depth = size // len(sets) - 1\n", (CERTIFICATE,)),
+    Mutant("the weight test drops the last lane", ORACLE,
+           "tops = ones << w - 1", "tops = ones - (1 << (n - 1) * w) << w - 1",
+           (CERTIFICATE,)),
     Mutant("a dependent single column is reported as the last one", ORACLE,
            "                    examined += j + 1\n"
            "                    return (j,)\n",
