@@ -113,6 +113,13 @@ def _prime_factors(n: int) -> list[int]:
     return sorted(found)
 
 
+def _check_int(name: str, value: object, low: int) -> None:
+    # Refuse, naming ``name``, a value that is no int >= low; a bool is
+    # not one, as for record counts.
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, not {value!r}")
+
+
 class PrimeSearchError(RuntimeError):
     """No prime with the requested property exists below the cap."""
 
@@ -155,8 +162,10 @@ def is_irreducible(poly: int) -> bool:
     ``d`` is irreducible iff ``x^(2^d) == x (mod f)`` and for every
     prime ``r | d`` the polynomial ``x^(2^(d/r)) - x`` is coprime to
     ``f``.  Runs in polynomial time, so the all-ones moduli of degree
-    up to 62 are no problem.
+    up to 62 are no problem.  Raises ``ValueError`` unless ``poly`` is
+    an int >= 2.
     """
+    _check_int("poly", poly, 2)
     d = poly_degree(poly)
     if d == 1:
         return True
@@ -179,16 +188,18 @@ def is_irreducible(poly: int) -> bool:
 
 
 def mp_polynomial(p: int) -> int:
-    """The all-ones polynomial 1 + x + ... + x^(p-1), packed as an int."""
-    if p < 2:
-        raise ValueError("need p >= 2")
+    """The all-ones polynomial 1 + x + ... + x^(p-1), packed as an int,
+    for an int p >= 2 (else ``ValueError``)."""
+    _check_int("p", p, 2)
     return (1 << p) - 1
 
 
 def is_two_primitive(p: int) -> bool:
-    """True iff 2 generates the multiplicative group modulo the odd prime p."""
-    if not isprime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime")
+    """True iff 2 generates the multiplicative group modulo the odd prime
+    p; ``ValueError`` unless p is an int that is an odd prime."""
+    _check_int("p", p, 3)
+    if not isprime(p):
+        raise ValueError(f"p must be an odd prime, not {p}")
     return all(pow(2, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1))
 
 
@@ -199,8 +210,10 @@ def find_construction_prime(min_size: int) -> int:
     has multiplicative order exactly p in the quotient field, which is
     what the low-redundancy array constructions need.  The search stops
     at MAX_WIDTH + 1 = 64: a larger p gives a field width p-1 that
-    :class:`GF` rejects.
+    :class:`GF` rejects.  Raises ``ValueError`` unless ``min_size`` is
+    an int >= 0.
     """
+    _check_int("min_size", min_size, 0)
     for p in range(max(min_size, 2) + 1, MAX_WIDTH + 2):
         if isprime(p) and is_two_primitive(p):
             return p
@@ -363,7 +376,8 @@ class GF:
     def from_prime(cls, p: int) -> "GF":
         """Field defined by the all-ones modulus of an odd prime p.
 
-        2 must be primitive mod p (see :func:`is_two_primitive`); the
+        2 must be primitive mod p (see :func:`is_two_primitive`, which
+        raises ``ValueError`` for a p that is no odd prime); the
         resulting field has width p-1 and alpha = x of order exactly p.
         """
         if not is_two_primitive(p):
@@ -390,7 +404,9 @@ def default_field(w: int) -> GF:
 
 
 def field_with_order(min_order: int) -> GF:
-    """Smallest table field whose alpha has order >= min_order."""
+    """Smallest table field whose alpha has order >= min_order, an int
+    >= 1 (else ``ValueError``)."""
+    _check_int("min_order", min_order, 1)
     for w in sorted(DEFAULT_MODULI):
         if (1 << w) - 1 >= min_order:
             return default_field(w)

@@ -200,28 +200,20 @@ def parse_array_text(text: str) -> tuple[SymbolArray, int]:
         m, n, w = (int(x) for x in header)
     except ValueError as exc:
         raise SpecFileError(f"bad array header: {exc}") from exc
+    if m < 1 or n < 1:
+        raise SpecFileError(f"array shape {m}x{n} must be at least 1x1")
     if not 1 <= w <= MAX_WIDTH:
         raise SpecFileError(f"array width w={w} must be in [1, {MAX_WIDTH}]")
     if len(lines) - 1 != m:
         raise SpecFileError(f"expected {m} rows, found {len(lines) - 1}")
-    values = []
-    mask = []
-    limit = 1 << w
+    values, mask, limit = [], [], 1 << w
     for ln in lines[1:]:
         tokens = ln.split()
         if len(tokens) != n:
             raise SpecFileError(f"expected {n} symbols per row, got {len(tokens)}")
-        vrow = []
-        erow = []
-        for tok in tokens:
-            if tok == "?":
-                vrow.append(0)
-                erow.append(True)
-                continue
-            vrow.append(_parse_symbol(tok, limit, w))
-            erow.append(False)
-        values.append(vrow)
-        mask.append(erow)
+        values.append([0 if tok == "?" else _parse_symbol(tok, limit, w)
+                       for tok in tokens])
+        mask.append([tok == "?" for tok in tokens])
     return SymbolArray(values, mask), w
 
 

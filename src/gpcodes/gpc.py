@@ -575,11 +575,11 @@ class _Pass(NamedTuple):
     system: Matrix | None = None    # None: the profile exceeds the budgets
     # The pivots in peel order, each (p, row, erased columns, level,
     # weights, rows): the row at profile position p repairs in ``level``
-    # (None for a vanishing combination) from the sum of ``rows``, each
-    # times its weight, which is never zero (see _triangulated_system).
-    # A vanishing combination sums the rows after p, which its row must
-    # equal; any other pivot sums row p of the system, its own row with
-    # weight 1 and the rows after it, a word of its level once filled.
+    # (None for a vanishing combination) against the sum of ``rows``, the
+    # rows after p, each times its weight past p in the system, which is
+    # never zero (see _triangulated_system).  A vanishing combination's
+    # row must equal that sum; any other pivot row plus the sum is a word
+    # of its level once filled.
     peel: tuple[tuple, ...] = ()
 
 
@@ -589,12 +589,13 @@ class _Plan(NamedTuple):
     Each pass fills its rows within reach of the weakest row code, clean
     rows included, as one batch grouped by erased columns
     (:meth:`~gpcodes.linalg.LinearCode.fill_rows`).  When the profile
-    fits the budgets it then peels the rest off the triangulated system:
-    each of the m - k vanishing combinations compares its pivot row,
-    erased or not, with the sum of its known rows
-    (:func:`~gpcodes.linalg.combine`), and every other pivot fills from
-    its combined row, the pivot row included
-    (:meth:`~gpcodes.linalg.LinearCode.fill_sum`).  Built by
+    fits the budgets it then peels the rest off the triangulated system,
+    each pivot row against the sum of its known rows
+    (:func:`~gpcodes.linalg.combine`): each of the m - k vanishing
+    combinations compares its pivot row, erased or not, with that sum,
+    and every other pivot fills the pivot row plus the sum in its level
+    (:meth:`~gpcodes.linalg.LinearCode.fill`) and takes the sum back
+    out of the filled cells.  Built by
     :func:`_plan` on a cache miss; :func:`_execute` runs it, raising on
     the first contradiction a solve or comparison meets.
     """
@@ -684,9 +685,8 @@ def _plan_pass(view: _View, erased: list[tuple],
         # else counts[p] is within budget p, the deepest level p lies
         # in, so the weakest level that covers it is one p lies in too.
         level = None if p < m - k else bisect_left(params.u, counts[p])
-        start = p + 1 if level is None else p
-        peel.append((p, row_idx, cols, level, reduced.data[p][start:],
-                     order[start:]))
+        peel.append((p, row_idx, cols, level, reduced.data[p][p + 1:],
+                     order[p + 1:]))
         erased[row_idx] = ()
     passes.append(_Pass(params, groups, order, counts, reduced, tuple(peel)))
     return 0
@@ -721,26 +721,27 @@ def _execute_pass(step: _Pass, levels: list[_RowCode],
     if trace is not None:
         trace.row_order, trace.counts = step.order, step.counts
         trace.system = step.system
-    # Each row's form, which the sums read, is taken once and retaken
+    # Each row's form, which combine reads, is taken once and retaken
     # only when a pivot fills the row.
     f, n = step.params.field, step.params.n
     form = row_form(f, block)
     forms = list(map(form, values))
     for p, row_idx, cols, level, gamma, rows in step.peel:
-        terms = zip(gamma, map(forms.__getitem__, rows))
+        known = combine(f, zip(gamma, map(forms.__getitem__, rows)), n, block)
         row = values[row_idx]
         if level is None:
-            known = combine(f, terms, n, block)
             for c in cols:
                 row[c] = known[c]
             if row != known:
                 raise NoSolutionError("inconsistent system")
         else:
-            # The sum holds the row, whose erased cells hold 0, so the
-            # level's fill of the sum gives the row's symbols there.  The
+            # The code fills row + known, whose erased symbols it
+            # ignores, so known goes back into the filled cells.  The
             # solution is unique (Vandermonde columns).
-            for c, v in zip(cols, levels[level].fill_sum(terms, cols, block)):
-                row[c] = v
+            word = [a ^ b for a, b in zip(row, known)]
+            levels[level].fill(word, cols, block)
+            for c in cols:
+                row[c] = word[c] ^ known[c]
         if cols:
             forms[row_idx] = form(row)
         if trace is not None:

@@ -61,11 +61,11 @@ can, ``gpc`` array rows against one level's row code.  gpc's row codes
 are Reed-Solomon codes that override the step with a closed form and
 keep no plans, so erasure plans serve ``epc``'s codes and any code
 built from a check matrix alone.
-:meth:`LinearCode.fill` computes the syndrome and takes that step; the
-flat codes' stopping set, holding the syndrome its peel tracked, takes
-the step alone, and :meth:`LinearCode.fill_sum` takes it for a sum of
-weighted rows given in their :func:`row_form`, as gpc's peel pivots do.
-:meth:`LinearCode.fill_rows`, the one owner of how
+:meth:`LinearCode.fill` computes the syndrome and takes that step, as
+gpc's peel pivots do for a row plus the :func:`combine` of its known
+rows; the flat codes' stopping set, holding the syndrome its peel
+tracked, takes the step alone.  :meth:`LinearCode.fill_rows`, the one
+owner of how
 rows share a syndrome as blocks (see :func:`pack_blocks`), fills a
 batch of rows grouped by their erased positions from one
 :meth:`LinearCode.batch_syndrome`, a :class:`Fold` call for a code of
@@ -612,16 +612,6 @@ def combine(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
     are XORed as one big integer, as in :meth:`ByteMap.image`; wider
     fields multiply symbol by symbol and take no blocks.
     """
-    total = _sum(field, terms, width, block)
-    if type(total) is int:
-        return unpack_block(total, width, block)
-    return total
-
-
-def _sum(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
-         width: int, block: int) -> int | list[int]:
-    # combine's sum as it builds it: for w <= 8 one int of width * block
-    # bytes, else the list of symbols.
     if block > 1:
         _check_blocks(field)
     tables = field.mul_tables
@@ -630,7 +620,7 @@ def _sum(field: GF, terms: Iterable[tuple[int, Sequence[int]]],
         acc = 0
         for g, row in terms:
             acc ^= from_bytes(row.translate(tables[g]), "little")
-        return acc
+        return unpack_block(acc, width, block)
     mul = field.mul
     out = [0] * width
     for g, row in terms:
@@ -861,38 +851,6 @@ class LinearCode:
                                       block)
         for c, v in zip(erased, missing):
             word[c] = v
-
-    def fill_sum(self, terms: Iterable[tuple[int, Sequence[int]]],
-                 erased: tuple[int, ...], block: int = 1) -> list[int]:
-        """The symbols d at the positions ``erased`` (ascending) that
-        make s + d a codeword, s being :func:`combine`'s sum of ``terms``,
-        (weight, row) pairs of rows in their :func:`row_form`: the
-        :meth:`fill` of s, its erased symbols ignored, plus s there.  So
-        a sum that counts, with weight 1, a row whose erased symbols are
-        0 gets that row's own symbols.
-
-        The sum stays in the form it is built in: for w <= 8 one int,
-        whose erased blocks are masked out and whose bytes the
-        :meth:`syndrome` reads (each block's int for blocks), and for
-        wider fields its list, whose erased symbols are zeroed in place.
-        Raises what :meth:`solve_syndrome` raises.
-        """
-        total = _sum(self.field, terms, self.length, block)
-        if type(total) is int:
-            step, ones = 8 * block, (1 << 8 * block) - 1
-            held = [total >> step * c & ones for c in erased]
-            for c, v in zip(erased, held):
-                total ^= v << step * c
-            word = (total.to_bytes(self.length, "little") if block == 1
-                    else unpack_block(total, self.length, block))
-        else:
-            held = [total[c] for c in erased]
-            for c in erased:
-                total[c] = 0
-            word = total
-        missing = self.solve_syndrome(self.syndrome(word, block), erased,
-                                      block)
-        return [x ^ v for x, v in zip(missing, held)]
 
     def batch_syndrome(self, rows: Sequence[Sequence[int]],
                        block: int = 1) -> list[int]:

@@ -38,7 +38,7 @@ import random
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .fields import GF
+from .fields import GF, _check_int
 from .linalg import Matrix, _eliminate, _work_rows, null_space, rank, solve
 from . import gpc as _gpc
 
@@ -263,10 +263,8 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     """
     if not isinstance(check_matrix, Matrix):
         raise ValueError("check_matrix must be a Matrix")
-    if type(cap) is not int or cap < 1:
-        raise ValueError(f"cap must be an int >= 1, not {cap!r}")
-    if type(budget) is not int or budget < 0:
-        raise ValueError(f"budget must be an int >= 0, not {budget!r}")
+    _check_int("cap", cap, 1)
+    _check_int("budget", budget, 0)
     n = check_matrix.cols
     cost = search_cost(n, cap)
     if cost > budget:
@@ -478,7 +476,9 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     with no compiled map; profile-accepted patterns must also be
     recovered by the structured decoders; and whatever the iterative
     decoder fills in must match the codeword even when it stalls.
+    Raises ``ValueError`` unless ``trials`` is an int >= 0.
     """
+    _check_int("trials", trials, 0)
     rng = random.Random(seed)
     report = EquivalenceReport(trials=trials, seed=seed)
     h = _gpc.full_parity_matrix(params)

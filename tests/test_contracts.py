@@ -24,11 +24,14 @@ import pytest
 
 from gpcodes.epc import (EpcShape, build_h2, build_h3, build_optimal_g1,
                          distance_bound, lc_erasure_decode)
-from gpcodes.fields import GF, default_field
+from gpcodes.fields import (GF, default_field, field_with_order,
+                            find_construction_prime, is_irreducible,
+                            is_two_primitive, mp_polynomial)
 from gpcodes.gpc import (GpcParams, SymbolArray, decode_rows, encode,
                          erase_positions, full_parity_matrix, is_member,
                          min_weight_codeword)
-from gpcodes.oracle import brute_min_distance, correctable
+from gpcodes.oracle import (brute_min_distance, correctable,
+                            decoder_oracle_equivalence)
 
 F8 = default_field(3)
 GF256 = default_field(8)
@@ -99,6 +102,14 @@ CONTRACTS = (
     Contract("GF modulus", lambda x: GF(8, x), 0x11d, 1 << 9, count=True,
              none_ok=True),
     Contract("GF alpha", lambda x: GF(8, alpha=x), 2, 256, count=True),
+    Contract("field_with_order min_order", field_with_order, 5, 1 << 17,
+             count=True),
+    Contract("GF.from_prime p", GF.from_prime, 5, 7, count=True),
+    Contract("is_two_primitive p", is_two_primitive, 5, 15, count=True),
+    Contract("mp_polynomial p", mp_polynomial, 5, 1, count=True),
+    Contract("is_irreducible poly", is_irreducible, 0b1011, 1, count=True),
+    Contract("find_construction_prime min_size", find_construction_prime, 4,
+             None, count=True),
     Contract("build_h2 m", lambda x: build_h2(x, 3, GF256), 3, 10 ** 9,
              count=True),
     Contract("build_h2 n", lambda x: build_h2(3, x, GF256), 3, 10 ** 9,
@@ -114,6 +125,9 @@ CONTRACTS = (
              count=True),
     Contract("brute_min_distance budget",
              lambda x: brute_min_distance(H2.check_matrix, 8, x), 511, None,
+             count=True),
+    Contract("decoder_oracle_equivalence trials",
+             lambda x: decoder_oracle_equivalence(FLAGSHIP, x, 0), 1, None,
              count=True),
     Contract("erase_positions row",
              lambda x: erase_positions(SymbolArray.zeros(6, 7), [(x, 0)]),

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gpcodes import epc, gpc
+from gpcodes import cli, epc, gpc
 from gpcodes.fields import GF, default_field
 from gpcodes.files import (SpecFileError, array_to_text, field_from_json,
                            load_code_spec, parse_array_text, parse_code_spec,
@@ -167,6 +167,21 @@ def test_parse_array_text_errors():
 def test_parse_array_text_rejects_widths_outside_the_field_range(w):
     with pytest.raises(SpecFileError, match=rf"w={w} must be in \[1, 63\]"):
         parse_array_text(f"1 2 {w}\n0 ?\n")
+
+
+@pytest.mark.parametrize("header", ["0 3 8", "-1 3 8", "2 0 8", "1 -2 8"])
+def test_decode_refuses_an_array_header_of_no_cells(tmp_path, capsys, header):
+    """A header whose m or n is below 1 is refused by its shape, before
+    any row count: gpcodes decode exits 2."""
+    m, n, _ = header.split()
+    code, array = tmp_path / "code.json", tmp_path / "arr.txt"
+    code.write_text(json.dumps(SPECS["gpc"]))
+    array.write_text(header + "\n0 0 0\n")
+    with pytest.raises(SpecFileError, match=f"array shape {m}x{n} must"):
+        parse_array_text(array.read_text())
+    assert cli.main(["decode", str(code), str(array)]) == 2
+    assert f"array shape {m}x{n} must be at least 1x1" in \
+        capsys.readouterr().err
 
 
 def test_read_symbols(tmp_path):

@@ -745,55 +745,6 @@ def test_a_batch_fill_equals_per_row_fills(field, block):
     assert set(code._plans) == set(groups) - {()}
 
 
-@pytest.mark.parametrize("block", [1, 3])
-@pytest.mark.parametrize("field", BATCH_FIELDS, ids=BATCH_IDS)
-def test_a_sum_fills_as_the_fill_of_its_combined_row(field, block):
-    """LinearCode.fill_sum of weighted rows in their row_form gives, at
-    each erased position, the fill of combine's sum, its erased symbols
-    ignored, plus the sum's symbol there; so a row of weight 1 whose
-    erased symbols are 0, summed with rows that make it a codeword,
-    gets its own symbols back.  A changed survivor raises
-    NoSolutionError, as the fill does, and a wide field takes no
-    blocks."""
-    rng = random.Random(269 + field.w)
-    code = LinearCode(vandermonde(field, [field.alpha_pow(j)
-                                          for j in range(7)], 4))
-    if field.w > 8 and block > 1:
-        with pytest.raises(ValueError, match="w <= 8"):
-            code.fill_sum([(1, [0] * 7)], (2, 5), block)
-        return
-    top, parity, erased = 1 << field.w, code.parity_positions(), (2, 5)
-    form = row_form(field, block)
-
-    def codewords():
-        words = []
-        for _ in range(block):
-            word = [0 if j in parity else rng.randrange(top)
-                    for j in range(7)]
-            code.fill(word, parity)
-            words.append(word)
-        return pack_blocks(words)
-
-    for _ in range(5):
-        others = [(rng.randrange(1, top), pack_blocks(
-            [[rng.randrange(top) for _ in range(7)] for _ in range(block)]))
-            for _ in range(2)]
-        known = combine(field, [(g, form(row)) for g, row in others], 7,
-                        block)
-        truth = [a ^ b for a, b in zip(codewords(), known)]
-        row = [0 if j in erased else v for j, v in enumerate(truth)]
-        terms = [(1, form(row))] + [(g, form(r)) for g, r in others]
-        total = combine(field, terms, 7, block)
-        filled = list(total)
-        code.fill(filled, erased, block)
-        got = code.fill_sum(iter(terms), erased, block)
-        assert got == [filled[c] ^ total[c] for c in erased]
-        assert got == [truth[c] for c in erased]
-        row[0] ^= 1
-        with pytest.raises(NoSolutionError):
-            code.fill_sum([(1, form(row))] + terms[1:], erased, block)
-
-
 @pytest.mark.parametrize("field", BATCH_FIELDS, ids=BATCH_IDS)
 def test_a_contradicting_group_leaves_the_groups_after_it_unwritten(field):
     """A changed survivor in the last row of any one group, the group of

@@ -7,7 +7,7 @@ from itertools import chain, compress
 import pytest
 
 from gpcodes import gpc, linalg
-from gpcodes.fields import default_field
+from gpcodes.fields import GF, default_field
 from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
                          GpcParams, SymbolArray, UncorrectableError,
                          decodable_profile, decode_iterative, decode_rows,
@@ -32,6 +32,10 @@ K_EQ_M = GpcParams(m=4, n=6, k=4, s=(2, 2), u=(1, 2), field=F8)
 # the flagship's shape over GF(2^10): rows repair one by one, no plans
 WIDE = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
                  field=default_field(10))
+
+# the same over GF(2^20): no exp/log tables, so every product is GF.mul
+W20 = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4),
+                field=GF(20, 0x100009))
 
 
 # ------------------------------------------------------------- reference
@@ -391,8 +395,9 @@ def reference_cases(params, seed, count):
 
 
 @pytest.mark.parametrize("params, count", [(G16, 40), (FLAGSHIP, 150),
-                                           (K_EQ_M, 60), (WIDE, 40)],
-                         ids=["G16", "flagship", "k_eq_m", "wide"])
+                                           (K_EQ_M, 60), (WIDE, 40),
+                                           (W20, 40)],
+                         ids=["G16", "flagship", "k_eq_m", "wide", "w20"])
 def test_decoders_match_the_symbol_array_reference(params, count):
     for arr in reference_cases(params, 409, count):
         assert outcome(decode_iterative, arr, params) == \

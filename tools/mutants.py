@@ -76,8 +76,6 @@ BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
 PROBATION = "tests/test_gpc.py::test_patterns_seen_once_stay_in_probation"
 CERTIFICATE = ("tests/test_oracle.py::test_information_set_certificate_"
                "matches_the_unpruned_search")
-SUM_FILL = ("tests/test_linalg.py::test_a_sum_fills_as_the_fill_of_its_"
-            "combined_row")
 
 MUTANTS = (
     # gpc: the row pass, the decode driver, arrays and parameters
@@ -182,6 +180,9 @@ MUTANTS = (
            ("tests/test_gpc.py::test_transpose_preserves_code",)),
     Mutant("the peel reads a row form that is not refreshed", GPC,
            "        if cols:\n            forms[row_idx] = form(row)\n", "",
+           (REFERENCE,)),
+    Mutant("a level pivot writes the filled word without the sum it added",
+           GPC, "row[c] = word[c] ^ known[c]", "row[c] = word[c]",
            (REFERENCE,)),
     Mutant("a negative cell index wraps around to the end", GPC,
            "and 0 <= r < self.m and 0 <= c < self.n):",
@@ -304,9 +305,6 @@ MUTANTS = (
            "            return value\n        _make_room(cache, limit)\n",
            "            return value\n        value = build()\n"
            "        _make_room(cache, limit)\n", (PROBATION,)),
-    Mutant("a pivot's sum keeps its erased symbols in the syndrome", LINALG,
-           "                total ^= v << step * c\n",
-           "                pass\n", (SUM_FILL, REFERENCE)),
     Mutant("caches evict one entry late", LINALG,
            "while len(cache) >= limit:", "while len(cache) > limit:",
            ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
