@@ -127,6 +127,22 @@ def build_optimal_g1(m: int, v: int, n: int, h: int,
                      u=(h, h + 1), field=field).check()
 
 
+def _grid_field(m: int, n: int, field: GF | None) -> GF:
+    # The field of an m x n array on alpha's powers, after the checks
+    # that come before any work: m and n ints >= 2 (a bool is no count),
+    # and a GF whose alpha has order at least m*n, None picking the
+    # smallest field that fits.
+    bad = _not_ints(zip("mn", (m, n)))
+    if bad or m < 2 or n < 2:
+        raise ValueError("; ".join(bad) or "need m, n >= 2")
+    f = field_with_order(m * n) if field is None else field
+    if not isinstance(f, GF):
+        raise ValueError(f"field must be a GF, got {field!r}")
+    if f.alpha_order < m * n:
+        raise ValueError(f"order(alpha)={f.alpha_order} < m*n={m * n}")
+    return f
+
+
 class _PowerRowsCode(LinearCode):
     # build_h2's and build_h3's code, EP(m, 1; n, 1; len(steps)), which
     # builds its own check rows: the t = 1 product code's m row sums and
@@ -139,12 +155,7 @@ class _PowerRowsCode(LinearCode):
 
     def __init__(self, m: int, n: int, field: GF | None,
                  steps: tuple[int, ...]):
-        bad = _not_ints(zip("mn", (m, n)))
-        if bad or m < 2 or n < 2:
-            raise ValueError("; ".join(bad) or "need m, n >= 2")
-        f = field_with_order(m * n) if field is None else field
-        if f.alpha_order < m * n:
-            raise ValueError(f"order(alpha)={f.alpha_order} < m*n={m * n}")
+        f = _grid_field(m, n, field)
         product = full_parity_matrix(
             GpcParams(m, n, k=m - 1, s=(m,), u=(1,), field=f))
         super().__init__(Matrix(f, product.data + [
@@ -219,9 +230,13 @@ def check_condition_35(m: int, n: int, field: GF) -> tuple[int, int, int, int] |
         1 + alpha^(-j1) + alpha^(-i2*n + j2) + alpha^(-(i2 - i1)*n + j2) != 0,
 
     otherwise the first violating (i1, i2, j1, j2) in loop order.  It
-    decides 9 only where 9 is the bound, that is m, n >= 3.
+    decides 9 only where 9 is the bound, that is m, n >= 3.  Raises
+    ``ValueError`` where no h3 code exists: m or n not an int >= 2,
+    ``field`` not a GF, or m*n above the order of its alpha.
     """
-    f = field
+    if field is None:
+        raise ValueError("field must be a GF, got None")
+    f = _grid_field(m, n, field)
     signed_i = list(range(1, m)) + list(range(-1, -m, -1))
     signed_j = list(range(1, n)) + list(range(-1, -n, -1))
     for i1 in range(1, m):

@@ -17,13 +17,12 @@ A decode plans, then executes.  Every decision the row pass and the
 row-column alternation take (which rows repair locally, the profile, the
 triangulated system, each pivot's level and known rows, when to turn to
 the columns) reads the erasure mask alone, so :class:`_Plan` holds them
-and a bounded cache keeps the plans by code and mask, each held in a
-small probation segment until its mask is seen again: a repeated loss
-plans once, and masks seen once stay out of the cache.  The execute
-step only touches symbols: it runs the plan's fills and combinations
-and compares the vanishing rows.  Each level's row code is a
-Reed-Solomon code whose erasures solve in closed form
-(:class:`_RowCode`), so row repairs hold no state and run no
+and a small least-recently-used cache keeps the plans by code and
+mask: a repeated loss plans once, and a mask seen once is freed a few
+decodes later.  The execute step only touches symbols: it runs the
+plan's fills and combinations and compares the vanishing rows.  Each
+level's row code is a Reed-Solomon code whose erasures solve in closed
+form (:class:`_RowCode`), so row repairs hold no state and run no
 elimination.
 
 Arrays carry an explicit erasure mask; an erased cell always stores the
@@ -40,8 +39,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .fields import GF
 # ``solve`` is unused but stays bound for perfbench's tracer test.
 from .linalg import (Fold, LinearCode, Matrix,  # noqa: F401
-                     NoSolutionError, PlanSlot, SplitMap, admit, combine,
-                     kron, null_space, recall, row_form, row_reduce, solve,
+                     NoSolutionError, PlanSlot, SplitMap, combine, kron,
+                     null_space, recall, row_form, row_reduce, solve,
                      solve_vandermonde, vandermonde, vstack)
 
 
@@ -370,7 +369,13 @@ def decodable_profile(profile: ErasureProfile, params: GpcParams) -> bool:
 
 
 def component_parity_check(params: GpcParams, i: int) -> Matrix:
-    """Parity-check matrix of the level-i row code: entry (r, j) = alpha^(r*j)."""
+    """Parity-check matrix of the level-i row code: entry (r, j) = alpha^(r*j).
+
+    ``i`` is an int in range(t), a bool taken as its int; anything else
+    raises ``ValueError``.
+    """
+    if not isinstance(i, int) or not 0 <= i < params.t:
+        raise ValueError(f"level {i!r} out of range({params.t})")
     f = params.field
     nodes = [f.alpha_pow(j) for j in range(params.n)]
     return vandermonde(f, nodes, params.u[i])
@@ -606,26 +611,21 @@ class _Plan(NamedTuple):
     mask: tuple[tuple[bool, ...], ...]   # the cells left erased
 
 
-# Plans by (params, iterate, mask rows as bytes), under probation
-# (linalg.admit): a pattern's first plan waits among the few newest
-# first sightings, and its second sighting there moves that plan into
-# this LRU, least recently used evicted first.  So a repeated loss plans
-# once and then hits, and patterns seen once, as a scrub's are, leave
-# the LRU empty: their plans are freed a few decodes later, before the
-# garbage collector has walked them many times.  Each entry holds its
-# pattern's tuples and the systems it triangulated.
-_PLAN_LIMIT = 64
+# Plans by (params, iterate, mask rows as bytes), least recently used
+# evicted first.  A repeated loss plans once and then hits, and a
+# pattern seen once, as a scrub's are, is freed four new patterns
+# later, before the garbage collector has walked it many times.  Each
+# entry holds its pattern's tuples and the systems it triangulated.
+_PLAN_LIMIT = 4
 _PLANS: dict[tuple, _Plan] = {}
-_PLAN_PROBATION: dict[tuple, _Plan] = {}
 
 
 def _plan_for(view: _View, mask: Sequence[Sequence[bool]],
               iterate: bool) -> _Plan:
     # The plan of a decode of the rows whose erased cells are flagged in
     # ``mask`` (of the code's shape), from the cache when it holds one.
-    return admit(_PLANS, _PLAN_PROBATION,
-                 (view.params, iterate, tuple(map(bytes, mask))),
-                 _PLAN_LIMIT, lambda: _plan(view, mask, iterate))
+    return recall(_PLANS, (view.params, iterate, tuple(map(bytes, mask))),
+                  _PLAN_LIMIT, lambda: _plan(view, mask, iterate))
 
 
 def _plan(view: _View, mask: Sequence[Sequence[bool]],

@@ -48,9 +48,8 @@ the others through one check, ``_check_blocks``, before any work, and a
 call of one symbol never runs it.  :class:`PlanSlot` holds the one rule
 for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound on the
 bytes a compiled map holds; :func:`recall` is the get-or-build rule of
-every bounded cache, evicting the least recently used entry, and
-:func:`admit` puts a probation segment before it for a cache whose keys
-are mostly seen once, gpc's plans.
+every bounded cache (gpc's views and plans, a code's plan slots),
+evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,
@@ -320,43 +319,8 @@ def recall(cache: dict, key, limit: int, build: Callable[[], object]):
     value = cache.pop(key, None)
     if value is None:
         value = build()
-        _make_room(cache, limit)
-    cache[key] = value
-    return value
-
-
-def _make_room(cache: dict, limit: int) -> None:
-    # Drop the first entries of ``cache``, its oldest or least recently
-    # used, until one more fits within ``limit``.
-    while len(cache) >= limit:
-        del cache[next(iter(cache))]
-
-
-# Entries a probation segment holds (see admit).
-PROBATION_LIMIT = 4
-
-
-def admit(cache: dict, probation: dict, key, limit: int,
-          build: Callable[[], object]):
-    """:func:`recall` for a cache whose keys are mostly seen once, gpc's
-    plans, by the probation rule of 2Q (Johnson and Shasha, VLDB 1994).
-    A key first seen is built and held in ``probation``, at most
-    ``PROBATION_LIMIT`` entries, the oldest dropped first; seen there
-    again, that same entry moves into ``cache``, a :func:`recall` LRU of
-    at most ``limit``.  So a key seen once never reaches ``cache``,
-    whose entries then live long only when they are read again, and a
-    key that repeats is built once.  A call hashes ``key`` at most three
-    times, one more than :func:`recall`, since a tuple key does not keep
-    its hash."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = probation.pop(key, None)
-        if value is None:
-            value = build()
-            _make_room(probation, PROBATION_LIMIT)
-            probation[key] = value
-            return value
-        _make_room(cache, limit)
+        while len(cache) >= limit:
+            del cache[next(iter(cache))]
     cache[key] = value
     return value
 

@@ -476,9 +476,13 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     with no compiled map; profile-accepted patterns must also be
     recovered by the structured decoders; and whatever the iterative
     decoder fills in must match the codeword even when it stalls.
-    Raises ``ValueError`` unless ``trials`` is an int >= 0.
+    Raises ``ValueError`` unless ``trials`` is an int >= 0, ``seed`` an
+    int and ``max_weight`` None or an int in [0, m*n] (a bool is none of
+    them), before any trial.
     """
     _check_int("trials", trials, 0)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, not {seed!r}")
     rng = random.Random(seed)
     report = EquivalenceReport(trials=trials, seed=seed)
     h = _gpc.full_parity_matrix(params)
@@ -487,6 +491,9 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     dim = params.dimension()
     if max_weight is None:
         max_weight = min(params.min_distance(), m * n)
+    elif type(max_weight) is not int or not 0 <= max_weight <= m * n:
+        raise ValueError(f"max_weight must be an int in [0, {m * n}], "
+                         f"not {max_weight!r}")
 
     for trial in range(trials):
         data = [rng.randrange(1 << f.w) for _ in range(dim)]

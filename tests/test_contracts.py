@@ -23,13 +23,14 @@ from typing import Callable, NamedTuple
 import pytest
 
 from gpcodes.epc import (EpcShape, build_h2, build_h3, build_optimal_g1,
-                         distance_bound, lc_erasure_decode)
+                         check_condition_35, distance_bound,
+                         lc_erasure_decode)
 from gpcodes.fields import (GF, default_field, field_with_order,
                             find_construction_prime, is_irreducible,
                             is_two_primitive, mp_polynomial)
-from gpcodes.gpc import (GpcParams, SymbolArray, decode_rows, encode,
-                         erase_positions, full_parity_matrix, is_member,
-                         min_weight_codeword)
+from gpcodes.gpc import (GpcParams, SymbolArray, component_parity_check,
+                         decode_rows, encode, erase_positions,
+                         full_parity_matrix, is_member, min_weight_codeword)
 from gpcodes.oracle import (brute_min_distance, correctable,
                             decoder_oracle_equivalence)
 
@@ -116,6 +117,14 @@ CONTRACTS = (
              count=True),
     Contract("build_h3 m", lambda x: build_h3(x, 3, GF256), 3, 10 ** 9,
              count=True),
+    Contract("check_condition_35 m",
+             lambda x: check_condition_35(x, 3, GF256), 3, 10 ** 9,
+             count=True),
+    Contract("check_condition_35 n",
+             lambda x: check_condition_35(3, x, GF256), 3, 10 ** 9,
+             count=True),
+    Contract("component_parity_check i",
+             lambda x: component_parity_check(FLAGSHIP, x), 0, 3),
     Contract("min_weight_codeword level", lambda x: weight(level=x), 0, 3),
     Contract("min_weight_codeword rows[1]", lambda x: weight(row=x), 1, 6),
     Contract("min_weight_codeword cols[1]", lambda x: weight(col=x), 3, 7),
@@ -129,6 +138,9 @@ CONTRACTS = (
     Contract("decoder_oracle_equivalence trials",
              lambda x: decoder_oracle_equivalence(FLAGSHIP, x, 0), 1, None,
              count=True),
+    Contract("decoder_oracle_equivalence max_weight",
+             lambda x: decoder_oracle_equivalence(FLAGSHIP, 1, 0, x), 3, 43,
+             count=True, none_ok=True),
     Contract("erase_positions row",
              lambda x: erase_positions(SymbolArray.zeros(6, 7), [(x, 0)]),
              1, 6),
@@ -178,6 +190,13 @@ REFUSALS = (
     Refusal("brute_min_distance check_matrix",
             lambda x: brute_min_distance(x, 8), H2.check_matrix,
             (None, [[1, 0], [0, 1]], H2)),
+    Refusal("build_h2 field", lambda x: build_h2(3, 3, x), GF256, ("x", 3)),
+    Refusal("build_h3 field", lambda x: build_h3(3, 3, x), GF256, ("x", 3)),
+    Refusal("check_condition_35 field", lambda x: check_condition_35(3, 3, x),
+            GF256, ("x", 3, None)),
+    Refusal("decoder_oracle_equivalence seed",
+            lambda x: decoder_oracle_equivalence(FLAGSHIP, 1, x), -5,
+            (None, 1.5, "s", True)),
     Refusal("erase_positions position",
             lambda x: erase_positions(SymbolArray.zeros(6, 7), [x]), (1, 2),
             (5, None, (1, 2, 3))),

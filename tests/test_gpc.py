@@ -742,27 +742,22 @@ def archive_loss(rng):
 
 
 def clear_pattern_caches():
-    """Empty the plan cache and its probation segment."""
+    """Empty the plan cache."""
     gpc._PLANS.clear()
-    gpc._PLAN_PROBATION.clear()
 
 
 @pytest.fixture
 def plans(monkeypatch):
-    """An empty plan cache, with an empty probation segment, for one
-    test; the plan cache is returned."""
+    """An empty plan cache for one test, returned."""
     cache = {}
     monkeypatch.setattr(gpc, "_PLANS", cache)
-    monkeypatch.setattr(gpc, "_PLAN_PROBATION", {})
     return cache
 
 
 def test_plan_cache_is_a_bounded_lru(plans, monkeypatch):
     """Plans are kept per (params, iterate, mask), at most _PLAN_LIMIT of
     them, the least recently used dropped first; a pattern that differs
-    from a cached one in its last row only gets a plan of its own.  Each
-    pattern is decoded twice in a row: its first plan waits in
-    probation, and the second decode moves it into the LRU."""
+    from a cached one in its last row only gets a plan of its own."""
     monkeypatch.setattr(gpc, "_PLAN_LIMIT", 3)
     rng = random.Random(181)
     word = rand_codeword(FLAGSHIP, rng)
@@ -773,23 +768,20 @@ def test_plan_cache_is_a_bounded_lru(plans, monkeypatch):
     keys, sizes = {}, []
     for name in "abcad":
         damaged = erase_positions(word, patterns[name])
-        for _ in range(2):
-            assert decode_iterative(damaged, FLAGSHIP) == word
+        assert decode_iterative(damaged, FLAGSHIP) == word
         keys[name] = (FLAGSHIP, True, tuple(map(bytes, damaged.erased)))
         sizes.append(len(plans))
     assert sizes == [1, 2, 3, 3, 3]
     # b went first: a was used again after it
     assert list(plans) == [keys["c"], keys["a"], keys["d"]]
     # decode_rows plans apart from decode_iterative
-    for _ in range(2):
-        decode_rows(erase_positions(word, patterns["a"]), FLAGSHIP)
+    decode_rows(erase_positions(word, patterns["a"]), FLAGSHIP)
     assert list(plans)[-1] == (FLAGSHIP, False) + keys["a"][2:]
 
 
 def test_a_repeated_loss_plans_once(plans, monkeypatch):
     """The archive loss decoded three times builds one plan and
-    triangulates once: the second decode moves the plan from probation
-    into the LRU, and the plan holds its system, so no later decode
+    triangulates once: the plan holds its system, so no later decode
     triangulates again."""
     rng = random.Random(191)
     loss = archive_loss(rng)
@@ -803,37 +795,43 @@ def test_a_repeated_loss_plans_once(plans, monkeypatch):
     for word in words:
         assert decode_iterative(erase_positions(word, loss), G16) == word
     assert len(built) == 1 and len(reduced) == 1
-    assert len(plans) == 1 and not gpc._PLAN_PROBATION
+    assert len(plans) == 1
 
 
-def test_patterns_seen_once_stay_in_probation(plans, monkeypatch):
+def test_a_plan_lives_while_four_new_patterns_pass(plans, monkeypatch):
     """100 distinct patterns, each with a row order of its own, leave
-    the plan LRU empty and its probation segment full; a pattern seen
-    again moves the very plan built at its first sighting, its system
-    with it, into the LRU, and a third sighting builds nothing and
-    triangulates nothing."""
+    _PLAN_LIMIT plans.  A pattern seen again with three others between
+    gets the very plan built at its first sighting, its system with it,
+    so it builds and triangulates nothing; with four others between, it
+    is built again."""
     rng = random.Random(199)
     word = rand_codeword(G16, rng)
     clear_pattern_caches()      # the encoder's plan
     pairs = rng.sample([(a, b) for a in range(G16.m) for b in range(G16.m)
                         if a != b], 100)
-    for a, b in pairs:     # row a loses five cells, row b three
+
+    def decode(a, b):      # row a loses five cells, row b three
         loss = {(a, c) for c in range(5)} | {(b, c) for c in range(5, 8)}
         assert decode_iterative(erase_positions(word, loss), G16) == word
-    assert not plans
-    assert len(gpc._PLAN_PROBATION) == linalg.PROBATION_LIMIT
-    # the last pattern's plan and system, built at its first sighting
-    key, held = next(reversed(gpc._PLAN_PROBATION.items()))
+
+    for a, b in pairs:
+        decode(a, b)
+    assert len(plans) == gpc._PLAN_LIMIT == 4
+    # the oldest plan held: pairs[-4]'s, three patterns decoded since
+    key, held = next(iter(plans.items()))
     assert held.passes[0].system is not None
     built, reduced = [], []
     plan, row_reduce_ = gpc._plan, gpc.row_reduce
     monkeypatch.setattr(gpc, "_plan", lambda *a: built.append(a) or plan(*a))
     monkeypatch.setattr(gpc, "row_reduce",
                         lambda m: reduced.append(m) or row_reduce_(m))
-    for _ in range(2):
-        assert decode_iterative(erase_positions(word, loss), G16) == word
-    assert list(plans.items()) == [(key, held)] and plans[key] is held
+    decode(*pairs[-4])
+    assert next(reversed(plans)) == key and plans[key] is held
     assert built == reduced == []
+    # pairs[-5]'s, with four patterns decoded since, was dropped
+    decode(*pairs[-5])
+    assert len(built) == len(reduced) == 1
+    assert len(plans) == gpc._PLAN_LIMIT
 
 
 @pytest.mark.parametrize("decoder", [decode_rows, decode_iterative])
@@ -842,12 +840,11 @@ def test_a_changed_survivor_under_a_cached_plan_raises(decoder, plans):
     with no check to spare, so a changed survivor in one of them is
     caught by a vanishing combination alone; a cached plan still runs
     that comparison and reports every erased cell.  The loss is decoded
-    twice first, which moves its plan from probation into the LRU."""
+    once first, which caches its plan."""
     rng = random.Random(193)
     loss = archive_loss(rng)
     word = rand_codeword(G16, rng)
-    for _ in range(2):
-        assert decoder(erase_positions(word, loss), G16) == word
+    assert decoder(erase_positions(word, loss), G16) == word
     assert len(plans) == 1
     for _ in range(3):
         damaged = erase_positions(rand_codeword(G16, rng), loss)

@@ -73,7 +73,6 @@ VANDERMONDE = ("tests/test_linalg.py::test_vandermonde_solve_equals_the_"
                "generic_solve")
 BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
               "rows_syndrome")
-PROBATION = "tests/test_gpc.py::test_patterns_seen_once_stay_in_probation"
 CERTIFICATE = ("tests/test_oracle.py::test_information_set_certificate_"
                "matches_the_unpruned_search")
 
@@ -147,10 +146,14 @@ MUTANTS = (
            "tuple(map(bytes, mask))", "tuple(map(bytes, mask[:-1]))",
            ("tests/test_gpc.py::test_plan_cache_is_a_bounded_lru", CENSUS)),
     Mutant("a plan hit replans", GPC,
-           "    return admit(_PLANS, _PLAN_PROBATION,\n",
+           "    return recall(_PLANS, (view.params, iterate,",
            "    return _plan(view, mask, iterate)\n"
-           "    return admit(_PLANS, _PLAN_PROBATION,\n",
+           "    return recall(_PLANS, (view.params, iterate,",
            ("tests/test_gpc.py::test_a_repeated_loss_plans_once",)),
+    Mutant("one-shot plans outlive four decodes", GPC,
+           "_PLAN_LIMIT = 4", "_PLAN_LIMIT = 64",
+           ("tests/test_gpc.py::test_a_plan_lives_while_four_new_patterns_"
+            "pass",)),
     Mutant("a cached plan's vanishing comparison is skipped", GPC,
            "            if row != known:\n"
            "                raise NoSolutionError(\"inconsistent system\")\n",
@@ -296,15 +299,6 @@ MUTANTS = (
     Mutant("maps compile on their third use", LINALG,
            "before <= 1 < self.uses", "before <= 2 < self.uses",
            ("tests/test_linalg.py::test_every_map_compiles_on_its_second_use",)),
-    Mutant("a first sighting enters the LRU", LINALG,
-           "            _make_room(probation, PROBATION_LIMIT)\n"
-           "            probation[key] = value\n"
-           "            return value\n",
-           "            _make_room(cache, limit)\n", (PROBATION,)),
-    Mutant("promotion rebuilds instead of moving the held entry", LINALG,
-           "            return value\n        _make_room(cache, limit)\n",
-           "            return value\n        value = build()\n"
-           "        _make_room(cache, limit)\n", (PROBATION,)),
     Mutant("caches evict one entry late", LINALG,
            "while len(cache) >= limit:", "while len(cache) > limit:",
            ("tests/test_gpc.py::test_encoder_cache_is_bounded",)),
