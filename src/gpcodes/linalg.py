@@ -48,8 +48,8 @@ the others through one check, ``_check_blocks``, before any work, and a
 call of one symbol never runs it.  :class:`PlanSlot` holds the one rule
 for when a map is compiled, and ``MAP_BYTES_LIMIT`` the one bound on the
 bytes a compiled map holds; :func:`recall` is the get-or-build rule of
-every bounded cache (gpc's views and plans, a code's plan slots),
-evicting the least recently used entry.
+every bounded cache (gpc's views and plans, a code's plan slots, the
+oracle's systematic forms), evicting the least recently used entry.
 
 :class:`LinearCode` is a code given by its check matrix.  Both families
 repair erasures with its one step :meth:`LinearCode.solve_syndrome`,

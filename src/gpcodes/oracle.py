@@ -3,9 +3,15 @@
 Correctability of an erasure pattern and exact minimum distance are
 both column-rank statements about the check matrix, so everything here
 works directly on matrices and never consults the structured decoders
-or their compiled maps.  :func:`correctable` takes the rank of the
-erased columns as rows, the transpose of their submatrix, so that one
-elimination of |E| short rows settles a pattern.
+or their compiled maps.  :func:`correctable` reads a pattern off the
+check matrix's systematic form, built by one full elimination and held
+in a four-entry cache (least recently used evicted first, see
+:func:`~gpcodes.linalg.recall`), keyed by the matrix's identity: a
+matrix must not change after it is passed.  The form's pivot columns P
+are unit vectors, so an erased pivot only takes its row out, and a
+pattern E costs one rank of its |E \\ P| <= min(|E|, K) columns off P
+over the rho - |E & P| rows left, for a check matrix of rank rho and a
+code of dimension K.
 The distance search enumerates column subsets in colexicographic order,
 maintaining an incremental GF(2) elimination state: a GF(2^w) column is
 expanded into its w binary multiples, each packed into one int, which
@@ -39,7 +45,8 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .fields import GF, _check_int
-from .linalg import Matrix, _eliminate, _work_rows, null_space, rank, solve
+from .linalg import (Matrix, _eliminate, _work_rows, null_space, rank,
+                     recall, solve)
 from . import gpc as _gpc
 
 DEFAULT_BUDGET = 10_000_000
@@ -53,26 +60,62 @@ class DistanceCapError(RuntimeError):
     """No dependent column set exists within the requested size cap."""
 
 
+# Systematic forms of check matrices by id, least recently used evicted
+# first.  Each entry holds its matrix, so no other matrix takes that id
+# while the entry is held.
+_FORM_LIMIT = 4
+_FORMS: dict[int, tuple[Matrix, dict[int, int], list]] = {}
+
+
+def _systematic_form(check_matrix: Matrix) -> tuple[Matrix, dict[int, int],
+                                                      list]:
+    # One full elimination of the check rows: the row of each pivot
+    # column, and the rho nonzero rows of the reduced form, as working
+    # rows (see linalg._work_rows).
+    field = check_matrix.field
+    rows = _work_rows(field, check_matrix.data)
+    pivots = _eliminate(rows, field, range(check_matrix.cols), full=True)
+    return (check_matrix, {c: i for i, c in enumerate(pivots)},
+            rows[:len(pivots)])
+
+
 def correctable(positions: Iterable[int], check_matrix: Matrix) -> bool:
     """Whether an erasure pattern is recoverable under the given checks.
 
     True exactly when the selected columns are linearly independent,
     that is when the submatrix H_E of the erased columns has rank |E|.
-    Rank does not change under transposition, so the one :func:`rank`
-    runs on the transpose of H_E, one row per erased column built
-    straight from the check matrix's rows: at most |E|(|E| - 1)/2 row
-    updates of R symbols for R check rows, and the elimination stops at
-    the |E|-th pivot.
+    The answer is read off the systematic form of H: one full
+    elimination gives its rho nonzero rows, in which each pivot column
+    p in P is the unit vector of its own row.  The columns of E are
+    independent exactly when those off P are independent on the rows
+    whose pivot E does not erase, so one :func:`rank` of the transpose
+    of that submatrix settles the pattern: |E \\ P| <= min(|E|, K) rows of
+    rho - |E & P| symbols, for a code of dimension K.  The empty case,
+    rank 0 of no columns, is True.
+
+    The form is built on the first call for a matrix and held in a
+    cache of four, keyed by the matrix's identity, least recently used
+    evicted first; a matrix must not change after it is passed.
+    Raises ValueError unless ``check_matrix`` is a :class:`Matrix` and
+    ``positions`` an iterable of ints in range (a bool taken as its
+    int), before the cache sees either.
     """
-    cols = set(positions)
+    if not isinstance(check_matrix, Matrix):
+        raise ValueError("check_matrix must be a Matrix")
+    try:
+        cols = set(positions)
+    except TypeError:
+        raise ValueError("positions must be an iterable of ints") from None
     if not all(isinstance(c, int) and 0 <= c < check_matrix.cols
                for c in cols):
         raise ValueError("position out of range")
-    if not cols:
-        return True
-    data = check_matrix.data
+    _, row_of, rows = recall(_FORMS, id(check_matrix), _FORM_LIMIT,
+                             lambda: _systematic_form(check_matrix))
+    erased = {row_of[c] for c in cols if c in row_of}
+    kept = [row for i, row in enumerate(rows) if i not in erased]
+    free = [c for c in cols if c not in row_of]
     return rank(Matrix._fresh(check_matrix.field, [
-        [row[c] for row in data] for c in sorted(cols)])) == len(cols)
+        [row[c] for row in kept] for c in free])) == len(free)
 
 
 class DistanceReport(NamedTuple):
@@ -430,6 +473,11 @@ def brute_min_distance(check_matrix: Matrix, cap: int,
     return DistanceReport(len(witness), witness, examined)
 
 
+def _check_params(params: "_gpc.GpcParams") -> None:
+    if not isinstance(params, _gpc.GpcParams):
+        raise ValueError(f"params must be a GpcParams, not {params!r}")
+
+
 def random_decodable_pattern(params: "_gpc.GpcParams",
                              rng: random.Random) -> set[tuple[int, int]]:
     """A random erasure pattern inside the row decoder's guarantees.
@@ -437,7 +485,9 @@ def random_decodable_pattern(params: "_gpc.GpcParams",
     Draws a per-row budget from the sorted budget vector (assigned to
     rows by a random permutation) and a random erasure count within it,
     so every guaranteed-decodable pattern has positive probability.
+    Raises ValueError unless ``params`` is a :class:`~gpcodes.gpc.GpcParams`.
     """
+    _check_params(params)
     budgets = params.erasure_budgets()
     rows = list(range(params.m))
     rng.shuffle(rows)
@@ -476,10 +526,12 @@ def decoder_oracle_equivalence(params: "_gpc.GpcParams", trials: int,
     with no compiled map; profile-accepted patterns must also be
     recovered by the structured decoders; and whatever the iterative
     decoder fills in must match the codeword even when it stalls.
-    Raises ``ValueError`` unless ``trials`` is an int >= 0, ``seed`` an
+    Raises ``ValueError`` unless ``params`` is a
+    :class:`~gpcodes.gpc.GpcParams`, ``trials`` an int >= 0, ``seed`` an
     int and ``max_weight`` None or an int in [0, m*n] (a bool is none of
     them), before any trial.
     """
+    _check_params(params)
     _check_int("trials", trials, 0)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, not {seed!r}")

@@ -18,6 +18,7 @@ and values the call must refuse with ``ValueError``, never ``TypeError``
 or ``AttributeError``.
 """
 
+import random
 from typing import Callable, NamedTuple
 
 import pytest
@@ -32,7 +33,8 @@ from gpcodes.gpc import (GpcParams, SymbolArray, component_parity_check,
                          decode_rows, encode, erase_positions,
                          full_parity_matrix, is_member, min_weight_codeword)
 from gpcodes.oracle import (brute_min_distance, correctable,
-                            decoder_oracle_equivalence)
+                            decoder_oracle_equivalence,
+                            random_decodable_pattern)
 
 F8 = default_field(3)
 GF256 = default_field(8)
@@ -190,6 +192,16 @@ REFUSALS = (
     Refusal("brute_min_distance check_matrix",
             lambda x: brute_min_distance(x, 8), H2.check_matrix,
             (None, [[1, 0], [0, 1]], H2)),
+    Refusal("correctable check_matrix", lambda x: correctable([0], x), H,
+            ("x", None, [[1, 0], [0, 1]], H2)),
+    Refusal("correctable positions", lambda x: correctable(x, H), [0, 1],
+            (5, None, [[0]])),
+    Refusal("decoder_oracle_equivalence params",
+            lambda x: decoder_oracle_equivalence(x, 1, 0), FLAGSHIP,
+            ("x", None, H)),
+    Refusal("random_decodable_pattern params",
+            lambda x: random_decodable_pattern(x, random.Random(0)), FLAGSHIP,
+            ("x", None, H)),
     Refusal("build_h2 field", lambda x: build_h2(3, 3, x), GF256, ("x", 3)),
     Refusal("build_h3 field", lambda x: build_h3(3, 3, x), GF256, ("x", 3)),
     Refusal("check_condition_35 field", lambda x: check_condition_35(3, 3, x),

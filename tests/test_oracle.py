@@ -17,6 +17,7 @@ from gpcodes.oracle import (DistanceCapError, SearchBudgetError,
                             decoder_oracle_equivalence,
                             random_decodable_pattern, search_cost)
 from test_acceptance import _small_param_grid
+from test_properties import low_rank_rows
 
 F8 = default_field(3)
 F16 = default_field(4)
@@ -38,14 +39,38 @@ def test_correctable_basics():
         correctable([-1], h)
 
 
+def _deficient_check_matrix(field, seed):
+    # Random low-rank rows with one row repeated, so the rank falls short
+    # of the rows, then a zero column and a scaled copy of column 1.
+    rng = random.Random(seed)
+    data = low_rank_rows(field, rng, 5, 6)
+    data.append(list(data[0]))
+    scale = rng.randrange(2, 1 << field.w)
+    for row in data:
+        row += [0, field.mul(scale, row[1])]
+    h = Matrix(field, data)
+    assert rank(h) < h.rows
+    return h
+
+
+LOW_RANK_FIELDS = [default_field(4), default_field(8), GF.from_prime(13),
+                   GF(20, 0x100009)]
+
+
 @pytest.mark.parametrize("h", [
     build_h3(3, 4, GF.from_prime(13)).check_matrix,
     build_h2(3, 3).check_matrix,
     full_parity_matrix(GpcParams(m=2, n=5, k=2, s=(1, 1), u=(2, 4),
-                                 field=F8))], ids=["h3", "h2", "gpc"])
+                                 field=F8)),
+    *(_deficient_check_matrix(f, seed) for seed, f in
+      enumerate(LOW_RANK_FIELDS))],
+    ids=["h3", "h2", "gpc", *(f"low rank GF(2^{f.w})"
+                              for f in LOW_RANK_FIELDS)])
 def test_correctable_equals_the_rank_of_the_erased_columns(h):
     # On every pattern: dependent ones, and ones with more erased columns
-    # than check rows (the gpc code's 8 rows have rank 6).
+    # than check rows (the gpc code's 8 rows have rank 6; the low-rank
+    # matrices have a zero column, a repeated column and fewer pivots
+    # than rows).
     kinds = set()
     for size in range(1, h.cols + 1):
         for cols in combinations(range(h.cols), size):
@@ -53,6 +78,33 @@ def test_correctable_equals_the_rank_of_the_erased_columns(h):
             assert correctable(cols, h) == want, cols
             kinds.add((want, size > h.rows))
     assert kinds == {(True, False), (False, False), (False, True)}
+
+
+def test_correctable_holds_four_systematic_forms_by_identity():
+    # the forms of the last four matrices passed, the least recently
+    # used dropped first; equal matrices built apart are two entries
+    f = default_field(4)
+    rows = [[1, 0, 2, 5], [0, 1, 3, 7]]
+    a, b, c, d, e = (Matrix(f, rows) for _ in range(5))
+    patterns = [cols for size in range(5)
+                for cols in combinations(range(4), size)]
+    want = [correctable(cols, a) for cols in patterns]
+    for h in (b, c, d, a):
+        correctable([0], h)
+    assert list(oracle._FORMS) == [id(h) for h in (b, c, d, a)]
+    assert all(oracle._FORMS[id(h)][0] is h for h in (a, b, c, d))
+    correctable([0], e)
+    assert list(oracle._FORMS) == [id(h) for h in (c, d, a, e)]
+    # nothing but a Matrix enters the cache, not even a refused one
+    with pytest.raises(ValueError):
+        correctable([0], rows)
+    assert list(oracle._FORMS) == [id(h) for h in (c, d, a, e)]
+    # an evicted matrix gives the same answers from its rebuilt form
+    for h in (b, c, d, e):
+        correctable([0], h)
+    assert id(a) not in oracle._FORMS
+    assert [correctable(cols, a) for cols in patterns] == want
+    assert list(oracle._FORMS) == [id(h) for h in (c, d, e, a)]
 
 
 def test_correctable_matches_decoding_limit():

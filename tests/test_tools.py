@@ -74,6 +74,26 @@ def test_distance_check_reports_each_differing_code(monkeypatch, capsys):
                        "1 certified by the column walk")
 
 
+def test_correctable_check_reports_each_differing_pattern(monkeypatch,
+                                                         capsys):
+    tool = load_tool("check_correctable")
+    codes = list(itertools.islice(tool._small_param_grid(), 2))
+    monkeypatch.setattr(tool, "_small_param_grid", lambda: iter(codes))
+    assert tool.main() == 0
+    assert capsys.readouterr().out == (
+        "2 codes with mn <= 12, 32 patterns checked, 0 differ\n")
+    real = tool.oracle.correctable
+    # a broken oracle that calls every pattern of three or more erasures
+    # dependent
+    monkeypatch.setattr(tool.oracle, "correctable",
+                        lambda cols, h: len(cols) < 3 and real(cols, h))
+    assert tool.main() == 1
+    *lines, summary = capsys.readouterr().out.splitlines()
+    assert lines and all(": oracle False, rank True" in line
+                         for line in lines)
+    assert summary.endswith(f"32 patterns checked, {len(lines)} differ")
+
+
 def test_flip_walk_counts_every_single_flip_of_the_smallest_codes():
     """Every (E, j) pair of the 23 grid codes with mn <= 8, both
     decoders alike: within |E| + 1 < d every pair raises but 180, which

@@ -73,6 +73,8 @@ VANDERMONDE = ("tests/test_linalg.py::test_vandermonde_solve_equals_the_"
                "generic_solve")
 BATCH_FOLD = ("tests/test_properties.py::test_fold_batch_syndromes_equal_each_"
               "rows_syndrome")
+RANK_REFERENCE = ("tests/test_oracle.py::test_correctable_equals_the_rank_of_"
+                  "the_erased_columns")
 CERTIFICATE = ("tests/test_oracle.py::test_information_set_certificate_"
                "matches_the_unpruned_search")
 
@@ -384,10 +386,12 @@ MUTANTS = (
            ("tests/test_epc.py::test_lc_erasure_decode_small_patterns",)),
     # the distance oracle and the equivalence report
     Mutant("correctable compares its rank with the check rows", ORACLE,
-           "for c in sorted(cols)])) == len(cols)",
-           "for c in sorted(cols)])) == check_matrix.rows",
-           ("tests/test_oracle.py::test_correctable_equals_the_rank_of_the_"
-            "erased_columns",)),
+           "for c in free])) == len(free)",
+           "for c in free])) == check_matrix.rows", (RANK_REFERENCE,)),
+    Mutant("correctable ranks the free columns over every row, the rows of "
+           "erased pivots included", ORACLE,
+           "[row[c] for row in kept] for c in free]",
+           "[row[c] for row in rows] for c in free]", (RANK_REFERENCE,)),
     Mutant("correctable indexes with a float position", ORACLE,
            "if not all(isinstance(c, int) and 0 <= c < check_matrix.cols\n",
            "if not all(0 <= c < check_matrix.cols\n", (CONTRACTS,)),
