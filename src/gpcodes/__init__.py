@@ -22,9 +22,9 @@ _EXPORTS = {
     "linalg": ("Matrix", "LinearSolveError", "NoSolutionError",
                "UnderdeterminedError", "kron", "null_space", "rank",
                "row_reduce", "solve", "vandermonde", "vstack"),
-    "gpc": ("ContradictionError", "DecodeTrace", "ErasureProfile",
-            "GpcParams", "SymbolArray", "UncorrectableError",
-            "component_parity_check", "decodable_profile", "decode_iterative",
+    "gpc": ("ContradictionError", "ErasureProfile", "GpcParams",
+            "SymbolArray", "UncorrectableError", "component_parity_check",
+            "decodable_profile", "decode_iterative", "decode_plan",
             "decode_rows", "encode", "erase_positions", "full_parity_matrix",
             "is_member", "min_weight_codeword"),
     "epc": ("EpcShape", "LinearCode", "build_h2", "build_h3",

@@ -52,7 +52,7 @@ that read the syndrome of its check matrix.
 from __future__ import annotations
 
 from math import ceil
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .fields import GF, field_with_order
 from .gpc import (ContradictionError, GpcParams, UncorrectableError, _Rules,
@@ -301,7 +301,7 @@ def _peel_then_fill(word: list[int], erased: list[int],
         raise NoSolutionError("inconsistent system")
 
 
-def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
+def lc_erasure_decode(values: list[int], erased: Collection[int],
                       code: LinearCode) -> list[int]:
     """The codeword of ``code`` that agrees with ``values`` outside
     ``erased``.
@@ -311,8 +311,9 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
     raised.  When the survivors contradict the code, a word with no
     erasures included, its subclass :class:`ContradictionError` is
     raised.  Survivors must lie in the field; the symbols at erased
-    positions are ignored.  An erased position that is not an int in
-    ``range(code.length)`` raises ``ValueError``.
+    positions are ignored.  A position named twice is erased once, and
+    one that is not an int in ``range(code.length)`` raises
+    ``ValueError``.
 
     The codes of :func:`build_h2` and :func:`build_h3` decode local
     first, from the code's syndrome of the word with its erased symbols
@@ -343,7 +344,7 @@ def lc_erasure_decode(values: list[int], erased: set[int] | frozenset[int],
         raise ValueError("word length mismatch")
     if not all(isinstance(j, int) and 0 <= j < code.length for j in erased):
         raise ValueError("erased position out of range")
-    cols = sorted(erased)
+    cols = sorted(set(erased))
     known = list(values)
     for j in cols:
         known[j] = 0

@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import chain, compress
 from operator import gt, itemgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fields import GF
@@ -60,7 +61,14 @@ class UncorrectableError(ValueError):
 
 class ContradictionError(UncorrectableError):
     """The surviving symbols contradict the code: no codeword agrees
-    with them, whatever the erased symbols hold."""
+    with them, whatever the erased symbols hold.
+
+    A gpc decode sets ``steps``, how many peel steps of the raising pass
+    (see :func:`decode_plan`) ran before the contradiction; it stays
+    None when that pass's local fills raised, and for the flat codes.
+    """
+
+    steps = None
 
 
 class _Rules:
@@ -166,10 +174,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
 
     def expanded_u(self) -> tuple[int, ...]:
         """Per-row strengths (u_0 repeated s_0 times, and so on)."""
-        out: list[int] = []
-        for mult, val in zip(self.s, self.u):
-            out.extend([val] * mult)
-        return tuple(out)
+        return tuple(val for mult, val in zip(self.s, self.u)
+                     for _ in range(mult))
 
     def notation(self) -> str:
         body = ",".join(str(v) for v in self.expanded_u())
@@ -191,10 +197,8 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         s_hat(1)).  A sorted profile is decodable by the row decoder
         exactly when it is dominated entrywise by this vector.
         """
-        out: list[int] = []
-        for i in range(self.t, -1, -1):
-            out += [self.u_at(i)] * (self.s_hat(i) - self.s_hat(i + 1))
-        return tuple(out)
+        return tuple(self.u_at(i) for i in range(self.t, -1, -1)
+                     for _ in range(self.s_hat(i) - self.s_hat(i + 1)))
 
     def parity_positions(self) -> frozenset[tuple[int, int]]:
         """Systematic layout: cells solved by the encoder.
@@ -214,8 +218,10 @@ class GpcParams(_Rules, NamedTuple("GpcParams", [
         The n x m view is again a code of this family; strengths and
         multiplicities swap roles through the partial sums.  Codes with
         k = m have no vanishing row combinations, so their column view
-        falls outside the family and raises ValueError.
+        falls outside the family and raises ValueError, as invalid
+        parameters do.
         """
+        self.check()
         if self.m == self.k:
             raise ValueError(
                 "column view undefined for k = m (no full-strength parities)")
@@ -449,7 +455,12 @@ def _view(params: GpcParams) -> _View:
     # never enters the cache); callers must not modify the level codes.
     # A params equal to the cached one but not it has its types checked:
     # a count of another type, n = 7.0 or a bool, compares equal to the
-    # int, and the cached params has passed every other rule.
+    # int, and the cached params has passed every other rule.  Anything
+    # but a GpcParams, an equal tuple included, is refused before the
+    # cache hashes it.
+    if not isinstance(params, GpcParams):
+        raise ValueError(f"params must be a GpcParams, got {params!r}")
+
     def build() -> _View:
         checks = _level_checks(params)
         f, m, n = params.field, params.m, params.n
@@ -490,6 +501,8 @@ def full_parity_matrix(params: GpcParams) -> Matrix:
 
 def _check_shape(arr: SymbolArray, m: int, n: int) -> None:
     # The one shape check of an array against a code's m x n.
+    if not isinstance(arr, SymbolArray):
+        raise ValueError(f"expected a SymbolArray, got {arr!r}")
     if (arr.m, arr.n) != (m, n):
         raise ValueError(f"array is {arr.m}x{arr.n}, code expects {m}x{n}")
 
@@ -538,19 +551,6 @@ def is_member(arr: SymbolArray, params: GpcParams) -> bool:
     return True
 
 
-class DecodeTrace:
-    """Optional record of the row decoder's internal steps, taken from
-    its plan as the steps run: a contradiction leaves the steps before
-    it."""
-
-    def __init__(self):
-        self.row_order: tuple[int, ...] = ()
-        self.counts: tuple[int, ...] = ()
-        self.system: Matrix | None = None
-        # (profile position, row index, level used; None = vanishing combo)
-        self.steps: list[tuple[int, int, int | None]] = []
-
-
 # Empty: nothing fills it.  Each plan holds the systems it triangulated,
 # so _PLANS is gpc's one pattern cache.  perfbench/worker.py still
 # clears and counts this dict; ROADMAP item 2 removes the name.
@@ -574,10 +574,13 @@ class _Pass(NamedTuple):
     columns) of the code ``params``."""
 
     params: GpcParams
-    groups: dict[tuple[int, ...], list[int]]  # local fills; never modified
+    # The local fills: the rows that share each set of erased columns.
+    groups: MappingProxyType[tuple[int, ...], tuple[int, ...]]
     order: tuple[int, ...]          # the profile the local fills leave
     counts: tuple[int, ...]
-    system: Matrix | None = None    # None: the profile exceeds the budgets
+    # The triangulated system's rows; None: the profile exceeds the
+    # budgets.
+    system: tuple[tuple[int, ...], ...] | None = None
     # The pivots in peel order, each (p, row, erased columns, level,
     # weights, rows): the row at profile position p repairs in ``level``
     # (None for a vanishing combination) against the sum of ``rows``, the
@@ -602,7 +605,9 @@ class _Plan(NamedTuple):
     (:meth:`~gpcodes.linalg.LinearCode.fill`) and takes the sum back
     out of the filled cells.  Built by
     :func:`_plan` on a cache miss; :func:`_execute` runs it, raising on
-    the first contradiction a solve or comparison meets.
+    the first contradiction a solve or comparison meets.  It holds
+    tuples, ints and read-only mappings only, so the plan that
+    :func:`decode_plan` shares with the cache cannot be changed.
     """
 
     erased: tuple[tuple[int, ...], ...]  # each row's erased columns
@@ -660,11 +665,12 @@ def _plan_pass(view: _View, erased: list[tuple],
     # vanishing combinations, pivot row erased or not.  A row that the
     # pass fills gets (); returns the cells left, 0 after a peel.
     params = view.params
-    groups: dict[tuple[int, ...], list[int]] = {}
+    local: dict[tuple[int, ...], tuple[int, ...]] = {}
     for r, cols in enumerate(erased):
         if len(cols) <= params.u[0]:
-            groups.setdefault(cols, []).append(r)
+            local[cols] = local.get(cols, ()) + (r,)
             erased[r] = ()
+    groups = MappingProxyType(local)
     lens = list(map(len, erased))
     left = sum(lens)
     # The profile: rows by erasure count, descending, ties by index
@@ -676,7 +682,7 @@ def _plan_pass(view: _View, erased: list[tuple],
         passes.append(_Pass(params, groups, order, counts))
         return left
     nsys = max(m - k, m - counts.count(0))
-    reduced = _triangulated_system(view, order, nsys)
+    system = tuple(map(tuple, _triangulated_system(view, order, nsys).data))
     peel = []
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
@@ -685,16 +691,15 @@ def _plan_pass(view: _View, erased: list[tuple],
         # else counts[p] is within budget p, the deepest level p lies
         # in, so the weakest level that covers it is one p lies in too.
         level = None if p < m - k else bisect_left(params.u, counts[p])
-        peel.append((p, row_idx, cols, level, reduced.data[p][p + 1:],
+        peel.append((p, row_idx, cols, level, system[p][p + 1:],
                      order[p + 1:]))
         erased[row_idx] = ()
-    passes.append(_Pass(params, groups, order, counts, reduced, tuple(peel)))
+    passes.append(_Pass(params, groups, order, counts, system, tuple(peel)))
     return 0
 
 
 def _execute(plan: _Plan, view: _View, values: list[list[int]],
-             block: int = 1,
-             trace: DecodeTrace | None = None) -> list[list[int]]:
+             block: int = 1) -> list[list[int]]:
     # Run ``plan`` on the rows ``values`` of ``view``'s code, whose
     # erased cells hold 0; a column pass runs on the transposed rows.
     # Each cell holds a symbol, or with ``block`` L > 1 a block of L
@@ -707,49 +712,49 @@ def _execute(plan: _Plan, view: _View, values: list[list[int]],
             _execute_pass(step, _view(view.col_params).levels, values, block)
             values = list(map(list, zip(*values)))
         else:
-            _execute_pass(step, view.levels, values, block, trace)
+            _execute_pass(step, view.levels, values, block)
     return values
 
 
 def _execute_pass(step: _Pass, levels: list[_RowCode],
-                  values: list[list[int]], block: int,
-                  trace: DecodeTrace | None = None) -> None:
+                  values: list[list[int]], block: int) -> None:
     # One planned row pass in place, with the pass's row codes ``levels``.
+    # A contradiction in the peel carries the count of the steps before
+    # it as ``steps``.
     levels[0].fill_rows(values, step.groups, block)
     if step.system is None:
         return
-    if trace is not None:
-        trace.row_order, trace.counts = step.order, step.counts
-        trace.system = step.system
     # Each row's form, which combine reads, is taken once and retaken
     # only when a pivot fills the row.
     f, n = step.params.field, step.params.n
     form = row_form(f, block)
     forms = list(map(form, values))
-    for p, row_idx, cols, level, gamma, rows in step.peel:
-        known = combine(f, zip(gamma, map(forms.__getitem__, rows)), n, block)
-        row = values[row_idx]
-        if level is None:
-            for c in cols:
-                row[c] = known[c]
-            if row != known:
-                raise NoSolutionError("inconsistent system")
-        else:
-            # The code fills row + known, whose erased symbols it
-            # ignores, so known goes back into the filled cells.  The
-            # solution is unique (Vandermonde columns).
-            word = [a ^ b for a, b in zip(row, known)]
-            levels[level].fill(word, cols, block)
-            for c in cols:
-                row[c] = word[c] ^ known[c]
-        if cols:
-            forms[row_idx] = form(row)
-        if trace is not None:
-            trace.steps.append((p, row_idx, level))
+    try:
+        for i, (_, row_idx, cols, level, gamma, rows) in enumerate(step.peel):
+            known = combine(f, zip(gamma, [forms[r] for r in rows]), n, block)
+            row = values[row_idx]
+            if level is None:
+                for c in cols:
+                    row[c] = known[c]
+                if row != known:
+                    raise NoSolutionError("inconsistent system")
+            else:
+                # The code fills row + known, whose erased symbols it
+                # ignores, so known goes back into the filled cells.  The
+                # solution is unique (Vandermonde columns).
+                word = [a ^ b for a, b in zip(row, known)]
+                levels[level].fill(word, cols, block)
+                for c in cols:
+                    row[c] = word[c] ^ known[c]
+            if cols:
+                forms[row_idx] = form(row)
+    except NoSolutionError as exc:
+        exc.steps = i
+        raise
 
 
-def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
-            trace: DecodeTrace | None = None) -> tuple[SymbolArray, _Plan]:
+def _decode(arr: SymbolArray, params: GpcParams,
+            iterate: bool) -> tuple[SymbolArray, _Plan]:
     # The decode shared by decode_rows and decode_iterative
     # (``iterate``): the array and its plan.  The work is a copy of each
     # row with its erased cells zeroed, and every survivor must lie in
@@ -763,16 +768,36 @@ def _decode(arr: SymbolArray, params: GpcParams, iterate: bool,
             row[c] = 0
     params.field.check_symbols(chain.from_iterable(values), "survivor")
     try:
-        values = _execute(plan, view, values, trace=trace)
+        values = _execute(plan, view, values)
     except NoSolutionError as exc:
-        raise ContradictionError(f"row solve failed: {exc}",
-                                 frozenset(arr.erased_positions())) from exc
+        error = ContradictionError(f"row solve failed: {exc}",
+                                   frozenset(arr.erased_positions()))
+        error.steps = getattr(exc, "steps", None)
+        raise error from exc
     return SymbolArray._masked(values, list(map(list, plan.mask)),
                                zero=False), plan
 
 
-def decode_rows(arr: SymbolArray, params: GpcParams,
-                trace: DecodeTrace | None = None) -> SymbolArray:
+def decode_plan(arr: SymbolArray, params: GpcParams) -> _Plan:
+    """The plan that :func:`decode_rows` runs on ``arr``, read from its
+    mask alone: the very plan the cache holds, and immutable.
+
+    Its one pass is the decode's record: the profile the local repairs
+    leave (``order``, ``counts``), the triangulated ``system`` (None
+    when the profile exceeds the budgets, so no peel runs) and the
+    ``peel``, whose entries start with the profile position, the row
+    and the level (None for a vanishing combination) of each step in
+    the order the steps run.  A :class:`ContradictionError` of the
+    decode counts the steps that ran before it.  Raises ``ValueError``
+    on an ``arr`` that is not a :class:`SymbolArray` of the code's shape
+    and on a ``params`` that is not a valid :class:`GpcParams`.
+    """
+    view = _view(params)
+    _check_shape(arr, params.m, params.n)
+    return _plan_for(view, arr.erased, False)
+
+
+def decode_rows(arr: SymbolArray, params: GpcParams) -> SymbolArray:
     """Single-pass erasure decoder working row by row.
 
     Runs one planned row pass (see :class:`_Plan`): rows within reach of
@@ -785,7 +810,8 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     even when the local repairs leave nothing erased or a combination's
     pivot row has none; past level 0 a k = m code checks only the
     combinations its solves use.  ``arr`` is left unchanged, and
-    ``trace`` records the plan's profile, system and steps as they run.
+    :func:`decode_plan` returns the plan, which records the profile,
+    system and steps.
 
     Raises ``ValueError`` when a survivor lies outside [0, 2^w), and
     :class:`UncorrectableError` when the sorted profile exceeds the
@@ -794,7 +820,7 @@ def decode_rows(arr: SymbolArray, params: GpcParams,
     symbols contradict a row code (``remaining``: every erased cell of
     ``arr``).
     """
-    work, plan = _decode(arr, params, iterate=False, trace=trace)
+    work, plan = _decode(arr, params, iterate=False)
     if plan.left:
         step = plan.passes[0]
         bad = [(c, r) for c, r in zip(step.counts, step.order) if c]
@@ -927,10 +953,7 @@ def min_weight_codeword(params: GpcParams, level: int,
     w_basis = _null_vector(h.submatrix(cols=cols))
     row_nodes = [f.alpha_pow(r) for r in rows]
     depth = len(rows) - 1
-    if depth:
-        v_basis = _null_vector(vandermonde(f, row_nodes, depth))
-    else:
-        v_basis = [1]
+    v_basis = _null_vector(vandermonde(f, row_nodes, depth)) if depth else [1]
     arr = SymbolArray.zeros(params.m, params.n)
     for vr, r in zip(v_basis, rows):
         for wc, c in zip(w_basis, cols):

@@ -13,10 +13,9 @@ from gpcodes import epc, gpc, oracle
 from gpcodes.epc import (EpcShape, build_h2, build_h3, build_optimal_g1,
                          check_condition_35, distance_bound)
 from gpcodes.fields import GF, default_field, field_with_order
-from gpcodes.gpc import (DecodeTrace, GpcParams, UncorrectableError,
-                         decode_iterative, decode_rows, encode,
-                         erase_positions, full_parity_matrix, is_member,
-                         min_weight_codeword)
+from gpcodes.gpc import (GpcParams, UncorrectableError, decode_iterative,
+                         decode_plan, decode_rows, encode, erase_positions,
+                         full_parity_matrix, is_member, min_weight_codeword)
 from gpcodes.linalg import rank
 
 FLAGSHIP = GpcParams(m=6, n=7, k=4, s=(2, 1, 3), u=(1, 3, 4), field=GF(3))
@@ -56,16 +55,19 @@ def test_criterion_03_decoder_trace():
                + [(2, c) for c in (1, 2, 4, 6)]
                + [(3, c) for c in (0, 3, 5)]
                + [(4, c) for c in range(7)] + [(5, 4)])
-    trace = DecodeTrace()
-    result = decode_rows(erase_positions(word, pattern), FLAGSHIP, trace=trace)
+    damaged = erase_positions(word, pattern)
+    result = decode_rows(damaged, FLAGSHIP)
     assert result == word and result.erasure_count == 0
-    assert trace.row_order == (1, 4, 2, 3, 0, 5)
-    assert trace.counts == (7, 7, 4, 3, 0, 0)
-    assert trace.system.data == [[1, 1, 1, 1, 1, 1],
-                                 [0, 1, 4, 7, 2, 6],
-                                 [0, 0, 1, 2, 3, 2],
-                                 [0, 0, 0, 1, 3, 7]]
-    assert trace.steps == [(3, 3, 1), (2, 2, 2), (1, 4, None), (0, 1, None)]
+    # the plan decode_rows ran, read from the mask alone
+    (step,) = decode_plan(damaged, FLAGSHIP).passes
+    assert step.order == (1, 4, 2, 3, 0, 5)
+    assert step.counts == (7, 7, 4, 3, 0, 0)
+    assert step.system == ((1, 1, 1, 1, 1, 1),
+                           (0, 1, 4, 7, 2, 6),
+                           (0, 0, 1, 2, 3, 2),
+                           (0, 0, 0, 1, 3, 7))
+    assert [(p, row, level) for p, row, _, level, _, _ in step.peel] == \
+        [(3, 3, 1), (2, 2, 2), (1, 4, None), (0, 1, None)]
     print("criterion 3: 22-erasure pattern decoded; triangulated system and "
           "peel order match the worked fixture entry-for-entry")
 

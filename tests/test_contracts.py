@@ -30,8 +30,9 @@ from gpcodes.fields import (GF, default_field, field_with_order,
                             find_construction_prime, is_irreducible,
                             is_two_primitive, mp_polynomial)
 from gpcodes.gpc import (GpcParams, SymbolArray, component_parity_check,
-                         decode_rows, encode, erase_positions,
-                         full_parity_matrix, is_member, min_weight_codeword)
+                         decode_iterative, decode_plan, decode_rows, encode,
+                         erase_positions, full_parity_matrix, is_member,
+                         min_weight_codeword)
 from gpcodes.oracle import (brute_min_distance, correctable,
                             decoder_oracle_equivalence,
                             random_decodable_pattern)
@@ -181,6 +182,8 @@ REFUSALS = (
     Refusal("GpcParams field",
             lambda x: GpcParams(6, 7, 4, (2, 1, 3), (1, 3, 4), x).check(),
             F8, ("x", None, 3)),
+    Refusal("GpcParams.transposed u",
+            lambda x: params(u=x).transposed(), (1, 3, 4), ((1, 3, 9),)),
     Refusal("min_weight_codeword rows",
             lambda x: min_weight_codeword(FLAGSHIP, 0, x, [1, 3]),
             [0, 1, 3, 4, 5], (None, 5)),
@@ -212,6 +215,15 @@ REFUSALS = (
     Refusal("erase_positions position",
             lambda x: erase_positions(SymbolArray.zeros(6, 7), [x]), (1, 2),
             (5, None, (1, 2, 3))),
+    *(Refusal(f"{call.__name__} arr", lambda x, call=call: call(x, FLAGSHIP),
+              SymbolArray.zeros(6, 7), (None, [[0] * 7] * 6))
+      for call in (decode_rows, decode_iterative, decode_plan, is_member)),
+    *(Refusal(f"{call.__name__} params",
+              lambda x, call=call: call(SymbolArray.zeros(6, 7), x), FLAGSHIP,
+              ("x", None, H, tuple(FLAGSHIP)))
+      for call in (decode_rows, decode_iterative, decode_plan, is_member)),
+    Refusal("encode params", lambda x: encode([0] * 19, x), FLAGSHIP,
+            ("x", None, H, tuple(FLAGSHIP))),
 )
 
 

@@ -668,6 +668,11 @@ def test_lc_erasure_decode_small_patterns():
         assert lc_erasure_decode(list(word), {a}, code) == word
         for b in range(a + 1, 9):
             assert lc_erasure_decode(list(word), {a, b}, code) == word
+    # a position named twice, in a list or as a bool alias, is erased once,
+    # by the peel and by the plain fill
+    for erased in ([0, 0], {True, 1}):
+        for c in (code, _scalar(code)):
+            assert lc_erasure_decode(list(word), erased, c) == word
     for _ in range(15):
         pattern = set(rng.sample(range(9), 7))
         assert lc_erasure_decode(list(word), pattern, code) == word

@@ -3,16 +3,17 @@
 import random
 import re
 import tracemalloc
+import types
 
 import pytest
 
 from gpcodes import gpc, linalg
 from gpcodes.epc import LinearCode, build_h2, lc_encode, lc_erasure_decode
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
-                         GpcParams, SymbolArray, UncorrectableError,
+from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
+                         SymbolArray, UncorrectableError,
                          component_parity_check, decodable_profile,
-                         decode_iterative, decode_rows, encode,
+                         decode_iterative, decode_plan, decode_rows, encode,
                          erase_positions, full_parity_matrix, is_member,
                          min_weight_codeword)
 from gpcodes.linalg import Matrix, rank
@@ -700,31 +701,71 @@ def test_decode_rows_rejects_excess():
     assert exc_info.value.remaining == frozenset(pattern)
 
 
-def test_decode_trace_structure():
+def test_decode_plan_structure():
     rng = random.Random(21)
     p = FLAGSHIP
     arr = rand_codeword(p, rng)
     pattern = [(0, 2), (2, 1), (2, 2), (2, 4), (2, 6), (3, 0), (3, 3), (3, 5),
                (5, 4)] + [(1, c) for c in range(7)] + [(4, c) for c in range(7)]
-    trace = DecodeTrace()
-    decoded = decode_rows(erase_positions(arr, pattern), p, trace=trace)
+    damaged = erase_positions(arr, pattern)
+    decoded = decode_rows(damaged, p)
     assert decoded == arr
-    assert trace.row_order == (1, 4, 2, 3, 0, 5)
-    assert trace.counts == (7, 7, 4, 3, 0, 0)  # rows 0 and 5 fixed locally
+    (step,) = decode_plan(damaged, p).passes
+    assert step.order == (1, 4, 2, 3, 0, 5)
+    assert step.counts == (7, 7, 4, 3, 0, 0)  # rows 0 and 5 fixed locally
     # unit upper triangular system, whose row i combines the first i + 1
     # rows of the power-weight matrix of the row order
     f = p.field
-    vm = [[f.alpha_pow(r * j) for j in trace.row_order] for r in range(4)]
+    vm = [[f.alpha_pow(r * j) for j in step.order] for r in range(4)]
     for i in range(4):
-        assert trace.system.data[i][i] == 1
-        assert all(trace.system.data[i][j] == 0 for j in range(i))
-        assert rank(Matrix(f, vm[:i + 1] + [trace.system.data[i]])) == i + 1
+        assert step.system[i][i] == 1
+        assert all(step.system[i][j] == 0 for j in range(i))
+        assert rank(Matrix(f, vm[:i + 1] + [step.system[i]])) == i + 1
+    steps = [(pos, row, lvl) for pos, row, _, lvl, _, _ in step.peel]
     # peeling happens bottom-up: positions strictly decreasing
-    positions = [pos for pos, _, _ in trace.steps]
+    positions = [pos for pos, _, _ in steps]
     assert positions == sorted(positions, reverse=True)
     # the two fully erased rows are recovered by vanishing combinations
-    assert {(pos, row) for pos, row, lvl in trace.steps if lvl is None} == \
+    assert {(pos, row) for pos, row, lvl in steps if lvl is None} == \
         {(0, 1), (1, 4)}
+
+
+def _mutable_parts(value, path="plan"):
+    """The paths under ``value`` that hold something other than an int,
+    None, a tuple, a read-only mapping or a params record."""
+    if value is None or isinstance(value, (int, GpcParams)):
+        return []
+    if isinstance(value, tuple):
+        return [bad for i, x in enumerate(value)
+                for bad in _mutable_parts(x, f"{path}[{i}]")]
+    if isinstance(value, types.MappingProxyType):
+        return [bad for key, x in value.items()
+                for bad in _mutable_parts(key, f"{path} key") +
+                _mutable_parts(x, f"{path}[{key}]")]
+    return [path]
+
+
+def test_the_public_plan_is_the_cached_plan_and_cannot_change():
+    """decode_plan hands out the very plan decode_rows runs, built of
+    tuples, ints and read-only mappings only, so a caller holding it
+    cannot change a later decode: a row pass, a refused profile, a
+    column pass and a k = m code."""
+    rng = random.Random(23)
+    for params in (FLAGSHIP, G16, K_EQ_M):
+        word = rand_codeword(params, rng)
+        for pattern in (random_decodable_pattern(params, rng),
+                        [(r, c) for r in range(params.m)
+                         for c in range(params.u[0] + 1)]):
+            damaged = erase_positions(word, pattern)
+            plan = decode_plan(damaged, params)
+            assert plan is decode_plan(damaged, params)
+            assert plan is gpc._PLANS[params, False,
+                                      tuple(map(bytes, damaged.erased))]
+            assert _mutable_parts(plan) == []
+            assert _mutable_parts(gpc._plan(gpc._view(params),
+                                            damaged.erased, True)) == []
+            with pytest.raises(TypeError):
+                plan.passes[0].groups[()] = (0,)
 
 
 def test_decode_rows_rejects_shape_mismatch():
@@ -857,10 +898,10 @@ def test_a_changed_survivor_under_a_cached_plan_raises(decoder, plans):
     assert len(plans) == 1
 
 
-def test_a_trace_on_a_cached_plan_equals_a_fresh_one(plans):
-    """decode_rows with a DecodeTrace records the same row order, counts,
-    system and steps from a cached plan as from a fresh one, the partial
-    steps of a contradiction included."""
+def test_a_cached_plan_equals_a_fresh_one(plans):
+    """decode_plan gives the cached plan, equal to a fresh plan of the
+    mask, and a contradiction counts the same peel steps whether
+    decode_rows ran a cached plan or a fresh one."""
     rng = random.Random(197)
     word = rand_codeword(FLAGSHIP, rng)
     for _ in range(30):
@@ -871,18 +912,19 @@ def test_a_trace_on_a_cached_plan_equals_a_fresh_one(plans):
                                for c in range(FLAGSHIP.n)
                                if not damaged.erased[r][c]])
             damaged.fill(r, c, damaged.values[r][c] ^ rng.randrange(1, 8))
-        traces = []
+        records = []
         for fresh in (True, False):
             if fresh:
                 plans.clear()
-            trace = DecodeTrace()
             try:
-                decode_rows(damaged, FLAGSHIP, trace)
-            except ContradictionError:
-                pass
-            traces.append((trace.row_order, trace.counts, trace.system,
-                           trace.steps))
-        assert traces[0] == traces[1]
+                decode_rows(damaged, FLAGSHIP)
+                steps = "decoded"
+            except ContradictionError as exc:
+                steps = exc.steps
+            records.append((decode_plan(damaged, FLAGSHIP), steps))
+        assert records[0] == records[1]
+        assert records[0][0] == gpc._plan(gpc._view(FLAGSHIP),
+                                          damaged.erased, False)
 
 
 @pytest.mark.parametrize("make", [

@@ -129,7 +129,8 @@ def test_the_private_gpc_names_perfbench_reads_exist():
     for name in reads:
         assert hasattr(gpc, name), name
     assert type(gpc._TRIANGULATION_CACHE) is dict
-    trace = gpc.DecodeTrace()       # a decode that triangulates
-    gpc.decode_rows(gpc.erase_positions(gpc.SymbolArray.zeros(6, 7), [
-        (0, 0), (0, 1), (0, 2)]), FLAGSHIP, trace=trace)
-    assert trace.system is not None and gpc._TRIANGULATION_CACHE == {}
+    damaged = gpc.erase_positions(gpc.SymbolArray.zeros(6, 7), [
+        (0, 0), (0, 1), (0, 2)])
+    gpc.decode_rows(damaged, FLAGSHIP)      # a decode that triangulates
+    (step,) = gpc.decode_plan(damaged, FLAGSHIP).passes
+    assert step.system is not None and gpc._TRIANGULATION_CACHE == {}

@@ -8,10 +8,10 @@ import pytest
 
 from gpcodes import gpc, linalg
 from gpcodes.fields import GF, default_field
-from gpcodes.gpc import (ContradictionError, DecodeTrace, ErasureProfile,
-                         GpcParams, SymbolArray, UncorrectableError,
-                         decodable_profile, decode_iterative, decode_rows,
-                         encode, erase_positions, full_parity_matrix,
+from gpcodes.gpc import (ContradictionError, ErasureProfile, GpcParams,
+                         SymbolArray, UncorrectableError, decodable_profile,
+                         decode_iterative, decode_plan, decode_rows, encode,
+                         erase_positions, full_parity_matrix,
                          min_weight_codeword)
 from gpcodes.linalg import NoSolutionError, combine, pack_blocks, unpack_block
 from gpcodes.oracle import correctable, random_decodable_pattern
@@ -56,10 +56,13 @@ def _ref_repair_rows(work, rows, cols, view, level, block, offset=None):
             work.fill(r, c, x)
 
 
-def _ref_row_pass(work, view, trace=None, block=1):
+def _ref_row_pass(work, view, record=None, block=1):
     """The row pass on a SymbolArray, rescanning its mask and building
     an ErasureProfile on every pass, as a reference for the pass on
-    plain rows: the same fills, checks and errors in the same order."""
+    plain rows: the same fills, checks and errors in the same order.
+    A ``record`` list, when given, gets the row order, counts and
+    system of a peel, then each (profile position, row, level) step as
+    it completes."""
     params = view.params
     span = range(work.n)
     erased = [tuple(compress(span, flags)) for flags in work.erased]
@@ -83,8 +86,8 @@ def _ref_row_pass(work, view, trace=None, block=1):
     counts = profile.counts
     nsys = max(m - k, sum(1 for c in counts if c))
     reduced = gpc._triangulated_system(view, order, nsys)
-    if trace is not None:
-        trace.row_order, trace.counts, trace.system = order, counts, reduced
+    if record is not None:
+        record += [order, counts, tuple(map(tuple, reduced.data))]
     for p in range(nsys - 1, -1, -1):
         row_idx = order[p]
         cols = erased[row_idx]
@@ -102,8 +105,8 @@ def _ref_row_pass(work, view, trace=None, block=1):
             level = next(s for s in range(1, t) if params.u[s] >= counts[p]
                          and params.s_hat(s) >= p + 1)
             _ref_repair_rows(work, [row_idx], cols, view, level, block, known)
-        if trace is not None:
-            trace.steps.append((p, row_idx, level))
+        if record is not None:
+            record.append((p, row_idx, level))
     return 0
 
 
@@ -114,11 +117,11 @@ def _ref_checked_copy(arr, params):
     return work
 
 
-def ref_decode_rows(arr, params, trace=None):
+def ref_decode_rows(arr, params, record=None):
     view = gpc._view(params)
     work = _ref_checked_copy(arr, params)
     try:
-        left = _ref_row_pass(work, view, trace)
+        left = _ref_row_pass(work, view, record)
     except NoSolutionError as exc:
         raise ContradictionError(f"row solve failed: {exc}",
                                  frozenset(arr.erased_positions())) from exc
@@ -163,11 +166,29 @@ def outcome(decoder, arr, params):
     return out.values, out.erased
 
 
-def traced_outcome(decoder, arr, params):
-    trace = DecodeTrace()
-    result = outcome(lambda a, p: decoder(a, p, trace), arr, params)
-    return result, (trace.row_order, trace.counts, trace.system,
-                    trace.steps)
+def recorded_outcome(arr, params):
+    """decode_rows' outcome and its record, read from its public plan:
+    the first pass's row order, counts and system, then its peel steps,
+    as many as a contradiction counts; empty when no peel step ran."""
+    (step,) = decode_plan(arr, params).passes
+    try:
+        out = decode_rows(arr, params)
+    except (UncorrectableError, ValueError) as exc:
+        result = type(exc), str(exc), getattr(exc, "remaining", None)
+        ran = getattr(exc, "steps", None)
+    else:
+        result, ran = (out.values, out.erased), len(step.peel)
+    if ran is None or step.system is None:
+        return result, []
+    return result, [step.order, step.counts, step.system] + [
+        (p, row, level) for p, row, _, level, _, _ in step.peel[:ran]]
+
+
+def ref_recorded_outcome(arr, params):
+    """ref_decode_rows' outcome and the record its row pass keeps."""
+    record = []
+    return outcome(lambda a, p: ref_decode_rows(a, p, record), arr,
+                   params), record
 
 
 # ---------------------------------------------------------------- cases
@@ -293,9 +314,9 @@ def test_the_all_zero_codeword_decodes_to_zeros(params, pattern, limit,
     zero = encode([0] * params.dimension(), params)
     assert zero.values == [[0] * params.n for _ in range(params.m)]
     damaged = erase_positions(zero, pattern)
-    trace = DecodeTrace()
-    assert decode_rows(damaged, params, trace) == zero
-    assert [level for _, _, level in trace.steps] == [1, None, None]
+    assert decode_rows(damaged, params) == zero
+    (step,) = decode_plan(damaged, params).passes
+    assert [level for _, _, _, level, _, _ in step.peel] == [1, None, None]
     # row solves keep no plan; the encoder compiles on its second use
     # when the limit lets it, and the compiled map gives zeros too
     for _ in range(2):
@@ -402,8 +423,8 @@ def test_decoders_match_the_symbol_array_reference(params, count):
     for arr in reference_cases(params, 409, count):
         assert outcome(decode_iterative, arr, params) == \
             outcome(ref_decode_iterative, arr, params), arr
-        assert traced_outcome(decode_rows, arr, params) == \
-            traced_outcome(ref_decode_rows, arr, params), arr
+        assert recorded_outcome(arr, params) == \
+            ref_recorded_outcome(arr, params), arr
 
 
 # ------------------------------------------------------- level-0 syndrome
@@ -428,10 +449,10 @@ def test_each_row_pass_takes_the_level_0_syndrome_once(decoder, reference,
     run_pass, syndrome = gpc._execute_pass, linalg.LinearCode.syndrome
     fold = linalg.Fold.__call__
 
-    def recording_pass(step, levels, values, block, trace=None):
+    def recording_pass(step, levels, values, block):
         local = sum(map(len, step.groups.values()))
         passes.append((step.params, levels, local, [], []))
-        return run_pass(step, levels, values, block, trace)
+        return run_pass(step, levels, values, block)
 
     def recording_syndrome(self, word, block=1):
         passes[-1][3].append((self, block))

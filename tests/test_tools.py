@@ -238,9 +238,9 @@ def test_mutants_reports_a_surviving_mutant_and_a_stale_pattern(capsys):
 
 
 def test_digest_of_the_library_outputs_is_pinned():
-    """tools/digest.py hashes the outputs, traces and errors of every
-    decoder and encoder on its seeded inputs.  A change that alters any
-    of them must update this pin and say why in CHANGES.md."""
+    """tools/digest.py hashes the outputs, decode records and errors of
+    every decoder and encoder on its seeded inputs.  A change that alters
+    any of them must update this pin and say why in CHANGES.md."""
     digest = load_tool("digest").compute()
     assert (digest.items, digest.raised) == (1798, 432)
     assert digest.hash.hexdigest() == (

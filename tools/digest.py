@@ -1,7 +1,7 @@
 """Print one sha256 over the library's outputs on seeded inputs.
 
 The digest is a bit-identity check: a change that must not alter any
-output, error or trace prints the same digest before and after.  The
+output, error or decode record prints the same digest before and after.  The
 inputs are built here from fixed seeds, with no benchmark import:
 
 * G16, C(30;14,(2^8,4^4,8^4)) over GF(2^8), with archive-like losses
@@ -18,7 +18,8 @@ inputs are built here from fixed seeds, with no benchmark import:
 Each code encodes three words, so a compiled encoder runs, and each
 array or word is decoded as it is and once more with one changed
 survivor.  Hashed, in order: ``encode``, ``is_member``, ``decode_rows``
-with its ``DecodeTrace`` (row order, counts, system and steps),
+with its record (the row order, counts, system and steps of its plan,
+from ``decode_plan``, as many steps as a contradiction counts),
 ``decode_iterative`` (values and mask), ``lc_encode`` and
 ``lc_erasure_decode``; for every raise, its class name, its message and
 its sorted ``remaining``.  Run from anywhere:
@@ -36,8 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gpcodes.epc import build_h2, build_h3, lc_encode  # noqa: E402
 from gpcodes.epc import lc_erasure_decode  # noqa: E402
 from gpcodes.fields import GF, default_field  # noqa: E402
-from gpcodes.gpc import (DecodeTrace, GpcParams, SymbolArray,  # noqa: E402
-                         decode_iterative, decode_rows, encode,
+from gpcodes.gpc import (GpcParams, SymbolArray,  # noqa: E402
+                         decode_iterative, decode_plan, decode_rows, encode,
                          erase_positions, is_member)
 from gpcodes.oracle import random_decodable_pattern  # noqa: E402
 
@@ -56,16 +57,20 @@ class Digest:
     def __init__(self):
         self.hash = hashlib.sha256()
         self.items = self.raised = 0
+        self.error = None       # what the last call raised
 
     def add(self, *item) -> None:
         self.hash.update(repr(item).encode() + b"\n")
         self.items += 1
 
     def call(self, tag: str, fn, *args):
-        """``fn(*args)``, or None after hashing what it raised."""
+        """``fn(*args)``, or None after hashing what it raised, which it
+        keeps as ``error``."""
+        self.error = None
         try:
             return fn(*args)
         except ValueError as exc:
+            self.error = exc
             remaining = getattr(exc, "remaining", None)
             self.add(tag, type(exc).__name__, str(exc),
                      None if remaining is None else sorted(remaining))
@@ -94,15 +99,26 @@ def _decode_array(digest: Digest, params: GpcParams, word: SymbolArray,
                                              SymbolArray(rows), params))
     for arr in (erase_positions(word, pattern),
                 erase_positions(SymbolArray(rows), pattern)):
-        trace = DecodeTrace()
-        out = digest.call("rows", decode_rows, arr, params, trace)
+        out = digest.call("rows", decode_rows, arr, params)
         digest.add("rows", None if out is None else out.values,
-                   trace.row_order, trace.counts,
-                   None if trace.system is None else trace.system.data,
-                   trace.steps)
+                   *_record(decode_plan(arr, params), out, digest.error))
         out = digest.call("iterative", decode_iterative, arr, params)
         digest.add("iterative",
                    None if out is None else (out.values, out.erased))
+
+
+def _record(plan, out, error) -> tuple:
+    # The row order, counts, system and steps of a decode_rows run on
+    # ``plan`` that returned ``out`` or raised ``error``: every peel step
+    # on success, those a contradiction counts, and none when no peel
+    # step ran.
+    (step,) = plan.passes
+    ran = len(step.peel) if out is not None else getattr(error, "steps",
+                                                          None)
+    if ran is None or step.system is None:
+        return (), (), None, []
+    return (step.order, step.counts, list(map(list, step.system)),
+            [(p, row, level) for p, row, _, level, _, _ in step.peel[:ran]])
 
 
 def _array_code(digest: Digest, params: GpcParams, patterns,

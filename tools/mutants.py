@@ -97,8 +97,8 @@ MUTANTS = (
            (ROW_PASS + "test_decoders_leave_input_untouched_and_return_"
             "fresh_rows",)),
     Mutant("decode_rows returns what it could not repair", GPC,
-           "iterate=False, trace=trace)\n    if plan.left:",
-           "iterate=False, trace=trace)\n    if False:", (CENSUS,)),
+           "iterate=False)\n    if plan.left:",
+           "iterate=False)\n    if False:", (CENSUS,)),
     Mutant("the row pass peels past the budgets", GPC,
            "    if any(map(gt, counts, view.budgets)):\n"
            "        passes.append(_Pass(params, groups, order, counts))\n"
@@ -157,13 +157,15 @@ MUTANTS = (
            ("tests/test_gpc.py::test_a_plan_lives_while_four_new_patterns_"
             "pass",)),
     Mutant("a cached plan's vanishing comparison is skipped", GPC,
-           "            if row != known:\n"
-           "                raise NoSolutionError(\"inconsistent system\")\n",
-           "            seen = _execute_pass.__dict__.setdefault(\"seen\","
+           "                if row != known:\n"
+           "                    raise NoSolutionError("
+           "\"inconsistent system\")\n",
+           "                seen = _execute_pass.__dict__.setdefault(\"seen\","
            " set())\n"
-           "            if row != known and (id(step), p) not in seen:\n"
-           "                raise NoSolutionError(\"inconsistent system\")\n"
-           "            seen.add((id(step), p))\n",
+           "                if row != known and (id(step), i) not in seen:\n"
+           "                    raise NoSolutionError("
+           "\"inconsistent system\")\n"
+           "                seen.add((id(step), i))\n",
            ("tests/test_gpc.py::test_a_changed_survivor_under_a_cached_plan_"
             "raises",)),
     Mutant("codes have no column view", GPC,
@@ -184,7 +186,10 @@ MUTANTS = (
            "u_new = tuple(self.s_hat(t - i) - (i == 0) for i in range(t))",
            ("tests/test_gpc.py::test_transpose_preserves_code",)),
     Mutant("the peel reads a row form that is not refreshed", GPC,
-           "        if cols:\n            forms[row_idx] = form(row)\n", "",
+           "            if cols:\n"
+           "                forms[row_idx] = form(row)\n", "", (REFERENCE,)),
+    Mutant("a contradiction reports one peel step too many", GPC,
+           "        exc.steps = i\n", "        exc.steps = i + 1\n",
            (REFERENCE,)),
     Mutant("a level pivot writes the filled word without the sum it added",
            GPC, "row[c] = word[c] ^ known[c]", "row[c] = word[c]",
